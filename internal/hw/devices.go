@@ -2,6 +2,7 @@ package hw
 
 import (
 	"fmt"
+	"slices"
 
 	"vwchar/internal/sim"
 )
@@ -190,7 +191,12 @@ func (n *NIC) Packets() (rx, tx uint64) { return n.rxPackets, n.txPackets }
 // model can expose kernel/app/cache components separately.
 type Memory struct {
 	capacity float64
-	used     map[string]float64
+	// labels is kept sorted, with vals[i] the usage of labels[i], so Used
+	// sums in one fixed order whatever order the labels were set in: a
+	// map's random iteration order changed the sum's last bits from run
+	// to run. A label whose usage drops to zero keeps its slot at 0.
+	labels []string
+	vals   []float64
 }
 
 // NewMemory builds a memory of the given capacity in bytes.
@@ -198,7 +204,7 @@ func NewMemory(capacity float64) *Memory {
 	if capacity <= 0 {
 		panic("hw: memory needs positive capacity")
 	}
-	return &Memory{capacity: capacity, used: make(map[string]float64)}
+	return &Memory{capacity: capacity}
 }
 
 // Capacity reports total bytes.
@@ -206,31 +212,38 @@ func (m *Memory) Capacity() float64 { return m.capacity }
 
 // Set fixes the usage of a labeled component (e.g. "pagecache").
 func (m *Memory) Set(label string, bytes float64) {
+	i, ok := slices.BinarySearch(m.labels, label)
 	if bytes <= 0 {
-		delete(m.used, label)
+		if ok {
+			m.vals[i] = 0
+		}
 		return
 	}
-	m.used[label] = bytes
+	if !ok {
+		m.labels = slices.Insert(m.labels, i, label)
+		m.vals = slices.Insert(m.vals, i, 0)
+	}
+	m.vals[i] = bytes
 }
 
 // Get reports the usage of a labeled component.
-func (m *Memory) Get(label string) float64 { return m.used[label] }
+func (m *Memory) Get(label string) float64 {
+	if i, ok := slices.BinarySearch(m.labels, label); ok {
+		return m.vals[i]
+	}
+	return 0
+}
 
 // Add adjusts a labeled component by delta, clamping at zero.
 func (m *Memory) Add(label string, delta float64) {
-	v := m.used[label] + delta
-	if v <= 0 {
-		delete(m.used, label)
-		return
-	}
-	m.used[label] = v
+	m.Set(label, m.Get(label)+delta)
 }
 
 // Used reports total bytes in use across all components, clamped to
 // capacity.
 func (m *Memory) Used() float64 {
 	total := 0.0
-	for _, v := range m.used {
+	for _, v := range m.vals {
 		total += v
 	}
 	if total > m.capacity {

@@ -2,6 +2,7 @@ package hw
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -231,6 +232,50 @@ func TestMemoryAccounting(t *testing.T) {
 	m.Set("app", 0)
 	if m.Get("app") != 0 {
 		t.Fatal("Set(0) should clear")
+	}
+}
+
+// TestMemoryUsedIsOrderIndependent pins Used to one summation order. The
+// values are chosen so float addition order shows: 1e16+1+1 rounds to
+// 1e16, while 1+1+1e16 is 1e16+2. Every insertion order of a label set,
+// including labels cleared and set again, must give the same bits.
+func TestMemoryUsedIsOrderIndependent(t *testing.T) {
+	sets := [][]struct {
+		label string
+		bytes float64
+	}{
+		{{"base", 1e16}, {"shadow", 1}, {"backend-buffers", 1}},
+		{{"kernel", 90e6}, {"pagecache", 0.1}, {"dbcache", 0.2}, {"app", 0.3}, {"x", 1e-9}},
+	}
+	r := rand.New(rand.NewSource(1))
+	for si, set := range sets {
+		var want float64
+		for trial := 0; trial < 50; trial++ {
+			m := NewMemory(1e18)
+			for _, i := range r.Perm(len(set)) {
+				m.Set(set[i].label, set[i].bytes)
+			}
+			// Clear and re-add one label: its slot must not move.
+			victim := set[r.Intn(len(set))]
+			m.Set(victim.label, 0)
+			m.Add(victim.label, victim.bytes)
+			got := m.Used()
+			if trial == 0 {
+				want = got
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("set %d trial %d: Used = %v (%x), want %v (%x)", si, trial, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+			if m.Used() != got {
+				t.Fatalf("set %d: repeated Used differs", si)
+			}
+		}
+	}
+	m := NewMemory(1e18)
+	m.Set("a", 1)
+	m.Set("b", 2)
+	if n := testing.AllocsPerRun(100, func() { _ = m.Used(); m.Set("a", 3); m.Add("b", 1) }); n != 0 {
+		t.Fatalf("Used/Set/Add on known labels allocate %v per call", n)
 	}
 }
 

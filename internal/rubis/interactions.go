@@ -217,37 +217,50 @@ func (a *App) ExecuteInto(res *Result, kind Interaction, sess *Session, r *rng.S
 		sess.RegionID = int64(r.Categorical(a.regWeights))
 
 	case SearchItemsInCategory:
-		var items []rubisdb.Row
+		var ids [searchLimit]int64
+		n := 0
 		err := a.query(res, 0, func() error {
 			var err error
-			items, err = a.items.LookupBy("category", sess.CategoryID, searchLimit)
+			n, err = a.items.ReadBy("category", sess.CategoryID, searchLimit, func(i int, t rubisdb.Tuple) {
+				ids[i] = t.Int(colID)
+			})
 			return err
 		})
 		if err != nil {
 			return err
 		}
-		res.Queries[len(res.Queries)-1].ReplyBytes = float64(len(items)) * rowItemList
-		rowsListed = float64(len(items))
-		if len(items) > 0 {
-			sess.ItemID = items[r.Intn(len(items))][0].(int64)
+		res.Queries[len(res.Queries)-1].ReplyBytes = float64(n) * rowItemList
+		rowsListed = float64(n)
+		if n > 0 {
+			sess.ItemID = ids[r.Intn(n)]
 		}
 
 	case SearchItemsInRegion:
-		// One join query: sellers in the region and a few items each.
+		// One join query: sellers in the region and a few items each. The
+		// seller ids are collected before any item is probed, so the page
+		// touches keep the users-then-items order of the join.
 		count := 0
 		err := a.query(res, 0, func() error {
-			sellers, err := a.users.LookupBy("region", sess.RegionID, 8)
+			var sellers [8]int64
+			ns, err := a.users.ReadBy("region", sess.RegionID, len(sellers), func(i int, t rubisdb.Tuple) {
+				sellers[i] = t.Int(colID)
+			})
 			if err != nil {
 				return err
 			}
-			for _, s := range sellers {
-				items, err := a.items.LookupBy("seller", s[0].(int64), 3)
+			for _, s := range sellers[:ns] {
+				var first int64
+				n, err := a.items.ReadBy("seller", s, 3, func(i int, t rubisdb.Tuple) {
+					if i == 0 {
+						first = t.Int(colID)
+					}
+				})
 				if err != nil {
 					return err
 				}
-				count += len(items)
-				if len(items) > 0 {
-					sess.ItemID = items[0][0].(int64)
+				count += n
+				if n > 0 {
+					sess.ItemID = first
 				}
 			}
 			return nil
@@ -259,18 +272,21 @@ func (a *App) ExecuteInto(res *Result, kind Interaction, sess *Session, r *rng.S
 		rowsListed = float64(count)
 
 	case ViewItem:
-		var item rubisdb.Row
+		var seller int64
+		var found bool
 		if err := a.query(res, rowItemFull, func() error {
 			var err error
-			item, err = a.items.GetByPK(sess.ItemID)
+			found, err = a.items.ReadByPK(sess.ItemID, func(t rubisdb.Tuple) {
+				seller = t.Int(colItemSeller)
+			})
 			return err
 		}); err != nil {
 			return err
 		}
-		if item != nil {
-			sess.ToUserID = item[3].(int64)
+		if found {
+			sess.ToUserID = seller
 			if err := a.query(res, rowUser, func() error {
-				_, err := a.users.GetByPK(item[3].(int64))
+				_, err := a.users.ReadByPK(seller, nil)
 				return err
 			}); err != nil {
 				return err
@@ -286,15 +302,15 @@ func (a *App) ExecuteInto(res *Result, kind Interaction, sess *Session, r *rng.S
 
 	case ViewUserInfo:
 		if err := a.query(res, rowUser, func() error {
-			_, err := a.users.GetByPK(sess.ToUserID)
+			_, err := a.users.ReadByPK(sess.ToUserID, nil)
 			return err
 		}); err != nil {
 			return err
 		}
 		var n int
 		if err := a.query(res, 0, func() error {
-			rows, err := a.comments.LookupBy("to_user", sess.ToUserID, 10)
-			n = len(rows)
+			var err error
+			n, err = a.comments.ReadBy("to_user", sess.ToUserID, 10, nil)
 			return err
 		}); err != nil {
 			return err
@@ -304,21 +320,26 @@ func (a *App) ExecuteInto(res *Result, kind Interaction, sess *Session, r *rng.S
 
 	case ViewBidHistory:
 		if err := a.query(res, rowItemList, func() error {
-			_, err := a.items.GetByPK(sess.ItemID)
+			_, err := a.items.ReadByPK(sess.ItemID, nil)
 			return err
 		}); err != nil {
 			return err
 		}
 		// One join query: bids for the item with their bidders' names.
-		var history []rubisdb.Row
+		// All bids are read before the first bidder lookup, as the join
+		// fetches them.
+		var n int
 		if err := a.query(res, 0, func() error {
+			var bidders [8]int64
 			var err error
-			history, err = a.bids.LookupBy("item", sess.ItemID, 8)
+			n, err = a.bids.ReadBy("item", sess.ItemID, len(bidders), func(i int, t rubisdb.Tuple) {
+				bidders[i] = t.Int(colBidUser)
+			})
 			if err != nil {
 				return err
 			}
-			for _, b := range history {
-				if _, err := a.users.GetByPK(b[1].(int64)); err != nil {
+			for _, u := range bidders[:n] {
+				if _, err := a.users.ReadByPK(u, nil); err != nil {
 					return err
 				}
 			}
@@ -326,12 +347,12 @@ func (a *App) ExecuteInto(res *Result, kind Interaction, sess *Session, r *rng.S
 		}); err != nil {
 			return err
 		}
-		res.Queries[len(res.Queries)-1].ReplyBytes = float64(len(history)) * (rowBid + rowUser)
-		rowsListed = float64(len(history))
+		res.Queries[len(res.Queries)-1].ReplyBytes = float64(n) * (rowBid + rowUser)
+		rowsListed = float64(n)
 
 	case BuyNow, PutBid:
 		if err := a.query(res, rowItemFull, func() error {
-			_, err := a.items.GetByPK(sess.ItemID)
+			_, err := a.items.ReadByPK(sess.ItemID, nil)
 			return err
 		}); err != nil {
 			return err
@@ -348,13 +369,13 @@ func (a *App) ExecuteInto(res *Result, kind Interaction, sess *Session, r *rng.S
 
 	case PutComment:
 		if err := a.query(res, rowUser, func() error {
-			_, err := a.users.GetByPK(sess.ToUserID)
+			_, err := a.users.ReadByPK(sess.ToUserID, nil)
 			return err
 		}); err != nil {
 			return err
 		}
 		if err := a.query(res, rowItemList, func() error {
-			_, err := a.items.GetByPK(sess.ItemID)
+			_, err := a.items.ReadByPK(sess.ItemID, nil)
 			return err
 		}); err != nil {
 			return err
@@ -406,17 +427,16 @@ func (a *App) ExecuteInto(res *Result, kind Interaction, sess *Session, r *rng.S
 			return err
 		}
 		if err := a.query(res, 16, func() error {
-			row, err := a.items.GetByPK(sess.ItemID)
-			if err != nil {
+			var nbBids int64
+			found, err := a.items.ReadByPK(sess.ItemID, func(t rubisdb.Tuple) {
+				nbBids = t.Int(colItemNbBids)
+			})
+			if err != nil || !found {
 				return err
 			}
-			if row == nil {
-				return nil
-			}
-			return a.items.UpdateNumeric(sess.ItemID, map[string]any{
-				"max_bid": amount,
-				"nb_bids": row[7].(int64) + 1,
-			})
+			return a.items.UpdateNumeric(sess.ItemID,
+				rubisdb.NumericUpdate{Col: colItemMaxBid, Float: amount},
+				rubisdb.NumericUpdate{Col: colItemNbBids, Int: nbBids + 1})
 		}); err != nil {
 			return err
 		}
@@ -451,39 +471,37 @@ func (a *App) ExecuteInto(res *Result, kind Interaction, sess *Session, r *rng.S
 
 	case AboutMe:
 		if err := a.query(res, rowUser, func() error {
-			_, err := a.users.GetByPK(sess.UserID)
+			_, err := a.users.ReadByPK(sess.UserID, nil)
 			return err
 		}); err != nil {
 			return err
 		}
-		var n int
+		var n, nb, nc int
 		if err := a.query(res, 0, func() error {
-			rows, err := a.items.LookupBy("seller", sess.UserID, 5)
-			n = len(rows)
+			var err error
+			n, err = a.items.ReadBy("seller", sess.UserID, 5, nil)
 			return err
 		}); err != nil {
 			return err
 		}
 		res.Queries[len(res.Queries)-1].ReplyBytes = float64(n) * rowItemList
-		var bids []rubisdb.Row
 		if err := a.query(res, 0, func() error {
 			var err error
-			bids, err = a.bids.LookupBy("user", sess.UserID, 10)
+			nb, err = a.bids.ReadBy("user", sess.UserID, 10, nil)
 			return err
 		}); err != nil {
 			return err
 		}
-		res.Queries[len(res.Queries)-1].ReplyBytes = float64(len(bids)) * rowBid
-		var nc int
+		res.Queries[len(res.Queries)-1].ReplyBytes = float64(nb) * rowBid
 		if err := a.query(res, 0, func() error {
-			rows, err := a.comments.LookupBy("to_user", sess.UserID, 5)
-			nc = len(rows)
+			var err error
+			nc, err = a.comments.ReadBy("to_user", sess.UserID, 5, nil)
 			return err
 		}); err != nil {
 			return err
 		}
 		res.Queries[len(res.Queries)-1].ReplyBytes = float64(nc) * rowComment
-		rowsListed = float64(n + len(bids) + nc)
+		rowsListed = float64(n + nb + nc)
 
 	default:
 		return fmt.Errorf("rubis: unknown interaction %q", kind)

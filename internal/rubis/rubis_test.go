@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"vwchar/internal/rng"
+	"vwchar/internal/rubisdb"
 )
 
 // smallDataset keeps test setup fast.
@@ -42,8 +43,8 @@ func TestDatasetPopulation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row, err := users.GetByPK(200)
-	if err != nil || row == nil {
+	found, err := users.ReadByPK(200, nil)
+	if err != nil || !found {
 		t.Fatalf("user 200 missing: %v", err)
 	}
 	bids, _ := app.Engine.Table("bids")
@@ -103,9 +104,12 @@ func TestWriteInteractionsPersist(t *testing.T) {
 		t.Fatal("StoreBid did not insert")
 	}
 	// The bid also bumps the item's counters.
-	item, _ := app.Engine.MustTable("items").GetByPK(10)
-	if item[7].(int64) != 1 {
-		t.Fatalf("nb_bids = %v after StoreBid", item[7])
+	var nbBids int64
+	if _, err := app.Engine.MustTable("items").ReadByPK(10, func(t rubisdb.Tuple) { nbBids = t.Int(colItemNbBids) }); err != nil {
+		t.Fatal(err)
+	}
+	if nbBids != 1 {
+		t.Fatalf("nb_bids = %v after StoreBid", nbBids)
 	}
 
 	usersBefore := app.TotalUsers()
@@ -129,6 +133,42 @@ func TestWriteInteractionsPersist(t *testing.T) {
 	}
 	if _, err := app.Execute(StoreBuyNow, sess, r, params); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReadOnlyInteractionsDoNotAllocate guards the borrowed-tuple read
+// path: once a caller-owned Result has grown, every read-only
+// interaction served from an attached snapshot view runs without a
+// single heap allocation.
+func TestReadOnlyInteractionsDoNotAllocate(t *testing.T) {
+	snap, err := NewSnapshot(smallDataset(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := snap.Attach()
+	defer app.Release()
+	r := rng.NewSource(9).Stream("allocs")
+	params := DefaultCostParams()
+	var res Result
+	reads := 0
+	for _, kind := range AllInteractions() {
+		run := func() {
+			sess := Session{UserID: 5, ItemID: 10, CategoryID: 2, RegionID: 3, ToUserID: 7}
+			if err := app.ExecuteInto(&res, kind, &sess, r, params); err != nil {
+				t.Fatalf("%s: %v", kind, err)
+			}
+		}
+		run() // grows res.Queries and the tables' RID lists
+		if res.IsWrite {
+			continue
+		}
+		reads++
+		if n := testing.AllocsPerRun(100, run); n != 0 {
+			t.Errorf("%s allocates %v times per call", kind, n)
+		}
+	}
+	if reads != 21 {
+		t.Fatalf("checked %d read-only interactions, want 21", reads)
 	}
 }
 

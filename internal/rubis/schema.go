@@ -173,6 +173,16 @@ func (a *App) createSchema() error {
 	return err
 }
 
+// Column positions in the schema createSchema builds, for reading
+// borrowed tuples and for typed updates.
+const (
+	colID         = 0 // every table's primary key
+	colItemSeller = 3
+	colItemMaxBid = 6
+	colItemNbBids = 7
+	colBidUser    = 1
+)
+
 // itemDescription is the synthetic description text stored per item;
 // its length drives tuple size, page counts, and therefore buffer pool
 // behaviour.

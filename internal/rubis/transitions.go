@@ -20,7 +20,7 @@ type Mix struct {
 	// Start is the session entry state.
 	Start Interaction
 
-	table map[Interaction][]edge
+	table map[Interaction]mixRow
 }
 
 type edge struct {
@@ -28,8 +28,24 @@ type edge struct {
 	p  float64
 }
 
+// mixRow is one state's outgoing edges, split into destinations and the
+// weight slice Next hands to Categorical as is, so a transition draws
+// without building a weights slice per step.
+type mixRow struct {
+	to []Interaction
+	w  []float64
+}
+
 func buildMix(name string, think float64, rows map[Interaction][]edge) *Mix {
-	m := &Mix{Name: name, ThinkMeanSeconds: think, Start: Home, table: rows}
+	table := make(map[Interaction]mixRow, len(rows))
+	for from, edges := range rows {
+		row := mixRow{to: make([]Interaction, len(edges)), w: make([]float64, len(edges))}
+		for i, e := range edges {
+			row.to[i], row.w[i] = e.to, e.p
+		}
+		table[from] = row
+	}
+	m := &Mix{Name: name, ThinkMeanSeconds: think, Start: Home, table: table}
 	if err := m.Validate(); err != nil {
 		panic(err) // static tables are package data; a bad one is a bug
 	}
@@ -43,19 +59,19 @@ func (m *Mix) Validate() error {
 	for _, i := range AllInteractions() {
 		known[i] = true
 	}
-	for from, edges := range m.table {
+	for from, row := range m.table {
 		if !known[from] {
 			return fmt.Errorf("rubis: mix %s has unknown state %q", m.Name, from)
 		}
 		sum := 0.0
-		for _, e := range edges {
-			if !known[e.to] {
-				return fmt.Errorf("rubis: mix %s: %s -> unknown %q", m.Name, from, e.to)
+		for i, to := range row.to {
+			if !known[to] {
+				return fmt.Errorf("rubis: mix %s: %s -> unknown %q", m.Name, from, to)
 			}
-			if e.p <= 0 {
-				return fmt.Errorf("rubis: mix %s: %s -> %s has weight %v", m.Name, from, e.to, e.p)
+			if row.w[i] <= 0 {
+				return fmt.Errorf("rubis: mix %s: %s -> %s has weight %v", m.Name, from, to, row.w[i])
 			}
-			sum += e.p
+			sum += row.w[i]
 		}
 		if math.Abs(sum-1) > 1e-9 {
 			return fmt.Errorf("rubis: mix %s: %s row sums to %v", m.Name, from, sum)
@@ -70,10 +86,10 @@ func (m *Mix) Validate() error {
 	for len(frontier) > 0 {
 		cur := frontier[0]
 		frontier = frontier[1:]
-		for _, e := range m.table[cur] {
-			if !seen[e.to] {
-				seen[e.to] = true
-				frontier = append(frontier, e.to)
+		for _, to := range m.table[cur].to {
+			if !seen[to] {
+				seen[to] = true
+				frontier = append(frontier, to)
 			}
 		}
 	}
@@ -99,15 +115,11 @@ func (m *Mix) States() []Interaction {
 // Next draws the interaction following cur. States without a row (e.g.
 // after switching mixes mid-session) restart at Start.
 func (m *Mix) Next(cur Interaction, r *rng.Stream) Interaction {
-	edges, ok := m.table[cur]
+	row, ok := m.table[cur]
 	if !ok {
 		return m.Start
 	}
-	weights := make([]float64, len(edges))
-	for i, e := range edges {
-		weights[i] = e.p
-	}
-	return edges[r.Categorical(weights)].to
+	return row.to[r.Categorical(row.w)]
 }
 
 // Think draws a think time in seconds.

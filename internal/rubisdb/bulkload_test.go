@@ -293,25 +293,21 @@ func TestTableBulkInsertMatchesInsert(t *testing.T) {
 		t.Fatalf("rows: bulk=%d incr=%d", bulk.Rows(), incr.Rows())
 	}
 	for _, tbl := range []*Table{bulk, incr} {
-		row, err := tbl.GetByPK(123)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if row == nil || row[0] != int64(123) {
-			t.Fatalf("GetByPK: %v", row)
+		if row := readRow(t, tbl, 123); row == nil || row[0] != int64(123) {
+			t.Fatalf("ReadByPK: %v", row)
 		}
 	}
 	for reg := int64(0); reg < 7; reg++ {
-		a, err := bulk.LookupBy("region", reg, 0)
+		a, err := bulk.ReadBy("region", reg, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := incr.LookupBy("region", reg, 0)
+		b, err := incr.ReadBy("region", reg, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(a) != len(b) {
-			t.Fatalf("region %d: bulk=%d incr=%d rows", reg, len(a), len(b))
+		if a != b {
+			t.Fatalf("region %d: bulk=%d incr=%d rows", reg, a, b)
 		}
 	}
 	// Same logical write work is metered (hits/misses differ by design).

@@ -353,22 +353,29 @@ func TestEngineCreateInsertQuery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	row, err := users.GetByPK(123)
+	if row := readRow(t, users, 123); row == nil || row[0] != int64(123) {
+		t.Fatalf("ReadByPK: %v", row)
+	}
+	if found, err := users.ReadByPK(9999, func(Tuple) { t.Fatal("absent pk visited a row") }); err != nil || found {
+		t.Fatalf("absent pk: found=%v err=%v", found, err)
+	}
+	var regions []int64
+	inRegion, err := users.ReadBy("region", 3, 0, func(i int, tu Tuple) {
+		if i != len(regions) {
+			t.Fatalf("ReadBy visited row %d out of order", i)
+		}
+		regions = append(regions, tu.Int(2))
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if row == nil || row[0] != int64(123) {
-		t.Fatalf("GetByPK: %v", row)
+	if inRegion != 50 || len(regions) != 50 {
+		t.Fatalf("region lookup returned %d rows, visited %d", inRegion, len(regions))
 	}
-	if row, _ := users.GetByPK(9999); row != nil {
-		t.Fatal("absent pk should return nil row")
-	}
-	inRegion, err := users.LookupBy("region", 3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(inRegion) != 50 {
-		t.Fatalf("region lookup returned %d rows", len(inRegion))
+	for _, r := range regions {
+		if r != 3 {
+			t.Fatalf("region lookup visited a row of region %d", r)
+		}
 	}
 	n, err := users.CountBy("region", 0, 4)
 	if err != nil {
@@ -377,12 +384,18 @@ func TestEngineCreateInsertQuery(t *testing.T) {
 	if n != 250 {
 		t.Fatalf("CountBy = %d", n)
 	}
-	limited, err := users.RangeBy("id", 0, 499, 25)
+	limited, err := users.ReadBy("region", 7, 25, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(limited) != 25 {
-		t.Fatalf("limit ignored: %d", len(limited))
+	if limited != 25 {
+		t.Fatalf("limit ignored: %d", limited)
+	}
+	if n, err := users.ReadBy("id", 42, 0, nil); err != nil || n != 1 {
+		t.Fatalf("ReadBy on the primary key: n=%d err=%v", n, err)
+	}
+	if _, err := users.ReadBy("rating", 0, 0, nil); err == nil {
+		t.Fatal("ReadBy on an unindexed column should error")
 	}
 }
 
@@ -427,27 +440,32 @@ func TestEngineUpdateNumeric(t *testing.T) {
 	if _, err := items.Insert(Row{int64(1), "vase", 10.0, int64(0), int64(9)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := items.UpdateNumeric(1, map[string]any{"price": 12.5, "bids": int64(1)}); err != nil {
+	if err := items.UpdateNumeric(1, NumericUpdate{Col: 2, Float: 12.5}, NumericUpdate{Col: 3, Int: 1}); err != nil {
 		t.Fatal(err)
 	}
-	row, _ := items.GetByPK(1)
-	if row[2] != 12.5 || row[3] != int64(1) {
+	row := readRow(t, items, 1)
+	if row[2] != 12.5 || row[3] != int64(1) || row[1] != "vase" || row[4] != int64(9) {
 		t.Fatalf("update lost: %v", row)
 	}
-	if err := items.UpdateNumeric(1, map[string]any{"id": int64(5)}); err == nil {
-		t.Fatal("pk update should error")
+	for _, tc := range []struct {
+		name string
+		key  int64
+		u    NumericUpdate
+	}{
+		{"pk update", 1, NumericUpdate{Col: 0, Int: 5}},
+		{"indexed column update", 1, NumericUpdate{Col: 4, Int: 5}},
+		{"string update", 1, NumericUpdate{Col: 1}},
+		{"absent row update", 99, NumericUpdate{Col: 2, Float: 1}},
+		{"wrong-typed update", 1, NumericUpdate{Col: 2, Int: 3}},
+		{"int column set through Float", 1, NumericUpdate{Col: 3, Float: 3}},
+		{"out-of-range column", 1, NumericUpdate{Col: 5, Int: 1}},
+	} {
+		if err := items.UpdateNumeric(tc.key, tc.u); err == nil {
+			t.Fatalf("%s should error", tc.name)
+		}
 	}
-	if err := items.UpdateNumeric(1, map[string]any{"seller": int64(5)}); err == nil {
-		t.Fatal("indexed column update should error")
-	}
-	if err := items.UpdateNumeric(1, map[string]any{"name": "x"}); err == nil {
-		t.Fatal("string update should error")
-	}
-	if err := items.UpdateNumeric(99, map[string]any{"price": 1.0}); err == nil {
-		t.Fatal("absent row update should error")
-	}
-	if err := items.UpdateNumeric(1, map[string]any{"price": int64(3)}); err == nil {
-		t.Fatal("wrong-typed update should error")
+	if row := readRow(t, items, 1); row[2] != 12.5 || row[3] != int64(1) {
+		t.Fatalf("rejected updates changed the row: %v", row)
 	}
 }
 
@@ -460,7 +478,7 @@ func TestEngineReceipts(t *testing.T) {
 		}
 	}
 	snap := e.Snapshot()
-	if _, err := users.LookupBy("region", 2, 0); err != nil {
+	if _, err := users.ReadBy("region", 2, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	r := e.ReceiptSince(snap)
@@ -500,13 +518,13 @@ func TestEngineBufferWarmupImprovesHitRatio(t *testing.T) {
 	}
 	before := e.Meter()
 	for i := int64(0); i < 2000; i++ {
-		if _, err := users.GetByPK(i); err != nil {
+		if _, err := users.ReadByPK(i, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	mid := e.Meter().Sub(before)
 	for i := int64(0); i < 2000; i++ {
-		if _, err := users.GetByPK(i); err != nil {
+		if _, err := users.ReadByPK(i, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -160,3 +160,45 @@ func TestHeapUpdateFailurePaths(t *testing.T) {
 		t.Fatal("updating a missing page should error")
 	}
 }
+
+// TestReadPathRejectsCorruptTuples: a stored tuple that no longer
+// matches its schema fails every read with DecodeRow's error, before the
+// callback sees it, and leaves no page pinned.
+func TestReadPathRejectsCorruptTuples(t *testing.T) {
+	e := newTestEngine(t)
+	users, err := e.CreateTable("users", usersSchema(), "id", "region")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rid, err := users.Insert(Row{int64(1), "ab", int64(4), int64(0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuple, err := users.heap.Fetch(rid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuple[8], tuple[9] = 0xFF, 0xFF // nickname length now runs past the tuple
+	if err := users.heap.UpdateInPlace(rid, tuple); err != nil {
+		t.Fatal(err)
+	}
+	_, want := DecodeRow(users.Schema, tuple)
+	if want == nil {
+		t.Fatal("corrupted tuple still decodes")
+	}
+	visit := func(Tuple) { t.Fatal("callback saw a corrupt tuple") }
+	if _, err := users.ReadByPK(1, visit); err == nil || err.Error() != want.Error() {
+		t.Fatalf("ReadByPK: %v, want %v", err, want)
+	}
+	if _, err := users.ReadBy("region", 4, 0, func(int, Tuple) { visit(Tuple{}) }); err == nil || err.Error() != want.Error() {
+		t.Fatalf("ReadBy: %v, want %v", err, want)
+	}
+	if err := users.UpdateNumeric(1, NumericUpdate{Col: 3, Int: 1}); err == nil || err.Error() != want.Error() {
+		t.Fatalf("UpdateNumeric: %v, want %v", err, want)
+	}
+	for id, f := range e.pool.frames {
+		if f.pins != 0 {
+			t.Fatalf("page %v left with %d pins", id, f.pins)
+		}
+	}
+}

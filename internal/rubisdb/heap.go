@@ -68,18 +68,28 @@ func (h *Heap) Insert(tuple []byte) (RID, error) {
 
 // Fetch returns a copy of the tuple at rid.
 func (h *Heap) Fetch(rid RID) ([]byte, error) {
-	f, err := h.pool.Get(PageID{File: h.file, PageNo: rid.PageNo})
+	f, cell, err := h.pin(rid)
 	if err != nil {
-		return nil, err
-	}
-	cell, err := f.Page.Cell(int(rid.Slot))
-	if err != nil {
-		f.Unpin(false)
 		return nil, err
 	}
 	out := append([]byte(nil), cell...)
 	f.Unpin(false)
 	return out, nil
+}
+
+// pin returns the tuple at rid aliasing its heap page, which stays
+// pinned until the caller unpins the returned frame.
+func (h *Heap) pin(rid RID) (*Frame, []byte, error) {
+	f, err := h.pool.Get(PageID{File: h.file, PageNo: rid.PageNo})
+	if err != nil {
+		return nil, nil, err
+	}
+	cell, err := f.Page.Cell(int(rid.Slot))
+	if err != nil {
+		f.Unpin(false)
+		return nil, nil, err
+	}
+	return f, cell, nil
 }
 
 // UpdateInPlace overwrites the tuple at rid with a same-length payload.

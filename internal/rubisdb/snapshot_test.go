@@ -75,11 +75,11 @@ func writeHeavyMix(t testing.TB, tb *Table, base int64, ops int, seed int64) {
 			}
 			next++
 		case 2:
-			if err := tb.UpdateNumeric(int64(r.Intn(1000)), map[string]any{"rating": int64(i)}); err != nil {
+			if err := tb.UpdateNumeric(int64(r.Intn(1000)), NumericUpdate{Col: 3, Int: int64(i)}); err != nil {
 				t.Fatal(err)
 			}
 		case 3:
-			if _, err := tb.LookupBy("region", int64(r.Intn(50)), 8); err != nil {
+			if _, err := tb.ReadBy("region", int64(r.Intn(50)), 8, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -116,15 +116,10 @@ func TestConcurrentViewsDoNotPerturbGoldenOrEachOther(t *testing.T) {
 	}
 	for i, v := range views {
 		tb := v.MustTable("users")
-		own, err := tb.GetByPK(bases[i])
-		if err != nil || own == nil {
-			t.Fatalf("view %d lost its own insert (row=%v err=%v)", i, own, err)
+		if own := readRow(t, tb, bases[i]); own == nil {
+			t.Fatalf("view %d lost its own insert", i)
 		}
-		other, err := tb.GetByPK(bases[1-i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if other != nil {
+		if other := readRow(t, tb, bases[1-i]); other != nil {
 			t.Fatalf("view %d sees view %d's insert: cross-replication bleed", i, 1-i)
 		}
 	}
@@ -157,14 +152,8 @@ func TestViewMatchesFreshEngine(t *testing.T) {
 		fresh.wal.Flushes != view.wal.Flushes || fresh.wal.TotalBytes != view.wal.TotalBytes {
 		t.Fatalf("WAL state diverged: fresh %+v view %+v", *fresh.wal, *view.wal)
 	}
-	fr, err := freshTb.GetByPK(1<<20 + 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	vr, err := viewTb.GetByPK(1<<20 + 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fr := readRow(t, freshTb, 1<<20+3)
+	vr := readRow(t, viewTb, 1<<20+3)
 	if fmt.Sprint(fr) != fmt.Sprint(vr) {
 		t.Fatalf("row diverged: fresh %v view %v", fr, vr)
 	}
@@ -191,8 +180,8 @@ func TestRearmRewindsView(t *testing.T) {
 	if v.Meter() != sealedMeter {
 		t.Fatalf("Rearm did not restore the sealed meter: %+v vs %+v", v.Meter(), sealedMeter)
 	}
-	if row, err := v.MustTable("users").GetByPK(1 << 20); err != nil || row != nil {
-		t.Fatalf("Rearm leaked a private write (row=%v err=%v)", row, err)
+	if row := readRow(t, v.MustTable("users"), 1<<20); row != nil {
+		t.Fatalf("Rearm leaked a private write (row=%v)", row)
 	}
 	// The probe above metered a couple of page hits; rearm again so the
 	// second run replays from the exact sealed state.

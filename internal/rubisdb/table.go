@@ -129,6 +129,70 @@ func DecodeRow(schema Schema, data []byte) (Row, error) {
 	return row, nil
 }
 
+// validateTuple accepts exactly the tuples DecodeRow accepts, with the
+// same errors, but decodes nothing and allocates only on failure.
+func validateTuple(schema Schema, data []byte) error {
+	off := 0
+	for _, col := range schema {
+		switch col.Type {
+		case TInt64, TFloat64:
+			if off+8 > len(data) {
+				return fmt.Errorf("rubisdb: truncated tuple at column %q", col.Name)
+			}
+			off += 8
+		case TString:
+			if off+2 > len(data) {
+				return fmt.Errorf("rubisdb: truncated tuple at column %q", col.Name)
+			}
+			n := int(binary.BigEndian.Uint16(data[off:]))
+			off += 2
+			if off+n > len(data) {
+				return fmt.Errorf("rubisdb: truncated string at column %q", col.Name)
+			}
+			off += n
+		}
+	}
+	if off != len(data) {
+		return fmt.Errorf("rubisdb: %d trailing bytes after tuple", len(data)-off)
+	}
+	return nil
+}
+
+// colOffset returns the byte offset of column col in a validated tuple.
+func colOffset(schema Schema, data []byte, col int) int {
+	off := 0
+	for _, c := range schema[:col] {
+		switch c.Type {
+		case TInt64, TFloat64:
+			off += 8
+		case TString:
+			off += 2 + int(binary.BigEndian.Uint16(data[off:]))
+		}
+	}
+	return off
+}
+
+// Tuple is a borrowed view of one stored row, already validated against
+// its table's schema. It aliases the pinned heap page, so it is valid
+// only inside the ReadBy or ReadByPK callback that receives it: copy out
+// anything that must outlive the callback.
+type Tuple struct {
+	schema Schema
+	data   []byte
+}
+
+// Bytes returns the row's encoded bytes (borrowed, like the Tuple).
+func (t Tuple) Bytes() []byte { return t.data }
+
+// Int returns int64 column col; it panics when col is not an int64
+// column.
+func (t Tuple) Int(col int) int64 {
+	if t.schema[col].Type != TInt64 {
+		panic(fmt.Sprintf("rubisdb: column %q is not int64", t.schema[col].Name))
+	}
+	return int64(binary.BigEndian.Uint64(t.data[colOffset(t.schema, t.data, col):]))
+}
+
 // Table is a heap file with a unique int64 primary key index and any
 // number of (non-unique) int64 secondary indexes.
 type Table struct {
@@ -146,6 +210,8 @@ type Table struct {
 	// rowScratch is the reused tuple-encoding buffer for this table's
 	// write paths; safe because pages and the WAL copy the bytes.
 	rowScratch []byte
+	// ridScratch is ReadBy's reused list of matching RIDs.
+	ridScratch []RID
 }
 
 // walInsert and walUpdate are WAL op codes.
@@ -176,9 +242,9 @@ func (t *Table) Insert(row Row) (RID, error) {
 	if !ok {
 		return RID{}, fmt.Errorf("table %s: primary key must be int64", t.Name)
 	}
-	if existing, err := t.pk.Search(key); err != nil {
+	if _, found, err := t.lookupPK(key); err != nil {
 		return RID{}, err
-	} else if len(existing) > 0 {
+	} else if found {
 		return RID{}, fmt.Errorf("table %s: duplicate primary key %d", t.Name, key)
 	}
 	rid, err := t.heap.Insert(tuple)
@@ -343,58 +409,88 @@ func compareEntries(a, b Entry) int {
 	return 0
 }
 
-// GetByPK returns the row with the given primary key, or nil when absent.
-func (t *Table) GetByPK(key int64) (Row, error) {
-	rids, err := t.pk.Search(key)
-	if err != nil {
-		return nil, err
-	}
-	if len(rids) == 0 {
-		return nil, nil
-	}
-	return t.fetch(DecodeRID(rids[0]))
+// lookupPK returns the RID stored under the primary key. Like
+// BTree.Search it scans the whole key run instead of stopping at the
+// first match: the run's end shows only on the next entry, which may sit
+// on the next leaf, and that page touch is part of the metered work.
+func (t *Table) lookupPK(key int64) (rid RID, found bool, err error) {
+	err = t.pk.ScanRange(key, key, func(_ int64, v uint64) bool {
+		if !found {
+			rid, found = DecodeRID(v), true
+		}
+		return true
+	})
+	return rid, found && err == nil, err
 }
 
-func (t *Table) fetch(rid RID) (Row, error) {
-	tuple, err := t.heap.Fetch(rid)
+// pin fetches the row at rid, meters it as one row read of its encoded
+// bytes, and validates it. It returns the heap page pinned; the caller
+// unpins the frame once it is done with the tuple.
+func (t *Table) pin(rid RID) (*Frame, Tuple, error) {
+	f, cell, err := t.heap.pin(rid)
 	if err != nil {
-		return nil, err
+		return nil, Tuple{}, err
 	}
 	t.engine.meter.RowsRead++
-	t.engine.meter.BytesOut += float64(len(tuple))
-	return DecodeRow(t.Schema, tuple)
+	t.engine.meter.BytesOut += float64(len(cell))
+	if err := validateTuple(t.Schema, cell); err != nil {
+		f.Unpin(false)
+		return nil, Tuple{}, err
+	}
+	return f, Tuple{schema: t.Schema, data: cell}, nil
 }
 
-// LookupBy returns up to limit rows whose indexed column equals key
-// (limit <= 0 means unlimited). The column must have a secondary index.
-func (t *Table) LookupBy(column string, key int64, limit int) ([]Row, error) {
-	return t.RangeBy(column, key, key, limit)
+// ReadByPK calls fn on the row with the given primary key and reports
+// whether it exists. fn may be nil when only the metered work matters.
+// fn runs while the row's heap page is pinned: it must not call back
+// into the engine, and the Tuple is valid only until it returns.
+func (t *Table) ReadByPK(key int64, fn func(Tuple)) (bool, error) {
+	rid, found, err := t.lookupPK(key)
+	if !found {
+		return false, err
+	}
+	f, tu, err := t.pin(rid)
+	if err != nil {
+		return false, err
+	}
+	if fn != nil {
+		fn(tu)
+	}
+	f.Unpin(false)
+	return true, nil
 }
 
-// RangeBy returns up to limit rows with lo <= column <= hi in index
-// order. The column must be the primary key or carry a secondary index.
-func (t *Table) RangeBy(column string, lo, hi int64, limit int) ([]Row, error) {
+// ReadBy calls fn(i, tuple) for each of up to limit rows (limit <= 0
+// means unlimited) whose indexed column equals key, in index order, and
+// returns how many rows it visited. The column must be the primary key
+// or carry a secondary index. The index is scanned into the table's
+// reused RID list before any row is fetched, so index and heap page
+// touches never interleave. fn may be nil, and obeys ReadByPK's rules.
+func (t *Table) ReadBy(column string, key int64, limit int, fn func(i int, tu Tuple)) (int, error) {
 	tree, err := t.indexFor(column)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	var rids []RID
-	err = tree.ScanRange(lo, hi, func(_ int64, v uint64) bool {
+	rids := t.ridScratch[:0]
+	err = tree.ScanRange(key, key, func(_ int64, v uint64) bool {
 		rids = append(rids, DecodeRID(v))
 		return limit <= 0 || len(rids) < limit
 	})
+	t.ridScratch = rids
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	rows := make([]Row, 0, len(rids))
-	for _, rid := range rids {
-		row, err := t.fetch(rid)
+	for i, rid := range rids {
+		f, tu, err := t.pin(rid)
 		if err != nil {
-			return nil, err
+			return i, err
 		}
-		rows = append(rows, row)
+		if fn != nil {
+			fn(i, tu)
+		}
+		f.Unpin(false)
 	}
-	return rows, nil
+	return len(rids), nil
 }
 
 // CountBy counts index entries with lo <= column <= hi without fetching
@@ -428,59 +524,79 @@ func (t *Table) indexFor(column string) (*BTree, error) {
 	return nil, fmt.Errorf("rubisdb: table %s has no index on %q", t.Name, column)
 }
 
+// NumericUpdate sets one fixed-width column of a row: Int for an int64
+// column, Float for a float64 column. The field that does not match the
+// column's type must stay zero.
+type NumericUpdate struct {
+	Col   int
+	Int   int64
+	Float float64
+}
+
 // UpdateNumeric overwrites fixed-width (int64/float64) columns of the row
 // with the given primary key. Indexed columns cannot be changed — the
-// RUBiS write paths only touch unindexed numerics (price, counters).
-func (t *Table) UpdateNumeric(key int64, updates map[string]any) error {
-	rids, err := t.pk.Search(key)
+// RUBiS write paths only touch unindexed numerics (price, counters). The
+// stored row is read once (metered like ReadByPK), patched in the
+// table's scratch buffer and written back in place.
+func (t *Table) UpdateNumeric(key int64, updates ...NumericUpdate) error {
+	rid, found, err := t.lookupPK(key)
 	if err != nil {
 		return err
 	}
-	if len(rids) == 0 {
+	if !found {
 		return fmt.Errorf("table %s: no row with pk %d", t.Name, key)
 	}
-	rid := DecodeRID(rids[0])
-	row, err := t.fetch(rid)
+	f, tu, err := t.pin(rid)
 	if err != nil {
 		return err
 	}
-	for name, val := range updates {
-		ci, err := t.Schema.ColIndex(name)
-		if err != nil {
+	tuple := append(t.rowScratch[:0], tu.data...)
+	f.Unpin(false)
+	t.rowScratch = tuple
+	for _, u := range updates {
+		if err := t.checkNumericUpdate(u); err != nil {
 			return err
 		}
-		if ci == t.pkCol {
-			return fmt.Errorf("table %s: cannot update primary key", t.Name)
+		bits := uint64(u.Int)
+		if t.Schema[u.Col].Type == TFloat64 {
+			bits = math.Float64bits(u.Float)
 		}
-		for i, col := range t.secCols {
-			_ = i
-			if col == ci {
-				return fmt.Errorf("table %s: cannot update indexed column %q", t.Name, name)
-			}
-		}
-		switch t.Schema[ci].Type {
-		case TInt64:
-			if _, ok := val.(int64); !ok {
-				return fmt.Errorf("table %s: update %q wants int64, got %T", t.Name, name, val)
-			}
-		case TFloat64:
-			if _, ok := val.(float64); !ok {
-				return fmt.Errorf("table %s: update %q wants float64, got %T", t.Name, name, val)
-			}
-		default:
-			return fmt.Errorf("table %s: UpdateNumeric cannot update string column %q", t.Name, name)
-		}
-		row[ci] = val
-	}
-	tuple, err := t.encode(row)
-	if err != nil {
-		return err
+		binary.BigEndian.PutUint64(tuple[colOffset(t.Schema, tuple, u.Col):], bits)
 	}
 	if err := t.heap.UpdateInPlace(rid, tuple); err != nil {
 		return err
 	}
 	t.engine.meter.RowsWritten++
 	t.engine.wal.AppendRecord(t.id, walUpdate, tuple)
+	return nil
+}
+
+// checkNumericUpdate rejects updates of the primary key, indexed
+// columns, string columns, and values set in the field that does not
+// match the column's type.
+func (t *Table) checkNumericUpdate(u NumericUpdate) error {
+	if u.Col < 0 || u.Col >= len(t.Schema) {
+		return fmt.Errorf("table %s: no column %d", t.Name, u.Col)
+	}
+	name := t.Schema[u.Col].Name
+	if u.Col == t.pkCol {
+		return fmt.Errorf("table %s: cannot update primary key", t.Name)
+	}
+	if slices.Contains(t.secCols, u.Col) {
+		return fmt.Errorf("table %s: cannot update indexed column %q", t.Name, name)
+	}
+	switch t.Schema[u.Col].Type {
+	case TInt64:
+		if u.Float != 0 {
+			return fmt.Errorf("table %s: update of int64 column %q sets Float", t.Name, name)
+		}
+	case TFloat64:
+		if u.Int != 0 {
+			return fmt.Errorf("table %s: update of float64 column %q sets Int", t.Name, name)
+		}
+	default:
+		return fmt.Errorf("table %s: UpdateNumeric cannot update string column %q", t.Name, name)
+	}
 	return nil
 }
 
