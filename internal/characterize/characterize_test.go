@@ -202,8 +202,8 @@ func TestDiskVarianceComparison(t *testing.T) {
 	virtCoV := DiskVariance(vb, experiment.TierWeb)
 	physCoV := DiskVariance(pb, experiment.TierWeb)
 	// Both traces are strongly bursty; the phys>virt ordering the paper
-	// reports emerges at the full 600-sample scale (see EXPERIMENTS.md)
-	// and is too noisy to assert on this shortened run.
+	// reports emerges at the full 600-sample scale and is too noisy to
+	// assert on this shortened run.
 	if virtCoV <= 0 || physCoV <= 0 {
 		t.Fatalf("CoVs: virt=%v phys=%v", virtCoV, physCoV)
 	}

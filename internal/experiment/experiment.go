@@ -324,9 +324,16 @@ func Run(cfg Config) (*Result, error) {
 	// first run for a (scale, seed) pair populates and seals it, and
 	// every later run attaches a copy-on-write view in microseconds.
 	// Views are returned to the snapshot's pool when the run is done
-	// (results only hold aggregated numbers, never engine state).
+	// (results only hold aggregated numbers, never engine state), and
+	// closed-loop client streams go back to rng's free list.
 	var attachedApps []*rubis.App
+	var drivers []tiers.LoadGen
 	defer func() {
+		for _, drv := range drivers {
+			if d, ok := drv.(*tiers.Driver); ok {
+				d.Release()
+			}
+		}
 		for _, a := range attachedApps {
 			a.Release()
 		}
@@ -353,7 +360,6 @@ func Run(cfg Config) (*Result, error) {
 	var growthWebs []*tiers.WebAppServer
 	var collector *sysstat.Collector
 	var hv *xen.Hypervisor
-	var drivers []tiers.LoadGen
 	var app *rubis.App
 	var inst *vmInstance
 	var topo tiers.Topology
@@ -433,7 +439,6 @@ func Run(cfg Config) (*Result, error) {
 				}
 			}
 		}
-		_ = app
 
 	case Physical:
 		appP, err := attachApp("dataset", 0)
@@ -600,7 +605,6 @@ func Run(cfg Config) (*Result, error) {
 		collector.OnSample(scaler.OnSample)
 	}
 	collector.Start()
-	startLoadTicker(k, collector)
 	for _, drv := range drivers {
 		drv.Start()
 	}
@@ -714,16 +718,6 @@ func Run(cfg Config) (*Result, error) {
 		res.Dom0BuffersMB = hv.Dom0().Mem.Get("backend-buffers") / 1e6
 	}
 	return res, nil
-}
-
-// startLoadTicker advances each monitored OS's load averages every
-// sample period (the collector reads them as gauges).
-func startLoadTicker(k *sim.Kernel, c *sysstat.Collector) {
-	// Load averages are updated inside the snapshot functions; nothing
-	// additional is needed here. Kept as a seam for future per-second
-	// kernel housekeeping.
-	_ = k
-	_ = c
 }
 
 // vmSnapshot builds the snapshot closure for a guest domain.

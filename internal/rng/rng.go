@@ -23,8 +23,9 @@ func splitmix64(x uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// hashName folds a stream name into a 64-bit value (FNV-1a).
-func hashName(name string) uint64 {
+// hashName folds a stream name into a 64-bit value (FNV-1a). A []byte
+// name hashes exactly like the string with the same bytes.
+func hashName[T string | []byte](name T) uint64 {
 	const (
 		offset = 14695981039346656037
 		prime  = 1099511628211
@@ -47,9 +48,10 @@ func NewSource(seed uint64) *Source { return &Source{seed: seed} }
 
 // Stream returns the deterministic substream for name. Calling Stream
 // twice with the same name yields independent generators with identical
-// state, so callers should create each stream once and keep it.
+// state, so callers should create each stream once and keep it. Like
+// NewStream, it reuses a released stream when one is free.
 func (s *Source) Stream(name string) *Stream {
-	return &Stream{r: rand.New(rand.NewSource(int64(s.SeedFor(name))))}
+	return NewStream(s.SeedFor(name))
 }
 
 // SeedFor derives the well-mixed 64-bit root seed for the named
@@ -61,17 +63,20 @@ func (s *Source) SeedFor(name string) uint64 {
 	return splitmix64(s.seed ^ splitmix64(hashName(name)))
 }
 
-// NewStream builds a stream directly from a derived substream seed, as
-// returned by Source.SeedFor. NewStream(src.SeedFor(name)) is
-// byte-identical to src.Stream(name), which lets callers store the seed
-// (a comparable cache key) and reconstruct the exact stream later.
-func NewStream(seed uint64) *Stream {
-	return &Stream{r: rand.New(rand.NewSource(int64(seed)))}
+// SeedForBytes is SeedFor for a name held in a byte slice, so hot
+// callers can format names in a stack buffer instead of a string.
+func (s *Source) SeedForBytes(name []byte) uint64 {
+	return splitmix64(s.seed ^ splitmix64(hashName(name)))
 }
 
 // Stream is a deterministic random stream with distribution helpers.
+// It draws exactly what rand.New(rand.NewSource(seed)) would: the
+// register is math/rand's generator held inline (see source), and every
+// helper runs math/rand's own Rand code over it.
 type Stream struct {
-	r *rand.Rand
+	r        rand.Rand
+	src      source
+	released bool
 }
 
 // Float64 returns a uniform draw in [0,1).
@@ -226,7 +231,7 @@ func (s *Stream) NewZipf(skew float64, n uint64) *Zipf {
 	if n == 0 {
 		n = 1
 	}
-	return &Zipf{z: rand.NewZipf(s.r, skew, 1, n-1)}
+	return &Zipf{z: rand.NewZipf(&s.r, skew, 1, n-1)}
 }
 
 // Draw returns the next Zipf sample.

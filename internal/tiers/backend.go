@@ -82,7 +82,7 @@ type PMParams struct {
 	// physical CPU per request than a guest's physical share: the full
 	// per-request network stack and interrupt path runs on the host,
 	// and inter-tier traffic crosses a real wire instead of dom0's
-	// batched memcpy path (DESIGN.md §4).
+	// batched memcpy path.
 	CycleFactor float64
 	// NetCyclesPerByte is host CPU burned per network byte.
 	NetCyclesPerByte float64

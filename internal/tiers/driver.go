@@ -1,7 +1,7 @@
 package tiers
 
 import (
-	"fmt"
+	"strconv"
 
 	"vwchar/internal/rng"
 	"vwchar/internal/rubis"
@@ -44,20 +44,22 @@ type client struct {
 // substreams from src.
 func NewDriver(k *sim.Kernel, app *rubis.App, model rubis.Model, web Frontend, costs rubis.CostParams, n int, src *rng.Source) *Driver {
 	d := &Driver{
-		k:     k,
-		app:   app,
-		model: model,
-		web:   web,
-		costs: costs,
+		k:       k,
+		app:     app,
+		model:   model,
+		web:     web,
+		costs:   costs,
+		clients: make([]*client, 0, n),
 	}
 	d.initStats(false)
 	for i := 0; i < n; i++ {
+		think, pick := clientSeeds(src, i)
 		c := &client{
 			d:     d,
 			id:    i,
 			state: model.StartState(),
-			think: src.Stream(fmt.Sprintf("client-%d-think", i)),
-			pick:  src.Stream(fmt.Sprintf("client-%d-pick", i)),
+			think: rng.NewStream(think),
+			pick:  rng.NewStream(pick),
 		}
 		c.sess.UserID = int64(i % int(app.TotalUsers()))
 		c.sess.ItemID = int64(i*7) % app.TotalItems()
@@ -67,6 +69,29 @@ func NewDriver(k *sim.Kernel, app *rubis.App, model rubis.Model, web Frontend, c
 		d.clients = append(d.clients, c)
 	}
 	return d
+}
+
+// clientSeeds returns the seeds of client i's streams, equal to
+// src.SeedFor("client-<i>-think") and src.SeedFor("client-<i>-pick").
+// The names are formatted in a stack buffer, so no string is built.
+func clientSeeds(src *rng.Source, i int) (think, pick uint64) {
+	var buf [32]byte
+	b := strconv.AppendInt(append(buf[:0], "client-"...), int64(i), 10)
+	n := len(b)
+	think = src.SeedForBytes(append(b, "-think"...))
+	pick = src.SeedForBytes(append(b[:n], "-pick"...))
+	return think, pick
+}
+
+// Release hands every client's streams back to rng for reuse by later
+// drivers and clears them, so a stale draw panics rather than reading
+// another run's stream. The driver must not run or be released again.
+func (d *Driver) Release() {
+	for _, c := range d.clients {
+		c.think.Release()
+		c.pick.Release()
+		c.think, c.pick = nil, nil
+	}
 }
 
 // Start schedules every client's first request. Clients begin spread

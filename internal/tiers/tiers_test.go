@@ -209,8 +209,10 @@ func TestDriverDeterminism(t *testing.T) {
 		rig := newVMRig(t, 80)
 		rig.driver.Start()
 		rig.k.Run(45 * sim.Second)
+		rig.driver.Release()
 		return rig.driver.Completed
 	}
+	// The second run draws from the first run's recycled streams.
 	a, b := run(), run()
 	if a != b {
 		t.Fatalf("same seed produced different request counts: %d vs %d", a, b)

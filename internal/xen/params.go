@@ -6,15 +6,15 @@
 // cycles the hypervisor actually charges.
 //
 // The distinction between dom0's *backend* work (caused by guest I/O) and
-// its *own* management activity is first-class: DESIGN.md explains how
-// that split reconciles the paper's two non-virtualized-vs-virtualized
-// claims, and the characterization layer reports both.
+// its *own* management activity is first-class: that split reconciles
+// the paper's two non-virtualized-vs-virtualized claims, and the
+// characterization layer reports both.
 package xen
 
 import "vwchar/internal/sim"
 
 // Params holds the hypervisor cost model. Defaults are calibrated so the
-// simulated counters land on the paper's figure axes; see DESIGN.md §4.
+// simulated counters land on the paper's figure axes.
 type Params struct {
 	// Quantum is the credit scheduler time slice (Xen default 30 ms).
 	Quantum sim.Time

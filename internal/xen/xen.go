@@ -68,7 +68,7 @@ type Hypervisor struct {
 	dom0   *Domain
 	guests []*Domain
 
-	// dom0 attribution split (see DESIGN.md §4): backend work is caused
+	// dom0 attribution split: backend work is caused
 	// by guest I/O; own work is management activity.
 	dom0BackendCycles    float64
 	dom0OwnCycles        float64

@@ -27,6 +27,8 @@ go test -run xxx \
 	-benchtime "$micro_benchtime" -benchmem ./internal/rubisdb/ | tee -a "$tmp"
 go test -run xxx -bench 'BenchmarkKernel' \
 	-benchtime "$micro_benchtime" -benchmem ./internal/sim/ | tee -a "$tmp"
+go test -run xxx -bench 'BenchmarkStreamNew$|BenchmarkStreamReseed$|BenchmarkStreamDraw' \
+	-benchtime "$micro_benchtime" -benchmem ./internal/rng/ | tee -a "$tmp"
 go test -run xxx -bench 'BenchmarkArrivalSchedule$' \
 	-benchtime "$micro_benchtime" -benchmem ./internal/load/ | tee -a "$tmp"
 go test -run xxx -bench 'BenchmarkLatencyRecord$|BenchmarkWindowRotate$' \

@@ -13,8 +13,8 @@
 //	fig1, _ := vwchar.BuildFigure(1, pair.Browse, pair.Bid)
 //	report := vwchar.Characterize(virtPair, physPair)
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// paper-versus-measured comparison.
+// README.md describes the command-line tools and each subsystem;
+// cmd/figures writes the paper-versus-measured report.
 package vwchar
 
 import (
