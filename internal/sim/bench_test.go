@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // benchDepth is the standing queue depth the schedule/drain benchmarks
 // operate at: deep enough that heap sifts traverse several levels, and
@@ -49,10 +52,13 @@ func BenchmarkKernelDrain(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelTickerHeavy measures the kernel's sustained event
+// throughput on the in-place ticker re-arm path, one 1 ms ticker alone.
+// Tickers are a small share of a real run's events: the hypervisor's
+// 30 ms quantum ticker fires 20 k times in a paper-grid job of ~1 M
+// events. BenchmarkKernelFarTimers has a sweep's queue shape. The CI
+// bench-smoke job fails if this reports nonzero allocs/op.
 func BenchmarkKernelTickerHeavy(b *testing.B) {
-	// The hypervisor's quantum ticker dominates event counts in real
-	// runs; this measures the kernel's sustained event throughput. The
-	// CI bench-smoke job fails if this reports nonzero allocs/op.
 	k := NewKernel()
 	count := 0
 	k.Every(Millisecond, Millisecond, func(Time) { count++ })
@@ -75,5 +81,51 @@ func BenchmarkKernelCancelReschedule(b *testing.B) {
 		if !e.Reschedule(k.Now() + Millisecond + Time(i%64)*Microsecond) {
 			b.Fatal("completion event went stale")
 		}
+	}
+}
+
+// farModel is the state of BenchmarkKernelFarTimers' queue model.
+type farModel struct {
+	k          *Kernel
+	r          *rand.Rand
+	completion Event
+}
+
+// farThink is a think timer ending: the browser's request spawns µs–ms
+// work, and the timer re-arms at Exp(7 s).
+func farThink(arg any) {
+	m := arg.(*farModel)
+	for i := 0; i < 12; i++ {
+		m.k.AfterCall(Time(m.r.ExpFloat64()*float64(500*Microsecond)), farWork, m)
+	}
+	m.k.AfterCall(Time(m.r.ExpFloat64()*float64(7*Second)), farThink, m)
+}
+
+// farWork is one unit of near-term work: it moves the shared completion
+// event the way the CPU model does on every submit.
+func farWork(arg any) {
+	m := arg.(*farModel)
+	at := m.k.Now() + Time(10+m.r.Intn(2000))*Microsecond
+	if !m.completion.Reschedule(at) {
+		m.completion = m.k.AtCall(at, nop, nil)
+	}
+}
+
+// BenchmarkKernelFarTimers has the queue shape of a paper-grid job:
+// 1000 emulated browsers each keep a think timer queued seconds ahead,
+// re-armed at Exp(7 s) when it fires, while each request churns a dozen
+// µs–ms events and a rescheduled completion. One iteration fires one
+// event. The CI bench-smoke job fails if this reports nonzero allocs/op.
+func BenchmarkKernelFarTimers(b *testing.B) {
+	k := NewKernel()
+	m := &farModel{k: k, r: rand.New(rand.NewSource(1))}
+	for i := 0; i < 1000; i++ {
+		k.AfterCall(Time(m.r.ExpFloat64()*float64(7*Second)), farThink, m)
+	}
+	k.Run(60 * Second) // warm the arena and reach steady state
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Step()
 	}
 }

@@ -22,8 +22,8 @@ func TestStopReleasesTickerEventImmediately(t *testing.T) {
 	if k.Pending() != 0 {
 		t.Fatalf("Pending = %d after Stop, want 0 (event released eagerly)", k.Pending())
 	}
-	if len(k.heap) != 0 {
-		t.Fatalf("heap still holds %d entries after Stop", len(k.heap))
+	if len(k.heap)+k.farN != 0 {
+		t.Fatalf("queue still holds %d entries after Stop", len(k.heap)+k.farN)
 	}
 	tk.Stop() // idempotent
 	k.Run(10 * Minute)
@@ -105,8 +105,8 @@ func TestCompactionReleasesCancelledEvents(t *testing.T) {
 	if k.Pending() != len(want) {
 		t.Fatalf("Pending = %d, want %d", k.Pending(), len(want))
 	}
-	if len(k.heap) >= 500 {
-		t.Fatalf("compaction never ran: heap holds %d entries", len(k.heap))
+	if n := len(k.heap) + k.farN; n >= 500 {
+		t.Fatalf("compaction never ran: queue holds %d entries", n)
 	}
 	var got []Time
 	for range want {
@@ -238,6 +238,22 @@ func TestSteadyStateSchedulingIsAllocationFree(t *testing.T) {
 		k.Run(k.Now() + 2*Microsecond)
 	}); allocs != 0 {
 		t.Fatalf("steady-state After+Run allocates %.1f/op, want 0", allocs)
+	}
+
+	// The far path: a timer parked in the wheel, one in the overflow, and
+	// one moved seconds ahead by Reschedule, all drained.
+	far := func() {
+		k.AfterCall(10*Second, nop, nil)
+		k.AfterCall(30*Second, nop, nil)
+		k.AfterCall(Microsecond, nop, nil).Reschedule(k.Now() + 12*Second)
+		k.Run(k.Now() + 31*Second)
+	}
+	far()
+	if allocs := testing.AllocsPerRun(1000, far); allocs != 0 {
+		t.Fatalf("steady-state far scheduling allocates %.1f/op, want 0", allocs)
+	}
+	if k.Pending() != 0 {
+		t.Fatalf("Pending = %d after draining the far timers", k.Pending())
 	}
 }
 

@@ -12,13 +12,28 @@
 // # Allocation discipline
 //
 // Steady-state scheduling performs zero heap allocations. Event structs
-// live in a kernel-owned arena and are recycled through a free list; the
-// priority queue is a hand-rolled 4-ary min-heap whose (at, seq) keys are
-// stored inline in the heap entries, so scheduling never boxes through an
-// interface and comparisons never chase an event pointer. Callers that
+// live in a kernel-owned arena and are recycled through a free list, and
+// the queue below never boxes through an interface. Callers that
 // schedule in a hot loop should prefer the closure-free AtCall/AfterCall
 // path, which passes a callback plus a context argument instead of
 // allocating a capturing closure per event.
+//
+// # The two-level queue
+//
+// The queue is split at a horizon, the end of the current 2^22 ns
+// (~4.2 ms) time bucket. Events before the horizon sit in a hand-rolled
+// 4-ary min-heap whose (at, seq) keys are stored inline in the heap
+// entries, so comparisons never chase an event pointer. Later events
+// are parked in a hashed timing wheel of 4096 buckets (~17 s) or, beyond
+// it, in an overflow list. Both are intrusive doubly linked lists
+// threaded through the arena slots, so parking, moving and unlinking a
+// far event is O(1) and allocates nothing. When the heap drains, the
+// kernel moves the next non-empty bucket into it. The tier models keep
+// about one think-time timer per emulated browser seconds ahead, while
+// nearly every event fires within milliseconds; the split keeps those
+// timers out of the heap that every pop sifts through. Since (at, seq)
+// keys are unique, any exact priority queue pops the same sequence: the
+// split changes speed, never order.
 //
 // # Event handle lifetime
 //
@@ -71,19 +86,35 @@ func (t Time) String() string { return fmt.Sprintf("%.3fs", t.Sec()) }
 // capturing closure passed to At/After would not be.
 type Callback func(arg any)
 
-// event is one pooled event slot in the kernel arena. The (at, seq)
-// ordering key is duplicated into the heap entry so that comparisons
-// stay inside the heap slice; the slot keeps at for Event.Time and
-// Reschedule.
+// event is one pooled event slot in the kernel arena. While the event
+// is in the heap its (at, seq) ordering key is duplicated into the heap
+// entry so that comparisons stay inside the heap slice; the slot keeps
+// at for Event.Time and Reschedule, and keeps seq only while far.
 type event struct {
 	at   Time
+	seq  uint64 // tie-break key while far; the heap entry holds it otherwise
 	fn   func()
 	call Callback
 	arg  any
-	pos  int32 // heap index, -1 when not queued (firing or free)
+	pos  int32 // heap index, posIdle, or posFar0-l while in far list l
+	next int32 // far-list links, -1 at either end
+	prev int32
 	gen  uint32
 	dead bool
 }
+
+// Queue positions event.pos takes besides a heap index (>= 0).
+const (
+	posIdle = -1 // not queued: free, or popped and firing
+	posFar0 = -2 // far list l is encoded as posFar0 - l
+)
+
+// Default far-queue geometry: buckets of 2^wheelShift ns (~4.2 ms) and
+// wheelSlots of them per wheel rotation (~17 s).
+const (
+	wheelShift = 22
+	wheelSlots = 4096
+)
 
 // heapEntry is one node of the 4-ary min-heap: the packed (at, seq)
 // comparison key plus the arena index it orders.
@@ -132,7 +163,7 @@ func (e Event) Pending() bool {
 		return false
 	}
 	ev := &k.arena[e.idx]
-	return ev.gen == e.gen && ev.pos >= 0 && !ev.dead
+	return ev.gen == e.gen && ev.pos != posIdle && !ev.dead
 }
 
 // Cancel prevents a pending event from firing. Cancellation is lazy: the
@@ -150,9 +181,9 @@ func (e Event) Cancel() {
 		return
 	}
 	ev.dead = true
-	if ev.pos >= 0 {
+	if ev.pos != posIdle {
 		k.dead++
-		if k.dead > compactMinDead && k.dead*2 > len(k.heap) {
+		if k.dead > compactMinDead && k.dead*2 > len(k.heap)+k.farN {
 			k.compact()
 		}
 	}
@@ -170,7 +201,7 @@ func (e Event) Reschedule(t Time) bool {
 		return false
 	}
 	ev := &k.arena[e.idx]
-	if ev.gen != e.gen || ev.pos < 0 {
+	if ev.gen != e.gen || ev.pos == posIdle {
 		return false
 	}
 	if t < k.now {
@@ -181,11 +212,17 @@ func (e Event) Reschedule(t Time) bool {
 		k.dead--
 	}
 	ev.at = t
-	i := ev.pos
-	k.heap[i].at = t
-	k.heap[i].seq = k.seq
+	seq := k.seq
 	k.seq++
-	k.heapFix(i)
+	if i := ev.pos; i >= 0 && k.bucket(t) <= k.cur {
+		k.heap[i].at = t
+		k.heap[i].seq = seq
+		k.heapFix(i)
+		return true
+	}
+	// The move crosses the horizon or stays far: relink.
+	k.dequeue(e.idx)
+	k.enqueue(e.idx, t, seq)
 	return true
 }
 
@@ -201,14 +238,14 @@ func (e Event) remove() bool {
 	if ev.gen != e.gen {
 		return false
 	}
-	if ev.pos < 0 {
+	if ev.pos == posIdle {
 		ev.dead = true
 		return false
 	}
 	if ev.dead {
 		k.dead--
 	}
-	k.heapRemove(ev.pos)
+	k.dequeue(e.idx)
 	k.release(e.idx)
 	return true
 }
@@ -224,8 +261,21 @@ type Kernel struct {
 	heap  []heapEntry
 	free  []int32 // arena slots ready for reuse
 	seq   uint64
-	// dead counts lazily-cancelled events still queued.
+	// dead counts lazily-cancelled events still queued, heap or far.
 	dead int
+
+	// The far queue. The heap holds exactly the queued events whose
+	// bucket (at >> shift) is at most cur: the horizon is the end of
+	// bucket cur. Wheel slot b&mask holds the events of bucket b for b in
+	// (cur, last], where last ends the wheel's current rotation; the
+	// final list holds the overflow beyond last.
+	heads []int32 // far-list heads (wheel slots, then overflow), -1 when empty
+	shift uint
+	mask  int64
+	cur   int64
+	last  int64
+	farN  int // events in the wheel and the overflow
+	overN int // events in the overflow
 	// firing is the arena index of the event whose callback is running,
 	// -1 otherwise; requeueFiring (the Ticker re-arm) targets it.
 	firing  int32
@@ -235,14 +285,25 @@ type Kernel struct {
 }
 
 // NewKernel returns a kernel at virtual time zero with an empty queue.
-func NewKernel() *Kernel { return &Kernel{firing: -1} }
+func NewKernel() *Kernel { return newKernel(wheelShift, wheelSlots) }
+
+// newKernel builds a kernel whose far queue has buckets of 2^shift ns
+// and slots buckets per wheel rotation; slots must be a power of two.
+// Tests use tiny geometries to drive every far-queue path.
+func newKernel(shift uint, slots int) *Kernel {
+	heads := make([]int32, slots+1)
+	for i := range heads {
+		heads[i] = -1
+	}
+	return &Kernel{firing: -1, heads: heads, shift: shift, mask: int64(slots - 1), last: int64(slots - 1)}
+}
 
 // Now reports the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
 
 // Pending reports the number of live queued events; lazily-cancelled
 // events awaiting collection are not counted.
-func (k *Kernel) Pending() int { return len(k.heap) - k.dead }
+func (k *Kernel) Pending() int { return len(k.heap) + k.farN - k.dead }
 
 // Processed reports how many events have been executed.
 func (k *Kernel) Processed() uint64 { return k.processed }
@@ -266,7 +327,7 @@ func (k *Kernel) schedule(t Time, fn func(), call Callback, arg any) Event {
 	e.call = call
 	e.arg = arg
 	e.dead = false
-	k.heapPush(heapEntry{at: t, seq: k.seq, idx: idx})
+	k.enqueue(idx, t, k.seq)
 	k.seq++
 	return Event{k: k, idx: idx, gen: e.gen}
 }
@@ -280,7 +341,7 @@ func (k *Kernel) release(idx int32) {
 	e.call = nil
 	e.arg = nil
 	e.dead = false
-	e.pos = -1
+	e.pos = posIdle
 	k.free = append(k.free, idx)
 }
 
@@ -323,7 +384,7 @@ func (k *Kernel) Stop() { k.stopped = true }
 // early, so that samplers observing Now see a full window.
 func (k *Kernel) Run(until Time) {
 	k.stopped = false
-	for len(k.heap) > 0 && !k.stopped {
+	for !k.stopped && (len(k.heap) > 0 || k.refill()) {
 		top := k.heap[0]
 		if top.at > until {
 			break
@@ -347,7 +408,7 @@ func (k *Kernel) Run(until Time) {
 // Step executes exactly one non-cancelled event if one exists, returning
 // true when an event ran.
 func (k *Kernel) Step() bool {
-	for len(k.heap) > 0 {
+	for len(k.heap) > 0 || k.refill() {
 		top := k.heap[0]
 		idx := k.heapPopRoot()
 		e := &k.arena[idx]
@@ -378,7 +439,7 @@ func (k *Kernel) fire(idx int32, e *event) {
 		fn()
 	}
 	k.firing = prev
-	if k.arena[idx].pos < 0 {
+	if k.arena[idx].pos == posIdle {
 		k.release(idx)
 	}
 }
@@ -391,9 +452,8 @@ func (k *Kernel) requeueFiring(t Time) {
 	if idx < 0 {
 		panic("sim: requeue outside an event callback")
 	}
-	e := &k.arena[idx]
-	e.at = t
-	k.heapPush(heapEntry{at: t, seq: k.seq, idx: idx})
+	k.arena[idx].at = t
+	k.enqueue(idx, t, k.seq)
 	k.seq++
 }
 
@@ -443,14 +503,162 @@ func (t *Ticker) Stop() {
 	t.ev = Event{}
 }
 
+// --- far queue: hashed timing wheel plus overflow ----------------------
+//
+// Far lists are doubly linked through the arena slots' next/prev, with
+// the list encoded in pos, so every far operation is O(1) and the only
+// storage is the per-kernel heads array. Nothing walks a list except to
+// drain it: refill empties one wheel slot into the heap, jump empties
+// the overflow into a new rotation, and compact collects dead entries.
+
+// bucket reports the far-queue bucket that time t falls in.
+func (k *Kernel) bucket(t Time) int64 { return int64(t) >> k.shift }
+
+// enqueue queues arena slot idx at t with tie-break seq: into the heap
+// before the horizon, else into its wheel slot or the overflow.
+func (k *Kernel) enqueue(idx int32, t Time, seq uint64) {
+	b := k.bucket(t)
+	if b <= k.cur {
+		k.heapPush(heapEntry{at: t, seq: seq, idx: idx})
+		return
+	}
+	k.arena[idx].seq = seq
+	l := int32(len(k.heads) - 1)
+	if b <= k.last {
+		l = int32(b & k.mask)
+	}
+	k.farPush(idx, l)
+}
+
+// dequeue takes a queued event out of the heap or its far list.
+func (k *Kernel) dequeue(idx int32) {
+	if i := k.arena[idx].pos; i >= 0 {
+		k.heapRemove(i)
+	} else {
+		k.farUnlink(idx)
+	}
+}
+
+func (k *Kernel) farPush(idx, l int32) {
+	e := &k.arena[idx]
+	h := k.heads[l]
+	e.pos = posFar0 - l
+	e.prev = -1
+	e.next = h
+	if h >= 0 {
+		k.arena[h].prev = idx
+	}
+	k.heads[l] = idx
+	k.farN++
+	if int(l) == len(k.heads)-1 {
+		k.overN++
+	}
+}
+
+func (k *Kernel) farUnlink(idx int32) {
+	e := &k.arena[idx]
+	l := posFar0 - e.pos
+	if e.prev >= 0 {
+		k.arena[e.prev].next = e.next
+	} else {
+		k.heads[l] = e.next
+	}
+	if e.next >= 0 {
+		k.arena[e.next].prev = e.prev
+	}
+	e.pos = posIdle
+	k.farN--
+	if int(l) == len(k.heads)-1 {
+		k.overN--
+	}
+}
+
+// refill runs when the heap is empty: it advances the horizon to the
+// next non-empty bucket and moves that bucket into the heap, collecting
+// lazily-cancelled entries on the way. It reports whether the heap
+// holds an event afterwards.
+func (k *Kernel) refill() bool {
+	for len(k.heap) == 0 && k.farN > 0 {
+		if k.farN == k.overN {
+			k.jump()
+		} else {
+			// The wheel holds exactly buckets (cur, last], so a
+			// non-empty slot lies ahead within this rotation.
+			k.cur++
+			for k.heads[k.cur&k.mask] < 0 {
+				k.cur++
+			}
+		}
+		k.drainSlot()
+	}
+	return len(k.heap) > 0
+}
+
+// jump runs when only the overflow remains: it releases dead overflow
+// entries, starts the rotation holding the earliest live one, spills
+// every overflow entry that fits into the wheel, and sets cur to the
+// earliest bucket.
+func (k *Kernel) jump() {
+	over := int32(len(k.heads) - 1)
+	m := int64(-1)
+	for i := k.heads[over]; i >= 0; {
+		e := &k.arena[i]
+		next := e.next
+		if e.dead {
+			k.dead--
+			k.farUnlink(i)
+			k.release(i)
+		} else if b := k.bucket(e.at); m < 0 || b < m {
+			m = b
+		}
+		i = next
+	}
+	if m < 0 {
+		return
+	}
+	k.cur = m
+	k.last = m | k.mask
+	for i := k.heads[over]; i >= 0; {
+		next := k.arena[i].next
+		if b := k.bucket(k.arena[i].at); b <= k.last {
+			k.farUnlink(i)
+			k.farPush(i, int32(b&k.mask))
+		}
+		i = next
+	}
+}
+
+// drainSlot moves the wheel slot of bucket cur into the empty heap and
+// heapifies it; dead entries are released instead.
+func (k *Kernel) drainSlot() {
+	s := k.cur & k.mask
+	for i := k.heads[s]; i >= 0; {
+		e := &k.arena[i]
+		next := e.next
+		k.farN--
+		if e.dead {
+			k.dead--
+			k.release(i)
+		} else {
+			e.pos = int32(len(k.heap))
+			k.heap = append(k.heap, heapEntry{at: e.at, seq: e.seq, idx: i})
+		}
+		i = next
+	}
+	k.heads[s] = -1
+	for i := (int32(len(k.heap)) - 2) >> 2; i >= 0; i-- {
+		k.siftDown(i)
+	}
+}
+
 // --- intrusive 4-ary min-heap -----------------------------------------
 //
 // Entries carry their (at, seq) key inline so comparisons never touch
 // the arena; the arena's pos field is the back-pointer that makes
 // removal and rescheduling O(log n). A 4-ary layout halves the tree
 // height of a binary heap: pops do more comparisons per level but far
-// fewer cache misses, which is the trade that pays off at the queue
-// sizes the tier models sustain.
+// fewer cache misses. The heap holds only the current bucket's events,
+// so it stays shallow however many timers are parked far ahead.
 
 func (k *Kernel) heapPush(en heapEntry) {
 	i := int32(len(k.heap))
@@ -544,17 +752,17 @@ func (k *Kernel) siftDown(i int32) {
 	k.arena[en.idx].pos = i
 }
 
-// compact rebuilds the heap without its lazily-cancelled entries,
-// releasing their slots. Triggered from Cancel once dead events exceed
-// half the queue, so the queue never carries more garbage than live
-// work; amortized cost per cancelled event is constant.
+// compact rebuilds the heap without its lazily-cancelled entries and
+// unlinks the dead far entries, releasing their slots. Triggered from
+// Cancel once dead events exceed half the queue, so the queue never
+// carries more garbage than live work; amortized cost per cancelled
+// event is constant.
 func (k *Kernel) compact() {
 	h := k.heap
 	w := int32(0)
 	for _, en := range h {
 		e := &k.arena[en.idx]
 		if e.dead {
-			e.pos = -1
 			k.release(en.idx)
 			continue
 		}
@@ -565,6 +773,17 @@ func (k *Kernel) compact() {
 	k.heap = h[:w]
 	for i := (w - 2) >> 2; i >= 0; i-- {
 		k.siftDown(i)
+	}
+	for l := 0; k.farN > 0 && l < len(k.heads); l++ {
+		for i := k.heads[l]; i >= 0; {
+			e := &k.arena[i]
+			next := e.next
+			if e.dead {
+				k.farUnlink(i)
+				k.release(i)
+			}
+			i = next
+		}
 	}
 	k.dead = 0
 }
