@@ -6,6 +6,7 @@ import (
 
 	"vwchar"
 	"vwchar/internal/sim"
+	"vwchar/internal/telemetry"
 )
 
 // cacheSweepSpec is a reduced grid of cache+queue runs: both mixes on
@@ -70,6 +71,9 @@ func TestCacheSweepByteIdenticalAcrossWorkers(t *testing.T) {
 			}
 			if rep.Queue == nil {
 				t.Fatalf("%s: queue stats missing", pr.Point.Name)
+			}
+			if sum := rep.Telemetry.ByName(telemetry.CacheStampedes).Sum(); sum != float64(rep.Cache.Stampedes) {
+				t.Fatalf("%s: sum of stampede windows = %v, run total %d", pr.Point.Name, sum, rep.Cache.Stampedes)
 			}
 			if rep.Queue.Published > 0 {
 				queuedWrites = true

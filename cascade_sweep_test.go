@@ -6,6 +6,7 @@ import (
 
 	"vwchar"
 	"vwchar/internal/sim"
+	"vwchar/internal/telemetry"
 )
 
 // cascadeSweepSpec arms every correlated-failure feature at once on
@@ -103,6 +104,27 @@ func TestCascadeSweepByteIdenticalAcrossWorkers(t *testing.T) {
 			}
 			if rq.Served == 0 {
 				t.Fatalf("%s: cascade run served nothing", pr.Point.Name)
+			}
+			// The window series conserve the run totals: every outcome
+			// and retry lands in exactly one window.
+			tel := rep.Telemetry
+			for _, c := range []struct {
+				series string
+				total  uint64
+			}{
+				{telemetry.Failures, rq.Failed},
+				{telemetry.Timeouts, rq.TimedOut},
+				{telemetry.Sheds, rq.Shed},
+				{telemetry.Degraded, rq.Degraded},
+				{telemetry.Retries, rep.Guard.Retries},
+			} {
+				if sum := tel.ByName(c.series).Sum(); sum != float64(c.total) {
+					t.Fatalf("%s: sum of %s windows = %v, run total %d", pr.Point.Name, c.series, sum, c.total)
+				}
+			}
+			if tput := tel.ByName(telemetry.Throughput); tput.Sum()*tput.Interval != float64(rq.Served) {
+				t.Fatalf("%s: windowed throughput x %v s = %v, served %d",
+					pr.Point.Name, tput.Interval, tput.Sum()*tput.Interval, rq.Served)
 			}
 			if rep.Hazard == nil || rep.Brownout == nil {
 				t.Fatalf("%s: hazard/brownout accounting missing: %v %v", pr.Point.Name, rep.Hazard, rep.Brownout)

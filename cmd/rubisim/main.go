@@ -22,6 +22,7 @@ import (
 
 	"vwchar"
 	"vwchar/internal/sim"
+	"vwchar/internal/telemetry"
 	"vwchar/internal/timeseries"
 )
 
@@ -309,20 +310,21 @@ func run(cfg vwchar.Config, csv bool, sloMillis float64, w io.Writer) error {
 		}
 	}
 	if tel := res.Telemetry; tel != nil && tel.Windows() > 0 {
+		p95, tput := tel.ByName(telemetry.LatencyP95), tel.ByName(telemetry.Throughput)
 		// Minimum over busy windows only: idle windows record p95=0,
 		// which is an artifact, not a latency floor.
 		minBusy := 0.0
 		for i := 0; i < tel.Windows(); i++ {
-			if tel.Throughput.At(i) <= 0 {
+			if tput.At(i) <= 0 {
 				continue
 			}
-			if v := tel.LatencyP95.At(i); minBusy == 0 || v < minBusy {
+			if v := p95.At(i); minBusy == 0 || v < minBusy {
 				minBusy = v
 			}
 		}
 		fmt.Fprintf(w, "windowed p95: %.1f..%.1f ms over %d windows of %.0f s; ",
-			minBusy, tel.LatencyP95.Max(), tel.Windows(), tel.LatencyP95.Interval)
-		if err := vwchar.AnalyzeTransient(tel.LatencyP95, vwchar.TransientConfig{}).Write(w); err != nil {
+			minBusy, p95.Max(), tel.Windows(), p95.Interval)
+		if err := vwchar.AnalyzeTransient(p95, vwchar.TransientConfig{}).Write(w); err != nil {
 			return err
 		}
 	}
@@ -355,7 +357,7 @@ func run(cfg vwchar.Config, csv bool, sloMillis float64, w io.Writer) error {
 		// The windowed application metrics as one aligned table: same
 		// time axis as the resource series above.
 		if tel := res.Telemetry; tel != nil {
-			if err := timeseries.WriteTableCSV(w, tel.Present()...); err != nil {
+			if err := timeseries.WriteTableCSV(w, tel.All()...); err != nil {
 				return err
 			}
 			fmt.Fprintln(w)

@@ -17,6 +17,7 @@ import (
 	"vwchar"
 	"vwchar/internal/plot"
 	"vwchar/internal/sim"
+	"vwchar/internal/telemetry"
 )
 
 func main() {
@@ -89,13 +90,13 @@ func main() {
 	// rides the queue until the arrival ramp drains; the autoscaled
 	// run's spike is cut short when the second (third, ...) replica
 	// finishes booting and the load balancer spreads the crowd.
-	p95Fixed := fixed.Telemetry.LatencyP95.Clone("fixed")
-	p95Scaled := scaled.Telemetry.LatencyP95.Clone("autoscaled")
+	p95Fixed := fixed.Telemetry.ByName(telemetry.LatencyP95).Clone("fixed")
+	p95Scaled := scaled.Telemetry.ByName(telemetry.LatencyP95).Clone("autoscaled")
 	if err := plot.Render(os.Stdout, plot.DefaultOptions("response-time p95 per 2 s window", "ms"), p95Fixed, p95Scaled); err != nil {
 		log.Fatal(err)
 	}
 
-	if rep := scaled.Telemetry.Replicas; rep != nil {
+	if rep := scaled.Telemetry.ByName(telemetry.Replicas); rep != nil {
 		fmt.Println()
 		if err := plot.Render(os.Stdout, plot.DefaultOptions("active web replicas", "replicas"), rep.Clone("replicas")); err != nil {
 			log.Fatal(err)

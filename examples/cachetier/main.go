@@ -34,6 +34,7 @@ import (
 
 	"vwchar"
 	"vwchar/internal/sim"
+	"vwchar/internal/telemetry"
 )
 
 func main() {
@@ -125,7 +126,7 @@ func main() {
 	// host limping from 170 s, cache cold-restarted at 180 s), so the
 	// whole-run p95 dilutes it. Compare the windowed p95 there.
 	herdP95 := func(r *vwchar.Result) float64 {
-		s := r.Telemetry.LatencyP95
+		s := r.Telemetry.ByName(telemetry.LatencyP95)
 		peak := 0.0
 		for i := 0; i < s.Len(); i++ {
 			if t := s.TimeAt(i); t >= 170 && t <= 255 && s.At(i) > peak {

@@ -33,6 +33,7 @@ import (
 	"vwchar"
 	"vwchar/internal/plot"
 	"vwchar/internal/sim"
+	"vwchar/internal/telemetry"
 )
 
 func main() {
@@ -121,8 +122,8 @@ func main() {
 	}
 
 	if err := plot.Render(os.Stdout, plot.DefaultOptions("response-time p95 per 2 s window", "ms"),
-		bare.Telemetry.LatencyP95.Clone("no controller"),
-		controlled.Telemetry.LatencyP95.Clone("brownout")); err != nil {
+		bare.Telemetry.ByName(telemetry.LatencyP95).Clone("no controller"),
+		controlled.Telemetry.ByName(telemetry.LatencyP95).Clone("brownout")); err != nil {
 		log.Fatal(err)
 	}
 
@@ -194,7 +195,7 @@ func main() {
 			}
 			rq := r.Requests
 			a := vwchar.AnalyzeAvailability(r, *sloMillis)
-			c := &cell{detect, boot, rq.TimedOut + rq.Shed + rq.Failed, r.Telemetry.LatencyP95.Max()}
+			c := &cell{detect, boot, rq.TimedOut + rq.Shed + rq.Failed, r.Telemetry.ByName(telemetry.LatencyP95).Max()}
 			fmt.Printf("%-10d %-10d %-12d %-10.0f %-10.4f\n", detect, boot, c.lost, c.peak, a.Delivered)
 			if best == nil || c.lost < best.lost {
 				best = c

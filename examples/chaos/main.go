@@ -30,6 +30,7 @@ import (
 	"vwchar"
 	"vwchar/internal/plot"
 	"vwchar/internal/sim"
+	"vwchar/internal/telemetry"
 )
 
 func main() {
@@ -100,12 +101,12 @@ func main() {
 		if err := a.Write(os.Stdout); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("peak windowed p95: %.0f ms\n\n", row.r.Telemetry.LatencyP95.Max())
+		fmt.Printf("peak windowed p95: %.0f ms\n\n", row.r.Telemetry.ByName(telemetry.LatencyP95).Max())
 	}
 
 	if err := plot.Render(os.Stdout, plot.DefaultOptions("response-time p95 per 2 s window", "ms"),
-		noBrk.Telemetry.LatencyP95.Clone("no breaker"),
-		withBrk.Telemetry.LatencyP95.Clone("breaker")); err != nil {
+		noBrk.Telemetry.ByName(telemetry.LatencyP95).Clone("no breaker"),
+		withBrk.Telemetry.ByName(telemetry.LatencyP95).Clone("breaker")); err != nil {
 		log.Fatal(err)
 	}
 
@@ -117,8 +118,8 @@ func main() {
 	if brakedRetries >= stormRetries {
 		log.Fatal("the breaker did not reduce retry volume")
 	}
-	stormPeak := noBrk.Telemetry.LatencyP95.Max()
-	brakedPeak := withBrk.Telemetry.LatencyP95.Max()
+	stormPeak := noBrk.Telemetry.ByName(telemetry.LatencyP95).Max()
+	brakedPeak := withBrk.Telemetry.ByName(telemetry.LatencyP95).Max()
 	fmt.Printf("\nretries: %d without breaker vs %d with (%.1fx fewer); peak p95 %.0f ms vs %.0f ms\n",
 		stormRetries, brakedRetries, float64(stormRetries)/float64(brakedRetries), stormPeak, brakedPeak)
 	if brakedPeak > stormPeak {

@@ -17,6 +17,7 @@ import (
 	"vwchar"
 	"vwchar/internal/plot"
 	"vwchar/internal/sim"
+	"vwchar/internal/telemetry"
 )
 
 func main() {
@@ -84,13 +85,14 @@ func main() {
 	// holds while the worker pool is saturated, and drains once the
 	// arrival rate ramps back down.
 	fmt.Println()
-	p95Steady := base.Telemetry.LatencyP95.Clone("steady")
-	p95Crowd := spiked.Telemetry.LatencyP95.Clone("flash-crowd")
-	if err := plot.Render(os.Stdout, plot.DefaultOptions("response-time p95 per 2 s window", "ms"), p95Steady, p95Crowd); err != nil {
+	p95Steady := base.Telemetry.ByName(telemetry.LatencyP95)
+	p95Crowd := spiked.Telemetry.ByName(telemetry.LatencyP95)
+	if err := plot.Render(os.Stdout, plot.DefaultOptions("response-time p95 per 2 s window", "ms"),
+		p95Steady.Clone("steady"), p95Crowd.Clone("flash-crowd")); err != nil {
 		log.Fatal(err)
 	}
 
-	tr := vwchar.AnalyzeTransient(spiked.Telemetry.LatencyP95, vwchar.TransientConfig{})
+	tr := vwchar.AnalyzeTransient(p95Crowd, vwchar.TransientConfig{})
 	fmt.Println()
 	if err := tr.Write(os.Stdout); err != nil {
 		log.Fatal(err)
@@ -98,7 +100,7 @@ func main() {
 	if !tr.Saturated() {
 		log.Fatal("flash crowd never crossed 10x the steady p95 — lower -rate or check the scenario")
 	}
-	if ref := vwchar.AnalyzeTransient(base.Telemetry.LatencyP95, vwchar.TransientConfig{}); ref.Saturated() {
+	if ref := vwchar.AnalyzeTransient(p95Steady, vwchar.TransientConfig{}); ref.Saturated() {
 		fmt.Println("(note: the steady baseline also saturated; raise capacity or lower -rate)")
 	}
 

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"vwchar/internal/experiment"
+	"vwchar/internal/telemetry"
 )
 
 // AvailabilityAnalysis is the fault-injection view of a run: what
@@ -97,12 +98,12 @@ func AnalyzeAvailability(r *experiment.Result, sloMillis float64) AvailabilityAn
 	if a.Failovers > 0 {
 		a.MeanTimeToFailoverSec /= float64(a.Failovers)
 	}
-	if r.Telemetry == nil || r.Telemetry.Availability == nil {
+	avail := r.Telemetry.ByName(telemetry.Availability)
+	if avail == nil {
 		return a
 	}
-	avail := r.Telemetry.Availability
-	p95 := r.Telemetry.LatencyP95
-	tput := r.Telemetry.Throughput
+	p95 := r.Telemetry.ByName(telemetry.LatencyP95)
+	tput := r.Telemetry.ByName(telemetry.Throughput)
 	outageWindows := 0
 	inOutage := false
 	for i := 0; i < avail.Len(); i++ {

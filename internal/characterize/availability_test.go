@@ -32,11 +32,11 @@ func syntheticFaultResult() *experiment.Result {
 			{DetectedAt: sim.Seconds(10), PromotedAt: sim.Seconds(13), NewPrimary: 1},
 			{DetectedAt: sim.Seconds(40), PromotedAt: sim.Seconds(45), NewPrimary: 2},
 		},
-		Telemetry: &telemetry.WindowSeries{
-			Availability: seriesOf("availability", "fraction", 1, 1, 0.995, 0.97, 0.95, 1, 0.98, 1),
-			LatencyP95:   seriesOf("p95", "ms", 100, 100, 900, 1500, 1500, 100, 400, 100),
-			Throughput:   seriesOf("throughput", "req/s", 50, 50, 50, 50, 50, 50, 50, 50),
-		},
+		Telemetry: telemetry.NewWindowSeries(
+			seriesOf(telemetry.Availability, "fraction", 1, 1, 0.995, 0.97, 0.95, 1, 0.98, 1),
+			seriesOf(telemetry.LatencyP95, "ms", 100, 100, 900, 1500, 1500, 100, 400, 100),
+			seriesOf(telemetry.Throughput, "req/s", 50, 50, 50, 50, 50, 50, 50, 50),
+		),
 	}
 }
 
@@ -101,11 +101,11 @@ func TestAnalyzeAvailabilityOpenOutage(t *testing.T) {
 		Requests: &experiment.RequestStats{
 			Issued: 100, Served: 60, Failed: 30, Degraded: 10,
 		},
-		Telemetry: &telemetry.WindowSeries{
-			Availability: seriesOf("availability", "fraction", 1, 1, 0.5, 0.4, 0.3),
-			LatencyP95:   seriesOf("p95", "ms", 100, 100, 100, 100, 100),
-			Throughput:   seriesOf("throughput", "req/s", 50, 50, 50, 50, 50),
-		},
+		Telemetry: telemetry.NewWindowSeries(
+			seriesOf(telemetry.Availability, "fraction", 1, 1, 0.5, 0.4, 0.3),
+			seriesOf(telemetry.LatencyP95, "ms", 100, 100, 100, 100, 100),
+			seriesOf(telemetry.Throughput, "req/s", 50, 50, 50, 50, 50),
+		),
 	}
 	a := AnalyzeAvailability(r, 500)
 	if !a.OpenOutageAtEnd {
@@ -130,7 +130,7 @@ func TestAnalyzeAvailabilityOpenOutage(t *testing.T) {
 	}
 
 	// The same shape with a recovery window at the end is closed.
-	r.Telemetry.Availability = seriesOf("availability", "fraction", 1, 1, 0.5, 0.4, 1)
+	r.Telemetry.ByName(telemetry.Availability).Values[4] = 1
 	if a := AnalyzeAvailability(r, 500); a.OpenOutageAtEnd {
 		t.Fatal("outage recovered in the final window, OpenOutageAtEnd is true")
 	}

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"vwchar/internal/experiment"
+	"vwchar/internal/telemetry"
 )
 
 // CacheAnalysis is the cache-and-queue view of a run: how fast the
@@ -85,10 +86,7 @@ func AnalyzeCache(r *experiment.Result) CacheAnalysis {
 		a.DrainedByEnd = q.FinalDepth == 0
 	}
 	tel := r.Telemetry
-	if tel == nil {
-		return a
-	}
-	if hr := tel.HitRatio; hr != nil && r.Cache != nil {
+	if hr := tel.ByName(telemetry.CacheHitRatio); hr != nil && r.Cache != nil {
 		// Warmup: first window at ConvergenceFraction of the run ratio.
 		target := ConvergenceFraction * a.HitRatio
 		for i := 0; i < hr.Len(); i++ {
@@ -102,7 +100,7 @@ func AnalyzeCache(r *experiment.Result) CacheAnalysis {
 		// (misses/s = (1-hit ratio) x throughput) against the median
 		// window, ignoring the warmup prefix where a cold cache misses
 		// by construction.
-		tput := tel.Throughput
+		tput := tel.ByName(telemetry.Throughput)
 		start := 0
 		if a.Converged {
 			start = int(a.WarmupSec/hr.Interval) - 1
@@ -123,7 +121,7 @@ func AnalyzeCache(r *experiment.Result) CacheAnalysis {
 			a.DBLoadSpikeFactor = peak / med
 		}
 	}
-	if st := tel.Stampedes; st != nil && r.Cache != nil {
+	if st := tel.ByName(telemetry.CacheStampedes); st != nil && r.Cache != nil {
 		for i := 0; i < st.Len(); i++ {
 			if v := st.At(i); v > a.PeakStampedes {
 				a.PeakStampedes = v
@@ -131,7 +129,7 @@ func AnalyzeCache(r *experiment.Result) CacheAnalysis {
 			}
 		}
 	}
-	if qd := tel.QueueDepth; qd != nil && r.Queue != nil && a.PeakDepth > 0 {
+	if qd := tel.ByName(telemetry.QueueDepth); qd != nil && r.Queue != nil && a.PeakDepth > 0 {
 		peakIdx := -1
 		for i := 0; i < qd.Len(); i++ {
 			if int(qd.At(i)) >= a.PeakDepth {

@@ -8,6 +8,7 @@ import (
 	"vwchar/internal/experiment"
 	"vwchar/internal/faults"
 	"vwchar/internal/sim"
+	"vwchar/internal/telemetry"
 )
 
 // CascadeAnalysis is the correlated-failure view of a run: how many
@@ -184,8 +185,8 @@ func AnalyzeCascade(r *experiment.Result, sloMillis float64) CascadeAnalysis {
 
 	// Time to stabilize: from the first fault to the end of the last
 	// unhealthy telemetry window.
-	if len(spans) > 0 && r.Telemetry != nil && r.Telemetry.Availability != nil {
-		avail, p95 := r.Telemetry.Availability, r.Telemetry.LatencyP95
+	avail, p95 := r.Telemetry.ByName(telemetry.Availability), r.Telemetry.ByName(telemetry.LatencyP95)
+	if len(spans) > 0 && avail != nil {
 		lastBad := -1
 		for i := 0; i < avail.Len(); i++ {
 			if avail.At(i) < 1 || p95.At(i) > sloMillis {

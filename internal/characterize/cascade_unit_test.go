@@ -15,8 +15,8 @@ import (
 // overlap-chained cascade depth, the origin split, and the
 // time-to-stabilize window math against a hand-built timeline.
 func TestAnalyzeCascadeSynthetic(t *testing.T) {
-	avail := seriesOf("availability", "fraction", 1, 1, 1, 1, 1, 0.9, 0.9, 0.9, 0.9, 1)
-	p95 := seriesOf("p95", "ms", 100, 100, 100, 100, 100, 100, 100, 100, 100, 100)
+	avail := seriesOf(telemetry.Availability, "fraction", 1, 1, 1, 1, 1, 0.9, 0.9, 0.9, 0.9, 1)
+	p95 := seriesOf(telemetry.LatencyP95, "ms", 100, 100, 100, 100, 100, 100, 100, 100, 100, 100)
 	r := &experiment.Result{
 		Config: experiment.Config{Duration: 100 * sim.Second},
 		FaultTimeline: []faults.Event{
@@ -35,11 +35,11 @@ func TestAnalyzeCascadeSynthetic(t *testing.T) {
 		}},
 		Brownout: &tiers.BrownoutStats{DegradedWindows: 3, PeakLevel: 2, Dropped: 7},
 		Requests: &experiment.RequestStats{Issued: 100, Served: 91, Degraded: 9, Failed: 0},
-		Telemetry: &telemetry.WindowSeries{
-			Availability: avail,
-			LatencyP95:   p95,
-			Throughput:   seriesOf("throughput", "req/s", 50, 50, 50, 50, 50, 50, 50, 50, 50, 50),
-		},
+		Telemetry: telemetry.NewWindowSeries(
+			avail,
+			p95,
+			seriesOf(telemetry.Throughput, "req/s", 50, 50, 50, 50, 50, 50, 50, 50, 50, 50),
+		),
 	}
 	a := AnalyzeCascade(r, 500)
 

@@ -11,6 +11,7 @@ import (
 
 	"vwchar/internal/experiment"
 	"vwchar/internal/stats"
+	"vwchar/internal/telemetry"
 	"vwchar/internal/timeseries"
 )
 
@@ -80,10 +81,10 @@ const warmupSustainWindows = 3
 // fraction is clamped to [0, 0.5], and a run without usable telemetry
 // falls back to DefaultAnalysis.
 func AnalysisFromTelemetry(r *experiment.Result) Analysis {
-	if r.Telemetry == nil {
+	tput := r.Telemetry.ByName(telemetry.Throughput)
+	if tput == nil {
 		return DefaultAnalysis()
 	}
-	tput := r.Telemetry.Throughput
 	n := tput.Len()
 	if n < 2*warmupSustainWindows {
 		return DefaultAnalysis()

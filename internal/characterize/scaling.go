@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"vwchar/internal/experiment"
+	"vwchar/internal/telemetry"
 )
 
 // ScalingAnalysis is the autoscaler-in-the-loop view of a run: how
@@ -64,8 +65,8 @@ func AnalyzeScaling(r *experiment.Result, sloMillis float64) ScalingAnalysis {
 			a.TimeToScaleSec = r.Scaling.FirstUpAt.Sec()
 		}
 	}
-	if r.Telemetry != nil {
-		a.PeakP95, a.PeakAt = peakOf(r.Telemetry.LatencyP95)
+	if p95 := r.Telemetry.ByName(telemetry.LatencyP95); p95 != nil {
+		a.PeakP95, a.PeakAt = peakOf(p95)
 	}
 	slo := sloMillis / 1e3
 	if served := r.ServedHist; served != nil {

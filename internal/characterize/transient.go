@@ -57,10 +57,10 @@ type Transient struct {
 func (t Transient) Saturated() bool { return t.SaturatedAt >= 0 }
 
 // AnalyzeTransient computes the queueing transient of a windowed
-// latency series (typically Result.Telemetry.LatencyP95). The steady
-// baseline is the median of the non-idle prefix windows; saturation is
-// the first crossing of factor×steady; drain is the first post-peak
-// window back under the threshold.
+// latency series (typically Result.Telemetry's telemetry.LatencyP95
+// series). The steady baseline is the median of the non-idle prefix
+// windows; saturation is the first crossing of factor×steady; drain is
+// the first post-peak window back under the threshold.
 func AnalyzeTransient(p95 *timeseries.Series, cfg TransientConfig) Transient {
 	cfg.defaults()
 	out := Transient{SaturatedAt: -1, DrainedAt: -1}

@@ -6,6 +6,7 @@ import (
 
 	"vwchar/internal/cachetier"
 	"vwchar/internal/rubis"
+	"vwchar/internal/telemetry"
 )
 
 func TestCacheQueueConfigValidation(t *testing.T) {
@@ -135,13 +136,14 @@ func TestCacheQueueRunEndToEnd(t *testing.T) {
 	}
 	// Window series materialized and aligned with the collector.
 	tel := r.Telemetry
-	if tel == nil || tel.HitRatio == nil || tel.Stampedes == nil || tel.QueueDepth == nil || tel.QueueLag == nil {
+	hits, depth := tel.ByName(telemetry.CacheHitRatio), tel.ByName(telemetry.QueueDepth)
+	if hits == nil || tel.ByName(telemetry.CacheStampedes) == nil || depth == nil || tel.ByName(telemetry.QueueLag) == nil {
 		t.Fatal("cache/queue window series missing")
 	}
-	if tel.HitRatio.Len() != 45 || tel.QueueDepth.Len() != 45 {
-		t.Fatalf("series windows = %d/%d, want 45", tel.HitRatio.Len(), tel.QueueDepth.Len())
+	if hits.Len() != 45 || depth.Len() != 45 {
+		t.Fatalf("series windows = %d/%d, want 45", hits.Len(), depth.Len())
 	}
-	if tel.HitRatio.Max() <= 0 {
+	if hits.Max() <= 0 {
 		t.Fatal("hit-ratio series never rose above zero")
 	}
 	// Per-interaction attribution: every completed request lands in

@@ -6,6 +6,7 @@ import (
 
 	"vwchar/internal/load"
 	"vwchar/internal/sim"
+	"vwchar/internal/telemetry"
 	"vwchar/internal/tiers"
 )
 
@@ -62,10 +63,10 @@ func TestDegenerateTopologyMatchesNil(t *testing.T) {
 				}
 			}
 		}
-		if !seriesAlmostEqual(plain.Telemetry.LatencyP95.Values, deg.Telemetry.LatencyP95.Values) {
+		if !seriesAlmostEqual(plain.Telemetry.ByName(telemetry.LatencyP95).Values, deg.Telemetry.ByName(telemetry.LatencyP95).Values) {
 			t.Fatalf("topology %+v: latency p95 series diverged", topo)
 		}
-		if deg.Telemetry.Replicas != nil {
+		if deg.Telemetry.ByName(telemetry.Replicas) != nil {
 			t.Fatalf("topology %+v: degenerate run materialized a replica series", topo)
 		}
 		if deg.Scaling != nil || deg.ReplicaServed != nil {
@@ -131,7 +132,7 @@ func TestClusterTopologyEndToEnd(t *testing.T) {
 	if r.Scaling == nil || r.Scaling.PeakReplicas != 2 || r.Scaling.ScaleUps != 0 {
 		t.Fatalf("scaling stats = %+v", r.Scaling)
 	}
-	if r.Telemetry.Replicas == nil || r.Telemetry.Replicas.Max() != 2 {
+	if rep := r.Telemetry.ByName(telemetry.Replicas); rep == nil || rep.Max() != 2 {
 		t.Fatal("replica gauge series missing or wrong")
 	}
 }
@@ -197,7 +198,7 @@ func TestAutoscalerScalesUpUnderFlashCrowd(t *testing.T) {
 	if sc.PeakReplicas < 2 || sc.PeakReplicas > 3 {
 		t.Fatalf("peak replicas = %d", sc.PeakReplicas)
 	}
-	if r.Telemetry.Replicas == nil || int(r.Telemetry.Replicas.Max()) != sc.PeakReplicas {
+	if rep := r.Telemetry.ByName(telemetry.Replicas); rep == nil || int(rep.Max()) != sc.PeakReplicas {
 		t.Fatalf("replica gauge peak disagrees with scaling stats")
 	}
 	// Scale operations (boot decisions and drains) respect the cooldown.
@@ -270,7 +271,7 @@ func TestClusterRunDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(a.ReplicaServed, b.ReplicaServed) {
 		t.Fatalf("replica split diverged: %v vs %v", a.ReplicaServed, b.ReplicaServed)
 	}
-	if !reflect.DeepEqual(a.Telemetry.LatencyP95.Values, b.Telemetry.LatencyP95.Values) {
+	if !reflect.DeepEqual(a.Telemetry.ByName(telemetry.LatencyP95).Values, b.Telemetry.ByName(telemetry.LatencyP95).Values) {
 		t.Fatal("latency series diverged")
 	}
 }

@@ -539,54 +539,64 @@ func Run(cfg Config) (*Result, error) {
 	// the same instants, in deterministic driver order. Reserving the
 	// duration-derived window count up front keeps rotation
 	// allocation-free for the whole run.
+	//
+	// Components register their window series before capacity is
+	// reserved; registration order is the CSV column order: core,
+	// replicas, fault, degradation, cache, queue.
 	windows := int(cfg.Duration / sysstat.SampleInterval)
+	primary := drivers[0].Recorder()
 	if inst != nil && !topo.IsDegenerate() {
-		// Materialize the replicas series before capacity is reserved.
-		drivers[0].SetReplicaGauge(inst.cluster.ActiveReplicas)
+		primary.Gauge(telemetry.Replicas, "replicas", func() float64 { return float64(inst.cluster.ActiveReplicas()) })
 	}
-	if faulty {
-		// Materialize the fault series before capacity is reserved.
-		for i, drv := range drivers {
-			var retries func() uint64
+	for i, drv := range drivers {
+		rec, out := drv.Recorder(), drv.Outcomes
+		if faulty {
+			retries := func() uint64 { return 0 }
 			if i < len(guards) {
 				retries = guards[i].RetryCount
 			}
-			drv.EnableFaultTelemetry(retries)
+			rec.Counter(telemetry.Timeouts, "requests/window", func() uint64 { return out().TimedOut })
+			rec.Counter(telemetry.Sheds, "requests/window", func() uint64 { return out().Shed })
+			rec.Counter(telemetry.Failures, "requests/window", func() uint64 { return out().Failed })
+			rec.Counter(telemetry.Retries, "retries/window", retries)
+			rec.Gauge(telemetry.Availability, "fraction", telemetry.WindowShare(
+				func() uint64 { return out().Served },
+				func() uint64 { o := out(); return o.TimedOut + o.Shed + o.Failed }, 1))
+		}
+		if hazard != nil || overload != nil {
+			// Degraded answers are deliberate fast responses, so they
+			// count in their own series, not against availability. The
+			// hazard rate sampled at a boundary is the window that closed
+			// at the previous one: gauges sample before the hazard's own
+			// hook runs.
+			level, rate := func() float64 { return 0 }, func() float64 { return 0 }
+			if overload != nil {
+				level = func() float64 { return float64(overload.Level()) }
+			}
+			if hazard != nil {
+				rate = hazard.WindowRate
+			}
+			rec.Counter(telemetry.Degraded, "requests/window", func() uint64 { return out().Degraded })
+			rec.Gauge(telemetry.BrownoutLevel, "level", level)
+			rec.Gauge(telemetry.HazardRate, "crashes/window", rate)
 		}
 	}
 	if inst != nil && inst.cacheSrv != nil {
-		// Materialize the cache series before capacity is reserved. The
-		// driver differences the cumulative counters per window; store
-		// stats survive cold restarts, so the diff stays monotonic.
+		// Store stats survive cold restarts, so the differenced
+		// counters stay monotonic.
 		cs := inst.cacheSrv
-		drivers[0].EnableCacheTelemetry(func() (hits, misses, stampedes uint64) {
-			s := cs.Snapshot()
-			return s.Hits, s.Misses, s.Stampedes
-		})
+		primary.Gauge(telemetry.CacheHitRatio, "fraction", telemetry.WindowShare(
+			func() uint64 { return cs.Snapshot().Hits },
+			func() uint64 { return cs.Snapshot().Misses }, 0))
+		primary.Counter(telemetry.CacheStampedes, "fetches/window", func() uint64 { return cs.Snapshot().Stampedes })
 	}
 	if inst != nil && inst.queueSrv != nil {
-		// Materialize the queue depth/lag gauges before capacity is
-		// reserved.
 		qs := inst.queueSrv
-		drivers[0].EnableQueueTelemetry(qs.Depth, func() float64 { return qs.LagMs(k.Now()) })
-	}
-	if hazard != nil || overload != nil {
-		// Materialize the degradation series before capacity is
-		// reserved.
-		var level func() int
-		if overload != nil {
-			level = overload.Level
-		}
-		var rate func() float64
-		if hazard != nil {
-			rate = hazard.WindowRate
-		}
-		for _, drv := range drivers {
-			drv.EnableDegradationTelemetry(level, rate)
-		}
+		primary.Gauge(telemetry.QueueDepth, "writes", func() float64 { return float64(qs.Depth()) })
+		primary.Gauge(telemetry.QueueLag, "ms", func() float64 { return qs.LagMs(k.Now()) })
 	}
 	for _, drv := range drivers {
-		drv.ReserveWindows(windows)
+		drv.Recorder().ReserveWindows(windows)
 		collector.OnSample(drv.RotateWindow)
 	}
 	// Window-boundary actors run after rotation in fixed order: hazard
@@ -601,7 +611,7 @@ func Run(cfg Config) (*Result, error) {
 	if inst != nil && topo.Autoscaler != nil {
 		// Registered after the drivers' RotateWindow hooks, so each
 		// sample the autoscaler sees the window that just closed.
-		scaler := tiers.NewAutoscaler(inst.cluster, drivers[0].Telemetry(), *topo.Autoscaler)
+		scaler := tiers.NewAutoscaler(inst.cluster, primary.Series(), *topo.Autoscaler)
 		collector.OnSample(scaler.OnSample)
 	}
 	collector.Start()
@@ -611,7 +621,6 @@ func Run(cfg Config) (*Result, error) {
 	k.Run(cfg.Duration)
 
 	res.Collector = collector
-	primary := drivers[0]
 	for _, drv := range drivers {
 		completed, errors := drv.Totals()
 		res.Completed += completed
@@ -632,16 +641,16 @@ func Run(cfg Config) (*Result, error) {
 			res.Sessions.PeakActive += od.Sessions.PeakActive
 		}
 	}
-	res.WriteFraction = primary.WriteFraction()
-	res.MeanRespTime = primary.MeanResponseTime()
-	res.P95RespTime = primary.ResponseTimeQuantile(0.95)
-	res.Telemetry = primary.Telemetry()
+	res.WriteFraction = drivers[0].WriteFraction()
+	res.MeanRespTime = drivers[0].MeanResponseTime()
+	res.P95RespTime = drivers[0].ResponseTimeQuantile(0.95)
+	res.Telemetry = primary.Series()
 	for _, w := range growthWebs {
 		res.WebGrowths += w.Growths()
 	}
-	res.Interactions = primary.InteractionCounts()
+	res.Interactions = drivers[0].InteractionCounts()
 	res.Tiers = collector.TargetNames()
-	res.ServedHist, res.AbandonedHist = primary.Hists()
+	res.ServedHist, res.AbandonedHist = primary.RunHist(), primary.AbandonedHist()
 	if inst != nil && !topo.IsDegenerate() {
 		res.ScaleEvents = inst.cluster.Events
 		st := &ScalingStats{PeakReplicas: inst.cluster.PeakActive()}
@@ -664,13 +673,13 @@ func Run(cfg Config) (*Result, error) {
 	if faulty {
 		rs := &RequestStats{}
 		for _, drv := range drivers {
-			issued, served, timedOut, shed, failed, degraded := drv.RequestTotals()
-			rs.Issued += issued
-			rs.Served += served
-			rs.TimedOut += timedOut
-			rs.Shed += shed
-			rs.Failed += failed
-			rs.Degraded += degraded
+			o := drv.Outcomes()
+			rs.Issued += o.Issued
+			rs.Served += o.Served
+			rs.TimedOut += o.TimedOut
+			rs.Shed += o.Shed
+			rs.Failed += o.Failed
+			rs.Degraded += o.Degraded
 		}
 		rs.InFlight = rs.Issued - rs.Served - rs.TimedOut - rs.Shed - rs.Failed - rs.Degraded
 		res.Requests = rs

@@ -7,6 +7,7 @@ import (
 	"vwchar/internal/load"
 	"vwchar/internal/rubis"
 	"vwchar/internal/sim"
+	"vwchar/internal/telemetry"
 )
 
 // shortConfig runs a scaled-down experiment quickly.
@@ -110,7 +111,7 @@ func TestTelemetryAlignsWithCollector(t *testing.T) {
 		t.Fatal("no telemetry on closed-loop result")
 	}
 	cpu := r.CPU(TierWeb)
-	for _, s := range tel.Present() {
+	for _, s := range tel.All() {
 		if s.Len() != r.Collector.Samples {
 			t.Fatalf("%s has %d windows, collector took %d samples", s.Name, s.Len(), r.Collector.Samples)
 		}
@@ -128,21 +129,23 @@ func TestTelemetryAlignsWithCollector(t *testing.T) {
 	// there is throughput, and run totals consistent with the windows.
 	var completions float64
 	busy := 0
-	for i := 0; i < tel.Throughput.Len(); i++ {
-		tput := tel.Throughput.At(i)
-		completions += tput * tel.Throughput.Interval
+	tputs := tel.ByName(telemetry.Throughput)
+	p50s, p95s := tel.ByName(telemetry.LatencyP50), tel.ByName(telemetry.LatencyP95)
+	for i := 0; i < tputs.Len(); i++ {
+		tput := tputs.At(i)
+		completions += tput * tputs.Interval
 		if tput > 0 {
 			busy++
-			if tel.LatencyP95.At(i) <= 0 {
-				t.Fatalf("window %d has throughput %v but p95 %v", i, tput, tel.LatencyP95.At(i))
+			if p95s.At(i) <= 0 {
+				t.Fatalf("window %d has throughput %v but p95 %v", i, tput, p95s.At(i))
 			}
-			if tel.LatencyP95.At(i) < tel.LatencyP50.At(i) {
-				t.Fatalf("window %d p95 %v < p50 %v", i, tel.LatencyP95.At(i), tel.LatencyP50.At(i))
+			if p95s.At(i) < p50s.At(i) {
+				t.Fatalf("window %d p95 %v < p50 %v", i, p95s.At(i), p50s.At(i))
 			}
 		}
 	}
-	if busy < tel.Throughput.Len()/2 {
-		t.Fatalf("only %d of %d windows saw traffic", busy, tel.Throughput.Len())
+	if busy < tputs.Len()/2 {
+		t.Fatalf("only %d of %d windows saw traffic", busy, tputs.Len())
 	}
 	// Window completions undercount the run total only by what was
 	// still in flight or landed after the last rotation.
@@ -150,8 +153,8 @@ func TestTelemetryAlignsWithCollector(t *testing.T) {
 		t.Fatalf("windowed completions %v vs run total %d", completions, r.Completed)
 	}
 	// Closed loop: fixed population, no session churn.
-	if tel.Starts.Sum() != 0 || tel.Ends.Sum() != 0 {
-		t.Fatalf("closed-loop run reported session churn: %v starts", tel.Starts.Sum())
+	if starts := tel.ByName(telemetry.SessionStarts).Sum(); starts != 0 || tel.ByName(telemetry.SessionEnds).Sum() != 0 {
+		t.Fatalf("closed-loop run reported session churn: %v starts", starts)
 	}
 }
 
@@ -394,7 +397,7 @@ func TestOpenLoopRunEndToEnd(t *testing.T) {
 		if tel == nil || tel.Windows() != r.Collector.Samples {
 			t.Fatalf("%s: telemetry missing or misaligned", env)
 		}
-		starts := tel.Starts.Sum()
+		starts := tel.ByName(telemetry.SessionStarts).Sum()
 		if starts == 0 || starts > float64(r.Sessions.Started) {
 			t.Fatalf("%s: windowed starts %v vs run total %d", env, starts, r.Sessions.Started)
 		}

@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 
+	"vwchar/internal/telemetry"
 	"vwchar/internal/timeseries"
 )
 
@@ -123,7 +124,8 @@ func normalizedTo(s *timeseries.Series, name string) *timeseries.Series {
 // panel shows the causal pairing — CPU saturating, latency detaching
 // from it, and (with an autoscaler) capacity arriving.
 func BuildSaturationFigure(r *Result) (Figure, error) {
-	if r.Telemetry == nil || r.Telemetry.LatencyP95 == nil {
+	p95 := r.Telemetry.ByName(telemetry.LatencyP95)
+	if p95 == nil {
 		return Figure{}, fmt.Errorf("experiment: saturation figure needs windowed telemetry")
 	}
 	cpu := r.CPU(TierWeb)
@@ -134,14 +136,14 @@ func BuildSaturationFigure(r *Result) (Figure, error) {
 		Title:  "Web CPU vs latency p95 (peak-normalized)",
 		Unit:   "fraction of peak",
 		Browse: normalizedTo(cpu, "web_cpu"),
-		Bid:    normalizedTo(r.Telemetry.LatencyP95, "latency_p95"),
+		Bid:    normalizedTo(p95, "latency_p95"),
 	}
 	fig := Figure{
 		ID:      9,
 		Caption: "Web-tier CPU demand against per-window latency p95, with the active replica count where the run autoscaled",
 		Env:     r.Config.Environment,
 	}
-	if rep := r.Telemetry.Replicas; rep != nil && rep.Len() > 0 {
+	if rep := r.Telemetry.ByName(telemetry.Replicas); rep != nil && rep.Len() > 0 {
 		panel.Overlays = append(panel.Overlays, normalizedTo(rep, "replicas"))
 		fig.Panels = append(fig.Panels, Panel{
 			Title:  "Active web replicas",

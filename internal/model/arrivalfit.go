@@ -7,6 +7,7 @@ import (
 	"vwchar/internal/experiment"
 	"vwchar/internal/load"
 	"vwchar/internal/stats"
+	"vwchar/internal/telemetry"
 	"vwchar/internal/timeseries"
 )
 
@@ -126,10 +127,10 @@ func FitArrivals(counts *timeseries.Series) (ArrivalFit, error) {
 // index of dispersion enough to misclassify a steady process as
 // bursty.
 func FitArrivalsFromResult(r *experiment.Result) (ArrivalFit, error) {
-	if r.Telemetry == nil {
+	starts := r.Telemetry.ByName(telemetry.SessionStarts)
+	if starts == nil {
 		return ArrivalFit{}, fmt.Errorf("model: result has no telemetry")
 	}
-	starts := r.Telemetry.Starts
 	if l := r.Config.Load; l != nil && l.RampSeconds > 0 && starts.Interval > 0 {
 		skip := int(math.Ceil(l.RampSeconds / starts.Interval))
 		if skip >= starts.Len() {

@@ -24,7 +24,6 @@ import (
 	"vwchar/internal/load"
 	"vwchar/internal/rng"
 	"vwchar/internal/stats"
-	"vwchar/internal/telemetry"
 	"vwchar/internal/timeseries"
 )
 
@@ -186,7 +185,7 @@ type PointResult struct {
 	Reps    []*experiment.Result
 	Metrics []NamedMetric
 	// Series holds the windowed telemetry series aggregated pointwise
-	// across replications, in telemetry.SeriesNames order. It is kept
+	// across replications, in registration order. It is kept
 	// out of WriteTable so the paper sweep's scalar output bytes stay
 	// pinned by the golden hash; render it with WriteSeriesCSV.
 	Series []SeriesAggregate
@@ -204,7 +203,7 @@ func (p *PointResult) Metric(name string) Metric {
 }
 
 // SeriesAgg returns the aggregated series for a telemetry series name
-// (see telemetry.SeriesNames), or nil when absent.
+// (see the name constants in internal/telemetry), or nil when absent.
 func (p *PointResult) SeriesAgg(name string) *SeriesAggregate {
 	for i := range p.Series {
 		if p.Series[i].Name == name {
@@ -572,22 +571,29 @@ func aggregate(reps []*experiment.Result) []NamedMetric {
 // aggregateSeries folds the per-replication telemetry series of one
 // point into pointwise mean and CI95 series, skipping failed (nil)
 // replications and truncating to the shortest surviving replication.
-// Iteration is by fixed series order and rep index, so the output is
-// deterministic and independent of worker count.
+// Every replication of a point registers the same series, so the
+// first surviving one fixes the names and their order. Iteration is
+// by that order and rep index, so the output is deterministic and
+// independent of worker count.
 func aggregateSeries(reps []*experiment.Result) []SeriesAggregate {
-	out := make([]SeriesAggregate, 0, len(telemetry.SeriesNames))
-	for _, name := range telemetry.SeriesNames {
+	var registered []*timeseries.Series
+	for _, r := range reps {
+		if r != nil && r.Telemetry != nil {
+			registered = r.Telemetry.All()
+			break
+		}
+	}
+	out := make([]SeriesAggregate, 0, len(registered))
+	for _, reg := range registered {
+		name := reg.Name
 		var cols []*timeseries.Series
 		for _, r := range reps {
-			if r == nil || r.Telemetry == nil {
+			if r == nil {
 				continue
 			}
 			if s := r.Telemetry.ByName(name); s != nil {
 				cols = append(cols, s)
 			}
-		}
-		if len(cols) == 0 {
-			continue
 		}
 		n := cols[0].Len()
 		for _, s := range cols[1:] {

@@ -11,6 +11,7 @@ import (
 	"vwchar/internal/load"
 	"vwchar/internal/rubis"
 	"vwchar/internal/sim"
+	"vwchar/internal/telemetry"
 )
 
 // tinyConfig returns a configuration small enough that a replication
@@ -174,14 +175,14 @@ func TestSeriesAggregates(t *testing.T) {
 		t.Fatal(err)
 	}
 	virt := &sr.Points[0]
-	if got, want := len(virt.Series), len(virt.Reps[0].Telemetry.Present()); got != want {
+	if got, want := len(virt.Series), len(virt.Reps[0].Telemetry.All()); got != want {
 		t.Fatalf("aggregated %d series, want %d (every present series)", got, want)
 	}
 	p95 := virt.SeriesAgg("latency_p95_ms")
 	if p95 == nil || p95.N != 2 {
 		t.Fatalf("p95 aggregate = %+v", p95)
 	}
-	if got, want := p95.Mean.Len(), virt.Reps[0].Telemetry.LatencyP95.Len(); got != want {
+	if got, want := p95.Mean.Len(), virt.Reps[0].Telemetry.ByName(telemetry.LatencyP95).Len(); got != want {
 		t.Fatalf("aggregate has %d windows, replications have %d", got, want)
 	}
 	if p95.Mean.Interval != 2 || p95.CI95.Len() != p95.Mean.Len() {
@@ -195,8 +196,8 @@ func TestSeriesAggregates(t *testing.T) {
 	}
 	// Pointwise mean really is the mean of the two replications.
 	mid := p95.Mean.Len() / 2
-	a := virt.Reps[0].Telemetry.LatencyP95.At(mid)
-	b := virt.Reps[1].Telemetry.LatencyP95.At(mid)
+	a := virt.Reps[0].Telemetry.ByName(telemetry.LatencyP95).At(mid)
+	b := virt.Reps[1].Telemetry.ByName(telemetry.LatencyP95).At(mid)
 	if got, want := p95.Mean.At(mid), (a+b)/2; math.Abs(got-want) > 1e-12*math.Abs(want) {
 		t.Fatalf("window %d mean %v, want %v", mid, got, want)
 	}

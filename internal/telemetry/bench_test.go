@@ -23,13 +23,17 @@ func BenchmarkLatencyRecord(b *testing.B) {
 	}
 }
 
-// BenchmarkWindowRotate times closing one 2 s window: four quantile
-// walks over the touched bin range, eight series appends, and the
+// BenchmarkWindowRotate times closing one 2 s window: the core
+// series' quantile walks over the touched bin range, one registered
+// Counter and one registered Gauge, every series append, and the
 // window reset. Gated at 0 allocs/op in CI (the series capacity hint
 // covers the benchmark's windows, as experiment.Run's duration-derived
 // hint covers a run's).
 func BenchmarkWindowRotate(b *testing.B) {
 	rec := NewRecorder(2, b.N+1, true)
+	var retries uint64
+	rec.Counter(Retries, "retries/window", func() uint64 { return retries })
+	rec.Gauge(QueueDepth, "writes", func() float64 { return float64(retries & 7) })
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -40,6 +44,7 @@ func BenchmarkWindowRotate(b *testing.B) {
 		rec.Record(0.250, false)
 		rec.NoteStart()
 		rec.NoteEnd()
+		retries += 3
 		rec.Rotate(7)
 	}
 	if rec.Series().Windows() != b.N {

@@ -82,14 +82,14 @@ func TestRecorderClassAttribution(t *testing.T) {
 	}
 	r.Rotate(0)
 	s := r.Series()
-	read := s.LatencyReadP95.At(0)
-	rw := s.LatencyRWP95.At(0)
+	read := s.ByName(LatencyReadP95).At(0)
+	rw := s.ByName(LatencyRWP95).At(0)
 	if read <= 0 || rw <= 0 || read >= rw {
 		t.Fatalf("class p95 split: read %v ms, rw %v ms; want 0 < read < rw", read, rw)
 	}
 	// The combined window p95 sits at the write latency (10 of 50 =
 	// the top 20%, so p95 lands among the writes).
-	if p95 := s.LatencyP95.At(0); math.Abs(p95-rw) > 0.2*rw {
+	if p95 := s.ByName(LatencyP95).At(0); math.Abs(p95-rw) > 0.2*rw {
 		t.Fatalf("combined p95 %v ms should track the slow class %v ms", p95, rw)
 	}
 	// Class state resets with the window.
@@ -98,7 +98,7 @@ func TestRecorderClassAttribution(t *testing.T) {
 	if got := r.ClassHist(false).Count(); got != 41 {
 		t.Fatalf("run-level class hist lost observations: %d", got)
 	}
-	if s.LatencyRWP95.At(1) != 0 {
+	if s.ByName(LatencyRWP95).At(1) != 0 {
 		t.Fatal("write-class window series should be empty after reset")
 	}
 }
@@ -135,38 +135,31 @@ func TestRecorderAbandonAccounting(t *testing.T) {
 	r.Record(0.050, false)
 	r.Rotate(0)
 	s := r.Series()
-	if s.Abandoned.At(0) != 3 || s.Abandoned.At(1) != 0 {
-		t.Fatalf("abandoned series = %v, want [3 0]", s.Abandoned.Values)
+	if s.ByName(Abandoned).At(0) != 3 || s.ByName(Abandoned).At(1) != 0 {
+		t.Fatalf("abandoned series = %v, want [3 0]", s.ByName(Abandoned).Values)
 	}
 }
 
-// TestReplicaGaugeSeries: the replicas series materializes only when a
-// gauge is wired and then samples it at every window boundary.
+// TestReplicaGaugeSeries: the replicas series exists only once its
+// Gauge is registered, samples it at every window boundary, and
+// follows the core series.
 func TestReplicaGaugeSeries(t *testing.T) {
 	r := NewRecorder(2.0, 4, false)
-	if r.Series().Replicas != nil {
-		t.Fatal("replicas series must stay nil without a gauge")
+	if r.Series().ByName(Replicas) != nil {
+		t.Fatal("replicas series must be absent until registered")
 	}
+	core := len(r.Series().All())
 	n := 1
-	r.SetReplicaGauge(func() int { return n })
-	if r.Series().Replicas == nil {
-		t.Fatal("gauge did not materialize the series")
-	}
+	r.Gauge(Replicas, "replicas", func() float64 { return float64(n) })
 	r.Rotate(0)
 	n = 3
 	r.Rotate(0)
-	s := r.Series().Replicas
-	if s.At(0) != 1 || s.At(1) != 3 {
-		t.Fatalf("replica gauge series = %v, want [1 3]", s.Values)
+	s := r.Series().ByName(Replicas)
+	if s == nil || s.At(0) != 1 || s.At(1) != 3 {
+		t.Fatalf("replica gauge series = %v, want [1 3]", s)
 	}
-	names := make(map[string]bool)
-	for _, sr := range r.Series().Present() {
-		names[sr.Name] = true
-	}
-	// The five fault series, three degradation series, two cache series
-	// and two queue series stay absent unless enabled; everything else
-	// is present once the gauge is wired.
-	if !names["replicas"] || len(names) != len(SeriesNames)-12 {
-		t.Fatalf("Present() with a gauge = %d series, want %d", len(names), len(SeriesNames)-12)
+	all := r.Series().All()
+	if len(all) != core+1 || all[core] != s {
+		t.Fatalf("registry holds %d series with replicas at the end, want %d", len(all), core+1)
 	}
 }

@@ -16,116 +16,67 @@ import (
 // fixed rather than proportional to run length.
 const DefaultExactCap = 32768
 
-// SeriesNames labels the per-window series a Recorder emits, in
-// emission order. The names are shared with the runner's
-// cross-replication series aggregation.
-var SeriesNames = []string{
-	"latency_mean_ms",
-	"latency_p50_ms",
-	"latency_p95_ms",
-	"latency_p99_ms",
-	"throughput_rps",
-	"inflight",
-	"sessions_started",
-	"sessions_ended",
-	"latency_read_p95_ms",
-	"latency_rw_p95_ms",
-	"abandoned_sessions",
-	"replicas",
-	"timeouts",
-	"sheds",
-	"failures",
-	"retries",
-	"availability",
-	"degraded",
-	"brownout_level",
-	"hazard_rate",
-	"cache_hit_ratio",
-	"cache_stampedes",
-	"queue_depth",
-	"queue_lag_ms",
-}
+// Series names: the CSV column contract shared by Result.Telemetry,
+// the runner's cross-replication aggregation and every reader that
+// looks a series up by name. NewRecorder registers the first eleven,
+// the core series, in this order; the component that owns each of the
+// rest registers it with Recorder.Counter or Recorder.Gauge.
+const (
+	LatencyMean    = "latency_mean_ms"
+	LatencyP50     = "latency_p50_ms"
+	LatencyP95     = "latency_p95_ms"
+	LatencyP99     = "latency_p99_ms"
+	Throughput     = "throughput_rps"
+	Inflight       = "inflight"
+	SessionStarts  = "sessions_started"
+	SessionEnds    = "sessions_ended"
+	LatencyReadP95 = "latency_read_p95_ms"
+	LatencyRWP95   = "latency_rw_p95_ms"
+	Abandoned      = "abandoned_sessions"
+	Replicas       = "replicas"
+	Timeouts       = "timeouts"
+	Sheds          = "sheds"
+	Failures       = "failures"
+	Retries        = "retries"
+	Availability   = "availability"
+	Degraded       = "degraded"
+	BrownoutLevel  = "brownout_level"
+	HazardRate     = "hazard_rate"
+	CacheHitRatio  = "cache_hit_ratio"
+	CacheStampedes = "cache_stampedes"
+	QueueDepth     = "queue_depth"
+	QueueLag       = "queue_lag_ms"
+)
 
 // MaxKinds bounds the per-interaction histogram bank (RUBiS has 26
 // kinds; the bank is fixed-size so the record path stays a bounds check
 // plus an array index).
 const MaxKinds = 32
 
-// WindowSeries is the per-window output of a Recorder: one sample per
-// collector tick, sharing the resource series' 2-second time axis.
+// WindowSeries is the per-window output of a Recorder: an ordered list
+// of named series, one sample per collector tick each, sharing the
+// resource series' 2-second time axis.
 type WindowSeries struct {
-	// LatencyMean is the exact mean response time per window (ms);
-	// LatencyP50/P95/P99 are histogram quantiles per window (ms).
-	LatencyMean, LatencyP50, LatencyP95, LatencyP99 *timeseries.Series
-	// Throughput is completed interactions per second within the window.
-	Throughput *timeseries.Series
-	// Inflight is the number of requests awaiting a response at the
-	// window boundary (a gauge, like the collector's memory series).
-	Inflight *timeseries.Series
-	// Starts and Ends count session churn within the window; all-zero
-	// for the closed-loop driver, whose population is fixed.
-	Starts, Ends *timeseries.Series
-	// LatencyReadP95 and LatencyRWP95 split the window p95 by
-	// interaction class (read-only vs read-write), so figures show which
-	// class saturates first.
-	LatencyReadP95, LatencyRWP95 *timeseries.Series
-	// Abandoned counts sessions driven away within the window by an
-	// SLO-violating response.
-	Abandoned *timeseries.Series
-	// Replicas is the active web-replica gauge at each window boundary;
-	// nil unless a replica gauge was wired (cluster runs).
-	Replicas *timeseries.Series
-	// Timeouts/Sheds/Failures count abnormal request outcomes per
-	// window; Retries counts guard re-dispatches per window;
-	// Availability is served/(served+abnormal) per window. All nil
-	// unless fault telemetry was enabled (fault-injection runs).
-	Timeouts, Sheds, Failures, Retries, Availability *timeseries.Series
-	// Degraded counts requests answered degraded per window (brownout
-	// drops and over-bound fast-fails); BrownoutLevel is the overload
-	// controller's degradation-level gauge at each boundary; HazardRate
-	// is the load-coupled hazard's armed probability mass for the
-	// window that just closed. All nil unless degradation telemetry was
-	// enabled (hazard/brownout runs).
-	Degraded, BrownoutLevel, HazardRate *timeseries.Series
-	// HitRatio is the cache tier's per-window hit fraction and
-	// Stampedes its per-window redundant concurrent DB fetches; nil
-	// unless cache telemetry was enabled (cache-tier runs).
-	HitRatio, Stampedes *timeseries.Series
-	// QueueDepth/QueueLag are the write-behind broker's backlog and
-	// oldest-entry age gauges at each boundary; nil unless queue
-	// telemetry was enabled.
-	QueueDepth, QueueLag *timeseries.Series
+	series []*timeseries.Series
 }
 
-// All lists the series in SeriesNames order. Entries may be nil (the
-// replica gauge is only present on cluster runs); Present filters.
-func (w *WindowSeries) All() []*timeseries.Series {
-	return []*timeseries.Series{
-		w.LatencyMean, w.LatencyP50, w.LatencyP95, w.LatencyP99,
-		w.Throughput, w.Inflight, w.Starts, w.Ends,
-		w.LatencyReadP95, w.LatencyRWP95, w.Abandoned, w.Replicas,
-		w.Timeouts, w.Sheds, w.Failures, w.Retries, w.Availability,
-		w.Degraded, w.BrownoutLevel, w.HazardRate,
-		w.HitRatio, w.Stampedes, w.QueueDepth, w.QueueLag,
-	}
+// NewWindowSeries lists the given series, in order.
+func NewWindowSeries(series ...*timeseries.Series) *WindowSeries {
+	return &WindowSeries{series: series}
 }
 
-// Present lists the non-nil series in SeriesNames order.
-func (w *WindowSeries) Present() []*timeseries.Series {
-	all := w.All()
-	out := make([]*timeseries.Series, 0, len(all))
-	for _, s := range all {
-		if s != nil {
-			out = append(out, s)
-		}
-	}
-	return out
-}
+// All lists the series in registration order, which is the CSV column
+// order. The slice is shared; callers must not modify it.
+func (w *WindowSeries) All() []*timeseries.Series { return w.series }
 
-// ByName returns the named series, or nil for an unknown or absent name.
+// ByName returns the named series, or nil when it was not registered
+// (or w is nil, as on a result without telemetry).
 func (w *WindowSeries) ByName(name string) *timeseries.Series {
-	for i, s := range w.All() {
-		if SeriesNames[i] == name {
+	if w == nil {
+		return nil
+	}
+	for _, s := range w.series {
+		if s.Name == name {
 			return s
 		}
 	}
@@ -133,12 +84,24 @@ func (w *WindowSeries) ByName(name string) *timeseries.Series {
 }
 
 // Windows reports the number of closed windows.
-func (w *WindowSeries) Windows() int { return w.LatencyP95.Len() }
+func (w *WindowSeries) Windows() int {
+	if len(w.series) == 0 {
+		return 0
+	}
+	return w.series[0].Len()
+}
 
-// Recorder accumulates response-time observations and window-local
-// counters, closing one window per Rotate call. The caller rotates it
-// from the sysstat collector's sampling ticker, which is what aligns
-// the emitted series with the resource series sample for sample.
+// probe is one registered series and its sample source.
+type probe struct {
+	s      *timeseries.Series
+	sample func() float64
+}
+
+// Recorder accumulates response-time observations and closes one
+// window per Rotate call, appending one sample to every registered
+// series. The caller rotates it from the sysstat collector's sampling
+// ticker, which is what aligns the emitted series with the resource
+// series sample for sample.
 type Recorder struct {
 	windowSec  float64
 	windowHint int
@@ -153,36 +116,8 @@ type Recorder struct {
 	winClass, runClass [2]Hist
 
 	// abandon is the run-level histogram of responses whose latency
-	// drove their session away (a subset of run); winAbandons counts
-	// them within the current window.
-	abandon     Hist
-	winAbandons uint64
-
-	// replicaGauge, when wired, samples the active web-replica count at
-	// each window boundary into the Replicas series.
-	replicaGauge func() int
-
-	// Fault accounting (fault-injection runs only): window-local
-	// abnormal-outcome counters, plus the guard's cumulative retry
-	// source differenced at each window boundary.
-	winTimeouts, winSheds, winFails uint64
-	retryFn                         func() uint64
-	lastRetries                     uint64
-
-	// Degradation accounting (hazard/brownout runs only): window-local
-	// degraded-outcome counter plus the level and hazard-rate gauges
-	// sampled at each boundary.
-	winDegraded uint64
-	levelGauge  func() int
-	hazardGauge func() float64
-
-	// Cache/queue accounting (cache-tier runs only): the node's
-	// cumulative counters differenced at each boundary, plus backlog
-	// gauges.
-	cacheFn                            func() (hits, misses, stampedes uint64)
-	lastHits, lastMisses, lastStampede uint64
-	depthGauge                         func() int
-	lagGauge                           func() float64
+	// drove their session away (a subset of run).
+	abandon Hist
 
 	// kind is the per-interaction run-level histogram bank, indexed by
 	// the dense kind index stamped into every rubis.Result.
@@ -196,8 +131,12 @@ type Recorder struct {
 	exactCap int
 	sorted   bool
 
-	starts, ends uint64
+	// starts, ends and abandons are cumulative, differenced per window
+	// by the core Counters; inflight is the gauge Rotate was handed.
+	starts, ends, abandons uint64
+	inflight               int
 
+	probes []probe
 	series WindowSeries
 }
 
@@ -206,117 +145,78 @@ type Recorder struct {
 // run is expected to make; rotation never allocates while within the
 // hint). prealloc reserves the exact reservoir up front so steady-state
 // recording never allocates either — the open-loop driver's zero-alloc
-// discipline.
+// discipline. The core series are registered here; components append
+// theirs with Counter and Gauge.
 func NewRecorder(windowSec float64, windowHint int, prealloc bool) *Recorder {
 	r := &Recorder{windowSec: windowSec, windowHint: windowHint, exactCap: DefaultExactCap}
 	if prealloc {
 		r.exact = make([]float64, 0, r.exactCap)
 	}
 	r.kind = make([]Hist, MaxKinds)
-	r.series = WindowSeries{
-		LatencyMean:    r.newSeries(SeriesNames[0], "ms"),
-		LatencyP50:     r.newSeries(SeriesNames[1], "ms"),
-		LatencyP95:     r.newSeries(SeriesNames[2], "ms"),
-		LatencyP99:     r.newSeries(SeriesNames[3], "ms"),
-		Throughput:     r.newSeries(SeriesNames[4], "req/s"),
-		Inflight:       r.newSeries(SeriesNames[5], "requests"),
-		Starts:         r.newSeries(SeriesNames[6], "sessions/window"),
-		Ends:           r.newSeries(SeriesNames[7], "sessions/window"),
-		LatencyReadP95: r.newSeries(SeriesNames[8], "ms"),
-		LatencyRWP95:   r.newSeries(SeriesNames[9], "ms"),
-		Abandoned:      r.newSeries(SeriesNames[10], "sessions/window"),
+	ms := func(h *Hist, q float64) func() float64 {
+		return func() float64 { return h.Quantile(q) * 1e3 }
 	}
+	r.Gauge(LatencyMean, "ms", func() float64 { return r.win.Mean() * 1e3 })
+	r.Gauge(LatencyP50, "ms", ms(&r.win, 0.50))
+	r.Gauge(LatencyP95, "ms", ms(&r.win, 0.95))
+	r.Gauge(LatencyP99, "ms", ms(&r.win, 0.99))
+	r.Gauge(Throughput, "req/s", func() float64 { return float64(r.win.Count()) / r.windowSec })
+	r.Gauge(Inflight, "requests", func() float64 { return float64(r.inflight) })
+	r.Counter(SessionStarts, "sessions/window", func() uint64 { return r.starts })
+	r.Counter(SessionEnds, "sessions/window", func() uint64 { return r.ends })
+	r.Gauge(LatencyReadP95, "ms", ms(&r.winClass[0], 0.95))
+	r.Gauge(LatencyRWP95, "ms", ms(&r.winClass[1], 0.95))
+	r.Counter(Abandoned, "sessions/window", func() uint64 { return r.abandons })
 	return r
 }
 
-func (r *Recorder) newSeries(name, unit string) *timeseries.Series {
+// Gauge registers a series sampled from fn at each window boundary.
+// Register before ReserveWindows. A duplicate name panics, and so does
+// registering after the first Rotate, since the new series would be
+// misaligned with the others.
+func (r *Recorder) Gauge(name, unit string, fn func() float64) {
+	if r.series.ByName(name) != nil {
+		panic("telemetry: series " + name + " registered twice")
+	}
+	if r.series.Windows() > 0 {
+		panic("telemetry: series " + name + " registered after the first window closed")
+	}
 	s := &timeseries.Series{Name: name, Unit: unit, Interval: r.windowSec}
 	if r.windowHint > 0 {
 		s.Values = make([]float64, 0, r.windowHint)
 	}
-	return s
+	r.probes = append(r.probes, probe{s, fn})
+	r.series.series = append(r.series.series, s)
 }
 
-// SetReplicaGauge wires the active-replica gauge and materializes the
-// Replicas series; absent a gauge the series stays nil and consumers
-// skip it. Cluster assembly calls this before ReserveWindows.
-func (r *Recorder) SetReplicaGauge(fn func() int) {
-	r.replicaGauge = fn
-	if fn != nil && r.series.Replicas == nil {
-		r.series.Replicas = r.newSeries(SeriesNames[11], "replicas")
+// Counter registers a series holding the per-window increase of the
+// cumulative source fn, differenced at each window boundary. Gauge's
+// registration rules apply.
+func (r *Recorder) Counter(name, unit string, fn func() uint64) {
+	var last uint64
+	r.Gauge(name, unit, func() float64 {
+		cum := fn()
+		d := cum - last
+		last = cum
+		return float64(d)
+	})
+}
+
+// WindowShare builds a Gauge source sampling the per-window share of
+// part in part+rest, both cumulative sources differenced at each
+// boundary; a window in which neither moved samples idle.
+func WindowShare(part, rest func() uint64, idle float64) func() float64 {
+	var lastPart, lastRest uint64
+	return func() float64 {
+		p, q := part(), rest()
+		dp, dq := p-lastPart, q-lastRest
+		lastPart, lastRest = p, q
+		if dp+dq == 0 {
+			return idle
+		}
+		return float64(dp) / float64(dp+dq)
 	}
 }
-
-// EnableFaultSeries materializes the per-window fault series
-// (timeouts, sheds, failures, retries, availability); absent the call
-// they stay nil and consumers skip them, which is what keeps fault
-// telemetry out of fault-free runs. retries supplies the guard's
-// cumulative retry count (nil for a constant zero). Call before
-// ReserveWindows.
-func (r *Recorder) EnableFaultSeries(retries func() uint64) {
-	r.retryFn = retries
-	if r.series.Timeouts == nil {
-		r.series.Timeouts = r.newSeries(SeriesNames[12], "requests/window")
-		r.series.Sheds = r.newSeries(SeriesNames[13], "requests/window")
-		r.series.Failures = r.newSeries(SeriesNames[14], "requests/window")
-		r.series.Retries = r.newSeries(SeriesNames[15], "retries/window")
-		r.series.Availability = r.newSeries(SeriesNames[16], "fraction")
-	}
-}
-
-// EnableDegradationSeries materializes the per-window degradation
-// series (degraded count, brownout level, hazard rate); absent the
-// call they stay nil and consumers skip them. level and hazardRate
-// supply the controller/hazard gauges sampled at each boundary (nil
-// samples as zero; the hazard rate reflects the window that closed at
-// the previous boundary, since gauges sample before the hazard's own
-// hook runs). Call before ReserveWindows.
-func (r *Recorder) EnableDegradationSeries(level func() int, hazardRate func() float64) {
-	r.levelGauge = level
-	r.hazardGauge = hazardRate
-	if r.series.Degraded == nil {
-		r.series.Degraded = r.newSeries(SeriesNames[17], "requests/window")
-		r.series.BrownoutLevel = r.newSeries(SeriesNames[18], "level")
-		r.series.HazardRate = r.newSeries(SeriesNames[19], "crashes/window")
-	}
-}
-
-// EnableCacheSeries materializes the per-window cache series (hit
-// ratio, stampede count); stats supplies the cache node's cumulative
-// web-visible hits/misses and redundant stampede fetches, differenced
-// at each boundary. Call before ReserveWindows.
-func (r *Recorder) EnableCacheSeries(stats func() (hits, misses, stampedes uint64)) {
-	r.cacheFn = stats
-	if r.series.HitRatio == nil {
-		r.series.HitRatio = r.newSeries(SeriesNames[20], "fraction")
-		r.series.Stampedes = r.newSeries(SeriesNames[21], "fetches/window")
-	}
-}
-
-// EnableQueueSeries materializes the per-window queue series (backlog
-// depth and oldest-entry lag gauges at each boundary). Call before
-// ReserveWindows.
-func (r *Recorder) EnableQueueSeries(depth func() int, lagMs func() float64) {
-	r.depthGauge = depth
-	r.lagGauge = lagMs
-	if r.series.QueueDepth == nil {
-		r.series.QueueDepth = r.newSeries(SeriesNames[22], "writes")
-		r.series.QueueLag = r.newSeries(SeriesNames[23], "ms")
-	}
-}
-
-// NoteTimeout tallies one timed-out request in the current window.
-func (r *Recorder) NoteTimeout() { r.winTimeouts++ }
-
-// NoteShed tallies one breaker-shed request in the current window.
-func (r *Recorder) NoteShed() { r.winSheds++ }
-
-// NoteFailure tallies one errored request in the current window.
-func (r *Recorder) NoteFailure() { r.winFails++ }
-
-// NoteDegraded tallies one degraded-answered request in the current
-// window.
-func (r *Recorder) NoteDegraded() { r.winDegraded++ }
 
 // Record adds one response-time observation in seconds, attributed to
 // its interaction class (isWrite selects read-write). Allocation-free
@@ -353,7 +253,7 @@ func (r *Recorder) RecordKind(rt float64, isWrite bool, kind int) {
 // this attributes it to demand lost rather than served.
 func (r *Recorder) NoteAbandon(rt float64) {
 	r.abandon.Record(rt)
-	r.winAbandons++
+	r.abandons++
 }
 
 // recordAt is Record with the bin precomputed, so the recorder pays
@@ -381,101 +281,24 @@ func (h *Hist) recordAt(v float64, i int) {
 	h.counts[i]++
 }
 
-// NoteStart tallies one session admitted in the current window.
+// NoteStart tallies one session admitted.
 func (r *Recorder) NoteStart() { r.starts++ }
 
-// NoteEnd tallies one session ended (finished or abandoned) in the
-// current window.
+// NoteEnd tallies one session ended (finished or abandoned).
 func (r *Recorder) NoteEnd() { r.ends++ }
 
-// Rotate closes the current window, appending one sample to every
-// series: window latency stats, throughput, the inflight gauge passed
-// by the caller, and session churn. The window histogram and counters
-// reset for the next window.
+// Rotate closes the current window: every registered series samples
+// once, in registration order, with inflight feeding the core
+// in-flight gauge. The window histograms then reset for the next
+// window.
 func (r *Recorder) Rotate(inflight int) {
-	w := &r.win
-	r.series.LatencyMean.Append(w.Mean() * 1e3)
-	r.series.LatencyP50.Append(w.Quantile(0.50) * 1e3)
-	r.series.LatencyP95.Append(w.Quantile(0.95) * 1e3)
-	r.series.LatencyP99.Append(w.Quantile(0.99) * 1e3)
-	r.series.Throughput.Append(float64(w.Count()) / r.windowSec)
-	r.series.Inflight.Append(float64(inflight))
-	r.series.Starts.Append(float64(r.starts))
-	r.series.Ends.Append(float64(r.ends))
-	r.series.LatencyReadP95.Append(r.winClass[0].Quantile(0.95) * 1e3)
-	r.series.LatencyRWP95.Append(r.winClass[1].Quantile(0.95) * 1e3)
-	r.series.Abandoned.Append(float64(r.winAbandons))
-	if r.series.Replicas != nil {
-		r.series.Replicas.Append(float64(r.replicaGauge()))
+	r.inflight = inflight
+	for _, p := range r.probes {
+		p.s.Append(p.sample())
 	}
-	if r.series.Timeouts != nil {
-		r.series.Timeouts.Append(float64(r.winTimeouts))
-		r.series.Sheds.Append(float64(r.winSheds))
-		r.series.Failures.Append(float64(r.winFails))
-		var retries uint64
-		if r.retryFn != nil {
-			cum := r.retryFn()
-			retries = cum - r.lastRetries
-			r.lastRetries = cum
-		}
-		r.series.Retries.Append(float64(retries))
-		served := float64(w.Count())
-		faulted := float64(r.winTimeouts + r.winSheds + r.winFails)
-		avail := 1.0
-		if served+faulted > 0 {
-			avail = served / (served + faulted)
-		}
-		r.series.Availability.Append(avail)
-		r.winTimeouts, r.winSheds, r.winFails = 0, 0, 0
-	}
-	if r.series.Degraded != nil {
-		// Degraded answers are deliberate fast responses, so they count
-		// in their own series, not against availability.
-		r.series.Degraded.Append(float64(r.winDegraded))
-		lvl := 0
-		if r.levelGauge != nil {
-			lvl = r.levelGauge()
-		}
-		r.series.BrownoutLevel.Append(float64(lvl))
-		hz := 0.0
-		if r.hazardGauge != nil {
-			hz = r.hazardGauge()
-		}
-		r.series.HazardRate.Append(hz)
-		r.winDegraded = 0
-	}
-	if r.series.HitRatio != nil {
-		var dh, dm, ds uint64
-		if r.cacheFn != nil {
-			hits, misses, stampedes := r.cacheFn()
-			dh = hits - r.lastHits
-			dm = misses - r.lastMisses
-			ds = stampedes - r.lastStampede
-			r.lastHits, r.lastMisses, r.lastStampede = hits, misses, stampedes
-		}
-		ratio := 0.0
-		if dh+dm > 0 {
-			ratio = float64(dh) / float64(dh+dm)
-		}
-		r.series.HitRatio.Append(ratio)
-		r.series.Stampedes.Append(float64(ds))
-	}
-	if r.series.QueueDepth != nil {
-		d, lag := 0, 0.0
-		if r.depthGauge != nil {
-			d = r.depthGauge()
-		}
-		if r.lagGauge != nil {
-			lag = r.lagGauge()
-		}
-		r.series.QueueDepth.Append(float64(d))
-		r.series.QueueLag.Append(lag)
-	}
-	w.Reset()
+	r.win.Reset()
 	r.winClass[0].Reset()
 	r.winClass[1].Reset()
-	r.starts, r.ends = 0, 0
-	r.winAbandons = 0
 }
 
 // ReserveWindows grows every series' capacity to hold n windows, so
@@ -484,7 +307,7 @@ func (r *Recorder) Rotate(inflight int) {
 // starts; the capacity hint at construction covers callers that know
 // the horizon up front.
 func (r *Recorder) ReserveWindows(n int) {
-	for _, s := range r.series.Present() {
+	for _, s := range r.series.series {
 		if cap(s.Values)-len(s.Values) < n {
 			grown := make([]float64, len(s.Values), len(s.Values)+n)
 			copy(grown, s.Values)

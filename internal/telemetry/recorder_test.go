@@ -30,29 +30,29 @@ func TestRecorderWindowSeries(t *testing.T) {
 	if s.Windows() != 2 {
 		t.Fatalf("windows = %d, want 2", s.Windows())
 	}
-	if got, want := s.LatencyMean.At(0), 15.0; math.Abs(got-want) > 1e-9 {
+	if got, want := s.ByName(LatencyMean).At(0), 15.0; math.Abs(got-want) > 1e-9 {
 		t.Errorf("window 1 mean = %v ms, want %v", got, want)
 	}
 	// Rank convention floor(q*(n-1)): the p95 of four samples is the
 	// third smallest, and only q=1 reaches the 30 ms outlier.
-	if got := s.LatencyP95.At(0); math.Abs(got/10-1) > RelativeErrorBound {
+	if got := s.ByName(LatencyP95).At(0); math.Abs(got/10-1) > RelativeErrorBound {
 		t.Errorf("window 1 p95 = %v ms, want ~10", got)
 	}
-	if got, want := s.Throughput.At(0), 2.0; got != want { // 4 completions / 2 s
+	if got, want := s.ByName(Throughput).At(0), 2.0; got != want { // 4 completions / 2 s
 		t.Errorf("window 1 throughput = %v, want %v", got, want)
 	}
-	if s.Inflight.At(0) != 3 || s.Inflight.At(1) != 1 {
-		t.Errorf("inflight gauge = %v, %v", s.Inflight.At(0), s.Inflight.At(1))
+	if s.ByName(Inflight).At(0) != 3 || s.ByName(Inflight).At(1) != 1 {
+		t.Errorf("inflight gauge = %v, %v", s.ByName(Inflight).At(0), s.ByName(Inflight).At(1))
 	}
-	if s.Starts.At(0) != 1 || s.Ends.At(0) != 1 || s.Starts.At(1) != 0 {
-		t.Errorf("churn series wrong: starts %v ends %v", s.Starts.Values, s.Ends.Values)
+	if s.ByName(SessionStarts).At(0) != 1 || s.ByName(SessionEnds).At(0) != 1 || s.ByName(SessionStarts).At(1) != 0 {
+		t.Errorf("churn series wrong: starts %v ends %v", s.ByName(SessionStarts).Values, s.ByName(SessionEnds).Values)
 	}
-	if got := s.LatencyMean.At(1); math.Abs(got-1500) > 1e-9 {
+	if got := s.ByName(LatencyMean).At(1); math.Abs(got-1500) > 1e-9 {
 		t.Errorf("window 2 mean = %v ms, want 1500", got)
 	}
 	// The second window's stats are independent of the first: rotation
 	// reset the window histogram.
-	if got := s.LatencyP50.At(1); math.Abs(got/1000-1) > RelativeErrorBound {
+	if got := s.ByName(LatencyP50).At(1); math.Abs(got/1000-1) > RelativeErrorBound {
 		t.Errorf("window 2 p50 = %v ms, want ~1000", got)
 	}
 	// Run-level accounting spans both windows.
@@ -62,26 +62,20 @@ func TestRecorderWindowSeries(t *testing.T) {
 	if got, want := rec.Mean(), (0.010*3+0.030+1+2)/6; math.Abs(got-want) > 1e-12 {
 		t.Errorf("run mean = %v, want %v", got, want)
 	}
-	for i := range SeriesNames {
+	// A bare recorder carries exactly the core series, in contract
+	// order, each reachable by name.
+	core := []string{LatencyMean, LatencyP50, LatencyP95, LatencyP99, Throughput, Inflight,
+		SessionStarts, SessionEnds, LatencyReadP95, LatencyRWP95, Abandoned}
+	if len(s.All()) != len(core) {
+		t.Fatalf("bare recorder has %d series, want the %d core ones", len(s.All()), len(core))
+	}
+	for i, name := range core {
 		sr := s.All()[i]
-		if sr == nil {
-			switch SeriesNames[i] {
-			case "replicas", "timeouts", "sheds", "failures", "retries", "availability",
-				"degraded", "brownout_level", "hazard_rate",
-				"cache_hit_ratio", "cache_stampedes", "queue_depth", "queue_lag_ms":
-				// Conditionally materialized (replica gauge / fault /
-				// degradation / cache / queue telemetry); absent by
-				// default.
-			default:
-				t.Errorf("series %q absent by default", SeriesNames[i])
-			}
-			continue
+		if sr.Name != name {
+			t.Errorf("series %d named %q, want %q", i, sr.Name, name)
 		}
-		if sr.Name != SeriesNames[i] {
-			t.Errorf("series %d named %q, want %q", i, sr.Name, SeriesNames[i])
-		}
-		if s.ByName(SeriesNames[i]) != sr {
-			t.Errorf("ByName(%q) mismatch", SeriesNames[i])
+		if s.ByName(name) != sr {
+			t.Errorf("ByName(%q) mismatch", name)
 		}
 	}
 	if s.ByName("nope") != nil {
@@ -213,7 +207,7 @@ func TestRecorderReserveWindows(t *testing.T) {
 	rec.Record(0.25, false)
 	rec.Rotate(2) // one window emitted before the reservation
 	rec.ReserveWindows(4200)
-	if got := rec.Series().LatencyMean.At(0); math.Abs(got-250) > 1e-9 {
+	if got := rec.Series().ByName(LatencyMean).At(0); math.Abs(got-250) > 1e-9 {
 		t.Fatalf("reservation lost emitted window: %v", got)
 	}
 	allocs := testing.AllocsPerRun(4000, func() {
@@ -236,56 +230,87 @@ func TestRecorderEmptyWindows(t *testing.T) {
 	if s.Windows() != 2 {
 		t.Fatalf("windows = %d", s.Windows())
 	}
-	if s.LatencyP95.At(1) != 0 || s.Throughput.At(1) != 0 {
-		t.Fatalf("idle window leaked data: p95=%v tput=%v", s.LatencyP95.At(1), s.Throughput.At(1))
+	if s.ByName(LatencyP95).At(1) != 0 || s.ByName(Throughput).At(1) != 0 {
+		t.Fatalf("idle window leaked data: p95=%v tput=%v", s.ByName(LatencyP95).At(1), s.ByName(Throughput).At(1))
 	}
-	if got := s.LatencyP95.TimeAt(1); got != 2 {
+	if got := s.ByName(LatencyP95).TimeAt(1); got != 2 {
 		t.Fatalf("window 2 time = %v, want 2", got)
 	}
 }
 
-// TestRecorderFaultSeries pins the fault telemetry: enabling it
-// materializes the five series, windows count abnormal outcomes, the
-// retry series differences the cumulative source, and availability is
+// TestRecorderFaultSeries pins the fault series as experiment.Run
+// registers them: Counters difference the driver's cumulative outcome
+// tallies and the guard's retry count per window, and availability is
 // served/(served+abnormal) with an idle-window default of 1.
 func TestRecorderFaultSeries(t *testing.T) {
 	rec := NewRecorder(2, 4, false)
-	var cum uint64
-	rec.EnableFaultSeries(func() uint64 { return cum })
+	var served, timedOut, shed, failed, retries uint64
+	rec.Counter(Timeouts, "requests/window", func() uint64 { return timedOut })
+	rec.Counter(Sheds, "requests/window", func() uint64 { return shed })
+	rec.Counter(Failures, "requests/window", func() uint64 { return failed })
+	rec.Counter(Retries, "retries/window", func() uint64 { return retries })
+	rec.Gauge(Availability, "fraction", WindowShare(
+		func() uint64 { return served },
+		func() uint64 { return timedOut + shed + failed }, 1))
 
 	// Window 1: two served, one timeout, one failure, three retries.
-	rec.Record(0.010, false)
-	rec.Record(0.010, false)
-	rec.NoteTimeout()
-	rec.NoteFailure()
-	cum = 3
+	served, timedOut, failed, retries = 2, 1, 1, 3
 	rec.Rotate(0)
 
 	// Window 2: all healthy, one more retry.
-	rec.Record(0.010, false)
-	cum = 4
+	served, retries = 3, 4
 	rec.Rotate(0)
 
 	// Window 3: idle.
 	rec.Rotate(0)
 
 	s := rec.Series()
-	if s.Timeouts.At(0) != 1 || s.Failures.At(0) != 1 || s.Sheds.At(0) != 0 {
+	if s.ByName(Timeouts).At(0) != 1 || s.ByName(Failures).At(0) != 1 || s.ByName(Sheds).At(0) != 0 {
 		t.Fatalf("window 1 outcomes = %v/%v/%v, want 1/1/0",
-			s.Timeouts.At(0), s.Failures.At(0), s.Sheds.At(0))
+			s.ByName(Timeouts).At(0), s.ByName(Failures).At(0), s.ByName(Sheds).At(0))
 	}
-	if s.Retries.At(0) != 3 || s.Retries.At(1) != 1 || s.Retries.At(2) != 0 {
-		t.Fatalf("retry series = %v, want [3 1 0]", s.Retries.Values)
+	if r := s.ByName(Retries); r.At(0) != 3 || r.At(1) != 1 || r.At(2) != 0 {
+		t.Fatalf("retry series = %v, want [3 1 0]", r.Values)
 	}
-	if got := s.Availability.At(0); math.Abs(got-0.5) > 1e-12 {
+	avail := s.ByName(Availability)
+	if got := avail.At(0); math.Abs(got-0.5) > 1e-12 {
 		t.Fatalf("window 1 availability = %v, want 0.5", got)
 	}
-	if s.Availability.At(1) != 1 || s.Availability.At(2) != 1 {
-		t.Fatalf("healthy/idle availability = %v/%v, want 1/1",
-			s.Availability.At(1), s.Availability.At(2))
+	if avail.At(1) != 1 || avail.At(2) != 1 {
+		t.Fatalf("healthy/idle availability = %v/%v, want 1/1", avail.At(1), avail.At(2))
 	}
-	// Counters reset between windows.
-	if s.Timeouts.At(1) != 0 || s.Failures.At(1) != 0 {
+	// Counters report the increase, not the running total.
+	if s.ByName(Timeouts).At(1) != 0 || s.ByName(Failures).At(1) != 0 {
 		t.Fatalf("window 2 outcomes should be zero")
+	}
+	// Registered series follow the core ones, in registration order.
+	all := s.All()
+	if got := all[len(all)-5:]; got[0].Name != Timeouts || got[4].Name != Availability {
+		t.Fatalf("registered series out of order: %q ... %q", got[0].Name, got[4].Name)
+	}
+}
+
+// TestRegistryMisusePanics pins the registration contract: a duplicate
+// name (core or registered) and a registration after the first window
+// closed are programmer errors.
+func TestRegistryMisusePanics(t *testing.T) {
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	zero := func() float64 { return 0 }
+	rec := NewRecorder(2, 4, false)
+	mustPanic("duplicate core name", func() { rec.Gauge(LatencyP95, "ms", zero) })
+	rec.Counter(Retries, "retries/window", func() uint64 { return 0 })
+	mustPanic("duplicate registered name", func() { rec.Gauge(Retries, "retries/window", zero) })
+	rec.Rotate(0)
+	mustPanic("registration after Rotate", func() { rec.Gauge(QueueDepth, "writes", zero) })
+	if n := len(rec.Series().All()); n != 12 {
+		t.Fatalf("misuse changed the registry: %d series, want 12", n)
 	}
 }

@@ -3,6 +3,7 @@ package tiers
 import (
 	"vwchar/internal/sim"
 	"vwchar/internal/telemetry"
+	"vwchar/internal/timeseries"
 )
 
 // Autoscaler closes the characterization loop: it watches the driver's
@@ -20,8 +21,11 @@ import (
 // on ramps that the reactive policy only reacts to after the fact.
 type Autoscaler struct {
 	c    *WebCluster
-	tel  *telemetry.WindowSeries
 	spec AutoscalerSpec
+
+	// The window series read each sample, resolved by name at
+	// construction; the collapse signals may be nil.
+	p95, tput, inflight, timeouts, failures, avail *timeseries.Series
 
 	cooldown sim.Time
 	boot     sim.Time
@@ -32,13 +36,19 @@ type Autoscaler struct {
 }
 
 // NewAutoscaler builds an autoscaler driving c from the driver
-// telemetry tel. The spec's zero-valued knobs are defaulted.
+// telemetry tel, whose series must all be registered by now. The
+// spec's zero-valued knobs are defaulted.
 func NewAutoscaler(c *WebCluster, tel *telemetry.WindowSeries, spec AutoscalerSpec) *Autoscaler {
 	spec = spec.withDefaults()
 	return &Autoscaler{
 		c:        c,
-		tel:      tel,
 		spec:     spec,
+		p95:      tel.ByName(telemetry.LatencyP95),
+		tput:     tel.ByName(telemetry.Throughput),
+		inflight: tel.ByName(telemetry.Inflight),
+		timeouts: tel.ByName(telemetry.Timeouts),
+		failures: tel.ByName(telemetry.Failures),
+		avail:    tel.ByName(telemetry.Availability),
 		cooldown: sim.Seconds(spec.CooldownSeconds),
 		boot:     sim.Seconds(spec.BootSeconds),
 	}
@@ -47,11 +57,11 @@ func NewAutoscaler(c *WebCluster, tel *telemetry.WindowSeries, spec AutoscalerSp
 // OnSample is the collector hook: classify the window that just closed
 // and act when the streak and cooldown allow.
 func (a *Autoscaler) OnSample(now sim.Time) {
-	n := a.tel.LatencyP95.Len()
+	n := a.p95.Len()
 	if n == 0 {
 		return
 	}
-	if a.tel.Throughput.Values[n-1] <= 0 {
+	if a.tput.Values[n-1] <= 0 {
 		if !a.collapsed(n) {
 			// Idle windows (no completions, nothing trapped in flight)
 			// carry no latency signal; they break a hot streak but do
@@ -70,7 +80,7 @@ func (a *Autoscaler) OnSample(now sim.Time) {
 		a.hot++
 		a.calm = 0
 	} else {
-		p95 := a.tel.LatencyP95.Values[n-1]
+		p95 := a.p95.Values[n-1]
 		signal := p95
 		if a.spec.Policy == AutoscalePredictive {
 			if proj := a.projectP95(n); proj > signal {
@@ -116,14 +126,14 @@ func (a *Autoscaler) OnSample(now sim.Time) {
 // requests trapped in flight at the boundary, abnormal conclusions
 // (timeouts/failures) within the window, or availability below one.
 func (a *Autoscaler) collapsed(n int) bool {
-	if a.tel.Inflight != nil && n <= a.tel.Inflight.Len() && a.tel.Inflight.Values[n-1] > 0 {
+	if a.inflight != nil && n <= a.inflight.Len() && a.inflight.Values[n-1] > 0 {
 		return true
 	}
-	if a.tel.Timeouts != nil && n <= a.tel.Timeouts.Len() &&
-		a.tel.Timeouts.Values[n-1]+a.tel.Failures.Values[n-1] > 0 {
+	if a.timeouts != nil && a.failures != nil && n <= a.timeouts.Len() &&
+		a.timeouts.Values[n-1]+a.failures.Values[n-1] > 0 {
 		return true
 	}
-	if a.tel.Availability != nil && n <= a.tel.Availability.Len() && a.tel.Availability.Values[n-1] < 1 {
+	if a.avail != nil && n <= a.avail.Len() && a.avail.Values[n-1] < 1 {
 		return true
 	}
 	return false
@@ -138,9 +148,9 @@ func (a *Autoscaler) projectP95(n int) float64 {
 		fit = 4
 	}
 	if n < fit {
-		return a.tel.LatencyP95.Values[n-1]
+		return a.p95.Values[n-1]
 	}
-	vals := a.tel.LatencyP95.Values[n-fit : n]
+	vals := a.p95.Values[n-fit : n]
 	var sx, sy, sxx, sxy float64
 	for i, v := range vals {
 		x := float64(i)

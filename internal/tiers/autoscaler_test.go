@@ -9,15 +9,24 @@ import (
 )
 
 // collapseTel builds the window series a real collector feeds the
-// autoscaler, including the fault series the collapse signal reads.
+// autoscaler, including the fault series the collapse signal reads:
+// p95, throughput, in-flight, timeouts, failures, availability.
 func collapseTel() *telemetry.WindowSeries {
-	return &telemetry.WindowSeries{
-		LatencyP95:   timeseries.New("latency_p95", "ms"),
-		Throughput:   timeseries.New("throughput", "req/s"),
-		Inflight:     timeseries.New("inflight", "requests"),
-		Timeouts:     timeseries.New("timeouts", "requests/window"),
-		Failures:     timeseries.New("failures", "requests/window"),
-		Availability: timeseries.New("availability", "fraction"),
+	return telemetry.NewWindowSeries(
+		timeseries.New(telemetry.LatencyP95, "ms"),
+		timeseries.New(telemetry.Throughput, "req/s"),
+		timeseries.New(telemetry.Inflight, "requests"),
+		timeseries.New(telemetry.Timeouts, "requests/window"),
+		timeseries.New(telemetry.Failures, "requests/window"),
+		timeseries.New(telemetry.Availability, "fraction"),
+	)
+}
+
+// appendWindow closes one window by hand: one sample per series, in
+// the series' order.
+func appendWindow(tel *telemetry.WindowSeries, samples ...float64) {
+	for i, s := range tel.All() {
+		s.Append(samples[i])
 	}
 }
 
@@ -42,24 +51,14 @@ func TestAutoscalerScalesDuringCollapse(t *testing.T) {
 
 	// Window 1: overloaded but still completing — a classic violation.
 	now := 2 * sim.Second
-	tel.LatencyP95.Append(500)
-	tel.Throughput.Append(10)
-	tel.Inflight.Append(30)
-	tel.Timeouts.Append(0)
-	tel.Failures.Append(0)
-	tel.Availability.Append(1)
+	appendWindow(tel, 500, 10, 30, 0, 0, 1)
 	a.OnSample(now)
 
 	// Windows 2-3: total collapse. Zero completions, 40 requests
 	// trapped in flight, timeouts concluding, availability at zero.
 	for i := 0; i < 2; i++ {
 		now += 2 * sim.Second
-		tel.LatencyP95.Append(0)
-		tel.Throughput.Append(0)
-		tel.Inflight.Append(40)
-		tel.Timeouts.Append(5)
-		tel.Failures.Append(2)
-		tel.Availability.Append(0)
+		appendWindow(tel, 0, 0, 40, 5, 2, 0)
 		a.OnSample(now)
 	}
 
@@ -96,17 +95,10 @@ func TestAutoscalerIdleStillResetsStreak(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		now += 2 * sim.Second
 		if i%2 == 0 {
-			tel.LatencyP95.Append(500)
-			tel.Throughput.Append(10)
-			tel.Inflight.Append(5)
+			appendWindow(tel, 500, 10, 5, 0, 0, 1)
 		} else {
-			tel.LatencyP95.Append(0)
-			tel.Throughput.Append(0)
-			tel.Inflight.Append(0)
+			appendWindow(tel, 0, 0, 0, 0, 0, 1)
 		}
-		tel.Timeouts.Append(0)
-		tel.Failures.Append(0)
-		tel.Availability.Append(1)
 		a.OnSample(now)
 	}
 	if c.Booting() != 0 {

@@ -60,10 +60,10 @@ func TestAutoscalerNoDoubleProvision(t *testing.T) {
 	c.state[1], c.state[2] = ReplicaParked, ReplicaParked
 	c.activeCount, c.peakActive = 1, 1
 
-	tel := &telemetry.WindowSeries{
-		LatencyP95: timeseries.New("latency_p95", "ms"),
-		Throughput: timeseries.New("throughput", "req/s"),
-	}
+	tel := telemetry.NewWindowSeries(
+		timeseries.New(telemetry.LatencyP95, "ms"),
+		timeseries.New(telemetry.Throughput, "req/s"),
+	)
 	a := NewAutoscaler(c, tel, AutoscalerSpec{
 		SLOMillis:       100,
 		ScaleUpWindows:  1,
@@ -75,8 +75,7 @@ func TestAutoscalerNoDoubleProvision(t *testing.T) {
 	now := sim.Time(0)
 	for i := 0; i < 15; i++ {
 		now += 2 * sim.Second
-		tel.LatencyP95.Append(500)
-		tel.Throughput.Append(30)
+		appendWindow(tel, 500, 30)
 		a.OnSample(now)
 	}
 	// 30 s of hot windows with cooldown 2 s: without the guard this
@@ -102,8 +101,7 @@ func TestAutoscalerNoDoubleProvision(t *testing.T) {
 		t.Fatalf("first boot did not land: active=%d", c.ActiveReplicas())
 	}
 	now = c.k.Now() + 2*sim.Second
-	tel.LatencyP95.Append(500)
-	tel.Throughput.Append(30)
+	appendWindow(tel, 500, 30)
 	a.OnSample(now)
 	if got := c.Booting() + c.ActiveReplicas(); got != 3 {
 		t.Fatalf("post-boot hot window did not provision: active+booting=%d, want 3", got)

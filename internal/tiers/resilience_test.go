@@ -354,15 +354,15 @@ func TestRequestAccountingInvariant(t *testing.T) {
 	k.Run(60 * sim.Second)
 	fe.Replicas[0].restore()
 	k.Run(90 * sim.Second)
-	issued, served, timedOut, shed, failed, degraded := drv.RequestTotals()
-	sum := served + timedOut + shed + failed + degraded
-	if sum > issued {
-		t.Fatalf("outcomes (%d) exceed issued (%d)", sum, issued)
+	o := drv.Outcomes()
+	sum := o.Served + o.TimedOut + o.Shed + o.Failed + o.Degraded
+	if sum > o.Issued {
+		t.Fatalf("outcomes (%d) exceed issued (%d)", sum, o.Issued)
 	}
-	if served == 0 || failed == 0 {
-		t.Fatalf("vacuous run: served=%d failed=%d", served, failed)
+	if o.Served == 0 || o.Failed == 0 {
+		t.Fatalf("vacuous run: served=%d failed=%d", o.Served, o.Failed)
 	}
-	if inflight := issued - sum; inflight > 32 {
+	if inflight := o.Issued - sum; inflight > 32 {
 		t.Fatalf("%d requests unaccounted at the horizon, want a handful in flight at most", inflight)
 	}
 }

@@ -25,45 +25,23 @@ type LoadGen interface {
 	ResponseTimeQuantile(q float64) float64
 	// InteractionCounts returns a copy of the per-interaction tally.
 	InteractionCounts() map[rubis.Interaction]uint64
-	// ReserveWindows preallocates the telemetry series for n windows
-	// so steady-state rotation never allocates; experiment.Run derives
-	// n from the run duration before starting the kernel.
-	ReserveWindows(n int)
 	// RotateWindow closes the current telemetry window; experiment.Run
 	// hooks it onto the sysstat collector's sampling ticker so the
 	// latency series share the resource series' time axis.
 	RotateWindow(now sim.Time)
-	// Telemetry exposes the per-window latency/throughput/churn series.
-	Telemetry() *telemetry.WindowSeries
-	// SetReplicaGauge wires the active-replica gauge sampled at each
-	// window boundary (cluster runs; nil leaves the series absent).
-	SetReplicaGauge(fn func() int)
-	// Hists exposes the run-level response-time histograms: every served
-	// response, and the subset whose latency drove its session away.
-	Hists() (served, abandoned *telemetry.Hist)
-	// EnableFaultTelemetry materializes the error/timeout/shed/retry/
-	// availability series (fault-injection runs; retries supplies the
-	// guard's cumulative retry count, nil for a constant zero).
-	EnableFaultTelemetry(retries func() uint64)
-	// EnableDegradationTelemetry materializes the degraded/brownout-
-	// level/hazard-rate series (hazard or brownout runs; nil gauges
-	// sample as zero).
-	EnableDegradationTelemetry(level func() int, hazardRate func() float64)
-	// EnableCacheTelemetry materializes the hit-ratio/stampede series
-	// (cache-tier runs; stats supplies the cache node's cumulative
-	// counters, differenced per window).
-	EnableCacheTelemetry(stats func() (hits, misses, stampedes uint64))
-	// EnableQueueTelemetry materializes the queue depth/lag series
-	// (queue-tier runs; gauges sampled at each window boundary).
-	EnableQueueTelemetry(depth func() int, lagMs func() float64)
-	// KindHist exposes the run-level per-interaction histogram for one
-	// dense rubis kind index (nil when out of range).
-	KindHist(kind int) *telemetry.Hist
-	// RequestTotals splits issued requests by outcome. issued counts
-	// requests dispatched into the serving path; the remainder
-	// (issued - served - timedOut - shed - failed - degraded) is still
-	// in flight.
-	RequestTotals() (issued, served, timedOut, shed, failed, degraded uint64)
+	// Recorder exposes the driver's telemetry recorder: its window
+	// series, where components register theirs before ReserveWindows,
+	// and its run-level histograms.
+	Recorder() *telemetry.Recorder
+	// Outcomes reports the driver's cumulative request accounting.
+	Outcomes() Outcomes
+}
+
+// Outcomes splits a driver's issued requests by outcome. Issued counts
+// requests dispatched into the serving path; the remainder (Issued -
+// Served - TimedOut - Shed - Failed - Degraded) is still in flight.
+type Outcomes struct {
+	Issued, Served, TimedOut, Shed, Failed, Degraded uint64
 }
 
 // driverStats is the outcome accounting shared by the closed-loop and
@@ -98,8 +76,8 @@ type driverStats struct {
 // windows matching the sysstat sampling period; prealloc reserves the
 // recorder's exact reservoir up front so steady-state observation never
 // allocates (the open-loop driver's zero-alloc discipline). The series
-// themselves are sized later, when experiment.Run calls ReserveWindows
-// with the duration-derived window count.
+// themselves are sized later, when experiment.Run calls the recorder's
+// ReserveWindows with the duration-derived window count.
 func (s *driverStats) initStats(prealloc bool) {
 	s.byKind = make(map[rubis.Interaction]uint64)
 	s.rec = telemetry.NewRecorder(sysstat.SampleInterval.Sec(), 0, prealloc)
@@ -122,53 +100,27 @@ func (s *driverStats) observe(rt float64, isWrite bool, kind int) {
 }
 
 // observeFault records one request that ended abnormally: it counts
-// toward the outcome split and the per-window fault series, but its
-// turnaround never enters the latency pipeline (an error response's
-// sub-millisecond "latency" would poison the served distribution).
+// toward the outcome split (and through it the per-window fault
+// series), but its turnaround never enters the latency pipeline (an
+// error response's sub-millisecond "latency" would poison the served
+// distribution).
 func (s *driverStats) observeFault(o Outcome) {
 	s.inflight--
 	switch o {
 	case OutcomeTimedOut:
 		s.TimedOut++
-		s.rec.NoteTimeout()
 	case OutcomeShed:
 		s.Shed++
-		s.rec.NoteShed()
 	case OutcomeDegraded:
 		s.Degraded++
-		s.rec.NoteDegraded()
 	default:
 		s.Failed++
-		s.rec.NoteFailure()
 	}
 }
 
-// EnableFaultTelemetry implements LoadGen.
-func (s *driverStats) EnableFaultTelemetry(retries func() uint64) {
-	s.rec.EnableFaultSeries(retries)
-}
-
-// EnableDegradationTelemetry implements LoadGen.
-func (s *driverStats) EnableDegradationTelemetry(level func() int, hazardRate func() float64) {
-	s.rec.EnableDegradationSeries(level, hazardRate)
-}
-
-// EnableCacheTelemetry implements LoadGen.
-func (s *driverStats) EnableCacheTelemetry(stats func() (hits, misses, stampedes uint64)) {
-	s.rec.EnableCacheSeries(stats)
-}
-
-// EnableQueueTelemetry implements LoadGen.
-func (s *driverStats) EnableQueueTelemetry(depth func() int, lagMs func() float64) {
-	s.rec.EnableQueueSeries(depth, lagMs)
-}
-
-// KindHist implements LoadGen.
-func (s *driverStats) KindHist(kind int) *telemetry.Hist { return s.rec.KindHist(kind) }
-
-// RequestTotals implements LoadGen.
-func (s *driverStats) RequestTotals() (issued, served, timedOut, shed, failed, degraded uint64) {
-	return s.Issued, s.Completed, s.TimedOut, s.Shed, s.Failed, s.Degraded
+// Outcomes implements LoadGen.
+func (s *driverStats) Outcomes() Outcomes {
+	return Outcomes{s.Issued, s.Completed, s.TimedOut, s.Shed, s.Failed, s.Degraded}
 }
 
 // noteInteraction tallies one successfully executed interaction.
@@ -179,23 +131,12 @@ func (s *driverStats) noteInteraction(kind rubis.Interaction, isWrite bool) {
 	}
 }
 
-// ReserveWindows implements LoadGen.
-func (s *driverStats) ReserveWindows(n int) { s.rec.ReserveWindows(n) }
-
 // RotateWindow implements LoadGen: it closes the current telemetry
 // window, sampling the in-flight gauge at the boundary.
 func (s *driverStats) RotateWindow(now sim.Time) { s.rec.Rotate(s.inflight) }
 
-// Telemetry implements LoadGen.
-func (s *driverStats) Telemetry() *telemetry.WindowSeries { return s.rec.Series() }
-
-// SetReplicaGauge implements LoadGen.
-func (s *driverStats) SetReplicaGauge(fn func() int) { s.rec.SetReplicaGauge(fn) }
-
-// Hists implements LoadGen.
-func (s *driverStats) Hists() (served, abandoned *telemetry.Hist) {
-	return s.rec.RunHist(), s.rec.AbandonedHist()
-}
+// Recorder implements LoadGen.
+func (s *driverStats) Recorder() *telemetry.Recorder { return s.rec }
 
 // Totals implements LoadGen.
 func (s *driverStats) Totals() (completed, errors uint64) {

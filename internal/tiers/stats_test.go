@@ -107,17 +107,17 @@ func TestDriverStatsWindowChurnSeries(t *testing.T) {
 	s.rec.NoteEnd()
 	s.RotateWindow(0)
 
-	w := s.Telemetry()
+	w := s.Recorder().Series()
 	if w.Windows() != 2 {
 		t.Fatalf("windows = %d", w.Windows())
 	}
-	if w.Inflight.At(0) != 1 || w.Inflight.At(1) != 0 {
-		t.Fatalf("inflight gauge %v", w.Inflight.Values)
+	if w.ByName(telemetry.Inflight).At(0) != 1 || w.ByName(telemetry.Inflight).At(1) != 0 {
+		t.Fatalf("inflight gauge %v", w.ByName(telemetry.Inflight).Values)
 	}
-	if w.Starts.At(0) != 1 || w.Ends.At(0) != 0 || w.Ends.At(1) != 1 {
-		t.Fatalf("churn starts=%v ends=%v", w.Starts.Values, w.Ends.Values)
+	if w.ByName(telemetry.SessionStarts).At(0) != 1 || w.ByName(telemetry.SessionEnds).At(0) != 0 || w.ByName(telemetry.SessionEnds).At(1) != 1 {
+		t.Fatalf("churn starts=%v ends=%v", w.ByName(telemetry.SessionStarts).Values, w.ByName(telemetry.SessionEnds).Values)
 	}
-	if got := w.LatencyMean.At(1); math.Abs(got-500) > 1e-9 {
+	if got := w.ByName(telemetry.LatencyMean).At(1); math.Abs(got-500) > 1e-9 {
 		t.Fatalf("window 2 mean %v ms, want 500", got)
 	}
 	if s.Completed != 2 {

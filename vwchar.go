@@ -280,14 +280,8 @@ type (
 	ArrivalFit = model.ArrivalFit
 )
 
-// TelemetrySeriesNames lists the per-window series names, in emission
-// order (also the SweepSeries naming). The returned slice is a copy.
-func TelemetrySeriesNames() []string {
-	return append([]string(nil), telemetry.SeriesNames...)
-}
-
 // AnalyzeTransient computes the queueing transient of a per-window
-// latency series (typically Result.Telemetry.LatencyP95).
+// latency series (typically Result.Telemetry's latency_p95_ms series).
 func AnalyzeTransient(p95 *Series, cfg TransientConfig) Transient {
 	return characterize.AnalyzeTransient(p95, cfg)
 }
@@ -543,7 +537,7 @@ func WriteTelemetryCSV(w io.Writer, r *Result) error {
 	if r.Telemetry == nil {
 		return nil
 	}
-	return timeseries.WriteTableCSV(w, r.Telemetry.Present()...)
+	return timeseries.WriteTableCSV(w, r.Telemetry.All()...)
 }
 
 // Envs lists the supported deployments; Mixes the five compositions.

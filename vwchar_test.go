@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"vwchar"
+	"vwchar/internal/telemetry"
 )
 
 // scaledPair runs a fast browse+bid pair for API-level tests.
@@ -64,17 +65,20 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if tel == nil || tel.Windows() == 0 {
 		t.Fatal("run has no windowed telemetry")
 	}
-	if got, want := len(vwchar.TelemetrySeriesNames()), len(tel.All()); got != want {
-		t.Fatalf("series names %d vs series %d", got, want)
-	}
 	buf.Reset()
 	if err := vwchar.WriteTelemetryCSV(&buf, virt.Browse); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "latency_p95_ms") || !strings.Contains(buf.String(), "time_s") {
-		t.Fatal("telemetry csv incomplete")
+	header, _, _ := strings.Cut(buf.String(), "\n")
+	if !strings.HasPrefix(header, "time_s,") {
+		t.Fatalf("telemetry csv header %q lacks the time column", header)
 	}
-	tr := vwchar.AnalyzeTransient(tel.LatencyP95, vwchar.TransientConfig{})
+	for _, s := range tel.All() {
+		if !strings.Contains(header, s.Name+" (") {
+			t.Fatalf("telemetry csv header %q lacks series %q", header, s.Name)
+		}
+	}
+	tr := vwchar.AnalyzeTransient(tel.ByName(telemetry.LatencyP95), vwchar.TransientConfig{})
 	if tr.PeakP95 <= 0 {
 		t.Fatal("transient analysis saw no latency")
 	}
