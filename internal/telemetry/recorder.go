@@ -91,12 +91,6 @@ func (w *WindowSeries) Windows() int {
 	return w.series[0].Len()
 }
 
-// probe is one registered series and its sample source.
-type probe struct {
-	s      *timeseries.Series
-	sample func() float64
-}
-
 // Recorder accumulates response-time observations and closes one
 // window per Rotate call, appending one sample to every registered
 // series. The caller rotates it from the sysstat collector's sampling
@@ -136,8 +130,9 @@ type Recorder struct {
 	starts, ends, abandons uint64
 	inflight               int
 
-	probes []probe
-	series WindowSeries
+	// samples[i] is the source of series.All()[i].
+	samples []func() float64
+	series  WindowSeries
 }
 
 // NewRecorder builds a recorder with the given window length in
@@ -185,7 +180,7 @@ func (r *Recorder) Gauge(name, unit string, fn func() float64) {
 	if r.windowHint > 0 {
 		s.Values = make([]float64, 0, r.windowHint)
 	}
-	r.probes = append(r.probes, probe{s, fn})
+	r.samples = append(r.samples, fn)
 	r.series.series = append(r.series.series, s)
 }
 
@@ -293,8 +288,8 @@ func (r *Recorder) NoteEnd() { r.ends++ }
 // window.
 func (r *Recorder) Rotate(inflight int) {
 	r.inflight = inflight
-	for _, p := range r.probes {
-		p.s.Append(p.sample())
+	for i, sample := range r.samples {
+		r.series.series[i].Append(sample())
 	}
 	r.win.Reset()
 	r.winClass[0].Reset()
