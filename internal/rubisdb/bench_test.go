@@ -119,8 +119,8 @@ func BenchmarkBTreeScanRange(b *testing.B) {
 	}
 }
 
-// BenchmarkBufferPoolGet times the resident hit path: one map lookup,
-// a pin, and an intrusive LRU move — no allocation.
+// BenchmarkBufferPoolGet times the resident hit path: one directory
+// lookup, a pin, and an intrusive LRU move — no allocation.
 func BenchmarkBufferPoolGet(b *testing.B) {
 	pool := NewBufferPool(NewMemStore(), 128, &Meter{})
 	ids := make([]PageID, 64)
@@ -136,6 +136,29 @@ func BenchmarkBufferPoolGet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f, err := pool.Get(ids[i%len(ids)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		f.Unpin(false)
+	}
+}
+
+// BenchmarkBufferPoolGetView times the hit path a sweep takes: resident
+// pages of a copy-on-write view over a sealed golden, under the engine's
+// table file ids (heap 16, primary key 17, secondary index 18) instead of
+// BenchmarkBufferPoolGet's single file 1 in a plain store.
+func BenchmarkBufferPoolGetView(b *testing.B) {
+	eng, _ := buildPopulated(b, 5000, 256)
+	g, err := eng.Seal()
+	if err != nil {
+		b.Fatal(err)
+	}
+	v := g.NewView()
+	ids := g.residents
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, err := v.pool.Get(ids[i%len(ids)])
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -57,10 +57,10 @@ type SharedPager interface {
 	SharedPage(id PageID) (Page, bool)
 }
 
-// MemStore is the in-memory Store.
+// MemStore is the in-memory Store. Pages are allocated in order from 0
+// per file, so every slot below a file's length holds a page.
 type MemStore struct {
-	pages map[PageID]Page
-	next  map[uint32]uint32
+	pages pageDir[Page]
 	slab  pageSlab
 	// sealed freezes the store as an immutable golden snapshot
 	// (Engine.Seal); any further Write or Allocate is a bug in the
@@ -69,14 +69,12 @@ type MemStore struct {
 }
 
 // NewMemStore returns an empty store.
-func NewMemStore() *MemStore {
-	return &MemStore{pages: make(map[PageID]Page), next: make(map[uint32]uint32)}
-}
+func NewMemStore() *MemStore { return &MemStore{} }
 
 // ReadInto implements Store.
 func (m *MemStore) ReadInto(id PageID, dst Page) error {
-	p, ok := m.pages[id]
-	if !ok {
+	p := m.pages.at(id)
+	if p == nil {
 		return fmt.Errorf("rubisdb: page %v not found", id)
 	}
 	copy(dst, p)
@@ -93,17 +91,16 @@ func (m *MemStore) Read(id PageID) (Page, error) {
 	return out, nil
 }
 
-// Write implements Store. The destination buffer is reused across
-// write-backs of the same page, so steady-state eviction traffic does
-// not allocate.
+// Write implements Store. The destination is the buffer Allocate gave
+// the page, reused across write-backs, so steady-state eviction traffic
+// does not allocate; a page that was never allocated is an error.
 func (m *MemStore) Write(id PageID, p Page) error {
 	if m.sealed {
 		panic(fmt.Sprintf("rubisdb: Write of page %v to sealed golden store", id))
 	}
-	dst, ok := m.pages[id]
-	if !ok {
-		dst = m.slab.take()
-		m.pages[id] = dst
+	dst := m.pages.at(id)
+	if dst == nil {
+		return fmt.Errorf("rubisdb: write of unallocated page %v", id)
 	}
 	copy(dst, p)
 	return nil
@@ -114,14 +111,13 @@ func (m *MemStore) Allocate(file uint32) PageID {
 	if m.sealed {
 		panic(fmt.Sprintf("rubisdb: Allocate in file %d on sealed golden store", file))
 	}
-	id := PageID{File: file, PageNo: m.next[file]}
-	m.next[file]++
-	m.pages[id] = m.slab.take()
+	id := PageID{File: file, PageNo: m.pages.length(file)}
+	m.pages.set(id, m.slab.take())
 	return id
 }
 
 // PageCount reports the number of allocated pages in file.
-func (m *MemStore) PageCount(file uint32) uint32 { return m.next[file] }
+func (m *MemStore) PageCount(file uint32) uint32 { return m.pages.length(file) }
 
 // Meter accumulates the engine's physical work. The tier model samples
 // and differences it to derive the DB server's resource demand.
@@ -210,7 +206,12 @@ func (f *Frame) Unpin(dirty bool) {
 type BufferPool struct {
 	store    Store
 	capacity int
-	frames   map[PageID]*Frame
+	// frames holds each resident frame under its page id; resident
+	// counts them. An evicted or dropped frame's slot must be emptied
+	// before the frame is recycled, or a later Get would hit a frame now
+	// holding another page.
+	frames   pageDir[*Frame]
+	resident int
 	// lru is the intrusive list sentinel: lru.next is the most recently
 	// used resident frame, lru.prev the eviction candidate.
 	lru       Frame
@@ -232,7 +233,6 @@ func NewBufferPool(store Store, capacity int, meter *Meter) *BufferPool {
 	b := &BufferPool{
 		store:    store,
 		capacity: capacity,
-		frames:   make(map[PageID]*Frame, capacity),
 		meter:    meter,
 	}
 	b.sharedSrc, _ = store.(SharedPager)
@@ -242,13 +242,20 @@ func NewBufferPool(store Store, capacity int, meter *Meter) *BufferPool {
 }
 
 // Len reports resident pages.
-func (b *BufferPool) Len() int { return len(b.frames) }
+func (b *BufferPool) Len() int { return b.resident }
 
 func (b *BufferPool) pushFront(f *Frame) {
 	f.prev = &b.lru
 	f.next = b.lru.next
 	f.prev.next = f
 	f.next.prev = f
+}
+
+// admit makes f resident: most recently used, and found by Get.
+func (b *BufferPool) admit(f *Frame) {
+	b.pushFront(f)
+	b.frames.set(f.id, f)
+	b.resident++
 }
 
 func (b *BufferPool) unlink(f *Frame) {
@@ -288,7 +295,7 @@ func (b *BufferPool) takePage() Page {
 // evicting an unpinned LRU victim). Callers must Unpin the returned
 // frame.
 func (b *BufferPool) Get(id PageID) (*Frame, error) {
-	if f, ok := b.frames[id]; ok {
+	if f := b.frames.at(id); f != nil {
 		b.meter.PageHits++
 		f.pins++
 		b.moveToFront(f)
@@ -305,8 +312,7 @@ func (b *BufferPool) Get(id PageID) (*Frame, error) {
 			}
 			f := b.takeFrame()
 			*f = Frame{Page: p, id: id, pins: 1, shared: true}
-			b.pushFront(f)
-			b.frames[id] = f
+			b.admit(f)
 			return f, nil
 		}
 	}
@@ -321,8 +327,7 @@ func (b *BufferPool) Get(id PageID) (*Frame, error) {
 	}
 	f := b.takeFrame()
 	*f = Frame{Page: p, id: id, pins: 1}
-	b.pushFront(f)
-	b.frames[id] = f
+	b.admit(f)
 	return f, nil
 }
 
@@ -365,13 +370,12 @@ func (b *BufferPool) NewPage(file uint32) (*Frame, error) {
 	p.initHeader()
 	f := b.takeFrame()
 	*f = Frame{Page: p, id: id, pins: 1, dirty: true}
-	b.pushFront(f)
-	b.frames[id] = f
+	b.admit(f)
 	return f, nil
 }
 
 func (b *BufferPool) makeRoom() error {
-	for len(b.frames) >= b.capacity {
+	for b.resident >= b.capacity {
 		var victim *Frame
 		for f := b.lru.prev; f != &b.lru; f = f.prev {
 			if f.pins == 0 {
@@ -380,7 +384,7 @@ func (b *BufferPool) makeRoom() error {
 			}
 		}
 		if victim == nil {
-			return fmt.Errorf("rubisdb: buffer pool exhausted (%d pages, all pinned)", len(b.frames))
+			return fmt.Errorf("rubisdb: buffer pool exhausted (%d pages, all pinned)", b.resident)
 		}
 		if victim.dirty {
 			if err := b.store.Write(victim.id, victim.Page); err != nil {
@@ -389,7 +393,8 @@ func (b *BufferPool) makeRoom() error {
 			b.meter.PagesWritten++
 		}
 		b.unlink(victim)
-		delete(b.frames, victim.id)
+		b.frames.unset(victim.id)
+		b.resident--
 		// A shared frame aliases the immutable golden buffer: evicting it
 		// must not feed that buffer into the free list where a later miss
 		// would scribble over the snapshot.
@@ -404,7 +409,7 @@ func (b *BufferPool) makeRoom() error {
 
 // FlushAll writes every dirty resident page back to the store (checkpoint).
 func (b *BufferPool) FlushAll() error {
-	_, err := b.FlushLimit(len(b.frames))
+	_, err := b.FlushLimit(b.resident)
 	return err
 }
 
@@ -425,6 +430,36 @@ func (b *BufferPool) FlushLimit(limit int) (int, error) {
 		flushed++
 	}
 	return flushed, nil
+}
+
+// check verifies the pool's bookkeeping: the resident count equals both
+// the LRU list's length and the number of occupied directory slots, and
+// every slot holds the frame of its own page id. A stale slot would hand
+// a recycled frame to the next Get.
+func (b *BufferPool) check() error {
+	lru := 0
+	for f := b.lru.next; f != &b.lru; f = f.next {
+		lru++
+		if b.frames.at(f.id) != f {
+			return fmt.Errorf("rubisdb: resident page %v missing from the directory", f.id)
+		}
+	}
+	slots := 0
+	for file, pages := range b.frames.files {
+		for no, f := range pages {
+			if f == nil {
+				continue
+			}
+			slots++
+			if want := (PageID{File: uint32(file), PageNo: uint32(no)}); f.id != want {
+				return fmt.Errorf("rubisdb: directory slot %v holds frame of page %v", want, f.id)
+			}
+		}
+	}
+	if lru != b.resident || slots != b.resident {
+		return fmt.Errorf("rubisdb: %d resident, but %d frames on the LRU list and %d directory slots", b.resident, lru, slots)
+	}
+	return nil
 }
 
 // HitRatio reports hits/(hits+misses), 0 when cold.

@@ -196,9 +196,12 @@ func TestReadPathRejectsCorruptTuples(t *testing.T) {
 	if err := users.UpdateNumeric(1, NumericUpdate{Col: 3, Int: 1}); err == nil || err.Error() != want.Error() {
 		t.Fatalf("UpdateNumeric: %v, want %v", err, want)
 	}
-	for id, f := range e.pool.frames {
+	if err := e.pool.check(); err != nil {
+		t.Fatal(err)
+	}
+	for f := e.pool.lru.next; f != &e.pool.lru; f = f.next {
 		if f.pins != 0 {
-			t.Fatalf("page %v left with %d pins", id, f.pins)
+			t.Fatalf("page %v left with %d pins", f.id, f.pins)
 		}
 	}
 }

@@ -124,14 +124,13 @@ func (e *Engine) Seal() (*Golden, error) {
 // allocation-free path, recycle a finished view with Rearm instead.
 func (g *Golden) NewView() *Engine {
 	meter := &Meter{}
-	cow := &cowStore{
-		golden: g.store,
-		priv:   make(map[PageID]Page),
-		next:   make(map[uint32]uint32, len(g.store.next)),
-	}
+	cow := &cowStore{golden: g.store}
+	pool := NewBufferPool(cow, g.capacity, meter)
+	// Sized from the golden so Rearm's resident set never regrows it.
+	pool.frames = pageDirLike[*Frame](&g.store.pages)
 	e := &Engine{
 		store:  cow,
-		pool:   NewBufferPool(cow, g.capacity, meter),
+		pool:   pool,
 		wal:    NewWAL(meter),
 		meter:  meter,
 		cost:   g.cost,
@@ -167,14 +166,13 @@ func (g *Golden) NewView() *Engine {
 // The view must be quiescent (no outstanding frame references).
 func (g *Golden) Rearm(e *Engine) {
 	cow := e.store.(*cowStore)
-	cow.reset(g.store)
+	cow.reset()
 	e.pool.dropAllFrames()
 	for i := len(g.residents) - 1; i >= 0; i-- {
 		id := g.residents[i]
 		f := e.pool.takeFrame()
-		*f = Frame{Page: g.store.pages[id], id: id, shared: true}
-		e.pool.pushFront(f)
-		e.pool.frames[id] = f
+		*f = Frame{Page: g.store.pages.at(id), id: id, shared: true}
+		e.pool.admit(f)
 	}
 	*e.meter = g.meter
 	e.queryOps = g.queryOps
@@ -200,12 +198,13 @@ func (g *Golden) Rearm(e *Engine) {
 }
 
 // dropAllFrames evicts every resident frame without write-back,
-// recycling private page buffers and all frame structs through the free
-// lists. Used when rearming a view: its private changes are discarded by
-// design.
+// emptying its directory slot and recycling private page buffers and all
+// frame structs through the free lists. Used when rearming a view: its
+// private changes are discarded by design.
 func (b *BufferPool) dropAllFrames() {
 	for f := b.lru.next; f != &b.lru; {
 		next := f.next
+		b.frames.unset(f.id)
 		if !f.shared {
 			b.freePage = append(b.freePage, f.Page)
 		}
@@ -215,7 +214,7 @@ func (b *BufferPool) dropAllFrames() {
 	}
 	b.lru.next = &b.lru
 	b.lru.prev = &b.lru
-	clear(b.frames)
+	b.resident = 0
 }
 
 // cowStore is the Store behind a view: reads hit the private overlay
@@ -224,10 +223,12 @@ func (b *BufferPool) dropAllFrames() {
 // SharedPager so the pool can alias still-golden pages zero-copy.
 type cowStore struct {
 	golden *MemStore
-	priv   map[PageID]Page
-	next   map[uint32]uint32
-	free   []Page
-	slab   pageSlab
+	priv   pageDir[Page]
+	// privIDs lists priv's occupied slots in the order they were filled,
+	// so reset recycles them in O(private) time and in a fixed order.
+	privIDs []PageID
+	free    []Page
+	slab    pageSlab
 }
 
 func (c *cowStore) takePage() Page {
@@ -239,48 +240,55 @@ func (c *cowStore) takePage() Page {
 	return c.slab.take()
 }
 
-// reset discards the private overlay (recycling its buffers) and
-// restores the allocation cursors to the golden state.
-func (c *cowStore) reset(golden *MemStore) {
-	for _, p := range c.priv {
-		c.free = append(c.free, p)
+// putPriv records p as id's private page.
+func (c *cowStore) putPriv(id PageID, p Page) {
+	c.priv.set(id, p)
+	c.privIDs = append(c.privIDs, id)
+}
+
+// reset discards the private overlay, recycling its buffers, which
+// returns PageCount to the golden's lengths.
+func (c *cowStore) reset() {
+	for _, id := range c.privIDs {
+		c.free = append(c.free, c.priv.at(id))
 	}
-	clear(c.priv)
-	clear(c.next)
-	for file, n := range golden.next {
-		c.next[file] = n
-	}
+	c.privIDs = c.privIDs[:0]
+	c.priv.truncate()
 }
 
 // SharedPage implements SharedPager: still-golden pages may be aliased.
 func (c *cowStore) SharedPage(id PageID) (Page, bool) {
-	if _, ok := c.priv[id]; ok {
+	if c.priv.at(id) != nil {
 		return nil, false
 	}
-	p, ok := c.golden.pages[id]
-	return p, ok
+	p := c.golden.pages.at(id)
+	return p, p != nil
 }
 
 // ReadInto implements Store.
 func (c *cowStore) ReadInto(id PageID, dst Page) error {
-	if p, ok := c.priv[id]; ok {
-		copy(dst, p)
-		return nil
+	p := c.priv.at(id)
+	if p == nil {
+		p = c.golden.pages.at(id)
 	}
-	if p, ok := c.golden.pages[id]; ok {
-		copy(dst, p)
-		return nil
+	if p == nil {
+		return fmt.Errorf("rubisdb: page %v not found", id)
 	}
-	return fmt.Errorf("rubisdb: page %v not found", id)
+	copy(dst, p)
+	return nil
 }
 
 // Write implements Store: write-backs land in the private overlay, never
-// in the golden snapshot.
+// in the golden snapshot. A page that neither the golden nor the view
+// allocated is an error.
 func (c *cowStore) Write(id PageID, p Page) error {
-	dst, ok := c.priv[id]
-	if !ok {
+	dst := c.priv.at(id)
+	if dst == nil {
+		if c.golden.pages.at(id) == nil {
+			return fmt.Errorf("rubisdb: write of unallocated page %v", id)
+		}
 		dst = c.takePage()
-		c.priv[id] = dst
+		c.putPriv(id, dst)
 	}
 	copy(dst, p)
 	return nil
@@ -290,13 +298,15 @@ func (c *cowStore) Write(id PageID, p Page) error {
 // buffer is cleared because recycled free-list pages carry stale bytes,
 // where MemStore hands out slab pages that are already zero.
 func (c *cowStore) Allocate(file uint32) PageID {
-	id := PageID{File: file, PageNo: c.next[file]}
-	c.next[file]++
+	id := PageID{File: file, PageNo: c.PageCount(file)}
 	p := c.takePage()
 	clear(p)
-	c.priv[id] = p
+	c.putPriv(id, p)
 	return id
 }
 
-// PageCount reports allocated pages in file (golden plus private growth).
-func (c *cowStore) PageCount(file uint32) uint32 { return c.next[file] }
+// PageCount reports allocated pages in file (golden plus private
+// growth): private pages past the golden's end extend the file.
+func (c *cowStore) PageCount(file uint32) uint32 {
+	return max(c.golden.pages.length(file), c.priv.length(file))
+}

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"testing"
 )
@@ -34,25 +33,17 @@ func buildPopulated(t testing.TB, rows, bufferPages int) (*Engine, *Table) {
 	return e, tb
 }
 
-// goldenHash digests every sealed store page in deterministic order.
+// goldenHash digests every sealed store page in (file, page) order.
 func goldenHash(g *Golden) [32]byte {
-	ids := make([]PageID, 0, len(g.store.pages))
-	for id := range g.store.pages {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		if ids[i].File != ids[j].File {
-			return ids[i].File < ids[j].File
-		}
-		return ids[i].PageNo < ids[j].PageNo
-	})
 	h := sha256.New()
 	var idbuf [8]byte
-	for _, id := range ids {
-		binary.BigEndian.PutUint32(idbuf[:4], id.File)
-		binary.BigEndian.PutUint32(idbuf[4:], id.PageNo)
-		h.Write(idbuf[:])
-		h.Write(g.store.pages[id])
+	for file, pages := range g.store.pages.files {
+		for no, p := range pages {
+			binary.BigEndian.PutUint32(idbuf[:4], uint32(file))
+			binary.BigEndian.PutUint32(idbuf[4:], uint32(no))
+			h.Write(idbuf[:])
+			h.Write(p)
+		}
 	}
 	var out [32]byte
 	h.Sum(out[:0])
@@ -218,5 +209,127 @@ func TestSealRequiresMemStore(t *testing.T) {
 	}
 	if _, err := g.NewView().Seal(); err == nil {
 		t.Fatal("Seal of a COW view should fail")
+	}
+}
+
+// TestRearmLeavesNoStaleDirectoryEntries: Rearm recycles every frame a
+// run left resident, so each of their directory slots must be emptied
+// first, or a later Get would hit a frame now holding another page.
+// After a write-heavy run the directory must hold exactly the golden
+// residents, and a page the Rearm evicted must come back as a metered
+// miss served zero-copy from the golden. The pool holds a third of the
+// golden's pages, so the run evicts and the golden residents are only a
+// part of the dataset.
+func TestRearmLeavesNoStaleDirectoryEntries(t *testing.T) {
+	eng, _ := buildPopulated(t, 5000, 16)
+	g, err := eng.Seal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := g.NewView()
+	writeHeavyMix(t, v.MustTable("users"), 1<<20, 3000, 13)
+	if err := v.pool.check(); err != nil {
+		t.Fatalf("after run: %v", err)
+	}
+	golden := make(map[PageID]bool, len(g.residents))
+	for _, id := range g.residents {
+		golden[id] = true
+	}
+	// A golden page the run made resident that the sealed pool did not
+	// hold: Rearm must drop it.
+	var dropped PageID
+	found := false
+	for f := v.pool.lru.next; f != &v.pool.lru && !found; f = f.next {
+		if !golden[f.id] && g.store.pages.at(f.id) != nil {
+			dropped, found = f.id, true
+		}
+	}
+	if !found {
+		t.Fatal("run left no non-resident golden page in the pool; the test needs a different mix")
+	}
+
+	g.Rearm(v)
+	if err := v.pool.check(); err != nil {
+		t.Fatalf("after Rearm: %v", err)
+	}
+	i := 0
+	for f := v.pool.lru.next; f != &v.pool.lru; f = f.next {
+		if f.id != g.residents[i] {
+			t.Fatalf("LRU position %d holds %v, sealed pool had %v", i, f.id, g.residents[i])
+		}
+		i++
+	}
+	if v.pool.Len() != len(g.residents) {
+		t.Fatalf("%d resident after Rearm, sealed pool had %d", v.pool.Len(), len(g.residents))
+	}
+	cow := v.store.(*cowStore)
+	for file := range g.store.pages.files {
+		f := uint32(file)
+		if got, want := cow.PageCount(f), g.store.PageCount(f); got != want {
+			t.Fatalf("file %d: PageCount %d after Rearm, golden has %d", f, got, want)
+		}
+	}
+
+	before := v.Meter()
+	fr, err := v.pool.Get(dropped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fr.Unpin(false)
+	after := v.Meter()
+	if after.PageMisses != before.PageMisses+1 || after.PageHits != before.PageHits {
+		t.Fatalf("Get(%v) after Rearm: hits %d→%d, misses %d→%d; want one miss",
+			dropped, before.PageHits, after.PageHits, before.PageMisses, after.PageMisses)
+	}
+	if fr.ID() != dropped || !fr.shared || &fr.Page[0] != &g.store.pages.at(dropped)[0] {
+		t.Fatalf("Get(%v) returned frame of %v (shared=%v), not the golden page", dropped, fr.ID(), fr.shared)
+	}
+}
+
+// TestStoreWriteRejectsUnallocatedPages: both stores refuse a write to a
+// page id no Allocate handed out, instead of creating a page past
+// PageCount that Heap.Scan would never visit.
+func TestStoreWriteRejectsUnallocatedPages(t *testing.T) {
+	page := make(Page, PageSize)
+	ms := NewMemStore()
+	if err := ms.Write(PageID{File: 1, PageNo: 0}, page); err == nil {
+		t.Fatal("MemStore accepted a write to an empty file")
+	}
+	id := ms.Allocate(1)
+	if err := ms.Write(id, page); err != nil {
+		t.Fatalf("MemStore write of allocated page: %v", err)
+	}
+	for _, bad := range []PageID{{File: 1, PageNo: 1}, {File: 2, PageNo: 0}, {File: 1 << 20, PageNo: 0}} {
+		if err := ms.Write(bad, page); err == nil {
+			t.Fatalf("MemStore accepted a write to unallocated page %v", bad)
+		}
+	}
+	if ms.PageCount(1) != 1 || ms.PageCount(2) != 0 {
+		t.Fatalf("rejected writes changed PageCount: file 1 = %d, file 2 = %d", ms.PageCount(1), ms.PageCount(2))
+	}
+
+	eng, tb := buildPopulated(t, 200, 64)
+	g, err := eng.Seal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cow := g.NewView().store.(*cowStore)
+	file := tb.id
+	n := cow.PageCount(file)
+	if err := cow.Write(PageID{File: file, PageNo: n - 1}, page); err != nil {
+		t.Fatalf("view write of a golden page: %v", err)
+	}
+	past := PageID{File: file, PageNo: n}
+	if err := cow.Write(past, page); err == nil {
+		t.Fatalf("view accepted a write to unallocated page %v", past)
+	}
+	if cow.PageCount(file) != n {
+		t.Fatalf("rejected write changed PageCount: %d, want %d", cow.PageCount(file), n)
+	}
+	if got := cow.Allocate(file); got != past {
+		t.Fatalf("Allocate = %v, want %v", got, past)
+	}
+	if err := cow.Write(past, page); err != nil {
+		t.Fatalf("view write of a privately allocated page: %v", err)
 	}
 }

@@ -23,7 +23,7 @@ go test -run xxx -bench 'BenchmarkEngineOnly$|BenchmarkSweepWorkers|BenchmarkOpe
 go test -run xxx -bench 'BenchmarkSnapshotAttach$' \
 	-benchtime "$micro_benchtime" -benchmem . | tee -a "$tmp"
 go test -run xxx \
-	-bench 'BenchmarkBTree|BenchmarkBufferPoolGet|BenchmarkBulkLoad|BenchmarkHeapInsert|BenchmarkEngineQueryMix|BenchmarkCOWFirstWrite' \
+	-bench 'BenchmarkBTree|BenchmarkBufferPoolGet$|BenchmarkBufferPoolGetView$|BenchmarkBulkLoad|BenchmarkHeapInsert|BenchmarkEngineQueryMix|BenchmarkCOWFirstWrite' \
 	-benchtime "$micro_benchtime" -benchmem ./internal/rubisdb/ | tee -a "$tmp"
 go test -run xxx -bench 'BenchmarkKernel' \
 	-benchtime "$micro_benchtime" -benchmem ./internal/sim/ | tee -a "$tmp"
