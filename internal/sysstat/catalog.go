@@ -45,6 +45,49 @@ type Snapshot struct {
 	Load1, Load5, Load15                                  float64
 }
 
+// Add returns s with every counter and gauge of o summed in, for
+// aggregate targets that report several instances as one. At is kept;
+// FreqHz is taken from o, since the parts of an aggregate share one
+// clock rate.
+func (s Snapshot) Add(o Snapshot) Snapshot {
+	s.CPUCycles += o.CPUCycles
+	s.CPUBusy += o.CPUBusy
+	s.StealTime += o.StealTime
+	s.Cores += o.Cores
+	s.FreqHz = o.FreqHz
+	s.MemTotal += o.MemTotal
+	s.MemUsed += o.MemUsed
+	s.MemBuffers += o.MemBuffers
+	s.MemCached += o.MemCached
+	s.DiskReadBytes += o.DiskReadBytes
+	s.DiskWriteBytes += o.DiskWriteBytes
+	s.DiskReadOps += o.DiskReadOps
+	s.DiskWriteOps += o.DiskWriteOps
+	s.DiskBusy += o.DiskBusy
+	s.NetRxBytes += o.NetRxBytes
+	s.NetTxBytes += o.NetTxBytes
+	s.NetRxPkts += o.NetRxPkts
+	s.NetTxPkts += o.NetTxPkts
+	s.CtxSwitches += o.CtxSwitches
+	s.Interrupts += o.Interrupts
+	s.SoftIRQs += o.SoftIRQs
+	s.Forks += o.Forks
+	s.Faults += o.Faults
+	s.MajFaults += o.MajFaults
+	s.PgInBytes += o.PgInBytes
+	s.PgOutBytes += o.PgOutBytes
+	s.Procs += o.Procs
+	s.RunQueue += o.RunQueue
+	s.Blocked += o.Blocked
+	s.OpenFds += o.OpenFds
+	s.TCPSocks += o.TCPSocks
+	s.UDPSocks += o.UDPSocks
+	s.Load1 += o.Load1
+	s.Load5 += o.Load5
+	s.Load15 += o.Load15
+	return s
+}
+
 // Metric is one catalog entry: identity plus an evaluator over two
 // consecutive snapshots.
 type Metric struct {

@@ -2,6 +2,7 @@ package sysstat
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -278,5 +279,57 @@ func TestGroupCountsSumToCatalog(t *testing.T) {
 func TestPerfCatalogAccessibleForTable1(t *testing.T) {
 	if len(perfCounterCatalog()) != xen.PerfCounterCount {
 		t.Fatal("perf catalog size mismatch")
+	}
+}
+
+// TestSnapshotAddCoversEveryField gives every Snapshot field a distinct
+// value by reflection and checks Add sums each one, except At (kept
+// from the receiver) and FreqHz (taken from the argument). A field
+// added to Snapshot later cannot silently drop out of the aggregates.
+func TestSnapshotAddCoversEveryField(t *testing.T) {
+	fill := func(base float64) Snapshot {
+		var s Snapshot
+		v := reflect.ValueOf(&s).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Field(i)
+			x := base * float64(i+1)
+			switch f.Kind() {
+			case reflect.Int, reflect.Int64:
+				f.SetInt(int64(x))
+			case reflect.Uint64:
+				f.SetUint(uint64(x))
+			case reflect.Float64:
+				f.SetFloat(x + 0.25)
+			default:
+				t.Fatalf("field %s has unhandled kind %s", v.Type().Field(i).Name, f.Kind())
+			}
+		}
+		return s
+	}
+	a, b := fill(1), fill(1000)
+	sum := a.Add(b)
+	va, vb, vs := reflect.ValueOf(a), reflect.ValueOf(b), reflect.ValueOf(sum)
+	for i := 0; i < vs.NumField(); i++ {
+		name := vs.Type().Field(i).Name
+		got, x, y := vs.Field(i), va.Field(i), vb.Field(i)
+		var want any
+		switch name {
+		case "At":
+			want = x.Interface()
+		case "FreqHz":
+			want = y.Interface()
+		default:
+			switch got.Kind() {
+			case reflect.Int, reflect.Int64:
+				want = reflect.ValueOf(x.Int() + y.Int()).Convert(got.Type()).Interface()
+			case reflect.Uint64:
+				want = reflect.ValueOf(x.Uint() + y.Uint()).Convert(got.Type()).Interface()
+			case reflect.Float64:
+				want = reflect.ValueOf(x.Float() + y.Float()).Convert(got.Type()).Interface()
+			}
+		}
+		if got.Interface() != want {
+			t.Errorf("Add: %s = %v, want %v", name, got.Interface(), want)
+		}
 	}
 }
