@@ -4,6 +4,9 @@ import (
 	"fmt"
 
 	"vwchar/internal/cachetier"
+	"vwchar/internal/hw"
+	"vwchar/internal/osmodel"
+	"vwchar/internal/rng"
 	"vwchar/internal/rubis"
 	"vwchar/internal/sim"
 	"vwchar/internal/sysstat"
@@ -11,20 +14,90 @@ import (
 	"vwchar/internal/xen"
 )
 
-// vmInstance is one assembled RUBiS instance on the virtualized
-// testbed: the web cluster, its DB tier, the optional cache and
-// write-behind queue nodes, and the guest domains backing them (for
-// collector targets).
-type vmInstance struct {
-	cluster *tiers.WebCluster
-	dbc     *tiers.DBCluster
-	webDoms []*xen.Domain
-	dbDoms  []*xen.Domain // primary first, then read replicas
-
+// instance is one assembled RUBiS instance, the same value on both
+// deployments: the dataset it serves, the web cluster (one replica on
+// the physical testbed), its DB tier, and the cache and write-behind
+// queue nodes (nil unless deployed). Run reads the last two fields from
+// the primary instance (pair 0) only: the collector targets, and the
+// deployment's end-of-run accounting.
+type instance struct {
+	app      *rubis.App
+	cluster  *tiers.WebCluster
+	dbc      *tiers.DBCluster
 	cacheSrv *tiers.CacheServer
-	cacheDom *xen.Domain
 	queueSrv *tiers.QueueServer
-	queueDom *xen.Domain
+	targets  []sysstat.Target
+	account  func(*Result)
+}
+
+// attachFunc attaches the dataset for a pair, deriving its seed from
+// the named stream.
+type attachFunc func(stream string, pair int) (*rubis.App, error)
+
+// virtualized returns the builder of the Xen testbed (paper §4.1): the
+// topology's hypervisors are created up front, and each call assembles
+// one pair's guests on them.
+func virtualized(k *sim.Kernel, cfg Config, topo tiers.Topology, attach attachFunc) func(pair int) (*instance, error) {
+	xp := xen.DefaultParams()
+	if cfg.XenParams != nil {
+		xp = *cfg.XenParams
+	}
+	hvs := make([]*xen.Hypervisor, topo.Machines)
+	for m := range hvs {
+		hvs[m] = xen.New(k, hw.NewServer(k, hw.ProLiantSpec(fmt.Sprintf("host%d", m))), xp)
+	}
+	hv := hvs[0]
+	account := func(res *Result) {
+		res.Attribution = hv.Attribution()
+		res.GuestPhysCycles = hv.GuestPhysCycles()
+		res.PerfFinal = hv.PerfCounters()
+		res.Dom0BuffersMB = hv.Dom0().Mem.Get("backend-buffers") / 1e6
+	}
+	return func(pair int) (*instance, error) {
+		app, err := attach(fmt.Sprintf("dataset-%d", pair), pair)
+		if err != nil {
+			return nil, err
+		}
+		inst := buildVMInstance(k, hvs, topo, pair, app, cfg.Cache, cfg.Queue)
+		inst.account = account
+		return inst, nil
+	}
+}
+
+// physical returns the builder of the bare-metal testbed (paper §4.2):
+// the web and DB tiers each on their own server, one pair only.
+func physical(k *sim.Kernel, src *rng.Source, attach attachFunc) func(pair int) (*instance, error) {
+	return func(pair int) (*instance, error) {
+		app, err := attach("dataset", pair)
+		if err != nil {
+			return nil, err
+		}
+		webSrv := hw.NewServer(k, hw.ProLiantSpec("web-pm"))
+		dbSrv := hw.NewServer(k, hw.ProLiantSpec("db-pm"))
+		webOS := osmodel.New("web-pm", webSrv.Mem, 140)
+		dbOS := osmodel.New("db-pm", dbSrv.Mem, 135)
+		webSrv.Mem.Set("kernel", 90e6)
+		dbSrv.Mem.Set("kernel", 90e6)
+
+		webBE := tiers.NewPMBackend(k, webSrv, dbSrv, tiers.DefaultPMParams("web"), src.Stream("pm-web-noise"), webOS)
+		dbBE := tiers.NewPMBackend(k, dbSrv, webSrv, tiers.DefaultPMParams("db"), src.Stream("pm-db-noise"), dbOS)
+		dbc := tiers.NewDBCluster(tiers.NewDBServer(k, dbBE, app, tiers.DefaultDBParams("pm")), nil, 0)
+		paths := []tiers.PathPair{{To: tiers.PMPath(webBE), From: tiers.PMPath(dbBE)}}
+		web := tiers.NewWebAppServer(k, webBE, dbc, paths, tiers.DefaultWebParams("pm"))
+		return &instance{
+			app:     app,
+			cluster: tiers.NewWebCluster(k, []*tiers.WebAppServer{web}, 1, nil),
+			dbc:     dbc,
+			targets: []sysstat.Target{
+				{Name: TierWeb, Snap: ticking(k, webOS, func() sysstat.Snapshot { return host(webSrv, webOS) })},
+				{Name: TierDB, Snap: ticking(k, dbOS, func() sysstat.Snapshot { return host(dbSrv, dbOS) })},
+			},
+			account: func(res *Result) {
+				res.WebPMCycles = webSrv.CPU.TotalCycles()
+				res.DBPMCycles = dbSrv.CPU.TotalCycles()
+			},
+		}, nil
+	}
 }
 
 // buildVMInstance assembles one RUBiS instance for the (normalized)
@@ -35,28 +108,29 @@ type vmInstance struct {
 //
 // Construction order is part of the determinism contract: web guests
 // (in replica order), then DB guests (primary, then read replicas),
-// then DB servers before web servers — exactly the pre-topology
-// sequence when the topology is degenerate, so the golden sweep hash
-// pins this path.
-func buildVMInstance(k *sim.Kernel, hvs []*xen.Hypervisor, topo tiers.Topology, pair int, app *rubis.App, cache *cachetier.CacheSpec, queue *cachetier.QueueSpec) *vmInstance {
-	inst := &vmInstance{}
+// then DB servers before web servers, then the cache and queue guests —
+// exactly the pre-topology sequence when the topology is degenerate and
+// no aux tier is set, so the golden sweep hash pins this path.
+func buildVMInstance(k *sim.Kernel, hvs []*xen.Hypervisor, topo tiers.Topology, pair int, app *rubis.App, cache *cachetier.CacheSpec, queue *cachetier.QueueSpec) *instance {
+	inst := &instance{app: app}
 	hvFor := func(vm int) *xen.Hypervisor { return hvs[topo.MachineFor(vm)] }
 
+	var webDoms, dbDoms []*xen.Domain // dbDoms: primary first, then read replicas
 	for i := 0; i < topo.MaxWebReplicas; i++ {
 		d := hvFor(i).CreateGuest(fmt.Sprintf("webapp-vm-%d", pair*topo.MaxWebReplicas+i), 2, 2<<30, 256)
-		inst.webDoms = append(inst.webDoms, d)
+		webDoms = append(webDoms, d)
 	}
 	primaryVM := topo.MaxWebReplicas
 	primaryDom := hvFor(primaryVM).CreateGuest(fmt.Sprintf("mysql-vm-%d", pair), 2, 2<<30, 256)
-	inst.dbDoms = append(inst.dbDoms, primaryDom)
+	dbDoms = append(dbDoms, primaryDom)
 	for j := 0; j < topo.DBReadReplicas; j++ {
 		d := hvFor(primaryVM+1+j).CreateGuest(fmt.Sprintf("mysql-ro-vm-%d", j), 2, 2<<30, 256)
-		inst.dbDoms = append(inst.dbDoms, d)
+		dbDoms = append(dbDoms, d)
 	}
-	for _, d := range inst.webDoms {
+	for _, d := range webDoms {
 		d.Mem.Set("kernel", 50e6)
 	}
-	for _, d := range inst.dbDoms {
+	for _, d := range dbDoms {
 		d.Mem.Set("kernel", 22e6)
 	}
 
@@ -64,111 +138,90 @@ func buildVMInstance(k *sim.Kernel, hvs []*xen.Hypervisor, topo tiers.Topology, 
 	// tickers in the event order, as before the refactor). Read
 	// replicas carry no engine reference: only the primary checkpoints
 	// the shared storage engine.
-	primaryBE := &tiers.VMBackend{HV: hvFor(primaryVM), Dom: primaryDom, Peer: inst.webDoms[0]}
+	primaryBE := &tiers.VMBackend{HV: hvFor(primaryVM), Dom: primaryDom, Peer: webDoms[0]}
 	primary := tiers.NewDBServer(k, primaryBE, app, tiers.DefaultDBParams("vm"))
 	var replicas []*tiers.DBServer
 	for j := 0; j < topo.DBReadReplicas; j++ {
-		dom := inst.dbDoms[1+j]
-		be := &tiers.VMBackend{HV: hvFor(primaryVM + 1 + j), Dom: dom}
+		be := &tiers.VMBackend{HV: hvFor(primaryVM + 1 + j), Dom: dbDoms[1+j]}
 		params := tiers.DefaultDBParams("vm")
 		params.CheckpointEvery = 0
 		replicas = append(replicas, tiers.NewDBServer(k, be, nil, params))
 	}
 	inst.dbc = tiers.NewDBCluster(primary, replicas, topo.ReplicaLag())
+	// dbPaths lists the paths from guest a on hvA to every DB instance,
+	// in routing order.
+	dbPaths := func(hvA *xen.Hypervisor, a *xen.Domain) []tiers.PathPair {
+		paths := make([]tiers.PathPair, len(dbDoms))
+		for j, d := range dbDoms {
+			paths[j] = pathPair(k, hvA, a, hvFor(primaryVM+j), d)
+		}
+		return paths
+	}
 
 	webs := make([]*tiers.WebAppServer, 0, topo.MaxWebReplicas)
-	for i, dom := range inst.webDoms {
+	for i, dom := range webDoms {
 		be := &tiers.VMBackend{HV: hvFor(i), Dom: dom, Peer: primaryDom}
-		paths := make([]tiers.PathPair, inst.dbc.Instances())
-		for j := range paths {
-			dbVM := primaryVM + j
-			dbDom := inst.dbDoms[j]
-			if topo.MachineFor(i) == topo.MachineFor(dbVM) {
-				hv := hvFor(i)
-				paths[j] = tiers.PathPair{
-					To:   tiers.VMPath(hv, dom, dbDom),
-					From: tiers.VMPath(hv, dbDom, dom),
-				}
-			} else {
-				paths[j] = tiers.PathPair{
-					To:   tiers.CrossVMPath(k, hvFor(i), dom, hvFor(dbVM), dbDom),
-					From: tiers.CrossVMPath(k, hvFor(dbVM), dbDom, hvFor(i), dom),
-				}
-			}
-		}
-		webs = append(webs, tiers.NewWebAppServer(k, be, inst.dbc, paths, tiers.DefaultWebParams("vm")))
+		webs = append(webs, tiers.NewWebAppServer(k, be, inst.dbc, dbPaths(hvFor(i), dom), tiers.DefaultWebParams("vm")))
 	}
 	inst.cluster = tiers.NewWebCluster(k, webs, topo.WebReplicas, tiers.NewLoadBalancer(topo.LB))
-	if cache == nil && queue == nil {
-		// The golden path: nothing below runs, no extra guests, no extra
-		// events — byte identity with the pre-cache assembly.
-		return inst
-	}
 
-	// Aux tiers append strictly after the classic guests so the
-	// construction prefix (and with nil specs, the whole assembly) stays
-	// on the golden sequence. Without an explicit placement the aux VMs
-	// round-robin onto the machines after the classic ones; an explicit
-	// placement vector does not cover them, so they co-locate with the
-	// DB primary (the tier they shield).
-	auxMachine := func(i int) int {
+	// Aux tiers append strictly after the classic guests, so with nil
+	// specs the assembly stays on the golden sequence. Without an
+	// explicit placement the aux VMs round-robin onto the machines after
+	// the classic ones; an explicit placement vector does not cover
+	// them, so they co-locate with the DB primary (the tier they shield).
+	auxGuest := func(i int, name string) (*xen.Hypervisor, *xen.Domain) {
+		m := (topo.VMCount() + i) % topo.Machines
 		if len(topo.Placement) > 0 {
-			return topo.MachineFor(primaryVM)
+			m = topo.MachineFor(primaryVM)
 		}
-		return (topo.VMCount() + i) % topo.Machines
-	}
-	webPath := func(i int, m int, dom *xen.Domain) tiers.PathPair {
-		if topo.MachineFor(i) == m {
-			return tiers.PathPair{
-				To:   tiers.VMPath(hvs[m], inst.webDoms[i], dom),
-				From: tiers.VMPath(hvs[m], dom, inst.webDoms[i]),
-			}
-		}
-		return tiers.PathPair{
-			To:   tiers.CrossVMPath(k, hvFor(i), inst.webDoms[i], hvs[m], dom),
-			From: tiers.CrossVMPath(k, hvs[m], dom, hvFor(i), inst.webDoms[i]),
-		}
-	}
-
-	if cache != nil {
-		m := auxMachine(0)
-		dom := hvs[m].CreateGuest(fmt.Sprintf("memcache-vm-%d", pair), 2, 2<<30, 256)
+		dom := hvs[m].CreateGuest(fmt.Sprintf("%s-vm-%d", name, pair), 2, 2<<30, 256)
 		dom.Mem.Set("kernel", 30e6)
-		be := &tiers.VMBackend{HV: hvs[m], Dom: dom, Peer: inst.webDoms[0]}
+		return hvs[m], dom
+	}
+	var aux []sysstat.Target
+	if cache != nil {
+		hv, dom := auxGuest(0, TierCache)
+		be := &tiers.VMBackend{HV: hv, Dom: dom, Peer: webDoms[0]}
 		inst.cacheSrv = tiers.NewCacheServer(k, be, *cache, tiers.DefaultCacheParams())
-		inst.cacheDom = dom
 		for i, w := range webs {
-			w.SetCacheTier(inst.cacheSrv, webPath(i, m, dom))
+			w.SetCacheTier(inst.cacheSrv, pathPair(k, hvFor(i), webDoms[i], hv, dom))
 		}
+		aux = append(aux, vmTarget(k, TierCache, dom))
 	}
 	if queue != nil {
-		m := auxMachine(1)
-		dom := hvs[m].CreateGuest(fmt.Sprintf("wqueue-vm-%d", pair), 2, 2<<30, 256)
-		dom.Mem.Set("kernel", 30e6)
-		be := &tiers.VMBackend{HV: hvs[m], Dom: dom, Peer: inst.dbDoms[0]}
-		qPaths := make([]tiers.PathPair, inst.dbc.Instances())
-		for j := range qPaths {
-			dbVM := primaryVM + j
-			dbDom := inst.dbDoms[j]
-			if topo.MachineFor(dbVM) == m {
-				qPaths[j] = tiers.PathPair{
-					To:   tiers.VMPath(hvs[m], dom, dbDom),
-					From: tiers.VMPath(hvs[m], dbDom, dom),
-				}
-			} else {
-				qPaths[j] = tiers.PathPair{
-					To:   tiers.CrossVMPath(k, hvs[m], dom, hvFor(dbVM), dbDom),
-					From: tiers.CrossVMPath(k, hvFor(dbVM), dbDom, hvs[m], dom),
-				}
-			}
-		}
-		inst.queueSrv = tiers.NewQueueServer(k, be, inst.dbc, qPaths, *queue, tiers.DefaultQueueParams())
-		inst.queueDom = dom
+		hv, dom := auxGuest(1, TierQueue)
+		be := &tiers.VMBackend{HV: hv, Dom: dom, Peer: dbDoms[0]}
+		inst.queueSrv = tiers.NewQueueServer(k, be, inst.dbc, dbPaths(hv, dom), *queue, tiers.DefaultQueueParams())
 		for i, w := range webs {
-			w.SetQueueTier(inst.queueSrv, webPath(i, m, dom))
+			w.SetQueueTier(inst.queueSrv, pathPair(k, hvFor(i), webDoms[i], hv, dom))
 		}
+		aux = append(aux, vmTarget(k, TierQueue, dom))
 	}
+
+	if topo.IsDegenerate() {
+		// The paper's exact target prefix — the golden sweep hash pins it.
+		inst.targets = []sysstat.Target{
+			vmTarget(k, TierWeb, webDoms[0]),
+			vmTarget(k, TierDB, dbDoms[0]),
+			dom0Target(k, TierDom0, hvs[0]),
+		}
+	} else {
+		inst.targets = clusterTargets(k, hvs, webDoms, dbDoms)
+	}
+	// Aux tiers last, so the classic target prefix is untouched.
+	inst.targets = append(inst.targets, aux...)
 	return inst
+}
+
+// pathPair is the request/response path pair between guest a on hvA
+// and guest b on hvB: the split-driver path through dom0 when they
+// share a machine, the path across both hosts' NICs otherwise.
+func pathPair(k *sim.Kernel, hvA *xen.Hypervisor, a *xen.Domain, hvB *xen.Hypervisor, b *xen.Domain) tiers.PathPair {
+	if hvA == hvB {
+		return tiers.PathPair{To: tiers.VMPath(hvA, a, b), From: tiers.VMPath(hvA, b, a)}
+	}
+	return tiers.PathPair{To: tiers.CrossVMPath(k, hvA, a, hvB, b), From: tiers.CrossVMPath(k, hvB, b, hvA, a)}
 }
 
 // clusterTargets builds the collector target list for a non-degenerate
@@ -176,130 +229,127 @@ func buildVMInstance(k *sim.Kernel, hvs []*xen.Hypervisor, topo tiers.Topology, 
 // clocks), then per-machine dom0s when there are several machines, then
 // non-ticking aggregates under the classic tier names so every existing
 // consumer of "webapp"/"mysql"/"dom0" keeps working at cluster scale.
-func clusterTargets(k *sim.Kernel, hvs []*xen.Hypervisor, inst *vmInstance) []sysstat.Target {
+func clusterTargets(k *sim.Kernel, hvs []*xen.Hypervisor, webDoms, dbDoms []*xen.Domain) []sysstat.Target {
 	var ts []sysstat.Target
-	for i, d := range inst.webDoms {
-		ts = append(ts, sysstat.Target{Name: fmt.Sprintf("%s-%d", TierWeb, i), Snap: vmSnapshot(k, d)})
+	for i, d := range webDoms {
+		ts = append(ts, vmTarget(k, fmt.Sprintf("%s-%d", TierWeb, i), d))
 	}
-	ts = append(ts, sysstat.Target{Name: TierDB + "-primary", Snap: vmSnapshot(k, inst.dbDoms[0])})
-	for j, d := range inst.dbDoms[1:] {
-		ts = append(ts, sysstat.Target{Name: fmt.Sprintf("%s-ro-%d", TierDB, j), Snap: vmSnapshot(k, d)})
+	ts = append(ts, vmTarget(k, TierDB+"-primary", dbDoms[0]))
+	for j, d := range dbDoms[1:] {
+		ts = append(ts, vmTarget(k, fmt.Sprintf("%s-ro-%d", TierDB, j), d))
 	}
 	if len(hvs) > 1 {
 		for m, hv := range hvs {
-			ts = append(ts, sysstat.Target{Name: fmt.Sprintf("%s-%d", TierDom0, m), Snap: dom0Snapshot(k, hv)})
+			ts = append(ts, dom0Target(k, fmt.Sprintf("%s-%d", TierDom0, m), hv))
 		}
-		ts = append(ts, sysstat.Target{Name: TierDom0, Snap: dom0AggSnapshot(k, hvs)})
+		ts = append(ts, sysstat.Target{Name: TierDom0, Snap: sum(k, hvs, dom0)})
 	} else {
-		ts = append(ts, sysstat.Target{Name: TierDom0, Snap: dom0Snapshot(k, hvs[0])})
+		ts = append(ts, dom0Target(k, TierDom0, hvs[0]))
 	}
-	ts = append(ts,
-		sysstat.Target{Name: TierWeb, Snap: vmAggSnapshot(k, inst.webDoms)},
-		sysstat.Target{Name: TierDB, Snap: vmAggSnapshot(k, inst.dbDoms)},
+	return append(ts,
+		sysstat.Target{Name: TierWeb, Snap: sum(k, webDoms, guest)},
+		sysstat.Target{Name: TierDB, Snap: sum(k, dbDoms, guest)},
 	)
-	// Aux tiers last, so the classic target prefix is untouched.
-	if inst.cacheDom != nil {
-		ts = append(ts, sysstat.Target{Name: TierCache, Snap: vmSnapshot(k, inst.cacheDom)})
-	}
-	if inst.queueDom != nil {
-		ts = append(ts, sysstat.Target{Name: TierQueue, Snap: vmSnapshot(k, inst.queueDom)})
-	}
-	return ts
 }
 
-// vmAggSnapshot sums guest-visible counters across doms without
-// ticking their OS clocks — the per-VM targets, registered earlier in
-// the same collection round, own the ticks.
-func vmAggSnapshot(k *sim.Kernel, doms []*xen.Domain) func() sysstat.Snapshot {
+// vmTarget monitors one guest domain.
+func vmTarget(k *sim.Kernel, name string, d *xen.Domain) sysstat.Target {
+	return sysstat.Target{Name: name, Snap: ticking(k, d.OS, func() sysstat.Snapshot { return guest(d) })}
+}
+
+// dom0Target monitors one hypervisor's dom0.
+func dom0Target(k *sim.Kernel, name string, hv *xen.Hypervisor) sysstat.Target {
+	return sysstat.Target{Name: name, Snap: ticking(k, hv.Dom0().OS, func() sysstat.Snapshot { return dom0(hv) })}
+}
+
+// ticking turns a counter reader into a collector snapshot: each call
+// first advances the instance's OS clock (load averages) to now, then
+// reads and stamps the counters.
+func ticking(k *sim.Kernel, os *osmodel.OS, read func() sysstat.Snapshot) func() sysstat.Snapshot {
+	var lastTick sim.Time
 	return func() sysstat.Snapshot {
-		s := sysstat.Snapshot{At: k.Now(), FreqHz: 2.8e9}
-		for _, d := range doms {
-			l1, l5, l15 := d.OS.LoadAvg()
-			s.CPUCycles += d.VirtCycles()
-			s.CPUBusy += d.CPU.BusyTime()
-			s.StealTime += d.StealTime()
-			s.Cores += d.VCPUs
-			s.MemTotal += d.Mem.Capacity()
-			s.MemUsed += d.Mem.Used()
-			s.MemBuffers += d.Mem.Used() * 0.04
-			s.MemCached += d.Mem.Get("dbcache") + d.Mem.Get("pagecache")
-			s.DiskReadBytes += d.DiskReadBytes
-			s.DiskWriteBytes += d.DiskWrittenBytes
-			s.DiskReadOps += d.DiskOps / 2
-			s.DiskWriteOps += d.DiskOps - d.DiskOps/2
-			s.NetRxBytes += d.NetRxBytes
-			s.NetTxBytes += d.NetTxBytes
-			s.NetRxPkts += uint64(d.NetRxBytes/1500) + 1
-			s.NetTxPkts += uint64(d.NetTxBytes/1500) + 1
-			s.CtxSwitches += d.OS.CtxSwitches
-			s.Interrupts += d.OS.Interrupts
-			s.SoftIRQs += d.OS.SoftIRQs
-			s.Forks += d.OS.Forks
-			s.Faults += d.OS.Faults
-			s.MajFaults += d.OS.MajFaults
-			s.PgInBytes += d.OS.PgInBytes
-			s.PgOutBytes += d.OS.PgOutBytes
-			s.Procs += d.OS.Procs
-			s.RunQueue += d.OS.RunQueue
-			s.Blocked += d.OS.Blocked
-			s.OpenFds += d.OS.OpenFds
-			s.TCPSocks += 40 + d.OS.RunQueue*2
-			s.UDPSocks += 4
-			s.Load1 += l1
-			s.Load5 += l5
-			s.Load15 += l15
+		now := k.Now()
+		os.Tick(now - lastTick)
+		lastTick = now
+		s := read()
+		s.At = now
+		return s
+	}
+}
+
+// sum builds an aggregate snapshot over parts without ticking their OS
+// clocks: the per-instance targets, registered earlier in the same
+// collection round, own the ticks.
+func sum[T any](k *sim.Kernel, parts []T, read func(T) sysstat.Snapshot) func() sysstat.Snapshot {
+	return func() sysstat.Snapshot {
+		s := sysstat.Snapshot{At: k.Now()}
+		for _, p := range parts {
+			s = s.Add(read(p))
 		}
 		return s
 	}
 }
 
-// dom0AggSnapshot sums dom0 and host-device counters across machines
-// without ticking (the per-machine dom0 targets own the ticks).
-func dom0AggSnapshot(k *sim.Kernel, hvs []*xen.Hypervisor) func() sysstat.Snapshot {
-	return func() sysstat.Snapshot {
-		var s sysstat.Snapshot
-		s.At = k.Now()
-		for _, hv := range hvs {
-			d := hv.Dom0()
-			host := hv.Host()
-			l1, l5, l15 := d.OS.LoadAvg()
-			rops, wops := host.Disk.Ops()
-			rpk, tpk := host.NIC.Packets()
-			s.CPUCycles += d.CPU.TotalCycles()
-			s.CPUBusy += d.CPU.BusyTime()
-			s.Cores += d.VCPUs
-			s.FreqHz = host.Spec.FreqHz
-			s.MemTotal += d.Mem.Capacity()
-			s.MemUsed += d.Mem.Used()
-			s.MemBuffers += d.Mem.Get("backend-buffers")
-			s.MemCached += d.Mem.Get("pagecache")
-			s.DiskReadBytes += host.Disk.ReadBytes()
-			s.DiskWriteBytes += host.Disk.WrittenBytes()
-			s.DiskReadOps += rops
-			s.DiskWriteOps += wops
-			s.DiskBusy += host.Disk.BusyTime()
-			s.NetRxBytes += host.NIC.RxBytes()
-			s.NetTxBytes += host.NIC.TxBytes()
-			s.NetRxPkts += rpk
-			s.NetTxPkts += tpk
-			s.CtxSwitches += d.OS.CtxSwitches
-			s.Interrupts += d.OS.Interrupts
-			s.SoftIRQs += d.OS.SoftIRQs
-			s.Forks += d.OS.Forks
-			s.Faults += d.OS.Faults
-			s.MajFaults += d.OS.MajFaults
-			s.PgInBytes += d.OS.PgInBytes
-			s.PgOutBytes += d.OS.PgOutBytes
-			s.Procs += d.OS.Procs
-			s.RunQueue += d.OS.RunQueue
-			s.Blocked += d.OS.Blocked
-			s.OpenFds += d.OS.OpenFds
-			s.TCPSocks += 35
-			s.UDPSocks += 6
-			s.Load1 += l1
-			s.Load5 += l5
-			s.Load15 += l15
-		}
-		return s
+// guest reads a guest domain's counters as sysstat inside the VM sees
+// them.
+func guest(d *xen.Domain) sysstat.Snapshot {
+	s := kernelCounters(d.OS)
+	s.CPUCycles, s.CPUBusy, s.StealTime = d.VirtCycles(), d.CPU.BusyTime(), d.StealTime()
+	s.Cores, s.FreqHz = d.VCPUs, 2.8e9
+	s.MemTotal, s.MemUsed, s.MemBuffers = d.Mem.Capacity(), d.Mem.Used(), d.Mem.Used()*0.04
+	s.MemCached = d.Mem.Get("dbcache") + d.Mem.Get("pagecache")
+	s.DiskReadBytes, s.DiskWriteBytes = d.DiskReadBytes, d.DiskWrittenBytes
+	s.DiskReadOps, s.DiskWriteOps = d.DiskOps/2, d.DiskOps-d.DiskOps/2
+	s.NetRxBytes, s.NetTxBytes = d.NetRxBytes, d.NetTxBytes
+	s.NetRxPkts, s.NetTxPkts = uint64(d.NetRxBytes/1500)+1, uint64(d.NetTxBytes/1500)+1
+	s.TCPSocks, s.UDPSocks = 40+d.OS.RunQueue*2, 4
+	return s
+}
+
+// dom0 reads a hypervisor's dom0: its own CPU, memory and kernel, plus
+// the physical disk and NIC it drives for the guests.
+func dom0(hv *xen.Hypervisor) sysstat.Snapshot {
+	d := hv.Dom0()
+	s := kernelCounters(d.OS)
+	s.CPUCycles, s.CPUBusy = d.CPU.TotalCycles(), d.CPU.BusyTime()
+	s.Cores, s.FreqHz = d.VCPUs, hv.Host().Spec.FreqHz
+	s.MemTotal, s.MemUsed = d.Mem.Capacity(), d.Mem.Used()
+	s.MemBuffers, s.MemCached = d.Mem.Get("backend-buffers"), d.Mem.Get("pagecache")
+	s.TCPSocks, s.UDPSocks = 35, 6
+	return withDevices(s, hv.Host())
+}
+
+// host reads a bare-metal server and the OS running on it.
+func host(srv *hw.Server, os *osmodel.OS) sysstat.Snapshot {
+	s := kernelCounters(os)
+	s.CPUCycles, s.CPUBusy = srv.CPU.TotalCycles(), srv.CPU.BusyTime()
+	s.Cores, s.FreqHz = srv.Spec.Cores, srv.Spec.FreqHz
+	s.MemTotal, s.MemUsed, s.MemBuffers = srv.Mem.Capacity(), srv.Mem.Used(), srv.Mem.Used()*0.05
+	s.MemCached = srv.Mem.Get("dbcache") + srv.Mem.Get("pagecache")
+	s.TCPSocks, s.UDPSocks = 60+os.RunQueue*2, 5
+	return withDevices(s, srv)
+}
+
+// kernelCounters reads the part of a snapshot every instance reports
+// the same way: kernel counters, process gauges and load averages.
+func kernelCounters(os *osmodel.OS) sysstat.Snapshot {
+	l1, l5, l15 := os.LoadAvg()
+	return sysstat.Snapshot{
+		CtxSwitches: os.CtxSwitches, Interrupts: os.Interrupts, SoftIRQs: os.SoftIRQs,
+		Forks: os.Forks, Faults: os.Faults, MajFaults: os.MajFaults,
+		PgInBytes: os.PgInBytes, PgOutBytes: os.PgOutBytes,
+		Procs: os.Procs, RunQueue: os.RunQueue, Blocked: os.Blocked, OpenFds: os.OpenFds,
+		Load1: l1, Load5: l5, Load15: l15,
 	}
+}
+
+// withDevices fills s's disk and network counters from a server's
+// physical disk and NIC.
+func withDevices(s sysstat.Snapshot, srv *hw.Server) sysstat.Snapshot {
+	s.DiskReadBytes, s.DiskWriteBytes = srv.Disk.ReadBytes(), srv.Disk.WrittenBytes()
+	s.DiskReadOps, s.DiskWriteOps = srv.Disk.Ops()
+	s.DiskBusy = srv.Disk.BusyTime()
+	s.NetRxBytes, s.NetTxBytes = srv.NIC.RxBytes(), srv.NIC.TxBytes()
+	s.NetRxPkts, s.NetTxPkts = srv.NIC.Packets()
+	return s
 }

@@ -2,6 +2,24 @@
 // RUBiS three-tier system under a chosen client mix, deployed either in
 // VMs on one Xen host (Section 4.1) or on two physical servers (Section
 // 4.2), profiled by the sysstat collector for 600 two-second samples.
+//
+// Both deployments assemble through one path in Run: the deployment
+// builder returns the same instance value for each consolidation pair
+// (web cluster, DB tier, optional cache and queue nodes, collector
+// targets, end-of-run accounting), and each optional feature is wired
+// in one block. The order is part of the determinism contract:
+//
+//   - construction and kernel scheduling: per pair, dataset attach,
+//     then guests, then DB servers before web servers, then aux tiers,
+//     then the driver, with the guard wrapping the frontend; then
+//     Injector.Start, HealthMonitor.Start, the hazard, the overload
+//     controller, the backfill boot delay, collector.Start, and the
+//     drivers' Start;
+//   - window series, per recorder (registration order is CSV column
+//     order): core, replicas, fault, degradation, cache, queue;
+//   - window hooks on the collector ticker: every driver's
+//     RotateWindow in driver order, then the hazard, the overload
+//     controller, the autoscaler.
 package experiment
 
 import (
@@ -9,9 +27,7 @@ import (
 
 	"vwchar/internal/cachetier"
 	"vwchar/internal/faults"
-	"vwchar/internal/hw"
 	"vwchar/internal/load"
-	"vwchar/internal/osmodel"
 	"vwchar/internal/rng"
 	"vwchar/internal/rubis"
 	"vwchar/internal/sim"
@@ -87,7 +103,7 @@ type Config struct {
 	KeepFullCatalog bool
 	// XenParams overrides the hypervisor cost model (nil: calibrated
 	// defaults). Used by ablation studies, e.g. zeroing the split-driver
-	// costs to isolate dom0's I/O backend share.
+	// costs to isolate dom0's I/O backend share. Virtualized only.
 	XenParams *xen.Params
 	// Pairs co-locates this many independent RUBiS instances (web VM +
 	// DB VM each) on the single virtualized host, up to the testbed's
@@ -109,15 +125,16 @@ type Config struct {
 	// testbed is two fixed servers); incompatible with Pairs > 1.
 	Topology *tiers.Topology
 	// Faults, when non-nil, injects the schedule's crash/degraded-mode
-	// timeline into the run (expanded deterministically from Seed).
-	// Virtualized only; incompatible with Pairs > 1. Nil injects
-	// nothing and leaves the serving path byte-identical.
+	// timeline into the run (expanded deterministically from Seed). A
+	// non-empty schedule is virtualized only and incompatible with
+	// Pairs > 1. Nil injects nothing and leaves the serving path
+	// byte-identical.
 	Faults *faults.Schedule
 	// Resilience, when non-nil, wraps dispatch in a guard (timeouts,
 	// retries, optional breaker) and starts health checks driving
 	// replica ejection and DB primary failover. Nil leaves the serving
 	// path untouched — faults without resilience show the unprotected
-	// baseline.
+	// baseline. Its Brownout controller is virtualized only.
 	Resilience *faults.ResilienceSpec
 	// Cache, when non-nil, deploys a memcache-like cache VM: cacheable
 	// reads consult it first and fall through to the DB on a miss.
@@ -306,27 +323,30 @@ func (r *Result) Disk(tier string) *timeseries.Series { return r.Collector.Disk(
 func (r *Result) Net(tier string) *timeseries.Series { return r.Collector.Net(tier) }
 
 // Run executes the configured experiment to completion.
+//
+// Both deployments assemble through the same path: the deployment
+// builder returns one instance per pair, and each optional feature is
+// wired in one block below, in the fixed order the package doc states.
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	pairs := cfg.Pairs
-	if pairs < 1 {
-		pairs = 1
-	}
 	k := sim.NewKernel()
 	src := rng.NewSource(cfg.Seed)
-	model := cfg.Mix.Model()
-	costs := rubis.DefaultCostParams()
-
 	res := &Result{Config: cfg}
+	var topo tiers.Topology
+	if cfg.Topology != nil {
+		topo = *cfg.Topology
+	}
+	topo = topo.Normalized()
+
 	// Datasets come from the process-wide golden snapshot cache: the
 	// first run for a (scale, seed) pair populates and seals it, and
 	// every later run attaches a copy-on-write view in microseconds.
 	// Views are returned to the snapshot's pool when the run is done
 	// (results only hold aggregated numbers, never engine state), and
 	// closed-loop client streams go back to rng's free list.
-	var attachedApps []*rubis.App
+	var apps []*rubis.App
 	var drivers []tiers.LoadGen
 	defer func() {
 		for _, drv := range drivers {
@@ -334,12 +354,12 @@ func Run(cfg Config) (*Result, error) {
 				d.Release()
 			}
 		}
-		for _, a := range attachedApps {
+		for _, a := range apps {
 			a.Release()
 		}
 	}()
-	attachApp := func(streamName string, pair int) (*rubis.App, error) {
-		seed := src.SeedFor(streamName)
+	attach := func(stream string, pair int) (*rubis.App, error) {
+		seed := src.SeedFor(stream)
 		if cfg.DatasetSeed != 0 {
 			if pair == 0 {
 				// Pair 0 (and the physical env) share the pinned seed
@@ -347,151 +367,101 @@ func Run(cfg Config) (*Result, error) {
 				// environments — reuse one golden.
 				seed = cfg.DatasetSeed
 			} else {
-				seed = rng.NewSource(cfg.DatasetSeed).SeedFor(streamName)
+				seed = rng.NewSource(cfg.DatasetSeed).SeedFor(stream)
 			}
 		}
 		a, err := rubis.SharedApp(cfg.Dataset, seed)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("experiment: %s: %w", stream, err)
 		}
-		attachedApps = append(attachedApps, a)
+		apps = append(apps, a)
 		return a, nil
 	}
-	var growthWebs []*tiers.WebAppServer
-	var collector *sysstat.Collector
-	var hv *xen.Hypervisor
-	var app *rubis.App
-	var inst *vmInstance
-	var topo tiers.Topology
+	deploy := physical(k, src, attach)
+	if cfg.Environment == Virtualized {
+		deploy = virtualized(k, cfg, topo, attach)
+	}
 
-	// newDriver picks the workload shape: the paper's closed loop when
-	// cfg.Load is nil, the open-loop generator otherwise. Each instance
-	// gets its own arrival process (they are stateful) and RNG source.
-	// With a Resilience spec the dispatch path is wrapped in a guard
-	// (timeouts/retries/breaker) per instance; without one the frontend
-	// is untouched.
+	// One instance and driver per pair. Each driver gets its own RNG
+	// source and, open-loop, its own arrival process (they are
+	// stateful); with a Resilience spec its dispatch path is wrapped in a
+	// guard (timeouts/retries/breaker), without one the frontend is
+	// untouched.
+	model, costs := cfg.Mix.Model(), rubis.DefaultCostParams()
+	var insts []*instance
 	var guards []*tiers.Guard
-	newDriver := func(app *rubis.App, web tiers.Frontend, src *rng.Source) (tiers.LoadGen, error) {
+	var collector *sysstat.Collector
+	for p := 0; p < max(cfg.Pairs, 1); p++ {
+		inst, err := deploy(p)
+		if err != nil {
+			return nil, err
+		}
+		insts = append(insts, inst)
+		if p == 0 {
+			// The collector takes its baseline snapshot now, before the
+			// co-located pairs' guests exist.
+			collector = sysstat.NewCollector(k, cfg.KeepFullCatalog, inst.targets...)
+		}
+		drvSrc := rng.NewSource(cfg.Seed + uint64(p)*7919)
+		var web tiers.Frontend = inst.cluster
 		if cfg.Resilience != nil {
-			g := tiers.NewGuard(k, web, *cfg.Resilience, src.Stream("resilience-jitter"))
+			g := tiers.NewGuard(k, web, *cfg.Resilience, drvSrc.Stream("resilience-jitter"))
 			guards = append(guards, g)
 			web = g
 		}
 		if cfg.Load == nil {
-			return tiers.NewDriver(k, app, model, web, costs, cfg.Clients, src), nil
+			drivers = append(drivers, tiers.NewDriver(k, inst.app, model, web, costs, cfg.Clients, drvSrc))
+			continue
 		}
-		p, err := tiers.OpenParamsFromSpec(cfg.Load)
+		op, err := tiers.OpenParamsFromSpec(cfg.Load)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: building load spec: %w", err)
 		}
-		return tiers.NewOpenDriver(k, app, model, web, costs, p, src), nil
+		drivers = append(drivers, tiers.NewOpenDriver(k, inst.app, model, web, costs, op, drvSrc))
 	}
 
-	switch cfg.Environment {
-	case Virtualized:
-		if cfg.Topology != nil {
-			topo = *cfg.Topology
-		}
-		topo = topo.Normalized()
-		xp := xen.DefaultParams()
-		if cfg.XenParams != nil {
-			xp = *cfg.XenParams
-		}
-		hvs := make([]*xen.Hypervisor, topo.Machines)
-		for m := range hvs {
-			host := hw.NewServer(k, hw.ProLiantSpec(fmt.Sprintf("host%d", m)))
-			hvs[m] = xen.New(k, host, xp)
-		}
-		hv = hvs[0]
-		for p := 0; p < pairs; p++ {
-			appP, err := attachApp(fmt.Sprintf("dataset-%d", p), p)
-			if err != nil {
-				return nil, fmt.Errorf("experiment: dataset %d: %w", p, err)
-			}
-			instP := buildVMInstance(k, hvs, topo, p, appP, cfg.Cache, cfg.Queue)
-			drv, err := newDriver(appP, instP.cluster, rng.NewSource(cfg.Seed+uint64(p)*7919))
-			if err != nil {
-				return nil, err
-			}
-			drivers = append(drivers, drv)
-			growthWebs = append(growthWebs, instP.cluster.Replicas...)
-			if p == 0 {
-				app = appP
-				inst = instP
-				if topo.IsDegenerate() {
-					// The paper's exact target prefix — the golden sweep
-					// hash pins this path; aux-tier targets append after
-					// it only when their specs are set.
-					targets := []sysstat.Target{
-						{Name: TierWeb, Snap: vmSnapshot(k, instP.webDoms[0])},
-						{Name: TierDB, Snap: vmSnapshot(k, instP.dbDoms[0])},
-						{Name: TierDom0, Snap: dom0Snapshot(k, hv)},
+	// Rotate every driver's telemetry window on the collector's
+	// sampling ticker: latency windows and resource samples close at the
+	// same instants, in deterministic driver order. The window actors
+	// the feature blocks hook run after the rotation, so each sees the
+	// window that just closed.
+	inst, primary := insts[0], drivers[0].Recorder()
+	for _, drv := range drivers {
+		collector.OnSample(drv.RotateWindow)
+	}
+	// after fills each feature's Result fields once the run is over.
+	var after []func()
+
+	// Cluster topologies: the active-replica gauge and the scaling and
+	// per-replica accounting.
+	if !topo.IsDegenerate() {
+		primary.Gauge(telemetry.Replicas, "replicas", func() float64 { return float64(inst.cluster.ActiveReplicas()) })
+		after = append(after, func() {
+			res.ScaleEvents = inst.cluster.Events
+			st := &ScalingStats{PeakReplicas: inst.cluster.PeakActive()}
+			for _, e := range inst.cluster.Events {
+				switch e.Kind {
+				case "up":
+					st.ScaleUps++
+					if st.FirstUpAt == 0 {
+						st.FirstUpAt = e.At
 					}
-					if instP.cacheDom != nil {
-						targets = append(targets, sysstat.Target{Name: TierCache, Snap: vmSnapshot(k, instP.cacheDom)})
-					}
-					if instP.queueDom != nil {
-						targets = append(targets, sysstat.Target{Name: TierQueue, Snap: vmSnapshot(k, instP.queueDom)})
-					}
-					collector = sysstat.NewCollector(k, cfg.KeepFullCatalog, targets...)
-				} else {
-					collector = sysstat.NewCollector(k, cfg.KeepFullCatalog, clusterTargets(k, hvs, instP)...)
+				case "down":
+					st.ScaleDowns++
 				}
 			}
-		}
-
-	case Physical:
-		appP, err := attachApp("dataset", 0)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: dataset: %w", err)
-		}
-		app = appP
-		webSrv := hw.NewServer(k, hw.ProLiantSpec("web-pm"))
-		dbSrv := hw.NewServer(k, hw.ProLiantSpec("db-pm"))
-		webOS := osmodel.New("web-pm", webSrv.Mem, 140)
-		dbOS := osmodel.New("db-pm", dbSrv.Mem, 135)
-		webSrv.Mem.Set("kernel", 90e6)
-		dbSrv.Mem.Set("kernel", 90e6)
-
-		webBE := tiers.NewPMBackend(k, webSrv, dbSrv, tiers.DefaultPMParams("web"), src.Stream("pm-web-noise"), webOS)
-		dbBE := tiers.NewPMBackend(k, dbSrv, webSrv, tiers.DefaultPMParams("db"), src.Stream("pm-db-noise"), dbOS)
-		db := tiers.NewDBServer(k, dbBE, app, tiers.DefaultDBParams("pm"))
-		dbc := tiers.NewDBCluster(db, nil, 0)
-		paths := []tiers.PathPair{{To: tiers.PMPath(webBE), From: tiers.PMPath(dbBE)}}
-		webPM := tiers.NewWebAppServer(k, webBE, dbc, paths, tiers.DefaultWebParams("pm"))
-		growthWebs = append(growthWebs, webPM)
-		drv, err := newDriver(app, tiers.NewWebCluster(k, []*tiers.WebAppServer{webPM}, 1, nil), src)
-		if err != nil {
-			return nil, err
-		}
-		drivers = append(drivers, drv)
-
-		collector = sysstat.NewCollector(k, cfg.KeepFullCatalog,
-			sysstat.Target{Name: TierWeb, Snap: pmSnapshot(k, webSrv, webOS)},
-			sysstat.Target{Name: TierDB, Snap: pmSnapshot(k, dbSrv, dbOS)},
-		)
-		defer func() {
-			res.WebPMCycles = webSrv.CPU.TotalCycles()
-			res.DBPMCycles = dbSrv.CPU.TotalCycles()
-		}()
-
-	default:
-		return nil, fmt.Errorf("experiment: unknown environment %q", cfg.Environment)
+			res.Scaling = st
+			for _, w := range inst.cluster.Replicas {
+				res.ReplicaServed = append(res.ReplicaServed, w.Dispatched)
+			}
+		})
 	}
 
-	// Fault injection and the reaction side, wired only when
-	// configured: the fault timeline is expanded deterministically from
-	// the run seed before the kernel starts (injection consumes no
-	// randomness at run time), and the health monitor drives replica
-	// ejection/readmission and DB primary failover.
-	faulty := cfg.Faults != nil || cfg.Resilience != nil
-	var monitor *tiers.HealthMonitor
-	if cfg.Faults != nil && inst != nil {
-		tg := faults.Targets{
-			Webs:     topo.MaxWebReplicas,
-			DBs:      1 + topo.DBReadReplicas,
-			Machines: topo.Machines,
-		}
+	// Fault injection: the timeline is expanded deterministically from
+	// the run seed before the kernel starts, so injection consumes no
+	// randomness at run time.
+	if cfg.Faults != nil {
+		tg := faults.Targets{Webs: topo.MaxWebReplicas, DBs: 1 + topo.DBReadReplicas, Machines: topo.Machines}
 		if inst.cacheSrv != nil {
 			tg.Caches = 1
 		}
@@ -503,56 +473,29 @@ func Run(cfg Config) (*Result, error) {
 		inj.SetAuxTiers(inst.cacheSrv, inst.queueSrv)
 		inj.Start()
 	}
-	if cfg.Resilience != nil && inst != nil {
-		monitor = tiers.NewHealthMonitor(k, inst.cluster, inst.dbc, *cfg.Resilience)
-		if inst.queueSrv != nil {
-			monitor.SetQueue(inst.queueSrv)
-		}
+
+	// Resilience, the reaction side: the guards wrap the drivers above;
+	// the health monitor drives replica ejection/readmission and DB
+	// primary failover.
+	if cfg.Resilience != nil {
+		monitor := tiers.NewHealthMonitor(k, inst.cluster, inst.dbc, *cfg.Resilience)
+		monitor.SetQueue(inst.queueSrv)
 		monitor.Start()
+		after = append(after, func() {
+			stats := guards[0].Stats
+			res.Guard = &stats
+			res.Failovers = monitor.Failovers
+		})
 	}
 
-	// The endogenous coupling layer: the load-reading crash hazard and
-	// the brownout controller both evaluate at window boundaries on the
-	// collector ticker (hooks registered below, after the drivers'
-	// rotation, in fixed order), so their in-run decisions are as
-	// deterministic as the pre-expanded timeline.
-	var hazard *tiers.Hazard
-	var overload *tiers.Overload
-	if cfg.Faults != nil && cfg.Faults.Hazard != nil && inst != nil {
-		hazard = tiers.NewHazard(k, inst.cluster, *cfg.Faults.Hazard, src.Stream("fault-hazard"))
-	}
-	if cfg.Resilience != nil && cfg.Resilience.Brownout != nil && inst != nil {
-		overload = tiers.NewOverload(inst.cluster, *cfg.Resilience.Brownout)
-		inst.cluster.SetOverload(overload)
-		for _, g := range guards {
-			g.SetOverload(overload)
-		}
-	}
-	if inst != nil && topo.Autoscaler != nil {
-		// Emergency backfill after an ejection pays the same
-		// provisioning delay as a scale-up.
-		inst.cluster.SetBackfillBoot(sim.Seconds(topo.Autoscaler.BootSeconds))
-	}
-
-	// Rotate every driver's telemetry window on the collector's
-	// sampling ticker: latency windows and resource samples close at
-	// the same instants, in deterministic driver order. Reserving the
-	// duration-derived window count up front keeps rotation
-	// allocation-free for the whole run.
-	//
-	// Components register their window series before capacity is
-	// reserved; registration order is the CSV column order: core,
-	// replicas, fault, degradation, cache, queue.
-	windows := int(cfg.Duration / sysstat.SampleInterval)
-	primary := drivers[0].Recorder()
-	if inst != nil && !topo.IsDegenerate() {
-		primary.Gauge(telemetry.Replicas, "replicas", func() float64 { return float64(inst.cluster.ActiveReplicas()) })
-	}
-	for i, drv := range drivers {
-		rec, out := drv.Recorder(), drv.Outcomes
-		if faulty {
+	// Request outcomes, with faults or resilience configured: every
+	// driver's timeouts, sheds, failures, retries and availability per
+	// window, and the issued-request split for the run.
+	if cfg.Faults != nil || cfg.Resilience != nil {
+		for i, drv := range drivers {
+			rec, out := drv.Recorder(), drv.Outcomes
 			retries := func() uint64 { return 0 }
-			if i < len(guards) {
+			if cfg.Resilience != nil {
 				retries = guards[i].RetryCount
 			}
 			rec.Counter(telemetry.Timeouts, "requests/window", func() uint64 { return out().TimedOut })
@@ -563,56 +506,123 @@ func Run(cfg Config) (*Result, error) {
 				func() uint64 { return out().Served },
 				func() uint64 { o := out(); return o.TimedOut + o.Shed + o.Failed }, 1))
 		}
-		if hazard != nil || overload != nil {
-			// Degraded answers are deliberate fast responses, so they
-			// count in their own series, not against availability. The
-			// hazard rate sampled at a boundary is the window that closed
-			// at the previous one: gauges sample before the hazard's own
-			// hook runs.
-			level, rate := func() float64 { return 0 }, func() float64 { return 0 }
-			if overload != nil {
-				level = func() float64 { return float64(overload.Level()) }
+		after = append(after, func() {
+			rs := &RequestStats{}
+			for _, drv := range drivers {
+				o := drv.Outcomes()
+				rs.Issued += o.Issued
+				rs.Served += o.Served
+				rs.TimedOut += o.TimedOut
+				rs.Shed += o.Shed
+				rs.Failed += o.Failed
+				rs.Degraded += o.Degraded
 			}
-			if hazard != nil {
-				rate = hazard.WindowRate
-			}
+			rs.InFlight = rs.Issued - rs.Served - rs.TimedOut - rs.Shed - rs.Failed - rs.Degraded
+			res.Requests = rs
+		})
+	}
+
+	// The endogenous coupling layer: the load-reading crash hazard and
+	// the brownout controller both evaluate at window boundaries, so
+	// their in-run decisions are as deterministic as the pre-expanded
+	// timeline. Hazard crashes first, then the controller re-levels.
+	var hazard *tiers.Hazard
+	if cfg.Faults != nil && cfg.Faults.Hazard != nil {
+		hazard = tiers.NewHazard(k, inst.cluster, *cfg.Faults.Hazard, src.Stream("fault-hazard"))
+		collector.OnSample(hazard.OnSample)
+		after = append(after, func() {
+			stats := hazard.Stats
+			res.Hazard = &stats
+		})
+	}
+	var overload *tiers.Overload
+	if cfg.Resilience != nil && cfg.Resilience.Brownout != nil {
+		overload = tiers.NewOverload(inst.cluster, *cfg.Resilience.Brownout)
+		inst.cluster.SetOverload(overload)
+		for _, g := range guards {
+			g.SetOverload(overload)
+		}
+		collector.OnSample(overload.OnSample)
+		after = append(after, func() {
+			stats := overload.Stats
+			res.Brownout = &stats
+		})
+	}
+	// Degraded answers are deliberate fast responses, so they count in
+	// their own series, not against availability; either coupling
+	// feature registers all three. The hazard rate sampled at a boundary
+	// is the window that closed at the previous one: gauges sample
+	// before the hazard's own hook runs.
+	if hazard != nil || overload != nil {
+		level, rate := func() float64 { return 0 }, func() float64 { return 0 }
+		if overload != nil {
+			level = func() float64 { return float64(overload.Level()) }
+		}
+		if hazard != nil {
+			rate = hazard.WindowRate
+		}
+		for _, drv := range drivers {
+			rec, out := drv.Recorder(), drv.Outcomes
 			rec.Counter(telemetry.Degraded, "requests/window", func() uint64 { return out().Degraded })
 			rec.Gauge(telemetry.BrownoutLevel, "level", level)
 			rec.Gauge(telemetry.HazardRate, "crashes/window", rate)
 		}
 	}
-	if inst != nil && inst.cacheSrv != nil {
-		// Store stats survive cold restarts, so the differenced
-		// counters stay monotonic.
-		cs := inst.cacheSrv
+
+	// The autoscaler decides last at each boundary. Emergency backfill
+	// after an ejection pays the same provisioning delay as a scale-up.
+	if topo.Autoscaler != nil {
+		inst.cluster.SetBackfillBoot(sim.Seconds(topo.Autoscaler.BootSeconds))
+		collector.OnSample(tiers.NewAutoscaler(inst.cluster, primary.Series(), *topo.Autoscaler).OnSample)
+	}
+
+	// The cache tier. Store stats survive cold restarts, so the
+	// differenced counters stay monotonic.
+	if cs := inst.cacheSrv; cs != nil {
 		primary.Gauge(telemetry.CacheHitRatio, "fraction", telemetry.WindowShare(
 			func() uint64 { return cs.Snapshot().Hits },
 			func() uint64 { return cs.Snapshot().Misses }, 0))
 		primary.Counter(telemetry.CacheStampedes, "fetches/window", func() uint64 { return cs.Snapshot().Stampedes })
+		after = append(after, func() {
+			stats := cs.Snapshot()
+			res.Cache = &stats
+			for idx := range res.PerInteraction {
+				il := &res.PerInteraction[idx]
+				il.CacheHits, il.CacheMisses = cs.KindCounts(uint8(idx))
+			}
+		})
 	}
-	if inst != nil && inst.queueSrv != nil {
-		qs := inst.queueSrv
+
+	// The write-behind queue tier.
+	if qs := inst.queueSrv; qs != nil {
 		primary.Gauge(telemetry.QueueDepth, "writes", func() float64 { return float64(qs.Depth()) })
 		primary.Gauge(telemetry.QueueLag, "ms", func() float64 { return qs.LagMs(k.Now()) })
+		after = append(after, func() {
+			stats := qs.Snapshot()
+			res.Queue = &stats
+		})
 	}
+
+	// Open-loop session churn, summed across instances.
+	if cfg.Load != nil {
+		after = append(after, func() {
+			res.Sessions = &tiers.SessionStats{}
+			for _, drv := range drivers {
+				s := drv.(*tiers.OpenDriver).Sessions
+				res.Sessions.Offered += s.Offered
+				res.Sessions.Started += s.Started
+				res.Sessions.Finished += s.Finished
+				res.Sessions.Abandoned += s.Abandoned
+				res.Sessions.PeakActive += s.PeakActive
+			}
+		})
+	}
+
+	// Every series is registered; reserving the duration-derived window
+	// count up front keeps rotation allocation-free for the whole run.
+	windows := int(cfg.Duration / sysstat.SampleInterval)
 	for _, drv := range drivers {
 		drv.Recorder().ReserveWindows(windows)
-		collector.OnSample(drv.RotateWindow)
-	}
-	// Window-boundary actors run after rotation in fixed order: hazard
-	// crashes first, then the brownout controller re-levels, then the
-	// autoscaler decides — every run sees the identical sequence.
-	if hazard != nil {
-		collector.OnSample(hazard.OnSample)
-	}
-	if overload != nil {
-		collector.OnSample(overload.OnSample)
-	}
-	if inst != nil && topo.Autoscaler != nil {
-		// Registered after the drivers' RotateWindow hooks, so each
-		// sample the autoscaler sees the window that just closed.
-		scaler := tiers.NewAutoscaler(inst.cluster, primary.Series(), *topo.Autoscaler)
-		collector.OnSample(scaler.OnSample)
 	}
 	collector.Start()
 	for _, drv := range drivers {
@@ -630,246 +640,31 @@ func Run(cfg Config) (*Result, error) {
 			MeanRespTime: drv.MeanResponseTime(),
 			P95RespTime:  drv.ResponseTimeQuantile(0.95),
 		})
-		if od, ok := drv.(*tiers.OpenDriver); ok {
-			if res.Sessions == nil {
-				res.Sessions = &tiers.SessionStats{}
-			}
-			res.Sessions.Offered += od.Sessions.Offered
-			res.Sessions.Started += od.Sessions.Started
-			res.Sessions.Finished += od.Sessions.Finished
-			res.Sessions.Abandoned += od.Sessions.Abandoned
-			res.Sessions.PeakActive += od.Sessions.PeakActive
+	}
+	for _, in := range insts {
+		for _, w := range in.cluster.Replicas {
+			res.WebGrowths += w.Growths()
 		}
 	}
 	res.WriteFraction = drivers[0].WriteFraction()
 	res.MeanRespTime = drivers[0].MeanResponseTime()
 	res.P95RespTime = drivers[0].ResponseTimeQuantile(0.95)
 	res.Telemetry = primary.Series()
-	for _, w := range growthWebs {
-		res.WebGrowths += w.Growths()
-	}
 	res.Interactions = drivers[0].InteractionCounts()
 	res.Tiers = collector.TargetNames()
 	res.ServedHist, res.AbandonedHist = primary.RunHist(), primary.AbandonedHist()
-	if inst != nil && !topo.IsDegenerate() {
-		res.ScaleEvents = inst.cluster.Events
-		st := &ScalingStats{PeakReplicas: inst.cluster.PeakActive()}
-		for _, e := range inst.cluster.Events {
-			switch e.Kind {
-			case "up":
-				st.ScaleUps++
-				if st.FirstUpAt == 0 {
-					st.FirstUpAt = e.At
-				}
-			case "down":
-				st.ScaleDowns++
-			}
-		}
-		res.Scaling = st
-		for _, w := range inst.cluster.Replicas {
-			res.ReplicaServed = append(res.ReplicaServed, w.Dispatched)
-		}
-	}
-	if faulty {
-		rs := &RequestStats{}
-		for _, drv := range drivers {
-			o := drv.Outcomes()
-			rs.Issued += o.Issued
-			rs.Served += o.Served
-			rs.TimedOut += o.TimedOut
-			rs.Shed += o.Shed
-			rs.Failed += o.Failed
-			rs.Degraded += o.Degraded
-		}
-		rs.InFlight = rs.Issued - rs.Served - rs.TimedOut - rs.Shed - rs.Failed - rs.Degraded
-		res.Requests = rs
-	}
-	if hazard != nil {
-		stats := hazard.Stats
-		res.Hazard = &stats
-	}
-	if overload != nil {
-		stats := overload.Stats
-		res.Brownout = &stats
-	}
-	if len(guards) > 0 {
-		stats := guards[0].Stats
-		res.Guard = &stats
-	}
-	if monitor != nil {
-		res.Failovers = monitor.Failovers
-	}
-	if inst != nil && inst.cacheSrv != nil {
-		stats := inst.cacheSrv.Snapshot()
-		res.Cache = &stats
-	}
-	if inst != nil && inst.queueSrv != nil {
-		stats := inst.queueSrv.Snapshot()
-		res.Queue = &stats
-	}
 	for idx := 0; idx < rubis.NumInteractions; idx++ {
 		h := primary.KindHist(idx)
-		il := InteractionLatency{
+		res.PerInteraction = append(res.PerInteraction, InteractionLatency{
 			Kind:   string(rubis.InteractionAt(idx)),
 			Count:  h.Count(),
 			MeanMs: h.Mean() * 1e3,
 			P95Ms:  h.Quantile(0.95) * 1e3,
-		}
-		if inst != nil && inst.cacheSrv != nil {
-			il.CacheHits, il.CacheMisses = inst.cacheSrv.KindCounts(uint8(idx))
-		}
-		res.PerInteraction = append(res.PerInteraction, il)
+		})
 	}
-	if hv != nil {
-		res.Attribution = hv.Attribution()
-		res.GuestPhysCycles = hv.GuestPhysCycles()
-		res.PerfFinal = hv.PerfCounters()
-		res.Dom0BuffersMB = hv.Dom0().Mem.Get("backend-buffers") / 1e6
+	for _, fill := range after {
+		fill()
 	}
+	inst.account(res)
 	return res, nil
-}
-
-// vmSnapshot builds the snapshot closure for a guest domain.
-func vmSnapshot(k *sim.Kernel, d *xen.Domain) func() sysstat.Snapshot {
-	var lastTick sim.Time
-	return func() sysstat.Snapshot {
-		now := k.Now()
-		d.OS.Tick(now - lastTick)
-		lastTick = now
-		l1, l5, l15 := d.OS.LoadAvg()
-		return sysstat.Snapshot{
-			At:             now,
-			CPUCycles:      d.VirtCycles(),
-			CPUBusy:        d.CPU.BusyTime(),
-			StealTime:      d.StealTime(),
-			Cores:          d.VCPUs,
-			FreqHz:         2.8e9,
-			MemTotal:       d.Mem.Capacity(),
-			MemUsed:        d.Mem.Used(),
-			MemBuffers:     d.Mem.Used() * 0.04,
-			MemCached:      d.Mem.Get("dbcache") + d.Mem.Get("pagecache"),
-			DiskReadBytes:  d.DiskReadBytes,
-			DiskWriteBytes: d.DiskWrittenBytes,
-			DiskReadOps:    d.DiskOps / 2,
-			DiskWriteOps:   d.DiskOps - d.DiskOps/2,
-			NetRxBytes:     d.NetRxBytes,
-			NetTxBytes:     d.NetTxBytes,
-			NetRxPkts:      uint64(d.NetRxBytes/1500) + 1,
-			NetTxPkts:      uint64(d.NetTxBytes/1500) + 1,
-			CtxSwitches:    d.OS.CtxSwitches,
-			Interrupts:     d.OS.Interrupts,
-			SoftIRQs:       d.OS.SoftIRQs,
-			Forks:          d.OS.Forks,
-			Faults:         d.OS.Faults,
-			MajFaults:      d.OS.MajFaults,
-			PgInBytes:      d.OS.PgInBytes,
-			PgOutBytes:     d.OS.PgOutBytes,
-			Procs:          d.OS.Procs,
-			RunQueue:       d.OS.RunQueue,
-			Blocked:        d.OS.Blocked,
-			OpenFds:        d.OS.OpenFds,
-			TCPSocks:       40 + d.OS.RunQueue*2,
-			UDPSocks:       4,
-			Load1:          l1, Load5: l5, Load15: l15,
-		}
-	}
-}
-
-// dom0Snapshot builds the snapshot closure for the hypervisor's dom0:
-// its own CPU plus the physical disk and NIC it drives for the guests.
-func dom0Snapshot(k *sim.Kernel, hv *xen.Hypervisor) func() sysstat.Snapshot {
-	var lastTick sim.Time
-	d := hv.Dom0()
-	host := hv.Host()
-	return func() sysstat.Snapshot {
-		now := k.Now()
-		d.OS.Tick(now - lastTick)
-		lastTick = now
-		l1, l5, l15 := d.OS.LoadAvg()
-		rops, wops := host.Disk.Ops()
-		rpk, tpk := host.NIC.Packets()
-		return sysstat.Snapshot{
-			At:             now,
-			CPUCycles:      d.CPU.TotalCycles(),
-			CPUBusy:        d.CPU.BusyTime(),
-			Cores:          d.VCPUs,
-			FreqHz:         host.Spec.FreqHz,
-			MemTotal:       d.Mem.Capacity(),
-			MemUsed:        d.Mem.Used(),
-			MemBuffers:     d.Mem.Get("backend-buffers"),
-			MemCached:      d.Mem.Get("pagecache"),
-			DiskReadBytes:  host.Disk.ReadBytes(),
-			DiskWriteBytes: host.Disk.WrittenBytes(),
-			DiskReadOps:    rops,
-			DiskWriteOps:   wops,
-			DiskBusy:       host.Disk.BusyTime(),
-			NetRxBytes:     host.NIC.RxBytes(),
-			NetTxBytes:     host.NIC.TxBytes(),
-			NetRxPkts:      rpk,
-			NetTxPkts:      tpk,
-			CtxSwitches:    d.OS.CtxSwitches,
-			Interrupts:     d.OS.Interrupts,
-			SoftIRQs:       d.OS.SoftIRQs,
-			Forks:          d.OS.Forks,
-			Faults:         d.OS.Faults,
-			MajFaults:      d.OS.MajFaults,
-			PgInBytes:      d.OS.PgInBytes,
-			PgOutBytes:     d.OS.PgOutBytes,
-			Procs:          d.OS.Procs,
-			RunQueue:       d.OS.RunQueue,
-			Blocked:        d.OS.Blocked,
-			OpenFds:        d.OS.OpenFds,
-			TCPSocks:       35,
-			UDPSocks:       6,
-			Load1:          l1, Load5: l5, Load15: l15,
-		}
-	}
-}
-
-// pmSnapshot builds the snapshot closure for a bare-metal server.
-func pmSnapshot(k *sim.Kernel, srv *hw.Server, os *osmodel.OS) func() sysstat.Snapshot {
-	var lastTick sim.Time
-	return func() sysstat.Snapshot {
-		now := k.Now()
-		os.Tick(now - lastTick)
-		lastTick = now
-		l1, l5, l15 := os.LoadAvg()
-		rops, wops := srv.Disk.Ops()
-		rpk, tpk := srv.NIC.Packets()
-		return sysstat.Snapshot{
-			At:             now,
-			CPUCycles:      srv.CPU.TotalCycles(),
-			CPUBusy:        srv.CPU.BusyTime(),
-			Cores:          srv.Spec.Cores,
-			FreqHz:         srv.Spec.FreqHz,
-			MemTotal:       srv.Mem.Capacity(),
-			MemUsed:        srv.Mem.Used(),
-			MemBuffers:     srv.Mem.Used() * 0.05,
-			MemCached:      srv.Mem.Get("dbcache") + srv.Mem.Get("pagecache"),
-			DiskReadBytes:  srv.Disk.ReadBytes(),
-			DiskWriteBytes: srv.Disk.WrittenBytes(),
-			DiskReadOps:    rops,
-			DiskWriteOps:   wops,
-			DiskBusy:       srv.Disk.BusyTime(),
-			NetRxBytes:     srv.NIC.RxBytes(),
-			NetTxBytes:     srv.NIC.TxBytes(),
-			NetRxPkts:      rpk,
-			NetTxPkts:      tpk,
-			CtxSwitches:    os.CtxSwitches,
-			Interrupts:     os.Interrupts,
-			SoftIRQs:       os.SoftIRQs,
-			Forks:          os.Forks,
-			Faults:         os.Faults,
-			MajFaults:      os.MajFaults,
-			PgInBytes:      os.PgInBytes,
-			PgOutBytes:     os.PgOutBytes,
-			Procs:          os.Procs,
-			RunQueue:       os.RunQueue,
-			Blocked:        os.Blocked,
-			OpenFds:        os.OpenFds,
-			TCPSocks:       60 + os.RunQueue*2,
-			UDPSocks:       5,
-			Load1:          l1, Load5: l5, Load15: l15,
-		}
-	}
 }
