@@ -66,51 +66,45 @@ func (c Config) Validate() error {
 		if err := c.Topology.Validate(); err != nil {
 			return fmt.Errorf("experiment: %w", err)
 		}
-		norm := c.Topology.Normalized()
-		if c.Environment != Virtualized && !norm.IsDegenerate() {
-			return fmt.Errorf("experiment: cluster topologies require the virtualized deployment")
-		}
-		if c.Pairs > 1 && !norm.IsDegenerate() {
-			return fmt.Errorf("experiment: cluster topologies are incompatible with consolidation pairs")
-		}
 	}
-	if c.Faults != nil {
-		if err := c.Faults.Validate(); err != nil {
-			return err
-		}
-		if !c.Faults.Empty() {
-			if c.Environment != Virtualized {
-				return fmt.Errorf("experiment: fault injection requires the virtualized deployment")
-			}
-			if c.Pairs > 1 {
-				return fmt.Errorf("experiment: fault injection is incompatible with consolidation pairs")
-			}
-		}
+	if err := c.Faults.Validate(); err != nil {
+		return err
 	}
 	if c.Cache != nil {
 		if err := c.Cache.Validate(); err != nil {
 			return err
-		}
-		if c.Environment != Virtualized {
-			return fmt.Errorf("experiment: the cache tier requires the virtualized deployment")
-		}
-		if c.Pairs > 1 {
-			return fmt.Errorf("experiment: the cache tier is incompatible with consolidation pairs")
 		}
 	}
 	if c.Queue != nil {
 		if err := c.Queue.Validate(); err != nil {
 			return err
 		}
-		if c.Environment != Virtualized {
-			return fmt.Errorf("experiment: the queue tier requires the virtualized deployment")
-		}
-		if c.Pairs > 1 {
-			return fmt.Errorf("experiment: the queue tier is incompatible with consolidation pairs")
-		}
 	}
 	if err := c.Resilience.Validate(); err != nil {
 		return err
+	}
+	// Features the physical testbed (two fixed servers) cannot host, and
+	// those a consolidated run cannot share across its pairs.
+	for _, f := range []struct {
+		name        string
+		on, pairsOK bool
+	}{
+		{"a cluster topology", c.Topology != nil && !c.Topology.IsDegenerate(), false},
+		{"fault injection", !c.Faults.Empty(), false},
+		{"the cache tier", c.Cache != nil, false},
+		{"the queue tier", c.Queue != nil, false},
+		{"the brownout controller", c.Resilience != nil && c.Resilience.Brownout != nil, true},
+		{"a hypervisor cost model (XenParams)", c.XenParams != nil, true},
+	} {
+		if !f.on {
+			continue
+		}
+		if c.Environment != Virtualized {
+			return fmt.Errorf("experiment: %s requires the virtualized deployment", f.name)
+		}
+		if c.Pairs > 1 && !f.pairsOK {
+			return fmt.Errorf("experiment: %s is incompatible with consolidation pairs", f.name)
+		}
 	}
 	return nil
 }

@@ -2,12 +2,15 @@ package experiment
 
 import (
 	"math"
+	"strings"
 	"testing"
 
+	"vwchar/internal/faults"
 	"vwchar/internal/load"
 	"vwchar/internal/rubis"
 	"vwchar/internal/sim"
 	"vwchar/internal/telemetry"
+	"vwchar/internal/xen"
 )
 
 // shortConfig runs a scaled-down experiment quickly.
@@ -24,15 +27,38 @@ func shortConfig(env Env, mix MixKind) Config {
 }
 
 func TestRunValidation(t *testing.T) {
-	cfg := shortConfig(Virtualized, MixBrowsing)
-	cfg.Clients = 0
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("zero clients should error")
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+		want   string
+	}{
+		{"zero clients", func(c *Config) { c.Clients = 0 }, "clients"},
+		{"unknown environment", func(c *Config) { c.Environment = "mainframe" }, "environment"},
+		// Physical never reads XenParams and has no brownout controller:
+		// accepting either would silently ignore it.
+		{"physical xen params", func(c *Config) {
+			c.Environment = Physical
+			c.XenParams = &xen.Params{}
+		}, "virtualized"},
+		{"physical brownout", func(c *Config) {
+			c.Environment = Physical
+			c.Resilience = faults.DefaultResilience()
+			c.Resilience.Brownout = &faults.BrownoutSpec{EnterUtil: 0.8}
+		}, "virtualized"},
+	} {
+		cfg := shortConfig(Virtualized, MixBrowsing)
+		tc.mutate(&cfg)
+		if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want a rejection mentioning %q", tc.name, err, tc.want)
+		}
 	}
-	cfg = shortConfig(Virtualized, MixBrowsing)
-	cfg.Environment = "mainframe"
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("unknown environment should error")
+	// The same knobs stay valid where they are read.
+	cfg := shortConfig(Virtualized, MixBrowsing)
+	cfg.XenParams = &xen.Params{}
+	cfg.Resilience = faults.DefaultResilience()
+	cfg.Resilience.Brownout = &faults.BrownoutSpec{EnterUtil: 0.8}
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("virtualized xen params + brownout rejected: %v", err)
 	}
 }
 
