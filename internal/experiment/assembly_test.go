@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash"
 	"math"
+	"reflect"
 	"testing"
 
 	"vwchar/internal/cachetier"
@@ -204,4 +205,127 @@ func TestAssemblyMatchesGoldenHash(t *testing.T) {
 			t.Errorf("%s: assembly hash %s, want %s", s.name, got, want)
 		}
 	}
+}
+
+// fuzzAssemblyConfig decodes FuzzAssembly's inputs into a tiny run:
+// at most 20 clients and 6 simulated seconds on the shared tiny
+// dataset, composing deployment, Pairs, Topology, the aux tiers,
+// Resilience (± brownout), Faults (± hazard) and open-loop load.
+func fuzzAssemblyConfig(seed uint64, physical bool, pairs, topo uint8, cache, queue bool, res, flt, target uint8, flash bool, clients, secs uint8) Config {
+	env := Virtualized
+	if physical {
+		env = Physical
+	}
+	cfg := tinyAssemblyConfig(env)
+	cfg.KeepFullCatalog = false
+	cfg.Seed = seed
+	cfg.Pairs = int(pairs % 6)
+	cfg.Clients = 1 + int(clients%20)
+	cfg.Duration = sim.Time(1+secs%6) * sim.Second
+	switch topo % 4 {
+	case 1:
+		cfg.Topology = &tiers.Topology{}
+	case 2:
+		cfg.Topology = clusterTopology()
+	case 3:
+		cfg.Topology = clusterTopology()
+		cfg.Topology.Autoscaler = &tiers.AutoscalerSpec{SLOMillis: 5, ScaleUpWindows: 1, CooldownSeconds: 2, BootSeconds: 1}
+	}
+	if cache {
+		cfg.Cache = ptrSpec(cachetier.DefaultCacheSpec())
+	}
+	if queue {
+		cfg.Queue = ptrSpec(cachetier.DefaultQueueSpec())
+	}
+	if res%4 > 0 {
+		cfg.Resilience = faults.DefaultResilience()
+		cfg.Resilience.FailoverDetectSeconds = 1
+	}
+	if res%4 > 1 {
+		cfg.Resilience.Breaker = &faults.BreakerSpec{ErrorThreshold: 0.5, WindowRequests: 8, OpenMillis: 300}
+	}
+	if res%4 > 2 {
+		cfg.Resilience.Brownout = &faults.BrownoutSpec{EnterUtil: 0.005, ExitUtil: 0.001}
+	}
+	tg := []int{int(target % 4)}
+	switch flt % 5 {
+	case 1:
+		cfg.Faults = &faults.Schedule{}
+	case 2, 4:
+		cfg.Faults = &faults.Schedule{
+			WebCrash:     &faults.Component{AtSeconds: 1, MTTRSeconds: 1, Targets: tg},
+			DBCrash:      &faults.Component{AtSeconds: 2, Targets: tg},
+			MachineCrash: &faults.Component{AtSeconds: 3, MTTRSeconds: 1, Targets: tg},
+		}
+		if flt%5 == 4 {
+			cfg.Faults.Hazard = &faults.HazardSpec{UtilThreshold: 0.01, CrashProb: 0.6, MTTRSeconds: 1}
+		}
+	case 3:
+		cfg.Faults = &faults.Schedule{
+			CacheCrash: &faults.Component{AtSeconds: 1, MTTRSeconds: 1},
+			QueueCrash: &faults.Component{AtSeconds: 2, MTTRSeconds: 1},
+			LagSpike:   &faults.Component{AtSeconds: 1, MTTRSeconds: 2, Value: 0.5},
+		}
+	}
+	if flash {
+		cfg.Load = &load.Spec{
+			Kind: load.Spike, Rate: 4, SpikeFactor: 5,
+			SpikeAt: 2, SpikeRamp: 1, SpikeHold: 2,
+			SessionMean: 4, AbandonAfterSeconds: 1,
+		}
+	}
+	return cfg
+}
+
+// FuzzAssembly composes the assembly options and, whenever Validate
+// accepts the result, checks that Run does not panic, that the outcome
+// and per-pair accounting is conserved, and that a second Run is
+// identical. The seed corpus is the seven pinned golden shapes.
+func FuzzAssembly(f *testing.F) {
+	for _, in := range []struct {
+		physical         bool
+		pairs, topo      uint8
+		cache, queue     bool
+		res, flt, target uint8
+		flash            bool
+		clients, secs    uint8
+	}{
+		{},                               // paper pair
+		{physical: true},                 // physical
+		{physical: true, res: 1, flt: 1}, // physical + empty faults + resilience
+		{pairs: 3},                       // consolidation
+		{topo: 1, cache: true, queue: true},
+		{topo: 3, cache: true, queue: true, flash: true},
+		{topo: 2, cache: true, res: 3, flt: 4, target: 0}, // chaos
+	} {
+		f.Add(uint64(11), in.physical, in.pairs, in.topo, in.cache, in.queue, in.res, in.flt, in.target, in.flash, uint8(19), uint8(5))
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, physical bool, pairs, topo uint8, cache, queue bool, res, flt, target uint8, flash bool, clients, secs uint8) {
+		cfg := fuzzAssemblyConfig(seed, physical, pairs, topo, cache, queue, res, flt, target, flash, clients, secs)
+		if cfg.Validate() != nil {
+			return
+		}
+		a, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("validated config failed to run: %v", err)
+		}
+		if r := a.Requests; r != nil && r.InFlight > r.Issued {
+			t.Fatalf("in-flight %d exceeds issued %d: %+v", r.InFlight, r.Issued, *r)
+		}
+		var completed uint64
+		for _, ps := range a.PairStats {
+			completed += ps.Completed
+		}
+		if completed != a.Completed {
+			t.Fatalf("pair stats sum to %d completed, run reports %d", completed, a.Completed)
+		}
+		b, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Completed != b.Completed || !reflect.DeepEqual(a.Requests, b.Requests) || !reflect.DeepEqual(a.Tiers, b.Tiers) {
+			t.Fatalf("second run differs: completed %d/%d requests %+v/%+v tiers %v/%v",
+				a.Completed, b.Completed, a.Requests, b.Requests, a.Tiers, b.Tiers)
+		}
+	})
 }
