@@ -30,14 +30,10 @@ type instance struct {
 	account  func(*Result)
 }
 
-// attachFunc attaches the dataset for a pair, deriving its seed from
-// the named stream.
-type attachFunc func(stream string, pair int) (*rubis.App, error)
-
 // virtualized returns the builder of the Xen testbed (paper §4.1): the
-// topology's hypervisors are created up front, and each call assembles
-// one pair's guests on them.
-func virtualized(k *sim.Kernel, cfg Config, topo tiers.Topology, attach attachFunc) func(pair int) (*instance, error) {
+// topology's hypervisors are created up front, and each call attaches
+// one pair's dataset and assembles its guests on them.
+func virtualized(k *sim.Kernel, cfg Config, topo tiers.Topology, attach func(stream string, pair int) (*rubis.App, error)) func(pair int) (*instance, error) {
 	xp := xen.DefaultParams()
 	if cfg.XenParams != nil {
 		xp = *cfg.XenParams
@@ -66,7 +62,7 @@ func virtualized(k *sim.Kernel, cfg Config, topo tiers.Topology, attach attachFu
 
 // physical returns the builder of the bare-metal testbed (paper §4.2):
 // the web and DB tiers each on their own server, one pair only.
-func physical(k *sim.Kernel, src *rng.Source, attach attachFunc) func(pair int) (*instance, error) {
+func physical(k *sim.Kernel, src *rng.Source, attach func(stream string, pair int) (*rubis.App, error)) func(pair int) (*instance, error) {
 	return func(pair int) (*instance, error) {
 		app, err := attach("dataset", pair)
 		if err != nil {
