@@ -130,7 +130,7 @@ func TestLoadScenarioSweepByteIdenticalAcrossWorkers(t *testing.T) {
 	// Every scenario actually ran sessions (the sweep is not vacuous).
 	for i := range sr.Points {
 		pr := &sr.Points[i]
-		if pr.Metric(vwchar.MetricSessionsStarted).Mean <= 0 {
+		if pr.Metric("sessions_started").Mean <= 0 {
 			t.Fatalf("%s started no sessions", pr.Point.Name)
 		}
 	}

@@ -19,7 +19,10 @@
 //     order): core, replicas, fault, degradation, cache, queue;
 //   - window hooks on the collector ticker: every driver's
 //     RotateWindow in driver order, then the hazard, the overload
-//     controller, the autoscaler.
+//     controller, the autoscaler;
+//   - sweep scalars (Result.Scalars), appended by each block's
+//     after-run closure: sessions, scaling, request outcomes (with
+//     degraded), hazard, brownout, cache, queue.
 package experiment
 
 import (
@@ -205,6 +208,13 @@ type RequestStats struct {
 	InFlight uint64 `json:"in_flight"`
 }
 
+// Scalar is one named run-level number; the runner aggregates each
+// across a point's replications.
+type Scalar struct {
+	Name  string
+	Value float64
+}
+
 // Result is one completed run.
 type Result struct {
 	Config    Config
@@ -292,6 +302,12 @@ type Result struct {
 	// Queue snapshots the write-behind broker's accounting; nil without
 	// a Queue spec.
 	Queue *tiers.QueueStats
+	// Scalars are the optional features' run-level numbers in
+	// registration order: each feature's block appends its own when
+	// it fills its Result field (sessions, scaling, request outcomes,
+	// hazard, brownout, cache, queue). Runs without a feature carry
+	// none of its names.
+	Scalars []Scalar
 	// PerInteraction breaks the primary driver's latency down by RUBiS
 	// interaction kind, with per-kind cache outcomes when a cache tier
 	// was deployed. Always populated, in rubis dense-index order.
@@ -432,6 +448,27 @@ func Run(cfg Config) (*Result, error) {
 	// after fills each feature's Result fields once the run is over.
 	var after []func()
 
+	// Open-loop session churn, summed across instances.
+	if cfg.Load != nil {
+		after = append(after, func() {
+			st := &tiers.SessionStats{}
+			for _, drv := range drivers {
+				s := drv.(*tiers.OpenDriver).Sessions
+				st.Offered += s.Offered
+				st.Started += s.Started
+				st.Finished += s.Finished
+				st.Abandoned += s.Abandoned
+				st.PeakActive += s.PeakActive
+			}
+			res.Sessions = st
+			res.Scalars = append(res.Scalars,
+				Scalar{"sessions_started", float64(st.Started)},
+				Scalar{"sessions_finished", float64(st.Finished)},
+				Scalar{"sessions_abandoned", float64(st.Abandoned)},
+				Scalar{"sessions_peak", float64(st.PeakActive)})
+		})
+	}
+
 	// Cluster topologies: the active-replica gauge and the scaling and
 	// per-replica accounting.
 	if !topo.IsDegenerate() {
@@ -451,6 +488,11 @@ func Run(cfg Config) (*Result, error) {
 				}
 			}
 			res.Scaling = st
+			res.Scalars = append(res.Scalars,
+				Scalar{"replicas_peak", float64(st.PeakReplicas)},
+				Scalar{"scale_ups", float64(st.ScaleUps)},
+				Scalar{"scale_downs", float64(st.ScaleDowns)},
+				Scalar{"time_to_scale_s", st.FirstUpAt.Sec()})
 			for _, w := range inst.cluster.Replicas {
 				res.ReplicaServed = append(res.ReplicaServed, w.Dispatched)
 			}
@@ -490,7 +532,11 @@ func Run(cfg Config) (*Result, error) {
 
 	// Request outcomes, with faults or resilience configured: every
 	// driver's timeouts, sheds, failures, retries and availability per
-	// window, and the issued-request split for the run.
+	// window, and the issued-request split for the run. The coupling
+	// blocks below set hazard and overload before the run; the split
+	// reports degraded answers when either is configured.
+	var hazard *tiers.Hazard
+	var overload *tiers.Overload
 	if cfg.Faults != nil || cfg.Resilience != nil {
 		for i, drv := range drivers {
 			rec, out := drv.Recorder(), drv.Outcomes
@@ -519,6 +565,26 @@ func Run(cfg Config) (*Result, error) {
 			}
 			rs.InFlight = rs.Issued - rs.Served - rs.TimedOut - rs.Shed - rs.Failed - rs.Degraded
 			res.Requests = rs
+			// Availability is served over concluded demand; retries
+			// stay 0 without a guard.
+			avail := 1.0
+			if concluded := rs.Issued - rs.InFlight; concluded > 0 {
+				avail = float64(rs.Served) / float64(concluded)
+			}
+			var retries uint64
+			if res.Guard != nil {
+				retries = res.Guard.Retries
+			}
+			res.Scalars = append(res.Scalars,
+				Scalar{"timed_out", float64(rs.TimedOut)},
+				Scalar{"shed", float64(rs.Shed)},
+				Scalar{"failed", float64(rs.Failed)},
+				Scalar{"retries", float64(retries)},
+				Scalar{"availability", avail},
+				Scalar{"failovers", float64(len(res.Failovers))})
+			if hazard != nil || overload != nil {
+				res.Scalars = append(res.Scalars, Scalar{"degraded", float64(rs.Degraded)})
+			}
 		})
 	}
 
@@ -526,16 +592,15 @@ func Run(cfg Config) (*Result, error) {
 	// the brownout controller both evaluate at window boundaries, so
 	// their in-run decisions are as deterministic as the pre-expanded
 	// timeline. Hazard crashes first, then the controller re-levels.
-	var hazard *tiers.Hazard
 	if cfg.Faults != nil && cfg.Faults.Hazard != nil {
 		hazard = tiers.NewHazard(k, inst.cluster, *cfg.Faults.Hazard, src.Stream("fault-hazard"))
 		collector.OnSample(hazard.OnSample)
 		after = append(after, func() {
 			stats := hazard.Stats
 			res.Hazard = &stats
+			res.Scalars = append(res.Scalars, Scalar{"hazard_crashes", float64(len(stats.Crashes))})
 		})
 	}
-	var overload *tiers.Overload
 	if cfg.Resilience != nil && cfg.Resilience.Brownout != nil {
 		overload = tiers.NewOverload(inst.cluster, *cfg.Resilience.Brownout)
 		inst.cluster.SetOverload(overload)
@@ -546,6 +611,9 @@ func Run(cfg Config) (*Result, error) {
 		after = append(after, func() {
 			stats := overload.Stats
 			res.Brownout = &stats
+			res.Scalars = append(res.Scalars,
+				Scalar{"brownout_peak_level", float64(stats.PeakLevel)},
+				Scalar{"brownout_dropped", float64(stats.Dropped)})
 		})
 	}
 	// Degraded answers are deliberate fast responses, so they count in
@@ -586,6 +654,10 @@ func Run(cfg Config) (*Result, error) {
 		after = append(after, func() {
 			stats := cs.Snapshot()
 			res.Cache = &stats
+			res.Scalars = append(res.Scalars,
+				Scalar{"cache_hit_ratio", stats.HitRatio()},
+				Scalar{"cache_stampedes", float64(stats.Stampedes)},
+				Scalar{"cache_evictions", float64(stats.Evictions)})
 			for idx := range res.PerInteraction {
 				il := &res.PerInteraction[idx]
 				il.CacheHits, il.CacheMisses = cs.KindCounts(uint8(idx))
@@ -600,21 +672,11 @@ func Run(cfg Config) (*Result, error) {
 		after = append(after, func() {
 			stats := qs.Snapshot()
 			res.Queue = &stats
-		})
-	}
-
-	// Open-loop session churn, summed across instances.
-	if cfg.Load != nil {
-		after = append(after, func() {
-			res.Sessions = &tiers.SessionStats{}
-			for _, drv := range drivers {
-				s := drv.(*tiers.OpenDriver).Sessions
-				res.Sessions.Offered += s.Offered
-				res.Sessions.Started += s.Started
-				res.Sessions.Finished += s.Finished
-				res.Sessions.Abandoned += s.Abandoned
-				res.Sessions.PeakActive += s.PeakActive
-			}
+			res.Scalars = append(res.Scalars,
+				Scalar{"queue_published", float64(stats.Published)},
+				Scalar{"queue_peak_depth", float64(stats.PeakDepth)},
+				Scalar{"queue_lag_max_ms", stats.MaxLagMs},
+				Scalar{"queue_overflows", float64(stats.Overflows)})
 		})
 	}
 

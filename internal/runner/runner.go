@@ -366,8 +366,9 @@ func runJob(job Job) (res *experiment.Result, err error) {
 	return runExperiment(job.Config)
 }
 
-// Scalar metric names reported for every run; per-tier resource means
-// are appended as cpu_<tier>, mem_<tier>_mb, disk_<tier>_kb and
+// Scalar metric names reported for every run. Each optional feature's
+// scalars (experiment.Result.Scalars) follow them, then per-tier
+// resource means as cpu_<tier>, mem_<tier>_mb, disk_<tier>_kb and
 // net_<tier>_kb for each tier the run profiled.
 const (
 	MetricThroughput = "throughput_rps"
@@ -375,65 +376,6 @@ const (
 	MetricRespMean   = "resp_mean_ms"
 	MetricRespP95    = "resp_p95_ms"
 	MetricErrors     = "errors"
-)
-
-// Session metrics reported only by open-loop runs (Config.Load set);
-// closed-loop points omit them, keeping the paper sweep's output bytes
-// untouched.
-const (
-	MetricSessionsStarted   = "sessions_started"
-	MetricSessionsFinished  = "sessions_finished"
-	MetricSessionsAbandoned = "sessions_abandoned"
-	MetricSessionsPeak      = "sessions_peak"
-)
-
-// Cluster scaling metrics, present only on runs with a cluster
-// topology (Result.Scaling non-nil).
-const (
-	MetricReplicasPeak = "replicas_peak"
-	MetricScaleUps     = "scale_ups"
-	MetricScaleDowns   = "scale_downs"
-	// MetricTimeToScale is the first scale-up's activation instant in
-	// seconds from run start (boot delay included); 0 when the
-	// autoscaler never fired.
-	MetricTimeToScale = "time_to_scale_s"
-)
-
-// Fault-injection metrics, present only on runs with a fault schedule
-// or resilience spec (Result.Requests non-nil). Availability is
-// served / concluded demand; retries is 0 when no guard is installed.
-const (
-	MetricTimedOut     = "timed_out"
-	MetricShed         = "shed"
-	MetricFailedReq    = "failed"
-	MetricRetries      = "retries"
-	MetricAvailability = "availability"
-	MetricFailovers    = "failovers"
-)
-
-// MetricDegraded, MetricHazardCrashes, MetricBrownoutPeak and
-// MetricBrownoutDropped are the correlated-failure scalars; they are
-// emitted only when a crash hazard or overload controller was
-// configured (Result.Hazard / Result.Brownout non-nil), so runs
-// without them keep their metric set byte-identical.
-const (
-	MetricDegraded        = "degraded"
-	MetricHazardCrashes   = "hazard_crashes"
-	MetricBrownoutPeak    = "brownout_peak_level"
-	MetricBrownoutDropped = "brownout_dropped"
-)
-
-// Cache and write-behind queue metrics, emitted only when the run
-// deployed the corresponding tier (Result.Cache / Result.Queue
-// non-nil), so runs without them keep their metric set byte-identical.
-const (
-	MetricCacheHitRatio  = "cache_hit_ratio"
-	MetricCacheStampedes = "cache_stampedes"
-	MetricCacheEvictions = "cache_evictions"
-	MetricQueuePublished = "queue_published"
-	MetricQueuePeakDepth = "queue_peak_depth"
-	MetricQueueMaxLag    = "queue_lag_max_ms"
-	MetricQueueOverflows = "queue_overflows"
 )
 
 // MetricCPU, MetricMem, MetricDisk and MetricNet name the per-tier
@@ -450,7 +392,8 @@ func MetricDisk(tier string) string { return "disk_" + tier + "_kb" }
 // MetricNet names a tier's mean network-traffic aggregate (KB/2s).
 func MetricNet(tier string) string { return "net_" + tier + "_kb" }
 
-// scalars extracts the per-replication metric values in stable order.
+// scalars extracts the per-replication metric values in stable order:
+// the core metrics, the run's feature scalars, then per-tier resources.
 func scalars(r *experiment.Result) []NamedMetric {
 	out := []NamedMetric{
 		{MetricThroughput, Metric{Mean: float64(r.Completed) / r.Config.Duration.Sec()}},
@@ -459,79 +402,13 @@ func scalars(r *experiment.Result) []NamedMetric {
 		{MetricRespP95, Metric{Mean: r.P95RespTime * 1e3}},
 		{MetricErrors, Metric{Mean: float64(r.Errors)}},
 	}
-	if r.Sessions != nil {
-		out = append(out,
-			NamedMetric{MetricSessionsStarted, Metric{Mean: float64(r.Sessions.Started)}},
-			NamedMetric{MetricSessionsFinished, Metric{Mean: float64(r.Sessions.Finished)}},
-			NamedMetric{MetricSessionsAbandoned, Metric{Mean: float64(r.Sessions.Abandoned)}},
-			NamedMetric{MetricSessionsPeak, Metric{Mean: float64(r.Sessions.PeakActive)}},
-		)
-	}
-	if r.Scaling != nil {
-		out = append(out,
-			NamedMetric{MetricReplicasPeak, Metric{Mean: float64(r.Scaling.PeakReplicas)}},
-			NamedMetric{MetricScaleUps, Metric{Mean: float64(r.Scaling.ScaleUps)}},
-			NamedMetric{MetricScaleDowns, Metric{Mean: float64(r.Scaling.ScaleDowns)}},
-			NamedMetric{MetricTimeToScale, Metric{Mean: r.Scaling.FirstUpAt.Sec()}},
-		)
-	}
-	if rq := r.Requests; rq != nil {
-		avail := 1.0
-		if concluded := rq.Issued - rq.InFlight; concluded > 0 {
-			avail = float64(rq.Served) / float64(concluded)
-		}
-		var retries uint64
-		if r.Guard != nil {
-			retries = r.Guard.Retries
-		}
-		out = append(out,
-			NamedMetric{MetricTimedOut, Metric{Mean: float64(rq.TimedOut)}},
-			NamedMetric{MetricShed, Metric{Mean: float64(rq.Shed)}},
-			NamedMetric{MetricFailedReq, Metric{Mean: float64(rq.Failed)}},
-			NamedMetric{MetricRetries, Metric{Mean: float64(retries)}},
-			NamedMetric{MetricAvailability, Metric{Mean: avail}},
-			NamedMetric{MetricFailovers, Metric{Mean: float64(len(r.Failovers))}},
-		)
-	}
-	if r.Hazard != nil || r.Brownout != nil {
-		var degraded uint64
-		if r.Requests != nil {
-			degraded = r.Requests.Degraded
-		}
-		out = append(out, NamedMetric{MetricDegraded, Metric{Mean: float64(degraded)}})
-	}
-	if r.Hazard != nil {
-		out = append(out, NamedMetric{MetricHazardCrashes, Metric{Mean: float64(len(r.Hazard.Crashes))}})
-	}
-	if r.Brownout != nil {
-		out = append(out,
-			NamedMetric{MetricBrownoutPeak, Metric{Mean: float64(r.Brownout.PeakLevel)}},
-			NamedMetric{MetricBrownoutDropped, Metric{Mean: float64(r.Brownout.Dropped)}},
-		)
-	}
-	if c := r.Cache; c != nil {
-		out = append(out,
-			NamedMetric{MetricCacheHitRatio, Metric{Mean: c.HitRatio()}},
-			NamedMetric{MetricCacheStampedes, Metric{Mean: float64(c.Stampedes)}},
-			NamedMetric{MetricCacheEvictions, Metric{Mean: float64(c.Evictions)}},
-		)
-	}
-	if q := r.Queue; q != nil {
-		out = append(out,
-			NamedMetric{MetricQueuePublished, Metric{Mean: float64(q.Published)}},
-			NamedMetric{MetricQueuePeakDepth, Metric{Mean: float64(q.PeakDepth)}},
-			NamedMetric{MetricQueueMaxLag, Metric{Mean: q.MaxLagMs}},
-			NamedMetric{MetricQueueOverflows, Metric{Mean: float64(q.Overflows)}},
-		)
+	for _, sc := range r.Scalars {
+		out = append(out, NamedMetric{sc.Name, Metric{Mean: sc.Value}})
 	}
 	// Resource scalars over the run's actual collector targets — the
 	// classic three tiers on degenerate runs, per-replica targets plus
 	// tier aggregates on cluster topologies.
-	tiers := r.Tiers
-	if len(tiers) == 0 {
-		tiers = []string{experiment.TierWeb, experiment.TierDB, experiment.TierDom0}
-	}
-	for _, tier := range tiers {
+	for _, tier := range r.Tiers {
 		if r.CPU(tier) == nil {
 			continue
 		}

@@ -408,7 +408,7 @@ func TestLoadSweepReportsSessionMetrics(t *testing.T) {
 	}
 	for i := range sr.Points {
 		pr := &sr.Points[i]
-		started := pr.Metric(MetricSessionsStarted)
+		started := pr.Metric("sessions_started")
 		if pr.Point.Config.Load != nil {
 			if started.N != 2 || started.Mean <= 0 {
 				t.Fatalf("%s: sessions_started = %+v", pr.Point.Name, started)

@@ -9,9 +9,10 @@
 //
 // Quick start:
 //
-//	pair, err := vwchar.RunPair(vwchar.Virtualized, 42)
-//	fig1, _ := vwchar.BuildFigure(1, pair.Browse, pair.Bid)
-//	report := vwchar.Characterize(virtPair, physPair)
+//	virt, err := vwchar.RunPair(vwchar.Virtualized, 42)
+//	phys, err := vwchar.RunPair(vwchar.Physical, 42)
+//	fig1, _ := vwchar.BuildFigure(1, virt.Browse, virt.Bid)
+//	report := vwchar.Characterize(virt, phys)
 //
 // README.md describes the command-line tools and each subsystem;
 // cmd/figures writes the paper-versus-measured report.
@@ -100,19 +101,8 @@ type Pair struct {
 // RunPair runs the browsing and bidding experiments in env with the
 // paper's default setup and the given seed.
 func RunPair(env Env, seed uint64) (*Pair, error) {
-	browseCfg := DefaultConfig(env, MixBrowsing)
-	browseCfg.Seed = seed
-	browse, err := Run(browseCfg)
-	if err != nil {
-		return nil, err
-	}
-	bidCfg := DefaultConfig(env, MixBidding)
-	bidCfg.Seed = seed + 1
-	bid, err := Run(bidCfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Pair{Browse: browse, Bid: bid}, nil
+	cfg := DefaultConfig(env, MixBrowsing)
+	return RunPairScaled(env, seed, cfg.Clients, cfg.Duration.Sec())
 }
 
 // RunPairScaled is RunPair with a shorter duration and smaller client
@@ -158,7 +148,8 @@ type (
 )
 
 // Aggregated metric names every run reports (per-tier resource means
-// are named cpu_<tier>, mem_<tier>_mb, disk_<tier>_kb, net_<tier>_kb).
+// are named cpu_<tier>, mem_<tier>_mb, disk_<tier>_kb, net_<tier>_kb;
+// optional features add the names in Result.Scalars).
 const (
 	MetricThroughput = runner.MetricThroughput
 	MetricWriteFrac  = runner.MetricWriteFrac
@@ -245,15 +236,6 @@ func FullLoadSweepGrid(mix MixKind, mutate func(*Config)) []SweepPoint {
 	return runner.FullLoadGrid(mix, mutate)
 }
 
-// Session metrics reported by open-loop sweep points (closed-loop
-// points omit them).
-const (
-	MetricSessionsStarted   = runner.MetricSessionsStarted
-	MetricSessionsFinished  = runner.MetricSessionsFinished
-	MetricSessionsAbandoned = runner.MetricSessionsAbandoned
-	MetricSessionsPeak      = runner.MetricSessionsPeak
-)
-
 // Windowed telemetry (internal/telemetry): every run's response-time
 // pipeline records into 2-second windows rotated on the collector's
 // sampling ticker, so Result.Telemetry's per-window latency quantiles,
@@ -320,15 +302,6 @@ const (
 const (
 	AutoscaleReactive   = tiers.AutoscaleReactive
 	AutoscalePredictive = tiers.AutoscalePredictive
-)
-
-// Cluster scaling metrics reported by sweep points whose runs carried
-// a cluster topology.
-const (
-	MetricReplicasPeak = runner.MetricReplicasPeak
-	MetricScaleUps     = runner.MetricScaleUps
-	MetricScaleDowns   = runner.MetricScaleDowns
-	MetricTimeToScale  = runner.MetricTimeToScale
 )
 
 // AnalyzeScaling computes the scaling analysis of a run against an SLO
@@ -435,26 +408,6 @@ func AnalyzeAvailability(r *Result, sloMillis float64) AvailabilityAnalysis {
 	return characterize.AnalyzeAvailability(r, sloMillis)
 }
 
-// Fault metrics reported by sweep points whose runs carried a fault
-// schedule or resilience spec.
-const (
-	MetricTimedOut     = runner.MetricTimedOut
-	MetricShed         = runner.MetricShed
-	MetricFailedReq    = runner.MetricFailedReq
-	MetricRetries      = runner.MetricRetries
-	MetricAvailability = runner.MetricAvailability
-	MetricFailovers    = runner.MetricFailovers
-)
-
-// Correlated-failure metrics reported by sweep points whose runs
-// carried a crash hazard or overload controller.
-const (
-	MetricDegraded        = runner.MetricDegraded
-	MetricHazardCrashes   = runner.MetricHazardCrashes
-	MetricBrownoutPeak    = runner.MetricBrownoutPeak
-	MetricBrownoutDropped = runner.MetricBrownoutDropped
-)
-
 // Cache and write-behind queue tiers (internal/cachetier,
 // internal/tiers): Config.Cache deploys a memcache-like cache VM —
 // cacheable reads consult it first and fall through to the DB on a
@@ -497,18 +450,6 @@ func AnalyzeCache(r *Result) CacheAnalysis { return characterize.AnalyzeCache(r)
 // CacheableInteractions lists the RUBiS interaction kinds the cache
 // tier serves.
 func CacheableInteractions() []Interaction { return rubis.CacheableInteractions() }
-
-// Cache and queue metrics reported by sweep points whose runs deployed
-// the corresponding tier.
-const (
-	MetricCacheHitRatio  = runner.MetricCacheHitRatio
-	MetricCacheStampedes = runner.MetricCacheStampedes
-	MetricCacheEvictions = runner.MetricCacheEvictions
-	MetricQueuePublished = runner.MetricQueuePublished
-	MetricQueuePeakDepth = runner.MetricQueuePeakDepth
-	MetricQueueMaxLag    = runner.MetricQueueMaxLag
-	MetricQueueOverflows = runner.MetricQueueOverflows
-)
 
 // BuildSaturationFigure assembles the Figure 9-style panel from one
 // run: web CPU demand paired with per-window latency p95 on a shared
