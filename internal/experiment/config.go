@@ -93,7 +93,7 @@ func (c Config) Validate() error {
 		{"fault injection", !c.Faults.Empty(), false},
 		{"the cache tier", c.Cache != nil, false},
 		{"the queue tier", c.Queue != nil, false},
-		{"the brownout controller", c.Resilience != nil && c.Resilience.Brownout != nil, true},
+		{"the brownout controller", c.Resilience != nil && c.Resilience.Brownout != nil, false},
 		{"a hypervisor cost model (XenParams)", c.XenParams != nil, true},
 	} {
 		if !f.on {

@@ -137,7 +137,8 @@ type Config struct {
 	// retries, optional breaker) and starts health checks driving
 	// replica ejection and DB primary failover. Nil leaves the serving
 	// path untouched — faults without resilience show the unprotected
-	// baseline. Its Brownout controller is virtualized only.
+	// baseline. Its Brownout controller is virtualized only and
+	// incompatible with Pairs > 1 (it reads one pair's cluster).
 	Resilience *faults.ResilienceSpec
 	// Cache, when non-nil, deploys a memcache-like cache VM: cacheable
 	// reads consult it first and fall through to the DB on a miss.

@@ -45,6 +45,13 @@ func TestRunValidation(t *testing.T) {
 			c.Resilience = faults.DefaultResilience()
 			c.Resilience.Brownout = &faults.BrownoutSpec{EnterUtil: 0.8}
 		}, "virtualized"},
+		// One overload controller reads pair 0's cluster, so the other
+		// pairs would shed on a utilization that is not theirs.
+		{"pairs brownout", func(c *Config) {
+			c.Pairs = 2
+			c.Resilience = faults.DefaultResilience()
+			c.Resilience.Brownout = &faults.BrownoutSpec{EnterUtil: 0.8}
+		}, "consolidation pairs"},
 	} {
 		cfg := shortConfig(Virtualized, MixBrowsing)
 		tc.mutate(&cfg)
