@@ -23,7 +23,6 @@ import (
 	"vwchar"
 	"vwchar/internal/sim"
 	"vwchar/internal/telemetry"
-	"vwchar/internal/timeseries"
 )
 
 func main() {
@@ -356,12 +355,10 @@ func run(cfg vwchar.Config, csv bool, sloMillis float64, w io.Writer) error {
 		}
 		// The windowed application metrics as one aligned table: same
 		// time axis as the resource series above.
-		if tel := res.Telemetry; tel != nil {
-			if err := timeseries.WriteTableCSV(w, tel.All()...); err != nil {
-				return err
-			}
-			fmt.Fprintln(w)
+		if err := vwchar.WriteTelemetryCSV(w, res); err != nil {
+			return err
 		}
+		fmt.Fprintln(w)
 	}
 	return nil
 }
