@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"vwchar/internal/experiment"
+	"vwchar/internal/stats"
 	"vwchar/internal/telemetry"
 )
 
@@ -111,7 +112,7 @@ func AnalyzeCache(r *experiment.Result) CacheAnalysis {
 				loads = append(loads, (1-hr.At(i))*tput.At(i))
 			}
 		}
-		if med := median(loads); med > 0 {
+		if med := stats.Quantile(loads, 0.5); med > 0 {
 			peak := 0.0
 			for _, v := range loads {
 				if v > peak {
@@ -147,25 +148,6 @@ func AnalyzeCache(r *experiment.Result) CacheAnalysis {
 		}
 	}
 	return a
-}
-
-// median returns the middle value of vs (averaging the two middles for
-// even lengths) without mutating the input; zero for empty input.
-func median(vs []float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), vs...)
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	n := len(sorted)
-	if n%2 == 1 {
-		return sorted[n/2]
-	}
-	return (sorted[n/2-1] + sorted[n/2]) / 2
 }
 
 // Write renders the analysis for reports and the cachetier example.
