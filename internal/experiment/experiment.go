@@ -303,11 +303,9 @@ type Result struct {
 	// Queue snapshots the write-behind broker's accounting; nil without
 	// a Queue spec.
 	Queue *tiers.QueueStats
-	// Scalars are the optional features' run-level numbers in
-	// registration order: each feature's block appends its own when
-	// it fills its Result field (sessions, scaling, request outcomes,
-	// hazard, brownout, cache, queue). Runs without a feature carry
-	// none of its names.
+	// Scalars are the optional features' run-level numbers, in the
+	// order the package doc states; a run carries only the names of
+	// the features it configured.
 	Scalars []Scalar
 	// PerInteraction breaks the primary driver's latency down by RUBiS
 	// interaction kind, with per-kind cache outcomes when a cache tier
