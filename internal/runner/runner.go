@@ -409,9 +409,6 @@ func scalars(r *experiment.Result) []NamedMetric {
 	// classic three tiers on degenerate runs, per-replica targets plus
 	// tier aggregates on cluster topologies.
 	for _, tier := range r.Tiers {
-		if r.CPU(tier) == nil {
-			continue
-		}
 		out = append(out,
 			NamedMetric{MetricCPU(tier), Metric{Mean: r.CPU(tier).Mean()}},
 			NamedMetric{MetricMem(tier), Metric{Mean: r.Mem(tier).Mean()}},
