@@ -250,13 +250,16 @@ type Result struct {
 	// Telemetry is the primary driver's windowed application-metrics
 	// series (per-window latency quantiles, throughput, in-flight
 	// concurrency, session churn), rotated on the collector's ticker so
-	// every series shares the resource series' 2-second time axis. For
-	// consolidated runs it covers instance 0, matching the headline
-	// response-time scalars.
+	// every series shares the resource series' 2-second time axis. Both
+	// loops record the same series through the one tiers.Driver; the
+	// churn series stay zero in the closed loop, whose clients never
+	// leave. For consolidated runs it covers instance 0, matching the
+	// headline response-time scalars.
 	Telemetry *telemetry.WindowSeries
 
-	// Sessions is the open-loop session-churn accounting, summed across
-	// co-located instances; nil for closed-loop runs.
+	// Sessions is the open-loop session-churn accounting: every
+	// driver's Sessions, summed across co-located instances. It is nil
+	// for closed-loop runs (tiers.NewDriver), whose drivers keep it zero.
 	Sessions *tiers.SessionStats
 
 	// Tiers lists the collector targets in registration order — the
@@ -360,14 +363,12 @@ func Run(cfg Config) (*Result, error) {
 	// every later run attaches a copy-on-write view in microseconds.
 	// Views are returned to the snapshot's pool when the run is done
 	// (results only hold aggregated numbers, never engine state), and
-	// closed-loop client streams go back to rng's free list.
+	// every driver's streams go back to rng's free list.
 	var apps []*rubis.App
-	var drivers []tiers.LoadGen
+	var drivers []*tiers.Driver
 	defer func() {
 		for _, drv := range drivers {
-			if d, ok := drv.(*tiers.Driver); ok {
-				d.Release()
-			}
+			drv.Release()
 		}
 		for _, a := range apps {
 			a.Release()
@@ -452,7 +453,7 @@ func Run(cfg Config) (*Result, error) {
 		after = append(after, func() {
 			st := &tiers.SessionStats{}
 			for _, drv := range drivers {
-				s := drv.(*tiers.OpenDriver).Sessions
+				s := drv.Sessions
 				st.Offered += s.Offered
 				st.Started += s.Started
 				st.Finished += s.Finished
@@ -538,29 +539,28 @@ func Run(cfg Config) (*Result, error) {
 	var overload *tiers.Overload
 	if cfg.Faults != nil || cfg.Resilience != nil {
 		for i, drv := range drivers {
-			rec, out := drv.Recorder(), drv.Outcomes
+			rec := drv.Recorder()
 			retries := func() uint64 { return 0 }
 			if cfg.Resilience != nil {
 				retries = guards[i].RetryCount
 			}
-			rec.Counter(telemetry.Timeouts, "requests/window", func() uint64 { return out().TimedOut })
-			rec.Counter(telemetry.Sheds, "requests/window", func() uint64 { return out().Shed })
-			rec.Counter(telemetry.Failures, "requests/window", func() uint64 { return out().Failed })
+			rec.Counter(telemetry.Timeouts, "requests/window", func() uint64 { return drv.TimedOut })
+			rec.Counter(telemetry.Sheds, "requests/window", func() uint64 { return drv.Shed })
+			rec.Counter(telemetry.Failures, "requests/window", func() uint64 { return drv.Failed })
 			rec.Counter(telemetry.Retries, "retries/window", retries)
 			rec.Gauge(telemetry.Availability, "fraction", telemetry.WindowShare(
-				func() uint64 { return out().Served },
-				func() uint64 { o := out(); return o.TimedOut + o.Shed + o.Failed }, 1))
+				func() uint64 { return drv.Completed },
+				func() uint64 { return drv.TimedOut + drv.Shed + drv.Failed }, 1))
 		}
 		after = append(after, func() {
 			rs := &RequestStats{}
 			for _, drv := range drivers {
-				o := drv.Outcomes()
-				rs.Issued += o.Issued
-				rs.Served += o.Served
-				rs.TimedOut += o.TimedOut
-				rs.Shed += o.Shed
-				rs.Failed += o.Failed
-				rs.Degraded += o.Degraded
+				rs.Issued += drv.Issued
+				rs.Served += drv.Completed
+				rs.TimedOut += drv.TimedOut
+				rs.Shed += drv.Shed
+				rs.Failed += drv.Failed
+				rs.Degraded += drv.Degraded
 			}
 			rs.InFlight = rs.Issued - rs.Served - rs.TimedOut - rs.Shed - rs.Failed - rs.Degraded
 			res.Requests = rs
@@ -629,8 +629,8 @@ func Run(cfg Config) (*Result, error) {
 			rate = hazard.WindowRate
 		}
 		for _, drv := range drivers {
-			rec, out := drv.Recorder(), drv.Outcomes
-			rec.Counter(telemetry.Degraded, "requests/window", func() uint64 { return out().Degraded })
+			rec := drv.Recorder()
+			rec.Counter(telemetry.Degraded, "requests/window", func() uint64 { return drv.Degraded })
 			rec.Gauge(telemetry.BrownoutLevel, "level", level)
 			rec.Gauge(telemetry.HazardRate, "crashes/window", rate)
 		}
@@ -693,11 +693,10 @@ func Run(cfg Config) (*Result, error) {
 
 	res.Collector = collector
 	for _, drv := range drivers {
-		completed, errors := drv.Totals()
-		res.Completed += completed
-		res.Errors += errors
+		res.Completed += drv.Completed
+		res.Errors += drv.Errors
 		res.PairStats = append(res.PairStats, PairStat{
-			Completed:    completed,
+			Completed:    drv.Completed,
 			MeanRespTime: drv.MeanResponseTime(),
 			P95RespTime:  drv.ResponseTimeQuantile(0.95),
 		})

@@ -253,7 +253,7 @@ func TestCascadeDispatchZeroAlloc(t *testing.T) {
 	spec := faults.ResilienceSpec{
 		TimeoutMillis: 1000, Retries: 2, BackoffMillis: 50, RetryBudget: 0.25,
 	}
-	k, drv, fe, g := newGuardedStubRig(t, 4, spec)
+	k, drv, fe, g := newGuardedStubRig(t, 4, 0, spec)
 	h := NewHazard(k, fe, faults.HazardSpec{UtilThreshold: 1e9, CrashProb: 0.5, MTTRSeconds: 30},
 		rng.NewSource(5).Stream("fault-hazard"))
 	o := NewOverload(fe, faults.BrownoutSpec{EnterUtil: 1e9})
@@ -288,7 +288,7 @@ func BenchmarkDispatchWithCascade(b *testing.B) {
 	spec := faults.ResilienceSpec{
 		TimeoutMillis: 1000, Retries: 2, BackoffMillis: 50, RetryBudget: 0.25,
 	}
-	k, drv, fe, g := newGuardedStubRig(b, 4, spec)
+	k, drv, fe, g := newGuardedStubRig(b, 4, 0, spec)
 	h := NewHazard(k, fe, faults.HazardSpec{UtilThreshold: 1e9, CrashProb: 0.5, MTTRSeconds: 30},
 		rng.NewSource(5).Stream("fault-hazard"))
 	o := NewOverload(fe, faults.BrownoutSpec{EnterUtil: 1e9})

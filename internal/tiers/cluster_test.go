@@ -318,7 +318,7 @@ func TestRoundRobinSpreadsLoad(t *testing.T) {
 // WebAppServers over null backends, so the measured path is exactly
 // the dispatch machinery (pick, pooled dispatch slot, transfer hops,
 // worker accounting) with the engine and hardware stubbed to timers.
-func newStubClusterRig(tb testing.TB, n int, lb LBPolicy) (*sim.Kernel, *OpenDriver) {
+func newStubClusterRig(tb testing.TB, n int, lb LBPolicy) (*sim.Kernel, *Driver) {
 	tb.Helper()
 	k := sim.NewKernel()
 	src := rng.NewSource(77)

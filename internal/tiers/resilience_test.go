@@ -280,8 +280,9 @@ func TestFailoverPromotion(t *testing.T) {
 
 // newGuardedStubRig is newStubClusterRig with the guard wrapped around
 // the cluster: the driver's dispatches flow through timeouts, retries,
-// and the optional breaker.
-func newGuardedStubRig(tb testing.TB, n int, spec faults.ResilienceSpec) (*sim.Kernel, *OpenDriver, *WebCluster, *Guard) {
+// and the optional breaker. clients > 0 swaps the open-loop arrivals
+// for that many closed-loop clients.
+func newGuardedStubRig(tb testing.TB, n, clients int, spec faults.ResilienceSpec) (*sim.Kernel, *Driver, *WebCluster, *Guard) {
 	tb.Helper()
 	k := sim.NewKernel()
 	src := rng.NewSource(77)
@@ -298,6 +299,9 @@ func newGuardedStubRig(tb testing.TB, n int, spec faults.ResilienceSpec) (*sim.K
 	}
 	fe := NewWebCluster(k, webs, n, NewLoadBalancer(LBRoundRobin))
 	g := NewGuard(k, fe, spec, src.Stream("resilience-jitter"))
+	if clients > 0 {
+		return k, NewDriver(k, app, staticModel{}, g, rubis.DefaultCostParams(), clients, src), fe, g
+	}
 	ld := load.Spec{Kind: load.Poisson, Rate: 40, SessionMean: 8}
 	p, err := OpenParamsFromSpec(&ld)
 	if err != nil {
@@ -315,7 +319,7 @@ func newGuardedStubRig(tb testing.TB, n int, spec faults.ResilienceSpec) (*sim.K
 func TestRetryStormAmplification(t *testing.T) {
 	amplification := func(brk *faults.BreakerSpec) float64 {
 		spec := faults.ResilienceSpec{TimeoutMillis: 400, Retries: 4, BackoffMillis: 20, RetryBudget: 4, Breaker: brk}
-		k, drv, fe, g := newGuardedStubRig(t, 1, spec)
+		k, drv, fe, g := newGuardedStubRig(t, 1, 0, spec)
 		drv.Start()
 		k.Run(60 * sim.Second)
 		// Client demand is guard entries plus breaker sheds (sheds never
@@ -347,23 +351,61 @@ func TestRetryStormAmplification(t *testing.T) {
 // with in-flight making up the difference at the horizon.
 func TestRequestAccountingInvariant(t *testing.T) {
 	spec := faults.ResilienceSpec{TimeoutMillis: 400, Retries: 1, BackoffMillis: 20, RetryBudget: 1}
-	k, drv, fe, _ := newGuardedStubRig(t, 2, spec)
+	k, drv, fe, _ := newGuardedStubRig(t, 2, 0, spec)
 	drv.Start()
 	k.Run(30 * sim.Second)
 	fe.Replicas[0].crash()
 	k.Run(60 * sim.Second)
 	fe.Replicas[0].restore()
 	k.Run(90 * sim.Second)
-	o := drv.Outcomes()
-	sum := o.Served + o.TimedOut + o.Shed + o.Failed + o.Degraded
-	if sum > o.Issued {
-		t.Fatalf("outcomes (%d) exceed issued (%d)", sum, o.Issued)
+	sum := drv.Completed + drv.TimedOut + drv.Shed + drv.Failed + drv.Degraded
+	if sum > drv.Issued {
+		t.Fatalf("outcomes (%d) exceed issued (%d)", sum, drv.Issued)
 	}
-	if o.Served == 0 || o.Failed == 0 {
-		t.Fatalf("vacuous run: served=%d failed=%d", o.Served, o.Failed)
+	if drv.Completed == 0 || drv.Failed == 0 {
+		t.Fatalf("vacuous run: served=%d failed=%d", drv.Completed, drv.Failed)
 	}
-	if inflight := o.Issued - sum; inflight > 32 {
+	if inflight := drv.Issued - sum; inflight > 32 {
 		t.Fatalf("%d requests unaccounted at the horizon, want a handful in flight at most", inflight)
+	}
+}
+
+// TestOutcomeConservation pins the identity experiment.Run relies on
+// when it derives RequestStats.InFlight as a remainder: in either loop,
+// through a guarded cluster that loses a replica mid-run, Issued minus
+// every outcome equals the driver's live in-flight counter at each
+// phase boundary, and no session has more than one request in flight.
+func TestOutcomeConservation(t *testing.T) {
+	for _, loop := range []struct {
+		name    string
+		clients int
+	}{{"open", 0}, {"closed", 40}} {
+		t.Run(loop.name, func(t *testing.T) {
+			spec := faults.ResilienceSpec{TimeoutMillis: 400, Retries: 1, BackoffMillis: 20, RetryBudget: 1}
+			k, drv, fe, _ := newGuardedStubRig(t, 2, loop.clients, spec)
+			check := func(phase string) {
+				live := drv.Issued - drv.Completed - drv.TimedOut - drv.Shed - drv.Failed - drv.Degraded
+				if live != uint64(drv.inflight) {
+					t.Fatalf("%s: issued-minus-outcomes %d != live in-flight %d (issued %d served %d timed out %d shed %d failed %d degraded %d)",
+						phase, int64(live), drv.inflight, drv.Issued, drv.Completed, drv.TimedOut, drv.Shed, drv.Failed, drv.Degraded)
+				}
+				if limit := drv.active + loop.clients; drv.inflight > limit {
+					t.Fatalf("%s: %d requests in flight over %d sessions", phase, drv.inflight, limit)
+				}
+			}
+			drv.Start()
+			k.Run(30 * sim.Second)
+			check("healthy")
+			fe.Replicas[0].crash()
+			k.Run(60 * sim.Second)
+			check("replica down")
+			fe.Replicas[0].restore()
+			k.Run(90 * sim.Second)
+			check("restored")
+			if drv.Completed == 0 || drv.Failed+drv.TimedOut == 0 {
+				t.Fatalf("vacuous run: served %d, failed %d, timed out %d", drv.Completed, drv.Failed, drv.TimedOut)
+			}
+		})
 	}
 }
 
@@ -376,7 +418,7 @@ func TestGuardDispatchZeroAlloc(t *testing.T) {
 		TimeoutMillis: 1000, Retries: 2, BackoffMillis: 50, RetryBudget: 0.25,
 		Breaker: &faults.BreakerSpec{ErrorThreshold: 0.5, WindowRequests: 64, OpenMillis: 1000},
 	}
-	k, drv, _, g := newGuardedStubRig(t, 4, spec)
+	k, drv, _, g := newGuardedStubRig(t, 4, 0, spec)
 	drv.Start()
 	k.Run(300 * sim.Second)
 	if drv.Completed == 0 {
@@ -404,7 +446,7 @@ func BenchmarkDispatchWithFaults(b *testing.B) {
 		TimeoutMillis: 1000, Retries: 2, BackoffMillis: 50, RetryBudget: 0.25,
 		Breaker: &faults.BreakerSpec{ErrorThreshold: 0.5, WindowRequests: 64, OpenMillis: 1000},
 	}
-	k, drv, _, _ := newGuardedStubRig(b, 4, spec)
+	k, drv, _, _ := newGuardedStubRig(b, 4, 0, spec)
 	drv.Start()
 	k.Run(300 * sim.Second)
 	b.ReportAllocs()

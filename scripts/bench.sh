@@ -33,7 +33,7 @@ go test -run xxx -bench 'BenchmarkArrivalSchedule$' \
 	-benchtime "$micro_benchtime" -benchmem ./internal/load/ | tee -a "$tmp"
 go test -run xxx -bench 'BenchmarkLatencyRecord$|BenchmarkWindowRotate$' \
 	-benchtime "$micro_benchtime" -benchmem ./internal/telemetry/ | tee -a "$tmp"
-go test -run xxx -bench 'BenchmarkLBDispatch|BenchmarkDispatchWithFaults|BenchmarkDispatchWithCascade|BenchmarkCacheHitDispatch' \
+go test -run xxx -bench 'BenchmarkDriverSteadyState|BenchmarkLBDispatch|BenchmarkDispatchWithFaults|BenchmarkDispatchWithCascade|BenchmarkCacheHitDispatch' \
 	-benchtime "$micro_benchtime" -benchmem ./internal/tiers/ | tee -a "$tmp"
 
 {

@@ -9,8 +9,8 @@
 //
 // Quick start:
 //
-//	virt, err := vwchar.RunPair(vwchar.Virtualized, 42)
-//	phys, err := vwchar.RunPair(vwchar.Physical, 42)
+//	virt, err := vwchar.RunPairScaled(vwchar.Virtualized, 42, 1000, 1200)
+//	phys, err := vwchar.RunPairScaled(vwchar.Physical, 42, 1000, 1200)
 //	fig1, _ := vwchar.BuildFigure(1, virt.Browse, virt.Bid)
 //	report := vwchar.Characterize(virt, phys)
 //
@@ -98,15 +98,9 @@ type Pair struct {
 	Browse, Bid *Result
 }
 
-// RunPair runs the browsing and bidding experiments in env with the
-// paper's default setup and the given seed.
-func RunPair(env Env, seed uint64) (*Pair, error) {
-	cfg := DefaultConfig(env, MixBrowsing)
-	return RunPairScaled(env, seed, cfg.Clients, cfg.Duration.Sec())
-}
-
-// RunPairScaled is RunPair with a shorter duration and smaller client
-// population, for tests and CI (duration in seconds).
+// RunPairScaled runs the browsing and bidding experiments in env with
+// the paper's default setup, the given seed, and the given client
+// population and duration in seconds.
 func RunPairScaled(env Env, seed uint64, clients int, durationSec float64) (*Pair, error) {
 	run := func(mix MixKind, s uint64) (*Result, error) {
 		cfg := DefaultConfig(env, mix)
@@ -230,12 +224,6 @@ func SweepLoadGrid(envs []Env, mix MixKind, scenarios []LoadNamedSpec, mutate fu
 	return runner.LoadGrid(envs, mix, scenarios, mutate)
 }
 
-// FullLoadSweepGrid crosses both deployments with every catalog
-// scenario at the given mix.
-func FullLoadSweepGrid(mix MixKind, mutate func(*Config)) []SweepPoint {
-	return runner.FullLoadGrid(mix, mutate)
-}
-
 // Windowed telemetry (internal/telemetry): every run's response-time
 // pipeline records into 2-second windows rotated on the collector's
 // sampling ticker, so Result.Telemetry's per-window latency quantiles,
@@ -255,11 +243,6 @@ type (
 	Transient = characterize.Transient
 	// TransientConfig parameterizes AnalyzeTransient.
 	TransientConfig = characterize.TransientConfig
-	// Analysis carries the characterization warm-up window.
-	Analysis = characterize.Analysis
-	// ArrivalFit is a moment-based arrival-process fit of a windowed
-	// arrival-count series.
-	ArrivalFit = model.ArrivalFit
 )
 
 // AnalyzeTransient computes the queueing transient of a per-window
@@ -388,9 +371,6 @@ func AnalyzeCascade(r *Result, sloMillis float64) CascadeAnalysis {
 	return characterize.AnalyzeCascade(r, sloMillis)
 }
 
-// ChaosScenarios returns the built-in chaos scenario catalog by name.
-func ChaosScenarios() map[string]ChaosScenario { return faults.Scenarios() }
-
 // ChaosScenarioNames lists the catalog names, sorted.
 func ChaosScenarioNames() []string { return faults.ScenarioNames() }
 
@@ -447,10 +427,6 @@ func DefaultQueueSpec() QueueSpec { return QueueSpec{}.WithDefaults() }
 // convergence, thundering-herd blast radius, and backlog drain time.
 func AnalyzeCache(r *Result) CacheAnalysis { return characterize.AnalyzeCache(r) }
 
-// CacheableInteractions lists the RUBiS interaction kinds the cache
-// tier serves.
-func CacheableInteractions() []Interaction { return rubis.CacheableInteractions() }
-
 // BuildSaturationFigure assembles the Figure 9-style panel from one
 // run: web CPU demand paired with per-window latency p95 on a shared
 // normalized axis, with the active replica count overlaid when the run
@@ -458,19 +434,6 @@ func CacheableInteractions() []Interaction { return rubis.CacheableInteractions(
 func BuildSaturationFigure(r *Result) (Figure, error) {
 	return experiment.BuildSaturationFigure(r)
 }
-
-// AnalysisFromTelemetry derives the characterization warm-up window
-// from a run's windowed throughput instead of the fixed 20% skip.
-func AnalysisFromTelemetry(r *Result) Analysis { return characterize.AnalysisFromTelemetry(r) }
-
-// FitArrivals fits an arrival process (Poisson / bursty MMPP /
-// diurnal) to a windowed arrival-count series by its index of
-// dispersion and period moments.
-func FitArrivals(counts *Series) (ArrivalFit, error) { return model.FitArrivals(counts) }
-
-// FitArrivalsFromResult fits the arrival process of an open-loop run
-// from its telemetry's per-window session starts.
-func FitArrivalsFromResult(r *Result) (ArrivalFit, error) { return model.FitArrivalsFromResult(r) }
 
 // WriteTelemetryCSV exports a run's windowed telemetry as one CSV
 // table with a shared time column, aligned with the resource series.
