@@ -716,7 +716,7 @@ func Run(cfg Config) (*Result, error) {
 	for idx := 0; idx < rubis.NumInteractions; idx++ {
 		h := primary.KindHist(idx)
 		res.PerInteraction = append(res.PerInteraction, InteractionLatency{
-			Kind:   string(rubis.InteractionAt(idx)),
+			Kind:   rubis.Interaction(idx).String(),
 			Count:  h.Count(),
 			MeanMs: h.Mean() * 1e3,
 			P95Ms:  h.Quantile(0.95) * 1e3,

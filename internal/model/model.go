@@ -171,10 +171,10 @@ type TransactionFootprint struct {
 	WriteFraction float64
 }
 
-// TransactionModel maps every interaction to its footprint plus the
-// stationary state distribution of a mix.
+// TransactionModel holds every interaction's footprint, indexed by
+// kind.
 type TransactionModel struct {
-	Footprints map[rubis.Interaction]TransactionFootprint
+	Footprints [rubis.NumInteractions]TransactionFootprint
 }
 
 // FitTransactions measures each interaction's footprint by executing it
@@ -190,7 +190,7 @@ func FitTransactions(cfg rubis.DatasetConfig, samplesPer int, seed uint64) (*Tra
 	}
 	r := src.Stream("model-exec")
 	params := rubis.DefaultCostParams()
-	tm := &TransactionModel{Footprints: make(map[rubis.Interaction]TransactionFootprint)}
+	tm := new(TransactionModel)
 	sess := &rubis.Session{UserID: 1, ItemID: 1, CategoryID: 0, RegionID: 0, ToUserID: 2}
 	for _, kind := range rubis.AllInteractions() {
 		fp := TransactionFootprint{Interaction: kind}
@@ -237,16 +237,16 @@ func FitTransactions(cfg rubis.DatasetConfig, samplesPer int, seed uint64) (*Tra
 }
 
 // StationaryDistribution estimates the long-run interaction frequencies
-// of a mix by walking its chain.
-func StationaryDistribution(m rubis.Model, steps int, seed uint64) map[rubis.Interaction]float64 {
+// of a mix by walking its chain, indexed by kind.
+func StationaryDistribution(m rubis.Model, steps int, seed uint64) [rubis.NumInteractions]float64 {
 	r := rng.NewSource(seed).Stream("stationary")
-	counts := make(map[rubis.Interaction]int)
+	var counts [rubis.NumInteractions]int
 	cur := m.StartState()
 	for i := 0; i < steps; i++ {
 		cur = m.NextInteraction(cur, r)
 		counts[cur]++
 	}
-	out := make(map[rubis.Interaction]float64, len(counts))
+	var out [rubis.NumInteractions]float64
 	for k, v := range counts {
 		out[k] = float64(v) / float64(steps)
 	}
@@ -268,17 +268,15 @@ type DemandPrediction struct {
 }
 
 // Predict composes footprints with a mix's stationary distribution at
-// the given request rate.
+// the given request rate, summing over kinds in index order so the
+// result is bit-identical from call to call.
 func (tm *TransactionModel) Predict(mix rubis.Model, reqPerSec float64, steps int, seed uint64) DemandPrediction {
 	dist := StationaryDistribution(mix, steps, seed)
 	var p DemandPrediction
 	p.RequestsPerSecond = reqPerSec
 	per2s := reqPerSec * 2
 	for kind, freq := range dist {
-		fp, ok := tm.Footprints[kind]
-		if !ok {
-			continue
-		}
+		fp := &tm.Footprints[kind]
 		w := freq * per2s
 		p.WebCyclesPer2s += w * fp.WebCycles
 		p.DBCyclesPer2s += w * fp.DBCycles

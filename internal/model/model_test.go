@@ -146,6 +146,23 @@ func TestStationaryDistribution(t *testing.T) {
 	}
 }
 
+// TestPredictIsDeterministic repeats one prediction and requires every
+// field to be bit-identical: the per-kind sums must run in a fixed
+// order, since float addition is not associative.
+func TestPredictIsDeterministic(t *testing.T) {
+	tm, err := FitTransactions(testDataset(), 5, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mix := rubis.NewCompositeMix(0.5)
+	want := tm.Predict(mix, 100, 20000, 7)
+	for i := 0; i < 50; i++ {
+		if got := tm.Predict(mix, 100, 20000, 7); got != want {
+			t.Fatalf("call %d: %+v, first call %+v", i, got, want)
+		}
+	}
+}
+
 // The headline test for the paper's future-work extension: the
 // transaction-level model predicts the simulated web tier CPU demand
 // within a modest tolerance, without running the simulation.

@@ -5,8 +5,8 @@ package rubis
 // which fragments a write invalidates. The declarations live here — next
 // to the interaction definitions — so the cache tier (internal/tiers,
 // internal/cachetier) stays ignorant of RUBiS semantics: ExecuteInto
-// stamps every Result with its dense kind index, its cache key, and its
-// invalidation set, and the serving path consumes them as plain values.
+// stamps every Result with its cache key and its invalidation set, and
+// the serving path consumes them as plain values.
 //
 // The cacheable set is the read pages whose DB work is a pure function
 // of one session focus entity. Transactional read pages (BuyNow, PutBid,
@@ -14,38 +14,10 @@ package rubis
 // stale bid count there would corrupt the write they set up. Static and
 // app-tier-cached menu pages have no DB work to cache.
 
-// NumInteractions is the number of distinct RUBiS interaction kinds.
-const NumInteractions = 26
-
-// interactionIndex maps each kind to its dense index in
-// AllInteractions() order.
-var interactionIndex = func() map[Interaction]uint8 {
-	m := make(map[Interaction]uint8, NumInteractions)
-	for i, k := range AllInteractions() {
-		m[k] = uint8(i)
-	}
-	return m
-}()
-
-// Index returns the kind's dense index in AllInteractions() order, or
-// -1 for an unknown kind.
-func (i Interaction) Index() int {
-	if idx, ok := interactionIndex[i]; ok {
-		return int(idx)
-	}
-	return -1
-}
-
-// InteractionAt is the inverse of Index; it panics on an out-of-range
-// index (a programming error, not an input condition).
-func InteractionAt(idx int) Interaction {
-	return AllInteractions()[idx]
-}
-
 // CacheRef identifies one cacheable page fragment: the interaction kind
-// (by dense index) plus the entity id the fragment is keyed on.
+// plus the entity id the fragment is keyed on.
 type CacheRef struct {
-	Kind uint8
+	Kind Interaction
 	ID   int64
 }
 
@@ -81,20 +53,14 @@ func (e cacheEntity) id(sess *Session) int64 {
 // entity. Every entry is a page whose DB work depends only on that
 // entity; none of them mutates its own key field during execution, so
 // the key is stable whether read before or after the interaction runs.
-var cacheEntityByKind = func() [NumInteractions]cacheEntity {
-	var t [NumInteractions]cacheEntity
-	for kind, ent := range map[Interaction]cacheEntity{
-		SearchItemsInCategory: entCategory,
-		SearchItemsInRegion:   entRegion,
-		ViewItem:              entItem,
-		ViewUserInfo:          entToUser,
-		ViewBidHistory:        entItem,
-		AboutMe:               entUser,
-	} {
-		t[kind.Index()] = ent
-	}
-	return t
-}()
+var cacheEntityByKind = [NumInteractions]cacheEntity{
+	SearchItemsInCategory: entCategory,
+	SearchItemsInRegion:   entRegion,
+	ViewItem:              entItem,
+	ViewUserInfo:          entToUser,
+	ViewBidHistory:        entItem,
+	AboutMe:               entUser,
+}
 
 // invalEntry is one fragment a write invalidates: the cached kind and
 // the session field carrying the entity id at write time.
@@ -108,67 +74,31 @@ type invalEntry struct {
 // the item page, its bid history, and the bidder's AboutMe; a new item
 // changes its category's search page and the seller's AboutMe; a new
 // comment changes the target user's profile.
-var invalByKind = func() [NumInteractions][maxInval]CacheRef {
-	decl := map[Interaction][]invalEntry{
-		StoreBid:     {{ViewItem, entItem}, {ViewBidHistory, entItem}, {AboutMe, entUser}},
-		StoreBuyNow:  {{ViewItem, entItem}},
-		StoreComment: {{ViewUserInfo, entToUser}, {AboutMe, entToUser}},
-		RegisterItem: {{SearchItemsInCategory, entCategory}, {AboutMe, entUser}},
-	}
-	var t [NumInteractions][maxInval]CacheRef
-	for kind, list := range decl {
-		for i, e := range list {
-			// The entity selector rides in the ID slot until fillCache
-			// resolves it against the live session.
-			t[kind.Index()][i] = CacheRef{Kind: uint8(e.kind.Index()) + 1, ID: int64(e.ent)}
-		}
-	}
-	return t
-}()
+var invalByKind = [NumInteractions][]invalEntry{
+	StoreBid:     {{ViewItem, entItem}, {ViewBidHistory, entItem}, {AboutMe, entUser}},
+	StoreBuyNow:  {{ViewItem, entItem}},
+	StoreComment: {{ViewUserInfo, entToUser}, {AboutMe, entToUser}},
+	RegisterItem: {{SearchItemsInCategory, entCategory}, {AboutMe, entUser}},
+}
 
 // maxInval bounds the invalidation fan-out of one write.
 const maxInval = 3
 
 // fillCache stamps the executed interaction's cache attribution into
-// res: the dense kind index, the fragment key when the page is
-// cacheable, and the invalidation set when it is a write. Pure — no RNG
-// draws, no session mutation — so enabling a cache tier downstream
-// never perturbs the workload's random sequence.
+// res: the fragment key when the page is cacheable, and the
+// invalidation set when it is a write. Pure — no RNG draws, no session
+// mutation — so enabling a cache tier downstream never perturbs the
+// workload's random sequence.
 func fillCache(res *Result, sess *Session) {
-	idx := res.Interaction.Index()
-	if idx < 0 {
-		return
-	}
-	res.Kind = uint8(idx)
-	if ent := cacheEntityByKind[idx]; ent != entNone {
+	kind := res.Interaction
+	if ent := cacheEntityByKind[kind]; ent != entNone {
 		res.Cacheable = true
-		res.CacheKey = CacheRef{Kind: uint8(idx), ID: ent.id(sess)}
+		res.CacheKey = CacheRef{Kind: kind, ID: ent.id(sess)}
 	}
 	if res.IsWrite {
-		for _, iv := range invalByKind[idx] {
-			if iv.Kind == 0 {
-				break
-			}
-			res.Inval[res.NInval] = CacheRef{Kind: iv.Kind - 1, ID: cacheEntity(iv.ID).id(sess)}
+		for _, iv := range invalByKind[kind] {
+			res.Inval[res.NInval] = CacheRef{Kind: iv.kind, ID: iv.ent.id(sess)}
 			res.NInval++
 		}
 	}
-}
-
-// Cacheable reports whether kind's DB work is declared cacheable.
-func Cacheable(kind Interaction) bool {
-	idx := kind.Index()
-	return idx >= 0 && cacheEntityByKind[idx] != entNone
-}
-
-// CacheableInteractions lists the declared cacheable kinds in
-// AllInteractions() order.
-func CacheableInteractions() []Interaction {
-	var out []Interaction
-	for i, k := range AllInteractions() {
-		if cacheEntityByKind[i] != entNone {
-			out = append(out, k)
-		}
-	}
-	return out
 }

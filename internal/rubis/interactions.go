@@ -7,49 +7,70 @@ import (
 	"vwchar/internal/rubisdb"
 )
 
-// Interaction names one of the 26 RUBiS request types.
-type Interaction string
+// Interaction is one of the 26 RUBiS request types. Its value is the
+// kind's dense index in AllInteractions() order, so per-kind tables are
+// arrays indexed by the kind itself.
+type Interaction uint8
 
 // The 26 RUBiS interactions (RUBiS 1.4.x state set).
 const (
-	Home                     Interaction = "Home"
-	Register                 Interaction = "Register"
-	RegisterUser             Interaction = "RegisterUser"
-	Browse                   Interaction = "Browse"
-	BrowseCategories         Interaction = "BrowseCategories"
-	SearchItemsInCategory    Interaction = "SearchItemsInCategory"
-	BrowseRegions            Interaction = "BrowseRegions"
-	BrowseCategoriesInRegion Interaction = "BrowseCategoriesInRegion"
-	SearchItemsInRegion      Interaction = "SearchItemsInRegion"
-	ViewItem                 Interaction = "ViewItem"
-	ViewUserInfo             Interaction = "ViewUserInfo"
-	ViewBidHistory           Interaction = "ViewBidHistory"
-	BuyNowAuth               Interaction = "BuyNowAuth"
-	BuyNow                   Interaction = "BuyNow"
-	StoreBuyNow              Interaction = "StoreBuyNow"
-	PutBidAuth               Interaction = "PutBidAuth"
-	PutBid                   Interaction = "PutBid"
-	StoreBid                 Interaction = "StoreBid"
-	PutCommentAuth           Interaction = "PutCommentAuth"
-	PutComment               Interaction = "PutComment"
-	StoreComment             Interaction = "StoreComment"
-	Sell                     Interaction = "Sell"
-	SelectCategoryToSellItem Interaction = "SelectCategoryToSellItem"
-	SellItemForm             Interaction = "SellItemForm"
-	RegisterItem             Interaction = "RegisterItem"
-	AboutMe                  Interaction = "AboutMe"
+	Home Interaction = iota
+	Register
+	RegisterUser
+	Browse
+	BrowseCategories
+	SearchItemsInCategory
+	BrowseRegions
+	BrowseCategoriesInRegion
+	SearchItemsInRegion
+	ViewItem
+	ViewUserInfo
+	ViewBidHistory
+	BuyNowAuth
+	BuyNow
+	StoreBuyNow
+	PutBidAuth
+	PutBid
+	StoreBid
+	PutCommentAuth
+	PutComment
+	StoreComment
+	Sell
+	SelectCategoryToSellItem
+	SellItemForm
+	RegisterItem
+	AboutMe
+
+	// NumInteractions is the number of distinct RUBiS interaction kinds.
+	NumInteractions = iota
 )
 
-// AllInteractions lists every interaction type.
-func AllInteractions() []Interaction {
-	return []Interaction{
-		Home, Register, RegisterUser, Browse, BrowseCategories,
-		SearchItemsInCategory, BrowseRegions, BrowseCategoriesInRegion,
-		SearchItemsInRegion, ViewItem, ViewUserInfo, ViewBidHistory,
-		BuyNowAuth, BuyNow, StoreBuyNow, PutBidAuth, PutBid, StoreBid,
-		PutCommentAuth, PutComment, StoreComment, Sell,
-		SelectCategoryToSellItem, SellItemForm, RegisterItem, AboutMe,
+// interactionNames holds each kind's RUBiS name, in index order.
+var interactionNames = [NumInteractions]string{
+	"Home", "Register", "RegisterUser", "Browse", "BrowseCategories",
+	"SearchItemsInCategory", "BrowseRegions", "BrowseCategoriesInRegion",
+	"SearchItemsInRegion", "ViewItem", "ViewUserInfo", "ViewBidHistory",
+	"BuyNowAuth", "BuyNow", "StoreBuyNow", "PutBidAuth", "PutBid", "StoreBid",
+	"PutCommentAuth", "PutComment", "StoreComment", "Sell",
+	"SelectCategoryToSellItem", "SellItemForm", "RegisterItem", "AboutMe",
+}
+
+// String returns the RUBiS name of the kind, or Interaction(N) for a
+// value outside the 26 kinds.
+func (i Interaction) String() string {
+	if i < NumInteractions {
+		return interactionNames[i]
 	}
+	return fmt.Sprintf("Interaction(%d)", uint8(i))
+}
+
+// AllInteractions lists every interaction type in index order.
+func AllInteractions() []Interaction {
+	out := make([]Interaction, NumInteractions)
+	for i := range out {
+		out[i] = Interaction(i)
+	}
+	return out
 }
 
 // CostParams converts logical interaction work into web-tier demand.
@@ -97,9 +118,6 @@ type Result struct {
 	Queries       []QueryCost
 	IsWrite       bool
 
-	// Kind is the interaction's dense index (Interaction.Index), so the
-	// serving path can attribute by array index instead of map lookup.
-	Kind uint8
 	// Cacheable marks the DB work as servable from a fragment cache;
 	// CacheKey is then the fragment's identity (see cache.go).
 	Cacheable bool
@@ -138,7 +156,7 @@ type Session struct {
 
 // htmlSizes is the base generated-page size per interaction, before
 // per-row rendering. Calibrated against RUBiS PHP page weights.
-var htmlSizes = map[Interaction]float64{
+var htmlSizes = [NumInteractions]float64{
 	Home: 2900, Register: 3600, RegisterUser: 2500,
 	Browse: 3100, BrowseCategories: 4100, SearchItemsInCategory: 5200,
 	BrowseRegions: 3900, BrowseCategoriesInRegion: 4100,

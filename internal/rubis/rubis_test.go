@@ -1,6 +1,7 @@
 package rubis
 
 import (
+	"fmt"
 	"testing"
 
 	"vwchar/internal/rng"
@@ -81,8 +82,45 @@ func TestAllInteractionsExecute(t *testing.T) {
 			}
 		}
 	}
-	if _, err := app.Execute(Interaction("Nope"), sess, r, params); err == nil {
-		t.Fatal("unknown interaction should error")
+	if _, err := app.Execute(NumInteractions, sess, r, params); err == nil {
+		t.Fatal("out-of-range interaction should error")
+	}
+}
+
+func TestInteractionString(t *testing.T) {
+	want := map[Interaction]string{
+		Home: "Home", Register: "Register", RegisterUser: "RegisterUser",
+		Browse: "Browse", BrowseCategories: "BrowseCategories",
+		SearchItemsInCategory:    "SearchItemsInCategory",
+		BrowseRegions:            "BrowseRegions",
+		BrowseCategoriesInRegion: "BrowseCategoriesInRegion",
+		SearchItemsInRegion:      "SearchItemsInRegion",
+		ViewItem:                 "ViewItem", ViewUserInfo: "ViewUserInfo",
+		ViewBidHistory: "ViewBidHistory", BuyNowAuth: "BuyNowAuth",
+		BuyNow: "BuyNow", StoreBuyNow: "StoreBuyNow", PutBidAuth: "PutBidAuth",
+		PutBid: "PutBid", StoreBid: "StoreBid", PutCommentAuth: "PutCommentAuth",
+		PutComment: "PutComment", StoreComment: "StoreComment", Sell: "Sell",
+		SelectCategoryToSellItem: "SelectCategoryToSellItem",
+		SellItemForm:             "SellItemForm", RegisterItem: "RegisterItem",
+		AboutMe: "AboutMe",
+	}
+	all := AllInteractions()
+	if len(want) != NumInteractions || len(all) != NumInteractions {
+		t.Fatalf("%d names, %d kinds, want %d", len(want), len(all), NumInteractions)
+	}
+	for i, kind := range all {
+		if int(kind) != i {
+			t.Fatalf("AllInteractions()[%d] = %d", i, kind)
+		}
+		if got := kind.String(); got != want[kind] {
+			t.Errorf("Interaction(%d).String() = %q, want %q", i, got, want[kind])
+		}
+	}
+	if got := Interaction(NumInteractions).String(); got != "Interaction(26)" {
+		t.Errorf("out-of-range kind renders as %q", got)
+	}
+	if got := fmt.Sprintf("%s %q", ViewItem, StoreBid); got != `ViewItem "StoreBid"` {
+		t.Errorf("formatted kinds = %s", got)
 	}
 }
 
@@ -239,7 +277,7 @@ func TestBiddingMixReachesWrites(t *testing.T) {
 	seen := map[Interaction]bool{}
 	cur := m.Start
 	for i := 0; i < 20000; i++ {
-		cur = m.Next(cur, r)
+		cur = m.NextInteraction(cur, r)
 		seen[cur] = true
 	}
 	for _, want := range []Interaction{StoreBid, StoreBuyNow, StoreComment, RegisterItem, RegisterUser} {
@@ -261,7 +299,7 @@ func TestMixThinkTimes(t *testing.T) {
 	sum := 0.0
 	const n = 100000
 	for i := 0; i < n; i++ {
-		sum += browse.Think(r)
+		sum += browse.ThinkSeconds(r)
 	}
 	if mean := sum / n; mean < 6.8 || mean > 7.2 {
 		t.Fatalf("think sample mean = %v", mean)
@@ -271,7 +309,7 @@ func TestMixThinkTimes(t *testing.T) {
 func TestMixUnknownStateRestarts(t *testing.T) {
 	m := BrowsingMix()
 	r := rng.NewSource(3).Stream("x")
-	if next := m.Next(StoreBid, r); next != m.Start {
+	if next := m.NextInteraction(StoreBid, r); next != m.Start {
 		t.Fatalf("unknown state should restart at %s, got %s", m.Start, next)
 	}
 }
@@ -317,7 +355,7 @@ func TestMixStationaryWriteFraction(t *testing.T) {
 	cur := m.Start
 	const n = 100000
 	for i := 0; i < n; i++ {
-		cur = m.Next(cur, r)
+		cur = m.NextInteraction(cur, r)
 		if writes[cur] {
 			count++
 		}

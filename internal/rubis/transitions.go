@@ -20,7 +20,9 @@ type Mix struct {
 	// Start is the session entry state.
 	Start Interaction
 
-	table map[Interaction]mixRow
+	// table holds each state's outgoing edges; a state with no edges
+	// has no row.
+	table [NumInteractions]mixRow
 }
 
 type edge struct {
@@ -29,23 +31,22 @@ type edge struct {
 }
 
 // mixRow is one state's outgoing edges, split into destinations and the
-// weight slice Next hands to Categorical as is, so a transition draws
-// without building a weights slice per step.
+// weight slice NextInteraction hands to Categorical as is, so a
+// transition draws without building a weights slice per step.
 type mixRow struct {
 	to []Interaction
 	w  []float64
 }
 
-func buildMix(name string, think float64, rows map[Interaction][]edge) *Mix {
-	table := make(map[Interaction]mixRow, len(rows))
+func buildMix(name string, think float64, rows [NumInteractions][]edge) *Mix {
+	m := &Mix{Name: name, ThinkMeanSeconds: think, Start: Home}
 	for from, edges := range rows {
 		row := mixRow{to: make([]Interaction, len(edges)), w: make([]float64, len(edges))}
 		for i, e := range edges {
 			row.to[i], row.w[i] = e.to, e.p
 		}
-		table[from] = row
+		m.table[from] = row
 	}
-	m := &Mix{Name: name, ThinkMeanSeconds: think, Start: Home, table: table}
 	if err := m.Validate(); err != nil {
 		panic(err) // static tables are package data; a bad one is a bug
 	}
@@ -55,33 +56,27 @@ func buildMix(name string, think float64, rows map[Interaction][]edge) *Mix {
 // Validate checks that all rows are proper distributions over known
 // states and that every state is reachable from Start.
 func (m *Mix) Validate() error {
-	known := make(map[Interaction]bool)
-	for _, i := range AllInteractions() {
-		known[i] = true
-	}
 	for from, row := range m.table {
-		if !known[from] {
-			return fmt.Errorf("rubis: mix %s has unknown state %q", m.Name, from)
-		}
 		sum := 0.0
 		for i, to := range row.to {
-			if !known[to] {
-				return fmt.Errorf("rubis: mix %s: %s -> unknown %q", m.Name, from, to)
+			if to >= NumInteractions {
+				return fmt.Errorf("rubis: mix %s: %s -> unknown %q", m.Name, Interaction(from), to)
 			}
 			if row.w[i] <= 0 {
-				return fmt.Errorf("rubis: mix %s: %s -> %s has weight %v", m.Name, from, to, row.w[i])
+				return fmt.Errorf("rubis: mix %s: %s -> %s has weight %v", m.Name, Interaction(from), to, row.w[i])
 			}
 			sum += row.w[i]
 		}
-		if math.Abs(sum-1) > 1e-9 {
-			return fmt.Errorf("rubis: mix %s: %s row sums to %v", m.Name, from, sum)
+		if len(row.to) > 0 && math.Abs(sum-1) > 1e-9 {
+			return fmt.Errorf("rubis: mix %s: %s row sums to %v", m.Name, Interaction(from), sum)
 		}
 	}
-	if _, ok := m.table[m.Start]; !ok {
+	if m.Start >= NumInteractions || len(m.table[m.Start].to) == 0 {
 		return fmt.Errorf("rubis: mix %s start state %q has no row", m.Name, m.Start)
 	}
 	// Reachability sweep.
-	seen := map[Interaction]bool{m.Start: true}
+	var seen [NumInteractions]bool
+	seen[m.Start] = true
 	frontier := []Interaction{m.Start}
 	for len(frontier) > 0 {
 		cur := frontier[0]
@@ -93,9 +88,9 @@ func (m *Mix) Validate() error {
 			}
 		}
 	}
-	for from := range m.table {
-		if !seen[from] {
-			return fmt.Errorf("rubis: mix %s state %q unreachable from %s", m.Name, from, m.Start)
+	for from, row := range m.table {
+		if len(row.to) > 0 && !seen[from] {
+			return fmt.Errorf("rubis: mix %s state %q unreachable from %s", m.Name, Interaction(from), m.Start)
 		}
 	}
 	return nil
@@ -104,30 +99,17 @@ func (m *Mix) Validate() error {
 // States returns the interactions this mix can emit.
 func (m *Mix) States() []Interaction {
 	var out []Interaction
-	for _, i := range AllInteractions() {
-		if _, ok := m.table[i]; ok {
-			out = append(out, i)
+	for from, row := range m.table {
+		if len(row.to) > 0 {
+			out = append(out, Interaction(from))
 		}
 	}
 	return out
 }
 
-// Next draws the interaction following cur. States without a row (e.g.
-// after switching mixes mid-session) restart at Start.
-func (m *Mix) Next(cur Interaction, r *rng.Stream) Interaction {
-	row, ok := m.table[cur]
-	if !ok {
-		return m.Start
-	}
-	return row.to[r.Categorical(row.w)]
-}
-
-// Think draws a think time in seconds.
-func (m *Mix) Think(r *rng.Stream) float64 { return r.Exp(m.ThinkMeanSeconds) }
-
 // BrowsingMix returns the paper's read-only "browsing" composition.
 func BrowsingMix() *Mix {
-	return buildMix("browsing", 7.0, map[Interaction][]edge{
+	return buildMix("browsing", 7.0, [NumInteractions][]edge{
 		Home:                     {{Browse, 1}},
 		Browse:                   {{BrowseCategories, 0.55}, {BrowseRegions, 0.45}},
 		BrowseCategories:         {{SearchItemsInCategory, 1}},
@@ -150,7 +132,7 @@ func BrowsingMix() *Mix {
 // BiddingMix returns the paper's "bidding" composition (the RUBiS
 // default read-write mix, ~10-15% writes).
 func BiddingMix() *Mix {
-	return buildMix("bidding", 8.4, map[Interaction][]edge{
+	return buildMix("bidding", 8.4, [NumInteractions][]edge{
 		Home:                     {{Browse, 0.85}, {Register, 0.06}, {Sell, 0.05}, {AboutMe, 0.04}},
 		Register:                 {{RegisterUser, 1}},
 		RegisterUser:             {{Browse, 0.6}, {Home, 0.4}},
@@ -226,13 +208,19 @@ type Model interface {
 // MixName implements Model.
 func (m *Mix) MixName() string { return m.Name }
 
-// NextInteraction implements Model.
+// NextInteraction implements Model: it draws the interaction following
+// cur. States without a row (e.g. after switching mixes mid-session)
+// restart at Start.
 func (m *Mix) NextInteraction(cur Interaction, r *rng.Stream) Interaction {
-	return m.Next(cur, r)
+	if cur >= NumInteractions || len(m.table[cur].to) == 0 {
+		return m.Start
+	}
+	row := &m.table[cur]
+	return row.to[r.Categorical(row.w)]
 }
 
-// ThinkSeconds implements Model.
-func (m *Mix) ThinkSeconds(r *rng.Stream) float64 { return m.Think(r) }
+// ThinkSeconds implements Model: it draws a think time in seconds.
+func (m *Mix) ThinkSeconds(r *rng.Stream) float64 { return r.Exp(m.ThinkMeanSeconds) }
 
 // StartState implements Model.
 func (m *Mix) StartState() Interaction { return m.Start }
@@ -243,9 +231,9 @@ func (c *CompositeMix) MixName() string { return c.Name }
 // NextInteraction implements Model.
 func (c *CompositeMix) NextInteraction(cur Interaction, r *rng.Stream) Interaction {
 	if r.Bernoulli(c.BrowseFraction) {
-		return c.browse.Next(cur, r)
+		return c.browse.NextInteraction(cur, r)
 	}
-	return c.bid.Next(cur, r)
+	return c.bid.NextInteraction(cur, r)
 }
 
 // ThinkSeconds implements Model.

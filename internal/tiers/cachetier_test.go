@@ -385,16 +385,14 @@ func warmCacheHitRig(t testing.TB) (*sim.Kernel, *CacheServer, *uint64) {
 		From: VMPath(hv, cacheDom, webDom),
 	})
 
-	idx := rubis.ViewItem.Index()
 	res := &rubis.Result{
 		Interaction:   rubis.ViewItem,
 		RequestBytes:  500,
 		ResponseBytes: 8000,
 		WebCycles:     2e6,
 		Queries:       []rubis.QueryCost{{RequestBytes: 200, ReplyBytes: 4000}},
-		Kind:          uint8(idx),
 		Cacheable:     true,
-		CacheKey:      rubis.CacheRef{Kind: uint8(idx), ID: 42},
+		CacheKey:      rubis.CacheRef{Kind: rubis.ViewItem, ID: 42},
 	}
 	served := new(uint64)
 	rt := &Route{}

@@ -205,8 +205,7 @@ func (d *Driver) issue(s *session) {
 		d.afterResponse(s, 0, false)
 		return
 	}
-	// ExecuteInto stamped res.Kind with the interaction's dense index.
-	d.byKind[s.res.Kind]++
+	d.byKind[s.res.Interaction]++
 	if s.res.IsWrite {
 		d.writes++
 	}
@@ -222,7 +221,7 @@ func sessionDone(arg any) {
 	s := arg.(*session)
 	d := s.d
 	rt, o := d.k.Now()-s.sentAt, s.rt.Outcome
-	d.conclude(o, rt.Sec(), s.res.IsWrite, int(s.res.Kind))
+	d.conclude(o, rt.Sec(), s.res.IsWrite, int(s.res.Interaction))
 	s.rt.Outcome = OutcomeServed
 	d.afterResponse(s, rt, o != OutcomeServed)
 }
@@ -315,9 +314,9 @@ func (d *Driver) WriteFraction() float64 {
 // kinds that were issued.
 func (d *Driver) InteractionCounts() map[rubis.Interaction]uint64 {
 	out := make(map[rubis.Interaction]uint64)
-	for i, kind := range rubis.AllInteractions() {
-		if n := d.byKind[i]; n > 0 {
-			out[kind] = n
+	for kind, n := range d.byKind {
+		if n > 0 {
+			out[rubis.Interaction(kind)] = n
 		}
 	}
 	return out

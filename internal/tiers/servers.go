@@ -306,7 +306,7 @@ func (w *WebAppServer) beginBackend(req *webRequest) {
 			return
 		}
 		if res.Cacheable && w.cache != nil && !w.cache.down {
-			req.ckey = cachetier.Key{Kind: res.CacheKey.Kind, ID: res.CacheKey.ID}
+			req.ckey = cachetier.Key{Kind: uint8(res.CacheKey.Kind), ID: res.CacheKey.ID}
 			w.cachePath.To.Transfer(w.cache.params.GetRequestBytes, webCacheGetSent, req)
 			return
 		}
@@ -396,7 +396,7 @@ func (w *WebAppServer) invalidate(req *webRequest) {
 	}
 	for i := uint8(0); i < req.res.NInval; i++ {
 		ref := req.res.Inval[i]
-		w.cache.SendInval(w.cachePath.To, cachetier.Key{Kind: ref.Kind, ID: ref.ID})
+		w.cache.SendInval(w.cachePath.To, cachetier.Key{Kind: uint8(ref.Kind), ID: ref.ID})
 	}
 }
 

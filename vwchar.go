@@ -508,7 +508,8 @@ type (
 	TransactionModel = model.TransactionModel
 	// DemandPrediction is a transaction-level aggregate forecast.
 	DemandPrediction = model.DemandPrediction
-	// Interaction names one of the 26 RUBiS request types.
+	// Interaction is one of the 26 RUBiS request types: a dense index
+	// (0..25) whose String method gives the RUBiS name.
 	Interaction = rubis.Interaction
 	// MixModel is a client behaviour model (Markov chain + think time).
 	MixModel = rubis.Model
