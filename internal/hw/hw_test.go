@@ -80,8 +80,8 @@ func TestCPUFreezeAndThaw(t *testing.T) {
 	cpu := NewCPU(k, "c", 1, 1e9)
 	var doneAt sim.Time
 	cpu.Submit(1e9, func(any) { doneAt = k.Now() }, nil)
-	k.At(500*sim.Millisecond, func() { cpu.SetSpeed(0) })
-	k.At(1500*sim.Millisecond, func() { cpu.SetSpeed(1) })
+	k.AtCall(500*sim.Millisecond, func(any) { cpu.SetSpeed(0) }, nil)
+	k.AtCall(1500*sim.Millisecond, func(any) { cpu.SetSpeed(1) }, nil)
 	k.Run(sim.MaxTime)
 	// 0.5s of work, 1s frozen, then remaining 0.5s: done at 2s.
 	if doneAt != 2*sim.Second {
@@ -94,9 +94,9 @@ func TestCPUMidRunArrival(t *testing.T) {
 	cpu := NewCPU(k, "c", 1, 1e9)
 	var first, second sim.Time
 	cpu.Submit(1e9, func(any) { first = k.Now() }, nil)
-	k.At(500*sim.Millisecond, func() {
+	k.AtCall(500*sim.Millisecond, func(any) {
 		cpu.Submit(0.5e9, func(any) { second = k.Now() }, nil)
-	})
+	}, nil)
 	k.Run(sim.MaxTime)
 	// After 0.5s: job1 has 0.5e9 left, job2 has 0.5e9; sharing one core
 	// they both finish at 0.5 + 1.0 = 1.5s.

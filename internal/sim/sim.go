@@ -37,8 +37,8 @@
 //
 // # Event handle lifetime
 //
-// At, After, AtCall, and AfterCall return an Event handle (a value, not a
-// pointer). The handle stays valid until the event fires, is cancelled and
+// AtCall and AfterCall return an Event handle (a value, not a pointer).
+// The handle stays valid until the event fires, is cancelled and
 // collected, or is removed; after that the kernel recycles the slot and
 // bumps its generation counter, so a retained stale handle becomes inert:
 // Cancel and Reschedule on it are no-ops, Pending reports false. A handle
@@ -80,10 +80,10 @@ func (t Time) Sec() float64 { return float64(t) / float64(Second) }
 // String renders the time as seconds with millisecond precision.
 func (t Time) String() string { return fmt.Sprintf("%.3fs", t.Sec()) }
 
-// Callback is a closure-free event callback: the kernel passes back the
-// arg given at scheduling time. Passing a pointer-typed arg does not
-// allocate, which is what makes AtCall/AfterCall allocation-free where a
-// capturing closure passed to At/After would not be.
+// Callback is an event callback: the kernel passes back the arg given
+// at scheduling time. Passing a package-level function and a
+// pointer-typed arg does not allocate, so AtCall/AfterCall schedule
+// without a closure per event.
 type Callback func(arg any)
 
 // event is one pooled event slot in the kernel arena. While the event
@@ -93,7 +93,6 @@ type Callback func(arg any)
 type event struct {
 	at   Time
 	seq  uint64 // tie-break key while far; the heap entry holds it otherwise
-	fn   func()
 	call Callback
 	arg  any
 	pos  int32 // heap index, posIdle, or posFar0-l while in far list l
@@ -309,7 +308,7 @@ func (k *Kernel) Pending() int { return len(k.heap) + k.farN - k.dead }
 func (k *Kernel) Processed() uint64 { return k.processed }
 
 // schedule grabs a pooled slot, fills it, and queues it.
-func (k *Kernel) schedule(t Time, fn func(), call Callback, arg any) Event {
+func (k *Kernel) schedule(t Time, call Callback, arg any) Event {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", t, k.now))
 	}
@@ -323,7 +322,6 @@ func (k *Kernel) schedule(t Time, fn func(), call Callback, arg any) Event {
 	}
 	e := &k.arena[idx]
 	e.at = t
-	e.fn = fn
 	e.call = call
 	e.arg = arg
 	e.dead = false
@@ -337,7 +335,6 @@ func (k *Kernel) schedule(t Time, fn func(), call Callback, arg any) Event {
 func (k *Kernel) release(idx int32) {
 	e := &k.arena[idx]
 	e.gen++
-	e.fn = nil
 	e.call = nil
 	e.arg = nil
 	e.dead = false
@@ -345,26 +342,13 @@ func (k *Kernel) release(idx int32) {
 	k.free = append(k.free, idx)
 }
 
-// At schedules fn to run at absolute virtual time t. Scheduling in the
-// past (t < Now) panics: it always indicates a model bug, and silently
-// reordering time would corrupt every downstream statistic.
-func (k *Kernel) At(t Time, fn func()) Event {
-	return k.schedule(t, fn, nil, nil)
-}
-
-// After schedules fn to run d after the current time.
-func (k *Kernel) After(d Time, fn func()) Event {
-	if d < 0 {
-		d = 0
-	}
-	return k.schedule(k.now+d, fn, nil, nil)
-}
-
 // AtCall schedules fn(arg) at absolute virtual time t without allocating
 // a closure: hot schedulers pass a package-level function plus the model
-// object it operates on.
+// object it operates on. Scheduling in the past (t < Now) panics: it
+// always indicates a model bug, and silently reordering time would
+// corrupt every downstream statistic.
 func (k *Kernel) AtCall(t Time, fn Callback, arg any) Event {
-	return k.schedule(t, nil, fn, arg)
+	return k.schedule(t, fn, arg)
 }
 
 // AfterCall schedules fn(arg) to run d after the current time.
@@ -372,7 +356,7 @@ func (k *Kernel) AfterCall(d Time, fn Callback, arg any) Event {
 	if d < 0 {
 		d = 0
 	}
-	return k.schedule(k.now+d, nil, fn, arg)
+	return k.schedule(k.now+d, fn, arg)
 }
 
 // Stop halts the run loop after the current event completes.
@@ -430,14 +414,10 @@ func (k *Kernel) Step() bool {
 // callback fields are copied out first: scheduling inside the callback
 // may grow the arena and move the slot.
 func (k *Kernel) fire(idx int32, e *event) {
-	fn, call, arg := e.fn, e.call, e.arg
+	call, arg := e.call, e.arg
 	prev := k.firing
 	k.firing = idx
-	if call != nil {
-		call(arg)
-	} else {
-		fn()
-	}
+	call(arg)
 	k.firing = prev
 	if k.arena[idx].pos == posIdle {
 		k.release(idx)

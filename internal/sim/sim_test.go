@@ -28,7 +28,7 @@ func TestEventsRunInTimeOrder(t *testing.T) {
 	var order []Time
 	for _, at := range []Time{5 * Second, Second, 3 * Second, 2 * Second} {
 		at := at
-		k.At(at, func() { order = append(order, at) })
+		atFunc(k, at, func() { order = append(order, at) })
 	}
 	k.Run(MaxTime)
 	want := []Time{Second, 2 * Second, 3 * Second, 5 * Second}
@@ -47,7 +47,7 @@ func TestTieBreakIsFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		k.At(Second, func() { order = append(order, i) })
+		atFunc(k, Second, func() { order = append(order, i) })
 	}
 	k.Run(MaxTime)
 	for i, v := range order {
@@ -59,20 +59,20 @@ func TestTieBreakIsFIFO(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	k := NewKernel()
-	k.At(Second, func() {})
+	atFunc(k, Second, func() {})
 	k.Run(MaxTime)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	k.At(0, func() {})
+	atFunc(k, 0, func() {})
 }
 
 func TestCancel(t *testing.T) {
 	k := NewKernel()
 	fired := false
-	e := k.At(Second, func() { fired = true })
+	e := atFunc(k, Second, func() { fired = true })
 	if !e.Pending() {
 		t.Fatal("Pending() = false for a queued event")
 	}
@@ -91,7 +91,7 @@ func TestCancel(t *testing.T) {
 	// occupies the recycled slot.
 	e.Cancel()
 	refired := false
-	k.At(10*Second, func() { refired = true })
+	atFunc(k, 10*Second, func() { refired = true })
 	e.Cancel()
 	k.Run(20 * Second)
 	if !refired {
@@ -102,8 +102,8 @@ func TestCancel(t *testing.T) {
 func TestRunUntilStopsBeforeLaterEvents(t *testing.T) {
 	k := NewKernel()
 	count := 0
-	k.At(Second, func() { count++ })
-	k.At(10*Second, func() { count++ })
+	atFunc(k, Second, func() { count++ })
+	atFunc(k, 10*Second, func() { count++ })
 	k.Run(5 * Second)
 	if count != 1 {
 		t.Fatalf("count = %d, want 1", count)
@@ -120,11 +120,11 @@ func TestRunUntilStopsBeforeLaterEvents(t *testing.T) {
 func TestStopHaltsLoop(t *testing.T) {
 	k := NewKernel()
 	count := 0
-	k.At(Second, func() {
+	atFunc(k, Second, func() {
 		count++
 		k.Stop()
 	})
-	k.At(2*Second, func() { count++ })
+	atFunc(k, 2*Second, func() { count++ })
 	k.Run(MaxTime)
 	if count != 1 {
 		t.Fatalf("count = %d, want 1 (Stop should halt)", count)
@@ -134,9 +134,9 @@ func TestStopHaltsLoop(t *testing.T) {
 func TestNestedScheduling(t *testing.T) {
 	k := NewKernel()
 	var hits []Time
-	k.At(Second, func() {
+	atFunc(k, Second, func() {
 		hits = append(hits, k.Now())
-		k.After(Second, func() { hits = append(hits, k.Now()) })
+		afterFunc(k, Second, func() { hits = append(hits, k.Now()) })
 	})
 	k.Run(MaxTime)
 	if len(hits) != 2 || hits[0] != Second || hits[1] != 2*Second {
@@ -147,8 +147,8 @@ func TestNestedScheduling(t *testing.T) {
 func TestStep(t *testing.T) {
 	k := NewKernel()
 	count := 0
-	k.At(Second, func() { count++ })
-	k.At(2*Second, func() { count++ })
+	atFunc(k, Second, func() { count++ })
+	atFunc(k, 2*Second, func() { count++ })
 	if !k.Step() || count != 1 {
 		t.Fatalf("first Step: count=%d", count)
 	}
@@ -202,8 +202,8 @@ func TestTickerStopPreventsRearm(t *testing.T) {
 
 func TestProcessedCountsOnlyExecuted(t *testing.T) {
 	k := NewKernel()
-	e := k.At(Second, func() {})
-	k.At(2*Second, func() {})
+	e := atFunc(k, Second, func() {})
+	atFunc(k, 2*Second, func() {})
 	e.Cancel()
 	k.Run(MaxTime)
 	if k.Processed() != 1 {
@@ -224,7 +224,7 @@ func TestPropertyExecutionOrderSorted(t *testing.T) {
 		for _, r := range raw {
 			at := Time(r)
 			want = append(want, at)
-			k.At(at, func() { got = append(got, at) })
+			atFunc(k, at, func() { got = append(got, at) })
 		}
 		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
 		k.Run(MaxTime)
@@ -256,13 +256,13 @@ func TestPropertyMonotonicClock(t *testing.T) {
 		}
 		last = now
 		if k.Processed() < 5000 {
-			k.After(Time(r.Intn(1000)), schedule)
+			afterFunc(k, Time(r.Intn(1000)), schedule)
 			if r.Intn(3) == 0 {
-				k.After(Time(r.Intn(1000)), schedule)
+				afterFunc(k, Time(r.Intn(1000)), schedule)
 			}
 		}
 	}
-	k.At(0, schedule)
+	atFunc(k, 0, schedule)
 	k.Run(MaxTime)
 	if k.Processed() < 5000 {
 		t.Fatalf("ran only %d events", k.Processed())

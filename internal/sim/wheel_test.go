@@ -92,7 +92,7 @@ func (o *farOracle) randTime() Time {
 func (o *farOracle) schedule(at Time) {
 	id := len(o.specs)
 	o.specs = append(o.specs, oracleSpec{at: at, order: o.nextOrder(), live: true})
-	o.events = append(o.events, o.k.At(at, func() {
+	o.events = append(o.events, atFunc(o.k, at, func() {
 		o.fired(id)
 		if len(o.specs) < 400 && o.r.Intn(3) == 0 {
 			o.mutate()
@@ -290,7 +290,7 @@ func TestFarQueueWrapAndJump(t *testing.T) {
 	var got []Time
 	rec := func() { got = append(got, k.Now()) }
 	for _, at := range []Time{2, 3, 6, 1 << 40, 9} {
-		k.At(at, rec)
+		atFunc(k, at, rec)
 	}
 	if k.overN != 3 || k.farN != 5 {
 		t.Fatalf("overflow %d, far %d; want 3 and 5", k.overN, k.farN)
@@ -326,7 +326,7 @@ func TestFarQueueWrapAndJump(t *testing.T) {
 func TestStaleHandleRecycledThroughWheelIsInert(t *testing.T) {
 	k := newKernel(2, 4) // 4 ns buckets, 16 ns rotations
 	overflow := posFar0 - int32(len(k.heads)-1)
-	old := k.At(9, func() {})
+	old := atFunc(k, 9, func() {})
 	if p := k.arena[old.idx].pos; p >= posIdle || p == overflow {
 		t.Fatalf("setup: event at 9 has pos %d, want a wheel slot", p)
 	}
@@ -340,7 +340,7 @@ func TestStaleHandleRecycledThroughWheelIsInert(t *testing.T) {
 	}{{5, false}, {100, true}} {
 		fired := 0
 		at := k.Now() + c.delay
-		fresh := k.At(at, func() { fired++ })
+		fresh := atFunc(k, at, func() { fired++ })
 		if fresh.idx != old.idx {
 			t.Fatalf("setup: slot %d not recycled (got %d)", old.idx, fresh.idx)
 		}
