@@ -85,9 +85,6 @@ func (s *Stream) Float64() float64 { return s.r.Float64() }
 // Intn returns a uniform draw in [0,n).
 func (s *Stream) Intn(n int) int { return s.r.Intn(n) }
 
-// Int63n returns a uniform draw in [0,n).
-func (s *Stream) Int63n(n int64) int64 { return s.r.Int63n(n) }
-
 // Uniform returns a uniform draw in [lo,hi).
 func (s *Stream) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*s.r.Float64()
@@ -104,15 +101,6 @@ func (s *Stream) Exp(mean float64) float64 {
 // Normal returns a normal draw with mean mu and standard deviation sigma.
 func (s *Stream) Normal(mu, sigma float64) float64 {
 	return mu + sigma*s.r.NormFloat64()
-}
-
-// NormalPos returns a normal draw truncated below at zero.
-func (s *Stream) NormalPos(mu, sigma float64) float64 {
-	v := s.Normal(mu, sigma)
-	if v < 0 {
-		return 0
-	}
-	return v
 }
 
 // LogNormal returns a lognormal draw where the underlying normal has mean
@@ -134,15 +122,6 @@ func (s *Stream) LogNormalMean(mean, cv float64) float64 {
 	sigma2 := math.Log(1 + cv*cv)
 	mu := math.Log(mean) - sigma2/2
 	return s.LogNormal(mu, math.Sqrt(sigma2))
-}
-
-// Pareto returns a bounded Pareto draw with shape alpha and minimum xm.
-func (s *Stream) Pareto(xm, alpha float64) float64 {
-	u := s.r.Float64()
-	for u == 0 {
-		u = s.r.Float64()
-	}
-	return xm / math.Pow(u, 1/alpha)
 }
 
 // Bernoulli returns true with probability p.
@@ -215,30 +194,4 @@ func (s *Stream) Categorical(weights []float64) int {
 		}
 	}
 	return len(weights) - 1
-}
-
-// Zipf returns draws in [0,n) with Zipfian skew s>1 approximated via the
-// standard library generator. Used for item popularity.
-type Zipf struct {
-	z *rand.Zipf
-}
-
-// NewZipf builds a Zipf sampler over [0,n) with exponent skew (>1).
-func (s *Stream) NewZipf(skew float64, n uint64) *Zipf {
-	if skew <= 1 {
-		skew = 1.0001
-	}
-	if n == 0 {
-		n = 1
-	}
-	return &Zipf{z: rand.NewZipf(&s.r, skew, 1, n-1)}
-}
-
-// Draw returns the next Zipf sample.
-func (z *Zipf) Draw() uint64 { return z.z.Uint64() }
-
-// Shuffle permutes the integers [0,n) deterministically.
-func (s *Stream) Shuffle(n int) []int {
-	p := s.r.Perm(n)
-	return p
 }

@@ -136,8 +136,8 @@ func NewStream(seed uint64) *Stream {
 }
 
 // Release hands the stream back for reuse by a later NewStream or
-// Source.Stream. The caller must not draw from it (or from a Zipf built
-// on it) afterwards: its next owner reseeds it. Releasing a stream twice
+// Source.Stream. The caller must not draw from it afterwards: its next
+// owner reseeds it. Releasing a stream twice
 // panics.
 func (s *Stream) Release() {
 	if s.released {
