@@ -134,7 +134,7 @@ func buildVMInstance(k *sim.Kernel, hvs []*xen.Hypervisor, topo tiers.Topology, 
 	// tickers in the event order, as before the refactor). Read
 	// replicas carry no engine reference: only the primary checkpoints
 	// the shared storage engine.
-	primaryBE := &tiers.VMBackend{HV: hvFor(primaryVM), Dom: primaryDom, Peer: webDoms[0]}
+	primaryBE := &tiers.VMBackend{HV: hvFor(primaryVM), Dom: primaryDom}
 	primary := tiers.NewDBServer(k, primaryBE, app, tiers.DefaultDBParams("vm"))
 	var replicas []*tiers.DBServer
 	for j := 0; j < topo.DBReadReplicas; j++ {
@@ -156,7 +156,7 @@ func buildVMInstance(k *sim.Kernel, hvs []*xen.Hypervisor, topo tiers.Topology, 
 
 	webs := make([]*tiers.WebAppServer, 0, topo.MaxWebReplicas)
 	for i, dom := range webDoms {
-		be := &tiers.VMBackend{HV: hvFor(i), Dom: dom, Peer: primaryDom}
+		be := &tiers.VMBackend{HV: hvFor(i), Dom: dom}
 		webs = append(webs, tiers.NewWebAppServer(k, be, inst.dbc, dbPaths(hvFor(i), dom), tiers.DefaultWebParams("vm")))
 	}
 	inst.cluster = tiers.NewWebCluster(k, webs, topo.WebReplicas, tiers.NewLoadBalancer(topo.LB))
@@ -178,7 +178,7 @@ func buildVMInstance(k *sim.Kernel, hvs []*xen.Hypervisor, topo tiers.Topology, 
 	var aux []sysstat.Target
 	if cache != nil {
 		hv, dom := auxGuest(0, TierCache)
-		be := &tiers.VMBackend{HV: hv, Dom: dom, Peer: webDoms[0]}
+		be := &tiers.VMBackend{HV: hv, Dom: dom}
 		inst.cacheSrv = tiers.NewCacheServer(k, be, *cache, tiers.DefaultCacheParams())
 		for i, w := range webs {
 			w.SetCacheTier(inst.cacheSrv, pathPair(k, hvFor(i), webDoms[i], hv, dom))
@@ -187,7 +187,7 @@ func buildVMInstance(k *sim.Kernel, hvs []*xen.Hypervisor, topo tiers.Topology, 
 	}
 	if queue != nil {
 		hv, dom := auxGuest(1, TierQueue)
-		be := &tiers.VMBackend{HV: hv, Dom: dom, Peer: dbDoms[0]}
+		be := &tiers.VMBackend{HV: hv, Dom: dom}
 		inst.queueSrv = tiers.NewQueueServer(k, be, inst.dbc, dbPaths(hv, dom), *queue, tiers.DefaultQueueParams())
 		for i, w := range webs {
 			w.SetQueueTier(inst.queueSrv, pathPair(k, hvFor(i), webDoms[i], hv, dom))

@@ -53,9 +53,6 @@ const (
 	Trace Kind = "trace"
 )
 
-// Kinds lists the arrival families in catalog order.
-func Kinds() []Kind { return []Kind{Poisson, Bursty, Diurnal, Spike, Trace} }
-
 // Default session-lifecycle parameters applied by Validate when the
 // spec leaves them zero.
 const (

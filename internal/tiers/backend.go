@@ -37,9 +37,8 @@ type Backend interface {
 
 // VMBackend runs a tier inside a Xen guest.
 type VMBackend struct {
-	HV   *xen.Hypervisor
-	Dom  *xen.Domain
-	Peer *xen.Domain
+	HV  *xen.Hypervisor
+	Dom *xen.Domain
 }
 
 // SubmitCPU implements Backend.
@@ -56,14 +55,6 @@ func (b *VMBackend) DiskIO(bytes float64, write bool, done sim.Callback, arg any
 // NetExternal implements Backend.
 func (b *VMBackend) NetExternal(bytes float64, inbound bool, done sim.Callback, arg any) {
 	b.HV.GuestNetExternal(b.Dom, bytes, inbound, done, arg)
-}
-
-// NetToPeer transfers bytes to the co-resident peer guest across the
-// software bridge. Inter-tier traffic normally travels a topology Path
-// (VMPath wraps exactly this call); the method remains for direct
-// backend use.
-func (b *VMBackend) NetToPeer(bytes float64, done sim.Callback, arg any) {
-	b.HV.GuestNetInterVM(b.Dom, b.Peer, bytes, done, arg)
 }
 
 // Fsync implements Backend.

@@ -36,8 +36,8 @@ func newCacheRig(t testing.TB, clients int, mix rubis.Model, cache *cachetier.Ca
 	hv := xen.New(k, host, xen.DefaultParams())
 	webDom := hv.CreateGuest("web", 2, 2<<30, 256)
 	dbDom := hv.CreateGuest("db", 2, 2<<30, 256)
-	webBE := &VMBackend{HV: hv, Dom: webDom, Peer: dbDom}
-	dbBE := &VMBackend{HV: hv, Dom: dbDom, Peer: webDom}
+	webBE := &VMBackend{HV: hv, Dom: webDom}
+	dbBE := &VMBackend{HV: hv, Dom: dbDom}
 	db := NewDBServer(k, dbBE, app, DefaultDBParams("vm"))
 	dbc := NewDBCluster(db, nil, 0)
 	paths := []PathPair{{To: VMPath(hv, webDom, dbDom), From: VMPath(hv, dbDom, webDom)}}
@@ -45,7 +45,7 @@ func newCacheRig(t testing.TB, clients int, mix rubis.Model, cache *cachetier.Ca
 	rig := &cacheRig{k: k, hv: hv, web: web, db: db}
 	if cache != nil {
 		cacheDom := hv.CreateGuest("memcache", 2, 2<<30, 256)
-		cacheBE := &VMBackend{HV: hv, Dom: cacheDom, Peer: webDom}
+		cacheBE := &VMBackend{HV: hv, Dom: cacheDom}
 		rig.cs = NewCacheServer(k, cacheBE, *cache, DefaultCacheParams())
 		web.SetCacheTier(rig.cs, PathPair{
 			To:   VMPath(hv, webDom, cacheDom),
@@ -54,7 +54,7 @@ func newCacheRig(t testing.TB, clients int, mix rubis.Model, cache *cachetier.Ca
 	}
 	if queue != nil {
 		queueDom := hv.CreateGuest("wqueue", 2, 2<<30, 256)
-		queueBE := &VMBackend{HV: hv, Dom: queueDom, Peer: dbDom}
+		queueBE := &VMBackend{HV: hv, Dom: queueDom}
 		qPaths := []PathPair{{To: VMPath(hv, queueDom, dbDom), From: VMPath(hv, dbDom, queueDom)}}
 		rig.qs = NewQueueServer(k, queueBE, dbc, qPaths, *queue, DefaultQueueParams())
 		web.SetQueueTier(rig.qs, PathPair{
@@ -136,7 +136,7 @@ func TestCacheStampedeAndLeases(t *testing.T) {
 		hv := xen.New(k, host, xen.DefaultParams())
 		webDom := hv.CreateGuest("web", 2, 2<<30, 256)
 		cacheDom := hv.CreateGuest("memcache", 2, 2<<30, 256)
-		be := &VMBackend{HV: hv, Dom: cacheDom, Peer: webDom}
+		be := &VMBackend{HV: hv, Dom: cacheDom}
 		spec := cachetier.CacheSpec{MaxEntries: 64, MaxMB: 1, TTLSeconds: 1,
 			Leases: leases, LeaseTimeoutMillis: leaseMillis}
 		cs := NewCacheServer(k, be, spec, DefaultCacheParams())
@@ -371,9 +371,9 @@ func warmCacheHitRig(t testing.TB) (*sim.Kernel, *CacheServer, *uint64) {
 	webDom := hv.CreateGuest("web", 2, 2<<30, 256)
 	dbDom := hv.CreateGuest("db", 2, 2<<30, 256)
 	cacheDom := hv.CreateGuest("memcache", 2, 2<<30, 256)
-	webBE := &VMBackend{HV: hv, Dom: webDom, Peer: dbDom}
-	dbBE := &VMBackend{HV: hv, Dom: dbDom, Peer: webDom}
-	cacheBE := &VMBackend{HV: hv, Dom: cacheDom, Peer: webDom}
+	webBE := &VMBackend{HV: hv, Dom: webDom}
+	dbBE := &VMBackend{HV: hv, Dom: dbDom}
+	cacheBE := &VMBackend{HV: hv, Dom: cacheDom}
 	db := NewDBServer(k, dbBE, app, DefaultDBParams("vm"))
 	dbc := NewDBCluster(db, nil, 0)
 	paths := []PathPair{{To: VMPath(hv, webDom, dbDom), From: VMPath(hv, dbDom, webDom)}}

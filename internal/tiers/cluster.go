@@ -24,7 +24,7 @@ type PathPair struct {
 }
 
 // vmPath links two co-resident guests across the host's software
-// bridge — exactly the transfer the pre-topology NetToPeer performed,
+// bridge — exactly the transfer the pre-topology backend performed,
 // which is what keeps the degenerate topology byte-identical.
 type vmPath struct {
 	hv       *xen.Hypervisor

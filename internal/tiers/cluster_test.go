@@ -245,12 +245,12 @@ func newClusterRig(tb testing.TB, n, clients int, lb LBPolicy) (*sim.Kernel, *We
 		webDoms[i] = hv.CreateGuest("web", 2, 2<<30, 256)
 	}
 	dbDom := hv.CreateGuest("db", 2, 2<<30, 256)
-	dbBE := &VMBackend{HV: hv, Dom: dbDom, Peer: webDoms[0]}
+	dbBE := &VMBackend{HV: hv, Dom: dbDom}
 	db := NewDBServer(k, dbBE, app, DefaultDBParams("vm"))
 	dbc := NewDBCluster(db, nil, 0)
 	webs := make([]*WebAppServer, n)
 	for i, dom := range webDoms {
-		be := &VMBackend{HV: hv, Dom: dom, Peer: dbDom}
+		be := &VMBackend{HV: hv, Dom: dom}
 		paths := []PathPair{{To: VMPath(hv, dom, dbDom), From: VMPath(hv, dbDom, dom)}}
 		webs[i] = NewWebAppServer(k, be, dbc, paths, DefaultWebParams("vm"))
 	}

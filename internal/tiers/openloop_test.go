@@ -25,8 +25,8 @@ func newOpenVMRig(t *testing.T, spec load.Spec, seed uint64) (*vmRig, *Driver) {
 	hv := xen.New(k, host, xen.DefaultParams())
 	webDom := hv.CreateGuest("web", 2, 2<<30, 256)
 	dbDom := hv.CreateGuest("db", 2, 2<<30, 256)
-	webBE := &VMBackend{HV: hv, Dom: webDom, Peer: dbDom}
-	dbBE := &VMBackend{HV: hv, Dom: dbDom, Peer: webDom}
+	webBE := &VMBackend{HV: hv, Dom: webDom}
+	dbBE := &VMBackend{HV: hv, Dom: dbDom}
 	db := NewDBServer(k, dbBE, app, DefaultDBParams("vm"))
 	dbc := NewDBCluster(db, nil, 0)
 	paths := []PathPair{{To: VMPath(hv, webDom, dbDom), From: VMPath(hv, dbDom, webDom)}}
@@ -172,11 +172,6 @@ func (b *nullBackend) DiskIO(bytes float64, write bool, done sim.Callback, arg a
 	}
 }
 func (b *nullBackend) NetExternal(bytes float64, inbound bool, done sim.Callback, arg any) {
-	if done != nil {
-		b.k.AfterCall(20*sim.Microsecond, done, arg)
-	}
-}
-func (b *nullBackend) NetToPeer(bytes float64, done sim.Callback, arg any) {
 	if done != nil {
 		b.k.AfterCall(20*sim.Microsecond, done, arg)
 	}

@@ -189,7 +189,7 @@ func guardShedFire(arg any) {
 	if a.rt != nil {
 		a.rt.Outcome = OutcomeShed
 	}
-	a.g.finishNoObserve(a)
+	a.g.finish(a)
 }
 
 // guardDegradeFire delivers the brownout controller's degraded
@@ -199,7 +199,7 @@ func guardDegradeFire(arg any) {
 	if a.rt != nil {
 		a.rt.Outcome = OutcomeDegraded
 	}
-	a.g.finishNoObserve(a)
+	a.g.finish(a)
 }
 
 func (g *Guard) launch(a *attempt) {
@@ -308,10 +308,6 @@ func guardRetryFire(arg any) {
 
 // finish hands the outcome to the caller and recycles the attempt.
 func (g *Guard) finish(a *attempt) {
-	g.finishNoObserve(a)
-}
-
-func (g *Guard) finishNoObserve(a *attempt) {
 	done, darg := a.done, a.darg
 	a.res = nil
 	a.rt = nil

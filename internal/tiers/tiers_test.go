@@ -40,8 +40,8 @@ func newVMRig(t *testing.T, clients int) *vmRig {
 	hv := xen.New(k, host, xen.DefaultParams())
 	webDom := hv.CreateGuest("web", 2, 2<<30, 256)
 	dbDom := hv.CreateGuest("db", 2, 2<<30, 256)
-	webBE := &VMBackend{HV: hv, Dom: webDom, Peer: dbDom}
-	dbBE := &VMBackend{HV: hv, Dom: dbDom, Peer: webDom}
+	webBE := &VMBackend{HV: hv, Dom: webDom}
+	dbBE := &VMBackend{HV: hv, Dom: dbDom}
 	db := NewDBServer(k, dbBE, app, DefaultDBParams("vm"))
 	dbc := NewDBCluster(db, nil, 0)
 	paths := []PathPair{{To: VMPath(hv, webDom, dbDom), From: VMPath(hv, dbDom, webDom)}}
