@@ -1,0 +1,42 @@
+package rubis
+
+import (
+	"testing"
+
+	"vwchar/internal/rng"
+)
+
+// BenchmarkBrowsingStep measures one emulated-browser step of the
+// read-only browsing mix: a Markov draw of the next interaction plus
+// its execution on an attached snapshot view. The Result and Session
+// are reused across steps, as the workload driver reuses them, so the
+// steady state allocates nothing.
+func BenchmarkBrowsingStep(b *testing.B) {
+	snap, err := NewSnapshot(smallDataset(), 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	app := snap.Attach()
+	defer app.Release()
+	mix := BrowsingMix()
+	r := rng.NewSource(9).Stream("step")
+	params := DefaultCostParams()
+	sess := Session{UserID: 5, ItemID: 10, CategoryID: 2, RegionID: 3, ToUserID: 7}
+	var res Result
+	cur := mix.StartState()
+	step := func() {
+		cur = mix.NextInteraction(cur, r)
+		if err := app.ExecuteInto(&res, cur, &sess, r, params); err != nil {
+			b.Fatalf("%s: %v", cur, err)
+		}
+	}
+	// Warm up: grow res.Queries and the tables' RID lists.
+	for i := 0; i < 1000; i++ {
+		step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}

@@ -25,6 +25,8 @@ go test -run xxx -bench 'BenchmarkSnapshotAttach$' \
 go test -run xxx \
 	-bench 'BenchmarkBTree|BenchmarkBufferPoolGet$|BenchmarkBufferPoolGetView$|BenchmarkBulkLoad|BenchmarkHeapInsert|BenchmarkEngineQueryMix|BenchmarkCOWFirstWrite' \
 	-benchtime "$micro_benchtime" -benchmem ./internal/rubisdb/ | tee -a "$tmp"
+go test -run xxx -bench 'BenchmarkBrowsingStep$' \
+	-benchtime "$micro_benchtime" -benchmem ./internal/rubis/ | tee -a "$tmp"
 go test -run xxx -bench 'BenchmarkKernel' \
 	-benchtime "$micro_benchtime" -benchmem ./internal/sim/ | tee -a "$tmp"
 go test -run xxx -bench 'BenchmarkStreamNew$|BenchmarkStreamReseed$|BenchmarkStreamDraw' \
