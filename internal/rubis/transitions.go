@@ -212,11 +212,12 @@ func (m *Mix) MixName() string { return m.Name }
 // cur. States without a row (e.g. after switching mixes mid-session)
 // restart at Start.
 func (m *Mix) NextInteraction(cur Interaction, r *rng.Stream) Interaction {
-	if cur >= NumInteractions || len(m.table[cur].to) == 0 {
-		return m.Start
+	if cur < NumInteractions {
+		if row := &m.table[cur]; len(row.to) > 0 {
+			return row.to[r.Categorical(row.w)]
+		}
 	}
-	row := &m.table[cur]
-	return row.to[r.Categorical(row.w)]
+	return m.Start
 }
 
 // ThinkSeconds implements Model: it draws a think time in seconds.
