@@ -7,6 +7,7 @@ package sysstat
 
 import (
 	"fmt"
+	"slices"
 
 	"vwchar/internal/sim"
 )
@@ -174,10 +175,16 @@ const (
 	sysShare  = 0.22
 )
 
-// Catalog builds the 182-metric sysstat catalog. The count is pinned by
-// a test; extending the catalog means consciously deciding the paper
-// comparison no longer holds.
-func Catalog() []Metric {
+// catalog is the 182-metric sysstat catalog, built once per process.
+// The count is pinned by a test; extending the catalog means consciously
+// deciding the paper comparison no longer holds.
+var catalog = buildCatalog()
+
+// Catalog returns a copy of the 182-metric sysstat catalog, in the order
+// the collector records it.
+func Catalog() []Metric { return slices.Clone(catalog) }
+
+func buildCatalog() []Metric {
 	var ms []Metric
 	add := func(group, name, unit, desc string, eval func(*Snapshot, *Snapshot, float64) float64) {
 		ms = append(ms, Metric{Name: name, Group: group, Unit: unit, Description: desc, Eval: eval})

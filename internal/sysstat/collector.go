@@ -2,6 +2,7 @@ package sysstat
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"vwchar/internal/sim"
@@ -24,14 +25,7 @@ type Target struct {
 // 182-metric catalog per target.
 type Collector struct {
 	k       *sim.Kernel
-	targets []Target
-	catalog []Metric
-
-	prev map[string]Snapshot
-	// headline series per target
-	cpu, mem, disk, net map[string]*timeseries.Series
-	// full catalog series per target, keyed "target/metric"
-	full map[string]*timeseries.Series
+	targets []collected
 
 	ticker *sim.Ticker
 	// onSample hooks fire after each collection round, in registration
@@ -40,37 +34,41 @@ type Collector struct {
 	onSample []func(now sim.Time)
 	// Samples counts collection rounds.
 	Samples int
-	// KeepFullCatalog toggles recording all 182 metrics per target
-	// (headline series are always kept).
-	KeepFullCatalog bool
 }
 
-// NewCollector builds a collector over the given targets.
+// collected is one target's record: its last two snapshots and its
+// series. Keeping both snapshots here lets sample evaluate the catalog
+// on them in place.
+type collected struct {
+	Target
+	prev, cur           Snapshot
+	cpu, mem, disk, net *timeseries.Series
+	// full holds one series per catalog metric, by catalog position;
+	// nil unless the full catalog is kept.
+	full []*timeseries.Series
+}
+
+// NewCollector builds a collector over the given targets. keepFull
+// records all 182 metrics per target; the headline series are always
+// kept.
 func NewCollector(k *sim.Kernel, keepFull bool, targets ...Target) *Collector {
-	c := &Collector{
-		k:               k,
-		targets:         targets,
-		catalog:         Catalog(),
-		prev:            make(map[string]Snapshot),
-		cpu:             make(map[string]*timeseries.Series),
-		mem:             make(map[string]*timeseries.Series),
-		disk:            make(map[string]*timeseries.Series),
-		net:             make(map[string]*timeseries.Series),
-		full:            make(map[string]*timeseries.Series),
-		KeepFullCatalog: keepFull,
-	}
-	for _, t := range targets {
-		c.cpu[t.Name] = timeseries.New(t.Name+".cpu.cycles", "cycles/2s")
-		c.mem[t.Name] = timeseries.New(t.Name+".mem.used", "MB")
-		c.disk[t.Name] = timeseries.New(t.Name+".disk.rw", "KB/2s")
-		c.net[t.Name] = timeseries.New(t.Name+".net.rxtx", "KB/2s")
-		if keepFull {
-			for _, m := range c.catalog {
-				key := t.Name + "/" + m.Name
-				c.full[key] = timeseries.New(key, m.Unit)
-			}
+	c := &Collector{k: k, targets: make([]collected, len(targets))}
+	for i, t := range targets {
+		c.targets[i] = collected{
+			Target: t,
+			prev:   t.Snap(),
+			cpu:    timeseries.New(t.Name+".cpu.cycles", "cycles/2s"),
+			mem:    timeseries.New(t.Name+".mem.used", "MB"),
+			disk:   timeseries.New(t.Name+".disk.rw", "KB/2s"),
+			net:    timeseries.New(t.Name+".net.rxtx", "KB/2s"),
 		}
-		c.prev[t.Name] = t.Snap()
+		if keepFull {
+			full := make([]*timeseries.Series, len(catalog))
+			for j, m := range catalog {
+				full[j] = timeseries.New(t.Name+"/"+m.Name, m.Unit)
+			}
+			c.targets[i].full = full
+		}
 	}
 	return c
 }
@@ -97,19 +95,18 @@ func (c *Collector) Stop() {
 
 func (c *Collector) sample(now sim.Time) {
 	dt := SampleInterval.Sec()
-	for _, t := range c.targets {
-		cur := t.Snap()
-		prev := c.prev[t.Name]
-		c.cpu[t.Name].Append(cur.CPUCycles - prev.CPUCycles)
-		c.mem[t.Name].Append(cur.MemUsed / 1e6)
-		c.disk[t.Name].Append(((cur.DiskReadBytes + cur.DiskWriteBytes) - (prev.DiskReadBytes + prev.DiskWriteBytes)) / 1024)
-		c.net[t.Name].Append(((cur.NetRxBytes + cur.NetTxBytes) - (prev.NetRxBytes + prev.NetTxBytes)) / 1024)
-		if c.KeepFullCatalog {
-			for _, m := range c.catalog {
-				c.full[t.Name+"/"+m.Name].Append(m.Eval(&prev, &cur, dt))
-			}
+	for i := range c.targets {
+		t := &c.targets[i]
+		t.cur = t.Snap()
+		prev, cur := &t.prev, &t.cur
+		t.cpu.Append(cur.CPUCycles - prev.CPUCycles)
+		t.mem.Append(cur.MemUsed / 1e6)
+		t.disk.Append(((cur.DiskReadBytes + cur.DiskWriteBytes) - (prev.DiskReadBytes + prev.DiskWriteBytes)) / 1024)
+		t.net.Append(((cur.NetRxBytes + cur.NetTxBytes) - (prev.NetRxBytes + prev.NetTxBytes)) / 1024)
+		for j, s := range t.full {
+			s.Append(catalog[j].Eval(prev, cur, dt))
 		}
-		c.prev[t.Name] = cur
+		t.prev = t.cur
 	}
 	c.Samples++
 	for _, fn := range c.onSample {
@@ -117,35 +114,50 @@ func (c *Collector) sample(now sim.Time) {
 	}
 }
 
+// unmonitored is the record of every name the collector does not
+// monitor: all its series are nil.
+var unmonitored collected
+
+// target returns name's record, or &unmonitored.
+func (c *Collector) target(name string) *collected {
+	for i := range c.targets {
+		if c.targets[i].Name == name {
+			return &c.targets[i]
+		}
+	}
+	return &unmonitored
+}
+
 // CPU returns the per-2s CPU cycle demand series for target name.
-func (c *Collector) CPU(name string) *timeseries.Series { return c.cpu[name] }
+func (c *Collector) CPU(name string) *timeseries.Series { return c.target(name).cpu }
 
 // Mem returns the used-memory series (MB) for target name.
-func (c *Collector) Mem(name string) *timeseries.Series { return c.mem[name] }
+func (c *Collector) Mem(name string) *timeseries.Series { return c.target(name).mem }
 
 // Disk returns the per-2s disk read+write series (KB) for target name.
-func (c *Collector) Disk(name string) *timeseries.Series { return c.disk[name] }
+func (c *Collector) Disk(name string) *timeseries.Series { return c.target(name).disk }
 
 // Net returns the per-2s network rx+tx series (KB) for target name.
-func (c *Collector) Net(name string) *timeseries.Series { return c.net[name] }
+func (c *Collector) Net(name string) *timeseries.Series { return c.target(name).net }
 
 // Metric returns the full-catalog series target/metric, or an error when
 // the collector was not recording the full catalog.
 func (c *Collector) Metric(target, metric string) (*timeseries.Series, error) {
-	if !c.KeepFullCatalog {
+	t := c.target(target)
+	i := slices.IndexFunc(catalog, func(m Metric) bool { return m.Name == metric })
+	switch {
+	case t.cpu != nil && t.full == nil:
 		return nil, fmt.Errorf("sysstat: full catalog not recorded")
-	}
-	s, ok := c.full[target+"/"+metric]
-	if !ok {
+	case t.full == nil || i < 0:
 		return nil, fmt.Errorf("sysstat: no series %q for target %q", metric, target)
 	}
-	return s, nil
+	return t.full[i], nil
 }
 
 // MetricNames lists the catalog metric names in catalog order.
 func (c *Collector) MetricNames() []string {
-	out := make([]string, len(c.catalog))
-	for i, m := range c.catalog {
+	out := make([]string, len(catalog))
+	for i, m := range catalog {
 		out[i] = m.Name
 	}
 	return out
@@ -167,7 +179,7 @@ func GroupCounts() []struct {
 	Count int
 } {
 	counts := make(map[string]int)
-	for _, m := range Catalog() {
+	for _, m := range catalog {
 		counts[m.Group]++
 	}
 	groups := make([]string, 0, len(counts))

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"vwchar/internal/sim"
+	"vwchar/internal/timeseries"
 	"vwchar/internal/xen"
 )
 
@@ -277,7 +278,7 @@ func TestGroupCountsSumToCatalog(t *testing.T) {
 }
 
 func TestPerfCatalogAccessibleForTable1(t *testing.T) {
-	if len(perfCounterCatalog()) != xen.PerfCounterCount {
+	if len(xen.CatalogOnly()) != xen.PerfCounterCount {
 		t.Fatal("perf catalog size mismatch")
 	}
 }
@@ -331,5 +332,76 @@ func TestSnapshotAddCoversEveryField(t *testing.T) {
 		if got.Interface() != want {
 			t.Errorf("Add: %s = %v, want %v", name, got.Interface(), want)
 		}
+	}
+}
+
+// newSampleRig builds a headline-only collector over three targets whose
+// snapshots advance with every read, so each sample differences real
+// deltas.
+func newSampleRig(k *sim.Kernel) *Collector {
+	var targets []Target
+	for _, name := range []string{"web", "db", "dom0"} {
+		var s Snapshot
+		s.Cores, s.FreqHz, s.MemTotal = 2, 2.8e9, 2<<30
+		targets = append(targets, Target{Name: name, Snap: func() Snapshot {
+			s.CPUCycles += 1e9
+			s.MemUsed += 4096
+			s.DiskReadBytes += 8192
+			s.NetTxBytes += 1500
+			return s
+		}})
+	}
+	return NewCollector(k, false, targets...)
+}
+
+// rewindSeries empties every headline series of the named targets but
+// keeps its capacity, so the next samples append without growing.
+func rewindSeries(c *Collector, names []string) {
+	for _, n := range names {
+		for _, s := range []*timeseries.Series{c.CPU(n), c.Mem(n), c.Disk(n), c.Net(n)} {
+			s.Values = s.Values[:0]
+		}
+	}
+}
+
+// TestCollectorSampleDoesNotAllocate pins the collector's steady state:
+// once the series have grown, a collection round over several targets
+// allocates nothing. Allocations are counted over a whole batch of
+// rounds, so a per-target or per-round allocation cannot hide in a
+// truncated average.
+func TestCollectorSampleDoesNotAllocate(t *testing.T) {
+	const rounds = 64
+	c := newSampleRig(sim.NewKernel())
+	names := c.TargetNames()
+	for i := 0; i < rounds; i++ {
+		c.sample(0)
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		rewindSeries(c, names)
+		for i := 0; i < rounds; i++ {
+			c.sample(0)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations over %d collection rounds of 3 targets, want 0", allocs, rounds)
+	}
+}
+
+// BenchmarkCollectorSample times one collection round over three targets
+// with headline series only, rewinding the series every 1024 rounds so
+// it measures sampling rather than slice growth.
+func BenchmarkCollectorSample(b *testing.B) {
+	c := newSampleRig(sim.NewKernel())
+	names := c.TargetNames()
+	for i := 0; i < 1024; i++ {
+		c.sample(0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%1024 == 0 {
+			rewindSeries(c, names)
+		}
+		c.sample(0)
 	}
 }

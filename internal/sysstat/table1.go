@@ -3,6 +3,7 @@ package sysstat
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"vwchar/internal/xen"
@@ -43,40 +44,30 @@ var table1PerfPicks = []string{
 	"xen-hypercalls", "xen-grant-table-ops", "xen-steal-time-ms",
 }
 
-// Table1 assembles the reproduced Table 1 rows.
+// Table1 assembles the reproduced Table 1 rows. The descriptions come
+// from the sysstat catalog and xen's counter table, so Table 1 stays in
+// sync with what is actually profiled.
 func Table1() []Table1Row {
-	byName := make(map[string]Metric)
-	for _, m := range Catalog() {
-		byName[m.Name] = m
-	}
 	var rows []Table1Row
 	for _, src := range []string{"sysstat (hypervisor)", "sysstat (VM)"} {
 		for _, name := range table1SysstatPicks {
-			m, ok := byName[name]
-			if !ok {
+			i := slices.IndexFunc(catalog, func(m Metric) bool { return m.Name == name })
+			if i < 0 {
 				panic(fmt.Sprintf("sysstat: Table 1 references unknown metric %q", name))
 			}
+			m := catalog[i]
 			rows = append(rows, Table1Row{Source: src, Name: m.Name, Unit: m.Unit, Description: m.Description})
 		}
 	}
-	perfByName := make(map[string]string)
-	for _, c := range perfCounterCatalog() {
-		perfByName[c.Name] = c.Description
-	}
+	perf := xen.CatalogOnly()
 	for _, name := range table1PerfPicks {
-		desc, ok := perfByName[name]
-		if !ok {
+		i := slices.IndexFunc(perf, func(c xen.PerfCounter) bool { return c.Name == name })
+		if i < 0 {
 			panic(fmt.Sprintf("sysstat: Table 1 references unknown perf counter %q", name))
 		}
-		rows = append(rows, Table1Row{Source: "perf (hypervisor)", Name: name, Unit: "count", Description: desc})
+		rows = append(rows, Table1Row{Source: "perf (hypervisor)", Name: name, Unit: "count", Description: perf[i].Description})
 	}
 	return rows
-}
-
-// perfCounterCatalog obtains the perf counter identities from a throwaway
-// hypervisor, so Table 1 stays in sync with the real counter set.
-func perfCounterCatalog() []xen.PerfCounter {
-	return xen.CatalogOnly()
 }
 
 // TotalProfiledMetrics is the paper's metric inventory: 182 sysstat

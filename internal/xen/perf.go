@@ -16,129 +16,9 @@ type PerfCounter struct {
 	Value       float64
 }
 
-// perfCounterNameSet builds the fixed catalog of counter identities. The
-// paper profiled 154 hardware counters with a modified perf running in
-// the Xen hypervisor; this list reproduces that width and is pinned by a
-// test, so the catalog cannot silently drift.
-func perfCounterNameSet() []struct{ name, desc string } {
-	var out []struct{ name, desc string }
-	add := func(name, desc string) {
-		out = append(out, struct{ name, desc string }{name, desc})
-	}
-	// 26 architectural events.
-	arch := [][2]string{
-		{"cycles", "unhalted core cycles (all cores)"},
-		{"instructions", "instructions retired"},
-		{"branches", "branch instructions retired"},
-		{"branch-misses", "mispredicted branches"},
-		{"bus-cycles", "bus cycles"},
-		{"stalled-cycles-frontend", "cycles with stalled instruction fetch"},
-		{"stalled-cycles-backend", "cycles with stalled execution"},
-		{"ref-cycles", "reference (unscaled) cycles"},
-		{"cache-references", "last-level cache references"},
-		{"cache-misses", "last-level cache misses"},
-		{"L1-dcache-loads", "L1 data cache loads"},
-		{"L1-dcache-load-misses", "L1 data cache load misses"},
-		{"L1-dcache-stores", "L1 data cache stores"},
-		{"L1-dcache-store-misses", "L1 data cache store misses"},
-		{"L1-icache-loads", "L1 instruction cache loads"},
-		{"L1-icache-load-misses", "L1 instruction cache load misses"},
-		{"LLC-loads", "last-level cache loads"},
-		{"LLC-load-misses", "last-level cache load misses"},
-		{"LLC-stores", "last-level cache stores"},
-		{"LLC-store-misses", "last-level cache store misses"},
-		{"dTLB-loads", "data TLB loads"},
-		{"dTLB-load-misses", "data TLB load misses"},
-		{"dTLB-stores", "data TLB stores"},
-		{"dTLB-store-misses", "data TLB store misses"},
-		{"iTLB-loads", "instruction TLB loads"},
-		{"iTLB-load-misses", "instruction TLB load misses"},
-	}
-	for _, a := range arch {
-		add(a[0], a[1])
-	}
-	// 9 software events.
-	sw := [][2]string{
-		{"context-switches", "scheduler context switches"},
-		{"cpu-migrations", "VCPU migrations between cores"},
-		{"page-faults", "total page faults"},
-		{"minor-faults", "minor page faults"},
-		{"major-faults", "major page faults"},
-		{"alignment-faults", "alignment fixups"},
-		{"emulation-faults", "emulated instructions"},
-		{"task-clock", "task clock (ms)"},
-		{"cpu-clock", "cpu clock (ms)"},
-	}
-	for _, s := range sw {
-		add(s[0], s[1])
-	}
-	// 6 Xen-specific events.
-	xenEv := [][2]string{
-		{"xen-hypercalls", "hypercalls serviced"},
-		{"xen-grant-table-ops", "grant table map/unmap operations"},
-		{"xen-event-channel-notifications", "event channel notifications"},
-		{"xen-sched-runs", "credit scheduler invocations"},
-		{"xen-steal-time-ms", "cumulative steal time across domains (ms)"},
-		{"xen-domain-switches", "domain context switches"},
-	}
-	for _, x := range xenEv {
-		add(x[0], x[1])
-	}
-	// 8 L2/node events.
-	l2 := [][2]string{
-		{"L2-loads", "L2 cache loads"},
-		{"L2-load-misses", "L2 cache load misses"},
-		{"L2-stores", "L2 cache stores"},
-		{"L2-store-misses", "L2 cache store misses"},
-		{"node-loads", "local memory node loads"},
-		{"node-load-misses", "remote memory node loads"},
-		{"node-stores", "local memory node stores"},
-		{"node-store-misses", "remote memory node stores"},
-	}
-	for _, e := range l2 {
-		add(e[0], e[1])
-	}
-	// 3 energy meters.
-	add("power-pkg-joules", "package energy meter")
-	add("power-cores-joules", "core energy meter")
-	add("power-dram-joules", "DRAM energy meter")
-	// Per-core counters: 8 cores x (cycles, instructions, cache-misses,
-	// branch-misses, aperf, mperf, irqs, softirqs) = 64.
-	for core := 0; core < 8; core++ {
-		add(fmt.Sprintf("cpu%d-cycles", core), fmt.Sprintf("core %d unhalted cycles", core))
-		add(fmt.Sprintf("cpu%d-instructions", core), fmt.Sprintf("core %d instructions retired", core))
-		add(fmt.Sprintf("cpu%d-cache-misses", core), fmt.Sprintf("core %d LLC misses", core))
-		add(fmt.Sprintf("cpu%d-branch-misses", core), fmt.Sprintf("core %d branch misses", core))
-		add(fmt.Sprintf("cpu%d-aperf", core), fmt.Sprintf("core %d actual performance clock", core))
-		add(fmt.Sprintf("cpu%d-mperf", core), fmt.Sprintf("core %d maximum performance clock", core))
-		add(fmt.Sprintf("cpu%d-irqs", core), fmt.Sprintf("core %d hardware interrupts", core))
-		add(fmt.Sprintf("cpu%d-softirqs", core), fmt.Sprintf("core %d soft interrupts", core))
-		add(fmt.Sprintf("cpu%d-llc-references", core), fmt.Sprintf("core %d LLC references", core))
-	}
-	// Per-VM-slot runstate counters: 10 slots x 3 = 30 (the testbed
-	// hosts up to ten VMs per server; empty slots read zero).
-	for slot := 1; slot <= 10; slot++ {
-		add(fmt.Sprintf("dom%d-runstate-running-ms", slot), fmt.Sprintf("VM slot %d time running (ms)", slot))
-		add(fmt.Sprintf("dom%d-runstate-runnable-ms", slot), fmt.Sprintf("VM slot %d time runnable/stolen (ms)", slot))
-		add(fmt.Sprintf("dom%d-runstate-blocked-ms", slot), fmt.Sprintf("VM slot %d time blocked (ms)", slot))
-	}
-	return out
-}
-
 // PerfCounterCount is the number of hypervisor hardware counters, equal
 // to the paper's 154.
 const PerfCounterCount = 154
-
-// CatalogOnly returns the counter identities with zero values, for code
-// that needs the catalog without a live hypervisor (e.g. Table 1).
-func CatalogOnly() []PerfCounter {
-	names := perfCounterNameSet()
-	out := make([]PerfCounter, 0, len(names))
-	for _, n := range names {
-		out = append(out, PerfCounter{Name: n.name, Description: n.desc})
-	}
-	return out
-}
 
 // micro-architectural derivation ratios for the Xeon-class testbed CPU.
 const (
@@ -153,193 +33,174 @@ const (
 	tlbMissRate     = 0.0042
 )
 
-// PerfCounters synthesizes the 154 hypervisor counters from cumulative
-// simulation state. Counters are cumulative; the collector differences
-// consecutive samples.
-func (hv *Hypervisor) PerfCounters() []PerfCounter {
-	names := perfCounterNameSet()
-	totalPhys := hv.dom0.PhysCycles()
-	guestPhys := 0.0
-	hypercalls := 0.0
-	stealMs := 0.0
-	for _, g := range hv.guests {
-		guestPhys += g.PhysCycles()
-		hypercalls += g.hypercallPhys / hv.params.HypercallCycles
-		stealMs += float64(g.StealTime()) / 1e6
-	}
-	totalPhys += guestPhys
-	instr := totalPhys * ipc
-	faults := uint64(0)
-	majFaults := uint64(0)
-	ios := uint64(0)
-	for _, d := range append([]*Domain{hv.dom0}, hv.guests...) {
-		faults += d.OS.Faults
-		majFaults += d.OS.MajFaults
-		ios += d.DiskOps
-	}
+// perfInputs is the cumulative hypervisor state the counters derive
+// from, computed once per PerfCounters call.
+type perfInputs struct {
+	hv                     *Hypervisor
+	phys, instr            float64 // physical cycles of all domains, instructions retired
+	hypercalls, stealMs    float64 // summed over guests
+	faults, majFaults, ios uint64  // summed over dom0 and guests
+}
 
-	value := func(name string) float64 {
-		switch name {
-		case "cycles":
-			return totalPhys
-		case "instructions":
-			return instr
-		case "branches":
-			return instr * branchFraction
-		case "branch-misses":
-			return instr * branchFraction * branchMissRate
-		case "bus-cycles":
-			return totalPhys / 8
-		case "stalled-cycles-frontend":
-			return totalPhys * 0.12
-		case "stalled-cycles-backend":
-			return totalPhys * 0.22
-		case "ref-cycles":
-			return totalPhys
-		case "cache-references":
-			return instr * llcRefPerInstr
-		case "cache-misses":
-			return instr * llcRefPerInstr * llcMissRate
-		case "L1-dcache-loads":
-			return instr * l1LoadPerInstr
-		case "L1-dcache-load-misses":
-			return instr * l1LoadPerInstr * l1MissRate
-		case "L1-dcache-stores":
-			return instr * l1LoadPerInstr * 0.55
-		case "L1-dcache-store-misses":
-			return instr * l1LoadPerInstr * 0.55 * l1MissRate
-		case "L1-icache-loads":
-			return instr * 0.25
-		case "L1-icache-load-misses":
-			return instr * 0.25 * 0.011
-		case "LLC-loads":
-			return instr * llcRefPerInstr * 0.7
-		case "LLC-load-misses":
-			return instr * llcRefPerInstr * 0.7 * llcMissRate
-		case "LLC-stores":
-			return instr * llcRefPerInstr * 0.3
-		case "LLC-store-misses":
-			return instr * llcRefPerInstr * 0.3 * llcMissRate
-		case "dTLB-loads":
-			return instr * tlbLoadFraction
-		case "dTLB-load-misses":
-			return instr * tlbLoadFraction * tlbMissRate
-		case "dTLB-stores":
-			return instr * tlbLoadFraction * 0.5
-		case "dTLB-store-misses":
-			return instr * tlbLoadFraction * 0.5 * tlbMissRate
-		case "iTLB-loads":
-			return instr * 0.2
-		case "iTLB-load-misses":
-			return instr * 0.2 * 0.0011
-		case "context-switches":
-			return float64(hv.perf.ContextSwitches)
-		case "cpu-migrations":
-			return float64(hv.perf.SchedRuns) * 0.02
-		case "page-faults":
-			return float64(faults)
-		case "minor-faults":
-			return float64(faults - majFaults)
-		case "major-faults":
-			return float64(majFaults)
-		case "alignment-faults", "emulation-faults":
+// seconds converts physical cycles to seconds at the host clock.
+func (in *perfInputs) seconds() float64 { return in.phys / in.hv.host.Spec.FreqHz }
+
+// perfDef is one counter: its identity and how it derives from the
+// inputs.
+type perfDef struct {
+	name, desc string
+	value      func(*perfInputs) float64
+}
+
+// perfCatalog is the fixed counter set, in reporting order. The paper
+// profiled 154 hardware counters with a modified perf running in the Xen
+// hypervisor; this table reproduces that width and is pinned by a test,
+// so the catalog cannot silently drift.
+var perfCatalog = buildPerfCatalog()
+
+func buildPerfCatalog() []perfDef {
+	zero := func(*perfInputs) float64 { return 0 }
+	cat := []perfDef{
+		// 26 architectural events.
+		{"cycles", "unhalted core cycles (all cores)", func(in *perfInputs) float64 { return in.phys }},
+		{"instructions", "instructions retired", func(in *perfInputs) float64 { return in.instr }},
+		{"branches", "branch instructions retired", func(in *perfInputs) float64 { return in.instr * branchFraction }},
+		{"branch-misses", "mispredicted branches", func(in *perfInputs) float64 { return in.instr * branchFraction * branchMissRate }},
+		{"bus-cycles", "bus cycles", func(in *perfInputs) float64 { return in.phys / 8 }},
+		{"stalled-cycles-frontend", "cycles with stalled instruction fetch", func(in *perfInputs) float64 { return in.phys * 0.12 }},
+		{"stalled-cycles-backend", "cycles with stalled execution", func(in *perfInputs) float64 { return in.phys * 0.22 }},
+		{"ref-cycles", "reference (unscaled) cycles", func(in *perfInputs) float64 { return in.phys }},
+		{"cache-references", "last-level cache references", func(in *perfInputs) float64 { return in.instr * llcRefPerInstr }},
+		{"cache-misses", "last-level cache misses", func(in *perfInputs) float64 { return in.instr * llcRefPerInstr * llcMissRate }},
+		{"L1-dcache-loads", "L1 data cache loads", func(in *perfInputs) float64 { return in.instr * l1LoadPerInstr }},
+		{"L1-dcache-load-misses", "L1 data cache load misses", func(in *perfInputs) float64 { return in.instr * l1LoadPerInstr * l1MissRate }},
+		{"L1-dcache-stores", "L1 data cache stores", func(in *perfInputs) float64 { return in.instr * l1LoadPerInstr * 0.55 }},
+		{"L1-dcache-store-misses", "L1 data cache store misses", func(in *perfInputs) float64 { return in.instr * l1LoadPerInstr * 0.55 * l1MissRate }},
+		{"L1-icache-loads", "L1 instruction cache loads", func(in *perfInputs) float64 { return in.instr * 0.25 }},
+		{"L1-icache-load-misses", "L1 instruction cache load misses", func(in *perfInputs) float64 { return in.instr * 0.25 * 0.011 }},
+		{"LLC-loads", "last-level cache loads", func(in *perfInputs) float64 { return in.instr * llcRefPerInstr * 0.7 }},
+		{"LLC-load-misses", "last-level cache load misses", func(in *perfInputs) float64 { return in.instr * llcRefPerInstr * 0.7 * llcMissRate }},
+		{"LLC-stores", "last-level cache stores", func(in *perfInputs) float64 { return in.instr * llcRefPerInstr * 0.3 }},
+		{"LLC-store-misses", "last-level cache store misses", func(in *perfInputs) float64 { return in.instr * llcRefPerInstr * 0.3 * llcMissRate }},
+		{"dTLB-loads", "data TLB loads", func(in *perfInputs) float64 { return in.instr * tlbLoadFraction }},
+		{"dTLB-load-misses", "data TLB load misses", func(in *perfInputs) float64 { return in.instr * tlbLoadFraction * tlbMissRate }},
+		{"dTLB-stores", "data TLB stores", func(in *perfInputs) float64 { return in.instr * tlbLoadFraction * 0.5 }},
+		{"dTLB-store-misses", "data TLB store misses", func(in *perfInputs) float64 { return in.instr * tlbLoadFraction * 0.5 * tlbMissRate }},
+		{"iTLB-loads", "instruction TLB loads", func(in *perfInputs) float64 { return in.instr * 0.2 }},
+		{"iTLB-load-misses", "instruction TLB load misses", func(in *perfInputs) float64 { return in.instr * 0.2 * 0.0011 }},
+		// 9 software events.
+		{"context-switches", "scheduler context switches", func(in *perfInputs) float64 { return float64(in.hv.perf.ContextSwitches) }},
+		{"cpu-migrations", "VCPU migrations between cores", func(in *perfInputs) float64 { return float64(in.hv.perf.SchedRuns) * 0.02 }},
+		{"page-faults", "total page faults", func(in *perfInputs) float64 { return float64(in.faults) }},
+		{"minor-faults", "minor page faults", func(in *perfInputs) float64 { return float64(in.faults - in.majFaults) }},
+		{"major-faults", "major page faults", func(in *perfInputs) float64 { return float64(in.majFaults) }},
+		{"alignment-faults", "alignment fixups", zero},
+		{"emulation-faults", "emulated instructions", zero},
+		{"task-clock", "task clock (ms)", func(in *perfInputs) float64 { return in.seconds() * 1e3 }},
+		{"cpu-clock", "cpu clock (ms)", func(in *perfInputs) float64 { return in.seconds() * 1e3 }},
+		// 6 Xen-specific events.
+		{"xen-hypercalls", "hypercalls serviced", func(in *perfInputs) float64 { return in.hypercalls }},
+		{"xen-grant-table-ops", "grant table map/unmap operations", func(in *perfInputs) float64 { return float64(in.ios) * 2 }},
+		{"xen-event-channel-notifications", "event channel notifications", func(in *perfInputs) float64 { return float64(in.ios) * 3 }},
+		{"xen-sched-runs", "credit scheduler invocations", func(in *perfInputs) float64 { return float64(in.hv.perf.SchedRuns) }},
+		{"xen-steal-time-ms", "cumulative steal time across domains (ms)", func(in *perfInputs) float64 { return in.stealMs }},
+		{"xen-domain-switches", "domain context switches", func(in *perfInputs) float64 { return float64(in.hv.perf.ContextSwitches) }},
+		// 8 L2/node events.
+		{"L2-loads", "L2 cache loads", func(in *perfInputs) float64 { return in.instr * l1LoadPerInstr * l1MissRate }},
+		{"L2-load-misses", "L2 cache load misses", func(in *perfInputs) float64 { return in.instr * l1LoadPerInstr * l1MissRate * 0.3 }},
+		{"L2-stores", "L2 cache stores", func(in *perfInputs) float64 { return in.instr * l1LoadPerInstr * 0.55 * l1MissRate }},
+		{"L2-store-misses", "L2 cache store misses", func(in *perfInputs) float64 { return in.instr * l1LoadPerInstr * 0.55 * l1MissRate * 0.3 }},
+		{"node-loads", "local memory node loads", func(in *perfInputs) float64 { return in.instr * llcRefPerInstr * llcMissRate * 0.9 }},
+		{"node-load-misses", "remote memory node loads", func(in *perfInputs) float64 { return in.instr * llcRefPerInstr * llcMissRate * 0.1 }},
+		{"node-stores", "local memory node stores", func(in *perfInputs) float64 { return in.instr * llcRefPerInstr * llcMissRate * 0.4 }},
+		{"node-store-misses", "remote memory node stores", func(in *perfInputs) float64 { return in.instr * llcRefPerInstr * llcMissRate * 0.05 }},
+		// 3 energy meters.
+		{"power-pkg-joules", "package energy meter", func(in *perfInputs) float64 { return in.seconds() * 38 }},
+		{"power-cores-joules", "core energy meter", func(in *perfInputs) float64 { return in.seconds() * 24 }},
+		{"power-dram-joules", "DRAM energy meter", func(in *perfInputs) float64 { return in.seconds() * 7 }},
+	}
+	// Per-core counters: 8 cores x (cycles, instructions, cache-misses,
+	// branch-misses, aperf, mperf, irqs, softirqs, llc-references) = 72.
+	// The work is spread evenly, so every core reads the same values.
+	perCore := func(in *perfInputs) float64 { return in.phys / 8 }
+	for core := 0; core < 8; core++ {
+		name := func(s string) string { return fmt.Sprintf("cpu%d-%s", core, s) }
+		desc := func(s string) string { return fmt.Sprintf("core %d %s", core, s) }
+		cat = append(cat,
+			perfDef{name("cycles"), desc("unhalted cycles"), perCore},
+			perfDef{name("instructions"), desc("instructions retired"), func(in *perfInputs) float64 { return perCore(in) * ipc }},
+			perfDef{name("cache-misses"), desc("LLC misses"), func(in *perfInputs) float64 { return perCore(in) * ipc * llcRefPerInstr * llcMissRate }},
+			perfDef{name("branch-misses"), desc("branch misses"), func(in *perfInputs) float64 { return perCore(in) * ipc * branchFraction * branchMissRate }},
+			perfDef{name("aperf"), desc("actual performance clock"), perCore},
+			perfDef{name("mperf"), desc("maximum performance clock"), func(in *perfInputs) float64 { return float64(in.hv.k.Now()) / 1e9 * in.hv.host.Spec.FreqHz / 8 }},
+			perfDef{name("irqs"), desc("hardware interrupts"), func(in *perfInputs) float64 { return float64(in.hv.dom0.OS.Interrupts) / 8 }},
+			perfDef{name("softirqs"), desc("soft interrupts"), func(in *perfInputs) float64 { return float64(in.hv.dom0.OS.SoftIRQs) / 8 }},
+			perfDef{name("llc-references"), desc("LLC references"), func(in *perfInputs) float64 { return perCore(in) * ipc * llcRefPerInstr }},
+		)
+	}
+	// Per-VM-slot runstate counters: 10 slots x 3 = 30 (the testbed
+	// hosts up to ten VMs per server; empty slots read zero).
+	running := func(_ *perfInputs, g *Domain) float64 { return float64(g.CPU.BusyTime()) / 1e6 }
+	runnable := func(_ *perfInputs, g *Domain) float64 { return float64(g.StealTime()) / 1e6 }
+	blocked := func(in *perfInputs, g *Domain) float64 {
+		busy := float64(g.CPU.BusyTime()+g.StealTime()) / 1e6
+		total := float64(in.hv.k.Now()) / 1e6 * float64(g.VCPUs)
+		if total < busy {
 			return 0
-		case "task-clock", "cpu-clock":
-			return totalPhys / hv.host.Spec.FreqHz * 1e3
-		case "xen-hypercalls":
-			return hypercalls
-		case "xen-grant-table-ops":
-			return float64(ios) * 2
-		case "xen-event-channel-notifications":
-			return float64(ios) * 3
-		case "xen-sched-runs":
-			return float64(hv.perf.SchedRuns)
-		case "xen-steal-time-ms":
-			return stealMs
-		case "xen-domain-switches":
-			return float64(hv.perf.ContextSwitches)
-		case "L2-loads":
-			return instr * l1LoadPerInstr * l1MissRate
-		case "L2-load-misses":
-			return instr * l1LoadPerInstr * l1MissRate * 0.3
-		case "L2-stores":
-			return instr * l1LoadPerInstr * 0.55 * l1MissRate
-		case "L2-store-misses":
-			return instr * l1LoadPerInstr * 0.55 * l1MissRate * 0.3
-		case "node-loads":
-			return instr * llcRefPerInstr * llcMissRate * 0.9
-		case "node-load-misses":
-			return instr * llcRefPerInstr * llcMissRate * 0.1
-		case "node-stores":
-			return instr * llcRefPerInstr * llcMissRate * 0.4
-		case "node-store-misses":
-			return instr * llcRefPerInstr * llcMissRate * 0.05
-		case "power-pkg-joules":
-			return totalPhys / hv.host.Spec.FreqHz * 38
-		case "power-cores-joules":
-			return totalPhys / hv.host.Spec.FreqHz * 24
-		case "power-dram-joules":
-			return totalPhys / hv.host.Spec.FreqHz * 7
 		}
-		// Per-core and per-slot counters.
-		var core int
-		if n, _ := fmt.Sscanf(name, "cpu%d-", &core); n == 1 {
-			perCore := totalPhys / 8
-			switch suffixAfterDash(name) {
-			case "cycles", "aperf":
-				return perCore
-			case "instructions":
-				return perCore * ipc
-			case "cache-misses":
-				return perCore * ipc * llcRefPerInstr * llcMissRate
-			case "branch-misses":
-				return perCore * ipc * branchFraction * branchMissRate
-			case "mperf":
-				return float64(hv.k.Now()) / 1e9 * hv.host.Spec.FreqHz / 8
-			case "irqs":
-				return float64(hv.dom0.OS.Interrupts) / 8
-			case "softirqs":
-				return float64(hv.dom0.OS.SoftIRQs) / 8
-			case "llc-references":
-				return perCore * ipc * llcRefPerInstr
-			}
-		}
-		var slot int
-		if n, _ := fmt.Sscanf(name, "dom%d-", &slot); n == 1 && slot >= 1 {
-			if slot > len(hv.guests) {
-				return 0
-			}
-			g := hv.guests[slot-1]
-			switch suffixAfterDash(name) {
-			case "runstate-running-ms":
-				return float64(g.CPU.BusyTime()) / 1e6
-			case "runstate-runnable-ms":
-				return float64(g.StealTime()) / 1e6
-			case "runstate-blocked-ms":
-				busy := float64(g.CPU.BusyTime()+g.StealTime()) / 1e6
-				total := float64(hv.k.Now()) / 1e6 * float64(g.VCPUs)
-				if total < busy {
+		return total - busy
+	}
+	for slot := 1; slot <= 10; slot++ {
+		inSlot := func(f func(*perfInputs, *Domain) float64) func(*perfInputs) float64 {
+			return func(in *perfInputs) float64 {
+				if slot > len(in.hv.guests) {
 					return 0
 				}
-				return total - busy
+				return f(in, in.hv.guests[slot-1])
 			}
 		}
-		return 0
+		name := func(s string) string { return fmt.Sprintf("dom%d-runstate-%s-ms", slot, s) }
+		desc := func(s string) string { return fmt.Sprintf("VM slot %d time %s (ms)", slot, s) }
+		cat = append(cat,
+			perfDef{name("running"), desc("running"), inSlot(running)},
+			perfDef{name("runnable"), desc("runnable/stolen"), inSlot(runnable)},
+			perfDef{name("blocked"), desc("blocked"), inSlot(blocked)},
+		)
 	}
+	return cat
+}
 
-	out := make([]PerfCounter, 0, len(names))
-	for _, n := range names {
-		out = append(out, PerfCounter{Name: n.name, Description: n.desc, Value: value(n.name)})
+// CatalogOnly returns the counter identities with zero values, for code
+// that needs the catalog without a live hypervisor (e.g. Table 1).
+func CatalogOnly() []PerfCounter {
+	out := make([]PerfCounter, len(perfCatalog))
+	for i, d := range perfCatalog {
+		out[i] = PerfCounter{Name: d.name, Description: d.desc}
 	}
 	return out
 }
 
-// suffixAfterDash returns the part of name after the first '-'.
-func suffixAfterDash(name string) string {
-	for i := 0; i < len(name); i++ {
-		if name[i] == '-' {
-			return name[i+1:]
-		}
+// PerfCounters synthesizes the 154 hypervisor counters from cumulative
+// simulation state. Counters are cumulative; the collector differences
+// consecutive samples.
+func (hv *Hypervisor) PerfCounters() []PerfCounter {
+	in := perfInputs{hv: hv, phys: hv.dom0.PhysCycles()}
+	guestPhys := 0.0
+	for _, g := range hv.guests {
+		guestPhys += g.PhysCycles()
+		in.hypercalls += g.hypercallPhys / hv.params.HypercallCycles
+		in.stealMs += float64(g.StealTime()) / 1e6
 	}
-	return ""
+	in.phys += guestPhys
+	in.instr = in.phys * ipc
+	for _, d := range append([]*Domain{hv.dom0}, hv.guests...) {
+		in.faults += d.OS.Faults
+		in.majFaults += d.OS.MajFaults
+		in.ios += d.DiskOps
+	}
+	out := CatalogOnly()
+	for i, d := range perfCatalog {
+		out[i].Value = d.value(&in)
+	}
+	return out
 }
