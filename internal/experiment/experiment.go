@@ -521,7 +521,6 @@ func Run(cfg Config) (*Result, error) {
 	// primary failover.
 	if cfg.Resilience != nil {
 		monitor := tiers.NewHealthMonitor(k, inst.cluster, inst.dbc, *cfg.Resilience)
-		monitor.SetQueue(inst.queueSrv)
 		monitor.Start()
 		after = append(after, func() {
 			stats := guards[0].Stats

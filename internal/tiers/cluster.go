@@ -148,14 +148,24 @@ type DBCluster struct {
 	Replicas []*DBServer
 	// Lag is the replication lag window for read-your-writes routing.
 	Lag sim.Time
+	// servers lists every instance by its fixed id (its topology
+	// position: primary first, then replicas), which promotion never
+	// changes.
+	servers []*DBServer
 
 	rr int
 }
 
-// NewDBCluster wires the tier. replicas may be empty (the degenerate
-// single-DB deployment).
+// NewDBCluster wires the tier and stamps each server with its id, its
+// position in [primary, replicas...]. replicas may be empty (the
+// degenerate single-DB deployment).
 func NewDBCluster(primary *DBServer, replicas []*DBServer, lag sim.Time) *DBCluster {
-	return &DBCluster{Primary: primary, Replicas: replicas, Lag: lag}
+	c := &DBCluster{Primary: primary, Replicas: replicas, Lag: lag}
+	c.servers = append([]*DBServer{primary}, replicas...)
+	for id, s := range c.servers {
+		s.id = id
+	}
+	return c
 }
 
 // server returns the instance at routing index i (0 = primary,
@@ -216,9 +226,9 @@ func (c *DBCluster) route(write bool, now sim.Time, rt *Route) int {
 }
 
 // Promote swaps read replica j in as the new primary (DB failover).
-// The old primary takes the replica's slot, so routing index 1+j now
-// reaches the crashed instance — callers must also swap the matching
-// web-side paths (the HealthMonitor does both atomically).
+// The old primary takes the replica's slot, so routing index 0 now
+// reaches the promoted server and 1+j the old primary. Callers' paths
+// are indexed by server id, so they follow the swap unchanged.
 func (c *DBCluster) Promote(j int) {
 	c.Primary, c.Replicas[j] = c.Replicas[j], c.Primary
 }

@@ -14,11 +14,9 @@ import (
 type Injector struct {
 	k   *sim.Kernel
 	web *WebCluster
-	dbc *DBCluster
-	// dbs freezes instance identity at construction ([primary,
-	// replicas...] in topology order) so fault targets keep meaning
-	// across failover promotions.
-	dbs     []*DBServer
+	// dbc's servers are addressed by id, so DB fault targets keep
+	// meaning across failover promotions.
+	dbc     *DBCluster
 	topo    Topology
 	baseLag sim.Time
 
@@ -41,14 +39,10 @@ func (inj *Injector) SetAuxTiers(c *CacheServer, q *QueueServer) {
 // NewInjector wires the injector; call Start to arm the timeline.
 // events must be sorted by time (faults.Schedule.Expand guarantees it).
 func NewInjector(k *sim.Kernel, web *WebCluster, dbc *DBCluster, topo Topology, events []faults.Event) *Injector {
-	dbs := make([]*DBServer, 0, dbc.Instances())
-	dbs = append(dbs, dbc.Primary)
-	dbs = append(dbs, dbc.Replicas...)
 	return &Injector{
 		k:       k,
 		web:     web,
 		dbc:     dbc,
-		dbs:     dbs,
 		topo:    topo,
 		baseLag: dbc.Lag,
 		events:  events,
@@ -86,12 +80,12 @@ func (inj *Injector) apply(e faults.Event) {
 			inj.web.Replicas[e.Target].restore()
 		}
 	case faults.DBDown:
-		if e.Target < len(inj.dbs) {
-			inj.dbs[e.Target].crash()
+		if e.Target < len(inj.dbc.servers) {
+			inj.dbc.servers[e.Target].crash()
 		}
 	case faults.DBUp:
-		if e.Target < len(inj.dbs) {
-			inj.dbs[e.Target].restore()
+		if e.Target < len(inj.dbc.servers) {
+			inj.dbc.servers[e.Target].restore()
 		}
 	case faults.MachineDown:
 		inj.eachOnMachine(e.Target, func(w *WebAppServer) { w.crash() }, func(d *DBServer) { d.crash() })
@@ -141,7 +135,7 @@ func (inj *Injector) eachOnMachine(m int, webFn func(*WebAppServer), dbFn func(*
 			webFn(w)
 		}
 	}
-	for j, d := range inj.dbs {
+	for j, d := range inj.dbc.servers {
 		if inj.topo.MachineFor(inj.topo.MaxWebReplicas+j) == m {
 			dbFn(d)
 		}

@@ -101,9 +101,8 @@ type QueueServer struct {
 	k   *sim.Kernel
 	be  Backend
 	dbc *DBCluster
-	// dbPaths[i] links the broker with DB routing index i; index 0 is
-	// the current primary (the health monitor swaps pairs on failover,
-	// exactly as it does for web replicas).
+	// dbPaths[id] links the broker with the DB server of that id, so
+	// drains reach whichever server is primary now.
 	dbPaths []PathPair
 	spec    cachetier.QueueSpec
 	params  QueueParams
@@ -282,7 +281,7 @@ func (q *QueueServer) drainStep(d *queueDrain) {
 	d.srv = srv
 	d.dbEpoch = srv.epoch
 	q.be.SubmitCPU(q.params.DrainCycles, nil, nil)
-	q.dbPaths[0].To.Transfer(q.ring[q.head].queries[q.drainQI].RequestBytes, queueDrainSent, d)
+	q.dbPaths[srv.id].To.Transfer(q.ring[q.head].queries[q.drainQI].RequestBytes, queueDrainSent, d)
 }
 
 // queueDrainSent fires when the replayed query reached the DB tier.
@@ -297,7 +296,7 @@ func queueDrainSent(arg any) {
 		q.abortBatch(d)
 		return
 	}
-	d.srv.HandleQuery(q.ring[q.head].queries[q.drainQI], q.dbPaths[0].From, queueDrainReply, d)
+	d.srv.HandleQuery(q.ring[q.head].queries[q.drainQI], q.dbPaths[d.srv.id].From, queueDrainReply, d)
 }
 
 // queueDrainReply fires when the DB's reply reached the broker.

@@ -394,7 +394,6 @@ type HealthMonitor struct {
 	k          *sim.Kernel
 	web        *WebCluster
 	dbc        *DBCluster
-	webs       []*WebAppServer
 	every      sim.Time
 	ejectAfter int
 	detect     sim.Time
@@ -403,16 +402,9 @@ type HealthMonitor struct {
 	primarySeen   bool
 	primaryDownAt sim.Time
 
-	// queue, when wired, gets its DB paths swapped on promotion exactly
-	// like the web replicas, so drains follow the new primary.
-	queue *QueueServer
-
 	// Failovers is the promotion log, in time order.
 	Failovers []FailoverEvent
 }
-
-// SetQueue wires the write-behind broker into failover path swapping.
-func (hm *HealthMonitor) SetQueue(q *QueueServer) { hm.queue = q }
 
 // NewHealthMonitor wires the monitor; call Start to begin probing.
 func NewHealthMonitor(k *sim.Kernel, web *WebCluster, dbc *DBCluster, spec faults.ResilienceSpec) *HealthMonitor {
@@ -470,20 +462,10 @@ func (hm *HealthMonitor) tick(now sim.Time) {
 	}
 }
 
-// promote swaps replica j in as the new primary: the DBCluster swaps
-// its Primary/Replicas slots and every web replica swaps the matching
-// path pair, so routing index 0 points at the promoted instance
-// everywhere at once.
+// promote swaps replica j in as the new primary, so routing index 0
+// reaches the promoted instance for the web tier and the queue alike.
 func (hm *HealthMonitor) promote(now sim.Time, j int) {
 	hm.dbc.Promote(j)
-	for _, w := range hm.web.Replicas {
-		if len(w.dbPaths) > 1+j {
-			w.dbPaths[0], w.dbPaths[1+j] = w.dbPaths[1+j], w.dbPaths[0]
-		}
-	}
-	if hm.queue != nil && len(hm.queue.dbPaths) > 1+j {
-		hm.queue.dbPaths[0], hm.queue.dbPaths[1+j] = hm.queue.dbPaths[1+j], hm.queue.dbPaths[0]
-	}
 	hm.Failovers = append(hm.Failovers, FailoverEvent{
 		DetectedAt: hm.primaryDownAt,
 		PromotedAt: now,

@@ -3,6 +3,7 @@ package tiers
 import (
 	"testing"
 
+	"vwchar/internal/cachetier"
 	"vwchar/internal/faults"
 	"vwchar/internal/hw"
 	"vwchar/internal/load"
@@ -216,9 +217,10 @@ func (p taggedPath) Transfer(bytes float64, done sim.Callback, arg any) {
 }
 
 // TestFailoverPromotion pins DB primary failover: the monitor waits out
-// the detection window, promotes the first healthy replica, swaps the
-// web-side paths, and read-your-writes routing keeps pointing at the
-// live primary (index 0) across the promotion.
+// the detection window, promotes the first healthy replica, routing
+// index 0 then reaches the promoted server over that server's own path,
+// and read-your-writes routing keeps pointing at the live primary
+// (index 0) across the promotion.
 func TestFailoverPromotion(t *testing.T) {
 	k := sim.NewKernel()
 	src := rng.NewSource(9)
@@ -257,8 +259,8 @@ func TestFailoverPromotion(t *testing.T) {
 	if dbc.Primary != replica || dbc.Replicas[0] != primary {
 		t.Fatal("Promote did not swap the primary and replica slots")
 	}
-	if web.dbPaths[0].To.(taggedPath).id != 1 {
-		t.Fatal("web-side path pair was not swapped with the promotion")
+	if got := web.dbPaths[dbc.server(0).id].To.(taggedPath).id; got != 1 {
+		t.Fatalf("routing index 0 reaches the path tagged %d, want the promoted server's 1", got)
 	}
 
 	// Read-your-writes across the promotion: a fresh write routes to
@@ -275,6 +277,66 @@ func TestFailoverPromotion(t *testing.T) {
 	}
 	if dbc.server(0).down {
 		t.Fatal("routing index 0 still points at the crashed instance")
+	}
+}
+
+// countingPath is a stub path that counts its transfers.
+type countingPath struct {
+	k *sim.Kernel
+	n *int
+}
+
+func (p countingPath) Transfer(bytes float64, done sim.Callback, arg any) {
+	*p.n++
+	if done != nil {
+		p.k.AfterCall(20*sim.Microsecond, done, arg)
+	}
+}
+
+// TestQueueDrainsToPromotedPrimary: after a DB failover the write-behind
+// broker replays its backlog to the promoted primary over the path that
+// reaches that server, and sends nothing more over the crashed one's.
+func TestQueueDrainsToPromotedPrimary(t *testing.T) {
+	k := sim.NewKernel()
+	src := rng.NewSource(9)
+	app, err := rubis.NewApp(smallDataset(), src.Stream("data"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := hw.NewServer(k, hw.ProLiantSpec("stub"))
+	be := &nullBackend{k: k, os: osmodel.New("stub", srv.Mem, 10), mem: srv.Mem}
+	primary := NewDBServer(k, be, app, DefaultDBParams("vm"))
+	replica := NewDBServer(k, be, app, DefaultDBParams("vm"))
+	dbc := NewDBCluster(primary, []*DBServer{replica}, sim.Second)
+	stub := PathPair{To: stubPath{k}, From: stubPath{k}}
+	web := NewWebAppServer(k, be, dbc, []PathPair{stub, stub}, DefaultWebParams("vm"))
+	var sent [2]int // drain queries sent toward the server of each id
+	qs := NewQueueServer(k, be, dbc, []PathPair{
+		{To: countingPath{k, &sent[0]}, From: stubPath{k}},
+		{To: countingPath{k, &sent[1]}, From: stubPath{k}},
+	}, cachetier.QueueSpec{MaxDepth: 4096, BatchSize: 64, DrainEveryMillis: 1000}, DefaultQueueParams())
+	web.SetQueueTier(qs, stub)
+	fe := NewWebCluster(k, []*WebAppServer{web}, 1, NewLoadBalancer(LBRoundRobin))
+	hm := NewHealthMonitor(k, fe, dbc, faults.ResilienceSpec{HealthEverySeconds: 1, FailoverDetectSeconds: 3})
+	hm.Start()
+	NewDriver(k, app, rubis.BiddingMix(), fe, rubis.DefaultCostParams(), 50, src).Start()
+
+	k.Run(30 * sim.Second)
+	if sent[0] == 0 || sent[1] != 0 {
+		t.Fatalf("before the crash drains went %v (by server id), want all to the primary", sent)
+	}
+	primary.crash()
+	k.Run(40 * sim.Second)
+	if len(hm.Failovers) != 1 || dbc.Primary != replica {
+		t.Fatalf("got %d failovers, want the replica promoted", len(hm.Failovers))
+	}
+	before, drained := sent, qs.Snapshot().Drained
+	k.Run(100 * sim.Second)
+	if sent[0] != before[0] {
+		t.Fatalf("%d drain queries went over the crashed server's path after failover", sent[0]-before[0])
+	}
+	if sent[1] == before[1] || qs.Snapshot().Drained == drained {
+		t.Fatal("the backlog never drained to the promoted primary")
 	}
 }
 

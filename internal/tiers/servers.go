@@ -69,9 +69,9 @@ type WebAppServer struct {
 	k  *sim.Kernel
 	be Backend
 	db *DBCluster
-	// dbPaths[i] links this replica with DB instance i (0 = primary,
-	// 1..R = read replicas): To carries queries out, From carries
-	// replies back.
+	// dbPaths[id] links this replica with the DB server of that id
+	// (see NewDBCluster): To carries queries out, From carries replies
+	// back.
 	dbPaths []PathPair
 	params  WebParams
 	alloc   osmodel.ChunkAllocator
@@ -126,7 +126,6 @@ type webRequest struct {
 	done sim.Callback
 	darg any
 	qi   int // index of the next DB query to issue
-	dbi  int // DB instance the current query routed to
 	// snap is the replica's own copy of the caller's cost breakdown,
 	// taken at admission. A guard timeout detaches the caller while
 	// this request is still mid-chain, and the caller's session then
@@ -429,8 +428,7 @@ func (w *WebAppServer) stepQuery(req *webRequest) {
 		// interaction's read-your-writes state.
 		rt = nil
 	}
-	req.dbi = w.db.route(q.Receipt.Work.RowsWritten > 0, w.k.Now(), rt)
-	srv := w.db.server(req.dbi)
+	srv := w.db.server(w.db.route(q.Receipt.Work.RowsWritten > 0, w.k.Now(), rt))
 	if srv.down {
 		// The routed instance is dead (primary crashed, no failover
 		// yet): error out without leaking the worker slot.
@@ -439,7 +437,7 @@ func (w *WebAppServer) stepQuery(req *webRequest) {
 	}
 	req.dbsrv = srv
 	req.dbEpoch = srv.epoch
-	w.dbPaths[req.dbi].To.Transfer(q.RequestBytes, webQuerySent, req)
+	w.dbPaths[srv.id].To.Transfer(q.RequestBytes, webQuerySent, req)
 }
 
 // webQuerySent fires when the query's request bytes reached the DB tier.
@@ -455,7 +453,7 @@ func webQuerySent(arg any) {
 		w.errorOut(req)
 		return
 	}
-	req.dbsrv.HandleQuery(req.res.Queries[req.qi], w.dbPaths[req.dbi].From, webQueryDone, req)
+	req.dbsrv.HandleQuery(req.res.Queries[req.qi], w.dbPaths[req.dbsrv.id].From, webQueryDone, req)
 }
 
 // webQueryDone fires when the DB reply reached the web tier.
@@ -637,6 +635,9 @@ type DBServer struct {
 
 	// Queries counts handled calls.
 	Queries uint64
+	// id is the server's fixed position in its DBCluster (see
+	// NewDBCluster); callers index their DB paths by it.
+	id int
 
 	// down/epoch mirror the web tier's crash semantics: stale query
 	// stages send an error marker back instead of finishing, so the

@@ -27,6 +27,8 @@ go test -run xxx \
 	-benchtime "$micro_benchtime" -benchmem ./internal/rubisdb/ | tee -a "$tmp"
 go test -run xxx -bench 'BenchmarkBrowsingStep$' \
 	-benchtime "$micro_benchtime" -benchmem ./internal/rubis/ | tee -a "$tmp"
+go test -run xxx -bench 'BenchmarkCollectorSample$' \
+	-benchtime "$micro_benchtime" -benchmem ./internal/sysstat/ | tee -a "$tmp"
 go test -run xxx -bench 'BenchmarkKernel' \
 	-benchtime "$micro_benchtime" -benchmem ./internal/sim/ | tee -a "$tmp"
 go test -run xxx -bench 'BenchmarkStreamNew$|BenchmarkStreamReseed$|BenchmarkStreamDraw' \
