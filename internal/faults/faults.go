@@ -260,7 +260,12 @@ func (s *Schedule) Expand(duration sim.Time, tg Targets, src *rng.Source) []Even
 				continue // schedule written for a larger topology
 			}
 			st := src.Stream(fmt.Sprintf("faults-%s-%d", sp.name, t))
-			events = appendComponent(events, sp.c, sp.down, sp.up, t, sp.value, duration, st)
+			for _, o := range drawOutages(sp.c.MTTFSeconds, sp.c.MTTRSeconds, sp.c.AtSeconds, duration, st) {
+				events = append(events, Event{At: o.down, Kind: sp.down, Target: t, Value: sp.value})
+				if o.hasUp {
+					events = append(events, Event{At: o.up, Kind: sp.up, Target: t})
+				}
+			}
 		}
 	}
 	if c := s.Correlation; !c.Empty() {
@@ -272,40 +277,5 @@ func (s *Schedule) Expand(duration sim.Time, tg Targets, src *rng.Source) []Even
 		events = c.expandTriggers(events, duration, tg, src)
 	}
 	sortEvents(events)
-	return events
-}
-
-func appendComponent(events []Event, c *Component, down, up Kind, target int, value float64, duration sim.Time, st *rng.Stream) []Event {
-	if c.MTTFSeconds == 0 {
-		// One-shot: exact times, no randomness.
-		at := sim.Seconds(c.AtSeconds)
-		if at >= duration {
-			return events
-		}
-		events = append(events, Event{At: at, Kind: down, Target: target, Value: value})
-		if c.MTTRSeconds > 0 {
-			if rec := at + sim.Seconds(c.MTTRSeconds); rec < duration {
-				events = append(events, Event{At: rec, Kind: up, Target: target})
-			}
-		}
-		return events
-	}
-	// Recurring: alternate Exp(MTTF) up-time and Exp(MTTR) down-time.
-	t := sim.Seconds(c.AtSeconds)
-	if c.AtSeconds == 0 {
-		t = sim.Seconds(st.Exp(c.MTTFSeconds))
-	}
-	for t < duration {
-		events = append(events, Event{At: t, Kind: down, Target: target, Value: value})
-		if c.MTTRSeconds <= 0 {
-			return events // permanent failure
-		}
-		t += sim.Seconds(st.Exp(c.MTTRSeconds))
-		if t >= duration {
-			return events
-		}
-		events = append(events, Event{At: t, Kind: up, Target: target})
-		t += sim.Seconds(st.Exp(c.MTTFSeconds))
-	}
 	return events
 }
