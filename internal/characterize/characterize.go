@@ -11,7 +11,6 @@ import (
 
 	"vwchar/internal/experiment"
 	"vwchar/internal/stats"
-	"vwchar/internal/telemetry"
 	"vwchar/internal/timeseries"
 )
 
@@ -44,79 +43,17 @@ func tierSeries(r *experiment.Result, tier string, res Resource) *timeseries.Ser
 	}
 }
 
-// DefaultWarmupFraction drops the first fifth of samples so warm-up
-// transients (cold buffer pool, page caches filling) do not skew the
-// steady-state means the paper reports — the fraction every analysis
-// uses unless an Analysis overrides it.
-const DefaultWarmupFraction = 0.2
+// warmupFraction drops the first fifth of samples so warm-up transients
+// (cold buffer pool, page caches filling) do not skew the steady-state
+// means the paper reports.
+const warmupFraction = 0.2
 
-// Analysis carries the tunable parameters of the Section 4 analyses.
-// The zero value is not meaningful; use DefaultAnalysis (the paper's
-// fixed 20% warm-up skip) or AnalysisFromTelemetry (a warm-up window
-// derived from the run's own windowed throughput series).
-type Analysis struct {
-	// WarmupFraction of every series is discarded before steady-state
-	// means are taken, in [0, 1).
-	WarmupFraction float64
+// steady returns s after the warm-up skip.
+func steady(s *timeseries.Series) *timeseries.Series {
+	return s.Slice(int(float64(s.Len())*warmupFraction), s.Len())
 }
 
-// DefaultAnalysis returns the fixed warm-up skip all package-level
-// analysis functions apply; results are unchanged from when the
-// fraction was hard-coded.
-func DefaultAnalysis() Analysis {
-	return Analysis{WarmupFraction: DefaultWarmupFraction}
-}
-
-// warmupSustainWindows is how many consecutive windows must hold 90%
-// of the steady throughput before warm-up counts as over — a single
-// early blip (a burst-state start, a batch completing before a
-// cold-cache lull) must not end the warm-up on its own.
-const warmupSustainWindows = 3
-
-// AnalysisFromTelemetry derives the warm-up window from the run's own
-// windowed throughput series instead of assuming a fixed fraction:
-// warm-up ends at the first window opening a run of
-// warmupSustainWindows consecutive windows at 90% of the steady-state
-// median throughput (the median over the second half of the run). The
-// fraction is clamped to [0, 0.5], and a run without usable telemetry
-// falls back to DefaultAnalysis.
-func AnalysisFromTelemetry(r *experiment.Result) Analysis {
-	tput := r.Telemetry.ByName(telemetry.Throughput)
-	if tput == nil {
-		return DefaultAnalysis()
-	}
-	n := tput.Len()
-	if n < 2*warmupSustainWindows {
-		return DefaultAnalysis()
-	}
-	steady := tput.Slice(n/2, n).Quantile(0.5)
-	if steady <= 0 {
-		return DefaultAnalysis()
-	}
-	idx := n / 2
-	run := 0
-	for i := 0; i < n; i++ {
-		if tput.At(i) >= 0.9*steady {
-			run++
-			if run == warmupSustainWindows {
-				idx = i - (warmupSustainWindows - 1)
-				break
-			}
-		} else {
-			run = 0
-		}
-	}
-	frac := float64(idx) / float64(n)
-	if frac > 0.5 {
-		frac = 0.5
-	}
-	return Analysis{WarmupFraction: frac}
-}
-
-func (a Analysis) steadyMean(s *timeseries.Series) float64 {
-	from := int(float64(s.Len()) * a.WarmupFraction)
-	return s.Slice(from, s.Len()).Mean()
-}
+func steadyMean(s *timeseries.Series) float64 { return steady(s).Mean() }
 
 // Ratios holds one value per resource.
 type Ratios struct {
@@ -142,14 +79,10 @@ func (r Ratios) Get(res Resource) float64 {
 // from a virtualized run: how many times more CPU cycles, RAM, disk
 // read/write, and network data the web+application tier demands than the
 // database tier (paper: 6.11, 3.29, 5.71, 55.56).
-func TierRatios(r *experiment.Result) Ratios { return DefaultAnalysis().TierRatios(r) }
-
-// TierRatios is the §4.1 front-end/back-end ratio analysis under this
-// Analysis' warm-up window.
-func (a Analysis) TierRatios(r *experiment.Result) Ratios {
+func TierRatios(r *experiment.Result) Ratios {
 	ratio := func(res Resource) float64 {
-		front := a.steadyMean(tierSeries(r, experiment.TierWeb, res))
-		back := a.steadyMean(tierSeries(r, experiment.TierDB, res))
+		front := steadyMean(tierSeries(r, experiment.TierWeb, res))
+		back := steadyMean(tierSeries(r, experiment.TierDB, res))
 		if back == 0 {
 			return 0
 		}
@@ -161,15 +94,11 @@ func (a Analysis) TierRatios(r *experiment.Result) Ratios {
 // VMToDom0Ratios computes the paper's §4.1 aggregated-VM versus
 // hypervisor ratios from a virtualized run (paper: 16.84, 0.58, 0.47,
 // 0.98). Values above 1 mean the VM counters exceed what dom0 observes.
-func VMToDom0Ratios(r *experiment.Result) Ratios { return DefaultAnalysis().VMToDom0Ratios(r) }
-
-// VMToDom0Ratios is the §4.1 VM-aggregate/dom0 analysis under this
-// Analysis' warm-up window.
-func (a Analysis) VMToDom0Ratios(r *experiment.Result) Ratios {
+func VMToDom0Ratios(r *experiment.Result) Ratios {
 	ratio := func(res Resource) float64 {
-		vm := a.steadyMean(tierSeries(r, experiment.TierWeb, res)) +
-			a.steadyMean(tierSeries(r, experiment.TierDB, res))
-		dom0 := a.steadyMean(tierSeries(r, experiment.TierDom0, res))
+		vm := steadyMean(tierSeries(r, experiment.TierWeb, res)) +
+			steadyMean(tierSeries(r, experiment.TierDB, res))
+		dom0 := steadyMean(tierSeries(r, experiment.TierDom0, res))
 		if dom0 == 0 {
 			return 0
 		}
@@ -183,16 +112,10 @@ func (a Analysis) VMToDom0Ratios(r *experiment.Result) Ratios {
 // the dom0-measured totals of the virtualized run (paper: 3.47, 0.97,
 // 0.6, 0.98).
 func EnvAggregateRatios(virt, phys *experiment.Result) Ratios {
-	return DefaultAnalysis().EnvAggregateRatios(virt, phys)
-}
-
-// EnvAggregateRatios is the §4.2 cross-environment aggregate analysis
-// under this Analysis' warm-up window.
-func (a Analysis) EnvAggregateRatios(virt, phys *experiment.Result) Ratios {
 	ratio := func(res Resource) float64 {
-		nonVirt := a.steadyMean(tierSeries(phys, experiment.TierWeb, res)) +
-			a.steadyMean(tierSeries(phys, experiment.TierDB, res))
-		dom0 := a.steadyMean(tierSeries(virt, experiment.TierDom0, res))
+		nonVirt := steadyMean(tierSeries(phys, experiment.TierWeb, res)) +
+			steadyMean(tierSeries(phys, experiment.TierDB, res))
+		dom0 := steadyMean(tierSeries(virt, experiment.TierDom0, res))
 		if dom0 == 0 {
 			return 0
 		}
@@ -208,12 +131,6 @@ func (a Analysis) EnvAggregateRatios(virt, phys *experiment.Result) Ratios {
 // reports +88% CPU, +21% RAM, +2% network, and -25% disk. Values are
 // (nonVirt/virtApp - 1).
 func PhysicalDelta(virt, phys *experiment.Result) Ratios {
-	return DefaultAnalysis().PhysicalDelta(virt, phys)
-}
-
-// PhysicalDelta is the §4.2 physical-demand delta analysis under this
-// Analysis' warm-up window.
-func (a Analysis) PhysicalDelta(virt, phys *experiment.Result) Ratios {
 	samples := float64(virt.Collector.Samples)
 	if samples == 0 {
 		return Ratios{}
@@ -221,8 +138,8 @@ func (a Analysis) PhysicalDelta(virt, phys *experiment.Result) Ratios {
 	attr := virt.Attribution
 
 	nonVirt := func(res Resource) float64 {
-		return a.steadyMean(tierSeries(phys, experiment.TierWeb, res)) +
-			a.steadyMean(tierSeries(phys, experiment.TierDB, res))
+		return steadyMean(tierSeries(phys, experiment.TierWeb, res)) +
+			steadyMean(tierSeries(phys, experiment.TierDB, res))
 	}
 
 	// Application-attributed virtualized physical demand, averaged per
@@ -231,8 +148,8 @@ func (a Analysis) PhysicalDelta(virt, phys *experiment.Result) Ratios {
 	virtDisk := attr.BackendDiskBytes / samples / 1024 // KB per sample
 	virtNet := attr.BackendNetBytes / samples / 1024
 	// RAM: guest used + dom0 backend buffers (gauges, not rates).
-	virtRAM := a.steadyMean(virt.Mem(experiment.TierWeb)) +
-		a.steadyMean(virt.Mem(experiment.TierDB)) +
+	virtRAM := steadyMean(virt.Mem(experiment.TierWeb)) +
+		steadyMean(virt.Mem(experiment.TierDB)) +
 		virt.Dom0BuffersMB
 
 	delta := func(nv, va float64) float64 {
@@ -298,15 +215,7 @@ func FirstJumpTime(r *experiment.Result) float64 {
 // "disk read and write workload shows higher variance in the
 // non-virtualized system").
 func DiskVariance(r *experiment.Result, tier string) float64 {
-	return DefaultAnalysis().DiskVariance(r, tier)
-}
-
-// DiskVariance is the §4.2 disk-variability analysis under this
-// Analysis' warm-up window.
-func (a Analysis) DiskVariance(r *experiment.Result, tier string) float64 {
-	s := tierSeries(r, tier, Disk)
-	from := int(float64(s.Len()) * a.WarmupFraction)
-	return stats.Summarize(s.Slice(from, s.Len()).Values).CoV
+	return stats.Summarize(steady(tierSeries(r, tier, Disk)).Values).CoV
 }
 
 // Report is the full characterization of a browse+bid pair of runs in

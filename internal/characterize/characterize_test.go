@@ -44,61 +44,6 @@ func results(t *testing.T) (vb, vd, pb, pd *experiment.Result) {
 	return virtBrowse, virtBid, physBrowse, physBid
 }
 
-// TestDefaultAnalysisMatchesLegacyOutputs is the satellite's regression
-// guard: the package-level analysis functions (which every figure and
-// report path uses) are exactly DefaultAnalysis — the configurable
-// warm-up refactor changed nothing by default.
-func TestDefaultAnalysisMatchesLegacyOutputs(t *testing.T) {
-	vb, _, pb, _ := results(t)
-	def := DefaultAnalysis()
-	if def.WarmupFraction != DefaultWarmupFraction {
-		t.Fatalf("default warmup = %v", def.WarmupFraction)
-	}
-	if got, want := def.TierRatios(vb), TierRatios(vb); got != want {
-		t.Fatalf("TierRatios %+v != default-analysis %+v", want, got)
-	}
-	if got, want := def.VMToDom0Ratios(vb), VMToDom0Ratios(vb); got != want {
-		t.Fatalf("VMToDom0Ratios mismatch: %+v vs %+v", got, want)
-	}
-	if got, want := def.EnvAggregateRatios(vb, pb), EnvAggregateRatios(vb, pb); got != want {
-		t.Fatalf("EnvAggregateRatios mismatch: %+v vs %+v", got, want)
-	}
-	if got, want := def.PhysicalDelta(vb, pb), PhysicalDelta(vb, pb); got != want {
-		t.Fatalf("PhysicalDelta mismatch: %+v vs %+v", got, want)
-	}
-	if got, want := def.DiskVariance(vb, experiment.TierWeb), DiskVariance(vb, experiment.TierWeb); got != want {
-		t.Fatalf("DiskVariance mismatch: %v vs %v", got, want)
-	}
-	// A different warm-up window genuinely changes the analysis (the
-	// knob is wired through, not decorative).
-	wide := Analysis{WarmupFraction: 0.45}
-	if wide.TierRatios(vb) == def.TierRatios(vb) {
-		t.Fatal("warm-up fraction has no effect on tier ratios")
-	}
-}
-
-// TestAnalysisFromTelemetry pins the derived warm-up window: on a real
-// run it lands in [0, 0.5], and a closed-loop run that serves from the
-// first windows yields a smaller warm-up than the fixed 20% default.
-func TestAnalysisFromTelemetry(t *testing.T) {
-	vb, _, _, _ := results(t)
-	a := AnalysisFromTelemetry(vb)
-	if a.WarmupFraction < 0 || a.WarmupFraction > 0.5 {
-		t.Fatalf("derived warmup %v out of range", a.WarmupFraction)
-	}
-	// The closed loop ramps inside its first think period (~7 s), so
-	// the throughput-derived warm-up ends well before the fixed 20%
-	// of a 120 s run.
-	if a.WarmupFraction >= DefaultWarmupFraction {
-		t.Fatalf("derived warmup %v not tighter than default %v", a.WarmupFraction, DefaultWarmupFraction)
-	}
-	// The derived analysis still reproduces the paper's directional
-	// findings.
-	if r := a.TierRatios(vb); r.CPU < 2 || r.Network < 10 {
-		t.Fatalf("derived-warmup tier ratios degenerate: %+v", r)
-	}
-}
-
 func TestTierRatiosDirection(t *testing.T) {
 	vb, _, _, _ := results(t)
 	r := TierRatios(vb)
