@@ -177,9 +177,6 @@ func (c *DBCluster) server(i int) *DBServer {
 	return c.Replicas[i-1]
 }
 
-// Instances is the number of routable DB servers (primary + replicas).
-func (c *DBCluster) Instances() int { return 1 + len(c.Replicas) }
-
 // Queries sums handled calls across the primary and every replica.
 func (c *DBCluster) Queries() uint64 {
 	n := c.Primary.Queries

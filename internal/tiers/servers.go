@@ -160,8 +160,8 @@ type webRequest struct {
 }
 
 // NewWebAppServer builds one web replica on a backend, wired to its DB
-// tier through per-instance paths (len(dbPaths) must equal
-// db.Instances()).
+// tier through one path pair per DB server, indexed by server id (see
+// NewDBCluster).
 func NewWebAppServer(k *sim.Kernel, be Backend, db *DBCluster, dbPaths []PathPair, params WebParams) *WebAppServer {
 	w := &WebAppServer{k: k, be: be, db: db, dbPaths: dbPaths, params: params}
 	w.alloc = osmodel.ChunkAllocator{
