@@ -28,8 +28,8 @@ type AvailabilityAnalysis struct {
 	Degraded uint64
 	InFlight uint64
 
-	// Delivered is served / (issued - in-flight): the fraction of
-	// demand with a concluded outcome that got a real response.
+	// Delivered is RequestStats.Availability: the fraction of demand
+	// with a concluded outcome that got a real response.
 	Delivered float64
 
 	// Guard interventions (zero without a Resilience spec).
@@ -83,9 +83,7 @@ func AnalyzeAvailability(r *experiment.Result, sloMillis float64) AvailabilityAn
 		a.Failed = rq.Failed
 		a.Degraded = rq.Degraded
 		a.InFlight = rq.InFlight
-		if concluded := rq.Issued - rq.InFlight; concluded > 0 {
-			a.Delivered = float64(rq.Served) / float64(concluded)
-		}
+		a.Delivered = rq.Availability()
 	}
 	if g := r.Guard; g != nil {
 		a.Retries = g.Retries

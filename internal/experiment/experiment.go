@@ -209,6 +209,15 @@ type RequestStats struct {
 	InFlight uint64 `json:"in_flight"`
 }
 
+// Availability is served over concluded demand, served / (issued -
+// in-flight), and 1 when nothing concluded.
+func (rs *RequestStats) Availability() float64 {
+	if concluded := rs.Issued - rs.InFlight; concluded > 0 {
+		return float64(rs.Served) / float64(concluded)
+	}
+	return 1
+}
+
 // Scalar is one named run-level number; the runner aggregates each
 // across a point's replications.
 type Scalar struct {
@@ -563,12 +572,7 @@ func Run(cfg Config) (*Result, error) {
 			}
 			rs.InFlight = rs.Issued - rs.Served - rs.TimedOut - rs.Shed - rs.Failed - rs.Degraded
 			res.Requests = rs
-			// Availability is served over concluded demand; retries
-			// stay 0 without a guard.
-			avail := 1.0
-			if concluded := rs.Issued - rs.InFlight; concluded > 0 {
-				avail = float64(rs.Served) / float64(concluded)
-			}
+			// Retries stay 0 without a guard.
 			var retries uint64
 			if res.Guard != nil {
 				retries = res.Guard.Retries
@@ -578,7 +582,7 @@ func Run(cfg Config) (*Result, error) {
 				Scalar{"shed", float64(rs.Shed)},
 				Scalar{"failed", float64(rs.Failed)},
 				Scalar{"retries", float64(retries)},
-				Scalar{"availability", avail},
+				Scalar{"availability", rs.Availability()},
 				Scalar{"failovers", float64(len(res.Failovers))})
 			if hazard != nil || overload != nil {
 				res.Scalars = append(res.Scalars, Scalar{"degraded", float64(rs.Degraded)})

@@ -361,22 +361,8 @@ func (c *Correlation) expandStorms(events []Event, duration sim.Time, tg Targets
 		if !ok {
 			continue
 		}
-		n := 0
-		switch down {
-		case WebDown:
-			n = tg.Webs
-		case DBDown:
-			n = tg.DBs
-		case MachineDown:
-			n = tg.Machines
-		}
-		victims := s.Targets
-		if len(victims) == 0 {
-			victims = make([]int, n)
-			for j := range victims {
-				victims[j] = j
-			}
-		}
+		n := tg.count(down)
+		victims := orAll(s.Targets, n)
 		// Keep the draw sequence fixed even when every named target is
 		// out of range for this topology: candidates and accept/victim
 		// draws happen regardless, only the append is skipped.
@@ -469,24 +455,9 @@ func (c *Correlation) expandTriggers(events []Event, duration sim.Time, tg Targe
 		if !ok {
 			continue
 		}
-		n := 0
-		switch down {
-		case WebDown:
-			n = tg.Webs
-		case DBDown:
-			n = tg.DBs
-		case MachineDown:
-			n = tg.Machines
-		}
+		n := tg.count(down)
 		armed := downIntervals(base, condDown, condUp, tr.WhileTarget, duration)
-		targets := tr.Targets
-		if len(targets) == 0 {
-			targets = make([]int, n)
-			for j := range targets {
-				targets[j] = j
-			}
-		}
-		for _, v := range targets {
+		for _, v := range orAll(tr.Targets, n) {
 			st := src.Stream(fmt.Sprintf("faults-trigger-%s-%d", tr.Name, v))
 			t := 0.0
 			for {

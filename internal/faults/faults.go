@@ -213,12 +213,36 @@ type Targets struct {
 	Queues int
 }
 
-type expandSpec struct {
-	c        *Component
-	name     string
-	down, up Kind
-	n        int
-	value    float64
+// count reports how many instances a down kind can target; lag spikes
+// and path delays have one.
+func (tg Targets) count(down Kind) int {
+	switch down {
+	case WebDown:
+		return tg.Webs
+	case DBDown:
+		return tg.DBs
+	case MachineDown, SlowStart:
+		return tg.Machines
+	case LagStart, DelayStart:
+		return 1
+	case CacheDown:
+		return tg.Caches
+	case QueueDown:
+		return tg.Queues
+	}
+	return 0
+}
+
+// orAll returns targets, or every instance 0..n-1 when targets is empty.
+func orAll(targets []int, n int) []int {
+	if len(targets) > 0 {
+		return targets
+	}
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	return all
 }
 
 // Expand turns the schedule into a concrete, sorted event timeline
@@ -231,37 +255,36 @@ func (s *Schedule) Expand(duration sim.Time, tg Targets, src *rng.Source) []Even
 		return nil
 	}
 	var events []Event
-	for _, sp := range []expandSpec{
-		{s.WebCrash, "web_crash", WebDown, WebUp, tg.Webs, 0},
-		{s.DBCrash, "db_crash", DBDown, DBUp, tg.DBs, 0},
-		{s.MachineCrash, "machine_crash", MachineDown, MachineUp, tg.Machines, 0},
-		{s.SlowNode, "slow_node", SlowStart, SlowEnd, tg.Machines, 0},
-		{s.LagSpike, "lag_spike", LagStart, LagEnd, 1, 0},
-		{s.PathDelay, "path_delay", DelayStart, DelayEnd, 1, 0},
-		{s.CacheCrash, "cache_crash", CacheDown, CacheUp, tg.Caches, 0},
-		{s.QueueCrash, "queue_crash", QueueDown, QueueUp, tg.Queues, 0},
+	for _, sp := range []struct {
+		c        *Component
+		name     string
+		down, up Kind
+	}{
+		{s.WebCrash, "web_crash", WebDown, WebUp},
+		{s.DBCrash, "db_crash", DBDown, DBUp},
+		{s.MachineCrash, "machine_crash", MachineDown, MachineUp},
+		{s.SlowNode, "slow_node", SlowStart, SlowEnd},
+		{s.LagSpike, "lag_spike", LagStart, LagEnd},
+		{s.PathDelay, "path_delay", DelayStart, DelayEnd},
+		{s.CacheCrash, "cache_crash", CacheDown, CacheUp},
+		{s.QueueCrash, "queue_crash", QueueDown, QueueUp},
 	} {
 		if sp.c == nil {
 			continue
 		}
+		var value float64
 		switch sp.down {
 		case SlowStart, LagStart, DelayStart:
-			sp.value = sp.c.Value
+			value = sp.c.Value
 		}
-		targets := sp.c.Targets
-		if len(targets) == 0 {
-			targets = make([]int, sp.n)
-			for i := range targets {
-				targets[i] = i
-			}
-		}
-		for _, t := range targets {
-			if t < 0 || t >= sp.n {
+		n := tg.count(sp.down)
+		for _, t := range orAll(sp.c.Targets, n) {
+			if t < 0 || t >= n {
 				continue // schedule written for a larger topology
 			}
 			st := src.Stream(fmt.Sprintf("faults-%s-%d", sp.name, t))
 			for _, o := range drawOutages(sp.c.MTTFSeconds, sp.c.MTTRSeconds, sp.c.AtSeconds, duration, st) {
-				events = append(events, Event{At: o.down, Kind: sp.down, Target: t, Value: sp.value})
+				events = append(events, Event{At: o.down, Kind: sp.down, Target: t, Value: value})
 				if o.hasUp {
 					events = append(events, Event{At: o.up, Kind: sp.up, Target: t})
 				}

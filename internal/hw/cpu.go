@@ -148,7 +148,6 @@ func cpuComplete(arg any) { arg.(*CPU).complete() }
 func (c *CPU) reschedule() {
 	if len(c.jobs) == 0 {
 		c.completion.Cancel()
-		c.completion = sim.Event{}
 		return
 	}
 	rate := c.perJobRate()
@@ -156,7 +155,6 @@ func (c *CPU) reschedule() {
 		// Domain currently descheduled: work is frozen until SetSpeed
 		// grants capacity again.
 		c.completion.Cancel()
-		c.completion = sim.Event{}
 		return
 	}
 	next := c.jobs[0]
@@ -184,7 +182,6 @@ func (c *CPU) reschedule() {
 // one nanosecond of work at the current rate: below that the job cannot
 // be distinguished from done at the kernel's time resolution.
 func (c *CPU) complete() {
-	c.completion = sim.Event{}
 	c.advance()
 	eps := c.perJobRate() * 1e-9
 	if eps < 1e-6 {

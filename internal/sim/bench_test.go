@@ -129,3 +129,49 @@ func BenchmarkKernelFarTimers(b *testing.B) {
 		k.Step()
 	}
 }
+
+// timeoutReq is one in-flight request of BenchmarkKernelTimeoutCancel.
+type timeoutReq struct {
+	k     *Kernel
+	r     *rand.Rand
+	timer Event
+}
+
+// timeoutSend arms the request's guard timeout and schedules its
+// response within 1 ms.
+func timeoutSend(q *timeoutReq) {
+	q.timer = q.k.AfterCall(800*Millisecond, nop, nil)
+	q.k.AfterCall(Time(1+q.r.Intn(int(Millisecond))), timeoutRespond, q)
+}
+
+// timeoutRespond is the response landing: it cancels the timeout and
+// sends the next request.
+func timeoutRespond(arg any) {
+	q := arg.(*timeoutReq)
+	q.timer.Cancel()
+	timeoutSend(q)
+}
+
+// BenchmarkKernelTimeoutCancel has the guard-timeout pattern of the
+// resilience layer: 64 requests each arm an 800 ms timer, and a response
+// landing within 1 ms cancels it. One iteration fires one response. The
+// CI bench-smoke job fails if this reports nonzero allocs/op.
+func BenchmarkKernelTimeoutCancel(b *testing.B) {
+	k := NewKernel()
+	r := rand.New(rand.NewSource(1))
+	reqs := make([]timeoutReq, 64)
+	for i := range reqs {
+		reqs[i] = timeoutReq{k: k, r: r}
+		timeoutSend(&reqs[i])
+	}
+	k.Run(Second) // warm the arena and reach steady state
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k.Step()
+	}
+	b.StopTimer()
+	if k.Pending() != 2*len(reqs) {
+		b.Fatalf("Pending = %d, want a timer and a response per request", k.Pending())
+	}
+}

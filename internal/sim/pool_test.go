@@ -41,7 +41,7 @@ func TestStopReleasesTickerEventImmediately(t *testing.T) {
 }
 
 // TestPendingCountsLiveEventsOnly pins the documented Pending contract:
-// lazily-cancelled events awaiting collection are not counted.
+// cancelled events are not counted.
 func TestPendingCountsLiveEventsOnly(t *testing.T) {
 	k := NewKernel()
 	a := atFunc(k, Second, func() {})
@@ -76,58 +76,66 @@ func TestReschedule(t *testing.T) {
 	}
 }
 
-// TestRescheduleRevivesCancelledEvent: moving a cancelled-but-queued
-// event revives it, matching the CPU model's cancel/re-arm cycle.
-func TestRescheduleRevivesCancelledEvent(t *testing.T) {
-	k := NewKernel()
-	fired := 0
-	e := atFunc(k, Second, func() { fired++ })
-	e.Cancel()
-	if !e.Reschedule(2 * Second) {
-		t.Fatal("Reschedule on a cancelled queued event returned false")
-	}
-	k.Run(MaxTime)
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1 (revived event)", fired)
+// TestCancelReleasesQueuedEvents: Cancel takes a heap, a wheel and an
+// overflow event out of the queue at once, the handle goes stale, and
+// the next AtCall reuses the released slot.
+func TestCancelReleasesQueuedEvents(t *testing.T) {
+	overflow := posFar0 - int32(len(newKernel(2, 4).heads)-1)
+	for _, c := range []struct {
+		name string
+		at   Time
+		in   func(pos int32) bool
+	}{
+		{"heap", 2, func(p int32) bool { return p >= 0 }},
+		{"wheel", 9, func(p int32) bool { return p < posIdle && p != overflow }},
+		{"overflow", 100, func(p int32) bool { return p == overflow }},
+	} {
+		k := newKernel(2, 4) // 4 ns buckets, 16 ns rotations
+		keep := atFunc(k, 1, func() {})
+		e := atFunc(k, c.at, func() { t.Fatalf("%s: cancelled event fired", c.name) })
+		if p := k.arena[e.idx].pos; !c.in(p) {
+			t.Fatalf("%s: setup: event at %d has pos %d", c.name, c.at, p)
+		}
+		e.Cancel()
+		if n := len(k.heap) + k.farN; n != 1 || k.Pending() != 1 {
+			t.Fatalf("%s: queue holds %d entries, Pending %d after Cancel; want 1", c.name, n, k.Pending())
+		}
+		if e.Pending() || e.Time() != -1 || e.Reschedule(c.at) {
+			t.Fatalf("%s: cancelled handle is not stale", c.name)
+		}
+		if fresh := atFunc(k, c.at, func() {}); fresh.idx != e.idx {
+			t.Fatalf("%s: AtCall took slot %d, not the released %d", c.name, fresh.idx, e.idx)
+		}
+		e.Cancel() // stale: must not touch the slot's new occupant
+		keep.Cancel()
+		k.Run(MaxTime)
+		if k.Processed() != 1 {
+			t.Fatalf("%s: processed %d events, want the recycled one", c.name, k.Processed())
+		}
 	}
 }
 
-// TestCompactionReleasesCancelledEvents drives the lazy-cancel path past
-// the compaction threshold and checks both bookkeeping and ordering.
-func TestCompactionReleasesCancelledEvents(t *testing.T) {
+// TestCancelRunningEventIsNoop: an event cancelling itself from inside
+// its own callback changes nothing, and its slot is still released once
+// the callback returns.
+func TestCancelRunningEventIsNoop(t *testing.T) {
 	k := NewKernel()
-	var events []Event
-	var want []Time
-	for i := 0; i < 500; i++ {
-		at := Time(i) * Millisecond
-		events = append(events, atFunc(k, at, func() {}))
-	}
-	// Cancel two of every three: well past the half-dead threshold.
-	for i, e := range events {
-		if i%3 != 0 {
-			e.Cancel()
-		} else {
-			want = append(want, Time(i)*Millisecond)
+	var self Event
+	self = atFunc(k, Second, func() {
+		self.Cancel()
+		if self.Time() != Second {
+			t.Fatalf("Time = %v inside the callback after Cancel", self.Time())
 		}
-	}
-	if k.Pending() != len(want) {
-		t.Fatalf("Pending = %d, want %d", k.Pending(), len(want))
-	}
-	if n := len(k.heap) + k.farN; n >= 500 {
-		t.Fatalf("compaction never ran: queue holds %d entries", n)
-	}
-	var got []Time
-	for range want {
-		if !k.Step() {
-			break
+		if self.Reschedule(2 * Second) {
+			t.Fatal("Reschedule of the running event returned true")
 		}
-		got = append(got, k.Now())
-	}
+	})
 	k.Run(MaxTime)
-	for i := range want {
-		if i >= len(got) || got[i] != want[i] {
-			t.Fatalf("survivor %d fired at %v, want %v", i, got[i], want[i])
-		}
+	if k.Processed() != 1 || k.Pending() != 0 {
+		t.Fatalf("Processed %d, Pending %d; want 1 and 0", k.Processed(), k.Pending())
+	}
+	if self.Time() != -1 || len(k.free) != 1 || k.free[0] != self.idx {
+		t.Fatalf("slot %d not released after the callback (free list %v)", self.idx, k.free)
 	}
 }
 

@@ -38,19 +38,19 @@
 // # Event handle lifetime
 //
 // AtCall and AfterCall return an Event handle (a value, not a pointer).
-// The handle stays valid until the event fires, is cancelled and
-// collected, or is removed; after that the kernel recycles the slot and
-// bumps its generation counter, so a retained stale handle becomes inert:
-// Cancel and Reschedule on it are no-ops, Pending reports false. A handle
-// can therefore be kept arbitrarily long without corrupting the pool or
-// affecting whatever event later reuses the slot — the same handle/pin
-// discipline the storage engine's buffer pool uses for frames.
+// The handle stays valid until the event fires or is cancelled; Cancel
+// takes a queued event out of the queue at once. Either way the kernel
+// recycles the slot and bumps its generation counter, so a retained
+// stale handle becomes inert: Cancel and Reschedule on it are no-ops,
+// Pending reports false. A handle can therefore be kept arbitrarily long
+// without corrupting the pool or affecting whatever event later reuses
+// the slot — the same handle/pin discipline the storage engine's buffer
+// pool uses for frames.
 package sim
 
 import (
 	"fmt"
 	"math"
-	"time"
 )
 
 // Time is a point in virtual time, in nanoseconds since simulation start.
@@ -70,9 +70,6 @@ const MaxTime = Time(math.MaxInt64)
 
 // Seconds converts a floating-point number of seconds to a virtual Time.
 func Seconds(s float64) Time { return Time(s * float64(Second)) }
-
-// Duration converts a time.Duration to a virtual time delta.
-func Duration(d time.Duration) Time { return Time(d.Nanoseconds()) }
 
 // Sec reports the time as a floating-point number of seconds.
 func (t Time) Sec() float64 { return float64(t) / float64(Second) }
@@ -99,7 +96,6 @@ type event struct {
 	next int32 // far-list links, -1 at either end
 	prev int32
 	gen  uint32
-	dead bool
 }
 
 // Queue positions event.pos takes besides a heap index (>= 0).
@@ -140,8 +136,7 @@ type Event struct {
 }
 
 // Time reports when the event is scheduled to fire, or -1 when the
-// handle is stale (the event already fired, was cancelled and collected,
-// or was removed).
+// handle is stale (the event already fired or was cancelled).
 func (e Event) Time() Time {
 	k := e.k
 	if k == nil {
@@ -154,46 +149,39 @@ func (e Event) Time() Time {
 	return ev.at
 }
 
-// Pending reports whether the handle still refers to a queued live
-// event (not yet fired, not cancelled).
+// Pending reports whether the handle still refers to a queued event
+// (not yet fired, not cancelled).
 func (e Event) Pending() bool {
 	k := e.k
 	if k == nil {
 		return false
 	}
 	ev := &k.arena[e.idx]
-	return ev.gen == e.gen && ev.pos != posIdle && !ev.dead
+	return ev.gen == e.gen && ev.pos != posIdle
 }
 
-// Cancel prevents a pending event from firing. Cancellation is lazy: the
-// slot stays queued until the run loop reaches it or the kernel compacts
-// the queue, but the callback will not run. Cancelling a stale handle —
-// the event fired or was already collected — is a no-op, even if the
-// slot has since been recycled for an unrelated event.
+// Cancel takes a queued event out of the queue and releases its slot at
+// once, so every handle to it goes stale. Cancelling a stale handle —
+// the event fired, was cancelled, or its slot now holds an unrelated
+// event — or the event whose callback is running is a no-op.
 func (e Event) Cancel() {
 	k := e.k
 	if k == nil {
 		return
 	}
 	ev := &k.arena[e.idx]
-	if ev.gen != e.gen || ev.dead {
+	if ev.gen != e.gen || ev.pos == posIdle {
 		return
 	}
-	ev.dead = true
-	if ev.pos != posIdle {
-		k.dead++
-		if k.dead > compactMinDead && k.dead*2 > len(k.heap)+k.farN {
-			k.compact()
-		}
-	}
+	k.dequeue(e.idx)
+	k.release(e.idx)
 }
 
 // Reschedule moves a still-pending event to absolute time t, reusing its
-// pooled slot (a cancelled-but-uncollected event is revived). It returns
-// false when the handle is stale or the event is mid-flight, in which
-// case the caller must schedule a fresh event. The moved event is
-// ordered as if newly scheduled: it fires after anything else already
-// scheduled at t.
+// pooled slot. It returns false when the handle is stale or the event is
+// mid-flight, in which case the caller must schedule a fresh event. The
+// moved event is ordered as if newly scheduled: it fires after anything
+// else already scheduled at t.
 func (e Event) Reschedule(t Time) bool {
 	k := e.k
 	if k == nil {
@@ -205,10 +193,6 @@ func (e Event) Reschedule(t Time) bool {
 	}
 	if t < k.now {
 		panic(fmt.Sprintf("sim: rescheduling at %v before now %v", t, k.now))
-	}
-	if ev.dead {
-		ev.dead = false
-		k.dead--
 	}
 	ev.at = t
 	seq := k.seq
@@ -225,34 +209,6 @@ func (e Event) Reschedule(t Time) bool {
 	return true
 }
 
-// remove eagerly takes a pending event out of the queue and returns its
-// slot to the free list, reporting whether it did. A mid-flight event
-// (currently firing) is marked dead instead so the run loop collects it.
-func (e Event) remove() bool {
-	k := e.k
-	if k == nil {
-		return false
-	}
-	ev := &k.arena[e.idx]
-	if ev.gen != e.gen {
-		return false
-	}
-	if ev.pos == posIdle {
-		ev.dead = true
-		return false
-	}
-	if ev.dead {
-		k.dead--
-	}
-	k.dequeue(e.idx)
-	k.release(e.idx)
-	return true
-}
-
-// compactMinDead is the queue-size floor below which lazy-cancelled
-// events are not worth compacting away.
-const compactMinDead = 32
-
 // Kernel is the simulation event loop.
 type Kernel struct {
 	now   Time
@@ -260,8 +216,6 @@ type Kernel struct {
 	heap  []heapEntry
 	free  []int32 // arena slots ready for reuse
 	seq   uint64
-	// dead counts lazily-cancelled events still queued, heap or far.
-	dead int
 
 	// The far queue. The heap holds exactly the queued events whose
 	// bucket (at >> shift) is at most cur: the horizon is the end of
@@ -277,9 +231,8 @@ type Kernel struct {
 	overN int // events in the overflow
 	// firing is the arena index of the event whose callback is running,
 	// -1 otherwise; requeueFiring (the Ticker re-arm) targets it.
-	firing  int32
-	stopped bool
-	// processed counts events executed so far (cancelled events excluded).
+	firing int32
+	// processed counts events executed so far.
 	processed uint64
 }
 
@@ -300,9 +253,8 @@ func newKernel(shift uint, slots int) *Kernel {
 // Now reports the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
 
-// Pending reports the number of live queued events; lazily-cancelled
-// events awaiting collection are not counted.
-func (k *Kernel) Pending() int { return len(k.heap) + k.farN - k.dead }
+// Pending reports the number of queued events.
+func (k *Kernel) Pending() int { return len(k.heap) + k.farN }
 
 // Processed reports how many events have been executed.
 func (k *Kernel) Processed() uint64 { return k.processed }
@@ -324,7 +276,6 @@ func (k *Kernel) schedule(t Time, call Callback, arg any) Event {
 	e.at = t
 	e.call = call
 	e.arg = arg
-	e.dead = false
 	k.enqueue(idx, t, k.seq)
 	k.seq++
 	return Event{k: k, idx: idx, gen: e.gen}
@@ -337,7 +288,6 @@ func (k *Kernel) release(idx int32) {
 	e.gen++
 	e.call = nil
 	e.arg = nil
-	e.dead = false
 	e.pos = posIdle
 	k.free = append(k.free, idx)
 }
@@ -359,61 +309,38 @@ func (k *Kernel) AfterCall(d Time, fn Callback, arg any) Event {
 	return k.schedule(k.now+d, fn, arg)
 }
 
-// Stop halts the run loop after the current event completes.
-func (k *Kernel) Stop() { k.stopped = true }
-
-// Run executes events in order until the queue is empty, Stop is called,
-// or the next event is later than until. The clock is left at the time of
-// the last executed event, or advanced to until when the queue drains
-// early, so that samplers observing Now see a full window.
+// Run executes events in order until the queue is empty or the next
+// event is later than until. The clock is left at the time of the last
+// executed event, or advanced to until when the queue drains early, so
+// that samplers observing Now see a full window.
 func (k *Kernel) Run(until Time) {
-	k.stopped = false
-	for !k.stopped && (len(k.heap) > 0 || k.refill()) {
-		top := k.heap[0]
-		if top.at > until {
-			break
-		}
-		idx := k.heapPopRoot()
-		e := &k.arena[idx]
-		if e.dead {
-			k.dead--
-			k.release(idx)
-			continue
-		}
-		k.now = top.at
-		k.processed++
-		k.fire(idx, e)
+	for (len(k.heap) > 0 || k.refill()) && k.heap[0].at <= until {
+		k.fire()
 	}
 	if k.now < until {
 		k.now = until
 	}
 }
 
-// Step executes exactly one non-cancelled event if one exists, returning
-// true when an event ran.
+// Step executes the next event if one exists, returning true when an
+// event ran.
 func (k *Kernel) Step() bool {
-	for len(k.heap) > 0 || k.refill() {
-		top := k.heap[0]
-		idx := k.heapPopRoot()
-		e := &k.arena[idx]
-		if e.dead {
-			k.dead--
-			k.release(idx)
-			continue
-		}
-		k.now = top.at
-		k.processed++
-		k.fire(idx, e)
-		return true
+	if len(k.heap) == 0 && !k.refill() {
+		return false
 	}
-	return false
+	k.fire()
+	return true
 }
 
-// fire runs a dequeued event's callback and collects the slot, unless
-// the callback requeued it in place (the Ticker re-arm path). The
-// callback fields are copied out first: scheduling inside the callback
-// may grow the arena and move the slot.
-func (k *Kernel) fire(idx int32, e *event) {
+// fire pops the heap's root, runs its callback and collects the slot,
+// unless the callback requeued it in place (the Ticker re-arm path).
+// The callback fields are copied out first: scheduling inside the
+// callback may grow the arena and move the slot.
+func (k *Kernel) fire() {
+	k.now = k.heap[0].at
+	k.processed++
+	idx := k.heapPopRoot()
+	e := &k.arena[idx]
 	call, arg := e.call, e.arg
 	prev := k.firing
 	k.firing = idx
@@ -437,10 +364,11 @@ func (k *Kernel) requeueFiring(t Time) {
 	k.seq++
 }
 
-// Every schedules fn at t, t+period, t+2*period, ... until the returned
-// Ticker is stopped. fn receives the firing time. Each period the ticker
-// re-arms by mutating its pooled event in place rather than scheduling a
-// fresh one, so a steady ticker performs zero allocations.
+// Every schedules fn at t, t+period, t+2*period, ... until Stop is
+// called on the returned Ticker. fn receives the firing time. Each
+// period the ticker re-arms by mutating its pooled event in place rather
+// than scheduling a fresh one, so a steady ticker performs zero
+// allocations.
 func (k *Kernel) Every(start, period Time, fn func(Time)) *Ticker {
 	if period <= 0 {
 		panic("sim: Every requires a positive period")
@@ -452,34 +380,26 @@ func (k *Kernel) Every(start, period Time, fn func(Time)) *Ticker {
 
 // Ticker is a repeating event created by Every.
 type Ticker struct {
-	k       *Kernel
-	period  Time
-	fn      func(Time)
-	ev      Event
-	stopped bool
+	k      *Kernel
+	period Time
+	fn     func(Time)
+	ev     Event // zero once Stop is called
 }
 
 func tickerFire(arg any) {
 	t := arg.(*Ticker)
-	if t.stopped {
-		return
-	}
 	now := t.k.now
 	t.fn(now)
-	if !t.stopped {
+	if t.ev != (Event{}) {
 		t.k.requeueFiring(now + t.period)
 	}
 }
 
-// Stop cancels future firings and immediately returns the ticker's
-// pooled event to the kernel free list (it does not linger in the queue
-// until its timestamp). Stopping an already-stopped ticker is a no-op.
+// Stop cancels future firings; the ticker's pooled event is released at
+// once, or after the callback when Stop is called from inside it. A
+// second Stop is a no-op.
 func (t *Ticker) Stop() {
-	if t.stopped {
-		return
-	}
-	t.stopped = true
-	t.ev.remove()
+	t.ev.Cancel()
 	t.ev = Event{}
 }
 
@@ -488,8 +408,8 @@ func (t *Ticker) Stop() {
 // Far lists are doubly linked through the arena slots' next/prev, with
 // the list encoded in pos, so every far operation is O(1) and the only
 // storage is the per-kernel heads array. Nothing walks a list except to
-// drain it: refill empties one wheel slot into the heap, jump empties
-// the overflow into a new rotation, and compact collects dead entries.
+// drain it: refill empties one wheel slot into the heap and jump empties
+// the overflow into a new rotation.
 
 // bucket reports the far-queue bucket that time t falls in.
 func (k *Kernel) bucket(t Time) int64 { return int64(t) >> k.shift }
@@ -554,47 +474,36 @@ func (k *Kernel) farUnlink(idx int32) {
 }
 
 // refill runs when the heap is empty: it advances the horizon to the
-// next non-empty bucket and moves that bucket into the heap, collecting
-// lazily-cancelled entries on the way. It reports whether the heap
-// holds an event afterwards.
+// next non-empty bucket and moves that bucket into the heap. It reports
+// false when nothing is queued.
 func (k *Kernel) refill() bool {
-	for len(k.heap) == 0 && k.farN > 0 {
-		if k.farN == k.overN {
-			k.jump()
-		} else {
-			// The wheel holds exactly buckets (cur, last], so a
-			// non-empty slot lies ahead within this rotation.
-			k.cur++
-			for k.heads[k.cur&k.mask] < 0 {
-				k.cur++
-			}
-		}
-		k.drainSlot()
+	if k.farN == 0 {
+		return false
 	}
-	return len(k.heap) > 0
+	if k.farN == k.overN {
+		k.jump()
+	} else {
+		// The wheel holds exactly buckets (cur, last], so a non-empty
+		// slot lies ahead within this rotation.
+		k.cur++
+		for k.heads[k.cur&k.mask] < 0 {
+			k.cur++
+		}
+	}
+	k.drainSlot()
+	return true
 }
 
-// jump runs when only the overflow remains: it releases dead overflow
-// entries, starts the rotation holding the earliest live one, spills
-// every overflow entry that fits into the wheel, and sets cur to the
-// earliest bucket.
+// jump runs when only the overflow remains: it starts the rotation
+// holding the earliest overflow entry, spills every overflow entry that
+// fits into the wheel, and sets cur to the earliest bucket.
 func (k *Kernel) jump() {
 	over := int32(len(k.heads) - 1)
 	m := int64(-1)
-	for i := k.heads[over]; i >= 0; {
-		e := &k.arena[i]
-		next := e.next
-		if e.dead {
-			k.dead--
-			k.farUnlink(i)
-			k.release(i)
-		} else if b := k.bucket(e.at); m < 0 || b < m {
+	for i := k.heads[over]; i >= 0; i = k.arena[i].next {
+		if b := k.bucket(k.arena[i].at); m < 0 || b < m {
 			m = b
 		}
-		i = next
-	}
-	if m < 0 {
-		return
 	}
 	k.cur = m
 	k.last = m | k.mask
@@ -609,21 +518,15 @@ func (k *Kernel) jump() {
 }
 
 // drainSlot moves the wheel slot of bucket cur into the empty heap and
-// heapifies it; dead entries are released instead.
+// heapifies it.
 func (k *Kernel) drainSlot() {
 	s := k.cur & k.mask
 	for i := k.heads[s]; i >= 0; {
 		e := &k.arena[i]
-		next := e.next
+		e.pos = int32(len(k.heap))
+		k.heap = append(k.heap, heapEntry{at: e.at, seq: e.seq, idx: i})
 		k.farN--
-		if e.dead {
-			k.dead--
-			k.release(i)
-		} else {
-			e.pos = int32(len(k.heap))
-			k.heap = append(k.heap, heapEntry{at: e.at, seq: e.seq, idx: i})
-		}
-		i = next
+		i = e.next
 	}
 	k.heads[s] = -1
 	for i := (int32(len(k.heap)) - 2) >> 2; i >= 0; i-- {
@@ -730,40 +633,4 @@ func (k *Kernel) siftDown(i int32) {
 	}
 	h[i] = en
 	k.arena[en.idx].pos = i
-}
-
-// compact rebuilds the heap without its lazily-cancelled entries and
-// unlinks the dead far entries, releasing their slots. Triggered from
-// Cancel once dead events exceed half the queue, so the queue never
-// carries more garbage than live work; amortized cost per cancelled
-// event is constant.
-func (k *Kernel) compact() {
-	h := k.heap
-	w := int32(0)
-	for _, en := range h {
-		e := &k.arena[en.idx]
-		if e.dead {
-			k.release(en.idx)
-			continue
-		}
-		h[w] = en
-		e.pos = w
-		w++
-	}
-	k.heap = h[:w]
-	for i := (w - 2) >> 2; i >= 0; i-- {
-		k.siftDown(i)
-	}
-	for l := 0; k.farN > 0 && l < len(k.heads); l++ {
-		for i := k.heads[l]; i >= 0; {
-			e := &k.arena[i]
-			next := e.next
-			if e.dead {
-				k.farUnlink(i)
-				k.release(i)
-			}
-			i = next
-		}
-	}
-	k.dead = 0
 }

@@ -39,7 +39,7 @@ type farOracle struct {
 	fires  int
 
 	// Paths observed, so the test fails if a geometry stops reaching them.
-	sawWheel, sawOverflow, sawToFar, sawToHeap, sawFarCompact bool
+	sawWheel, sawOverflow, sawToFar, sawToHeap, sawFarCancel bool
 }
 
 func (o *farOracle) nextOrder() int {
@@ -163,14 +163,14 @@ func (o *farOracle) ticker() {
 	})
 }
 
-// cancel cancels event i, noting when the Cancel compacts dead entries
-// out of the far lists.
+// cancel cancels event i, noting when it takes an entry out of the far
+// lists.
 func (o *farOracle) cancel(i int) {
 	o.specs[i].live = false
 	far := o.k.farN
 	o.events[i].Cancel()
 	if o.k.farN < far {
-		o.sawFarCompact = true
+		o.sawFarCancel = true
 	}
 }
 
@@ -202,7 +202,7 @@ func (o *farOracle) checkPending() {
 // TestPropertyFarQueueMatchesOracle drives kernels with tiny buckets
 // through every far-queue path — wheel and overflow insert, the wrap
 // spill and empty-wheel jump, Reschedule across the horizon both ways,
-// Cancel with compaction of far entries, ticker re-arms into the wheel,
+// Cancel of far entries, ticker re-arms into the wheel,
 // nested scheduling from callbacks, and Run(until) returning with the
 // horizon past until before more events are scheduled behind it — and
 // checks each firing against the (at, seq) sort oracle.
@@ -231,10 +231,9 @@ func TestPropertyFarQueueMatchesOracle(t *testing.T) {
 							o.checkPending()
 						}
 					case c == 3:
-						// A burst, then a mass cancel: pushes dead
-						// entries past the compaction threshold while
-						// many of them sit far.
-						for i := 0; i < 2*compactMinDead; i++ {
+						// A burst, then a mass cancel while many of
+						// the events sit far.
+						for i := 0; i < 64; i++ {
 							o.schedule(o.randTime())
 						}
 						for i := range o.specs {
@@ -254,24 +253,24 @@ func TestPropertyFarQueueMatchesOracle(t *testing.T) {
 				if n := o.livePending(); n != 0 {
 					t.Fatalf("trial %d: %d oracle events never fired", trial, n)
 				}
-				if len(k.heap) != 0 || k.farN != 0 || k.overN != 0 || k.dead != 0 {
-					t.Fatalf("trial %d: drained kernel holds heap=%d far=%d over=%d dead=%d",
-						trial, len(k.heap), k.farN, k.overN, k.dead)
+				if len(k.heap) != 0 || k.farN != 0 || k.overN != 0 {
+					t.Fatalf("trial %d: drained kernel holds heap=%d far=%d over=%d",
+						trial, len(k.heap), k.farN, k.overN)
 				}
 				seen.sawWheel = seen.sawWheel || o.sawWheel
 				seen.sawOverflow = seen.sawOverflow || o.sawOverflow
 				seen.sawToFar = seen.sawToFar || o.sawToFar
 				seen.sawToHeap = seen.sawToHeap || o.sawToHeap
-				seen.sawFarCompact = seen.sawFarCompact || o.sawFarCompact
+				seen.sawFarCancel = seen.sawFarCancel || o.sawFarCancel
 			}
 		})
 	}
 	for name, ok := range map[string]bool{
-		"wheel insert":              seen.sawWheel,
-		"overflow insert":           seen.sawOverflow,
-		"reschedule heap to far":    seen.sawToFar,
-		"reschedule far to heap":    seen.sawToHeap,
-		"compaction of far entries": seen.sawFarCompact,
+		"wheel insert":           seen.sawWheel,
+		"overflow insert":        seen.sawOverflow,
+		"reschedule heap to far": seen.sawToFar,
+		"reschedule far to heap": seen.sawToHeap,
+		"cancel of a far entry":  seen.sawFarCancel,
 	} {
 		if !ok {
 			t.Errorf("no trial exercised %s", name)
@@ -350,9 +349,6 @@ func TestStaleHandleRecycledThroughWheelIsInert(t *testing.T) {
 		old.Cancel()
 		if old.Reschedule(k.Now()) {
 			t.Fatal("Reschedule through a stale handle returned true")
-		}
-		if old.remove() {
-			t.Fatal("remove through a stale handle returned true")
 		}
 		if old.Pending() || old.Time() != -1 {
 			t.Fatal("stale handle reports the recycled event")

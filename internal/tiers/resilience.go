@@ -110,7 +110,6 @@ type tryCtx struct {
 	g        *Guard
 	a        *attempt
 	timedOut bool
-	hasTimer bool
 	timer    sim.Event
 }
 
@@ -207,12 +206,9 @@ func (g *Guard) launch(a *attempt) {
 	t := g.tryFree.Get()
 	t.g = g
 	t.a = a
-	t.timedOut = false
-	t.hasTimer = false
 	a.cur = t
 	if g.timeout > 0 {
 		t.timer = g.k.AfterCall(g.timeout, guardTryTimeout, t)
-		t.hasTimer = true
 	}
 	g.next.Dispatch(a.res, a.rt, guardTryDone, t)
 }
@@ -227,9 +223,7 @@ func guardTryDone(arg any) {
 		g.tryFree.Put(t)
 		return
 	}
-	if t.hasTimer {
-		t.timer.Cancel()
-	}
+	t.timer.Cancel()
 	a := t.a
 	a.cur = nil
 	g.tryFree.Put(t)
@@ -251,7 +245,6 @@ func guardTryTimeout(arg any) {
 	t := arg.(*tryCtx)
 	g := t.g
 	t.timedOut = true
-	t.hasTimer = false
 	a := t.a
 	a.cur = nil
 	if a.rt != nil {
