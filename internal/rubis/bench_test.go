@@ -40,3 +40,17 @@ func BenchmarkBrowsingStep(b *testing.B) {
 		step()
 	}
 }
+
+// BenchmarkNewSnapshot measures dataset population at the default
+// scale: schema creation, every table's bulk load, the warm checkpoint
+// and the seal into a golden snapshot. It is the per-replication setup
+// cost of a sweep that gives each replication its own dataset.
+func BenchmarkNewSnapshot(b *testing.B) {
+	cfg := DefaultDataset()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewSnapshot(cfg, uint64(i)+1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -190,165 +190,127 @@ const itemDescription = "Lorem ipsum dolor sit amet, consectetur adipiscing elit
 	"eiusmod tempor incididunt ut labore et dolore magna aliqua. Ut enim ad minim " +
 	"veniam, quis nostrud exercitation ullamco laboris nisi ut aliquip ex ea commodo."
 
-// paddedName formats prefix + zero-padded i exactly like
-// fmt.Sprintf(prefix+"%0<width>d", i) but without the fmt machinery: the
-// dataset population names a few thousand rows per replication, and the
-// sweep runs hundreds of replications.
-func paddedName(prefix string, i, width int) string {
-	var b [32]byte
-	buf := append(b[:0], prefix...)
-	start := len(buf)
+// appendPadded appends prefix + zero-padded i to dst, exactly like
+// fmt.Sprintf(prefix+"%0<width>d", i) but without the fmt machinery.
+// Population passes the result on as string(b), a conversion that does
+// not allocate because the writer copies the bytes.
+func appendPadded(dst []byte, prefix string, i, width int) []byte {
+	dst = append(dst, prefix...)
+	start := len(dst)
 	n := 1
 	for lim := 10; n < width || i >= lim; lim *= 10 {
 		n++
 	}
 	for j := 0; j < n; j++ {
-		buf = append(buf, '0')
+		dst = append(dst, '0')
 	}
-	for p := len(buf) - 1; p >= start; p-- {
-		buf[p] = byte('0' + i%10)
+	for p := len(dst) - 1; p >= start; p-- {
+		dst[p] = byte('0' + i%10)
 		i /= 10
 	}
-	return string(buf)
+	return dst
 }
-
-// intBoxes caches boxed int64 values for the dense id ranges the
-// dataset generators emit. Every int64 column in a Row is an `any`, so
-// naive row building boxes each value through runtime.convT64 — ~10% of
-// a sweep's CPU, since population runs per replication. Ids, foreign
-// keys, and small draws are all dense non-negative ranges, so one
-// grow-on-demand box table serves them all; values outside the cap fall
-// back to ordinary boxing.
-type intBoxes []any
-
-// populateBoxCap bounds the cache; sequential bid/comment ids are the
-// largest dense range (tens of thousands at default scale).
-const populateBoxCap = 1 << 20
-
-// newIntBoxes pre-fills boxes for [0, n).
-func newIntBoxes(n int) intBoxes {
-	b := make(intBoxes, n)
-	for i := range b {
-		b[i] = int64(i)
-	}
-	return b
-}
-
-// v returns a cached box for v, extending the cache for sequentially
-// growing id ranges.
-func (b *intBoxes) v(v int64) any {
-	if v < 0 || v >= populateBoxCap {
-		return v
-	}
-	for int64(len(*b)) <= v {
-		*b = append(*b, int64(len(*b)))
-	}
-	return (*b)[v]
-}
-
-// i boxes an int draw.
-func (b *intBoxes) i(v int) any { return b.v(int64(v)) }
 
 // populate loads the dataset through the engine's sorted bulk path:
-// every table's rows are generated in primary-key order (the RNG draw
-// sequence is identical to row-at-a-time insertion), appended to the
-// heap once, and indexed via the B+tree bulk loader — instead of ~60k
-// one-at-a-time Insert descents at the start of every replication.
-// Int64 values go through the intBoxes cache, so row building does not
-// re-box the same dense ids replication after replication.
+// every table's rows are generated in primary-key order and streamed
+// column by column into a BulkWriter, which encodes each value straight
+// into the heap tuple and builds the indexes with the B+tree bulk
+// loader at Close. Columns are written in schema order, so the RNG draw
+// sequence is the one row-at-a-time insertion would make.
 func (a *App) populate(r *rng.Stream) error {
 	cfg := a.Config
 	totalItems := cfg.ActiveItems + cfg.OldItems
-	box := newIntBoxes(max(cfg.Users, totalItems))
-	rows := make([]rubisdb.Row, 0, cfg.Regions)
+	var name [32]byte
+
+	w := a.regions.BulkWriter(cfg.Regions)
 	for i := 0; i < cfg.Regions; i++ {
-		rows = append(rows, rubisdb.Row{box.i(i), paddedName("region-", i, 2)})
+		w.Int(int64(i))
+		w.String(string(appendPadded(name[:0], "region-", i, 2)))
+		w.EndRow()
 	}
-	if err := a.regions.BulkInsert(rows); err != nil {
+	if err := w.Close(); err != nil {
 		return err
 	}
-	rows = make([]rubisdb.Row, 0, cfg.Categories)
+	w = a.categories.BulkWriter(cfg.Categories)
 	for i := 0; i < cfg.Categories; i++ {
-		rows = append(rows, rubisdb.Row{box.i(i), paddedName("category-", i, 2)})
+		w.Int(int64(i))
+		w.String(string(appendPadded(name[:0], "category-", i, 2)))
+		w.EndRow()
 	}
-	if err := a.categories.BulkInsert(rows); err != nil {
+	if err := w.Close(); err != nil {
 		return err
 	}
-	rows = make([]rubisdb.Row, 0, cfg.Users)
+	w = a.users.BulkWriter(cfg.Users)
 	for i := 0; i < cfg.Users; i++ {
-		rows = append(rows, rubisdb.Row{
-			box.i(i),
-			paddedName("user", i, 6),
-			box.i(r.Intn(cfg.Regions)),
-			box.i(r.Intn(10)),
-			r.Uniform(0, 1000),
-		})
+		w.Int(int64(i))
+		w.String(string(appendPadded(name[:0], "user", i, 6)))
+		w.Int(int64(r.Intn(cfg.Regions)))
+		w.Int(int64(r.Intn(10)))
+		w.Float(r.Uniform(0, 1000))
+		w.EndRow()
 	}
-	if err := a.users.BulkInsert(rows); err != nil {
+	if err := w.Close(); err != nil {
 		return err
 	}
 	a.nextUserID = int64(cfg.Users)
 
-	rows = make([]rubisdb.Row, 0, totalItems)
+	w = a.items.BulkWriter(totalItems)
 	for i := 0; i < totalItems; i++ {
 		price := r.Uniform(1, 500)
-		rows = append(rows, rubisdb.Row{
-			box.i(i),
-			paddedName("item-", i, 6),
-			itemDescription,
-			box.i(r.Intn(cfg.Users)),
-			box.i(r.Intn(cfg.Categories)),
-			price,
-			price,
-			box.i(0),
-			box.i(1 + r.Intn(5)),
-			price * 1.6,
-			box.i(i % 2), // half "ended", half active (end_date flag)
-		})
+		w.Int(int64(i))
+		w.String(string(appendPadded(name[:0], "item-", i, 6)))
+		w.String(itemDescription)
+		w.Int(int64(r.Intn(cfg.Users)))
+		w.Int(int64(r.Intn(cfg.Categories)))
+		w.Float(price)
+		w.Float(price)
+		w.Int(0)
+		w.Int(int64(1 + r.Intn(5)))
+		w.Float(price * 1.6)
+		w.Int(int64(i % 2)) // half "ended", half active (end_date flag)
+		w.EndRow()
 	}
-	if err := a.items.BulkInsert(rows); err != nil {
+	if err := w.Close(); err != nil {
 		return err
 	}
 	a.nextItemID = int64(totalItems)
 
 	bidID := int64(0)
-	rows = rows[:0]
+	w = a.bids.BulkWriter(poissonHint(totalItems * cfg.BidsPerItem))
 	for i := 0; i < totalItems; i++ {
 		n := r.Poisson(float64(cfg.BidsPerItem))
 		for b := 0; b < n; b++ {
-			rows = append(rows, rubisdb.Row{
-				box.v(bidID),
-				box.i(r.Intn(cfg.Users)),
-				box.i(i),
-				box.i(1),
-				r.Uniform(1, 800),
-				box.i(b),
-			})
+			w.Int(bidID)
+			w.Int(int64(r.Intn(cfg.Users)))
+			w.Int(int64(i))
+			w.Int(1)
+			w.Float(r.Uniform(1, 800))
+			w.Int(int64(b))
+			w.EndRow()
 			bidID++
 		}
 	}
-	if err := a.bids.BulkInsert(rows); err != nil {
+	if err := w.Close(); err != nil {
 		return err
 	}
 	a.nextBidID = bidID
 
 	commentID := int64(0)
-	rows = rows[:0]
+	w = a.comments.BulkWriter(poissonHint(cfg.Users * cfg.CommentsPerUser))
 	for u := 0; u < cfg.Users; u++ {
 		n := r.Poisson(float64(cfg.CommentsPerUser))
 		for c := 0; c < n; c++ {
-			rows = append(rows, rubisdb.Row{
-				box.v(commentID),
-				box.i(r.Intn(cfg.Users)),
-				box.i(u),
-				box.i(r.Intn(totalItems)),
-				box.i(r.Intn(10)),
-				"Great seller, fast shipping, item exactly as described.",
-			})
+			w.Int(commentID)
+			w.Int(int64(r.Intn(cfg.Users)))
+			w.Int(int64(u))
+			w.Int(int64(r.Intn(totalItems)))
+			w.Int(int64(r.Intn(10)))
+			w.String("Great seller, fast shipping, item exactly as described.")
+			w.EndRow()
 			commentID++
 		}
 	}
-	if err := a.comments.BulkInsert(rows); err != nil {
+	if err := w.Close(); err != nil {
 		return err
 	}
 	a.nextCommentID = commentID
@@ -356,6 +318,11 @@ func (a *App) populate(r *rng.Stream) error {
 	// Warm checkpoint so runtime write-back reflects steady state.
 	return a.Engine.Checkpoint()
 }
+
+// poissonHint sizes a writer for a sum of Poisson draws with the given
+// mean: the mean plus a margin several standard deviations wide, so the
+// index entry lists almost never regrow.
+func poissonHint(mean int) int { return mean + mean/8 + 64 }
 
 // TotalItems reports how many items exist right now.
 func (a *App) TotalItems() int64 { return a.nextItemID }

@@ -258,3 +258,29 @@ func BenchmarkEngineQueryMix(b *testing.B) {
 	}
 	queryMixSink = sum
 }
+
+// BenchmarkBulkWriterRow measures one row streamed into a BulkWriter
+// sized by a row-count hint: four typed column appends and EndRow's
+// heap insert, key check and index entry collection. Close, which
+// builds the indexes once per load, runs outside the timer.
+func BenchmarkBulkWriterRow(b *testing.B) {
+	e := NewEngine(1024, DefaultCostModel())
+	users, err := e.CreateTable("users", usersSchema(), "id", "region")
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := users.BulkWriter(b.N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.Int(int64(i))
+		w.String("nickname")
+		w.Int(int64(i % 50))
+		w.Int(0)
+		w.EndRow()
+	}
+	b.StopTimer()
+	if err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+}

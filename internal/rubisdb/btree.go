@@ -468,7 +468,7 @@ type Entry struct {
 // left-to-right at leafBulkFill occupancy and internal levels are
 // assembled bottom-up, so loading n entries costs O(n) page touches
 // instead of n root-to-leaf descents. The dataset-population phase of
-// every replication uses this through Table.BulkInsert.
+// every replication uses this through a Table's BulkWriter.
 func (t *BTree) BulkLoad(entries []Entry) error {
 	if t.size != 0 {
 		return fmt.Errorf("rubisdb: BulkLoad needs an empty tree, have %d entries", t.size)

@@ -13,6 +13,7 @@ package rubisdb
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 )
 
@@ -71,12 +72,17 @@ func (p Page) FreeSpace() int {
 	return free
 }
 
-// InsertCell appends a cell and returns its slot index. It returns an
-// error when the cell does not fit; callers allocate a fresh page then.
+// errPageFull is InsertCell's error for a cell that does not fit. A
+// heap meets it every time its last page fills, so it is a sentinel
+// rather than a fresh error per page.
+var errPageFull = errors.New("rubisdb: page full")
+
+// InsertCell appends a cell and returns its slot index. It returns
+// errPageFull when the cell does not fit; callers allocate a fresh page
+// then.
 func (p Page) InsertCell(data []byte) (int, error) {
-	need := len(data) + 4 // 2 slot bytes + 2 length bytes
-	if p.FreeSpace() < need-2 {
-		return 0, fmt.Errorf("rubisdb: page full (%d free, %d needed)", p.FreeSpace(), need)
+	if p.FreeSpace() < len(data)+2 { // 2 length bytes; FreeSpace counts the slot
+		return 0, errPageFull
 	}
 	end := p.freeEnd()
 	start := end - len(data) - 2

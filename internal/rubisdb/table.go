@@ -268,83 +268,7 @@ func (t *Table) Insert(row Row) (RID, error) {
 	return rid, nil
 }
 
-// BulkInsert loads rows into an empty table through the sorted
-// bulk-load path: tuples are appended to the heap once, then the
-// primary-key and secondary indexes are built with BTree.BulkLoad
-// instead of one root-to-leaf descent per row. Rows must be sorted by
-// strictly ascending primary key (the dataset generators emit them that
-// way); secondary entries are sorted here before loading. WAL traffic
-// is batched — one framed record per heap page of rows rather than one
-// per row (the LOAD DATA shape) — carrying the same row images with far
-// less framing overhead.
-func (t *Table) BulkInsert(rows []Row) error {
-	if t.heap.Rows != 0 || t.pk.Len() != 0 {
-		return fmt.Errorf("table %s: BulkInsert needs an empty table", t.Name)
-	}
-	if len(rows) == 0 {
-		return nil
-	}
-	pkEntries := make([]Entry, 0, len(rows))
-	secEntries := make([][]Entry, len(t.secCols))
-	for i := range secEntries {
-		secEntries[i] = make([]Entry, 0, len(rows))
-	}
-	var lastKey int64
-	// One WAL record accumulates per heap page; rows land on ascending
-	// pages, so a page switch means the previous batch is complete.
-	var batchPage uint32
-	var batchRows, batchBytes int
-	for ri, row := range rows {
-		tuple, err := t.encode(row)
-		if err != nil {
-			return fmt.Errorf("table %s: %w", t.Name, err)
-		}
-		key, ok := row[t.pkCol].(int64)
-		if !ok {
-			return fmt.Errorf("table %s: primary key must be int64", t.Name)
-		}
-		if ri > 0 && key <= lastKey {
-			return fmt.Errorf("table %s: BulkInsert rows must be sorted by unique primary key (%d after %d)", t.Name, key, lastKey)
-		}
-		lastKey = key
-		rid, err := t.heap.Insert(tuple)
-		if err != nil {
-			return err
-		}
-		if batchRows > 0 && rid.PageNo != batchPage {
-			t.engine.wal.AppendBatchRecord(t.id, walInsert, batchRows, batchBytes)
-			batchRows, batchBytes = 0, 0
-		}
-		batchPage = rid.PageNo
-		batchRows++
-		batchBytes += len(tuple)
-		enc := rid.Encode()
-		pkEntries = append(pkEntries, Entry{Key: key, Value: enc})
-		for si, col := range t.secCols {
-			sk, ok := row[col].(int64)
-			if !ok {
-				return fmt.Errorf("table %s: secondary key column %d must be int64", t.Name, col)
-			}
-			secEntries[si] = append(secEntries[si], Entry{Key: sk, Value: enc})
-		}
-		t.engine.meter.RowsWritten++
-	}
-	if batchRows > 0 {
-		t.engine.wal.AppendBatchRecord(t.id, walInsert, batchRows, batchBytes)
-	}
-	if err := t.pk.BulkLoad(pkEntries); err != nil {
-		return err
-	}
-	for si, entries := range secEntries {
-		sortEntriesByKey(entries)
-		if err := t.secs[si].BulkLoad(entries); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// sortEntriesByKey sorts index entries by (Key, Value). BulkInsert
+// sortEntriesByKey sorts index entries by (Key, Value). A BulkWriter
 // appends entries in strictly increasing Value (RID) order, so any
 // stable sort by Key alone yields the full (Key, Value) order; when the
 // key range is dense — secondary keys are row ids drawn from a bounded

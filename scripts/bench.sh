@@ -23,10 +23,12 @@ go test -run xxx -bench 'BenchmarkEngineOnly$|BenchmarkSweepWorkers|BenchmarkOpe
 go test -run xxx -bench 'BenchmarkSnapshotAttach$' \
 	-benchtime "$micro_benchtime" -benchmem . | tee -a "$tmp"
 go test -run xxx \
-	-bench 'BenchmarkBTree|BenchmarkBufferPoolGet$|BenchmarkBufferPoolGetView$|BenchmarkBulkLoad|BenchmarkHeapInsert|BenchmarkEngineQueryMix|BenchmarkCOWFirstWrite' \
+	-bench 'BenchmarkBTree|BenchmarkBufferPoolGet$|BenchmarkBufferPoolGetView$|BenchmarkBulkLoad|BenchmarkBulkWriterRow$|BenchmarkHeapInsert|BenchmarkEngineQueryMix|BenchmarkCOWFirstWrite' \
 	-benchtime "$micro_benchtime" -benchmem ./internal/rubisdb/ | tee -a "$tmp"
 go test -run xxx -bench 'BenchmarkBrowsingStep$' \
 	-benchtime "$micro_benchtime" -benchmem ./internal/rubis/ | tee -a "$tmp"
+go test -run xxx -bench 'BenchmarkNewSnapshot$' \
+	-benchtime "$sim_benchtime" -benchmem ./internal/rubis/ | tee -a "$tmp"
 go test -run xxx -bench 'BenchmarkCollectorSample$' \
 	-benchtime "$micro_benchtime" -benchmem ./internal/sysstat/ | tee -a "$tmp"
 go test -run xxx -bench 'BenchmarkKernel' \
