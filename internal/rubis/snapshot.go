@@ -130,10 +130,10 @@ type snapshotEntry struct {
 }
 
 // snapshotCacheCap bounds retained goldens. A golden holds the full
-// dataset (~5-15 MB depending on scale); sweeps that share one dataset
-// need exactly one, and unshared sweeps cycle through per-replication
-// seeds where caching buys nothing — so a small LRU cap keeps the
-// process footprint flat either way.
+// dataset (~16 MB of pages at DefaultDataset); sweeps that share one
+// dataset need exactly one, and unshared sweeps cycle through
+// per-replication seeds where caching buys nothing — so a small LRU cap
+// keeps the process footprint flat either way.
 const snapshotCacheCap = 4
 
 var snapshotCache = struct {

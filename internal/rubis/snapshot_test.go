@@ -1,0 +1,52 @@
+package rubis
+
+import (
+	"testing"
+
+	"vwchar/internal/rng"
+)
+
+// TestViewsNeverTouchGolden is the copy-on-write safety property under
+// real traffic: bidding-mix steps on a view whose buffer pool is a small
+// fraction of the dataset, so dirty private frames are evicted and
+// missed back in, across several Release/Attach (Rearm) cycles. The
+// sealed golden pages must stay byte-identical, every resident frame
+// must be its store's own buffer (a private page for private frames, the
+// golden page for shared ones), and no pin may leak.
+func TestViewsNeverTouchGolden(t *testing.T) {
+	cfg := smallDataset()
+	cfg.BufferPages = 24
+	snap, err := NewSnapshot(cfg, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := snap.golden.Digest()
+	mix := BiddingMix()
+	params := DefaultCostParams()
+	r := rng.NewSource(11).Stream("cow")
+	var res Result
+	for cycle := 0; cycle < 4; cycle++ {
+		app := snap.Attach()
+		start := app.Engine.Meter()
+		sess := Session{UserID: 5, ItemID: 10, CategoryID: 2, RegionID: 3, ToUserID: 7}
+		cur := mix.StartState()
+		for i := 0; i < 2000; i++ {
+			cur = mix.NextInteraction(cur, r)
+			if err := app.ExecuteInto(&res, cur, &sess, r, params); err != nil {
+				t.Fatalf("cycle %d step %d (%s): %v", cycle, i, cur, err)
+			}
+		}
+		work := app.Engine.Meter().Sub(start)
+		if work.RowsWritten == 0 || work.PagesWritten == 0 {
+			t.Fatalf("cycle %d: %d rows written, %d dirty pages written back; the test needs evicted writes",
+				cycle, work.RowsWritten, work.PagesWritten)
+		}
+		if err := app.Engine.Check(); err != nil {
+			t.Fatalf("cycle %d: %v", cycle, err)
+		}
+		if snap.golden.Digest() != golden {
+			t.Fatalf("cycle %d: the view changed the sealed golden pages", cycle)
+		}
+		app.Release()
+	}
+}

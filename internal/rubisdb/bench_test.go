@@ -202,7 +202,7 @@ func BenchmarkHeapInsert(b *testing.B) {
 
 // BenchmarkCOWFirstWrite measures privatizing a shared golden page: the
 // one-time per-page cost a view pays on its first write intent (an 8 KB
-// copy into a pooled buffer). Each pass touches every resident golden
+// copy into a private page its store owns from then on). Each pass touches every resident golden
 // page once, then rearms the view so the next pass privatizes again.
 func BenchmarkCOWFirstWrite(b *testing.B) {
 	eng, _ := buildPopulated(b, 5000, 256)

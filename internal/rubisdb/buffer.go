@@ -9,17 +9,27 @@ type PageID struct {
 	PageNo uint32
 }
 
-// Store is the backing page store. The simulation uses an in-memory
-// store; the buffer pool's miss/flush traffic is what the tier model
-// charges to the simulated disk.
+// Store is the backing page store and the single owner of every page
+// buffer: a resident frame's Page is the store's own buffer for its id,
+// so a miss or a write-back moves no bytes. The simulation uses an
+// in-memory store; the buffer pool's miss/flush traffic is what the tier
+// model charges to the simulated disk.
 type Store interface {
-	// ReadInto copies the page into dst (len PageSize) without
-	// allocating; it returns an error for never-written pages.
-	ReadInto(id PageID, dst Page) error
-	// Write persists the page.
-	Write(id PageID, p Page) error
-	// Allocate extends file with one zeroed page, returning its id.
-	Allocate(file uint32) PageID
+	// Page returns the store's buffer for id, or an error for a page no
+	// Allocate handed out. shared marks an immutable buffer (a sealed
+	// golden page under a view) that must be Owned before any write.
+	Page(id PageID) (p Page, shared bool, err error)
+	// Own returns a private buffer holding the bytes of the shared page
+	// id, which the store owns from then on: a later Page(id) returns it
+	// unshared. Only ids that Page reported shared may be Owned.
+	Own(id PageID) Page
+	// Allocate extends file with one zeroed page, returning its id and
+	// buffer.
+	Allocate(file uint32) (PageID, Page)
+	// WriteBack is the pool flushing id's dirty buffer (the pool meters
+	// it). The bytes already live in the store, so nothing moves; it
+	// fails for a page no Allocate handed out.
+	WriteBack(id PageID) error
 }
 
 // pagesPerSlab sizes the slabs that page buffers are carved from: 1 MB
@@ -29,14 +39,20 @@ type Store interface {
 // off the dataset-population path.
 const pagesPerSlab = 128
 
-// pageSlab carves fixed-size, zeroed page buffers out of large slabs.
-// Carved pages are never returned to the slab; recycling happens at the
-// consumer (the buffer pool's free list, the store's per-id reuse).
+// pageSlab hands the stores fixed-size page buffers: recycled ones from
+// free first, which carry stale bytes, then zeroed ones carved out of
+// large slabs.
 type pageSlab struct {
-	buf []byte
+	buf  []byte
+	free []Page
 }
 
 func (s *pageSlab) take() Page {
+	if n := len(s.free); n > 0 {
+		p := s.free[n-1]
+		s.free = s.free[:n-1]
+		return p
+	}
 	if len(s.buf) < PageSize {
 		s.buf = make([]byte, PageSize*pagesPerSlab)
 	}
@@ -45,25 +61,14 @@ func (s *pageSlab) take() Page {
 	return p
 }
 
-// SharedPager is implemented by stores that can hand out stable,
-// immutable page buffers the pool may alias directly instead of copying
-// on a miss (the copy-on-write view store over a sealed golden
-// snapshot). A page obtained this way must never be mutated through the
-// frame; writers privatize first (BufferPool.GetMut / Privatize).
-type SharedPager interface {
-	// SharedPage returns the immutable buffer for id when the page is
-	// still golden (not privately overwritten), or (nil, false) when the
-	// caller must fall back to a copying ReadInto.
-	SharedPage(id PageID) (Page, bool)
-}
-
 // MemStore is the in-memory Store. Pages are allocated in order from 0
-// per file, so every slot below a file's length holds a page.
+// per file, so every slot below a file's length holds a page. No page
+// is ever shared: the pool writes into the store's buffers directly.
 type MemStore struct {
 	pages pageDir[Page]
 	slab  pageSlab
 	// sealed freezes the store as an immutable golden snapshot
-	// (Engine.Seal); any further Write or Allocate is a bug in the
+	// (Engine.Seal); any further WriteBack or Allocate is a bug in the
 	// copy-on-write layer and panics rather than corrupting every view.
 	sealed bool
 }
@@ -71,49 +76,39 @@ type MemStore struct {
 // NewMemStore returns an empty store.
 func NewMemStore() *MemStore { return &MemStore{} }
 
-// ReadInto implements Store.
-func (m *MemStore) ReadInto(id PageID, dst Page) error {
+// Page implements Store.
+func (m *MemStore) Page(id PageID) (Page, bool, error) {
 	p := m.pages.at(id)
 	if p == nil {
-		return fmt.Errorf("rubisdb: page %v not found", id)
+		return nil, false, fmt.Errorf("rubisdb: page %v not found", id)
 	}
-	copy(dst, p)
-	return nil
+	return p, false, nil
 }
 
-// Read returns an owned copy of the page (a convenience for tests and
-// tools; the pool's hot path uses ReadInto).
-func (m *MemStore) Read(id PageID) (Page, error) {
-	out := make(Page, PageSize)
-	if err := m.ReadInto(id, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
+// Own implements Store; every MemStore page is already private.
+func (m *MemStore) Own(id PageID) Page { return m.pages.at(id) }
 
-// Write implements Store. The destination is the buffer Allocate gave
-// the page, reused across write-backs, so steady-state eviction traffic
-// does not allocate; a page that was never allocated is an error.
-func (m *MemStore) Write(id PageID, p Page) error {
+// WriteBack implements Store.
+func (m *MemStore) WriteBack(id PageID) error {
 	if m.sealed {
-		panic(fmt.Sprintf("rubisdb: Write of page %v to sealed golden store", id))
+		panic(fmt.Sprintf("rubisdb: write-back of page %v to sealed golden store", id))
 	}
-	dst := m.pages.at(id)
-	if dst == nil {
+	if m.pages.at(id) == nil {
 		return fmt.Errorf("rubisdb: write of unallocated page %v", id)
 	}
-	copy(dst, p)
 	return nil
 }
 
-// Allocate implements Store.
-func (m *MemStore) Allocate(file uint32) PageID {
+// Allocate implements Store. MemStore never recycles a page, so its
+// slab's pages arrive zeroed.
+func (m *MemStore) Allocate(file uint32) (PageID, Page) {
 	if m.sealed {
 		panic(fmt.Sprintf("rubisdb: Allocate in file %d on sealed golden store", file))
 	}
 	id := PageID{File: file, PageNo: m.pages.length(file)}
-	m.pages.set(id, m.slab.take())
-	return id
+	p := m.slab.take()
+	m.pages.set(id, p)
+	return id, p
 }
 
 // PageCount reports the number of allocated pages in file.
@@ -162,19 +157,17 @@ func (m Meter) Sub(other Meter) Meter {
 
 // Frame is a pinned buffer-pool slot. Get and NewPage return the frame
 // itself, so callers release their pin directly on it — no second map
-// lookup. The frame (and its Page) is valid until Unpin; after the last
-// pin is released the pool may evict and recycle it, so callers must
-// capture ID() before unpinning if they still need it.
+// lookup. The frame is valid until Unpin; after the last pin is released
+// the pool may evict and recycle it, so callers must capture ID() before
+// unpinning if they still need it.
 type Frame struct {
-	// Page is the cached page image.
+	// Page is the store's buffer for the page (see Store), not a copy.
 	Page Page
 
 	id    PageID
 	dirty bool
-	// shared marks a frame whose Page aliases an immutable golden
-	// snapshot buffer (see SharedPager): reads are free, but it must be
-	// privatized (copied) before any mutation and its buffer is never
-	// recycled into the pool's free lists.
+	// shared marks a frame whose Page is an immutable golden snapshot
+	// buffer: it must be privatized (Store.Own) before any mutation.
 	shared bool
 	pins   int
 	// prev/next form the pool's intrusive LRU list while the frame is
@@ -201,8 +194,10 @@ func (f *Frame) Unpin(dirty bool) {
 }
 
 // BufferPool caches pages with LRU replacement and write-back of dirty
-// pages on eviction. Evicted frames and their page buffers park on free
-// lists, so steady-state miss traffic allocates nothing.
+// pages on eviction. It keeps no page buffers of its own: a frame
+// borrows its store's buffer, so residency decides only what a lookup
+// meters as a hit or a miss. Evicted frames park on a free list, so
+// steady-state miss traffic allocates nothing.
 type BufferPool struct {
 	store    Store
 	capacity int
@@ -217,11 +212,6 @@ type BufferPool struct {
 	lru       Frame
 	meter     *Meter
 	freeFrame *Frame // singly linked through next
-	freePage  []Page
-	slab      pageSlab
-	// sharedSrc is non-nil when the store can serve zero-copy golden
-	// pages (resolved once here so the miss path pays no type assertion).
-	sharedSrc SharedPager
 }
 
 // NewBufferPool builds a pool of capacity pages over store, metering
@@ -235,7 +225,6 @@ func NewBufferPool(store Store, capacity int, meter *Meter) *BufferPool {
 		capacity: capacity,
 		meter:    meter,
 	}
-	b.sharedSrc, _ = store.(SharedPager)
 	b.lru.next = &b.lru
 	b.lru.prev = &b.lru
 	return b
@@ -282,15 +271,6 @@ func (b *BufferPool) takeFrame() *Frame {
 	return &Frame{}
 }
 
-func (b *BufferPool) takePage() Page {
-	if n := len(b.freePage); n > 0 {
-		p := b.freePage[n-1]
-		b.freePage = b.freePage[:n-1]
-		return p
-	}
-	return b.slab.take()
-}
-
 // Get pins the page into the pool, loading it on a miss (possibly
 // evicting an unpinned LRU victim). Callers must Unpin the returned
 // frame.
@@ -302,31 +282,18 @@ func (b *BufferPool) Get(id PageID) (*Frame, error) {
 		return f, nil
 	}
 	b.meter.PageMisses++
-	// A page still backed by an immutable golden snapshot is aliased
-	// zero-copy; the miss is metered identically, so a view's hit/miss/
-	// eviction stream matches a freshly populated pool byte for byte.
-	if b.sharedSrc != nil {
-		if p, ok := b.sharedSrc.SharedPage(id); ok {
-			if err := b.makeRoom(); err != nil {
-				return nil, err
-			}
-			f := b.takeFrame()
-			*f = Frame{Page: p, id: id, pins: 1, shared: true}
-			b.admit(f)
-			return f, nil
-		}
-	}
-	p := b.takePage()
-	if err := b.store.ReadInto(id, p); err != nil {
-		b.freePage = append(b.freePage, p)
+	// The miss aliases the store's buffer, golden or private; it is
+	// metered the same either way, so a view's hit/miss/eviction stream
+	// matches a freshly populated pool byte for byte.
+	p, shared, err := b.store.Page(id)
+	if err != nil {
 		return nil, err
 	}
 	if err := b.makeRoom(); err != nil {
-		b.freePage = append(b.freePage, p)
 		return nil, err
 	}
 	f := b.takeFrame()
-	*f = Frame{Page: p, id: id, pins: 1}
+	*f = Frame{Page: p, id: id, pins: 1, shared: shared}
 	b.admit(f)
 	return f, nil
 }
@@ -344,29 +311,27 @@ func (b *BufferPool) GetMut(id PageID) (*Frame, error) {
 	return f, nil
 }
 
-// Privatize converts a shared golden frame into a private copy the
+// Privatize converts a shared golden frame into a private page the
 // caller may mutate; private frames pass through untouched. This is the
-// copy-on-write fault: one PageSize copy, only on first write.
+// copy-on-write fault: one PageSize copy, only on the page's first write
+// in the view, after which the store owns the private page.
 func (b *BufferPool) Privatize(f *Frame) {
 	if !f.shared {
 		return
 	}
-	p := b.takePage()
-	copy(p, f.Page)
-	f.Page = p
+	f.Page = b.store.Own(f.id)
 	f.shared = false
 }
 
 // NewPage allocates a fresh page in file, resident, pinned, and dirty.
 // The page comes back zeroed with an initialized slot header (see
-// NewPage in page.go).
+// NewPage in page.go). Room is made first, so a NewPage on an exhausted
+// pool fails without growing the file.
 func (b *BufferPool) NewPage(file uint32) (*Frame, error) {
-	id := b.store.Allocate(file)
 	if err := b.makeRoom(); err != nil {
 		return nil, err
 	}
-	p := b.takePage()
-	clear(p)
+	id, p := b.store.Allocate(file)
 	p.initHeader()
 	f := b.takeFrame()
 	*f = Frame{Page: p, id: id, pins: 1, dirty: true}
@@ -387,7 +352,7 @@ func (b *BufferPool) makeRoom() error {
 			return fmt.Errorf("rubisdb: buffer pool exhausted (%d pages, all pinned)", b.resident)
 		}
 		if victim.dirty {
-			if err := b.store.Write(victim.id, victim.Page); err != nil {
+			if err := b.store.WriteBack(victim.id); err != nil {
 				return err
 			}
 			b.meter.PagesWritten++
@@ -395,12 +360,6 @@ func (b *BufferPool) makeRoom() error {
 		b.unlink(victim)
 		b.frames.unset(victim.id)
 		b.resident--
-		// A shared frame aliases the immutable golden buffer: evicting it
-		// must not feed that buffer into the free list where a later miss
-		// would scribble over the snapshot.
-		if !victim.shared {
-			b.freePage = append(b.freePage, victim.Page)
-		}
 		*victim = Frame{next: b.freeFrame}
 		b.freeFrame = victim
 	}
@@ -422,7 +381,7 @@ func (b *BufferPool) FlushLimit(limit int) (int, error) {
 		if !f.dirty {
 			continue
 		}
-		if err := b.store.Write(f.id, f.Page); err != nil {
+		if err := b.store.WriteBack(f.id); err != nil {
 			return flushed, err
 		}
 		f.dirty = false
@@ -432,16 +391,28 @@ func (b *BufferPool) FlushLimit(limit int) (int, error) {
 	return flushed, nil
 }
 
-// check verifies the pool's bookkeeping: the resident count equals both
-// the LRU list's length and the number of occupied directory slots, and
-// every slot holds the frame of its own page id. A stale slot would hand
-// a recycled frame to the next Get.
+// check verifies a quiescent pool (no query in flight): the resident
+// count equals both the LRU list's length and the number of occupied
+// directory slots, and every slot holds the frame of its own page id (a
+// stale slot would hand a recycled frame to the next Get). No frame is
+// pinned, and each frame's Page is its store's own buffer for the id,
+// shared exactly when the store reports it shared.
 func (b *BufferPool) check() error {
 	lru := 0
 	for f := b.lru.next; f != &b.lru; f = f.next {
 		lru++
 		if b.frames.at(f.id) != f {
 			return fmt.Errorf("rubisdb: resident page %v missing from the directory", f.id)
+		}
+		if f.pins != 0 {
+			return fmt.Errorf("rubisdb: page %v left with %d pins", f.id, f.pins)
+		}
+		p, shared, err := b.store.Page(f.id)
+		if err != nil {
+			return err
+		}
+		if shared != f.shared || &p[0] != &f.Page[0] {
+			return fmt.Errorf("rubisdb: frame of page %v (shared=%v) is not its store's buffer (shared=%v)", f.id, f.shared, shared)
 		}
 	}
 	slots := 0

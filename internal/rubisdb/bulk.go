@@ -195,8 +195,9 @@ func (w *BulkWriter) Close() error {
 	if err := t.pk.BulkLoad(w.pk); err != nil {
 		return err
 	}
+	var sorter entrySort
 	for i, entries := range w.secs {
-		sortEntriesByKey(entries)
+		sorter.sortEntriesByKey(entries)
 		if err := t.secs[i].BulkLoad(entries); err != nil {
 			return err
 		}

@@ -148,6 +148,10 @@ func (e *Engine) MustTable(name string) *Table {
 // Meter exposes the cumulative engine meter.
 func (e *Engine) Meter() Meter { return *e.meter }
 
+// Check verifies the buffer pool of a quiescent engine (no query in
+// flight); see BufferPool.check.
+func (e *Engine) Check() error { return e.pool.check() }
+
 // BufferHitRatio reports the buffer pool hit ratio so far.
 func (e *Engine) BufferHitRatio() float64 { return e.pool.HitRatio() }
 

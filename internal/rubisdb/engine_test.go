@@ -1,6 +1,7 @@
 package rubisdb
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -119,6 +120,91 @@ func TestBufferPoolAllPinnedFails(t *testing.T) {
 	f2.Unpin(false)
 }
 
+// TestFailedNewPageLeavesNoOrphanPage: a NewPage that fails because
+// every frame is pinned must not grow the file, on a plain store and on
+// a copy-on-write view, or the file would gain a zeroed page with no
+// slot header.
+func TestFailedNewPageLeavesNoOrphanPage(t *testing.T) {
+	ms := NewMemStore()
+	eng, tb := buildPopulated(t, 200, 64)
+	g, err := eng.Seal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := g.NewView()
+	cow := view.store.(*cowStore)
+	for _, c := range []struct {
+		name  string
+		pool  *BufferPool
+		count func() uint32
+	}{
+		{"MemStore", NewBufferPool(ms, 4, &Meter{}), func() uint32 { return ms.PageCount(tb.id) }},
+		{"view", view.pool, func() uint32 { return cow.PageCount(tb.id) }},
+	} {
+		before := c.count()
+		pinned := 0
+		for ; ; pinned++ {
+			if _, err := c.pool.NewPage(tb.id); err != nil {
+				break
+			}
+			if pinned > c.pool.capacity {
+				t.Fatalf("%s: NewPage never exhausted a pool of %d pages", c.name, c.pool.capacity)
+			}
+		}
+		if got, want := c.count(), before+uint32(pinned); got != want {
+			t.Fatalf("%s: PageCount %d after %d pinned NewPages and a failed one, want %d", c.name, got, pinned, want)
+		}
+	}
+}
+
+// TestPoolKeepsNoPageBuffers: the pool borrows its store's buffers, so
+// filling a MemStore-backed pool of capacity C with N > C dirty pages
+// allocates about N pages, with no second buffer per pooled page, and
+// reading them all back through misses allocates nothing.
+func TestPoolKeepsNoPageBuffers(t *testing.T) {
+	const capacity, n = 512, 1024
+	store := NewMemStore()
+	pool := NewBufferPool(store, capacity, &Meter{})
+	ids := make([]PageID, 0, n)
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	fill := allocated(func() {
+		for range n {
+			f, err := pool.NewPage(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, f.ID())
+			f.Unpin(true)
+		}
+	})
+	// An eighth of slack covers the page directory and the frames; a
+	// pool-owned buffer per frame would add capacity/n = half.
+	if pages := uint64(n * PageSize); fill < pages || fill > pages+pages/8 {
+		t.Fatalf("filling %d pages through a pool of %d allocated %d bytes, want %d to %d", n, capacity, fill, pages, pages+pages/8)
+	}
+	reread := allocated(func() {
+		for _, id := range ids {
+			f, err := pool.Get(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p := store.pages.at(id); &f.Page[0] != &p[0] {
+				t.Fatalf("frame of page %v is not the store's buffer", id)
+			}
+			f.Unpin(false)
+		}
+	})
+	if reread != 0 {
+		t.Fatalf("missing %d pages back in allocated %d bytes", n, reread)
+	}
+}
+
 func TestBufferPoolGetAllPinnedFails(t *testing.T) {
 	// Exhaustion through the Get path: the only frame is pinned, so a
 	// miss that needs to evict must fail rather than steal it.
@@ -165,9 +251,9 @@ type orderStore struct {
 	writes []PageID
 }
 
-func (o *orderStore) Write(id PageID, p Page) error {
+func (o *orderStore) WriteBack(id PageID) error {
 	o.writes = append(o.writes, id)
-	return o.MemStore.Write(id, p)
+	return o.MemStore.WriteBack(id)
 }
 
 func TestFlushLimitWritesInLRUOrder(t *testing.T) {

@@ -18,20 +18,20 @@ type faultStore struct {
 
 var errInjected = errors.New("injected I/O failure")
 
-func (f *faultStore) ReadInto(id PageID, dst Page) error {
+func (f *faultStore) Page(id PageID) (Page, bool, error) {
 	f.reads++
 	if f.failReads {
-		return fmt.Errorf("read %v: %w", id, errInjected)
+		return nil, false, fmt.Errorf("read %v: %w", id, errInjected)
 	}
-	return f.MemStore.ReadInto(id, dst)
+	return f.MemStore.Page(id)
 }
 
-func (f *faultStore) Write(id PageID, p Page) error {
+func (f *faultStore) WriteBack(id PageID) error {
 	f.writes++
 	if f.failWrites {
 		return fmt.Errorf("write %v: %w", id, errInjected)
 	}
-	return f.MemStore.Write(id, p)
+	return f.MemStore.WriteBack(id)
 }
 
 func TestBufferPoolSurfacesReadFailures(t *testing.T) {

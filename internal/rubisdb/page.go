@@ -39,7 +39,7 @@ func NewPage() Page {
 
 // initHeader resets the slot header of a zeroed page: no slots, all
 // space between the header and the page end free. The buffer pool uses
-// it when recycling page buffers so the layout lives only here.
+// it on every page a store allocates, so the layout lives only here.
 func (p Page) initHeader() {
 	p.setNSlots(0)
 	p.setFreeStart(pageHeaderSize)

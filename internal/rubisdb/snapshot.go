@@ -1,21 +1,27 @@
 package rubisdb
 
-import "fmt"
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+)
 
 // Golden dataset snapshots.
 //
-// Populating a RUBiS dataset costs ~100 ms and millions of allocations,
-// and a sweep repeats it for every replication. Seal captures a
-// populated engine — the sealed MemStore pages plus every piece of
-// mutable engine state (buffer-pool residency in exact LRU order, meter,
-// WAL position, per-table heap/B-tree cursors) — as an immutable Golden.
-// NewView then builds a copy-on-write engine over it in microseconds:
-// reads alias golden pages directly (see SharedPager in buffer.go) and a
-// page is copied only on first write, so a replication's view starts
-// byte-identical to a fresh population and diverges privately. Rearm
-// rewinds a released view back to the sealed state, recycling its
-// private pages and frames through the existing free lists, which makes
-// the steady-state attach path allocation-free.
+// Populating a default RUBiS dataset costs ~30 ms, ~25 MB and ~1.4k
+// allocations, and a sweep that wants a fresh dataset repeats it for
+// every replication. Seal captures a populated engine — the sealed
+// MemStore pages plus every piece of mutable engine state (buffer-pool
+// residency in exact LRU order, meter, WAL position, per-table
+// heap/B-tree cursors) — as an immutable Golden. NewView then builds a
+// copy-on-write engine over it in microseconds: frames alias golden
+// pages directly (cowStore.Page reports them shared) and a page is
+// copied only on first write, into a private page the view's store owns
+// from then on. A replication's view therefore starts byte-identical to
+// a fresh population and diverges privately. Rearm rewinds a released
+// view back to the sealed state, recycling its private pages and frames
+// through the free lists, which makes the steady-state attach path
+// allocation-free.
 
 // walState captures the WAL position at seal time. buffered matters:
 // group-commit flush timing after attach must match what a fresh
@@ -118,6 +124,24 @@ func (e *Engine) Seal() (*Golden, error) {
 	return g, nil
 }
 
+// Digest hashes every sealed page with its id, in (file, page) order.
+// No view may ever change it.
+func (g *Golden) Digest() [32]byte {
+	h := sha256.New()
+	var id [8]byte
+	for file, pages := range g.store.pages.files {
+		for no, p := range pages {
+			binary.BigEndian.PutUint32(id[:4], uint32(file))
+			binary.BigEndian.PutUint32(id[4:], uint32(no))
+			h.Write(id[:])
+			h.Write(p)
+		}
+	}
+	var out [32]byte
+	h.Sum(out[:0])
+	return out
+}
+
 // NewView builds a fresh copy-on-write engine over the snapshot. Views
 // are independent: each has its own buffer pool, meter, WAL, and private
 // page set, so concurrent views never observe each other. For the
@@ -159,7 +183,7 @@ func (g *Golden) NewView() *Engine {
 }
 
 // Rearm rewinds a view created by NewView back to the sealed state:
-// private pages and frames return to the free lists, the warm resident
+// private pages and frames return to their free lists, the warm resident
 // set is rebuilt over golden pages in sealed LRU order, and the meter,
 // WAL, and table cursors are restored. Steady-state Rearm allocates
 // nothing, which is what makes replication attach effectively free.
@@ -198,16 +222,13 @@ func (g *Golden) Rearm(e *Engine) {
 }
 
 // dropAllFrames evicts every resident frame without write-back,
-// emptying its directory slot and recycling private page buffers and all
-// frame structs through the free lists. Used when rearming a view: its
-// private changes are discarded by design.
+// emptying its directory slot and recycling the frame structs through
+// the free list. Used when rearming a view: its private changes are
+// discarded by design (the store's reset recycles their pages).
 func (b *BufferPool) dropAllFrames() {
 	for f := b.lru.next; f != &b.lru; {
 		next := f.next
 		b.frames.unset(f.id)
-		if !f.shared {
-			b.freePage = append(b.freePage, f.Page)
-		}
 		*f = Frame{next: b.freeFrame}
 		b.freeFrame = f
 		f = next
@@ -217,27 +238,17 @@ func (b *BufferPool) dropAllFrames() {
 	b.resident = 0
 }
 
-// cowStore is the Store behind a view: reads hit the private overlay
-// first and fall back to the sealed golden pages; writes (pool
-// write-backs) and allocations land in the overlay. It also implements
-// SharedPager so the pool can alias still-golden pages zero-copy.
+// cowStore is the Store behind a view: the sealed golden pages, shared
+// by every view, under a private overlay this view owns. Page serves the
+// overlay first and falls back to the golden, reported shared; Own and
+// Allocate fill the overlay, so a write never reaches the golden.
 type cowStore struct {
 	golden *MemStore
 	priv   pageDir[Page]
 	// privIDs lists priv's occupied slots in the order they were filled,
 	// so reset recycles them in O(private) time and in a fixed order.
 	privIDs []PageID
-	free    []Page
 	slab    pageSlab
-}
-
-func (c *cowStore) takePage() Page {
-	if n := len(c.free); n > 0 {
-		p := c.free[n-1]
-		c.free = c.free[:n-1]
-		return p
-	}
-	return c.slab.take()
 }
 
 // putPriv records p as id's private page.
@@ -250,59 +261,51 @@ func (c *cowStore) putPriv(id PageID, p Page) {
 // returns PageCount to the golden's lengths.
 func (c *cowStore) reset() {
 	for _, id := range c.privIDs {
-		c.free = append(c.free, c.priv.at(id))
+		c.slab.free = append(c.slab.free, c.priv.at(id))
 	}
 	c.privIDs = c.privIDs[:0]
 	c.priv.truncate()
 }
 
-// SharedPage implements SharedPager: still-golden pages may be aliased.
-func (c *cowStore) SharedPage(id PageID) (Page, bool) {
-	if c.priv.at(id) != nil {
-		return nil, false
+// Page implements Store: a private page if the view owns one, else the
+// shared golden page.
+func (c *cowStore) Page(id PageID) (Page, bool, error) {
+	if p := c.priv.at(id); p != nil {
+		return p, false, nil
 	}
-	p := c.golden.pages.at(id)
-	return p, p != nil
+	if p := c.golden.pages.at(id); p != nil {
+		return p, true, nil
+	}
+	return nil, false, fmt.Errorf("rubisdb: page %v not found", id)
 }
 
-// ReadInto implements Store.
-func (c *cowStore) ReadInto(id PageID, dst Page) error {
-	p := c.priv.at(id)
-	if p == nil {
-		p = c.golden.pages.at(id)
-	}
-	if p == nil {
-		return fmt.Errorf("rubisdb: page %v not found", id)
-	}
-	copy(dst, p)
-	return nil
+// Own implements Store: the copy-on-write fault, one golden page copied
+// into a private page.
+func (c *cowStore) Own(id PageID) Page {
+	p := c.slab.take()
+	copy(p, c.golden.pages.at(id))
+	c.putPriv(id, p)
+	return p
 }
 
-// Write implements Store: write-backs land in the private overlay, never
-// in the golden snapshot. A page that neither the golden nor the view
-// allocated is an error.
-func (c *cowStore) Write(id PageID, p Page) error {
-	dst := c.priv.at(id)
-	if dst == nil {
-		if c.golden.pages.at(id) == nil {
-			return fmt.Errorf("rubisdb: write of unallocated page %v", id)
-		}
-		dst = c.takePage()
-		c.putPriv(id, dst)
+// WriteBack implements Store: dirty frames are private pages the view
+// already owns, so nothing moves. A page that neither the golden nor the
+// view allocated is an error.
+func (c *cowStore) WriteBack(id PageID) error {
+	if c.priv.at(id) == nil && c.golden.pages.at(id) == nil {
+		return fmt.Errorf("rubisdb: write of unallocated page %v", id)
 	}
-	copy(dst, p)
 	return nil
 }
 
 // Allocate implements Store: new pages extend the view privately. The
-// buffer is cleared because recycled free-list pages carry stale bytes,
-// where MemStore hands out slab pages that are already zero.
-func (c *cowStore) Allocate(file uint32) PageID {
+// buffer is cleared because recycled pages carry stale bytes.
+func (c *cowStore) Allocate(file uint32) (PageID, Page) {
 	id := PageID{File: file, PageNo: c.PageCount(file)}
-	p := c.takePage()
+	p := c.slab.take()
 	clear(p)
 	c.putPriv(id, p)
-	return id
+	return id, p
 }
 
 // PageCount reports allocated pages in file (golden plus private

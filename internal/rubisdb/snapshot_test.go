@@ -1,8 +1,6 @@
 package rubisdb
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -31,23 +29,6 @@ func buildPopulated(t testing.TB, rows, bufferPages int) (*Engine, *Table) {
 		t.Fatal(err)
 	}
 	return e, tb
-}
-
-// goldenHash digests every sealed store page in (file, page) order.
-func goldenHash(g *Golden) [32]byte {
-	h := sha256.New()
-	var idbuf [8]byte
-	for file, pages := range g.store.pages.files {
-		for no, p := range pages {
-			binary.BigEndian.PutUint32(idbuf[:4], uint32(file))
-			binary.BigEndian.PutUint32(idbuf[4:], uint32(no))
-			h.Write(idbuf[:])
-			h.Write(p)
-		}
-	}
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
 }
 
 // writeHeavyMix runs a deterministic insert/update/delete/read mix
@@ -88,7 +69,7 @@ func TestConcurrentViewsDoNotPerturbGoldenOrEachOther(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := goldenHash(g)
+	before := g.Digest()
 
 	views := []*Engine{g.NewView(), g.NewView()}
 	bases := []int64{1 << 20, 2 << 20}
@@ -102,7 +83,7 @@ func TestConcurrentViewsDoNotPerturbGoldenOrEachOther(t *testing.T) {
 	}
 	wg.Wait()
 
-	if goldenHash(g) != before {
+	if g.Digest() != before {
 		t.Fatal("golden pages changed under concurrent copy-on-write views")
 	}
 	for i, v := range views {
@@ -193,10 +174,10 @@ func TestSealedStoreRejectsWrites(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Write to sealed store did not panic")
+			t.Fatal("WriteBack to sealed store did not panic")
 		}
 	}()
-	_ = g.store.Write(PageID{File: 16, PageNo: 0}, make(Page, PageSize))
+	_ = g.store.WriteBack(PageID{File: 16, PageNo: 0})
 }
 
 // TestSealRequiresMemStore: views cannot be re-sealed (their private
@@ -290,17 +271,16 @@ func TestRearmLeavesNoStaleDirectoryEntries(t *testing.T) {
 // page id no Allocate handed out, instead of creating a page past
 // PageCount that Heap.Scan would never visit.
 func TestStoreWriteRejectsUnallocatedPages(t *testing.T) {
-	page := make(Page, PageSize)
 	ms := NewMemStore()
-	if err := ms.Write(PageID{File: 1, PageNo: 0}, page); err == nil {
+	if err := ms.WriteBack(PageID{File: 1, PageNo: 0}); err == nil {
 		t.Fatal("MemStore accepted a write to an empty file")
 	}
-	id := ms.Allocate(1)
-	if err := ms.Write(id, page); err != nil {
+	id, _ := ms.Allocate(1)
+	if err := ms.WriteBack(id); err != nil {
 		t.Fatalf("MemStore write of allocated page: %v", err)
 	}
 	for _, bad := range []PageID{{File: 1, PageNo: 1}, {File: 2, PageNo: 0}, {File: 1 << 20, PageNo: 0}} {
-		if err := ms.Write(bad, page); err == nil {
+		if err := ms.WriteBack(bad); err == nil {
 			t.Fatalf("MemStore accepted a write to unallocated page %v", bad)
 		}
 	}
@@ -316,20 +296,20 @@ func TestStoreWriteRejectsUnallocatedPages(t *testing.T) {
 	cow := g.NewView().store.(*cowStore)
 	file := tb.id
 	n := cow.PageCount(file)
-	if err := cow.Write(PageID{File: file, PageNo: n - 1}, page); err != nil {
+	if err := cow.WriteBack(PageID{File: file, PageNo: n - 1}); err != nil {
 		t.Fatalf("view write of a golden page: %v", err)
 	}
 	past := PageID{File: file, PageNo: n}
-	if err := cow.Write(past, page); err == nil {
+	if err := cow.WriteBack(past); err == nil {
 		t.Fatalf("view accepted a write to unallocated page %v", past)
 	}
 	if cow.PageCount(file) != n {
 		t.Fatalf("rejected write changed PageCount: %d, want %d", cow.PageCount(file), n)
 	}
-	if got := cow.Allocate(file); got != past {
+	if got, _ := cow.Allocate(file); got != past {
 		t.Fatalf("Allocate = %v, want %v", got, past)
 	}
-	if err := cow.Write(past, page); err != nil {
+	if err := cow.WriteBack(past); err != nil {
 		t.Fatalf("view write of a privately allocated page: %v", err)
 	}
 }

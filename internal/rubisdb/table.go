@@ -268,6 +268,13 @@ func (t *Table) Insert(row Row) (RID, error) {
 	return rid, nil
 }
 
+// entrySort holds the counting sort's scratch, so one BulkWriter.Close
+// reuses it across all of a table's secondary indexes.
+type entrySort struct {
+	counts []int32
+	out    []Entry
+}
+
 // sortEntriesByKey sorts index entries by (Key, Value). A BulkWriter
 // appends entries in strictly increasing Value (RID) order, so any
 // stable sort by Key alone yields the full (Key, Value) order; when the
@@ -275,7 +282,7 @@ func (t *Table) Insert(row Row) (RID, error) {
 // id space — a stable counting sort replaces the O(n log n) comparison
 // sort that used to dominate dataset population. Sparse or negative key
 // ranges fall back to the comparison sort.
-func sortEntriesByKey(entries []Entry) {
+func (s *entrySort) sortEntriesByKey(entries []Entry) {
 	if len(entries) < 64 {
 		slices.SortFunc(entries, compareEntries)
 		return
@@ -297,14 +304,16 @@ func sortEntriesByKey(entries []Entry) {
 		slices.SortFunc(entries, compareEntries)
 		return
 	}
-	counts := make([]int32, span+2)
+	counts := grow(s.counts[:0], int(span)+2)
+	s.counts = counts
 	for _, e := range entries {
 		counts[uint64(e.Key)-uint64(lo)+1]++
 	}
 	for i := 1; i < len(counts); i++ {
 		counts[i] += counts[i-1]
 	}
-	out := make([]Entry, len(entries))
+	out := slices.Grow(s.out[:0], len(entries))[:len(entries)]
+	s.out = out
 	for _, e := range entries {
 		c := uint64(e.Key) - uint64(lo)
 		out[counts[c]] = e
