@@ -16,32 +16,74 @@ import (
 // stream for seed 1): every table's row count, tuple bytes in storage
 // order, index contents, the engine meter and the next-id counters. A
 // change to a row's RNG draw order, its encoding, the page layout or the
-// metered load work moves it.
+// metered load work moves it. The "runtime" case pins the interactions'
+// writes the same way: a small-dataset snapshot view after a fixed
+// bidding-mix walk that reaches all five write kinds.
 var populationGoldenSHA256 = map[string]string{
 	"small":   "480349821617337a54c3c807a703d586bf58920ca264b83d88d05dccd5070885",
 	"default": "2b145e9894990d4d3c25db61e7c103d282fe81d115101cb64b278d9e7e437ef7",
+	"runtime": "263028b6d05549a98d87df1752be4c791c841bf1da2b7f045bcab8294e4f0129",
 }
 
 func TestPopulationMatchesGolden(t *testing.T) {
-	cases := []struct {
-		name string
-		cfg  DatasetConfig
-		r    *rng.Stream
-	}{
-		{"small", smallDataset(), rng.NewSource(7).Stream("data")},
-		{"default", DefaultDataset(), rng.NewStream(1)},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			app, err := NewApp(c.cfg, c.r)
+	populated := func(cfg DatasetConfig, r *rng.Stream) func(*testing.T) *App {
+		return func(t *testing.T) *App {
+			app, err := NewApp(cfg, r)
 			if err != nil {
 				t.Fatal(err)
 			}
+			return app
+		}
+	}
+	cases := []struct {
+		name string
+		app  func(*testing.T) *App
+	}{
+		{"small", populated(smallDataset(), rng.NewSource(7).Stream("data"))},
+		{"default", populated(DefaultDataset(), rng.NewStream(1))},
+		{"runtime", runtimeWrites},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			app := c.app(t)
 			if got, want := populationHash(t, app), populationGoldenSHA256[c.name]; got != want {
 				t.Fatalf("population hash = %s, want %s", got, want)
 			}
 		})
 	}
+}
+
+// runtimeWrites attaches a small-dataset snapshot view and walks 2,000
+// fixed-seed bidding-mix steps on it, failing unless every write kind
+// ran at least once.
+func runtimeWrites(t *testing.T) *App {
+	snap, err := NewSnapshot(smallDataset(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := snap.Attach()
+	mix := BiddingMix()
+	params := DefaultCostParams()
+	r := rng.NewSource(38).Stream("runtime")
+	sess := Session{UserID: 5, ItemID: 10, CategoryID: 2, RegionID: 3, ToUserID: 7}
+	var res Result
+	writes := map[Interaction]int{}
+	cur := mix.StartState()
+	for i := 0; i < 2000; i++ {
+		cur = mix.NextInteraction(cur, r)
+		if err := app.ExecuteInto(&res, cur, &sess, r, params); err != nil {
+			t.Fatalf("step %d (%s): %v", i, cur, err)
+		}
+		if res.IsWrite {
+			writes[cur]++
+		}
+	}
+	for _, kind := range []Interaction{RegisterUser, RegisterItem, StoreBid, StoreBuyNow, StoreComment} {
+		if writes[kind] == 0 {
+			t.Fatalf("the walk never ran %s (writes: %v)", kind, writes)
+		}
+	}
+	return app
 }
 
 // populationHash digests a freshly populated App. Every table's ids are
