@@ -11,14 +11,20 @@ import (
 // its execution on an attached snapshot view. The Result and Session
 // are reused across steps, as the workload driver reuses them, so the
 // steady state allocates nothing.
-func BenchmarkBrowsingStep(b *testing.B) {
+func BenchmarkBrowsingStep(b *testing.B) { benchmarkMixStep(b, BrowsingMix()) }
+
+// BenchmarkBiddingStep is BenchmarkBrowsingStep on the bidding mix,
+// whose steps include the five runtime writes: typed row inserts into
+// the view's tables and the bid's counter update.
+func BenchmarkBiddingStep(b *testing.B) { benchmarkMixStep(b, BiddingMix()) }
+
+func benchmarkMixStep(b *testing.B, mix *Mix) {
 	snap, err := NewSnapshot(smallDataset(), 7)
 	if err != nil {
 		b.Fatal(err)
 	}
 	app := snap.Attach()
 	defer app.Release()
-	mix := BrowsingMix()
 	r := rng.NewSource(9).Stream("step")
 	params := DefaultCostParams()
 	sess := Session{UserID: 5, ItemID: 10, CategoryID: 2, RegionID: 3, ToUserID: 7}
@@ -30,7 +36,7 @@ func BenchmarkBrowsingStep(b *testing.B) {
 			b.Fatalf("%s: %v", cur, err)
 		}
 	}
-	// Warm up: grow res.Queries and the tables' RID lists.
+	// Warm up: grow res.Queries, the tables' RID lists and row buffers.
 	for i := 0; i < 1000; i++ {
 		step()
 	}

@@ -198,6 +198,15 @@ func (a *App) query(res *Result, replyBytes float64, fn func() error) error {
 	return nil
 }
 
+// insert stores the row written to w as one write query.
+func (a *App) insert(res *Result, w *rubisdb.RowWriter) error {
+	res.IsWrite = true
+	return a.query(res, 24, func() error {
+		_, err := w.Insert()
+		return err
+	})
+}
+
 // Execute runs one interaction against the database and returns its cost
 // breakdown. The session focus fields are updated so that subsequent
 // interactions chain plausibly (a ViewItem follows a search, a StoreBid
@@ -239,7 +248,7 @@ func (a *App) ExecuteInto(res *Result, kind Interaction, sess *Session, r *rng.S
 		n := 0
 		err := a.query(res, 0, func() error {
 			var err error
-			n, err = a.items.ReadBy("category", sess.CategoryID, searchLimit, func(i int, t rubisdb.Tuple) {
+			n, err = a.itemsByCategory.Read(sess.CategoryID, searchLimit, func(i int, t rubisdb.Tuple) {
 				ids[i] = t.Int(colID)
 			})
 			return err
@@ -260,7 +269,7 @@ func (a *App) ExecuteInto(res *Result, kind Interaction, sess *Session, r *rng.S
 		count := 0
 		err := a.query(res, 0, func() error {
 			var sellers [8]int64
-			ns, err := a.users.ReadBy("region", sess.RegionID, len(sellers), func(i int, t rubisdb.Tuple) {
+			ns, err := a.usersByRegion.Read(sess.RegionID, len(sellers), func(i int, t rubisdb.Tuple) {
 				sellers[i] = t.Int(colID)
 			})
 			if err != nil {
@@ -268,7 +277,7 @@ func (a *App) ExecuteInto(res *Result, kind Interaction, sess *Session, r *rng.S
 			}
 			for _, s := range sellers[:ns] {
 				var first int64
-				n, err := a.items.ReadBy("seller", s, 3, func(i int, t rubisdb.Tuple) {
+				n, err := a.itemsBySeller.Read(s, 3, func(i int, t rubisdb.Tuple) {
 					if i == 0 {
 						first = t.Int(colID)
 					}
@@ -311,7 +320,7 @@ func (a *App) ExecuteInto(res *Result, kind Interaction, sess *Session, r *rng.S
 			}
 		}
 		if err := a.query(res, 16, func() error {
-			_, err := a.bids.CountBy("item", sess.ItemID, sess.ItemID)
+			_, err := a.bidsByItem.Count(sess.ItemID, sess.ItemID)
 			return err
 		}); err != nil {
 			return err
@@ -328,7 +337,7 @@ func (a *App) ExecuteInto(res *Result, kind Interaction, sess *Session, r *rng.S
 		var n int
 		if err := a.query(res, 0, func() error {
 			var err error
-			n, err = a.comments.ReadBy("to_user", sess.ToUserID, 10, nil)
+			n, err = a.commentsByToUser.Read(sess.ToUserID, 10, nil)
 			return err
 		}); err != nil {
 			return err
@@ -350,7 +359,7 @@ func (a *App) ExecuteInto(res *Result, kind Interaction, sess *Session, r *rng.S
 		if err := a.query(res, 0, func() error {
 			var bidders [8]int64
 			var err error
-			n, err = a.bids.ReadBy("item", sess.ItemID, len(bidders), func(i int, t rubisdb.Tuple) {
+			n, err = a.bidsByItem.Read(sess.ItemID, len(bidders), func(i int, t rubisdb.Tuple) {
 				bidders[i] = t.Int(colBidUser)
 			})
 			if err != nil {
@@ -377,7 +386,7 @@ func (a *App) ExecuteInto(res *Result, kind Interaction, sess *Session, r *rng.S
 		}
 		if kind == PutBid {
 			if err := a.query(res, 16, func() error {
-				_, err := a.bids.CountBy("item", sess.ItemID, sess.ItemID)
+				_, err := a.bidsByItem.Count(sess.ItemID, sess.ItemID)
 				return err
 			}); err != nil {
 				return err
@@ -401,47 +410,53 @@ func (a *App) ExecuteInto(res *Result, kind Interaction, sess *Session, r *rng.S
 		rowsListed = 1
 
 	case RegisterUser:
-		res.IsWrite = true
-		id := a.nextUserID
-		a.nextUserID++
-		if err := a.query(res, 24, func() error {
-			_, err := a.users.Insert(rubisdb.Row{
-				id, fmt.Sprintf("user%06d", id),
-				int64(r.Intn(a.Config.Regions)), int64(0), 0.0,
-			})
-			return err
-		}); err != nil {
+		id := a.next.user
+		a.next.user++
+		a.name = appendPadded(a.name[:0], "user", int(id), 6)
+		w := a.users.Writer()
+		w.Int(id)
+		w.String(string(a.name))
+		w.Int(int64(r.Intn(a.Config.Regions)))
+		w.Int(0)
+		w.Float(0)
+		if err := a.insert(res, w); err != nil {
 			return err
 		}
 
 	case RegisterItem:
-		res.IsWrite = true
-		id := a.nextItemID
-		a.nextItemID++
+		id := a.next.item
+		a.next.item++
 		price := r.Uniform(1, 500)
-		if err := a.query(res, 24, func() error {
-			_, err := a.items.Insert(rubisdb.Row{
-				id, fmt.Sprintf("item-%06d", id), itemDescription,
-				sess.UserID, sess.CategoryID, price, price,
-				int64(0), int64(1), price * 1.6, int64(0),
-			})
-			return err
-		}); err != nil {
+		a.name = appendPadded(a.name[:0], "item-", int(id), 6)
+		w := a.items.Writer()
+		w.Int(id)
+		w.String(string(a.name))
+		w.String(itemDescription)
+		w.Int(sess.UserID)
+		w.Int(sess.CategoryID)
+		w.Float(price)
+		w.Float(price)
+		w.Int(0)
+		w.Int(1)
+		w.Float(price * 1.6)
+		w.Int(0)
+		if err := a.insert(res, w); err != nil {
 			return err
 		}
 		sess.ItemID = id
 
 	case StoreBid:
-		res.IsWrite = true
-		id := a.nextBidID
-		a.nextBidID++
+		id := a.next.bid
+		a.next.bid++
 		amount := r.Uniform(1, 900)
-		if err := a.query(res, 24, func() error {
-			_, err := a.bids.Insert(rubisdb.Row{
-				id, sess.UserID, sess.ItemID, int64(1), amount, int64(0),
-			})
-			return err
-		}); err != nil {
+		w := a.bids.Writer()
+		w.Int(id)
+		w.Int(sess.UserID)
+		w.Int(sess.ItemID)
+		w.Int(1)
+		w.Float(amount)
+		w.Int(0)
+		if err := a.insert(res, w); err != nil {
 			return err
 		}
 		if err := a.query(res, 16, func() error {
@@ -460,30 +475,29 @@ func (a *App) ExecuteInto(res *Result, kind Interaction, sess *Session, r *rng.S
 		}
 
 	case StoreBuyNow:
-		res.IsWrite = true
-		id := a.nextBuyNowID
-		a.nextBuyNowID++
-		if err := a.query(res, 24, func() error {
-			_, err := a.buyNow.Insert(rubisdb.Row{
-				id, sess.UserID, sess.ItemID, int64(1), int64(0),
-			})
-			return err
-		}); err != nil {
+		id := a.next.buyNow
+		a.next.buyNow++
+		w := a.buyNow.Writer()
+		w.Int(id)
+		w.Int(sess.UserID)
+		w.Int(sess.ItemID)
+		w.Int(1)
+		w.Int(0)
+		if err := a.insert(res, w); err != nil {
 			return err
 		}
 
 	case StoreComment:
-		res.IsWrite = true
-		id := a.nextCommentID
-		a.nextCommentID++
-		if err := a.query(res, 24, func() error {
-			_, err := a.comments.Insert(rubisdb.Row{
-				id, sess.UserID, sess.ToUserID, sess.ItemID,
-				int64(r.Intn(10)),
-				"Great seller, fast shipping, item exactly as described.",
-			})
-			return err
-		}); err != nil {
+		id := a.next.comment
+		a.next.comment++
+		w := a.comments.Writer()
+		w.Int(id)
+		w.Int(sess.UserID)
+		w.Int(sess.ToUserID)
+		w.Int(sess.ItemID)
+		w.Int(int64(r.Intn(10)))
+		w.String(commentText)
+		if err := a.insert(res, w); err != nil {
 			return err
 		}
 
@@ -497,7 +511,7 @@ func (a *App) ExecuteInto(res *Result, kind Interaction, sess *Session, r *rng.S
 		var n, nb, nc int
 		if err := a.query(res, 0, func() error {
 			var err error
-			n, err = a.items.ReadBy("seller", sess.UserID, 5, nil)
+			n, err = a.itemsBySeller.Read(sess.UserID, 5, nil)
 			return err
 		}); err != nil {
 			return err
@@ -505,7 +519,7 @@ func (a *App) ExecuteInto(res *Result, kind Interaction, sess *Session, r *rng.S
 		res.Queries[len(res.Queries)-1].ReplyBytes = float64(n) * rowItemList
 		if err := a.query(res, 0, func() error {
 			var err error
-			nb, err = a.bids.ReadBy("user", sess.UserID, 10, nil)
+			nb, err = a.bidsByUser.Read(sess.UserID, 10, nil)
 			return err
 		}); err != nil {
 			return err
@@ -513,7 +527,7 @@ func (a *App) ExecuteInto(res *Result, kind Interaction, sess *Session, r *rng.S
 		res.Queries[len(res.Queries)-1].ReplyBytes = float64(nb) * rowBid
 		if err := a.query(res, 0, func() error {
 			var err error
-			nc, err = a.comments.ReadBy("to_user", sess.UserID, 5, nil)
+			nc, err = a.commentsByToUser.Read(sess.UserID, 5, nil)
 			return err
 		}); err != nil {
 			return err

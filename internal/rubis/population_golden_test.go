@@ -97,7 +97,7 @@ func populationHash(t *testing.T, a *App) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "meter %+v\n", a.Engine.Meter())
 	fmt.Fprintf(h, "next %d %d %d %d %d\n",
-		a.nextItemID, a.nextBidID, a.nextCommentID, a.nextBuyNowID, a.nextUserID)
+		a.next.item, a.next.bid, a.next.comment, a.next.buyNow, a.next.user)
 	tables := []struct {
 		t *rubisdb.Table
 		// secs maps each secondary index column to its key domain.
@@ -107,10 +107,10 @@ func populationHash(t *testing.T, a *App) string {
 		{a.regions, nil, nil},
 		{a.categories, nil, nil},
 		{a.users, []string{"region"}, []int64{int64(a.Config.Regions)}},
-		{a.items, []string{"seller", "category"}, []int64{a.nextUserID, int64(a.Config.Categories)}},
-		{a.bids, []string{"user", "item"}, []int64{a.nextUserID, a.nextItemID}},
-		{a.comments, []string{"to_user", "item"}, []int64{a.nextUserID, a.nextItemID}},
-		{a.buyNow, []string{"buyer", "item"}, []int64{a.nextUserID, a.nextItemID}},
+		{a.items, []string{"seller", "category"}, []int64{a.next.user, int64(a.Config.Categories)}},
+		{a.bids, []string{"user", "item"}, []int64{a.next.user, a.next.item}},
+		{a.comments, []string{"to_user", "item"}, []int64{a.next.user, a.next.item}},
+		{a.buyNow, []string{"buyer", "item"}, []int64{a.next.user, a.next.item}},
 	}
 	for _, tb := range tables {
 		fmt.Fprintf(h, "table %s rows %d\n", tb.t.Name, tb.t.Rows())
@@ -121,8 +121,12 @@ func populationHash(t *testing.T, a *App) string {
 			}
 		}
 		for i, col := range tb.secs {
+			ix, err := tb.t.Index(col)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for k := int64(0); k < tb.keys[i]; k++ {
-				n, err := tb.t.ReadBy(col, k, 0, func(_ int, tu rubisdb.Tuple) { writeTuple(h, tu) })
+				n, err := ix.Read(k, 0, func(_ int, tu rubisdb.Tuple) { writeTuple(h, tu) })
 				if err != nil {
 					t.Fatalf("%s.%s = %d: %v", tb.t.Name, col, k, err)
 				}

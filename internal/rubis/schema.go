@@ -11,6 +11,7 @@
 package rubis
 
 import (
+	"cmp"
 	"math"
 
 	"vwchar/internal/rng"
@@ -59,27 +60,32 @@ type App struct {
 	regWeights []float64
 
 	users, items, bids, comments, buyNow, categories, regions *rubisdb.Table
+	// The secondary indexes the interactions read, resolved once by bind.
+	itemsByCategory, itemsBySeller, usersByRegion rubisdb.Index
+	bidsByItem, bidsByUser, commentsByToUser      rubisdb.Index
+	// name is the scratch buffer runtime writes format names into.
+	name []byte
 
-	// nextItemID etc. hand out primary keys for runtime writes.
-	nextItemID    int64
-	nextBidID     int64
-	nextCommentID int64
-	nextBuyNowID  int64
-	nextUserID    int64
+	// next hands out primary keys for runtime writes.
+	next nextIDs
 
 	// snap is non-nil while this App is an attached copy-on-write view
 	// of a golden Snapshot; Release returns it to the snapshot's pool.
 	snap *Snapshot
 }
 
+// nextIDs holds the next primary key of each table runtime writes grow.
+type nextIDs struct{ item, bid, comment, buyNow, user int64 }
+
 // NewApp creates the schema and populates the dataset using the given
 // random stream.
 func NewApp(cfg DatasetConfig, r *rng.Stream) (*App, error) {
-	a := &App{
-		Engine: rubisdb.NewEngine(cfg.BufferPages, rubisdb.DefaultCostModel()),
-		Config: cfg,
+	e := rubisdb.NewEngine(cfg.BufferPages, rubisdb.DefaultCostModel())
+	if err := createSchema(e); err != nil {
+		return nil, err
 	}
-	if err := a.createSchema(); err != nil {
+	a := &App{Config: cfg}
+	if err := a.bind(e); err != nil {
 		return nil, err
 	}
 	if err := a.populate(r); err != nil {
@@ -99,33 +105,30 @@ func zipfWeights(n int, skew float64) []float64 {
 	return w
 }
 
-func (a *App) createSchema() error {
-	var err error
-	a.regions, err = a.Engine.CreateTable("regions", rubisdb.Schema{
+// tableDefs is the RUBiS schema createSchema builds: each table's columns,
+// its int64 primary key and its secondary-indexed columns.
+var tableDefs = []struct {
+	name string
+	cols rubisdb.Schema
+	pk   string
+	secs []string
+}{
+	{"regions", rubisdb.Schema{
 		{Name: "id", Type: rubisdb.TInt64},
 		{Name: "name", Type: rubisdb.TString},
-	}, "id")
-	if err != nil {
-		return err
-	}
-	a.categories, err = a.Engine.CreateTable("categories", rubisdb.Schema{
+	}, "id", nil},
+	{"categories", rubisdb.Schema{
 		{Name: "id", Type: rubisdb.TInt64},
 		{Name: "name", Type: rubisdb.TString},
-	}, "id")
-	if err != nil {
-		return err
-	}
-	a.users, err = a.Engine.CreateTable("users", rubisdb.Schema{
+	}, "id", nil},
+	{"users", rubisdb.Schema{
 		{Name: "id", Type: rubisdb.TInt64},
 		{Name: "nickname", Type: rubisdb.TString},
 		{Name: "region", Type: rubisdb.TInt64},
 		{Name: "rating", Type: rubisdb.TInt64},
 		{Name: "balance", Type: rubisdb.TFloat64},
-	}, "id", "region")
-	if err != nil {
-		return err
-	}
-	a.items, err = a.Engine.CreateTable("items", rubisdb.Schema{
+	}, "id", []string{"region"}},
+	{"items", rubisdb.Schema{
 		{Name: "id", Type: rubisdb.TInt64},
 		{Name: "name", Type: rubisdb.TString},
 		{Name: "description", Type: rubisdb.TString},
@@ -137,39 +140,66 @@ func (a *App) createSchema() error {
 		{Name: "quantity", Type: rubisdb.TInt64},
 		{Name: "buy_now", Type: rubisdb.TFloat64},
 		{Name: "end_date", Type: rubisdb.TInt64},
-	}, "id", "seller", "category")
-	if err != nil {
-		return err
-	}
-	a.bids, err = a.Engine.CreateTable("bids", rubisdb.Schema{
+	}, "id", []string{"seller", "category"}},
+	{"bids", rubisdb.Schema{
 		{Name: "id", Type: rubisdb.TInt64},
 		{Name: "user", Type: rubisdb.TInt64},
 		{Name: "item", Type: rubisdb.TInt64},
 		{Name: "qty", Type: rubisdb.TInt64},
 		{Name: "bid", Type: rubisdb.TFloat64},
 		{Name: "date", Type: rubisdb.TInt64},
-	}, "id", "user", "item")
-	if err != nil {
-		return err
-	}
-	a.comments, err = a.Engine.CreateTable("comments", rubisdb.Schema{
+	}, "id", []string{"user", "item"}},
+	{"comments", rubisdb.Schema{
 		{Name: "id", Type: rubisdb.TInt64},
 		{Name: "from_user", Type: rubisdb.TInt64},
 		{Name: "to_user", Type: rubisdb.TInt64},
 		{Name: "item", Type: rubisdb.TInt64},
 		{Name: "rating", Type: rubisdb.TInt64},
 		{Name: "text", Type: rubisdb.TString},
-	}, "id", "to_user", "item")
-	if err != nil {
-		return err
-	}
-	a.buyNow, err = a.Engine.CreateTable("buy_now", rubisdb.Schema{
+	}, "id", []string{"to_user", "item"}},
+	{"buy_now", rubisdb.Schema{
 		{Name: "id", Type: rubisdb.TInt64},
 		{Name: "buyer", Type: rubisdb.TInt64},
 		{Name: "item", Type: rubisdb.TInt64},
 		{Name: "qty", Type: rubisdb.TInt64},
 		{Name: "date", Type: rubisdb.TInt64},
-	}, "id", "buyer", "item")
+	}, "id", []string{"buyer", "item"}},
+}
+
+// createSchema creates the RUBiS tables in e.
+func createSchema(e *rubisdb.Engine) error {
+	for _, tb := range tableDefs {
+		if _, err := e.CreateTable(tb.name, tb.cols, tb.pk, tb.secs...); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// bind points the App at e, whose tables createSchema built (directly,
+// or in the golden a view was sealed from), and resolves the tables and
+// index handles the interactions use.
+func (a *App) bind(e *rubisdb.Engine) (err error) {
+	a.Engine = e
+	table := func(name string) *rubisdb.Table {
+		t, terr := e.Table(name)
+		err = cmp.Or(err, terr)
+		return t
+	}
+	a.users, a.items, a.bids, a.comments = table("users"), table("items"), table("bids"), table("comments")
+	a.buyNow, a.categories, a.regions = table("buy_now"), table("categories"), table("regions")
+	index := func(t *rubisdb.Table, column string) rubisdb.Index {
+		if err != nil {
+			return rubisdb.Index{}
+		}
+		ix, ierr := t.Index(column)
+		err = ierr
+		return ix
+	}
+	a.itemsByCategory, a.itemsBySeller = index(a.items, "category"), index(a.items, "seller")
+	a.usersByRegion = index(a.users, "region")
+	a.bidsByItem, a.bidsByUser = index(a.bids, "item"), index(a.bids, "user")
+	a.commentsByToUser = index(a.comments, "to_user")
 	return err
 }
 
@@ -190,10 +220,13 @@ const itemDescription = "Lorem ipsum dolor sit amet, consectetur adipiscing elit
 	"eiusmod tempor incididunt ut labore et dolore magna aliqua. Ut enim ad minim " +
 	"veniam, quis nostrud exercitation ullamco laboris nisi ut aliquip ex ea commodo."
 
+// commentText is the text stored with every comment.
+const commentText = "Great seller, fast shipping, item exactly as described."
+
 // appendPadded appends prefix + zero-padded i to dst, exactly like
 // fmt.Sprintf(prefix+"%0<width>d", i) but without the fmt machinery.
-// Population passes the result on as string(b), a conversion that does
-// not allocate because the writer copies the bytes.
+// Writers take the result as string(b), a conversion that does not
+// allocate because the writer copies the bytes.
 func appendPadded(dst []byte, prefix string, i, width int) []byte {
 	dst = append(dst, prefix...)
 	start := len(dst)
@@ -252,7 +285,7 @@ func (a *App) populate(r *rng.Stream) error {
 	if err := w.Close(); err != nil {
 		return err
 	}
-	a.nextUserID = int64(cfg.Users)
+	a.next.user = int64(cfg.Users)
 
 	w = a.items.BulkWriter(totalItems)
 	for i := 0; i < totalItems; i++ {
@@ -273,7 +306,7 @@ func (a *App) populate(r *rng.Stream) error {
 	if err := w.Close(); err != nil {
 		return err
 	}
-	a.nextItemID = int64(totalItems)
+	a.next.item = int64(totalItems)
 
 	bidID := int64(0)
 	w = a.bids.BulkWriter(poissonHint(totalItems * cfg.BidsPerItem))
@@ -293,7 +326,7 @@ func (a *App) populate(r *rng.Stream) error {
 	if err := w.Close(); err != nil {
 		return err
 	}
-	a.nextBidID = bidID
+	a.next.bid = bidID
 
 	commentID := int64(0)
 	w = a.comments.BulkWriter(poissonHint(cfg.Users * cfg.CommentsPerUser))
@@ -305,7 +338,7 @@ func (a *App) populate(r *rng.Stream) error {
 			w.Int(int64(u))
 			w.Int(int64(r.Intn(totalItems)))
 			w.Int(int64(r.Intn(10)))
-			w.String("Great seller, fast shipping, item exactly as described.")
+			w.String(commentText)
 			w.EndRow()
 			commentID++
 		}
@@ -313,8 +346,7 @@ func (a *App) populate(r *rng.Stream) error {
 	if err := w.Close(); err != nil {
 		return err
 	}
-	a.nextCommentID = commentID
-	a.nextBuyNowID = 0
+	a.next.comment = commentID
 	// Warm checkpoint so runtime write-back reflects steady state.
 	return a.Engine.Checkpoint()
 }
@@ -325,7 +357,7 @@ func (a *App) populate(r *rng.Stream) error {
 func poissonHint(mean int) int { return mean + mean/8 + 64 }
 
 // TotalItems reports how many items exist right now.
-func (a *App) TotalItems() int64 { return a.nextItemID }
+func (a *App) TotalItems() int64 { return a.next.item }
 
 // TotalUsers reports how many users exist right now.
-func (a *App) TotalUsers() int64 { return a.nextUserID }
+func (a *App) TotalUsers() int64 { return a.next.user }

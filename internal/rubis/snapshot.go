@@ -23,11 +23,7 @@ type Snapshot struct {
 	catWeights []float64
 	regWeights []float64
 
-	nextItemID    int64
-	nextBidID     int64
-	nextCommentID int64
-	nextBuyNowID  int64
-	nextUserID    int64
+	next nextIDs
 
 	mu   sync.Mutex
 	free []*App
@@ -46,16 +42,12 @@ func NewSnapshot(cfg DatasetConfig, seed uint64) (*Snapshot, error) {
 		return nil, err
 	}
 	return &Snapshot{
-		Config:        cfg,
-		Seed:          seed,
-		golden:        golden,
-		catWeights:    a.catWeights,
-		regWeights:    a.regWeights,
-		nextItemID:    a.nextItemID,
-		nextBidID:     a.nextBidID,
-		nextCommentID: a.nextCommentID,
-		nextBuyNowID:  a.nextBuyNowID,
-		nextUserID:    a.nextUserID,
+		Config:     cfg,
+		Seed:       seed,
+		golden:     golden,
+		catWeights: a.catWeights,
+		regWeights: a.regWeights,
+		next:       a.next,
 	}, nil
 }
 
@@ -75,26 +67,15 @@ func (s *Snapshot) Attach() *App {
 	if a != nil {
 		s.golden.Rearm(a.Engine)
 	} else {
-		e := s.golden.NewView()
-		a = &App{
-			Engine:     e,
-			users:      e.MustTable("users"),
-			items:      e.MustTable("items"),
-			bids:       e.MustTable("bids"),
-			comments:   e.MustTable("comments"),
-			buyNow:     e.MustTable("buy_now"),
-			categories: e.MustTable("categories"),
-			regions:    e.MustTable("regions"),
+		a = new(App)
+		if err := a.bind(s.golden.NewView()); err != nil {
+			panic(err) // the golden was sealed from createSchema's tables
 		}
 	}
 	a.Config = s.Config
 	a.catWeights = s.catWeights
 	a.regWeights = s.regWeights
-	a.nextItemID = s.nextItemID
-	a.nextBidID = s.nextBidID
-	a.nextCommentID = s.nextCommentID
-	a.nextBuyNowID = s.nextBuyNowID
-	a.nextUserID = s.nextUserID
+	a.next = s.next
 	a.snap = s
 	return a
 }

@@ -1,17 +1,11 @@
 package rubisdb
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // BulkWriter streams rows into an empty table through the sorted
-// bulk-load path. A row is one typed append per schema column, in
-// schema order, closed by EndRow; each value is encoded straight into
-// the table's scratch tuple in AppendRow's byte format, so no Row is
-// built and no value is boxed. EndRow appends the tuple to the heap;
-// Close builds the primary-key and secondary indexes with
+// bulk-load path. A row is written with the same typed column appends
+// as a RowWriter's, closed by EndRow, which appends the tuple to the
+// heap; Close builds the primary-key and secondary indexes with
 // BTree.BulkLoad instead of one root-to-leaf descent per row. Rows must
 // arrive in strictly ascending primary-key order (the dataset
 // generators emit them that way); secondary entries are sorted at
@@ -24,18 +18,13 @@ import (
 // tuple over half a page) sticks: later calls do nothing and Close
 // returns it. Rows loaded before the error stay in the heap, unindexed.
 type BulkWriter struct {
-	t   *Table
-	err error
-	// col counts the current row's appends, including any past the
-	// schema's arity (EndRow reports the full count).
-	col int
-	// key is the current row's primary key; lastKey the previous row's.
-	key, lastKey int64
-	rows         int
+	rowEncoder
+	// lastKey is the previous row's primary key.
+	lastKey int64
+	rows    int
 
 	pk []Entry
-	// secs holds one entry list per secondary index. An entry's key is
-	// appended with its column's value and its RID filled in by EndRow.
+	// secs holds one entry list per secondary index.
 	secs [][]Entry
 
 	// The open WAL batch: rows land on ascending heap pages, so a page
@@ -48,7 +37,7 @@ type BulkWriter struct {
 // rows is a capacity hint for the index entry lists; more rows than the
 // hint still load.
 func (t *Table) BulkWriter(rows int) *BulkWriter {
-	w := &BulkWriter{t: t}
+	w := &BulkWriter{rowEncoder: t.encoder()}
 	if t.heap.Rows != 0 || t.pk.Len() != 0 {
 		w.err = fmt.Errorf("table %s: bulk load needs an empty table", t.Name)
 		return w
@@ -59,103 +48,22 @@ func (t *Table) BulkWriter(rows int) *BulkWriter {
 	for i := range w.secs {
 		w.secs[i] = make([]Entry, 0, rows)
 	}
-	t.rowScratch = t.rowScratch[:0]
+	w.reset()
 	return w
-}
-
-// column claims the next column of the current row for a value of type
-// typ. It returns the column's index and whether to encode the value.
-func (w *BulkWriter) column(typ ColType) (int, bool) {
-	c := w.col
-	w.col++
-	if w.err != nil || c >= len(w.t.Schema) {
-		return c, false // EndRow reports the arity
-	}
-	if col := w.t.Schema[c]; col.Type != typ {
-		w.fail(fmt.Errorf("rubisdb: column %q wants %s, got %s", col.Name, col.Type.name(), typ.name()))
-		return c, false
-	}
-	return c, true
-}
-
-// Int appends an int64 column value.
-func (w *BulkWriter) Int(v int64) {
-	c, ok := w.column(TInt64)
-	if !ok {
-		return
-	}
-	t := w.t
-	if c == t.pkCol {
-		w.key = v
-	}
-	for i, sc := range t.secCols {
-		if sc == c {
-			w.secs[i] = append(w.secs[i], Entry{Key: v})
-		}
-	}
-	t.rowScratch = binary.BigEndian.AppendUint64(t.rowScratch, uint64(v))
-}
-
-// Float appends a float64 column value.
-func (w *BulkWriter) Float(v float64) {
-	if _, ok := w.column(TFloat64); ok {
-		w.t.rowScratch = binary.BigEndian.AppendUint64(w.t.rowScratch, math.Float64bits(v))
-	}
-}
-
-// String appends a string column value; s is copied, so it may alias a
-// caller's buffer.
-func (w *BulkWriter) String(s string) {
-	c, ok := w.column(TString)
-	if !ok {
-		return
-	}
-	if len(s) > 0xFFFF {
-		w.fail(fmt.Errorf("rubisdb: column %q string too long (%d)", w.t.Schema[c].Name, len(s)))
-		return
-	}
-	t := w.t
-	t.rowScratch = binary.BigEndian.AppendUint16(t.rowScratch, uint16(len(s)))
-	t.rowScratch = append(t.rowScratch, s...)
-}
-
-// value appends a dynamically typed column value (BulkInsert's Row
-// elements).
-func (w *BulkWriter) value(v any) {
-	switch v := v.(type) {
-	case int64:
-		w.Int(v)
-	case float64:
-		w.Float(v)
-	case string:
-		w.String(v)
-	default:
-		if w.err == nil && w.col < len(w.t.Schema) {
-			col := w.t.Schema[w.col]
-			w.fail(fmt.Errorf("rubisdb: column %q wants %s, got %T", col.Name, col.Type.name(), v))
-		}
-		w.col++
-	}
 }
 
 // EndRow stores the current row: it checks the arity and key order,
 // appends the tuple to the heap and records its index entries.
 func (w *BulkWriter) EndRow() {
-	if w.err != nil {
+	tuple, err := w.end()
+	if err != nil {
 		return
 	}
 	t := w.t
-	if w.col != len(t.Schema) {
-		w.fail(fmt.Errorf("rubisdb: row arity %d != schema arity %d", w.col, len(t.Schema)))
-		return
-	}
-	w.col = 0
 	if w.rows > 0 && w.key <= w.lastKey {
 		w.fail(fmt.Errorf("rubisdb: bulk rows must be sorted by unique primary key (%d after %d)", w.key, w.lastKey))
 		return
 	}
-	tuple := t.rowScratch
-	t.rowScratch = tuple[:0]
 	rid, err := t.heap.Insert(tuple)
 	if err != nil {
 		w.fail(err)
@@ -170,8 +78,8 @@ func (w *BulkWriter) EndRow() {
 	w.batchBytes += len(tuple)
 	enc := rid.Encode()
 	w.pk = append(w.pk, Entry{Key: w.key, Value: enc})
-	for i := range w.secs {
-		w.secs[i][len(w.secs[i])-1].Value = enc
+	for i, sk := range w.secKeys {
+		w.secs[i] = append(w.secs[i], Entry{Key: sk, Value: enc})
 	}
 	w.lastKey = w.key
 	w.rows++
@@ -203,37 +111,4 @@ func (w *BulkWriter) Close() error {
 		}
 	}
 	return nil
-}
-
-// fail records err as the writer's first error.
-func (w *BulkWriter) fail(err error) {
-	if w.err == nil {
-		w.err = fmt.Errorf("table %s: %w", w.t.Name, err)
-	}
-}
-
-// BulkInsert loads rows into an empty table through a BulkWriter; see
-// BulkWriter for the ordering rules and the errors.
-func (t *Table) BulkInsert(rows []Row) error {
-	w := t.BulkWriter(len(rows))
-	for _, row := range rows {
-		for _, v := range row {
-			w.value(v)
-		}
-		w.EndRow()
-	}
-	return w.Close()
-}
-
-// name is the Go type a column of type c holds.
-func (c ColType) name() string {
-	switch c {
-	case TInt64:
-		return "int64"
-	case TFloat64:
-		return "float64"
-	case TString:
-		return "string"
-	}
-	return fmt.Sprintf("unknown type %d", int(c))
 }

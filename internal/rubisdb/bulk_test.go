@@ -38,7 +38,7 @@ func TestBulkWriterRejects(t *testing.T) {
 		{
 			name: "non-empty table",
 			setup: func(tb *Table) {
-				if _, err := tb.Insert(Row{int64(1), "a", int64(0), int64(0)}); err != nil {
+				if _, err := insertRow(tb, Row{int64(1), "a", int64(0), int64(0)}); err != nil {
 					panic(err)
 				}
 			},
@@ -129,20 +129,10 @@ func TestBulkWriterRejects(t *testing.T) {
 				t.Fatalf("error %q does not name its table", err)
 			}
 			// Nothing reaches the indexes of a failed load.
-			if n, err := tb.CountBy("id", -1<<62, 1<<62); err != nil || n > 1 {
+			if n, err := mustIndex(t, tb, "id").Count(-1<<62, 1<<62); err != nil || n > 1 {
 				t.Fatalf("pk index holds %d entries after a failed load (%v)", n, err)
 			}
 		})
-	}
-}
-
-// TestBulkInsertRejectsUnsupportedValue: the Row adapter reports a Go
-// type the schema cannot hold, as EncodeRow does.
-func TestBulkInsertRejectsUnsupportedValue(t *testing.T) {
-	tb := newBulkTable(t)
-	err := tb.BulkInsert([]Row{{int64(1), "a", 3, int64(0)}})
-	if err == nil || !strings.Contains(err.Error(), `column "region" wants int64, got int`) {
-		t.Fatalf("BulkInsert = %v", err)
 	}
 }
 
@@ -195,7 +185,7 @@ func TestBulkWriterMatchesInsert(t *testing.T) {
 	}
 	incr := newBulkTable(t)
 	for i := range nicks {
-		if _, err := incr.Insert(Row{int64(i) * 3, nicks[i], regs[i], int64(0)}); err != nil {
+		if _, err := insertRow(incr, Row{int64(i) * 3, nicks[i], regs[i], int64(0)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -219,14 +209,14 @@ func TestBulkWriterMatchesInsert(t *testing.T) {
 	}
 	readBy := func(tb *Table, reg int64) []byte {
 		var out []byte
-		if _, err := tb.ReadBy("region", reg, 0, func(_ int, tu Tuple) { out = append(out, tu.Bytes()...) }); err != nil {
+		if _, err := mustIndex(t, tb, "region").Read(reg, 0, func(_ int, tu Tuple) { out = append(out, tu.Bytes()...) }); err != nil {
 			t.Fatal(err)
 		}
 		return out
 	}
 	for reg := int64(-1); reg <= regions; reg++ {
 		if a, b := readBy(bulk, reg), readBy(incr, reg); !bytes.Equal(a, b) {
-			t.Fatalf("ReadBy(region=%d) differs: bulk %d bytes, incr %d bytes", reg, len(a), len(b))
+			t.Fatalf("Read(region=%d) differs: bulk %d bytes, incr %d bytes", reg, len(a), len(b))
 		}
 	}
 }

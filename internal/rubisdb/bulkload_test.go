@@ -276,7 +276,7 @@ func TestTableBulkInsertMatchesInsert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := bulk.BulkInsert(mkRows(n)); err != nil {
+	if err := bulkInsert(bulk, mkRows(n)); err != nil {
 		t.Fatal(err)
 	}
 	incrEng := NewEngine(512, DefaultCostModel())
@@ -285,7 +285,7 @@ func TestTableBulkInsertMatchesInsert(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, row := range mkRows(n) {
-		if _, err := incr.Insert(row); err != nil {
+		if _, err := insertRow(incr, row); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -298,11 +298,11 @@ func TestTableBulkInsertMatchesInsert(t *testing.T) {
 		}
 	}
 	for reg := int64(0); reg < 7; reg++ {
-		a, err := bulk.ReadBy("region", reg, 0, nil)
+		a, err := mustIndex(t, bulk, "region").Read(reg, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := incr.ReadBy("region", reg, 0, nil)
+		b, err := mustIndex(t, incr, "region").Read(reg, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -323,11 +323,11 @@ func TestTableBulkInsertMatchesInsert(t *testing.T) {
 		t.Fatalf("batched WAL (%v bytes) should undercut per-row framing (%v bytes)", b, i)
 	}
 	// After bulk load the table behaves normally for writes.
-	if _, err := bulk.Insert(Row{int64(n + 1), "late", int64(1), int64(0)}); err != nil {
+	if _, err := insertRow(bulk, Row{int64(n + 1), "late", int64(1), int64(0)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := bulk.BulkInsert(mkRows(1)); err == nil {
-		t.Fatal("BulkInsert into populated table should error")
+	if err := bulkInsert(bulk, mkRows(1)); err == nil {
+		t.Fatal("bulk load into a populated table should error")
 	}
 	unsorted := []Row{{int64(5), "a", int64(0), int64(0)}, {int64(4), "b", int64(0), int64(0)}}
 	empty := NewEngine(64, DefaultCostModel())
@@ -335,8 +335,8 @@ func TestTableBulkInsertMatchesInsert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := et.BulkInsert(unsorted); err == nil {
-		t.Fatal("unsorted BulkInsert should error")
+	if err := bulkInsert(et, unsorted); err == nil {
+		t.Fatal("unsorted bulk load should error")
 	}
 }
 
@@ -363,7 +363,7 @@ func TestBulkInsertWALBatchRecoveryEquivalence(t *testing.T) {
 	// The ground truth: the images both paths must log.
 	imageBytes := 0
 	for _, row := range rows {
-		img, err := EncodeRow(usersSchema(), row)
+		img, err := encodeRow(usersSchema(), row)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -375,7 +375,7 @@ func TestBulkInsertWALBatchRecoveryEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := bulk.BulkInsert(rows); err != nil {
+	if err := bulkInsert(bulk, rows); err != nil {
 		t.Fatal(err)
 	}
 	incrEng := NewEngine(512, DefaultCostModel())
@@ -384,7 +384,7 @@ func TestBulkInsertWALBatchRecoveryEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, row := range rows {
-		if _, err := incr.Insert(row); err != nil {
+		if _, err := insertRow(incr, row); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -384,7 +384,7 @@ func TestRowCodecRoundTrip(t *testing.T) {
 		{Name: "name", Type: TString},
 	}
 	row := Row{int64(-7), 3.25, "widget"}
-	data, err := EncodeRow(schema, row)
+	data, err := encodeRow(schema, row)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,10 +399,10 @@ func TestRowCodecRoundTrip(t *testing.T) {
 
 func TestRowCodecErrors(t *testing.T) {
 	schema := Schema{{Name: "id", Type: TInt64}}
-	if _, err := EncodeRow(schema, Row{"nope"}); err == nil {
+	if _, err := encodeRow(schema, Row{"nope"}); err == nil {
 		t.Fatal("type mismatch should error")
 	}
-	if _, err := EncodeRow(schema, Row{int64(1), int64(2)}); err == nil {
+	if _, err := encodeRow(schema, Row{int64(1), int64(2)}); err == nil {
 		t.Fatal("arity mismatch should error")
 	}
 	if _, err := DecodeRow(schema, []byte{1, 2}); err == nil {
@@ -434,7 +434,7 @@ func TestEngineCreateInsertQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := int64(0); i < 500; i++ {
-		_, err := users.Insert(Row{i, "user", i % 10, int64(0)})
+		_, err := insertRow(users, Row{i, "user", i % 10, int64(0)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -445,10 +445,11 @@ func TestEngineCreateInsertQuery(t *testing.T) {
 	if found, err := users.ReadByPK(9999, func(Tuple) { t.Fatal("absent pk visited a row") }); err != nil || found {
 		t.Fatalf("absent pk: found=%v err=%v", found, err)
 	}
+	region := mustIndex(t, users, "region")
 	var regions []int64
-	inRegion, err := users.ReadBy("region", 3, 0, func(i int, tu Tuple) {
+	inRegion, err := region.Read(3, 0, func(i int, tu Tuple) {
 		if i != len(regions) {
-			t.Fatalf("ReadBy visited row %d out of order", i)
+			t.Fatalf("Read visited row %d out of order", i)
 		}
 		regions = append(regions, tu.Int(2))
 	})
@@ -463,25 +464,22 @@ func TestEngineCreateInsertQuery(t *testing.T) {
 			t.Fatalf("region lookup visited a row of region %d", r)
 		}
 	}
-	n, err := users.CountBy("region", 0, 4)
+	n, err := region.Count(0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != 250 {
-		t.Fatalf("CountBy = %d", n)
+		t.Fatalf("Count = %d", n)
 	}
-	limited, err := users.ReadBy("region", 7, 25, nil)
+	limited, err := region.Read(7, 25, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if limited != 25 {
 		t.Fatalf("limit ignored: %d", limited)
 	}
-	if n, err := users.ReadBy("id", 42, 0, nil); err != nil || n != 1 {
-		t.Fatalf("ReadBy on the primary key: n=%d err=%v", n, err)
-	}
-	if _, err := users.ReadBy("rating", 0, 0, nil); err == nil {
-		t.Fatal("ReadBy on an unindexed column should error")
+	if n, err := mustIndex(t, users, "id").Read(42, 0, nil); err != nil || n != 1 {
+		t.Fatalf("Read on the primary key: n=%d err=%v", n, err)
 	}
 }
 
@@ -500,11 +498,56 @@ func TestEngineConstraints(t *testing.T) {
 	if _, err := e.CreateTable("bad2", usersSchema(), "id", "nickname"); err == nil {
 		t.Fatal("string secondary index should error")
 	}
-	if _, err := users.Insert(Row{int64(1), "a", int64(0), int64(0)}); err != nil {
+	if _, err := insertRow(users, Row{int64(1), "a", int64(0), int64(0)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := users.Insert(Row{int64(1), "b", int64(0), int64(0)}); err == nil {
-		t.Fatal("duplicate pk should error")
+	// Rejected rows: none is stored or leaves a frame pinned, and those
+	// the encoder rejects are turned away before any page is touched.
+	for _, c := range []struct {
+		name    string
+		write   func(*RowWriter)
+		want    string
+		touches bool // the primary-key lookup runs before the rejection
+	}{
+		{"wrong column type", func(w *RowWriter) { w.Int(2); w.String("b"); w.Float(0); w.Int(0) },
+			`column "region" wants int64, got float64`, false},
+		{"short row", func(w *RowWriter) { w.Int(2); w.String("b"); w.Int(0) },
+			"row arity 3 != schema arity 4", false},
+		{"long row", func(w *RowWriter) { w.Int(2); w.String("b"); w.Int(0); w.Int(0); w.Int(0) },
+			"row arity 5 != schema arity 4", false},
+		{"string over 0xFFFF", func(w *RowWriter) { w.Int(2); w.String(strings.Repeat("x", 0x10000)); w.Int(0); w.Int(0) },
+			`column "nickname" string too long (65536)`, false},
+		{"duplicate pk", func(w *RowWriter) { w.Int(1); w.String("b"); w.Int(0); w.Int(0) },
+			"duplicate primary key 1", true},
+	} {
+		rows, meter := users.Rows(), e.Meter()
+		w := users.Writer()
+		c.write(w)
+		if _, err := w.Insert(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("%s: Insert = %v, want an error containing %q", c.name, err, c.want)
+		}
+		if users.Rows() != rows {
+			t.Fatalf("%s: %d rows after the rejection, want %d", c.name, users.Rows(), rows)
+		}
+		if err := e.Check(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !c.touches && e.Meter() != meter {
+			t.Fatalf("%s: the rejection did metered work: %+v", c.name, e.Meter().Sub(meter))
+		}
+	}
+	// The writer recovers from every rejection.
+	if _, err := insertRow(users, Row{int64(2), "b", int64(0), int64(0)}); err != nil {
+		t.Fatal(err)
+	}
+	if users.Rows() != 2 {
+		t.Fatalf("%d rows, want 2", users.Rows())
+	}
+	if _, err := users.Index("missing"); err == nil {
+		t.Fatal("Index on a missing column should error")
+	}
+	if _, err := users.Index("rating"); err == nil {
+		t.Fatal("Index on an unindexed column should error")
 	}
 	if _, err := e.Table("missing"); err == nil {
 		t.Fatal("missing table should error")
@@ -523,7 +566,7 @@ func TestEngineUpdateNumeric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := items.Insert(Row{int64(1), "vase", 10.0, int64(0), int64(9)}); err != nil {
+	if _, err := insertRow(items, Row{int64(1), "vase", 10.0, int64(0), int64(9)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := items.UpdateNumeric(1, NumericUpdate{Col: 2, Float: 12.5}, NumericUpdate{Col: 3, Int: 1}); err != nil {
@@ -559,12 +602,12 @@ func TestEngineReceipts(t *testing.T) {
 	e := newTestEngine(t)
 	users, _ := e.CreateTable("users", usersSchema(), "id", "region")
 	for i := int64(0); i < 100; i++ {
-		if _, err := users.Insert(Row{i, "u", i % 5, int64(0)}); err != nil {
+		if _, err := insertRow(users, Row{i, "u", i % 5, int64(0)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	snap := e.Snapshot()
-	if _, err := users.ReadBy("region", 2, 0, nil); err != nil {
+	if _, err := mustIndex(t, users, "region").Read(2, 0, nil); err != nil {
 		t.Fatal(err)
 	}
 	r := e.ReceiptSince(snap)
@@ -579,7 +622,7 @@ func TestEngineReceipts(t *testing.T) {
 	}
 	// A write receipt carries WAL traffic.
 	snap = e.Snapshot()
-	if _, err := users.Insert(Row{int64(1000), "w", int64(0), int64(0)}); err != nil {
+	if _, err := insertRow(users, Row{int64(1000), "w", int64(0), int64(0)}); err != nil {
 		t.Fatal(err)
 	}
 	r = e.ReceiptSince(snap)
@@ -595,7 +638,7 @@ func TestEngineBufferWarmupImprovesHitRatio(t *testing.T) {
 	e := NewEngine(4096, DefaultCostModel())
 	users, _ := e.CreateTable("users", usersSchema(), "id", "region")
 	for i := int64(0); i < 2000; i++ {
-		if _, err := users.Insert(Row{i, strings.Repeat("u", 40), i % 50, int64(0)}); err != nil {
+		if _, err := insertRow(users, Row{i, strings.Repeat("u", 40), i % 50, int64(0)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -637,7 +680,7 @@ func TestPropertyRowCodecRoundTrip(t *testing.T) {
 		if len(c) > 0xFFFF {
 			c = c[:0xFFFF]
 		}
-		data, err := EncodeRow(schema, Row{a, b, c})
+		data, err := encodeRow(schema, Row{a, b, c})
 		if err != nil {
 			return false
 		}

@@ -170,7 +170,7 @@ func TestReadPathRejectsCorruptTuples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rid, err := users.Insert(Row{int64(1), "ab", int64(4), int64(0)})
+	rid, err := insertRow(users, Row{int64(1), "ab", int64(4), int64(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,8 +190,8 @@ func TestReadPathRejectsCorruptTuples(t *testing.T) {
 	if _, err := users.ReadByPK(1, visit); err == nil || err.Error() != want.Error() {
 		t.Fatalf("ReadByPK: %v, want %v", err, want)
 	}
-	if _, err := users.ReadBy("region", 4, 0, func(int, Tuple) { visit(Tuple{}) }); err == nil || err.Error() != want.Error() {
-		t.Fatalf("ReadBy: %v, want %v", err, want)
+	if _, err := mustIndex(t, users, "region").Read(4, 0, func(int, Tuple) { visit(Tuple{}) }); err == nil || err.Error() != want.Error() {
+		t.Fatalf("Index.Read: %v, want %v", err, want)
 	}
 	if err := users.UpdateNumeric(1, NumericUpdate{Col: 3, Int: 1}); err == nil || err.Error() != want.Error() {
 		t.Fatalf("UpdateNumeric: %v, want %v", err, want)

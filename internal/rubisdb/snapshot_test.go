@@ -22,7 +22,7 @@ func buildPopulated(t testing.TB, rows, bufferPages int) (*Engine, *Table) {
 	for i := int64(0); i < int64(rows); i++ {
 		batch = append(batch, Row{i, fmt.Sprintf("user%06d", i), i % 50, int64(0)})
 	}
-	if err := tb.BulkInsert(batch); err != nil {
+	if err := bulkInsert(tb, batch); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Checkpoint(); err != nil {
@@ -38,11 +38,12 @@ func buildPopulated(t testing.TB, rows, bufferPages int) (*Engine, *Table) {
 func writeHeavyMix(t testing.TB, tb *Table, base int64, ops int, seed int64) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
+	region := mustIndex(t, tb, "region")
 	next := base
 	for i := 0; i < ops; i++ {
 		switch r.Intn(4) {
 		case 0, 1:
-			if _, err := tb.Insert(Row{next, "view-user", next % 50, int64(0)}); err != nil {
+			if _, err := insertRow(tb, Row{next, "view-user", next % 50, int64(0)}); err != nil {
 				t.Fatal(err)
 			}
 			next++
@@ -51,7 +52,7 @@ func writeHeavyMix(t testing.TB, tb *Table, base int64, ops int, seed int64) {
 				t.Fatal(err)
 			}
 		case 3:
-			if _, err := tb.ReadBy("region", int64(r.Intn(50)), 8, nil); err != nil {
+			if _, err := region.Read(int64(r.Intn(50)), 8, nil); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -36,63 +36,11 @@ func (s Schema) ColIndex(name string) (int, error) {
 	return 0, fmt.Errorf("rubisdb: no column %q", name)
 }
 
-// Row is one tuple; element i must match Schema[i].Type (int64, float64,
-// or string).
+// Row is one decoded tuple: element i holds Schema[i]'s value as an
+// int64, float64 or string.
 type Row []any
 
-// EncodeRow serializes row against schema. Int64 and Float64 are 8 bytes
-// big-endian; strings are length-prefixed (u16).
-func EncodeRow(schema Schema, row Row) ([]byte, error) {
-	return AppendRow(schema, nil, row)
-}
-
-// AppendRow serializes row against schema, appending to dst and
-// returning the extended buffer. Every storage-side consumer of a tuple
-// copies it (pages, the WAL framing buffer), so hot paths pass a reused
-// scratch buffer and encode without allocating.
-func AppendRow(schema Schema, dst []byte, row Row) ([]byte, error) {
-	if len(row) != len(schema) {
-		return nil, fmt.Errorf("rubisdb: row arity %d != schema arity %d", len(row), len(schema))
-	}
-	out := dst
-	for i, col := range schema {
-		switch col.Type {
-		case TInt64:
-			v, ok := row[i].(int64)
-			if !ok {
-				return nil, fmt.Errorf("rubisdb: column %q wants int64, got %T", col.Name, row[i])
-			}
-			var b [8]byte
-			binary.BigEndian.PutUint64(b[:], uint64(v))
-			out = append(out, b[:]...)
-		case TFloat64:
-			v, ok := row[i].(float64)
-			if !ok {
-				return nil, fmt.Errorf("rubisdb: column %q wants float64, got %T", col.Name, row[i])
-			}
-			var b [8]byte
-			binary.BigEndian.PutUint64(b[:], math.Float64bits(v))
-			out = append(out, b[:]...)
-		case TString:
-			v, ok := row[i].(string)
-			if !ok {
-				return nil, fmt.Errorf("rubisdb: column %q wants string, got %T", col.Name, row[i])
-			}
-			if len(v) > 0xFFFF {
-				return nil, fmt.Errorf("rubisdb: column %q string too long (%d)", col.Name, len(v))
-			}
-			var b [2]byte
-			binary.BigEndian.PutUint16(b[:], uint16(len(v)))
-			out = append(out, b[:]...)
-			out = append(out, v...)
-		default:
-			return nil, fmt.Errorf("rubisdb: column %q has unknown type %d", col.Name, col.Type)
-		}
-	}
-	return out, nil
-}
-
-// DecodeRow parses a tuple serialized by EncodeRow.
+// DecodeRow parses a stored tuple (see rowEncoder for the format).
 func DecodeRow(schema Schema, data []byte) (Row, error) {
 	row := make(Row, 0, len(schema))
 	off := 0
@@ -174,7 +122,7 @@ func colOffset(schema Schema, data []byte, col int) int {
 
 // Tuple is a borrowed view of one stored row, already validated against
 // its table's schema. It aliases the pinned heap page, so it is valid
-// only inside the ReadBy or ReadByPK callback that receives it: copy out
+// only inside the Index.Read or ReadByPK callback that receives it: copy out
 // anything that must outlive the callback.
 type Tuple struct {
 	schema Schema
@@ -207,11 +155,14 @@ type Table struct {
 	secs    []*BTree
 
 	engine *Engine
-	// rowScratch is the reused tuple-encoding buffer for this table's
-	// write paths; safe because pages and the WAL copy the bytes.
+	// rowScratch is the tuple buffer the writers encode into and
+	// UpdateNumeric patches; reusing it is safe because pages and the
+	// WAL copy the bytes.
 	rowScratch []byte
-	// ridScratch is ReadBy's reused list of matching RIDs.
+	// ridScratch is Index.Read's reused list of matching RIDs.
 	ridScratch []RID
+	// writer is the table's single-row writer (see Writer).
+	writer RowWriter
 }
 
 // walInsert and walUpdate are WAL op codes.
@@ -220,28 +171,154 @@ const (
 	walUpdate = 2
 )
 
-// encode serializes row into the table's reused scratch buffer. The
-// returned slice is valid until the next encode on this table.
-func (t *Table) encode(row Row) ([]byte, error) {
-	buf, err := AppendRow(t.Schema, t.rowScratch[:0], row)
-	if err != nil {
-		return nil, err
-	}
-	t.rowScratch = buf
-	return buf, nil
+// rowEncoder is the one tuple encoder, shared by RowWriter and
+// BulkWriter. A row is one typed append per schema column, in schema
+// order, encoded straight into the table's scratch tuple: int64 and
+// float64 as 8 bytes big-endian, strings length-prefixed (u16). The row's
+// primary and secondary keys are captured as they pass, so no Row is
+// built and no value is boxed. The first error (a value of the wrong
+// type, a string over 0xFFFF bytes, a wrong arity at end) sticks until
+// reset.
+type rowEncoder struct {
+	t   *Table
+	err error
+	// col counts the current row's appends, including any past the
+	// schema's arity (end reports the full count).
+	col int
+	// key is the current row's primary key; secKeys its secondary keys,
+	// in secCols order.
+	key     int64
+	secKeys []int64
 }
 
-// Insert validates and stores row, maintaining all indexes, and returns
-// its RID.
-func (t *Table) Insert(row Row) (RID, error) {
-	tuple, err := t.encode(row)
-	if err != nil {
-		return RID{}, fmt.Errorf("table %s: %w", t.Name, err)
+// encoder returns a rowEncoder for t.
+func (t *Table) encoder() rowEncoder {
+	return rowEncoder{t: t, secKeys: make([]int64, len(t.secCols))}
+}
+
+// reset clears the error and drops any partial row.
+func (e *rowEncoder) reset() {
+	e.err, e.col = nil, 0
+	e.t.rowScratch = e.t.rowScratch[:0]
+}
+
+// column claims the next column of the current row for a value of type
+// typ. It returns the column's index and whether to encode the value.
+func (e *rowEncoder) column(typ ColType) (int, bool) {
+	c := e.col
+	e.col++
+	if e.err != nil || c >= len(e.t.Schema) {
+		return c, false // end reports the arity
 	}
-	key, ok := row[t.pkCol].(int64)
+	if col := e.t.Schema[c]; col.Type != typ {
+		e.fail(fmt.Errorf("rubisdb: column %q wants %s, got %s", col.Name, col.Type.name(), typ.name()))
+		return c, false
+	}
+	return c, true
+}
+
+// Int appends an int64 column value.
+func (e *rowEncoder) Int(v int64) {
+	c, ok := e.column(TInt64)
 	if !ok {
-		return RID{}, fmt.Errorf("table %s: primary key must be int64", t.Name)
+		return
 	}
+	t := e.t
+	if c == t.pkCol {
+		e.key = v
+	}
+	for i, sc := range t.secCols {
+		if sc == c {
+			e.secKeys[i] = v
+		}
+	}
+	t.rowScratch = binary.BigEndian.AppendUint64(t.rowScratch, uint64(v))
+}
+
+// Float appends a float64 column value.
+func (e *rowEncoder) Float(v float64) {
+	if _, ok := e.column(TFloat64); ok {
+		e.t.rowScratch = binary.BigEndian.AppendUint64(e.t.rowScratch, math.Float64bits(v))
+	}
+}
+
+// String appends a string column value; s is copied, so it may alias a
+// caller's buffer.
+func (e *rowEncoder) String(s string) {
+	c, ok := e.column(TString)
+	if !ok {
+		return
+	}
+	if len(s) > 0xFFFF {
+		e.fail(fmt.Errorf("rubisdb: column %q string too long (%d)", e.t.Schema[c].Name, len(s)))
+		return
+	}
+	t := e.t
+	t.rowScratch = binary.BigEndian.AppendUint16(t.rowScratch, uint16(len(s)))
+	t.rowScratch = append(t.rowScratch, s...)
+}
+
+// end closes the current row and returns its tuple, which aliases the
+// table's scratch buffer until the next append; or the first error,
+// the arity check included.
+func (e *rowEncoder) end() ([]byte, error) {
+	if e.err == nil && e.col != len(e.t.Schema) {
+		e.fail(fmt.Errorf("rubisdb: row arity %d != schema arity %d", e.col, len(e.t.Schema)))
+	}
+	if e.err != nil {
+		return nil, e.err
+	}
+	e.col = 0
+	tuple := e.t.rowScratch
+	e.t.rowScratch = tuple[:0]
+	return tuple, nil
+}
+
+// fail records err as the first error.
+func (e *rowEncoder) fail(err error) {
+	if e.err == nil {
+		e.err = fmt.Errorf("table %s: %w", e.t.Name, err)
+	}
+}
+
+// name is the Go type a column of type c holds.
+func (c ColType) name() string {
+	switch c {
+	case TInt64:
+		return "int64"
+	case TFloat64:
+		return "float64"
+	case TString:
+		return "string"
+	}
+	return fmt.Sprintf("unknown type %d", int(c))
+}
+
+// RowWriter inserts one row at a time: take it with Table.Writer, make
+// one typed append per column in schema order, then call Insert.
+type RowWriter struct {
+	rowEncoder
+}
+
+// Writer returns the table's row writer, cleared for a new row. The
+// writer is reused across rows, so inserting allocates nothing.
+func (t *Table) Writer() *RowWriter {
+	w := &t.writer
+	if w.t == nil {
+		w.rowEncoder = t.encoder()
+	}
+	w.reset()
+	return w
+}
+
+// Insert stores the row, maintaining all indexes, and returns its RID.
+// A type, length or arity error is returned before any page is touched.
+func (w *RowWriter) Insert() (RID, error) {
+	tuple, err := w.end()
+	if err != nil {
+		return RID{}, err
+	}
+	t, key := w.t, w.key
 	if _, found, err := t.lookupPK(key); err != nil {
 		return RID{}, err
 	} else if found {
@@ -254,11 +331,7 @@ func (t *Table) Insert(row Row) (RID, error) {
 	if err := t.pk.Insert(key, rid.Encode()); err != nil {
 		return RID{}, err
 	}
-	for i, col := range t.secCols {
-		sk, ok := row[col].(int64)
-		if !ok {
-			return RID{}, fmt.Errorf("table %s: secondary key column %d must be int64", t.Name, col)
-		}
+	for i, sk := range w.secKeys {
 		if err := t.secs[i].Insert(sk, rid.Encode()); err != nil {
 			return RID{}, err
 		}
@@ -393,19 +466,39 @@ func (t *Table) ReadByPK(key int64, fn func(Tuple)) (bool, error) {
 	return true, nil
 }
 
-// ReadBy calls fn(i, tuple) for each of up to limit rows (limit <= 0
-// means unlimited) whose indexed column equals key, in index order, and
-// returns how many rows it visited. The column must be the primary key
-// or carry a secondary index. The index is scanned into the table's
-// reused RID list before any row is fetched, so index and heap page
-// touches never interleave. fn may be nil, and obeys ReadByPK's rules.
-func (t *Table) ReadBy(column string, key int64, limit int, fn func(i int, tu Tuple)) (int, error) {
-	tree, err := t.indexFor(column)
+// Index is a table's primary-key or secondary index, resolved once by
+// Table.Index so that queries skip the column-name lookup.
+type Index struct {
+	t    *Table
+	tree *BTree
+}
+
+// Index resolves the index on column, which must be the primary key or
+// carry a secondary index.
+func (t *Table) Index(column string) (Index, error) {
+	ci, err := t.Schema.ColIndex(column)
 	if err != nil {
-		return 0, err
+		return Index{}, err
 	}
+	if ci == t.pkCol {
+		return Index{t, t.pk}, nil
+	}
+	if i := slices.Index(t.secCols, ci); i >= 0 {
+		return Index{t, t.secs[i]}, nil
+	}
+	return Index{}, fmt.Errorf("rubisdb: table %s has no index on %q", t.Name, column)
+}
+
+// Read calls fn(i, tuple) for each of up to limit rows (limit <= 0
+// means unlimited) whose indexed column equals key, in index order, and
+// returns how many rows it visited. The index is scanned into the
+// table's reused RID list before any row is fetched, so index and heap
+// page touches never interleave. fn may be nil, and obeys ReadByPK's
+// rules.
+func (ix Index) Read(key int64, limit int, fn func(i int, tu Tuple)) (int, error) {
+	t := ix.t
 	rids := t.ridScratch[:0]
-	err = tree.ScanRange(key, key, func(_ int64, v uint64) bool {
+	err := ix.tree.ScanRange(key, key, func(_ int64, v uint64) bool {
 		rids = append(rids, DecodeRID(v))
 		return limit <= 0 || len(rids) < limit
 	})
@@ -426,35 +519,15 @@ func (t *Table) ReadBy(column string, key int64, limit int, fn func(i int, tu Tu
 	return len(rids), nil
 }
 
-// CountBy counts index entries with lo <= column <= hi without fetching
-// rows (an index-only scan).
-func (t *Table) CountBy(column string, lo, hi int64) (int, error) {
-	tree, err := t.indexFor(column)
-	if err != nil {
-		return 0, err
-	}
+// Count counts index entries with lo <= key <= hi without fetching rows
+// (an index-only scan).
+func (ix Index) Count(lo, hi int64) (int, error) {
 	n := 0
-	err = tree.ScanRange(lo, hi, func(int64, uint64) bool {
+	err := ix.tree.ScanRange(lo, hi, func(int64, uint64) bool {
 		n++
 		return true
 	})
 	return n, err
-}
-
-func (t *Table) indexFor(column string) (*BTree, error) {
-	ci, err := t.Schema.ColIndex(column)
-	if err != nil {
-		return nil, err
-	}
-	if ci == t.pkCol {
-		return t.pk, nil
-	}
-	for i, col := range t.secCols {
-		if col == ci {
-			return t.secs[i], nil
-		}
-	}
-	return nil, fmt.Errorf("rubisdb: table %s has no index on %q", t.Name, column)
 }
 
 // NumericUpdate sets one fixed-width column of a row: Int for an int64

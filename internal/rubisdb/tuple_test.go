@@ -25,6 +25,66 @@ func readRow(t testing.TB, tb *Table, key int64) Row {
 	return row
 }
 
+// columnWriter is the typed column appends RowWriter and BulkWriter
+// share.
+type columnWriter interface {
+	Int(int64)
+	Float(float64)
+	String(string)
+}
+
+// putRow appends row's values to w, one typed append per column; the
+// tests' bridge from a Row literal to the writers.
+func putRow(w columnWriter, row Row) {
+	for _, v := range row {
+		switch v := v.(type) {
+		case int64:
+			w.Int(v)
+		case float64:
+			w.Float(v)
+		case string:
+			w.String(v)
+		default:
+			panic(fmt.Sprintf("putRow: no column type holds %T", v))
+		}
+	}
+}
+
+// insertRow inserts row through tb's row writer.
+func insertRow(tb *Table, row Row) (RID, error) {
+	w := tb.Writer()
+	putRow(w, row)
+	return w.Insert()
+}
+
+// bulkInsert loads rows into the empty tb through a BulkWriter.
+func bulkInsert(tb *Table, rows []Row) error {
+	w := tb.BulkWriter(len(rows))
+	for _, row := range rows {
+		putRow(w, row)
+		w.EndRow()
+	}
+	return w.Close()
+}
+
+// encodeRow encodes row with the writers' column encoder, against a
+// table that has schema and no storage behind it.
+func encodeRow(schema Schema, row Row) ([]byte, error) {
+	e := rowEncoder{t: &Table{Name: "codec", Schema: schema}}
+	putRow(&e, row)
+	return e.end()
+}
+
+// mustIndex resolves tb's index on column or fails the test.
+func mustIndex(t testing.TB, tb *Table, column string) Index {
+	t.Helper()
+	ix, err := tb.Index(column)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
 // FuzzTupleView: for any schema and bytes, the borrowed view accepts
 // exactly the tuples DecodeRow accepts, with the same error, and Int
 // reads the decoded value of every int64 column.
@@ -37,7 +97,7 @@ func FuzzTupleView(f *testing.F) {
 		return out
 	}
 	users := Schema{{"id", TInt64}, {"nickname", TString}, {"region", TInt64}, {"balance", TFloat64}}
-	good, err := EncodeRow(users, Row{int64(-7), "nick", int64(1 << 40), 2.5})
+	good, err := encodeRow(users, Row{int64(-7), "nick", int64(1 << 40), 2.5})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -78,7 +138,7 @@ func FuzzTupleView(f *testing.F) {
 
 func TestTupleIntPanicsOnNonIntColumn(t *testing.T) {
 	schema := Schema{{"id", TInt64}, {"name", TString}, {"price", TFloat64}}
-	data, err := EncodeRow(schema, Row{int64(1), "x", 1.5})
+	data, err := encodeRow(schema, Row{int64(1), "x", 1.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,16 +154,16 @@ func TestTupleIntPanicsOnNonIntColumn(t *testing.T) {
 	}
 }
 
-// refReadBy is the read path ReadBy replaced, rebuilt from the engine's
-// primitives: scan the index into a RID list, then copy each tuple out
-// with Heap.Fetch and decode it with DecodeRow.
+// refReadBy is the read path Index.Read replaced, rebuilt from the
+// engine's primitives: scan the index into a RID list, then copy each
+// tuple out with Heap.Fetch and decode it with DecodeRow.
 func refReadBy(tb *Table, column string, key int64, limit int) ([]Row, error) {
-	tree, err := tb.indexFor(column)
+	ix, err := tb.Index(column)
 	if err != nil {
 		return nil, err
 	}
 	var rids []RID
-	err = tree.ScanRange(key, key, func(_ int64, v uint64) bool {
+	err = ix.tree.ScanRange(key, key, func(_ int64, v uint64) bool {
 		rids = append(rids, DecodeRID(v))
 		return limit <= 0 || len(rids) < limit
 	})
@@ -156,7 +216,7 @@ func refUpdateNumeric(tb *Table, key int64, set map[int]any) error {
 	for col, val := range set {
 		row[col] = val
 	}
-	tuple, err := tb.encode(row)
+	tuple, err := encodeRow(tb.Schema, row)
 	if err != nil {
 		return err
 	}
@@ -188,7 +248,7 @@ func TestReadPathMeterParity(t *testing.T) {
 		for i := range rows {
 			rows[i] = Row{int64(i), fmt.Sprintf("user%0*d", i%13, i), int64(i % 7), int64(i % 10), float64(i) / 3}
 		}
-		if err := tb.BulkInsert(rows); err != nil {
+		if err := bulkInsert(tb, rows); err != nil {
 			t.Fatal(err)
 		}
 		if err := e.Checkpoint(); err != nil {
@@ -254,7 +314,7 @@ func TestReadPathMeterParity(t *testing.T) {
 	for _, limit := range []int{0, 1, 8, 500} {
 		for key := int64(-1); key <= 7; key++ {
 			var got []Row
-			cnt, err := tb.ReadBy("region", key, limit, func(i int, tu Tuple) {
+			cnt, err := mustIndex(t, tb, "region").Read(key, limit, func(i int, tu Tuple) {
 				row, err := DecodeRow(tb.Schema, tu.Bytes())
 				if err != nil || i != len(got) {
 					t.Fatalf("region %d row %d: %v", key, i, err)
@@ -275,13 +335,13 @@ func TestReadPathMeterParity(t *testing.T) {
 		}
 	}
 	for key := int64(0); key < n; key += 97 {
-		if _, err := tb.ReadBy("id", key, 0, nil); err != nil {
+		if _, err := mustIndex(t, tb, "id").Read(key, 0, nil); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := refReadBy(refTb, "id", key, 0); err != nil {
 			t.Fatal(err)
 		}
-		step(fmt.Sprintf("ReadBy id %d", key))
+		step(fmt.Sprintf("Read id %d", key))
 	}
 
 	// The read-modify-write of UpdateNumeric against the decode/re-encode
