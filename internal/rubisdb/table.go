@@ -295,7 +295,8 @@ func (c ColType) name() string {
 }
 
 // RowWriter inserts one row at a time: take it with Table.Writer, make
-// one typed append per column in schema order, then call Insert.
+// one typed append (Int, Float or String) per column in schema order,
+// then call Insert.
 type RowWriter struct {
 	rowEncoder
 }
