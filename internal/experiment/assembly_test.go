@@ -279,8 +279,9 @@ func fuzzAssemblyConfig(seed uint64, physical bool, pairs, topo uint8, cache, qu
 
 // FuzzAssembly composes the assembly options and, whenever Validate
 // accepts the result, checks that Run does not panic, that the outcome
-// and per-pair accounting is conserved, and that a second Run is
-// identical. The seed corpus is the seven pinned golden shapes.
+// and per-pair accounting is conserved, that the Result keeps nothing
+// of its run reachable, and that a second Run is identical. The seed
+// corpus is the seven pinned golden shapes.
 func FuzzAssembly(f *testing.F) {
 	for _, in := range []struct {
 		physical         bool
@@ -319,6 +320,9 @@ func FuzzAssembly(f *testing.F) {
 		if completed != a.Completed {
 			t.Fatalf("pair stats sum to %d completed, run reports %d", completed, a.Completed)
 		}
+		// Feature blocks register closures over the drivers and the
+		// cluster; none of them may outlive the run through a.
+		requireReleased(t, cfg, a)
 		b, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -225,9 +225,15 @@ type Scalar struct {
 	Value float64
 }
 
-// Result is one completed run.
+// Result is one completed run. It is plain data: nothing reachable
+// from it reaches the run's kernel, drivers, telemetry recorders,
+// dataset view or engine, so a sweep holding every finished Result
+// holds their numbers, not their simulations.
 type Result struct {
-	Config    Config
+	Config Config
+	// Collector is the run's stopped collector: its series, Samples
+	// and target names, with the kernel, ticker, hooks and target
+	// snapshots dropped.
 	Collector *sysstat.Collector
 
 	// PairStats has one entry per co-located RUBiS instance (length 1
@@ -263,7 +269,8 @@ type Result struct {
 	// loops record the same series through the one tiers.Driver; the
 	// churn series stay zero in the closed loop, whose clients never
 	// leave. For consolidated runs it covers instance 0, matching the
-	// headline response-time scalars.
+	// headline response-time scalars. It is a WindowSeries of its own
+	// over the recorder's series, so it does not keep the recorder alive.
 	Telemetry *telemetry.WindowSeries
 
 	// Sessions is the open-loop session-churn accounting: every
@@ -290,6 +297,7 @@ type Result struct {
 	// histogram over every served response; AbandonedHist is the subset
 	// whose latency drove its session away. Together they split SLO debt
 	// into served-slow and driven-away (characterize.AnalyzeScaling).
+	// Both are copies taken at the end of the run.
 	ServedHist, AbandonedHist *telemetry.Hist
 
 	// Requests splits issued requests by outcome, summed across
@@ -370,9 +378,11 @@ func Run(cfg Config) (*Result, error) {
 	// Datasets come from the process-wide golden snapshot cache: the
 	// first run for a (scale, seed) pair populates and seals it, and
 	// every later run attaches a copy-on-write view in microseconds.
-	// Views are returned to the snapshot's pool when the run is done
-	// (results only hold aggregated numbers, never engine state), and
-	// every driver's streams go back to rng's free list.
+	// Views are returned to the snapshot's pool when the run is done,
+	// and every driver's streams go back to rng's free list. That is
+	// safe because the Result keeps no reference into the run: the
+	// collector is stopped, and the telemetry and histograms it takes
+	// are its own.
 	var apps []*rubis.App
 	var drivers []*tiers.Driver
 	defer func() {
@@ -693,6 +703,7 @@ func Run(cfg Config) (*Result, error) {
 		drv.Start()
 	}
 	k.Run(cfg.Duration)
+	collector.Stop()
 
 	res.Collector = collector
 	for _, drv := range drivers {
@@ -712,10 +723,11 @@ func Run(cfg Config) (*Result, error) {
 	res.WriteFraction = drivers[0].WriteFraction()
 	res.MeanRespTime = drivers[0].MeanResponseTime()
 	res.P95RespTime = drivers[0].ResponseTimeQuantile(0.95)
-	res.Telemetry = primary.Series()
+	res.Telemetry = telemetry.NewWindowSeries(primary.Series().All()...)
 	res.Interactions = drivers[0].InteractionCounts()
 	res.Tiers = collector.TargetNames()
-	res.ServedHist, res.AbandonedHist = primary.RunHist(), primary.AbandonedHist()
+	hists := [2]telemetry.Hist{*primary.RunHist(), *primary.AbandonedHist()}
+	res.ServedHist, res.AbandonedHist = &hists[0], &hists[1]
 	for idx := 0; idx < rubis.NumInteractions; idx++ {
 		h := primary.KindHist(idx)
 		res.PerInteraction = append(res.PerInteraction, InteractionLatency{

@@ -86,10 +86,18 @@ func (c *Collector) Start() {
 	c.ticker = c.k.Every(SampleInterval, SampleInterval, c.sample)
 }
 
-// Stop halts sampling.
+// Stop ends the collection: it halts sampling and drops everything
+// that reaches the simulation — the kernel, the ticker, the OnSample
+// hooks and every target's Snap. What was collected stays: the series,
+// Samples and the target names, so the accessors keep working on a
+// collector that outlives its run.
 func (c *Collector) Stop() {
 	if c.ticker != nil {
 		c.ticker.Stop()
+	}
+	c.k, c.ticker, c.onSample = nil, nil, nil
+	for i := range c.targets {
+		c.targets[i].Snap = nil
 	}
 }
 
