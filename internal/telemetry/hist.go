@@ -25,9 +25,10 @@
 //
 // Hist is a fixed-size value type: Record is pure arithmetic on
 // embedded arrays (0 allocs/op, CI-gated via BenchmarkLatencyRecord).
-// Recorder rotation appends one sample to each preallocated series;
-// with a capacity hint covering the run it is also allocation-free
-// (BenchmarkWindowRotate).
+// The Recorder's per-interaction bank allocates each kind's Hist on
+// that kind's first record and never again. Recorder rotation appends
+// one sample to each preallocated series; with a capacity hint
+// covering the run it is also allocation-free (BenchmarkWindowRotate).
 package telemetry
 
 import "math"

@@ -61,9 +61,14 @@ func TestRecorderKindSurvivesRotation(t *testing.T) {
 }
 
 // TestRecorderKindZeroAlloc extends the record-path allocation gate to
-// the attributed form (all 26 interaction kinds ride this path).
+// the attributed form (all 26 interaction kinds ride this path). Each
+// kind's first record allocates its histogram, so every kind is
+// recorded once before the gate: the steady state allocates nothing.
 func TestRecorderKindZeroAlloc(t *testing.T) {
 	rec := NewRecorder(2, 0, true)
+	for kind := 0; kind < MaxKinds; kind++ {
+		rec.RecordKind(0.001, false, kind)
+	}
 	r := rng.NewSource(11).Stream("kinds")
 	kind := 0
 	v := 0.001
@@ -74,5 +79,32 @@ func TestRecorderKindZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("attributed record path allocates %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestRecorderKindHistsAreLazy pins that the bank allocates a kind's
+// histogram only on its first record: a kind never recorded reads as
+// the one shared empty histogram, and a recorded kind gets its own.
+func TestRecorderKindHistsAreLazy(t *testing.T) {
+	r := NewRecorder(2, 0, true)
+	empty := r.KindHist(0)
+	if empty != r.KindHist(MaxKinds-1) || empty.Count() != 0 {
+		t.Fatal("unrecorded kinds must share one empty histogram")
+	}
+	kind := 0
+	allocs := testing.AllocsPerRun(MaxKinds-1, func() {
+		r.RecordKind(0.010, false, kind)
+		kind++
+	})
+	if allocs != 1 {
+		t.Fatalf("a kind's first record makes %v allocations, want 1 (its histogram)", allocs)
+	}
+	for k := 0; k < MaxKinds; k++ {
+		if h := r.KindHist(k); h == empty || h.Count() != 1 {
+			t.Fatalf("kind %d reads %d observations, want 1 in its own histogram", k, h.Count())
+		}
+	}
+	if empty.Count() != 0 {
+		t.Fatalf("shared empty histogram holds %d observations", empty.Count())
 	}
 }

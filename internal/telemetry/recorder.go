@@ -53,6 +53,10 @@ const (
 // plus an array index).
 const MaxKinds = 32
 
+// noHist is the empty histogram KindHist returns for a kind never
+// recorded. It is shared and read-only.
+var noHist Hist
+
 // WindowSeries is the per-window output of a Recorder: an ordered list
 // of named series, one sample per collector tick each, sharing the
 // resource series' 2-second time axis.
@@ -114,8 +118,10 @@ type Recorder struct {
 	abandon Hist
 
 	// kind is the per-interaction run-level histogram bank, indexed by
-	// the dense kind index stamped into every rubis.Result.
-	kind []Hist
+	// the dense kind index stamped into every rubis.Result. Each Hist
+	// is allocated on its kind's first record: a run records only the
+	// kinds its mix reaches.
+	kind [MaxKinds]*Hist
 
 	// exact is the bounded exact reservoir backing small-count
 	// run-level quantiles; sorted tracks whether it is currently in
@@ -147,7 +153,6 @@ func NewRecorder(windowSec float64, windowHint int, prealloc bool) *Recorder {
 	if prealloc {
 		r.exact = make([]float64, 0, r.exactCap)
 	}
-	r.kind = make([]Hist, MaxKinds)
 	ms := func(h *Hist, q float64) func() float64 {
 		return func() float64 { return h.Quantile(q) * 1e3 }
 	}
@@ -222,8 +227,9 @@ func (r *Recorder) Record(rt float64, isWrite bool) {
 
 // RecordKind is Record with per-interaction attribution: kind is the
 // dense rubis kind index (out-of-range skips the bank, so callers
-// without attribution pass -1). Still one logarithm per observation and
-// allocation-free — the bank is fixed at construction.
+// without attribution pass -1). Still one logarithm per observation;
+// the first record of each kind allocates its histogram, and every
+// later one is allocation-free.
 func (r *Recorder) RecordKind(rt float64, isWrite bool, kind int) {
 	i := binIndex(rt)
 	r.win.recordAt(rt, i)
@@ -234,8 +240,13 @@ func (r *Recorder) RecordKind(rt float64, isWrite bool, kind int) {
 	}
 	r.winClass[cls].recordAt(rt, i)
 	r.runClass[cls].recordAt(rt, i)
-	if kind >= 0 && kind < len(r.kind) {
-		r.kind[kind].recordAt(rt, i)
+	if kind >= 0 && kind < MaxKinds {
+		h := r.kind[kind]
+		if h == nil {
+			h = new(Hist)
+			r.kind[kind] = h
+		}
+		h.recordAt(rt, i)
 	}
 	if len(r.exact) < r.exactCap {
 		r.exact = append(r.exact, rt)
@@ -360,12 +371,16 @@ func (r *Recorder) RunHist() *Hist { return &r.run }
 func (r *Recorder) AbandonedHist() *Hist { return &r.abandon }
 
 // KindHist exposes the run-level histogram for one dense interaction
-// kind index, or nil when out of range.
+// kind index, or nil when out of range. A kind never recorded reads as
+// a shared empty histogram, which callers must not modify.
 func (r *Recorder) KindHist(kind int) *Hist {
-	if kind < 0 || kind >= len(r.kind) {
+	if kind < 0 || kind >= MaxKinds {
 		return nil
 	}
-	return &r.kind[kind]
+	if h := r.kind[kind]; h != nil {
+		return h
+	}
+	return &noHist
 }
 
 // ClassHist exposes the run-level histogram for one interaction class.
