@@ -2,6 +2,7 @@ package rubis
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"vwchar/internal/rng"
@@ -29,6 +30,17 @@ func newTestApp(t *testing.T) *App {
 		t.Fatal(err)
 	}
 	return app
+}
+
+// tableOf returns app's table called name, failing the test when it
+// is absent.
+func tableOf(t *testing.T, app *App, name string) *rubisdb.Table {
+	t.Helper()
+	tb, err := app.Engine.Table(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tb
 }
 
 func TestDatasetPopulation(t *testing.T) {
@@ -130,7 +142,7 @@ func TestWriteInteractionsPersist(t *testing.T) {
 	params := DefaultCostParams()
 	sess := &Session{UserID: 5, ItemID: 10, CategoryID: 2, ToUserID: 7}
 
-	bidsBefore := app.Engine.MustTable("bids").Rows()
+	bidsBefore := tableOf(t, app, "bids").Rows()
 	res, err := app.Execute(StoreBid, sess, r, params)
 	if err != nil {
 		t.Fatal(err)
@@ -138,12 +150,12 @@ func TestWriteInteractionsPersist(t *testing.T) {
 	if !res.IsWrite {
 		t.Fatal("StoreBid should be a write")
 	}
-	if app.Engine.MustTable("bids").Rows() != bidsBefore+1 {
+	if tableOf(t, app, "bids").Rows() != bidsBefore+1 {
 		t.Fatal("StoreBid did not insert")
 	}
 	// The bid also bumps the item's counters.
 	var nbBids int64
-	if _, err := app.Engine.MustTable("items").ReadByPK(10, func(t rubisdb.Tuple) { nbBids = t.Int(colItemNbBids) }); err != nil {
+	if _, err := tableOf(t, app, "items").ReadByPK(10, func(t rubisdb.Tuple) { nbBids = t.Int(colItemNbBids) }); err != nil {
 		t.Fatal(err)
 	}
 	if nbBids != 1 {
@@ -176,9 +188,14 @@ func TestWriteInteractionsPersist(t *testing.T) {
 
 // TestInteractionsDoNotAllocate guards the borrowed-tuple read path and
 // the typed row writers: once a caller-owned Result has grown, every
-// interaction served from an attached snapshot view, the five writes
-// included, runs without a single heap allocation.
+// interaction served from an attached snapshot view runs without a heap
+// allocation per call. testing.AllocsPerRun truncates its per-call
+// quotient, so for the read-only kinds, which grow nothing, the gate is
+// the exact malloc total over many calls. Writes grow the heap, index
+// and copy-on-write pages now and then; they keep the per-call gate and
+// log their exact totals.
 func TestInteractionsDoNotAllocate(t *testing.T) {
+	const calls = 1000
 	snap, err := NewSnapshot(smallDataset(), 7)
 	if err != nil {
 		t.Fatal(err)
@@ -197,16 +214,35 @@ func TestInteractionsDoNotAllocate(t *testing.T) {
 			}
 		}
 		run() // grows res.Queries, the tables' RID lists and row buffers
-		if res.IsWrite {
-			writes++
+		if !res.IsWrite {
+			if n := mallocs(calls, run); n != 0 {
+				t.Errorf("%s allocates %d times in %d calls", kind, n, calls)
+			}
+			continue
 		}
+		writes++
 		if n := testing.AllocsPerRun(100, run); n != 0 {
 			t.Errorf("%s allocates %v times per call", kind, n)
 		}
+		t.Logf("%s: %d mallocs in %d calls", kind, mallocs(calls, run), calls)
 	}
 	if writes != 5 {
 		t.Fatalf("checked %d write interactions, want 5", writes)
 	}
+}
+
+// mallocs reports the exact number of heap allocations n calls of f
+// make, counted on one P so no other goroutine's allocations land in
+// the window.
+func mallocs(n int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range n {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
 
 func TestReadsAreNotWrites(t *testing.T) {
