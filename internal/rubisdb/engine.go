@@ -135,16 +135,6 @@ func (e *Engine) Table(name string) (*Table, error) {
 	return t, nil
 }
 
-// MustTable returns a registered table, panicking when absent; intended
-// for application setup paths where the schema is static.
-func (e *Engine) MustTable(name string) *Table {
-	t, err := e.Table(name)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // Meter exposes the cumulative engine meter.
 func (e *Engine) Meter() Meter { return *e.meter }
 

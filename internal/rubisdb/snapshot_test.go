@@ -76,11 +76,12 @@ func TestConcurrentViewsDoNotPerturbGoldenOrEachOther(t *testing.T) {
 	bases := []int64{1 << 20, 2 << 20}
 	var wg sync.WaitGroup
 	for i, v := range views {
+		tb := tableOf(t, v, "users")
 		wg.Add(1)
-		go func(v *Engine, base int64, seed int64) {
+		go func(tb *Table, base int64, seed int64) {
 			defer wg.Done()
-			writeHeavyMix(t, v.MustTable("users"), base, 4000, seed)
-		}(v, bases[i], int64(100+i))
+			writeHeavyMix(t, tb, base, 4000, seed)
+		}(tb, bases[i], int64(100+i))
 	}
 	wg.Wait()
 
@@ -88,7 +89,7 @@ func TestConcurrentViewsDoNotPerturbGoldenOrEachOther(t *testing.T) {
 		t.Fatal("golden pages changed under concurrent copy-on-write views")
 	}
 	for i, v := range views {
-		tb := v.MustTable("users")
+		tb := tableOf(t, v, "users")
 		if own := readRow(t, tb, bases[i]); own == nil {
 			t.Fatalf("view %d lost its own insert", i)
 		}
@@ -111,7 +112,7 @@ func TestViewMatchesFreshEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	view := g.NewView()
-	viewTb := view.MustTable("users")
+	viewTb := tableOf(t, view, "users")
 
 	if fresh.Meter() != view.Meter() {
 		t.Fatalf("meters differ before any runtime op:\nfresh %+v\nview  %+v", fresh.Meter(), view.Meter())
@@ -145,7 +146,7 @@ func TestRearmRewindsView(t *testing.T) {
 	sealedMeter := v.Meter()
 
 	runOnce := func() Meter {
-		writeHeavyMix(t, v.MustTable("users"), 1<<20, 3000, 11)
+		writeHeavyMix(t, tableOf(t, v, "users"), 1<<20, 3000, 11)
 		return v.Meter()
 	}
 	first := runOnce()
@@ -153,7 +154,7 @@ func TestRearmRewindsView(t *testing.T) {
 	if v.Meter() != sealedMeter {
 		t.Fatalf("Rearm did not restore the sealed meter: %+v vs %+v", v.Meter(), sealedMeter)
 	}
-	if row := readRow(t, v.MustTable("users"), 1<<20); row != nil {
+	if row := readRow(t, tableOf(t, v, "users"), 1<<20); row != nil {
 		t.Fatalf("Rearm leaked a private write (row=%v)", row)
 	}
 	// The probe above metered a couple of page hits; rearm again so the
@@ -209,7 +210,7 @@ func TestRearmLeavesNoStaleDirectoryEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := g.NewView()
-	writeHeavyMix(t, v.MustTable("users"), 1<<20, 3000, 13)
+	writeHeavyMix(t, tableOf(t, v, "users"), 1<<20, 3000, 13)
 	if err := v.pool.check(); err != nil {
 		t.Fatalf("after run: %v", err)
 	}

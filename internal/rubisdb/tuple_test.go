@@ -7,6 +7,17 @@ import (
 	"testing"
 )
 
+// tableOf returns e's table called name, failing the test when it
+// is absent.
+func tableOf(t testing.TB, e *Engine, name string) *Table {
+	t.Helper()
+	tb, err := e.Table(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tb
+}
+
 // readRow decodes the row stored under key, or returns nil when the key
 // is absent: the tests' stand-in for a Row-returning lookup.
 func readRow(t testing.TB, tb *Table, key int64) Row {
