@@ -286,7 +286,7 @@ func BenchmarkAblationNoSplitDriver(b *testing.B) {
 			b.Fatal(err)
 		}
 		baseline := benchPair(b, vwchar.Virtualized, uint64(42+i)).Browse
-		if ablated.CPU(vwchar.TierDom0).Mean() >= baseline.CPU(vwchar.TierDom0).Mean() {
+		if ablated.Resource(vwchar.TierDom0, vwchar.CPU).Mean() >= baseline.Resource(vwchar.TierDom0, vwchar.CPU).Mean() {
 			b.Fatal("removing split-driver costs should reduce dom0 CPU")
 		}
 	}

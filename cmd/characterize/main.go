@@ -126,7 +126,7 @@ func runSweep(opts sweepOptions, w io.Writer) error {
 			if rep == nil {
 				continue
 			}
-			values := rep.CPU(vwchar.TierWeb).Values
+			values := rep.Resource(vwchar.TierWeb, vwchar.CPU).Values
 			pooled = append(pooled, values...)
 			lag1 = append(lag1, stats.Autocorrelation(values, 1))
 		}

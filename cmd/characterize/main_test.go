@@ -26,7 +26,7 @@ func TestTraceAnalysisSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.CPU(vwchar.TierWeb).WriteCSV(f); err != nil {
+	if err := res.Resource(vwchar.TierWeb, vwchar.CPU).WriteCSV(f); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

@@ -340,15 +340,15 @@ func run(cfg vwchar.Config, csv bool, sloMillis float64, w io.Writer) error {
 		tiers = append(tiers, vwchar.TierQueue)
 	}
 	for _, tier := range tiers {
-		cpu, mem := res.CPU(tier), res.Mem(tier)
-		disk, net := res.Disk(tier), res.Net(tier)
+		cpu, mem := res.Resource(tier, vwchar.CPU), res.Resource(tier, vwchar.RAM)
+		disk, net := res.Resource(tier, vwchar.Disk), res.Resource(tier, vwchar.Net)
 		fmt.Fprintf(w, "%-8s cpu %.3g cyc/2s (max %.3g)  mem %.0f..%.0f MB  disk %.0f KB/2s  net %.0f KB/2s\n",
 			tier, cpu.Mean(), cpu.Max(), mem.Min(), mem.Max(), disk.Mean(), net.Mean())
 	}
 	fmt.Fprintln(w)
 	if csv {
 		for _, tier := range tiers {
-			if err := res.CPU(tier).WriteCSV(w); err != nil {
+			if err := res.Resource(tier, vwchar.CPU).WriteCSV(w); err != nil {
 				return err
 			}
 			fmt.Fprintln(w)

@@ -111,11 +111,11 @@ func main() {
 	aLease := vwchar.AnalyzeCache(withLease)
 
 	fmt.Printf("no cache:      p95 %6.1f ms, DB cpu %.3g cyc/2s (peak %.3g)\n",
-		baseline.P95RespTime*1e3, baseline.CPU(vwchar.TierDB).Mean(), baseline.CPU(vwchar.TierDB).Max())
+		baseline.P95RespTime*1e3, baseline.Resource(vwchar.TierDB, vwchar.CPU).Mean(), baseline.Resource(vwchar.TierDB, vwchar.CPU).Max())
 	fmt.Printf("cache:         p95 %6.1f ms, DB cpu %.3g cyc/2s (peak %.3g)\n",
-		noLease.P95RespTime*1e3, noLease.CPU(vwchar.TierDB).Mean(), noLease.CPU(vwchar.TierDB).Max())
+		noLease.P95RespTime*1e3, noLease.Resource(vwchar.TierDB, vwchar.CPU).Mean(), noLease.Resource(vwchar.TierDB, vwchar.CPU).Max())
 	fmt.Printf("cache+leases:  p95 %6.1f ms, DB cpu %.3g cyc/2s (peak %.3g)\n",
-		withLease.P95RespTime*1e3, withLease.CPU(vwchar.TierDB).Mean(), withLease.CPU(vwchar.TierDB).Max())
+		withLease.P95RespTime*1e3, withLease.Resource(vwchar.TierDB, vwchar.CPU).Mean(), withLease.Resource(vwchar.TierDB, vwchar.CPU).Max())
 	fmt.Println()
 	fmt.Print("without leases: ")
 	must(aNo.Write(os.Stdout))

@@ -73,8 +73,8 @@ func main() {
 	// excess shows up as queueing (p95) and abandoned sessions instead
 	// of additional cycles — saturation by churn, not by throughput.
 	fmt.Println()
-	webSteady := base.CPU(vwchar.TierWeb).Clone("steady")
-	webCrowd := spiked.CPU(vwchar.TierWeb).Clone("flash-crowd")
+	webSteady := base.Resource(vwchar.TierWeb, vwchar.CPU).Clone("steady")
+	webCrowd := spiked.Resource(vwchar.TierWeb, vwchar.CPU).Clone("flash-crowd")
 	if err := plot.Render(os.Stdout, plot.DefaultOptions("web-tier CPU demand", "cycles/2s"), webSteady, webCrowd); err != nil {
 		log.Fatal(err)
 	}

@@ -34,7 +34,9 @@ func main() {
 	}
 
 	ratios := vwchar.TierRatios(pair.Browse)
-	fmt.Printf("\nfront-end vs back-end demand (paper: 6.11 cpu, 3.29 ram, 5.71 disk, 55.56 net):\n")
+	ref := vwchar.Paper.TierRatios
+	fmt.Printf("\nfront-end vs back-end demand (paper: %.2f cpu, %.2f ram, %.2f disk, %.2f net):\n",
+		ref.CPU, ref.RAM, ref.Disk, ref.Network)
 	fmt.Printf("  cpu %.2fx   ram %.2fx   disk %.2fx   net %.2fx\n",
 		ratios.CPU, ratios.RAM, ratios.Disk, ratios.Network)
 }

@@ -31,10 +31,10 @@ func main() {
 		}
 		rate := float64(res.Completed) / 180
 		loads = append(loads, rate)
-		webDemand = append(webDemand, res.CPU(vwchar.TierWeb).Mean())
-		dbDemand = append(dbDemand, res.CPU(vwchar.TierDB).Mean())
+		webDemand = append(webDemand, res.Resource(vwchar.TierWeb, vwchar.CPU).Mean())
+		dbDemand = append(dbDemand, res.Resource(vwchar.TierDB, vwchar.CPU).Mean())
 		fmt.Printf("profiled %4d clients: %6.1f req/s, web %.3g cyc/2s, db %.3g cyc/2s\n",
-			clients, rate, res.CPU(vwchar.TierWeb).Mean(), res.CPU(vwchar.TierDB).Mean())
+			clients, rate, res.Resource(vwchar.TierWeb, vwchar.CPU).Mean(), res.Resource(vwchar.TierDB, vwchar.CPU).Mean())
 	}
 
 	webFit, err := stats.FitLinear(loads, webDemand)
@@ -70,9 +70,9 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("actual   %d clients -> %.1f req/s -> web demand %.3g cyc/2s, p95 %.1f ms\n",
-		projectedClients, float64(res.Completed)/180, res.CPU(vwchar.TierWeb).Mean(),
+		projectedClients, float64(res.Completed)/180, res.Resource(vwchar.TierWeb, vwchar.CPU).Mean(),
 		res.P95RespTime*1e3)
-	errPct := (webFit.Predict(float64(res.Completed)/180) - res.CPU(vwchar.TierWeb).Mean()) /
-		res.CPU(vwchar.TierWeb).Mean() * 100
+	errPct := (webFit.Predict(float64(res.Completed)/180) - res.Resource(vwchar.TierWeb, vwchar.CPU).Mean()) /
+		res.Resource(vwchar.TierWeb, vwchar.CPU).Mean() * 100
 	fmt.Printf("demand prediction error at actual rate: %+.1f%%\n", errPct)
 }

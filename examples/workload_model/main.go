@@ -37,7 +37,7 @@ func main() {
 
 	cpuModel := wm.Series["webapp/cpu"]
 	fmt.Printf("\nweb CPU: observed mean %.3g; model mean %.3g; fitted family %s\n",
-		res.CPU(vwchar.TierWeb).Mean(), cpuModel.Mean, cpuModel.Dist.Name())
+		res.Resource(vwchar.TierWeb, vwchar.CPU).Mean(), cpuModel.Mean, cpuModel.Dist.Name())
 
 	// --- Transaction level.
 	tm, err := vwchar.FitTransactionModel(vwchar.DefaultDataset(), 25, 7)
@@ -48,17 +48,17 @@ func main() {
 	pred := tm.Predict(vwchar.BrowsingModel(), rate, 200000, 9)
 	fmt.Printf("\ntransaction-level prediction at %.1f req/s (browsing):\n", rate)
 	fmt.Printf("  predicted web CPU %.3g cyc/2s   actual %.3g\n",
-		pred.WebCyclesPer2s, res.CPU(vwchar.TierWeb).Mean())
+		pred.WebCyclesPer2s, res.Resource(vwchar.TierWeb, vwchar.CPU).Mean())
 	fmt.Printf("  predicted db  CPU %.3g cyc/2s   actual %.3g\n",
-		pred.DBCyclesPer2s, res.CPU(vwchar.TierDB).Mean())
+		pred.DBCyclesPer2s, res.Resource(vwchar.TierDB, vwchar.CPU).Mean())
 	fmt.Printf("  predicted db net %.0f KB/2s      actual %.0f\n",
-		pred.DBNetKBPer2s, res.Net(vwchar.TierDB).Mean())
+		pred.DBNetKBPer2s, res.Resource(vwchar.TierDB, vwchar.Net).Mean())
 
 	// The same footprints predict a composition that was never profiled.
 	bidPred := tm.Predict(vwchar.BiddingModel(), rate*0.85, 200000, 9)
 	fmt.Printf("\nunprofiled bidding forecast at %.1f req/s: web %.3g, db %.3g cyc/2s, %.0f%% writes\n",
 		rate*0.85, bidPred.WebCyclesPer2s, bidPred.DBCyclesPer2s, bidPred.WriteFraction*100)
 	fmt.Printf("actual bid run:                            web %.3g, db %.3g cyc/2s, %.0f%% writes\n",
-		pair.Bid.CPU(vwchar.TierWeb).Mean(), pair.Bid.CPU(vwchar.TierDB).Mean(),
+		pair.Bid.Resource(vwchar.TierWeb, vwchar.CPU).Mean(), pair.Bid.Resource(vwchar.TierDB, vwchar.CPU).Mean(),
 		pair.Bid.WriteFraction*100)
 }

@@ -32,7 +32,7 @@ func syntheticFaultResult() *experiment.Result {
 			{DetectedAt: sim.Seconds(10), PromotedAt: sim.Seconds(13), NewPrimary: 1},
 			{DetectedAt: sim.Seconds(40), PromotedAt: sim.Seconds(45), NewPrimary: 2},
 		},
-		Telemetry: telemetry.NewWindowSeries(
+		Telemetry: timeseries.NewSet(
 			seriesOf(telemetry.Availability, "fraction", 1, 1, 0.995, 0.97, 0.95, 1, 0.98, 1),
 			seriesOf(telemetry.LatencyP95, "ms", 100, 100, 900, 1500, 1500, 100, 400, 100),
 			seriesOf(telemetry.Throughput, "req/s", 50, 50, 50, 50, 50, 50, 50, 50),
@@ -101,7 +101,7 @@ func TestAnalyzeAvailabilityOpenOutage(t *testing.T) {
 		Requests: &experiment.RequestStats{
 			Issued: 100, Served: 60, Failed: 30, Degraded: 10,
 		},
-		Telemetry: telemetry.NewWindowSeries(
+		Telemetry: timeseries.NewSet(
 			seriesOf(telemetry.Availability, "fraction", 1, 1, 0.5, 0.4, 0.3),
 			seriesOf(telemetry.LatencyP95, "ms", 100, 100, 100, 100, 100),
 			seriesOf(telemetry.Throughput, "req/s", 50, 50, 50, 50, 50),

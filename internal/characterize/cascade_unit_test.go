@@ -9,6 +9,7 @@ import (
 	"vwchar/internal/sim"
 	"vwchar/internal/telemetry"
 	"vwchar/internal/tiers"
+	"vwchar/internal/timeseries"
 )
 
 // TestAnalyzeCascadeSynthetic checks the blast-radius sweep, the
@@ -35,7 +36,7 @@ func TestAnalyzeCascadeSynthetic(t *testing.T) {
 		}},
 		Brownout: &tiers.BrownoutStats{DegradedWindows: 3, PeakLevel: 2, Dropped: 7},
 		Requests: &experiment.RequestStats{Issued: 100, Served: 91, Degraded: 9, Failed: 0},
-		Telemetry: telemetry.NewWindowSeries(
+		Telemetry: timeseries.NewSet(
 			avail,
 			p95,
 			seriesOf(telemetry.Throughput, "req/s", 50, 50, 50, 50, 50, 50, 50, 50, 50, 50),

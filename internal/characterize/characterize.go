@@ -11,37 +11,23 @@ import (
 
 	"vwchar/internal/experiment"
 	"vwchar/internal/stats"
+	"vwchar/internal/sysstat"
 	"vwchar/internal/timeseries"
 )
 
 // Resource names the four resource classes the paper compares.
-type Resource string
+type Resource = sysstat.Resource
 
 // The four resources.
 const (
-	CPU     Resource = "cpu"
-	RAM     Resource = "ram"
-	Disk    Resource = "disk"
-	Network Resource = "network"
+	CPU     = sysstat.CPU
+	RAM     = sysstat.RAM
+	Disk    = sysstat.Disk
+	Network = sysstat.Net
 )
 
 // Resources lists them in the paper's order.
-func Resources() []Resource { return []Resource{CPU, RAM, Disk, Network} }
-
-func tierSeries(r *experiment.Result, tier string, res Resource) *timeseries.Series {
-	switch res {
-	case CPU:
-		return r.CPU(tier)
-	case RAM:
-		return r.Mem(tier)
-	case Disk:
-		return r.Disk(tier)
-	case Network:
-		return r.Net(tier)
-	default:
-		panic(fmt.Sprintf("characterize: unknown resource %q", res))
-	}
-}
+func Resources() []Resource { return sysstat.Resources() }
 
 // warmupFraction drops the first fifth of samples so warm-up transients
 // (cold buffer pool, page caches filling) do not skew the steady-state
@@ -53,11 +39,42 @@ func steady(s *timeseries.Series) *timeseries.Series {
 	return s.Slice(int(float64(s.Len())*warmupFraction), s.Len())
 }
 
-func steadyMean(s *timeseries.Series) float64 { return steady(s).Mean() }
+// steadyMean is the steady-state mean of tier's series for res.
+func steadyMean(r *experiment.Result, tier string, res Resource) float64 {
+	return steady(r.Resource(tier, res)).Mean()
+}
 
 // Ratios holds one value per resource.
 type Ratios struct {
 	CPU, RAM, Disk, Network float64
+}
+
+// each builds Ratios from one value per resource.
+func each(f func(Resource) float64) Ratios {
+	return Ratios{CPU: f(CPU), RAM: f(RAM), Disk: f(Disk), Network: f(Network)}
+}
+
+// Reference is one mix's paper values for the Section 4 comparisons.
+type Reference struct {
+	// TierRatios is §4.1 front-end over back-end demand.
+	TierRatios Ratios
+	// VMToDom0 is §4.1 aggregated VMs over dom0.
+	VMToDom0 Ratios
+	// EnvAggregate is §4.2 non-virtualized aggregate over virtualized
+	// dom0.
+	EnvAggregate Ratios
+	// PhysicalDelta is §4.2 non-virtualized over application-attributed
+	// virtualized demand, minus one.
+	PhysicalDelta Ratios
+}
+
+// Paper is what the paper reports for the browsing mix, the reference
+// every report prints beside the simulated values.
+var Paper = Reference{
+	TierRatios:    Ratios{CPU: 6.11, RAM: 3.29, Disk: 5.71, Network: 55.56},
+	VMToDom0:      Ratios{CPU: 16.84, RAM: 0.58, Disk: 0.47, Network: 0.98},
+	EnvAggregate:  Ratios{CPU: 3.47, RAM: 0.97, Disk: 0.60, Network: 0.98},
+	PhysicalDelta: Ratios{CPU: 0.88, RAM: 0.21, Disk: -0.25, Network: 0.02},
 }
 
 // Get returns the ratio for a resource.
@@ -80,31 +97,28 @@ func (r Ratios) Get(res Resource) float64 {
 // read/write, and network data the web+application tier demands than the
 // database tier (paper: 6.11, 3.29, 5.71, 55.56).
 func TierRatios(r *experiment.Result) Ratios {
-	ratio := func(res Resource) float64 {
-		front := steadyMean(tierSeries(r, experiment.TierWeb, res))
-		back := steadyMean(tierSeries(r, experiment.TierDB, res))
+	return each(func(res Resource) float64 {
+		front := steadyMean(r, experiment.TierWeb, res)
+		back := steadyMean(r, experiment.TierDB, res)
 		if back == 0 {
 			return 0
 		}
 		return front / back
-	}
-	return Ratios{CPU: ratio(CPU), RAM: ratio(RAM), Disk: ratio(Disk), Network: ratio(Network)}
+	})
 }
 
 // VMToDom0Ratios computes the paper's §4.1 aggregated-VM versus
 // hypervisor ratios from a virtualized run (paper: 16.84, 0.58, 0.47,
 // 0.98). Values above 1 mean the VM counters exceed what dom0 observes.
 func VMToDom0Ratios(r *experiment.Result) Ratios {
-	ratio := func(res Resource) float64 {
-		vm := steadyMean(tierSeries(r, experiment.TierWeb, res)) +
-			steadyMean(tierSeries(r, experiment.TierDB, res))
-		dom0 := steadyMean(tierSeries(r, experiment.TierDom0, res))
+	return each(func(res Resource) float64 {
+		vm := steadyMean(r, experiment.TierWeb, res) + steadyMean(r, experiment.TierDB, res)
+		dom0 := steadyMean(r, experiment.TierDom0, res)
 		if dom0 == 0 {
 			return 0
 		}
 		return vm / dom0
-	}
-	return Ratios{CPU: ratio(CPU), RAM: ratio(RAM), Disk: ratio(Disk), Network: ratio(Network)}
+	})
 }
 
 // EnvAggregateRatios computes the paper's §4.2 non-virtualized versus
@@ -112,16 +126,14 @@ func VMToDom0Ratios(r *experiment.Result) Ratios {
 // the dom0-measured totals of the virtualized run (paper: 3.47, 0.97,
 // 0.6, 0.98).
 func EnvAggregateRatios(virt, phys *experiment.Result) Ratios {
-	ratio := func(res Resource) float64 {
-		nonVirt := steadyMean(tierSeries(phys, experiment.TierWeb, res)) +
-			steadyMean(tierSeries(phys, experiment.TierDB, res))
-		dom0 := steadyMean(tierSeries(virt, experiment.TierDom0, res))
+	return each(func(res Resource) float64 {
+		nonVirt := steadyMean(phys, experiment.TierWeb, res) + steadyMean(phys, experiment.TierDB, res)
+		dom0 := steadyMean(virt, experiment.TierDom0, res)
 		if dom0 == 0 {
 			return 0
 		}
 		return nonVirt / dom0
-	}
-	return Ratios{CPU: ratio(CPU), RAM: ratio(RAM), Disk: ratio(Disk), Network: ratio(Network)}
+	})
 }
 
 // PhysicalDelta computes the paper's §4.2 physical-demand deltas:
@@ -131,15 +143,14 @@ func EnvAggregateRatios(virt, phys *experiment.Result) Ratios {
 // reports +88% CPU, +21% RAM, +2% network, and -25% disk. Values are
 // (nonVirt/virtApp - 1).
 func PhysicalDelta(virt, phys *experiment.Result) Ratios {
-	samples := float64(virt.Collector.Samples)
+	samples := float64(virt.Resources.Windows())
 	if samples == 0 {
 		return Ratios{}
 	}
 	attr := virt.Attribution
 
 	nonVirt := func(res Resource) float64 {
-		return steadyMean(tierSeries(phys, experiment.TierWeb, res)) +
-			steadyMean(tierSeries(phys, experiment.TierDB, res))
+		return steadyMean(phys, experiment.TierWeb, res) + steadyMean(phys, experiment.TierDB, res)
 	}
 
 	// Application-attributed virtualized physical demand, averaged per
@@ -148,8 +159,8 @@ func PhysicalDelta(virt, phys *experiment.Result) Ratios {
 	virtDisk := attr.BackendDiskBytes / samples / 1024 // KB per sample
 	virtNet := attr.BackendNetBytes / samples / 1024
 	// RAM: guest used + dom0 backend buffers (gauges, not rates).
-	virtRAM := steadyMean(virt.Mem(experiment.TierWeb)) +
-		steadyMean(virt.Mem(experiment.TierDB)) +
+	virtRAM := steadyMean(virt, experiment.TierWeb, RAM) +
+		steadyMean(virt, experiment.TierDB, RAM) +
 		virt.Dom0BuffersMB
 
 	delta := func(nv, va float64) float64 {
@@ -181,8 +192,8 @@ type LagResult struct {
 // between workload changes of the database server and the web and
 // application servers").
 func TierLag(r *experiment.Result) LagResult {
-	web := r.CPU(experiment.TierWeb)
-	db := r.CPU(experiment.TierDB)
+	web := r.Resource(experiment.TierWeb, CPU)
+	db := r.Resource(experiment.TierDB, CPU)
 	lag, corr := stats.EstimateLag(web.Values, db.Values, 10)
 	return LagResult{
 		LagSamples:  lag,
@@ -195,7 +206,7 @@ func TierLag(r *experiment.Result) LagResult {
 // (paper Figures 2 and 6). Window and threshold follow the figures'
 // scale: 15 samples (30 s) and 50 MB.
 func RAMJumps(r *experiment.Result, tier string) []stats.Jump {
-	return stats.DetectJumps(r.Mem(tier).Values, 15, 50)
+	return stats.DetectJumps(r.Resource(tier, RAM).Values, 15, 50)
 }
 
 // FirstJumpTime reports the time (seconds) of the earliest detected web
@@ -206,8 +217,7 @@ func FirstJumpTime(r *experiment.Result) float64 {
 	if len(jumps) == 0 {
 		return -1
 	}
-	s := r.Mem(experiment.TierWeb)
-	return s.TimeAt(jumps[0].Index)
+	return r.Resource(experiment.TierWeb, RAM).TimeAt(jumps[0].Index)
 }
 
 // DiskVariance compares disk I/O variability between environments via
@@ -215,7 +225,7 @@ func FirstJumpTime(r *experiment.Result) float64 {
 // "disk read and write workload shows higher variance in the
 // non-virtualized system").
 func DiskVariance(r *experiment.Result, tier string) float64 {
-	return stats.Summarize(steady(tierSeries(r, tier, Disk)).Values).CoV
+	return stats.Summarize(steady(r.Resource(tier, Disk)).Values).CoV
 }
 
 // Report is the full characterization of a browse+bid pair of runs in
@@ -270,38 +280,34 @@ func (rep Report) Write(w io.Writer) error {
 	if err := p("Workload characterization report (paper reference values in brackets)\n\n"); err != nil {
 		return err
 	}
-	row := func(label string, r Ratios, ref [4]float64) error {
+	row := func(label string, r, ref Ratios) error {
 		return p("  %-34s cpu %6.2f [%.2f]   ram %5.2f [%.2f]   disk %5.2f [%.2f]   net %6.2f [%.2f]\n",
-			label, r.CPU, ref[0], r.RAM, ref[1], r.Disk, ref[2], r.Network, ref[3])
+			label, r.CPU, ref.CPU, r.RAM, ref.RAM, r.Disk, ref.Disk, r.Network, ref.Network)
 	}
-	if err := p("Front-end / back-end demand (virtualized, §4.1):\n"); err != nil {
-		return err
+	// The paper reports browsing values only; they are the reference
+	// for the bidding rows too.
+	for _, sec := range []struct {
+		title       string
+		browse, bid Ratios
+		ref         Ratios
+	}{
+		{"Front-end / back-end demand (virtualized, §4.1):\n", rep.TierRatiosBrowse, rep.TierRatiosBid, Paper.TierRatios},
+		{"VM aggregate / dom0 (virtualized, §4.1):\n", rep.VMDom0Browse, rep.VMDom0Bid, Paper.VMToDom0},
+		{"Non-virtualized / virtualized aggregate (§4.2):\n", rep.EnvAggregateBrowse, rep.EnvAggregateBid, Paper.EnvAggregate},
+	} {
+		if err := p(sec.title); err != nil {
+			return err
+		}
+		if err := row("browsing", sec.browse, sec.ref); err != nil {
+			return err
+		}
+		if err := row("bidding", sec.bid, sec.ref); err != nil {
+			return err
+		}
 	}
-	if err := row("browsing", rep.TierRatiosBrowse, [4]float64{6.11, 3.29, 5.71, 55.56}); err != nil {
-		return err
-	}
-	if err := row("bidding", rep.TierRatiosBid, [4]float64{6.11, 3.29, 5.71, 55.56}); err != nil {
-		return err
-	}
-	if err := p("VM aggregate / dom0 (virtualized, §4.1):\n"); err != nil {
-		return err
-	}
-	if err := row("browsing", rep.VMDom0Browse, [4]float64{16.84, 0.58, 0.47, 0.98}); err != nil {
-		return err
-	}
-	if err := row("bidding", rep.VMDom0Bid, [4]float64{16.84, 0.58, 0.47, 0.98}); err != nil {
-		return err
-	}
-	if err := p("Non-virtualized / virtualized aggregate (§4.2):\n"); err != nil {
-		return err
-	}
-	if err := row("browsing", rep.EnvAggregateBrowse, [4]float64{3.47, 0.97, 0.60, 0.98}); err != nil {
-		return err
-	}
-	if err := row("bidding", rep.EnvAggregateBid, [4]float64{3.47, 0.97, 0.60, 0.98}); err != nil {
-		return err
-	}
-	if err := p("Physical-demand delta, non-virt vs app-attributed virt (§4.2, paper: +88%% cpu, +21%% ram, +2%% net, -25%% disk):\n"); err != nil {
+	d := Paper.PhysicalDelta
+	if err := p("Physical-demand delta, non-virt vs app-attributed virt (§4.2, paper: %+.0f%% cpu, %+.0f%% ram, %+.0f%% net, %+.0f%% disk):\n",
+		d.CPU*100, d.RAM*100, d.Network*100, d.Disk*100); err != nil {
 		return err
 	}
 	if err := p("  browsing: cpu %+.0f%%  ram %+.0f%%  disk %+.0f%%  net %+.0f%%\n",

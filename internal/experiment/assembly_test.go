@@ -8,6 +8,7 @@ import (
 	"hash"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"vwchar/internal/cachetier"
@@ -15,6 +16,7 @@ import (
 	"vwchar/internal/load"
 	"vwchar/internal/rubis"
 	"vwchar/internal/sim"
+	"vwchar/internal/sysstat"
 	"vwchar/internal/tiers"
 	"vwchar/internal/timeseries"
 )
@@ -147,18 +149,23 @@ func assemblyShapes() []struct {
 func hashAssembly(t *testing.T, h hash.Hash, r *Result) {
 	t.Helper()
 	var buf [8]byte
-	for _, target := range r.Tiers {
-		for _, metric := range r.Collector.MetricNames() {
-			s, err := r.Collector.Metric(target, metric)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fmt.Fprintf(h, "%s/%s:", target, metric)
-			for _, v := range s.Values {
-				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
-				h.Write(buf[:])
-			}
+	// The catalog series, "<target>/<metric>", in set order: target
+	// by target, each in catalog order. The headline series are not
+	// pinned here.
+	catalog := 0
+	for _, s := range r.Resources.All() {
+		if !strings.Contains(s.Name, "/") {
+			continue
 		}
+		catalog++
+		fmt.Fprintf(h, "%s:", s.Name)
+		for _, v := range s.Values {
+			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+			h.Write(buf[:])
+		}
+	}
+	if want := len(r.Tiers) * sysstat.CatalogSize; catalog != want {
+		t.Fatalf("%d catalog series, want %d", catalog, want)
 	}
 	if err := timeseries.WriteTableCSV(h, r.Telemetry.All()...); err != nil {
 		t.Fatal(err)
@@ -277,11 +284,49 @@ func fuzzAssemblyConfig(seed uint64, physical bool, pairs, topo uint8, cache, qu
 	return cfg
 }
 
+// requireOneList fails t unless r reports through the one scalar list
+// the runner aggregates by name: unique names, the five core metrics
+// first, the four resource means of each tier in Tiers order last, and
+// resource and request series on one time axis.
+func requireOneList(t *testing.T, r *Result) {
+	t.Helper()
+	seen := make(map[string]bool, len(r.Scalars))
+	for _, sc := range r.Scalars {
+		if seen[sc.Name] {
+			t.Fatalf("scalar %q reported twice", sc.Name)
+		}
+		seen[sc.Name] = true
+	}
+	var want []string
+	for _, tier := range r.Tiers {
+		want = append(want, MetricCPU(tier), MetricMem(tier), MetricDisk(tier), MetricNet(tier))
+	}
+	core := []string{MetricThroughput, MetricWriteFrac, MetricRespMean, MetricRespP95, MetricErrors}
+	if len(r.Scalars) < len(core)+len(want) {
+		t.Fatalf("%d scalars, want at least %d", len(r.Scalars), len(core)+len(want))
+	}
+	for i, name := range core {
+		if r.Scalars[i].Name != name {
+			t.Fatalf("scalar %d is %q, want core metric %q", i, r.Scalars[i].Name, name)
+		}
+	}
+	tail := r.Scalars[len(r.Scalars)-len(want):]
+	for i, name := range want {
+		if tail[i].Name != name {
+			t.Fatalf("scalar %d from the end is %q, want %q", len(want)-i, tail[i].Name, name)
+		}
+	}
+	if rw, tw := r.Resources.Windows(), r.Telemetry.Windows(); rw != tw {
+		t.Fatalf("%d resource windows, %d telemetry windows", rw, tw)
+	}
+}
+
 // FuzzAssembly composes the assembly options and, whenever Validate
 // accepts the result, checks that Run does not panic, that the outcome
-// and per-pair accounting is conserved, that the Result keeps nothing
-// of its run reachable, and that a second Run is identical. The seed
-// corpus is the seven pinned golden shapes.
+// and per-pair accounting is conserved, that the Result reports
+// through one scalar list, that it keeps nothing of its run reachable,
+// and that a second Run is identical. The seed corpus is the seven
+// pinned golden shapes.
 func FuzzAssembly(f *testing.F) {
 	for _, in := range []struct {
 		physical         bool
@@ -320,6 +365,7 @@ func FuzzAssembly(f *testing.F) {
 		if completed != a.Completed {
 			t.Fatalf("pair stats sum to %d completed, run reports %d", completed, a.Completed)
 		}
+		requireOneList(t, a)
 		// Feature blocks register closures over the drivers and the
 		// cluster; none of them may outlive the run through a.
 		requireReleased(t, cfg, a)

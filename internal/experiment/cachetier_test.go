@@ -6,6 +6,7 @@ import (
 
 	"vwchar/internal/cachetier"
 	"vwchar/internal/rubis"
+	"vwchar/internal/sysstat"
 	"vwchar/internal/telemetry"
 )
 
@@ -124,13 +125,13 @@ func TestCacheQueueRunEndToEnd(t *testing.T) {
 	}
 	// Both aux tiers are collected like any other tier: 90 s / 2 s = 45.
 	for _, tier := range []string{TierCache, TierQueue} {
-		if got := r.CPU(tier).Len(); got != 45 {
+		if got := r.Resource(tier, sysstat.CPU).Len(); got != 45 {
 			t.Fatalf("%s cpu samples = %d, want 45", tier, got)
 		}
-		if r.Mem(tier).Mean() <= 0 {
+		if r.Resource(tier, sysstat.RAM).Mean() <= 0 {
 			t.Fatalf("%s memory gauge empty", tier)
 		}
-		if r.Net(tier).Sum() <= 0 {
+		if r.Resource(tier, sysstat.Net).Sum() <= 0 {
 			t.Fatalf("%s network idle", tier)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 
 	"vwchar/internal/load"
 	"vwchar/internal/sim"
+	"vwchar/internal/sysstat"
 	"vwchar/internal/telemetry"
 	"vwchar/internal/tiers"
 )
@@ -53,10 +54,10 @@ func TestDegenerateTopologyMatchesNil(t *testing.T) {
 		// golden hash's formatted precision).
 		for _, tier := range []string{TierWeb, TierDB, TierDom0} {
 			for name, pick := range map[string]func(*Result) []float64{
-				"cpu":  func(r *Result) []float64 { return r.CPU(tier).Values },
-				"mem":  func(r *Result) []float64 { return r.Mem(tier).Values },
-				"disk": func(r *Result) []float64 { return r.Disk(tier).Values },
-				"net":  func(r *Result) []float64 { return r.Net(tier).Values },
+				"cpu":  func(r *Result) []float64 { return r.Resource(tier, sysstat.CPU).Values },
+				"mem":  func(r *Result) []float64 { return r.Resource(tier, sysstat.RAM).Values },
+				"disk": func(r *Result) []float64 { return r.Resource(tier, sysstat.Disk).Values },
+				"net":  func(r *Result) []float64 { return r.Resource(tier, sysstat.Net).Values },
 			} {
 				if !seriesAlmostEqual(pick(plain), pick(deg)) {
 					t.Fatalf("topology %+v: %s %s series diverged", topo, tier, name)
@@ -106,12 +107,12 @@ func TestClusterTopologyEndToEnd(t *testing.T) {
 	}
 	// The aggregates sum their members' demand.
 	for _, tier := range want {
-		if r.CPU(tier) == nil {
+		if r.Resource(tier, sysstat.CPU) == nil {
 			t.Fatalf("no CPU series for %q", tier)
 		}
 	}
-	aggCPU := r.CPU(TierWeb).Sum()
-	partsCPU := r.CPU("webapp-0").Sum() + r.CPU("webapp-1").Sum()
+	aggCPU := r.Resource(TierWeb, sysstat.CPU).Sum()
+	partsCPU := r.Resource("webapp-0", sysstat.CPU).Sum() + r.Resource("webapp-1", sysstat.CPU).Sum()
 	if aggCPU <= 0 || absDiff(aggCPU, partsCPU) > 1e-6*partsCPU {
 		t.Fatalf("webapp aggregate CPU %v != sum of replicas %v", aggCPU, partsCPU)
 	}

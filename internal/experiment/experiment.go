@@ -20,9 +20,12 @@
 //   - window hooks on the collector ticker: every driver's
 //     RotateWindow in driver order, then the hazard, the overload
 //     controller, the autoscaler;
-//   - sweep scalars (Result.Scalars), appended by each block's
-//     after-run closure: sessions, scaling, request outcomes (with
-//     degraded), hazard, brownout, cache, queue.
+//   - sweep scalars (Result.Scalars): the five core metrics
+//     (MetricThroughput … MetricErrors), then each block's after-run
+//     closure's (sessions, scaling, request outcomes with degraded,
+//     hazard, brownout, cache, queue), then the four resource means
+//     (MetricCPU, MetricMem, MetricDisk, MetricNet) of each of
+//     Result.Tiers, in that order.
 package experiment
 
 import (
@@ -225,16 +228,41 @@ type Scalar struct {
 	Value float64
 }
 
+// Core scalar names: the first five of every run's Scalars.
+const (
+	MetricThroughput = "throughput_rps"
+	MetricWriteFrac  = "write_fraction"
+	MetricRespMean   = "resp_mean_ms"
+	MetricRespP95    = "resp_p95_ms"
+	MetricErrors     = "errors"
+)
+
+// MetricCPU, MetricMem, MetricDisk and MetricNet name a tier's
+// resource means, the last scalars of every run; use these instead of
+// hand-concatenating metric names so a typo is a compile-time symbol
+// error, not a silent zero.
+func MetricCPU(tier string) string { return "cpu_" + tier }
+
+// MetricMem names a tier's mean used memory (MB).
+func MetricMem(tier string) string { return "mem_" + tier + "_mb" }
+
+// MetricDisk names a tier's mean disk traffic (KB/2s).
+func MetricDisk(tier string) string { return "disk_" + tier + "_kb" }
+
+// MetricNet names a tier's mean network traffic (KB/2s).
+func MetricNet(tier string) string { return "net_" + tier + "_kb" }
+
 // Result is one completed run. It is plain data: nothing reachable
 // from it reaches the run's kernel, drivers, telemetry recorders,
 // dataset view or engine, so a sweep holding every finished Result
-// holds their numbers, not their simulations.
+// holds their numbers, not their simulations. Its numbers sit in three
+// places: Resources, Telemetry and Scalars.
 type Result struct {
 	Config Config
-	// Collector is the run's stopped collector: its series, Samples
-	// and target names, with the kernel, ticker, hooks and target
-	// snapshots dropped.
-	Collector *sysstat.Collector
+	// Resources is the collector's series set: per target in Tiers
+	// order, the four headline series (Resource reads them), then the
+	// full catalog as "<target>/<metric>" when KeepFullCatalog is set.
+	Resources *timeseries.Set
 
 	// PairStats has one entry per co-located RUBiS instance (length 1
 	// for the paper's default setup).
@@ -269,9 +297,8 @@ type Result struct {
 	// loops record the same series through the one tiers.Driver; the
 	// churn series stay zero in the closed loop, whose clients never
 	// leave. For consolidated runs it covers instance 0, matching the
-	// headline response-time scalars. It is a WindowSeries of its own
-	// over the recorder's series, so it does not keep the recorder alive.
-	Telemetry *telemetry.WindowSeries
+	// headline response-time scalars.
+	Telemetry *timeseries.Set
 
 	// Sessions is the open-loop session-churn accounting: every
 	// driver's Sessions, summed across co-located instances. It is nil
@@ -323,9 +350,9 @@ type Result struct {
 	// Queue snapshots the write-behind broker's accounting; nil without
 	// a Queue spec.
 	Queue *tiers.QueueStats
-	// Scalars are the optional features' run-level numbers, in the
-	// order the package doc states; a run carries only the names of
-	// the features it configured.
+	// Scalars are every run-level number the runner aggregates, in the
+	// order the package doc states: the core metrics, the configured
+	// features' numbers, then the per-tier resource means.
 	Scalars []Scalar
 	// PerInteraction breaks the primary driver's latency down by RUBiS
 	// interaction kind, with per-kind cache outcomes when a cache tier
@@ -344,18 +371,12 @@ type InteractionLatency struct {
 	CacheMisses uint64  `json:"cache_misses"`
 }
 
-// CPU returns the per-2s cycle demand series for tier ("webapp",
-// "mysql", "dom0").
-func (r *Result) CPU(tier string) *timeseries.Series { return r.Collector.CPU(tier) }
-
-// Mem returns the used-memory series (MB).
-func (r *Result) Mem(tier string) *timeseries.Series { return r.Collector.Mem(tier) }
-
-// Disk returns the per-2s disk read+write series (KB).
-func (r *Result) Disk(tier string) *timeseries.Series { return r.Collector.Disk(tier) }
-
-// Net returns the per-2s network rx+tx series (KB).
-func (r *Result) Net(tier string) *timeseries.Series { return r.Collector.Net(tier) }
+// Resource returns tier's headline series for res: per-2s CPU cycles,
+// used memory (MB), per-2s disk read+write (KB) or network rx+tx (KB).
+// It is nil for a tier the run did not monitor.
+func (r *Result) Resource(tier string, res sysstat.Resource) *timeseries.Series {
+	return r.Resources.ByName(res.Series(tier))
+}
 
 // Run executes the configured experiment to completion.
 //
@@ -381,8 +402,8 @@ func Run(cfg Config) (*Result, error) {
 	// Views are returned to the snapshot's pool when the run is done,
 	// and every driver's streams go back to rng's free list. That is
 	// safe because the Result keeps no reference into the run: the
-	// collector is stopped, and the telemetry and histograms it takes
-	// are its own.
+	// series sets it takes reach only their series, and its histograms
+	// are copies.
 	var apps []*rubis.App
 	var drivers []*tiers.Driver
 	defer func() {
@@ -703,9 +724,12 @@ func Run(cfg Config) (*Result, error) {
 		drv.Start()
 	}
 	k.Run(cfg.Duration)
-	collector.Stop()
 
-	res.Collector = collector
+	res.Resources = collector.Series()
+	res.Tiers = make([]string, len(inst.targets))
+	for i, t := range inst.targets {
+		res.Tiers[i] = t.Name
+	}
 	for _, drv := range drivers {
 		res.Completed += drv.Completed
 		res.Errors += drv.Errors
@@ -723,9 +747,8 @@ func Run(cfg Config) (*Result, error) {
 	res.WriteFraction = drivers[0].WriteFraction()
 	res.MeanRespTime = drivers[0].MeanResponseTime()
 	res.P95RespTime = drivers[0].ResponseTimeQuantile(0.95)
-	res.Telemetry = telemetry.NewWindowSeries(primary.Series().All()...)
+	res.Telemetry = primary.Series()
 	res.Interactions = drivers[0].InteractionCounts()
-	res.Tiers = collector.TargetNames()
 	hists := [2]telemetry.Hist{*primary.RunHist(), *primary.AbandonedHist()}
 	res.ServedHist, res.AbandonedHist = &hists[0], &hists[1]
 	for idx := 0; idx < rubis.NumInteractions; idx++ {
@@ -737,8 +760,21 @@ func Run(cfg Config) (*Result, error) {
 			P95Ms:  h.Quantile(0.95) * 1e3,
 		})
 	}
+	res.Scalars = append(make([]Scalar, 0, 5+4*len(res.Tiers)),
+		Scalar{MetricThroughput, float64(res.Completed) / cfg.Duration.Sec()},
+		Scalar{MetricWriteFrac, res.WriteFraction},
+		Scalar{MetricRespMean, res.MeanRespTime * 1e3},
+		Scalar{MetricRespP95, res.P95RespTime * 1e3},
+		Scalar{MetricErrors, float64(res.Errors)})
 	for _, fill := range after {
 		fill()
+	}
+	for _, tier := range res.Tiers {
+		res.Scalars = append(res.Scalars,
+			Scalar{MetricCPU(tier), res.Resource(tier, sysstat.CPU).Mean()},
+			Scalar{MetricMem(tier), res.Resource(tier, sysstat.RAM).Mean()},
+			Scalar{MetricDisk(tier), res.Resource(tier, sysstat.Disk).Mean()},
+			Scalar{MetricNet(tier), res.Resource(tier, sysstat.Net).Mean()})
 	}
 	inst.account(res)
 	return res, nil

@@ -9,6 +9,7 @@ import (
 	"vwchar/internal/load"
 	"vwchar/internal/rubis"
 	"vwchar/internal/sim"
+	"vwchar/internal/sysstat"
 	"vwchar/internal/telemetry"
 	"vwchar/internal/xen"
 )
@@ -94,22 +95,22 @@ func TestVirtualizedRunEndToEnd(t *testing.T) {
 	}
 	// 90 s at 2 s sampling = 45 samples.
 	for _, tier := range []string{TierWeb, TierDB, TierDom0} {
-		if got := r.CPU(tier).Len(); got != 45 {
+		if got := r.Resource(tier, sysstat.CPU).Len(); got != 45 {
 			t.Fatalf("%s cpu samples = %d", tier, got)
 		}
-		if r.CPU(tier).Sum() <= 0 {
+		if r.Resource(tier, sysstat.CPU).Sum() <= 0 {
 			t.Fatalf("%s cpu demand is zero", tier)
 		}
-		if r.Mem(tier).Mean() <= 0 {
+		if r.Resource(tier, sysstat.RAM).Mean() <= 0 {
 			t.Fatalf("%s memory is zero", tier)
 		}
-		if r.Net(tier).Sum() <= 0 {
+		if r.Resource(tier, sysstat.Net).Sum() <= 0 {
 			t.Fatalf("%s network is zero", tier)
 		}
 	}
 	// Virtual cycle counters dwarf dom0's physical counters (paper).
-	vmCPU := r.CPU(TierWeb).Mean() + r.CPU(TierDB).Mean()
-	if vmCPU <= r.CPU(TierDom0).Mean() {
+	vmCPU := r.Resource(TierWeb, sysstat.CPU).Mean() + r.Resource(TierDB, sysstat.CPU).Mean()
+	if vmCPU <= r.Resource(TierDom0, sysstat.CPU).Mean() {
 		t.Fatal("VM cycle counters should exceed dom0's")
 	}
 	if r.GuestPhysCycles <= 0 {
@@ -143,10 +144,10 @@ func TestTelemetryAlignsWithCollector(t *testing.T) {
 	if tel == nil {
 		t.Fatal("no telemetry on closed-loop result")
 	}
-	cpu := r.CPU(TierWeb)
+	cpu := r.Resource(TierWeb, sysstat.CPU)
 	for _, s := range tel.All() {
-		if s.Len() != r.Collector.Samples {
-			t.Fatalf("%s has %d windows, collector took %d samples", s.Name, s.Len(), r.Collector.Samples)
+		if s.Len() != r.Resources.Windows() {
+			t.Fatalf("%s has %d windows, collector took %d samples", s.Name, s.Len(), r.Resources.Windows())
 		}
 		if s.Interval != cpu.Interval {
 			t.Fatalf("%s interval %v != resource interval %v", s.Name, s.Interval, cpu.Interval)
@@ -200,11 +201,11 @@ func TestPhysicalRunEndToEnd(t *testing.T) {
 		t.Fatal("no requests completed")
 	}
 	for _, tier := range []string{TierWeb, TierDB} {
-		if r.CPU(tier).Sum() <= 0 {
+		if r.Resource(tier, sysstat.CPU).Sum() <= 0 {
 			t.Fatalf("%s cpu zero", tier)
 		}
 	}
-	if r.Collector.CPU(TierDom0) != nil {
+	if r.Resource(TierDom0, sysstat.CPU) != nil {
 		t.Fatal("physical run should have no dom0 target")
 	}
 	if r.WebPMCycles <= 0 || r.DBPMCycles <= 0 {
@@ -227,7 +228,7 @@ func TestRunDeterminism(t *testing.T) {
 	if a.Completed != b.Completed {
 		t.Fatalf("request counts differ: %d vs %d", a.Completed, b.Completed)
 	}
-	sa, sb := a.CPU(TierWeb), b.CPU(TierWeb)
+	sa, sb := a.Resource(TierWeb, sysstat.CPU), b.Resource(TierWeb, sysstat.CPU)
 	for i := 0; i < sa.Len(); i++ {
 		if sa.At(i) != sb.At(i) {
 			t.Fatalf("cpu series diverges at sample %d: %v vs %v", i, sa.At(i), sb.At(i))
@@ -247,12 +248,12 @@ func TestSeedChangesTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	same := 0
-	for i := 0; i < a.CPU(TierWeb).Len(); i++ {
-		if a.CPU(TierWeb).At(i) == b.CPU(TierWeb).At(i) {
+	for i := 0; i < a.Resource(TierWeb, sysstat.CPU).Len(); i++ {
+		if a.Resource(TierWeb, sysstat.CPU).At(i) == b.Resource(TierWeb, sysstat.CPU).At(i) {
 			same++
 		}
 	}
-	if same == a.CPU(TierWeb).Len() {
+	if same == a.Resource(TierWeb, sysstat.CPU).Len() {
 		t.Fatal("different seeds produced identical traces")
 	}
 }
@@ -266,18 +267,12 @@ func TestFullCatalogRecording(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := r.Collector.Metric(TierDom0, "%user [all]")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() == 0 || s.Max() <= 0 {
+	s := r.Resources.ByName(TierDom0 + "/%user [all]")
+	if s == nil || s.Len() == 0 || s.Max() <= 0 {
 		t.Fatal("dom0 %user should be recorded and positive")
 	}
-	s, err = r.Collector.Metric(TierWeb, "cswch/s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Max() <= 0 {
+	s = r.Resources.ByName(TierWeb + "/cswch/s")
+	if s == nil || s.Max() <= 0 {
 		t.Fatal("web cswch/s should be positive under load")
 	}
 }
@@ -384,9 +379,9 @@ func TestConsolidationRunsMultiplePairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.CPU(TierDom0).Mean() <= one.CPU(TierDom0).Mean() {
+	if r.Resource(TierDom0, sysstat.CPU).Mean() <= one.Resource(TierDom0, sysstat.CPU).Mean() {
 		t.Fatalf("dom0 demand should grow with consolidation: %v vs %v",
-			r.CPU(TierDom0).Mean(), one.CPU(TierDom0).Mean())
+			r.Resource(TierDom0, sysstat.CPU).Mean(), one.Resource(TierDom0, sysstat.CPU).Mean())
 	}
 }
 
@@ -420,14 +415,14 @@ func TestOpenLoopRunEndToEnd(t *testing.T) {
 		if r.Sessions.Started > r.Sessions.Offered {
 			t.Fatalf("%s: started %d > offered %d", env, r.Sessions.Started, r.Sessions.Offered)
 		}
-		if r.CPU(TierWeb).Mean() <= 0 {
+		if r.Resource(TierWeb, sysstat.CPU).Mean() <= 0 {
 			t.Fatalf("%s: no web CPU demand", env)
 		}
 		// The open loop's session churn reaches the windowed series:
 		// per-window starts sum to (at most) the run's admitted
 		// sessions, short only of what arrived after the last rotation.
 		tel := r.Telemetry
-		if tel == nil || tel.Windows() != r.Collector.Samples {
+		if tel == nil || tel.Windows() != r.Resources.Windows() {
 			t.Fatalf("%s: telemetry missing or misaligned", env)
 		}
 		starts := tel.ByName(telemetry.SessionStarts).Sum()
@@ -494,7 +489,7 @@ func TestOpenLoopRunDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a.Completed != b.Completed || *a.Sessions != *b.Sessions ||
-		a.CPU(TierWeb).Mean() != b.CPU(TierWeb).Mean() {
+		a.Resource(TierWeb, sysstat.CPU).Mean() != b.Resource(TierWeb, sysstat.CPU).Mean() {
 		t.Fatalf("open-loop replay diverged: %d/%+v vs %d/%+v",
 			a.Completed, a.Sessions, b.Completed, b.Sessions)
 	}
@@ -537,11 +532,11 @@ func TestOpenLoopPoissonMatchesClosedLoopDemand(t *testing.T) {
 		t.Fatalf("matched open-loop throughput %v req/s vs closed %v req/s (%.0f%% off)",
 			openRate, closedRate, rel*100)
 	}
-	cw, ow := closed.CPU(TierWeb).Mean(), open.CPU(TierWeb).Mean()
+	cw, ow := closed.Resource(TierWeb, sysstat.CPU).Mean(), open.Resource(TierWeb, sysstat.CPU).Mean()
 	if rel := math.Abs(ow-cw) / cw; rel > 0.25 {
 		t.Fatalf("web CPU demand: open %v vs closed %v (%.0f%% off)", ow, cw, rel*100)
 	}
-	cd, od := closed.CPU(TierDB).Mean(), open.CPU(TierDB).Mean()
+	cd, od := closed.Resource(TierDB, sysstat.CPU).Mean(), open.Resource(TierDB, sysstat.CPU).Mean()
 	if rel := math.Abs(od-cd) / cd; rel > 0.30 {
 		t.Fatalf("db CPU demand: open %v vs closed %v (%.0f%% off)", od, cd, rel*100)
 	}

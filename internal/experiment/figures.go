@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 
+	"vwchar/internal/sysstat"
 	"vwchar/internal/telemetry"
 	"vwchar/internal/timeseries"
 )
@@ -53,51 +54,36 @@ type FigureSpec struct {
 	ID       int
 	Caption  string
 	Env      Env
-	Resource string // "cpu", "ram", "disk", "net"
+	Resource sysstat.Resource
 }
 
 // FigureSpecs lists all eight figures of the paper's evaluation.
 func FigureSpecs() []FigureSpec {
 	return []FigureSpec{
-		{1, "CPU cycle demands by the web/application and database servers in VMs and the hypervisor (dom0)", Virtualized, "cpu"},
-		{2, "RAM demands by the web/application and database servers in VMs and the hypervisor", Virtualized, "ram"},
-		{3, "Disk read and write by the web/application and database servers in VMs and the hypervisor", Virtualized, "disk"},
-		{4, "Network data received and transmitted by the web/application and database servers in VMs and the hypervisor", Virtualized, "net"},
-		{5, "CPU cycle demands by the web/application and database servers (physical machines)", Physical, "cpu"},
-		{6, "RAM demands by the web/application and database servers (physical machines)", Physical, "ram"},
-		{7, "Disk read and write by the web/application and database servers (physical machines)", Physical, "disk"},
-		{8, "Network data received and transmitted by the web/application and database servers (physical machines)", Physical, "net"},
+		{1, "CPU cycle demands by the web/application and database servers in VMs and the hypervisor (dom0)", Virtualized, sysstat.CPU},
+		{2, "RAM demands by the web/application and database servers in VMs and the hypervisor", Virtualized, sysstat.RAM},
+		{3, "Disk read and write by the web/application and database servers in VMs and the hypervisor", Virtualized, sysstat.Disk},
+		{4, "Network data received and transmitted by the web/application and database servers in VMs and the hypervisor", Virtualized, sysstat.Net},
+		{5, "CPU cycle demands by the web/application and database servers (physical machines)", Physical, sysstat.CPU},
+		{6, "RAM demands by the web/application and database servers (physical machines)", Physical, sysstat.RAM},
+		{7, "Disk read and write by the web/application and database servers (physical machines)", Physical, sysstat.Disk},
+		{8, "Network data received and transmitted by the web/application and database servers (physical machines)", Physical, sysstat.Net},
 	}
 }
 
-func seriesFor(r *Result, tier, resource string) *timeseries.Series {
-	switch resource {
-	case "cpu":
-		return r.CPU(tier)
-	case "ram":
-		return r.Mem(tier)
-	case "disk":
-		return r.Disk(tier)
-	case "net":
-		return r.Net(tier)
-	default:
-		panic(fmt.Sprintf("experiment: unknown resource %q", resource))
-	}
-}
-
-func unitFor(resource, env string) string {
+func unitFor(resource sysstat.Resource, env Env) string {
 	prefix := "virtualized"
-	if env == string(Physical) {
+	if env == Physical {
 		prefix = "physical"
 	}
 	switch resource {
-	case "cpu":
+	case sysstat.CPU:
 		return prefix + " CPU cycles / 2s"
-	case "ram":
+	case sysstat.RAM:
 		return prefix + " used memory (MB)"
-	case "disk":
+	case sysstat.Disk:
 		return prefix + " data read & written (KB / 2s)"
-	case "net":
+	case sysstat.Net:
 		return prefix + " data received & transmitted (KB / 2s)"
 	}
 	return ""
@@ -128,7 +114,7 @@ func BuildSaturationFigure(r *Result) (Figure, error) {
 	if p95 == nil {
 		return Figure{}, fmt.Errorf("experiment: saturation figure needs windowed telemetry")
 	}
-	cpu := r.CPU(TierWeb)
+	cpu := r.Resource(TierWeb, sysstat.CPU)
 	if cpu == nil {
 		return Figure{}, fmt.Errorf("experiment: saturation figure needs a %q collector target", TierWeb)
 	}
@@ -192,11 +178,11 @@ func BuildFigure(id int, browse, bid *Result) (Figure, error) {
 		panels = append(panels, tierPanel{TierDom0, "Domain0"})
 	}
 	for _, p := range panels {
-		b := seriesFor(browse, p.tier, spec.Resource).Clone("browse")
-		d := seriesFor(bid, p.tier, spec.Resource).Clone("bid")
+		b := browse.Resource(p.tier, spec.Resource).Clone("browse")
+		d := bid.Resource(p.tier, spec.Resource).Clone("bid")
 		fig.Panels = append(fig.Panels, Panel{
 			Title:  p.title,
-			Unit:   unitFor(spec.Resource, string(spec.Env)),
+			Unit:   unitFor(spec.Resource, spec.Env),
 			Browse: b,
 			Bid:    d,
 		})

@@ -24,6 +24,7 @@ import (
 	"vwchar/internal/rng"
 	"vwchar/internal/rubis"
 	"vwchar/internal/stats"
+	"vwchar/internal/sysstat"
 	"vwchar/internal/timeseries"
 )
 
@@ -113,10 +114,9 @@ func resourceSeries(res *experiment.Result) map[string]*timeseries.Series {
 	}
 	out := make(map[string]*timeseries.Series)
 	for _, tier := range tiers {
-		out[tier+"/cpu"] = res.CPU(tier)
-		out[tier+"/ram"] = res.Mem(tier)
-		out[tier+"/disk"] = res.Disk(tier)
-		out[tier+"/net"] = res.Net(tier)
+		for _, r := range sysstat.Resources() {
+			out[tier+"/"+string(r)] = res.Resource(tier, r)
+		}
 	}
 	return out
 }

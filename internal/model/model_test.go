@@ -9,6 +9,7 @@ import (
 	"vwchar/internal/rng"
 	"vwchar/internal/rubis"
 	"vwchar/internal/sim"
+	"vwchar/internal/sysstat"
 	"vwchar/internal/timeseries"
 )
 
@@ -35,7 +36,7 @@ func testRun(t *testing.T, mix experiment.MixKind) *experiment.Result {
 
 func TestFitSeriesAndSynthesize(t *testing.T) {
 	res := testRun(t, experiment.MixBrowsing)
-	s := res.CPU(experiment.TierWeb)
+	s := res.Resource(experiment.TierWeb, sysstat.CPU)
 	m, err := FitSeries(s)
 	if err != nil {
 		t.Fatal(err)
@@ -175,12 +176,12 @@ func TestTransactionModelPredictsSimulatedDemand(t *testing.T) {
 	rate := float64(res.Completed) / res.Config.Duration.Sec()
 	pred := tm.Predict(rubis.BrowsingMix(), rate, 200000, 9)
 
-	actualWeb := res.CPU(experiment.TierWeb).Mean()
+	actualWeb := res.Resource(experiment.TierWeb, sysstat.CPU).Mean()
 	if relErr := math.Abs(pred.WebCyclesPer2s-actualWeb) / actualWeb; relErr > 0.25 {
 		t.Fatalf("web demand prediction off by %.0f%% (pred %.3g, actual %.3g)",
 			relErr*100, pred.WebCyclesPer2s, actualWeb)
 	}
-	actualDB := res.CPU(experiment.TierDB).Mean()
+	actualDB := res.Resource(experiment.TierDB, sysstat.CPU).Mean()
 	if relErr := math.Abs(pred.DBCyclesPer2s-actualDB) / actualDB; relErr > 0.4 {
 		t.Fatalf("db demand prediction off by %.0f%% (pred %.3g, actual %.3g)",
 			relErr*100, pred.DBCyclesPer2s, actualDB)

@@ -366,61 +366,10 @@ func runJob(job Job) (res *experiment.Result, err error) {
 	return runExperiment(job.Config)
 }
 
-// Scalar metric names reported for every run. Each optional feature's
-// scalars (experiment.Result.Scalars) follow them, then per-tier
-// resource means as cpu_<tier>, mem_<tier>_mb, disk_<tier>_kb and
-// net_<tier>_kb for each tier the run profiled.
-const (
-	MetricThroughput = "throughput_rps"
-	MetricWriteFrac  = "write_fraction"
-	MetricRespMean   = "resp_mean_ms"
-	MetricRespP95    = "resp_p95_ms"
-	MetricErrors     = "errors"
-)
-
-// MetricCPU, MetricMem, MetricDisk and MetricNet name the per-tier
-// aggregates; use these instead of hand-concatenating metric names so a
-// typo is a compile-time symbol error, not a silent zero Metric.
-func MetricCPU(tier string) string { return "cpu_" + tier }
-
-// MetricMem names a tier's mean used-memory aggregate (MB).
-func MetricMem(tier string) string { return "mem_" + tier + "_mb" }
-
-// MetricDisk names a tier's mean disk-traffic aggregate (KB/2s).
-func MetricDisk(tier string) string { return "disk_" + tier + "_kb" }
-
-// MetricNet names a tier's mean network-traffic aggregate (KB/2s).
-func MetricNet(tier string) string { return "net_" + tier + "_kb" }
-
-// scalars extracts the per-replication metric values in stable order:
-// the core metrics, the run's feature scalars, then per-tier resources.
-func scalars(r *experiment.Result) []NamedMetric {
-	out := []NamedMetric{
-		{MetricThroughput, Metric{Mean: float64(r.Completed) / r.Config.Duration.Sec()}},
-		{MetricWriteFrac, Metric{Mean: r.WriteFraction}},
-		{MetricRespMean, Metric{Mean: r.MeanRespTime * 1e3}},
-		{MetricRespP95, Metric{Mean: r.P95RespTime * 1e3}},
-		{MetricErrors, Metric{Mean: float64(r.Errors)}},
-	}
-	for _, sc := range r.Scalars {
-		out = append(out, NamedMetric{sc.Name, Metric{Mean: sc.Value}})
-	}
-	// Resource scalars over the run's actual collector targets — the
-	// classic three tiers on degenerate runs, per-replica targets plus
-	// tier aggregates on cluster topologies.
-	for _, tier := range r.Tiers {
-		out = append(out,
-			NamedMetric{MetricCPU(tier), Metric{Mean: r.CPU(tier).Mean()}},
-			NamedMetric{MetricMem(tier), Metric{Mean: r.Mem(tier).Mean()}},
-			NamedMetric{MetricDisk(tier), Metric{Mean: r.Disk(tier).Mean()}},
-			NamedMetric{MetricNet(tier), Metric{Mean: r.Net(tier).Mean()}},
-		)
-	}
-	return out
-}
-
 // aggregate folds the per-replication scalars of one point into
-// mean/std/CI metrics, skipping failed (nil) replications.
+// mean/std/CI metrics by name, in the order the first replications
+// report them (experiment.Result.Scalars), skipping failed (nil)
+// replications.
 func aggregate(reps []*experiment.Result) []NamedMetric {
 	var names []string
 	samples := make(map[string][]float64)
@@ -428,11 +377,11 @@ func aggregate(reps []*experiment.Result) []NamedMetric {
 		if r == nil {
 			continue
 		}
-		for _, nm := range scalars(r) {
-			if _, ok := samples[nm.Name]; !ok {
-				names = append(names, nm.Name)
+		for _, sc := range r.Scalars {
+			if _, ok := samples[sc.Name]; !ok {
+				names = append(names, sc.Name)
 			}
-			samples[nm.Name] = append(samples[nm.Name], nm.Metric.Mean)
+			samples[sc.Name] = append(samples[sc.Name], sc.Value)
 		}
 	}
 	out := make([]NamedMetric, 0, len(names))

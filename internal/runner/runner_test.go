@@ -125,7 +125,7 @@ func TestSweepByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	if seq != par {
 		t.Fatalf("aggregated output differs between workers=1 and workers=8:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", seq, par)
 	}
-	if !strings.Contains(seq, "virtualized/browsing") || !strings.Contains(seq, MetricThroughput) {
+	if !strings.Contains(seq, "virtualized/browsing") || !strings.Contains(seq, experiment.MetricThroughput) {
 		t.Fatalf("table missing expected content:\n%s", seq)
 	}
 }
@@ -212,21 +212,21 @@ func TestPointMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	virt, phys := &sr.Points[0], &sr.Points[1]
-	if m := virt.Metric(MetricThroughput); m.N != 2 || m.Mean <= 0 {
+	if m := virt.Metric(experiment.MetricThroughput); m.N != 2 || m.Mean <= 0 {
 		t.Fatalf("virt throughput = %+v", m)
 	}
 	// Two different seeds should not produce the exact same throughput,
 	// and the CI must cover the spread.
-	if m := virt.Metric(MetricThroughput); m.Std == 0 {
+	if m := virt.Metric(experiment.MetricThroughput); m.Std == 0 {
 		t.Fatalf("replication seeds identical? std = 0 for %+v", m)
 	}
-	if m := virt.Metric(MetricCPU(experiment.TierDom0)); m.N != 2 {
+	if m := virt.Metric(experiment.MetricCPU(experiment.TierDom0)); m.N != 2 {
 		t.Fatalf("virtualized point missing dom0 metrics: %+v", m)
 	}
-	if m := phys.Metric(MetricCPU(experiment.TierDom0)); m.N != 0 {
+	if m := phys.Metric(experiment.MetricCPU(experiment.TierDom0)); m.N != 0 {
 		t.Fatalf("physical point reports dom0 metrics: %+v", m)
 	}
-	if m := phys.Metric(MetricWriteFrac); m.Mean <= 0 {
+	if m := phys.Metric(experiment.MetricWriteFrac); m.Mean <= 0 {
 		t.Fatalf("bidding mix write fraction = %+v", m)
 	}
 }
@@ -284,10 +284,10 @@ func TestPanicCapture(t *testing.T) {
 			t.Fatalf("unexpected failure record: %v", f)
 		}
 	}
-	if m := sr.Points[0].Metric(MetricThroughput); m.N != 2 || m.Mean <= 0 {
+	if m := sr.Points[0].Metric(experiment.MetricThroughput); m.N != 2 || m.Mean <= 0 {
 		t.Fatalf("healthy point not aggregated: %+v", m)
 	}
-	if m := sr.Points[1].Metric(MetricThroughput); m.N != 0 {
+	if m := sr.Points[1].Metric(experiment.MetricThroughput); m.N != 0 {
 		t.Fatalf("failed point aggregated from nothing: %+v", m)
 	}
 }
@@ -416,7 +416,7 @@ func TestLoadSweepReportsSessionMetrics(t *testing.T) {
 		} else if started.N != 0 {
 			t.Fatalf("closed-loop point reports session metrics: %+v", started)
 		}
-		if thr := pr.Metric(MetricThroughput); thr.Mean <= 0 {
+		if thr := pr.Metric(experiment.MetricThroughput); thr.Mean <= 0 {
 			t.Fatalf("%s: no throughput", pr.Point.Name)
 		}
 	}

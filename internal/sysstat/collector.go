@@ -1,8 +1,6 @@
 package sysstat
 
 import (
-	"fmt"
-	"slices"
 	"sort"
 
 	"vwchar/internal/sim"
@@ -12,6 +10,59 @@ import (
 // SampleInterval is the paper's monitoring period.
 const SampleInterval = 2 * sim.Second
 
+// Resource is one of the four resource classes the paper compares,
+// spelled as figures and workload-model keys spell it.
+type Resource string
+
+// The four resources.
+const (
+	CPU  Resource = "cpu"
+	RAM  Resource = "ram"
+	Disk Resource = "disk"
+	Net  Resource = "net"
+)
+
+// headline maps each resource, in the paper's order, to its per-target
+// series: name suffix, unit and the sample it takes from two snapshots.
+// It is the one place that does.
+var headline = [...]struct {
+	res          Resource
+	suffix, unit string
+	eval         func(prev, cur *Snapshot) float64
+}{
+	{CPU, ".cpu.cycles", "cycles/2s", func(prev, cur *Snapshot) float64 {
+		return cur.CPUCycles - prev.CPUCycles
+	}},
+	{RAM, ".mem.used", "MB", func(_, cur *Snapshot) float64 {
+		return cur.MemUsed / 1e6
+	}},
+	{Disk, ".disk.rw", "KB/2s", func(prev, cur *Snapshot) float64 {
+		return ((cur.DiskReadBytes + cur.DiskWriteBytes) - (prev.DiskReadBytes + prev.DiskWriteBytes)) / 1024
+	}},
+	{Net, ".net.rxtx", "KB/2s", func(prev, cur *Snapshot) float64 {
+		return ((cur.NetRxBytes + cur.NetTxBytes) - (prev.NetRxBytes + prev.NetTxBytes)) / 1024
+	}},
+}
+
+// Resources lists the four resources in the paper's order.
+func Resources() []Resource { return []Resource{CPU, RAM, Disk, Net} }
+
+// Series names target's headline series for r, e.g.
+// "webapp.cpu.cycles". For an unknown resource it is target alone,
+// which names no series.
+func (r Resource) Series(target string) string { return target + r.suffix() }
+
+// suffix is kept out of Series so that Series inlines and a lookup's
+// name need not escape to the heap.
+func (r Resource) suffix() string {
+	for i := range headline {
+		if headline[i].res == r {
+			return headline[i].suffix
+		}
+	}
+	return ""
+}
+
 // Target is one monitored OS instance.
 type Target struct {
 	// Name labels the instance ("webapp.vm", "mysql.vm", "dom0", ...).
@@ -20,58 +71,57 @@ type Target struct {
 	Snap func() Snapshot
 }
 
-// Collector samples all targets every 2 seconds, producing both the
-// headline per-2s demand series used by the paper's figures and the full
-// 182-metric catalog per target.
+// Collector samples all targets every 2 seconds into one series set,
+// target-major: each target's four headline series, named by
+// Resource.Series, then its full 182-metric catalog as
+// "<target>/<metric>" when kept.
 type Collector struct {
 	k       *sim.Kernel
 	targets []collected
-
-	ticker *sim.Ticker
+	// series is its own allocation, so a reader holding it does not
+	// hold the collector, its targets or the kernel.
+	series *timeseries.Set
+	full   bool
 	// onSample hooks fire after each collection round, in registration
 	// order — the telemetry recorders rotate their windows here, which
 	// is what aligns the latency series with the resource series.
 	onSample []func(now sim.Time)
-	// Samples counts collection rounds.
-	Samples int
 }
 
-// collected is one target's record: its last two snapshots and its
-// series. Keeping both snapshots here lets sample evaluate the catalog
-// on them in place.
+// collected is one target's last two snapshots; keeping both here lets
+// sample evaluate the catalog on them in place.
 type collected struct {
 	Target
-	prev, cur           Snapshot
-	cpu, mem, disk, net *timeseries.Series
-	// full holds one series per catalog metric, by catalog position;
-	// nil unless the full catalog is kept.
-	full []*timeseries.Series
+	prev, cur Snapshot
 }
 
 // NewCollector builds a collector over the given targets. keepFull
 // records all 182 metrics per target; the headline series are always
 // kept.
 func NewCollector(k *sim.Kernel, keepFull bool, targets ...Target) *Collector {
-	c := &Collector{k: k, targets: make([]collected, len(targets))}
+	c := &Collector{k: k, targets: make([]collected, len(targets)), full: keepFull}
+	per := len(headline)
+	if keepFull {
+		per += len(catalog)
+	}
+	series := make([]*timeseries.Series, 0, len(targets)*per)
 	for i, t := range targets {
-		c.targets[i] = collected{
-			Target: t,
-			prev:   t.Snap(),
-			cpu:    timeseries.New(t.Name+".cpu.cycles", "cycles/2s"),
-			mem:    timeseries.New(t.Name+".mem.used", "MB"),
-			disk:   timeseries.New(t.Name+".disk.rw", "KB/2s"),
-			net:    timeseries.New(t.Name+".net.rxtx", "KB/2s"),
+		c.targets[i] = collected{Target: t, prev: t.Snap()}
+		for _, h := range headline {
+			series = append(series, timeseries.New(t.Name+h.suffix, h.unit))
 		}
 		if keepFull {
-			full := make([]*timeseries.Series, len(catalog))
-			for j, m := range catalog {
-				full[j] = timeseries.New(t.Name+"/"+m.Name, m.Unit)
+			for _, m := range catalog {
+				series = append(series, timeseries.New(t.Name+"/"+m.Name, m.Unit))
 			}
-			c.targets[i].full = full
 		}
 	}
+	c.series = timeseries.NewSet(series...)
 	return c
 }
+
+// Series returns the collected series.
+func (c *Collector) Series() *timeseries.Set { return c.series }
 
 // OnSample registers a hook invoked after every collection round with
 // the sample time. Hooks run on the collector's ticker in registration
@@ -83,101 +133,33 @@ func (c *Collector) OnSample(fn func(now sim.Time)) {
 
 // Start begins sampling (first sample after one interval).
 func (c *Collector) Start() {
-	c.ticker = c.k.Every(SampleInterval, SampleInterval, c.sample)
+	c.k.Every(SampleInterval, SampleInterval, c.sample)
 }
 
-// Stop ends the collection: it halts sampling and drops everything
-// that reaches the simulation — the kernel, the ticker, the OnSample
-// hooks and every target's Snap. What was collected stays: the series,
-// Samples and the target names, so the accessors keep working on a
-// collector that outlives its run.
-func (c *Collector) Stop() {
-	if c.ticker != nil {
-		c.ticker.Stop()
-	}
-	c.k, c.ticker, c.onSample = nil, nil, nil
-	for i := range c.targets {
-		c.targets[i].Snap = nil
-	}
-}
-
+// sample appends one value to every series, walking them in set order.
 func (c *Collector) sample(now sim.Time) {
 	dt := SampleInterval.Sec()
+	all := c.series.All()
+	j := 0
 	for i := range c.targets {
 		t := &c.targets[i]
 		t.cur = t.Snap()
 		prev, cur := &t.prev, &t.cur
-		t.cpu.Append(cur.CPUCycles - prev.CPUCycles)
-		t.mem.Append(cur.MemUsed / 1e6)
-		t.disk.Append(((cur.DiskReadBytes + cur.DiskWriteBytes) - (prev.DiskReadBytes + prev.DiskWriteBytes)) / 1024)
-		t.net.Append(((cur.NetRxBytes + cur.NetTxBytes) - (prev.NetRxBytes + prev.NetTxBytes)) / 1024)
-		for j, s := range t.full {
-			s.Append(catalog[j].Eval(prev, cur, dt))
+		for k := range headline {
+			all[j].Append(headline[k].eval(prev, cur))
+			j++
+		}
+		if c.full {
+			for k := range catalog {
+				all[j].Append(catalog[k].Eval(prev, cur, dt))
+				j++
+			}
 		}
 		t.prev = t.cur
 	}
-	c.Samples++
 	for _, fn := range c.onSample {
 		fn(now)
 	}
-}
-
-// unmonitored is the record of every name the collector does not
-// monitor: all its series are nil.
-var unmonitored collected
-
-// target returns name's record, or &unmonitored.
-func (c *Collector) target(name string) *collected {
-	for i := range c.targets {
-		if c.targets[i].Name == name {
-			return &c.targets[i]
-		}
-	}
-	return &unmonitored
-}
-
-// CPU returns the per-2s CPU cycle demand series for target name.
-func (c *Collector) CPU(name string) *timeseries.Series { return c.target(name).cpu }
-
-// Mem returns the used-memory series (MB) for target name.
-func (c *Collector) Mem(name string) *timeseries.Series { return c.target(name).mem }
-
-// Disk returns the per-2s disk read+write series (KB) for target name.
-func (c *Collector) Disk(name string) *timeseries.Series { return c.target(name).disk }
-
-// Net returns the per-2s network rx+tx series (KB) for target name.
-func (c *Collector) Net(name string) *timeseries.Series { return c.target(name).net }
-
-// Metric returns the full-catalog series target/metric, or an error when
-// the collector was not recording the full catalog.
-func (c *Collector) Metric(target, metric string) (*timeseries.Series, error) {
-	t := c.target(target)
-	i := slices.IndexFunc(catalog, func(m Metric) bool { return m.Name == metric })
-	switch {
-	case t.cpu != nil && t.full == nil:
-		return nil, fmt.Errorf("sysstat: full catalog not recorded")
-	case t.full == nil || i < 0:
-		return nil, fmt.Errorf("sysstat: no series %q for target %q", metric, target)
-	}
-	return t.full[i], nil
-}
-
-// MetricNames lists the catalog metric names in catalog order.
-func (c *Collector) MetricNames() []string {
-	out := make([]string, len(catalog))
-	for i, m := range catalog {
-		out[i] = m.Name
-	}
-	return out
-}
-
-// TargetNames lists monitored targets in registration order.
-func (c *Collector) TargetNames() []string {
-	out := make([]string, len(c.targets))
-	for i, t := range c.targets {
-		out[i] = t.Name
-	}
-	return out
 }
 
 // GroupCounts tallies catalog metrics per sar group, sorted by group

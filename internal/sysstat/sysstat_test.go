@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"vwchar/internal/sim"
-	"vwchar/internal/timeseries"
 	"vwchar/internal/xen"
 )
 
@@ -138,7 +137,7 @@ func TestCollectorProducesHeadlineSeries(t *testing.T) {
 	c.Start()
 	k.Every(sim.Second, sim.Second, func(sim.Time) { cycles += 5e8 })
 	k.Run(20 * sim.Second)
-	cpu := c.CPU("vm")
+	cpu := c.Series().ByName(CPU.Series("vm"))
 	if cpu.Len() != 10 {
 		t.Fatalf("cpu samples = %d, want 10", cpu.Len())
 	}
@@ -148,14 +147,14 @@ func TestCollectorProducesHeadlineSeries(t *testing.T) {
 			t.Fatalf("sample %d = %v", i, cpu.At(i))
 		}
 	}
-	if mem := c.Mem("vm"); mem.At(0) != 400 {
+	if mem := c.Series().ByName(RAM.Series("vm")); mem.At(0) != 400 {
 		t.Fatalf("mem MB = %v", mem.At(0))
 	}
-	if c.Samples != 10 {
-		t.Fatalf("Samples = %d", c.Samples)
+	if n := c.Series().Windows(); n != 10 {
+		t.Fatalf("Windows = %d", n)
 	}
-	if _, err := c.Metric("vm", "%user [all]"); err == nil {
-		t.Fatal("full catalog was not recorded; Metric should error")
+	if c.Series().ByName("vm/%user [all]") != nil {
+		t.Fatal("full catalog was not recorded; its series should be absent")
 	}
 }
 
@@ -173,14 +172,14 @@ func TestCollectorOnSampleHook(t *testing.T) {
 	var sampleCountAtHook []int
 	c.OnSample(func(now sim.Time) {
 		times = append(times, now)
-		sampleCountAtHook = append(sampleCountAtHook, c.Samples)
+		sampleCountAtHook = append(sampleCountAtHook, c.Series().Windows())
 	})
 	order := 0
 	c.OnSample(func(now sim.Time) { order++ })
 	c.Start()
 	k.Run(10 * sim.Second)
-	if len(times) != c.Samples || c.Samples != 5 {
-		t.Fatalf("hook fired %d times over %d samples", len(times), c.Samples)
+	if n := c.Series().Windows(); len(times) != n || n != 5 {
+		t.Fatalf("hook fired %d times over %d samples", len(times), n)
 	}
 	for i, at := range times {
 		if want := sim.Time(i+1) * SampleInterval; at != want {
@@ -194,7 +193,7 @@ func TestCollectorOnSampleHook(t *testing.T) {
 	if order != 5 {
 		t.Fatalf("second hook fired %d times", order)
 	}
-	if got := c.CPU("vm").Len(); got != len(times) {
+	if got := c.Series().ByName(CPU.Series("vm")).Len(); got != len(times) {
 		t.Fatalf("resource series has %d samples vs %d hook firings", got, len(times))
 	}
 }
@@ -207,33 +206,28 @@ func TestCollectorFullCatalog(t *testing.T) {
 	c := NewCollector(k, true, target)
 	c.Start()
 	k.Run(10 * sim.Second)
-	s, err := c.Metric("vm", "%memused")
-	if err != nil {
-		t.Fatal(err)
+	s := c.Series().ByName("vm/%memused")
+	if s == nil {
+		t.Fatal("no vm/%memused series")
 	}
 	if s.Len() != 5 || s.At(0) != 50 {
 		t.Fatalf("%%memused series: len=%d v0=%v", s.Len(), s.Values)
 	}
-	if _, err := c.Metric("vm", "no-such-metric"); err == nil {
-		t.Fatal("unknown metric should error")
+	if c.Series().ByName("vm/no-such-metric") != nil {
+		t.Fatal("unknown metric should have no series")
 	}
-	if len(c.MetricNames()) != CatalogSize {
-		t.Fatal("MetricNames should list the whole catalog")
+	// Target-major: the four headline series, then the whole catalog.
+	all := c.Series().All()
+	if len(all) != len(Resources())+CatalogSize {
+		t.Fatalf("%d series, want %d", len(all), len(Resources())+CatalogSize)
 	}
-	if got := c.TargetNames(); len(got) != 1 || got[0] != "vm" {
-		t.Fatalf("TargetNames = %v", got)
+	for i, r := range Resources() {
+		if all[i].Name != r.Series("vm") {
+			t.Fatalf("series %d = %q, want %q", i, all[i].Name, r.Series("vm"))
+		}
 	}
-}
-
-func TestCollectorStop(t *testing.T) {
-	k := sim.NewKernel()
-	c := NewCollector(k, false, Target{Name: "x", Snap: func() Snapshot { return Snapshot{} }})
-	c.Start()
-	k.Run(6 * sim.Second)
-	c.Stop()
-	k.Run(20 * sim.Second)
-	if c.Samples != 3 {
-		t.Fatalf("Samples after Stop = %d", c.Samples)
+	if all[len(Resources())].Name != "vm/"+Catalog()[0].Name {
+		t.Fatalf("first catalog series = %q", all[len(Resources())].Name)
 	}
 }
 
@@ -354,13 +348,11 @@ func newSampleRig(k *sim.Kernel) *Collector {
 	return NewCollector(k, false, targets...)
 }
 
-// rewindSeries empties every headline series of the named targets but
-// keeps its capacity, so the next samples append without growing.
-func rewindSeries(c *Collector, names []string) {
-	for _, n := range names {
-		for _, s := range []*timeseries.Series{c.CPU(n), c.Mem(n), c.Disk(n), c.Net(n)} {
-			s.Values = s.Values[:0]
-		}
+// rewindSeries empties every series but keeps its capacity, so the
+// next samples append without growing.
+func rewindSeries(c *Collector) {
+	for _, s := range c.Series().All() {
+		s.Values = s.Values[:0]
 	}
 }
 
@@ -372,12 +364,11 @@ func rewindSeries(c *Collector, names []string) {
 func TestCollectorSampleDoesNotAllocate(t *testing.T) {
 	const rounds = 64
 	c := newSampleRig(sim.NewKernel())
-	names := c.TargetNames()
 	for i := 0; i < rounds; i++ {
 		c.sample(0)
 	}
 	allocs := testing.AllocsPerRun(3, func() {
-		rewindSeries(c, names)
+		rewindSeries(c)
 		for i := 0; i < rounds; i++ {
 			c.sample(0)
 		}
@@ -392,7 +383,6 @@ func TestCollectorSampleDoesNotAllocate(t *testing.T) {
 // it measures sampling rather than slice growth.
 func BenchmarkCollectorSample(b *testing.B) {
 	c := newSampleRig(sim.NewKernel())
-	names := c.TargetNames()
 	for i := 0; i < 1024; i++ {
 		c.sample(0)
 	}
@@ -400,7 +390,7 @@ func BenchmarkCollectorSample(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%1024 == 0 {
-			rewindSeries(c, names)
+			rewindSeries(c)
 		}
 		c.sample(0)
 	}

@@ -57,44 +57,6 @@ const MaxKinds = 32
 // recorded. It is shared and read-only.
 var noHist Hist
 
-// WindowSeries is the per-window output of a Recorder: an ordered list
-// of named series, one sample per collector tick each, sharing the
-// resource series' 2-second time axis.
-type WindowSeries struct {
-	series []*timeseries.Series
-}
-
-// NewWindowSeries lists the given series, in order.
-func NewWindowSeries(series ...*timeseries.Series) *WindowSeries {
-	return &WindowSeries{series: series}
-}
-
-// All lists the series in registration order, which is the CSV column
-// order. The slice is shared; callers must not modify it.
-func (w *WindowSeries) All() []*timeseries.Series { return w.series }
-
-// ByName returns the named series, or nil when it was not registered
-// (or w is nil, as on a result without telemetry).
-func (w *WindowSeries) ByName(name string) *timeseries.Series {
-	if w == nil {
-		return nil
-	}
-	for _, s := range w.series {
-		if s.Name == name {
-			return s
-		}
-	}
-	return nil
-}
-
-// Windows reports the number of closed windows.
-func (w *WindowSeries) Windows() int {
-	if len(w.series) == 0 {
-		return 0
-	}
-	return w.series[0].Len()
-}
-
 // Recorder accumulates response-time observations and closes one
 // window per Rotate call, appending one sample to every registered
 // series. The caller rotates it from the sysstat collector's sampling
@@ -136,9 +98,10 @@ type Recorder struct {
 	starts, ends, abandons uint64
 	inflight               int
 
-	// samples[i] is the source of series.All()[i].
+	// samples[i] is the source of series.All()[i]. The set is its own
+	// allocation, so a reader holding it does not hold the recorder.
 	samples []func() float64
-	series  WindowSeries
+	series  *timeseries.Set
 }
 
 // NewRecorder builds a recorder with the given window length in
@@ -149,7 +112,7 @@ type Recorder struct {
 // discipline. The core series are registered here; components append
 // theirs with Counter and Gauge.
 func NewRecorder(windowSec float64, windowHint int, prealloc bool) *Recorder {
-	r := &Recorder{windowSec: windowSec, windowHint: windowHint, exactCap: DefaultExactCap}
+	r := &Recorder{windowSec: windowSec, windowHint: windowHint, exactCap: DefaultExactCap, series: new(timeseries.Set)}
 	if prealloc {
 		r.exact = make([]float64, 0, r.exactCap)
 	}
@@ -171,13 +134,10 @@ func NewRecorder(windowSec float64, windowHint int, prealloc bool) *Recorder {
 }
 
 // Gauge registers a series sampled from fn at each window boundary.
-// Register before ReserveWindows. A duplicate name panics, and so does
-// registering after the first Rotate, since the new series would be
-// misaligned with the others.
+// Register before ReserveWindows. A duplicate name panics (in
+// timeseries.Set.Add), and so does registering after the first Rotate,
+// since the new series would be misaligned with the others.
 func (r *Recorder) Gauge(name, unit string, fn func() float64) {
-	if r.series.ByName(name) != nil {
-		panic("telemetry: series " + name + " registered twice")
-	}
 	if r.series.Windows() > 0 {
 		panic("telemetry: series " + name + " registered after the first window closed")
 	}
@@ -185,8 +145,8 @@ func (r *Recorder) Gauge(name, unit string, fn func() float64) {
 	if r.windowHint > 0 {
 		s.Values = make([]float64, 0, r.windowHint)
 	}
+	r.series.Add(s)
 	r.samples = append(r.samples, fn)
-	r.series.series = append(r.series.series, s)
 }
 
 // Counter registers a series holding the per-window increase of the
@@ -299,8 +259,9 @@ func (r *Recorder) NoteEnd() { r.ends++ }
 // window.
 func (r *Recorder) Rotate(inflight int) {
 	r.inflight = inflight
+	all := r.series.All()
 	for i, sample := range r.samples {
-		r.series.series[i].Append(sample())
+		all[i].Append(sample())
 	}
 	r.win.Reset()
 	r.winClass[0].Reset()
@@ -313,7 +274,7 @@ func (r *Recorder) Rotate(inflight int) {
 // starts; the capacity hint at construction covers callers that know
 // the horizon up front.
 func (r *Recorder) ReserveWindows(n int) {
-	for _, s := range r.series.series {
+	for _, s := range r.series.All() {
 		if cap(s.Values)-len(s.Values) < n {
 			grown := make([]float64, len(s.Values), len(s.Values)+n)
 			copy(grown, s.Values)
@@ -322,8 +283,9 @@ func (r *Recorder) ReserveWindows(n int) {
 	}
 }
 
-// Series exposes the emitted per-window series.
-func (r *Recorder) Series() *WindowSeries { return &r.series }
+// Series exposes the emitted per-window series, one sample per closed
+// window each, sharing the resource series' 2-second time axis.
+func (r *Recorder) Series() *timeseries.Set { return r.series }
 
 // Count reports total observations recorded.
 func (r *Recorder) Count() uint64 { return r.run.Count() }

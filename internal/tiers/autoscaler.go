@@ -38,7 +38,7 @@ type Autoscaler struct {
 // NewAutoscaler builds an autoscaler driving c from the driver
 // telemetry tel, whose series must all be registered by now. The
 // spec's zero-valued knobs are defaulted.
-func NewAutoscaler(c *WebCluster, tel *telemetry.WindowSeries, spec AutoscalerSpec) *Autoscaler {
+func NewAutoscaler(c *WebCluster, tel *timeseries.Set, spec AutoscalerSpec) *Autoscaler {
 	spec = spec.withDefaults()
 	return &Autoscaler{
 		c:        c,

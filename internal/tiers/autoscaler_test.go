@@ -11,8 +11,8 @@ import (
 // collapseTel builds the window series a real collector feeds the
 // autoscaler, including the fault series the collapse signal reads:
 // p95, throughput, in-flight, timeouts, failures, availability.
-func collapseTel() *telemetry.WindowSeries {
-	return telemetry.NewWindowSeries(
+func collapseTel() *timeseries.Set {
+	return timeseries.NewSet(
 		timeseries.New(telemetry.LatencyP95, "ms"),
 		timeseries.New(telemetry.Throughput, "req/s"),
 		timeseries.New(telemetry.Inflight, "requests"),
@@ -24,7 +24,7 @@ func collapseTel() *telemetry.WindowSeries {
 
 // appendWindow closes one window by hand: one sample per series, in
 // the series' order.
-func appendWindow(tel *telemetry.WindowSeries, samples ...float64) {
+func appendWindow(tel *timeseries.Set, samples ...float64) {
 	for i, s := range tel.All() {
 		s.Append(samples[i])
 	}

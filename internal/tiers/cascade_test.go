@@ -60,7 +60,7 @@ func TestAutoscalerNoDoubleProvision(t *testing.T) {
 	c.state[1], c.state[2] = ReplicaParked, ReplicaParked
 	c.activeCount, c.peakActive = 1, 1
 
-	tel := telemetry.NewWindowSeries(
+	tel := timeseries.NewSet(
 		timeseries.New(telemetry.LatencyP95, "ms"),
 		timeseries.New(telemetry.Throughput, "req/s"),
 	)

@@ -270,3 +270,42 @@ func TestPropertyQuantileMonotone(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSetOrderAndNames pins the Set contract readers rely on: series in
+// insertion order, lookup by name, a nil set reading as empty, and a
+// duplicate name panicking whether it arrives through NewSet or Add.
+func TestSetOrderAndNames(t *testing.T) {
+	a, b := New("a", "KB"), New("b", "MB")
+	s := NewSet(a, b)
+	if all := s.All(); len(all) != 2 || all[0] != a || all[1] != b {
+		t.Fatalf("All = %v, want [a b]", all)
+	}
+	if s.ByName("b") != b || s.ByName("c") != nil {
+		t.Fatal("ByName lookup broken")
+	}
+	a.Append(1)
+	b.Append(2)
+	if s.Windows() != 1 {
+		t.Fatalf("Windows = %d, want 1", s.Windows())
+	}
+	var none *Set
+	if none.ByName("a") != nil || none.Windows() != 0 {
+		t.Fatal("a nil set should read as empty")
+	}
+	for name, f := range map[string]func(){
+		"NewSet": func() { NewSet(New("x", ""), New("y", ""), New("x", "")) },
+		"Add":    func() { s.Add(New("a", "")) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted a duplicate name", name)
+				}
+			}()
+			f()
+		}()
+	}
+	if len(s.All()) != 2 {
+		t.Fatalf("a rejected Add changed the set: %d series", len(s.All()))
+	}
+}

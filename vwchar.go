@@ -57,8 +57,22 @@ type (
 	Ratios = characterize.Ratios
 	// Report is the full Section 4 characterization.
 	Report = characterize.Report
+	// PaperReference is one mix's paper values for the Section 4
+	// comparisons.
+	PaperReference = characterize.Reference
 	// Table1Row is one row of the reproduced Table 1.
 	Table1Row = sysstat.Table1Row
+	// Resource is one of the four resource classes a Result records
+	// per tier; read a tier's series with Result.Resource.
+	Resource = sysstat.Resource
+)
+
+// The four resources, in the paper's order.
+const (
+	CPU  = sysstat.CPU
+	RAM  = sysstat.RAM
+	Disk = sysstat.Disk
+	Net  = sysstat.Net
 )
 
 // Deployment environments.
@@ -141,29 +155,30 @@ type (
 	SweepProgress = runner.Progress
 )
 
-// Aggregated metric names every run reports (per-tier resource means
-// are named cpu_<tier>, mem_<tier>_mb, disk_<tier>_kb, net_<tier>_kb;
-// optional features add the names in Result.Scalars).
+// Aggregated metric names. Every run's Result.Scalars lists these five
+// first, then the configured features' scalars, then the per-tier
+// resource means named by MetricCPU, MetricMem, MetricDisk and
+// MetricNet.
 const (
-	MetricThroughput = runner.MetricThroughput
-	MetricWriteFrac  = runner.MetricWriteFrac
-	MetricRespMean   = runner.MetricRespMean
-	MetricRespP95    = runner.MetricRespP95
-	MetricErrors     = runner.MetricErrors
+	MetricThroughput = experiment.MetricThroughput
+	MetricWriteFrac  = experiment.MetricWriteFrac
+	MetricRespMean   = experiment.MetricRespMean
+	MetricRespP95    = experiment.MetricRespP95
+	MetricErrors     = experiment.MetricErrors
 )
 
 // MetricCPU, MetricMem, MetricDisk and MetricNet name the per-tier
 // aggregates for SweepPointResult.Metric lookups.
-func MetricCPU(tier string) string { return runner.MetricCPU(tier) }
+func MetricCPU(tier string) string { return experiment.MetricCPU(tier) }
 
 // MetricMem names a tier's mean used-memory aggregate (MB).
-func MetricMem(tier string) string { return runner.MetricMem(tier) }
+func MetricMem(tier string) string { return experiment.MetricMem(tier) }
 
 // MetricDisk names a tier's mean disk-traffic aggregate (KB/2s).
-func MetricDisk(tier string) string { return runner.MetricDisk(tier) }
+func MetricDisk(tier string) string { return experiment.MetricDisk(tier) }
 
 // MetricNet names a tier's mean network-traffic aggregate (KB/2s).
-func MetricNet(tier string) string { return runner.MetricNet(tier) }
+func MetricNet(tier string) string { return experiment.MetricNet(tier) }
 
 // Sweep runs the spec's full grid in parallel and aggregates it.
 func Sweep(spec SweepSpec) (*SweepResult, error) { return runner.Run(spec) }
@@ -231,8 +246,10 @@ func SweepLoadGrid(envs []Env, mix MixKind, scenarios []LoadNamedSpec, mutate fu
 // time axis with the resource series — the flash-crowd transient is a
 // plottable series, not a run-level scalar.
 type (
-	// TelemetrySeries is a run's per-window application-metric series.
-	TelemetrySeries = telemetry.WindowSeries
+	// TelemetrySeries is an ordered set of uniquely named series on one
+	// time axis: Result.Telemetry (per-window application metrics) and
+	// Result.Resources (per-tier resource series) are both one.
+	TelemetrySeries = timeseries.Set
 	// LatencyHist is the mergeable fixed-bin log latency histogram.
 	LatencyHist = telemetry.Hist
 	// SweepSeries is one telemetry series aggregated pointwise (mean
@@ -470,6 +487,10 @@ func FigureSpecs() []experiment.FigureSpec { return experiment.FigureSpecs() }
 func Characterize(virt, phys *Pair) Report {
 	return characterize.BuildReport(virt.Browse, virt.Bid, phys.Browse, phys.Bid)
 }
+
+// Paper is what the paper reports for the browsing mix, the reference
+// Report.Write prints beside the simulated ratios.
+var Paper = characterize.Paper
 
 // TierRatios computes the front-end/back-end demand ratios (§4.1).
 func TierRatios(r *Result) Ratios { return characterize.TierRatios(r) }
