@@ -101,8 +101,8 @@ type Config struct {
 	// Dataset scale) populate one immutable golden snapshot and attach
 	// copy-on-write views, so replications skip population entirely; see
 	// runner.SweepSpec.SharedDatasets. Zero keeps the historical
-	// per-run derivation (each run populates its own dataset stream) —
-	// still served through the snapshot cache, just with per-run keys.
+	// per-run derivation: each run populates its own dataset, owns it,
+	// and recycles its pages when it ends.
 	DatasetSeed uint64 `json:",omitempty"`
 	// KeepFullCatalog records all 182 metrics per target, not just the
 	// headline figure series.
@@ -396,15 +396,19 @@ func Run(cfg Config) (*Result, error) {
 	}
 	topo = topo.Normalized()
 
-	// Datasets come from the process-wide golden snapshot cache: the
-	// first run for a (scale, seed) pair populates and seals it, and
-	// every later run attaches a copy-on-write view in microseconds.
-	// Views are returned to the snapshot's pool when the run is done,
-	// and every driver's streams go back to rng's free list. That is
-	// safe because the Result keeps no reference into the run: the
-	// series sets it takes reach only their series, and its histograms
-	// are copies.
+	// A run attaches copy-on-write views of sealed golden datasets. A
+	// dataset pinned by DatasetSeed comes from the process-wide snapshot
+	// cache, populated by the first run that asks for it and shared by
+	// every later one. A dataset seeded from the run's own Seed is
+	// never asked for again, so the run populates it privately and
+	// closes it on exit, handing its pages back for the next run's
+	// population. Views go back to their snapshot when the run is done,
+	// and every driver's streams to rng's free list. That is safe
+	// because the Result keeps no reference into the run: the series
+	// sets it takes reach only their series, and its histograms are
+	// copies.
 	var apps []*rubis.App
+	var owned []*rubis.Snapshot
 	var drivers []*tiers.Driver
 	defer func() {
 		for _, drv := range drivers {
@@ -413,23 +417,31 @@ func Run(cfg Config) (*Result, error) {
 		for _, a := range apps {
 			a.Release()
 		}
+		for _, s := range owned {
+			s.Close()
+		}
 	}()
 	attach := func(stream string, pair int) (*rubis.App, error) {
-		seed := src.SeedFor(stream)
-		if cfg.DatasetSeed != 0 {
-			if pair == 0 {
-				// Pair 0 (and the physical env) share the pinned seed
-				// directly, so a sweep's replications — and both
-				// environments — reuse one golden.
-				seed = cfg.DatasetSeed
-			} else {
-				seed = rng.NewSource(cfg.DatasetSeed).SeedFor(stream)
+		var snap *rubis.Snapshot
+		var err error
+		switch {
+		case cfg.DatasetSeed == 0:
+			snap, err = rubis.NewSnapshot(cfg.Dataset, src.SeedFor(stream))
+			if err == nil {
+				owned = append(owned, snap)
 			}
+		case pair == 0:
+			// Pair 0 (and the physical env) share the pinned seed
+			// directly, so a sweep's replications — and both
+			// environments — reuse one golden.
+			snap, err = rubis.SharedSnapshot(cfg.Dataset, cfg.DatasetSeed)
+		default:
+			snap, err = rubis.SharedSnapshot(cfg.Dataset, rng.NewSource(cfg.DatasetSeed).SeedFor(stream))
 		}
-		a, err := rubis.SharedApp(cfg.Dataset, seed)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: %s: %w", stream, err)
 		}
+		a := snap.Attach()
 		apps = append(apps, a)
 		return a, nil
 	}

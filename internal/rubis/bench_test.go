@@ -60,3 +60,21 @@ func BenchmarkNewSnapshot(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkOwnedSnapshotCycle measures the life of a dataset a run owns:
+// NewSnapshot at the default scale, Attach, Release and Close. Close
+// hands the pages and, earlier, the bulk load's entry lists back to
+// rubisdb's pools, so after the first cycle population reuses them
+// instead of allocating what BenchmarkNewSnapshot reports.
+func BenchmarkOwnedSnapshotCycle(b *testing.B) {
+	cfg := DefaultDataset()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		snap, err := NewSnapshot(cfg, uint64(i)+1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		snap.Attach().Release()
+		snap.Close()
+	}
+}

@@ -1,6 +1,7 @@
 package rubis
 
 import (
+	"fmt"
 	"sync"
 
 	"vwchar/internal/rng"
@@ -12,7 +13,9 @@ import (
 // replication then attaches a copy-on-write view in microseconds instead
 // of rebuilding ~60k rows. A snapshot is safe for concurrent Attach from
 // many workers; each view is private until Released back into the
-// snapshot's reuse pool.
+// snapshot's reuse pool. A snapshot its caller owns (one from
+// NewSnapshot, never a SharedSnapshot) can be closed once its last view
+// is released, which recycles its pages for the next population.
 type Snapshot struct {
 	// Config and Seed identify the dataset: population is a pure
 	// function of both, which is what makes golden reuse sound.
@@ -27,6 +30,9 @@ type Snapshot struct {
 
 	mu   sync.Mutex
 	free []*App
+	// attached counts views handed out and not yet released.
+	attached int
+	closed   bool
 }
 
 // NewSnapshot populates the dataset from the derived seed (the stream is
@@ -57,6 +63,11 @@ func NewSnapshot(cfg DatasetConfig, seed uint64) (*Snapshot, error) {
 // allocates nothing.
 func (s *Snapshot) Attach() *App {
 	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		panic("rubis: Attach on a closed snapshot")
+	}
+	s.attached++
 	var a *App
 	if n := len(s.free); n > 0 {
 		a = s.free[n-1]
@@ -91,8 +102,26 @@ func (a *App) Release() {
 	}
 	a.snap = nil
 	s.mu.Lock()
+	s.attached--
 	s.free = append(s.free, a)
 	s.mu.Unlock()
+}
+
+// Close ends a snapshot its caller owns: the golden's pages and those of
+// every released view go back to rubisdb's pools for the next
+// population (rubisdb.Golden.Close). Every attached App must have been
+// released; Close panics otherwise, since a live view would read
+// recycled pages. Attach panics afterwards. Never close a snapshot that
+// SharedSnapshot returned: other callers share it.
+func (s *Snapshot) Close() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.attached != 0 {
+		panic(fmt.Sprintf("rubis: Close with %d views still attached", s.attached))
+	}
+	s.closed = true
+	s.free = nil
+	s.golden.Close()
 }
 
 // snapshotKey identifies a golden dataset: its full scale config plus
@@ -111,10 +140,10 @@ type snapshotEntry struct {
 }
 
 // snapshotCacheCap bounds retained goldens. A golden holds the full
-// dataset (~16 MB of pages at DefaultDataset); sweeps that share one
-// dataset need exactly one, and unshared sweeps cycle through
-// per-replication seeds where caching buys nothing — so a small LRU cap
-// keeps the process footprint flat either way.
+// dataset (~17 MB of pages at DefaultDataset). Sweeps that share one
+// dataset need exactly one; per-replication datasets never enter the
+// cache (each run owns and closes its own, see experiment.Run), so the
+// cap only guards callers that pin many distinct dataset seeds.
 const snapshotCacheCap = 4
 
 var snapshotCache = struct {
@@ -178,16 +207,4 @@ func evictSnapshotsLocked() {
 		}
 		delete(snapshotCache.entries, victim)
 	}
-}
-
-// SharedApp attaches a view of the process-wide golden snapshot for
-// (cfg, seed) — the drop-in replacement for NewApp on replication paths.
-// Callers should Release the App when the run completes so the view is
-// recycled.
-func SharedApp(cfg DatasetConfig, seed uint64) (*App, error) {
-	s, err := SharedSnapshot(cfg, seed)
-	if err != nil {
-		return nil, err
-	}
-	return s.Attach(), nil
 }

@@ -1,6 +1,7 @@
 package rubis
 
 import (
+	"strings"
 	"testing"
 
 	"vwchar/internal/rng"
@@ -49,4 +50,29 @@ func TestViewsNeverTouchGolden(t *testing.T) {
 		}
 		app.Release()
 	}
+}
+
+// TestClosedSnapshotRefusesViews: an owned snapshot closes only once
+// every view is released, and attaches nothing afterwards.
+func TestClosedSnapshotRefusesViews(t *testing.T) {
+	snap, err := NewSnapshot(smallDataset(), 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPanic := func(what, want string, f func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			if r, _ := recover().(string); !strings.Contains(r, want) {
+				t.Fatalf("%s: panic %q, want one containing %q", what, r, want)
+			}
+		}()
+		f()
+	}
+	a, b := snap.Attach(), snap.Attach()
+	a.Release()
+	mustPanic("Close with a view attached", "1 views still attached", snap.Close)
+	b.Release()
+	snap.Close()
+	mustPanic("Attach after Close", "Attach on a closed snapshot", func() { snap.Attach() })
 }

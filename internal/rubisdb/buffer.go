@@ -1,6 +1,9 @@
 package rubisdb
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // PageID identifies a page within the engine: a file (table heap, index,
 // ...) and a page number within it.
@@ -34,17 +37,30 @@ type Store interface {
 
 // pagesPerSlab sizes the slabs that page buffers are carved from: 1 MB
 // slabs mean one large allocation per 128 pages instead of 128 small
-// ones, which takes both the per-object malloc bookkeeping and most of
-// the explicit zeroing (fresh large spans arrive pre-zeroed from the OS)
-// off the dataset-population path.
+// ones, which takes the per-object malloc bookkeeping off the
+// dataset-population path.
 const pagesPerSlab = 128
 
-// pageSlab hands the stores fixed-size page buffers: recycled ones from
+// slab is the backing array of pagesPerSlab page buffers.
+type slab [PageSize * pagesPerSlab]byte
+
+// slabPool recycles the slabs of closed golden snapshots (Golden.Close)
+// and their views, so a sweep that populates a dataset per replication
+// reuses the previous replication's ~17 MB of pages instead of asking
+// the runtime for fresh, OS-zeroed spans every time. The pool needs no
+// bound: the collector drains what sits idle in it.
+var slabPool sync.Pool
+
+// pageSlab hands a store fixed-size page buffers: recycled ones from
 // free first, which carry stale bytes, then zeroed ones carved out of
-// large slabs.
+// slabs. A slab drawn from slabPool is cleared before its first page is
+// carved, so carved pages are zero whether the slab is fresh or
+// recycled.
 type pageSlab struct {
 	buf  []byte
 	free []Page
+	// slabs lists every slab pages were carved from, for release.
+	slabs []*slab
 }
 
 func (s *pageSlab) take() Page {
@@ -54,11 +70,31 @@ func (s *pageSlab) take() Page {
 		return p
 	}
 	if len(s.buf) < PageSize {
-		s.buf = make([]byte, PageSize*pagesPerSlab)
+		sl, ok := slabPool.Get().(*slab)
+		if ok {
+			clear(sl[:])
+		} else {
+			sl = new(slab)
+		}
+		s.slabs = append(s.slabs, sl)
+		s.buf = sl[:]
 	}
 	p := Page(s.buf[:PageSize:PageSize])
 	s.buf = s.buf[PageSize:]
 	return p
+}
+
+// release hands every slab back to slabPool and empties s, keeping its
+// lists' capacity. No page s handed out may be touched afterwards.
+func (s *pageSlab) release() {
+	for i, sl := range s.slabs {
+		slabPool.Put(sl)
+		s.slabs[i] = nil
+	}
+	s.slabs = s.slabs[:0]
+	clear(s.free)
+	s.free = s.free[:0]
+	s.buf = nil
 }
 
 // MemStore is the in-memory Store. Pages are allocated in order from 0
@@ -71,6 +107,9 @@ type MemStore struct {
 	// (Engine.Seal); any further WriteBack or Allocate is a bug in the
 	// copy-on-write layer and panics rather than corrupting every view.
 	sealed bool
+	// closed marks a sealed store whose slabs Golden.Close recycled:
+	// it holds no pages any more.
+	closed bool
 }
 
 // NewMemStore returns an empty store.
@@ -99,8 +138,8 @@ func (m *MemStore) WriteBack(id PageID) error {
 	return nil
 }
 
-// Allocate implements Store. MemStore never recycles a page, so its
-// slab's pages arrive zeroed.
+// Allocate implements Store. MemStore never frees a page, so every page
+// comes freshly carved from a slab, and therefore zeroed.
 func (m *MemStore) Allocate(file uint32) (PageID, Page) {
 	if m.sealed {
 		panic(fmt.Sprintf("rubisdb: Allocate in file %d on sealed golden store", file))

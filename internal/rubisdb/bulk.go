@@ -1,6 +1,11 @@
 package rubisdb
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+	"slices"
+	"sync"
+)
 
 // BulkWriter streams rows into an empty table through the sorted
 // bulk-load path. A row is written with the same typed column appends
@@ -23,9 +28,10 @@ type BulkWriter struct {
 	lastKey int64
 	rows    int
 
-	pk []Entry
-	// secs holds one entry list per secondary index.
-	secs [][]Entry
+	// pk and secs (one list per secondary index) collect index entries;
+	// they come from entryPool and go back once Close built the trees.
+	pk   *[]Entry
+	secs []*[]Entry
 
 	// The open WAL batch: rows land on ascending heap pages, so a page
 	// switch means the previous batch is complete.
@@ -43,10 +49,10 @@ func (t *Table) BulkWriter(rows int) *BulkWriter {
 		return w
 	}
 	rows = max(rows, 0)
-	w.pk = make([]Entry, 0, rows)
-	w.secs = make([][]Entry, len(t.secCols))
+	w.pk = getEntries(rows)
+	w.secs = make([]*[]Entry, len(t.secCols))
 	for i := range w.secs {
-		w.secs[i] = make([]Entry, 0, rows)
+		w.secs[i] = getEntries(rows)
 	}
 	w.reset()
 	return w
@@ -77,9 +83,9 @@ func (w *BulkWriter) EndRow() {
 	w.batchRows++
 	w.batchBytes += len(tuple)
 	enc := rid.Encode()
-	w.pk = append(w.pk, Entry{Key: w.key, Value: enc})
+	*w.pk = append(*w.pk, Entry{Key: w.key, Value: enc})
 	for i, sk := range w.secKeys {
-		w.secs[i] = append(w.secs[i], Entry{Key: sk, Value: enc})
+		*w.secs[i] = append(*w.secs[i], Entry{Key: sk, Value: enc})
 	}
 	w.lastKey = w.key
 	w.rows++
@@ -88,8 +94,20 @@ func (w *BulkWriter) EndRow() {
 
 // Close logs the last WAL batch and builds the table's indexes. It
 // returns the writer's first error instead when there is one, and
-// fails on an unfinished row. Call it once, after the last row.
+// fails on an unfinished row. Call it once, after the last row: it
+// hands the writer's entry lists back to entryPool, and a later Close
+// returns an error.
 func (w *BulkWriter) Close() error {
+	var sorter entrySort
+	defer func() {
+		putEntries(w.pk)
+		for _, l := range w.secs {
+			putEntries(l)
+		}
+		putEntries(sorter.out)
+		w.pk, w.secs = nil, nil
+		w.fail(errBulkClosed)
+	}()
 	if w.col != 0 {
 		w.fail(fmt.Errorf("rubisdb: Close with an unfinished row (%d columns)", w.col))
 	}
@@ -100,15 +118,43 @@ func (w *BulkWriter) Close() error {
 	if w.batchRows > 0 {
 		t.engine.wal.AppendBatchRecord(t.id, walInsert, w.batchRows, w.batchBytes)
 	}
-	if err := t.pk.BulkLoad(w.pk); err != nil {
+	if err := t.pk.BulkLoad(*w.pk); err != nil {
 		return err
 	}
-	var sorter entrySort
 	for i, entries := range w.secs {
-		sorter.sortEntriesByKey(entries)
-		if err := t.secs[i].BulkLoad(entries); err != nil {
+		sorter.sortEntriesByKey(*entries)
+		if err := t.secs[i].BulkLoad(*entries); err != nil {
 			return err
 		}
 	}
 	return nil
 }
+
+// entryPool recycles bulk-load scratch: a BulkWriter's index entry lists
+// and the counting sort's output buffer. Every dataset population loads
+// the same tables with the same row counts, so after the first one the
+// lists it needs are all in the pool. It holds *[]Entry, so a Put
+// boxes nothing.
+var entryPool sync.Pool
+
+// getEntries returns an empty entry list with room for at least n
+// entries, recycled from entryPool when one is there.
+func getEntries(n int) *[]Entry {
+	l, ok := entryPool.Get().(*[]Entry)
+	if !ok {
+		l = new([]Entry)
+	}
+	*l = slices.Grow((*l)[:0], n)
+	return l
+}
+
+// putEntries hands l, unless nil, back to entryPool. Nothing may use it
+// afterwards.
+func putEntries(l *[]Entry) {
+	if l != nil {
+		entryPool.Put(l)
+	}
+}
+
+// errBulkClosed sticks to a BulkWriter once Close ran.
+var errBulkClosed = errors.New("rubisdb: BulkWriter used after Close")

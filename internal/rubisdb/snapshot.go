@@ -4,13 +4,15 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"sync"
 )
 
 // Golden dataset snapshots.
 //
-// Populating a default RUBiS dataset costs ~30 ms, ~25 MB and ~1.4k
-// allocations, and a sweep that wants a fresh dataset repeats it for
-// every replication. Seal captures a populated engine — the sealed
+// Populating a default RUBiS dataset costs ~30 ms and ~1.4k
+// allocations; its pages fill ~17 MB of slabs and the bulk load's index
+// entry lists ~8 MB more. A sweep that wants a fresh dataset repeats it
+// for every replication. Seal captures a populated engine — the sealed
 // MemStore pages plus every piece of mutable engine state (buffer-pool
 // residency in exact LRU order, meter, WAL position, per-table
 // heap/B-tree cursors) — as an immutable Golden. NewView then builds a
@@ -21,7 +23,10 @@ import (
 // a fresh population and diverges privately. Rearm rewinds a released
 // view back to the sealed state, recycling its private pages and frames
 // through the free lists, which makes the steady-state attach path
-// allocation-free.
+// allocation-free. Close ends a golden nobody will attach again: its
+// slabs and its views' go back to slabPool for the next population, and
+// the bulk load's entry lists already went back to entryPool when its
+// BulkWriters closed.
 
 // walState captures the WAL position at seal time. buffered matters:
 // group-commit flush timing after attach must match what a fresh
@@ -65,6 +70,11 @@ type Golden struct {
 	// future eviction sequence) matches a fresh population exactly.
 	residents []PageID
 	tables    []tableState
+	// views lists every engine NewView built, so Close can recycle
+	// their private pages too and cut them off from the golden's.
+	// Views are built concurrently, so mu guards the list.
+	mu    sync.Mutex
+	views []*Engine
 }
 
 // Seal freezes the engine into a Golden snapshot. All dirty pages are
@@ -127,6 +137,7 @@ func (e *Engine) Seal() (*Golden, error) {
 // Digest hashes every sealed page with its id, in (file, page) order.
 // No view may ever change it.
 func (g *Golden) Digest() [32]byte {
+	g.mustBeOpen("Digest")
 	h := sha256.New()
 	var id [8]byte
 	for file, pages := range g.store.pages.files {
@@ -145,8 +156,10 @@ func (g *Golden) Digest() [32]byte {
 // NewView builds a fresh copy-on-write engine over the snapshot. Views
 // are independent: each has its own buffer pool, meter, WAL, and private
 // page set, so concurrent views never observe each other. For the
-// allocation-free path, recycle a finished view with Rearm instead.
+// allocation-free path, recycle a finished view with Rearm instead: the
+// golden keeps every view it built until Close.
 func (g *Golden) NewView() *Engine {
+	g.mustBeOpen("NewView")
 	meter := &Meter{}
 	cow := &cowStore{golden: g.store}
 	pool := NewBufferPool(cow, g.capacity, meter)
@@ -178,6 +191,9 @@ func (g *Golden) NewView() *Engine {
 		e.tables[ts.name] = t
 		e.tableOrder = append(e.tableOrder, t)
 	}
+	g.mu.Lock()
+	g.views = append(g.views, e)
+	g.mu.Unlock()
 	g.Rearm(e)
 	return e
 }
@@ -189,6 +205,7 @@ func (g *Golden) NewView() *Engine {
 // nothing, which is what makes replication attach effectively free.
 // The view must be quiescent (no outstanding frame references).
 func (g *Golden) Rearm(e *Engine) {
+	g.mustBeOpen("Rearm")
 	cow := e.store.(*cowStore)
 	cow.reset()
 	e.pool.dropAllFrames()
@@ -218,6 +235,45 @@ func (g *Golden) Rearm(e *Engine) {
 			t.secs[j].root = ts.secRoots[j]
 			t.secs[j].size = ts.secSizes[j]
 		}
+	}
+}
+
+// Close ends the snapshot and recycles its memory: every view NewView
+// built loses its frames and private pages, and the slabs behind those
+// and the golden's own pages go back to slabPool, where the next
+// population or view reuses them. Only a golden nobody attaches again
+// may be closed, and no view may hold a pinned page. Afterwards NewView,
+// Rearm and Digest panic, and a view's page reads fail: every page would
+// otherwise alias recycled bytes. A second Close does nothing.
+func (g *Golden) Close() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.store.closed {
+		return
+	}
+	for _, v := range g.views {
+		for f := v.pool.lru.next; f != &v.pool.lru; f = f.next {
+			if f.pins != 0 {
+				panic(fmt.Sprintf("rubisdb: Close with page %v still pinned by a view", f.id))
+			}
+		}
+	}
+	for _, v := range g.views {
+		v.pool.dropAllFrames()
+		cow := v.store.(*cowStore)
+		cow.reset()
+		cow.slab.release()
+	}
+	g.views = nil
+	g.store.slab.release()
+	g.store.pages = pageDir[Page]{}
+	g.store.closed = true
+}
+
+// mustBeOpen panics when g was closed: its pages are recycled.
+func (g *Golden) mustBeOpen(op string) {
+	if g.store.closed {
+		panic("rubisdb: " + op + " on a closed golden snapshot")
 	}
 }
 
@@ -276,6 +332,9 @@ func (c *cowStore) Page(id PageID) (Page, bool, error) {
 	if p := c.golden.pages.at(id); p != nil {
 		return p, true, nil
 	}
+	if c.golden.closed {
+		return nil, false, fmt.Errorf("rubisdb: read of page %v from a closed golden snapshot", id)
+	}
 	return nil, false, fmt.Errorf("rubisdb: page %v not found", id)
 }
 
@@ -301,6 +360,9 @@ func (c *cowStore) WriteBack(id PageID) error {
 // Allocate implements Store: new pages extend the view privately. The
 // buffer is cleared because recycled pages carry stale bytes.
 func (c *cowStore) Allocate(file uint32) (PageID, Page) {
+	if c.golden.closed {
+		panic(fmt.Sprintf("rubisdb: Allocate in file %d on a view of a closed golden snapshot", file))
+	}
 	id := PageID{File: file, PageNo: c.PageCount(file)}
 	p := c.slab.take()
 	clear(p)

@@ -343,10 +343,11 @@ func (w *RowWriter) Insert() (RID, error) {
 }
 
 // entrySort holds the counting sort's scratch, so one BulkWriter.Close
-// reuses it across all of a table's secondary indexes.
+// reuses it across all of a table's secondary indexes. out comes from
+// entryPool on first use; the caller hands it back.
 type entrySort struct {
 	counts []int32
-	out    []Entry
+	out    *[]Entry
 }
 
 // sortEntriesByKey sorts index entries by (Key, Value). A BulkWriter
@@ -386,8 +387,11 @@ func (s *entrySort) sortEntriesByKey(entries []Entry) {
 	for i := 1; i < len(counts); i++ {
 		counts[i] += counts[i-1]
 	}
-	out := slices.Grow(s.out[:0], len(entries))[:len(entries)]
-	s.out = out
+	if s.out == nil {
+		s.out = getEntries(len(entries))
+	}
+	out := slices.Grow((*s.out)[:0], len(entries))[:len(entries)]
+	*s.out = out
 	for _, e := range entries {
 		c := uint64(e.Key) - uint64(lo)
 		out[counts[c]] = e

@@ -2,6 +2,7 @@ package sysstat
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -393,5 +394,22 @@ func BenchmarkCollectorSample(b *testing.B) {
 			rewindSeries(c)
 		}
 		c.sample(0)
+	}
+}
+
+// BenchmarkNewCollectorFullCatalog builds a collector over 12 targets
+// with the full catalog kept: 12 x (4 headline + 182 catalog) = 2,232
+// series registered in one set, each checked for a duplicate name.
+func BenchmarkNewCollectorFullCatalog(b *testing.B) {
+	k := sim.NewKernel()
+	targets := make([]Target, 12)
+	for i := range targets {
+		targets[i] = Target{Name: fmt.Sprintf("vm%d", i), Snap: func() Snapshot { return Snapshot{Cores: 2, FreqHz: 2.8e9} }}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if c := NewCollector(k, true, targets...); len(c.Series().All()) != 12*(len(Resources())+CatalogSize) {
+			b.Fatalf("%d series", len(c.Series().All()))
+		}
 	}
 }

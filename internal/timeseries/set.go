@@ -5,12 +5,16 @@ package timeseries
 // order is the registration order, which is the CSV column order.
 type Set struct {
 	series []*Series
+	// byName indexes series by name, so Add's duplicate check and
+	// ByName cost the same for a full catalog's thousands of series as
+	// for a handful.
+	byName map[string]*Series
 }
 
 // NewSet lists the given series, in order, keeping the slice. It
 // panics on a duplicate name, as Add does.
 func NewSet(series ...*Series) *Set {
-	s := &Set{series: series[:0]}
+	s := &Set{series: series[:0], byName: make(map[string]*Series, len(series))}
 	for _, x := range series {
 		s.Add(x) // appends x into the slot it already holds
 	}
@@ -20,9 +24,13 @@ func NewSet(series ...*Series) *Set {
 // Add appends x. A duplicate name panics: readers look series up by
 // name, so a second one would be unreachable.
 func (s *Set) Add(x *Series) {
-	if s.ByName(x.Name) != nil {
+	if _, dup := s.byName[x.Name]; dup {
 		panic("timeseries: series " + x.Name + " registered twice")
 	}
+	if s.byName == nil {
+		s.byName = make(map[string]*Series)
+	}
+	s.byName[x.Name] = x
 	s.series = append(s.series, x)
 }
 
@@ -36,12 +44,7 @@ func (s *Set) ByName(name string) *Series {
 	if s == nil {
 		return nil
 	}
-	for _, x := range s.series {
-		if x.Name == name {
-			return x
-		}
-	}
-	return nil
+	return s.byName[name]
 }
 
 // Windows reports the number of samples each series holds, read off
