@@ -109,6 +109,11 @@ type QueryCost struct {
 	ReplyBytes float64
 }
 
+// MaxQueries bounds the DB calls one interaction issues (AboutMe issues
+// the most). ExecuteInto sizes a fresh Result's Queries to it, so a
+// Result reused across interactions never regrows its query buffer.
+const MaxQueries = 4
+
 // Result is the full cost breakdown of one executed interaction.
 type Result struct {
 	Interaction   Interaction
@@ -220,11 +225,16 @@ func (a *App) Execute(kind Interaction, sess *Session, r *rng.Stream, params Cos
 }
 
 // ExecuteInto is Execute writing into a caller-owned Result, resetting
-// it first and reusing its Queries backing array. The closed-loop driver
-// keeps one Result per client and recycles it every interaction, so the
-// steady-state request path does not allocate a cost breakdown per page.
+// it first and reusing its Queries backing array; a Result with no
+// buffer yet gets one of MaxQueries once. The drivers keep one Result
+// per session and recycle it every interaction, so the steady-state
+// request path does not allocate a cost breakdown per page.
 func (a *App) ExecuteInto(res *Result, kind Interaction, sess *Session, r *rng.Stream, params CostParams) error {
-	*res = Result{Interaction: kind, Queries: res.Queries[:0]}
+	qs := res.Queries[:0]
+	if cap(qs) == 0 {
+		qs = make([]QueryCost, 0, MaxQueries)
+	}
+	*res = Result{Interaction: kind, Queries: qs}
 	rowsListed := 0.0
 
 	switch kind {

@@ -85,6 +85,9 @@ func TestAllInteractionsExecute(t *testing.T) {
 		if res.ResponseBytes <= 0 || res.RequestBytes <= 0 {
 			t.Fatalf("%s: missing transfer sizes", kind)
 		}
+		if n, c := len(res.Queries), cap(res.Queries); n > MaxQueries || c != MaxQueries {
+			t.Fatalf("%s: %d queries in a buffer of %d, want at most MaxQueries=%d in one of MaxQueries", kind, n, c, MaxQueries)
+		}
 		for qi, q := range res.Queries {
 			if q.Receipt.CPUCycles <= 0 {
 				t.Fatalf("%s query %d: no DB cycles", kind, qi)

@@ -448,9 +448,12 @@ func aggregateSeries(reps []*experiment.Result) []SeriesAggregate {
 	return out
 }
 
+// summarize reads the mean and standard deviation through
+// stats.MeanStd, the arithmetic stats.Summarize uses, without the sorted
+// copy Summarize makes for quantiles no metric reports.
 func summarize(xs []float64) Metric {
-	s := stats.Summarize(xs)
-	m := Metric{N: s.N, Mean: s.Mean, Std: s.Std}
+	m := Metric{N: len(xs)}
+	m.Mean, m.Std = stats.MeanStd(xs)
 	if m.N > 1 {
 		m.CI95 = tCritical95(m.N-1) * m.Std / math.Sqrt(float64(m.N))
 	}

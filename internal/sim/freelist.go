@@ -36,3 +36,6 @@ func (f *FreeList[T]) Put(x *T) {
 func (f *FreeList[T]) PutReset(x *T) {
 	f.items = append(f.items, x)
 }
+
+// Len reports how many items are parked.
+func (f *FreeList[T]) Len() int { return len(f.items) }

@@ -41,11 +41,11 @@ func Summarize(xs []float64) Summary {
 	if s.N == 0 {
 		return s
 	}
-	sum := 0.0
+	var ss float64
+	s.Mean, ss = meanSS(xs)
 	s.Min = xs[0]
 	s.Max = xs[0]
 	for _, x := range xs {
-		sum += x
 		if x < s.Min {
 			s.Min = x
 		}
@@ -53,18 +53,15 @@ func Summarize(xs []float64) Summary {
 			s.Max = x
 		}
 	}
-	s.Mean = sum / float64(s.N)
 	if s.N > 1 {
-		ss := 0.0
-		cube := 0.0
-		for _, x := range xs {
-			d := x - s.Mean
-			ss += d * d
-			cube += d * d * d
-		}
 		s.Variance = ss / float64(s.N-1)
 		s.Std = math.Sqrt(s.Variance)
 		if s.Std > 0 && s.N > 2 {
+			cube := 0.0
+			for _, x := range xs {
+				d := x - s.Mean
+				cube += d * d * d
+			}
 			n := float64(s.N)
 			m3 := cube / n
 			m2 := ss / n
@@ -83,6 +80,38 @@ func Summarize(xs []float64) Summary {
 	s.P95 = quantileSorted(sorted, 0.95)
 	s.P99 = quantileSorted(sorted, 0.99)
 	return s
+}
+
+// MeanStd returns the arithmetic mean of xs and its unbiased (n-1)
+// standard deviation (0 for fewer than two samples, and both 0 for
+// none). It reads the sample once more and copies nothing, and it
+// shares Summarize's arithmetic, so its results equal Summarize's Mean
+// and Std bit for bit.
+func MeanStd(xs []float64) (mean, std float64) {
+	if len(xs) == 0 {
+		return 0, 0
+	}
+	mean, ss := meanSS(xs)
+	if len(xs) > 1 {
+		std = math.Sqrt(ss / float64(len(xs)-1))
+	}
+	return mean, std
+}
+
+// meanSS returns the mean of a non-empty xs and the sum of squared
+// deviations from it, summed in order: the two sums Summarize's mean,
+// variance and skewness and MeanStd's results are built on.
+func meanSS(xs []float64) (mean, ss float64) {
+	sum := 0.0
+	for _, x := range xs {
+		sum += x
+	}
+	mean = sum / float64(len(xs))
+	for _, x := range xs {
+		d := x - mean
+		ss += d * d
+	}
+	return mean, ss
 }
 
 // Quantile returns the q-quantile of xs with linear interpolation.

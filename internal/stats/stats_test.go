@@ -268,3 +268,24 @@ func TestPropertyAutocorrelationBounded(t *testing.T) {
 		}
 	}
 }
+
+// TestMeanStdMatchesSummarize pins MeanStd to Summarize's Mean and Std
+// bit for bit, for every sample size that takes a different branch and
+// for long samples whose sums round, and pins that it copies nothing.
+func TestMeanStdMatchesSummarize(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 1, 2, 3, 10, 997} {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = r.ExpFloat64() * 1e3
+		}
+		s := Summarize(xs)
+		mean, std := MeanStd(xs)
+		if math.Float64bits(mean) != math.Float64bits(s.Mean) || math.Float64bits(std) != math.Float64bits(s.Std) {
+			t.Fatalf("n=%d: MeanStd = (%v, %v), Summarize = (%v, %v)", n, mean, std, s.Mean, s.Std)
+		}
+		if allocs := testing.AllocsPerRun(10, func() { MeanStd(xs) }); allocs != 0 {
+			t.Fatalf("n=%d: MeanStd allocates %v times", n, allocs)
+		}
+	}
+}

@@ -7,7 +7,7 @@ import "testing"
 // reservoir append. The CI bench-smoke job gates this at 0 allocs/op
 // beside the kernel ticker and arrival-scheduling gates.
 func BenchmarkLatencyRecord(b *testing.B) {
-	rec := NewRecorder(2, 0, true)
+	rec := NewRecorder(2, 0)
 	v := 0.0001
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -30,7 +30,7 @@ func BenchmarkLatencyRecord(b *testing.B) {
 // covers the benchmark's windows, as experiment.Run's duration-derived
 // hint covers a run's).
 func BenchmarkWindowRotate(b *testing.B) {
-	rec := NewRecorder(2, b.N+1, true)
+	rec := NewRecorder(2, b.N+1)
 	var retries uint64
 	rec.Counter(Retries, "retries/window", func() uint64 { return retries })
 	rec.Gauge(QueueDepth, "writes", func() float64 { return float64(retries & 7) })

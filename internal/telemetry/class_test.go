@@ -64,7 +64,7 @@ func TestHistExcessAboveOracle(t *testing.T) {
 // read-write observations land in their own histograms and window p95
 // series while the combined histogram sees everything once.
 func TestRecorderClassAttribution(t *testing.T) {
-	r := NewRecorder(2.0, 4, false)
+	r := NewRecorder(2.0, 4)
 	for i := 0; i < 40; i++ {
 		r.Record(0.010, false) // fast reads
 	}
@@ -108,7 +108,7 @@ func TestRecorderClassAttribution(t *testing.T) {
 // the abandoned histogram is a subset and the per-window Abandoned
 // series counts the window's driven-away sessions.
 func TestRecorderAbandonAccounting(t *testing.T) {
-	r := NewRecorder(2.0, 4, false)
+	r := NewRecorder(2.0, 4)
 	for i := 0; i < 20; i++ {
 		r.Record(0.050, false)
 	}
@@ -144,7 +144,7 @@ func TestRecorderAbandonAccounting(t *testing.T) {
 // Gauge is registered, samples it at every window boundary, and
 // follows the core series.
 func TestReplicaGaugeSeries(t *testing.T) {
-	r := NewRecorder(2.0, 4, false)
+	r := NewRecorder(2.0, 4)
 	if r.Series().ByName(Replicas) != nil {
 		t.Fatal("replicas series must be absent until registered")
 	}

@@ -25,8 +25,9 @@
 //
 // Hist is a fixed-size value type: Record is pure arithmetic on
 // embedded arrays (0 allocs/op, CI-gated via BenchmarkLatencyRecord).
-// The Recorder's per-interaction bank allocates each kind's Hist on
-// that kind's first record and never again. Recorder rotation appends
+// The Recorder's per-interaction bank takes each kind's Hist from a
+// pool on that kind's first record, and its exact reservoir comes from
+// a pool at full size; Recorder.Release hands both back. Recorder rotation appends
 // one sample to each preallocated series; with a capacity hint
 // covering the run it is also allocation-free (BenchmarkWindowRotate).
 package telemetry

@@ -12,7 +12,7 @@ import (
 // (including the classic -1 "no attribution") only feed the combined
 // histograms, and the bank never double-counts the run total.
 func TestRecorderKindAttribution(t *testing.T) {
-	r := NewRecorder(2.0, 4, false)
+	r := NewRecorder(2.0, 4)
 	for i := 0; i < 30; i++ {
 		r.RecordKind(0.010, false, 3) // a fast read page
 	}
@@ -50,7 +50,7 @@ func TestRecorderKindAttribution(t *testing.T) {
 // TestRecorderKindSurvivesRotation pins that the bank is run-level:
 // window rotation must not reset per-kind histograms.
 func TestRecorderKindSurvivesRotation(t *testing.T) {
-	r := NewRecorder(2.0, 4, false)
+	r := NewRecorder(2.0, 4)
 	r.RecordKind(0.020, false, 5)
 	r.Rotate(0)
 	r.RecordKind(0.020, false, 5)
@@ -65,7 +65,7 @@ func TestRecorderKindSurvivesRotation(t *testing.T) {
 // kind's first record allocates its histogram, so every kind is
 // recorded once before the gate: the steady state allocates nothing.
 func TestRecorderKindZeroAlloc(t *testing.T) {
-	rec := NewRecorder(2, 0, true)
+	rec := NewRecorder(2, 0)
 	for kind := 0; kind < MaxKinds; kind++ {
 		rec.RecordKind(0.001, false, kind)
 	}
@@ -82,11 +82,13 @@ func TestRecorderKindZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestRecorderKindHistsAreLazy pins that the bank allocates a kind's
+// TestRecorderKindHistsAreLazy pins that the bank takes a kind's
 // histogram only on its first record: a kind never recorded reads as
 // the one shared empty histogram, and a recorded kind gets its own.
+// The histogram comes from a pool, so a first record allocates at most
+// once: never when a released recorder left one to recycle.
 func TestRecorderKindHistsAreLazy(t *testing.T) {
-	r := NewRecorder(2, 0, true)
+	r := NewRecorder(2, 0)
 	empty := r.KindHist(0)
 	if empty != r.KindHist(MaxKinds-1) || empty.Count() != 0 {
 		t.Fatal("unrecorded kinds must share one empty histogram")
@@ -96,8 +98,8 @@ func TestRecorderKindHistsAreLazy(t *testing.T) {
 		r.RecordKind(0.010, false, kind)
 		kind++
 	})
-	if allocs != 1 {
-		t.Fatalf("a kind's first record makes %v allocations, want 1 (its histogram)", allocs)
+	if allocs > 1 {
+		t.Fatalf("a kind's first record makes %v allocations, want at most 1 (its histogram)", allocs)
 	}
 	for k := 0; k < MaxKinds; k++ {
 		if h := r.KindHist(k); h == empty || h.Count() != 1 {
@@ -107,4 +109,57 @@ func TestRecorderKindHistsAreLazy(t *testing.T) {
 	if empty.Count() != 0 {
 		t.Fatalf("shared empty histogram holds %d observations", empty.Count())
 	}
+}
+
+// TestRecorderReleaseRecyclesBuffers pins what Release hands back: the
+// per-kind histograms reset to the zero Hist, and a reservoir that the
+// next recorder starts empty, so recycling never leaks one run's
+// observations into another. Recording after Release panics.
+func TestRecorderReleaseRecyclesBuffers(t *testing.T) {
+	r := NewRecorder(2, 0)
+	for i := 0; i < 100; i++ {
+		r.RecordKind(0.001*float64(i+1), i%3 == 0, i%5)
+	}
+	if r.Quantile(0.5) == 0 {
+		t.Fatal("recorder holds no observations; the check would be vacuous")
+	}
+	var hists []*Hist
+	for k := 0; k < 5; k++ {
+		hists = append(hists, r.kind[k])
+	}
+	r.Release()
+	for k, h := range hists {
+		if *h != (Hist{}) {
+			t.Fatalf("kind %d's released histogram is not the zero Hist", k)
+		}
+		if r.kind[k] != nil {
+			t.Fatalf("kind %d still referenced after Release", k)
+		}
+	}
+	if r.exact != nil {
+		t.Fatal("reservoir still referenced after Release")
+	}
+
+	next := NewRecorder(2, 0)
+	if got := next.ExactLen(); got != 0 {
+		t.Fatalf("recycled reservoir holds %d observations, want 0", got)
+	}
+	if got := cap(next.exact); got != DefaultExactCap {
+		t.Fatalf("recycled reservoir has capacity %d, want %d", got, DefaultExactCap)
+	}
+	next.RecordKind(0.25, false, 2)
+	if got := next.KindHist(2).Count(); got != 1 {
+		t.Fatalf("recycled kind histogram counts %d observations, want 1", got)
+	}
+	if got := next.Quantile(0.5); got != 0.25 {
+		t.Fatalf("median %v after one observation, want 0.25", got)
+	}
+	next.Release()
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("recording into a released recorder did not panic")
+		}
+	}()
+	r.Record(0.01, false)
 }

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"sort"
+	"sync"
 
 	"vwchar/internal/timeseries"
 )
@@ -57,6 +58,19 @@ const MaxKinds = 32
 // recorded. It is shared and read-only.
 var noHist Hist
 
+// reservoir is the backing array of a Recorder's exact reservoir.
+type reservoir [DefaultExactCap]float64
+
+// reservoirs and kindHists recycle the run-scoped buffers of released
+// recorders (Recorder.Release), so a sweep's runs stop allocating a
+// 256 KB reservoir and a ~12 KB histogram per recorded kind each. A
+// buffer is reset before it is parked: only its memory is reused, never
+// its contents.
+var (
+	reservoirs = sync.Pool{New: func() any { return new(reservoir) }}
+	kindHists  = sync.Pool{New: func() any { return new(Hist) }}
+)
+
 // Recorder accumulates response-time observations and closes one
 // window per Rotate call, appending one sample to every registered
 // series. The caller rotates it from the sysstat collector's sampling
@@ -81,17 +95,16 @@ type Recorder struct {
 
 	// kind is the per-interaction run-level histogram bank, indexed by
 	// the dense kind index stamped into every rubis.Result. Each Hist
-	// is allocated on its kind's first record: a run records only the
-	// kinds its mix reaches.
+	// is taken from kindHists on its kind's first record: a run records
+	// only the kinds its mix reaches.
 	kind [MaxKinds]*Hist
 
 	// exact is the bounded exact reservoir backing small-count
-	// run-level quantiles; sorted tracks whether it is currently in
-	// ascending order (Quantile sorts it in place and records resume
-	// appending, dirtying it again).
-	exact    []float64
-	exactCap int
-	sorted   bool
+	// run-level quantiles, a slice of a pooled reservoir; sorted tracks
+	// whether it is currently in ascending order (Quantile sorts it in
+	// place and records resume appending, dirtying it again).
+	exact  []float64
+	sorted bool
 
 	// starts, ends and abandons are cumulative, differenced per window
 	// by the core Counters; inflight is the gauge Rotate was handed.
@@ -107,15 +120,13 @@ type Recorder struct {
 // NewRecorder builds a recorder with the given window length in
 // seconds and a capacity hint in windows (how many Rotate calls the
 // run is expected to make; rotation never allocates while within the
-// hint). prealloc reserves the exact reservoir up front so steady-state
-// recording never allocates either — the open-loop driver's zero-alloc
-// discipline. The core series are registered here; components append
-// theirs with Counter and Gauge.
-func NewRecorder(windowSec float64, windowHint int, prealloc bool) *Recorder {
-	r := &Recorder{windowSec: windowSec, windowHint: windowHint, exactCap: DefaultExactCap, series: new(timeseries.Set)}
-	if prealloc {
-		r.exact = make([]float64, 0, r.exactCap)
-	}
+// hint). The exact reservoir comes from a pool at its full size, so
+// steady-state recording never allocates either; Release hands it
+// back. The core series are registered here; components append theirs
+// with Counter and Gauge.
+func NewRecorder(windowSec float64, windowHint int) *Recorder {
+	r := &Recorder{windowSec: windowSec, windowHint: windowHint, series: new(timeseries.Set)}
+	r.exact = reservoirs.Get().(*reservoir)[:0]
 	ms := func(h *Hist, q float64) func() float64 {
 		return func() float64 { return h.Quantile(q) * 1e3 }
 	}
@@ -179,8 +190,7 @@ func WindowShare(part, rest func() uint64, idle float64) func() float64 {
 }
 
 // Record adds one response-time observation in seconds, attributed to
-// its interaction class (isWrite selects read-write). Allocation-free
-// once the reservoir is at capacity (or was preallocated).
+// its interaction class (isWrite selects read-write). Allocation-free.
 func (r *Recorder) Record(rt float64, isWrite bool) {
 	r.RecordKind(rt, isWrite, -1)
 }
@@ -188,8 +198,8 @@ func (r *Recorder) Record(rt float64, isWrite bool) {
 // RecordKind is Record with per-interaction attribution: kind is the
 // dense rubis kind index (out-of-range skips the bank, so callers
 // without attribution pass -1). Still one logarithm per observation;
-// the first record of each kind allocates its histogram, and every
-// later one is allocation-free.
+// the first record of each kind takes its histogram from a pool, and
+// every later one touches no pool. Recording after Release panics.
 func (r *Recorder) RecordKind(rt float64, isWrite bool, kind int) {
 	i := binIndex(rt)
 	r.win.recordAt(rt, i)
@@ -203,14 +213,35 @@ func (r *Recorder) RecordKind(rt float64, isWrite bool, kind int) {
 	if kind >= 0 && kind < MaxKinds {
 		h := r.kind[kind]
 		if h == nil {
-			h = new(Hist)
+			h = kindHists.Get().(*Hist)
 			r.kind[kind] = h
 		}
 		h.recordAt(rt, i)
 	}
-	if len(r.exact) < r.exactCap {
-		r.exact = append(r.exact, rt)
+	if n := len(r.exact); n < DefaultExactCap {
+		// Reslicing, not append: a released recorder's nil reservoir
+		// panics here instead of quietly growing a new one.
+		r.exact = r.exact[:n+1]
+		r.exact[n] = rt
 		r.sorted = false
+	}
+}
+
+// Release hands the reservoir and the per-kind histograms back to
+// their pools, reset, and clears the recorder's references to them, so
+// recording afterwards panics. The window series are not pooled: a
+// reader may keep Series after Release. Everything else read from the
+// recorder (quantiles, histograms) must be read, or copied, first.
+func (r *Recorder) Release() {
+	reservoirs.Put((*reservoir)(r.exact[:DefaultExactCap]))
+	r.exact, r.sorted = nil, false
+	for i, h := range r.kind {
+		if h != nil {
+			h.Reset()
+			h.lo, h.hi = 0, 0
+			kindHists.Put(h)
+			r.kind[i] = nil
+		}
 	}
 }
 

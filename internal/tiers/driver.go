@@ -95,33 +95,38 @@ type session struct {
 type clientStreams struct{ think, pick *rng.Stream }
 
 // newDriver holds the state both constructors share. The recorder's
-// windows match the sysstat sampling period; prealloc reserves its
-// exact reservoir up front so steady-state observation never allocates
-// (the open loop's zero-alloc discipline). The series themselves are
-// sized later, when experiment.Run calls the recorder's ReserveWindows
-// with the duration-derived window count.
-func newDriver(k *sim.Kernel, app *rubis.App, model rubis.Model, web Frontend, costs rubis.CostParams, prealloc bool) *Driver {
+// windows match the sysstat sampling period; its exact reservoir comes
+// from telemetry's pool at full size, so steady-state observation never
+// allocates. The series themselves are sized later, when
+// experiment.Run calls the recorder's ReserveWindows with the
+// duration-derived window count.
+func newDriver(k *sim.Kernel, app *rubis.App, model rubis.Model, web Frontend, costs rubis.CostParams) *Driver {
 	return &Driver{
 		k:     k,
 		app:   app,
 		model: model,
 		web:   web,
 		costs: costs,
-		rec:   telemetry.NewRecorder(sysstat.SampleInterval.Sec(), 0, prealloc),
+		rec:   telemetry.NewRecorder(sysstat.SampleInterval.Sec(), 0),
 	}
 }
 
 // NewDriver builds a closed-loop driver for n clients using independent
-// named substreams from src.
+// named substreams from src. Every client's query buffer is carved from
+// one backing array of rubis.MaxQueries slots per client, capped so no
+// client's appends reach its neighbour's.
 func NewDriver(k *sim.Kernel, app *rubis.App, model rubis.Model, web Frontend, costs rubis.CostParams, n int, src *rng.Source) *Driver {
-	d := newDriver(k, app, model, web, costs, false)
+	d := newDriver(k, app, model, web, costs)
 	d.clients = make([]session, n)
 	d.streams = make([]clientStreams, n)
+	queries := make([]rubis.QueryCost, n*rubis.MaxQueries)
 	for i := range d.clients {
 		think, pick := clientSeeds(src, i)
 		d.streams[i] = clientStreams{think: rng.NewStream(think), pick: rng.NewStream(pick)}
 		s := &d.clients[i]
 		s.id = int32(i)
+		q := i * rubis.MaxQueries
+		s.res.Queries = queries[q:q:q+rubis.MaxQueries]
 		d.begin(s, int64(i))
 	}
 	return d
@@ -154,8 +159,10 @@ func (d *Driver) begin(s *session, id int64) {
 
 // Release hands every stream the driver owns back to rng for reuse by
 // later drivers and clears it, so a stale draw panics rather than
-// reading another run's stream. The driver must not run or be released
-// again.
+// reading another run's stream. The recorder's reservoir and histograms
+// go back to telemetry's pools, and the open loop's parked sessions to
+// the pool the next open-loop driver draws from. The driver must not
+// run or be released again.
 func (d *Driver) Release() {
 	for i := range d.streams {
 		c := &d.streams[i]
@@ -170,6 +177,10 @@ func (d *Driver) Release() {
 		d.life.Release()
 		d.arrive, d.life = nil, nil
 	}
+	for d.sessFree.Len() > 0 {
+		parkedSessions.Put(d.sessFree.Get())
+	}
+	d.rec.Release()
 }
 
 // Start schedules the first events: the first arrival in the open

@@ -57,12 +57,13 @@ func TestDriverReleaseRecyclesStreams(t *testing.T) {
 	again.Release()
 
 	// With the streams recycled, the clients cost only the driver's
-	// session and stream slices: any stream allocation would add two
-	// more per client.
+	// session and stream slices and their shared query buffer: any
+	// stream allocation would add two more per client, and a query
+	// buffer per client one more.
 	base := testing.AllocsPerRun(5, func() { build(0).Release() })
 	full := testing.AllocsPerRun(5, func() { build(n).Release() })
-	if extra := full - base; extra > 2 {
-		t.Fatalf("NewDriver(%d) after Release: %v allocs beyond an empty driver, want <= 2 (the two client slices)", n, extra)
+	if extra := full - base; extra > 3 {
+		t.Fatalf("NewDriver(%d) after Release: %v allocs beyond an empty driver, want <= 3 (the two client slices and the query buffer)", n, extra)
 	}
 
 	// The open loop owns three streams, its shared behave pair being
@@ -102,10 +103,18 @@ func TestReleasedDriverPanicsOnDraw(t *testing.T) {
 	}
 }
 
-// newStubDriverRig is the driver's allocation test bed: static pages
+// browsingModel walks the read-only browsing mix with staticModel's
+// short think time: most of its pages carry DB queries, so every
+// session fills its query buffer, yet no page writes.
+type browsingModel struct{ rubis.Model }
+
+func (browsingModel) ThinkSeconds(r *rng.Stream) float64 { return r.Exp(0.5) }
+
+// newStubDriverRig is the driver's allocation test bed: browsing pages
 // over a null web tier, so the only work per event is the driver's own
-// scheduling. closed selects 100 closed-loop clients; otherwise a
-// bursty open-loop crowd arrives with a ramp.
+// scheduling and the app's read queries. closed selects 100
+// closed-loop clients; otherwise a bursty open-loop crowd arrives with
+// a ramp.
 func newStubDriverRig(tb testing.TB, closed bool) (*sim.Kernel, *Driver) {
 	tb.Helper()
 	k := sim.NewKernel()
@@ -117,8 +126,9 @@ func newStubDriverRig(tb testing.TB, closed bool) (*sim.Kernel, *Driver) {
 	srv := hw.NewServer(k, hw.ProLiantSpec("stub"))
 	be := &nullBackend{k: k, os: osmodel.New("stub", srv.Mem, 10), mem: srv.Mem}
 	fe := &nullFrontend{k: k, be: be}
+	model := browsingModel{rubis.BrowsingMix()}
 	if closed {
-		return k, NewDriver(k, app, staticModel{}, fe, rubis.DefaultCostParams(), 100, src)
+		return k, NewDriver(k, app, model, fe, rubis.DefaultCostParams(), 100, src)
 	}
 	spec := load.Spec{Kind: load.Bursty, Rate: 20, BurstFactor: 4,
 		BaseDwell: 30, BurstDwell: 10, SessionMean: 8, RampSeconds: 5}
@@ -126,22 +136,22 @@ func newStubDriverRig(tb testing.TB, closed bool) (*sim.Kernel, *Driver) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return k, NewOpenDriver(k, app, staticModel{}, fe, rubis.DefaultCostParams(), p, src)
+	return k, NewOpenDriver(k, app, model, fe, rubis.DefaultCostParams(), p, src)
 }
 
 // warmStubDriver starts the rig and runs it to steady state: the
-// session free list and event pool have seen the peak concurrency, and
-// more requests completed than the recorder's exact reservoir holds,
-// so the closed loop's lazily grown reservoir is at its final size.
+// session free list and event pool have seen the peak concurrency, the
+// tables' read buffers have grown, and more requests completed than
+// the recorder's exact reservoir holds, so it has stopped filling.
 // Deterministic, so no flakiness.
 func warmStubDriver(tb testing.TB, closed bool) *sim.Kernel {
 	tb.Helper()
 	k, drv := newStubDriverRig(tb, closed)
 	drv.Start()
 	k.Run(300 * sim.Second)
-	if drv.Completed <= telemetry.DefaultExactCap || (!closed && drv.Sessions.Finished == 0) {
-		tb.Fatalf("stub rig served %d requests, %d sessions finished; the guard would be vacuous",
-			drv.Completed, drv.Sessions.Finished)
+	if drv.Completed <= telemetry.DefaultExactCap || (!closed && drv.Sessions.Finished == 0) || drv.byKind[rubis.ViewItem] == 0 {
+		tb.Fatalf("stub rig served %d requests (%d ViewItem), %d sessions finished; the guard would be vacuous",
+			drv.Completed, drv.byKind[rubis.ViewItem], drv.Sessions.Finished)
 	}
 	return k
 }
@@ -152,11 +162,12 @@ var driverLoops = []struct {
 }{{"open", false}, {"closed", true}}
 
 // TestDriverSchedulingZeroAlloc pins the acceptance bar for both loops:
-// with the storage engine stubbed out (static pages, null web tier),
-// the whole request loop — think scheduling, issue, response handling,
-// and in the open loop arrival re-arm and session admission and
-// recycling — runs steady state without allocating. The real stack
-// adds engine work on top; the driver itself never allocates. The
+// with the web tier stubbed out (read-only pages, null web tier), the
+// whole request loop — think scheduling, issue with its DB queries,
+// response handling, and in the open loop arrival re-arm and session
+// admission and recycling with the sessions' query buffers — runs
+// steady state without allocating. The real stack adds server work on
+// top; the driver itself never allocates. The
 // guard counts allocations over a whole batch of events, not per
 // event: AllocsPerRun truncates its average, so one allocation every
 // other event would read as zero.
@@ -199,8 +210,8 @@ func BenchmarkDriverSteadyState(b *testing.B) {
 
 // newStatsDriver is a driver with only its accounting wired, for tests
 // that feed observations by hand.
-func newStatsDriver(prealloc bool) *Driver {
-	return newDriver(nil, nil, nil, nil, rubis.CostParams{}, prealloc)
+func newStatsDriver() *Driver {
+	return newDriver(nil, nil, nil, nil, rubis.CostParams{})
 }
 
 // oldReservoirQuantile replicates the computation the driver performed
@@ -227,7 +238,7 @@ func oldReservoirQuantile(respTimes []float64, q float64) float64 {
 // and MeanResponseTime are bit-identical to the old copy-sort-index
 // reservoir computation.
 func TestDriverStatsQuantileMatchesOldExact(t *testing.T) {
-	s := newStatsDriver(false)
+	s := newStatsDriver()
 	r := rng.NewSource(17).Stream("rt")
 	var old []float64
 	sum := 0.0
@@ -254,7 +265,7 @@ func TestDriverStatsQuantileMatchesOldExact(t *testing.T) {
 // ALL observations (the old reservoir silently ignored everything
 // after its 200k-sample cap).
 func TestDriverStatsQuantileBeyondCap(t *testing.T) {
-	s := newStatsDriver(true)
+	s := newStatsDriver()
 	r := rng.NewSource(23).Stream("rt")
 	n := telemetry.DefaultExactCap + 10000
 	all := make([]float64, 0, n)
@@ -286,7 +297,7 @@ func TestDriverStatsQuantileBeyondCap(t *testing.T) {
 // that was open when they happened, and the inflight gauge tracks
 // sent-minus-completed at each boundary.
 func TestDriverStatsWindowChurnSeries(t *testing.T) {
-	s := newStatsDriver(false)
+	s := newStatsDriver()
 
 	s.rec.NoteStart()
 	s.observeSent()

@@ -2,6 +2,7 @@ package tiers
 
 import (
 	"math"
+	"sync"
 
 	"vwchar/internal/load"
 	"vwchar/internal/rng"
@@ -64,10 +65,12 @@ type SessionStats struct {
 // flash crowds and bursty traces show real saturation behaviour.
 //
 // Steady-state scheduling is allocation-free: arrivals re-arm a pooled
-// kernel event via AtCall, sessions recycle through a sim.FreeList, and
-// the response-time reservoir is reserved up front.
+// kernel event via AtCall, sessions recycle through a sim.FreeList with
+// their query buffers, and the response-time reservoir is reserved up
+// front. Sessions outlive the driver: Release parks them in a
+// process-wide pool that later open-loop drivers draw from.
 func NewOpenDriver(k *sim.Kernel, app *rubis.App, model rubis.Model, web Frontend, costs rubis.CostParams, p OpenParams, src *rng.Source) *Driver {
-	d := newDriver(k, app, model, web, costs, true)
+	d := newDriver(k, app, model, web, costs)
 	d.open = p
 	d.arrive = src.Stream("open-arrive")
 	d.life = src.Stream("open-life")
@@ -98,11 +101,22 @@ func openArrive(arg any) {
 	d.armArrival()
 }
 
+// parkedSessions holds the ended sessions of released open-loop
+// drivers. A parked session is reset as endSession leaves it: only its
+// route generation and its query buffer's capacity carry over, so
+// reuse cannot change what a run computes.
+var parkedSessions = sync.Pool{New: func() any { return new(session) }}
+
 // startSession admits one session and issues its first interaction
 // immediately (the arrival is the first page hit). A drawn length past
 // 32 bits is clamped: no run lasts that many interactions.
 func (d *Driver) startSession() {
-	s := d.sessFree.Get()
+	var s *session
+	if d.sessFree.Len() > 0 {
+		s = d.sessFree.Get()
+	} else {
+		s = parkedSessions.Get().(*session)
+	}
 	d.begin(s, d.nextID)
 	d.nextID++
 	s.rt.Reset()
@@ -116,6 +130,13 @@ func (d *Driver) startSession() {
 	d.issue(s)
 }
 
+// endSession retires s and parks it for the next arrival. It parks by
+// hand instead of FreeList.Put, keeping two things Put would zero: the
+// query buffer's capacity, and the route's generation. A straggler
+// admitted under the ended session's generation may still be running
+// server-side; were the slot's generation to restart, the next session
+// on the slot could match it and the straggler would write into the
+// new session's route.
 func (d *Driver) endSession(s *session, abandoned bool) {
 	if abandoned {
 		d.Sessions.Abandoned++
@@ -124,5 +145,9 @@ func (d *Driver) endSession(s *session, abandoned bool) {
 	}
 	d.rec.NoteEnd()
 	d.active--
-	d.sessFree.Put(s)
+	*s = session{
+		rt:  Route{gen: s.rt.gen},
+		res: rubis.Result{Queries: s.res.Queries[:0]},
+	}
+	d.sessFree.PutReset(s)
 }

@@ -519,3 +519,85 @@ func BenchmarkDispatchWithFaults(b *testing.B) {
 		}
 	}
 }
+
+// delayBackend is nullBackend with a configurable CPU stage delay, so
+// one replica can be made slow enough to outlive a guard timeout.
+type delayBackend struct {
+	nullBackend
+	cpu sim.Time
+}
+
+func (b *delayBackend) SubmitCPU(cycles float64, done sim.Callback, arg any) {
+	if done != nil {
+		b.k.AfterCall(b.cpu, done, arg)
+	}
+}
+
+// pinnedFE hands every request to webs[to], so a test decides which
+// replica serves which session.
+type pinnedFE struct {
+	webs []*WebAppServer
+	to   int
+}
+
+func (f *pinnedFE) Dispatch(res *rubis.Result, rt *Route, done sim.Callback, arg any) {
+	f.webs[f.to].HandleRequest(res, rt, done, arg)
+}
+
+// TestRecycledSessionIgnoresStraggler pins that an open-loop session's
+// route generation survives recycling. Session A's try waits in the
+// queue of a one-worker replica until the guard times it out, so A
+// ends and its slot is parked while the try lives on. The next
+// arrival, B, reuses the slot and is served by a second replica. The
+// first replica then crashes and fails A's straggler while B's request
+// is in flight. Had the slot restarted its generation, the straggler
+// would match B's route and stamp its failure on B's served response.
+func TestRecycledSessionIgnoresStraggler(t *testing.T) {
+	k := sim.NewKernel()
+	src := rng.NewSource(77)
+	app, err := rubis.NewApp(smallDataset(), src.Stream("data"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := hw.NewServer(k, hw.ProLiantSpec("stub"))
+	be := func(cpu sim.Time) *delayBackend {
+		return &delayBackend{nullBackend{k: k, os: osmodel.New("stub", srv.Mem, 10), mem: srv.Mem}, cpu}
+	}
+	dbc := NewDBCluster(NewDBServer(k, be(10*sim.Microsecond), app, DefaultDBParams("vm")), nil, 0)
+	paths := []PathPair{{To: stubPath{k}, From: stubPath{k}}}
+	slowParams := DefaultWebParams("vm")
+	slowParams.Workers = 1
+	fe := &pinnedFE{webs: []*WebAppServer{
+		NewWebAppServer(k, be(10*sim.Millisecond), dbc, paths, slowParams),
+		NewWebAppServer(k, be(sim.Millisecond), dbc, paths, DefaultWebParams("vm")),
+	}}
+	g := NewGuard(k, fe, faults.ResilienceSpec{TimeoutMillis: 5, RetryBudget: 1}, src.Stream("resilience-jitter"))
+	ld := load.Spec{Kind: load.Poisson, Rate: 1, SessionMean: 8}
+	p, err := OpenParamsFromSpec(&ld)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drv := NewOpenDriver(k, app, staticModel{}, g, rubis.DefaultCostParams(), p, src)
+
+	// A blocker holds the slow replica's only worker, so A's try queues.
+	var blocker rubis.Result
+	fe.webs[0].HandleRequest(&blocker, nil, nil, nil)
+	drv.startSession() // A: times out at 5 ms and abandons
+	k.AfterCall(6*sim.Millisecond, func(any) {
+		if drv.sessFree.Len() != 1 {
+			t.Fatalf("%d sessions parked when B arrives, want A's", drv.sessFree.Len())
+		}
+		fe.to = 1
+		drv.startSession() // B: served by the fast replica by ~8 ms
+	}, nil)
+	k.AfterCall(6500*sim.Microsecond, func(any) { fe.webs[0].crash() }, nil)
+	k.Run(9 * sim.Millisecond)
+
+	if drv.Sessions.Started != 2 || drv.TimedOut != 1 {
+		t.Fatalf("started %d sessions with %d timeouts, want A timed out and B started", drv.Sessions.Started, drv.TimedOut)
+	}
+	if drv.Completed != 1 || drv.Failed != 0 {
+		t.Fatalf("B's served response counted as %d completed, %d failed; want 1 completed: A's straggler stamped B's route",
+			drv.Completed, drv.Failed)
+	}
+}
