@@ -126,7 +126,7 @@ func NewDriver(k *sim.Kernel, app *rubis.App, model rubis.Model, web Frontend, c
 		s := &d.clients[i]
 		s.id = int32(i)
 		q := i * rubis.MaxQueries
-		s.res.Queries = queries[q:q:q+rubis.MaxQueries]
+		s.res.Queries = queries[q : q : q+rubis.MaxQueries]
 		d.begin(s, int64(i))
 	}
 	return d
