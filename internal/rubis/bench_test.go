@@ -63,18 +63,25 @@ func BenchmarkNewSnapshot(b *testing.B) {
 
 // BenchmarkOwnedSnapshotCycle measures the life of a dataset a run owns:
 // NewSnapshot at the default scale, Attach, Release and Close. Close
-// hands the pages and, earlier, the bulk load's entry lists back to
-// rubisdb's pools, so after the first cycle population reuses them
-// instead of allocating what BenchmarkNewSnapshot reports.
+// hands the pages, frames and page directories and, earlier, the bulk
+// load's scratch back to rubisdb's pools, so after the first cycle
+// population reuses them instead of allocating what
+// BenchmarkNewSnapshot reports. TestOwnedSnapshotCycleAllocs bounds it.
 func BenchmarkOwnedSnapshotCycle(b *testing.B) {
 	cfg := DefaultDataset()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		snap, err := NewSnapshot(cfg, uint64(i)+1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		snap.Attach().Release()
-		snap.Close()
+		ownedSnapshotCycle(b, cfg, uint64(i)+1)
 	}
+}
+
+// ownedSnapshotCycle populates, attaches, releases and closes one
+// dataset a run owns.
+func ownedSnapshotCycle(tb testing.TB, cfg DatasetConfig, seed uint64) {
+	snap, err := NewSnapshot(cfg, seed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	snap.Attach().Release()
+	snap.Close()
 }

@@ -1,7 +1,10 @@
 package rubis
 
 import (
+	"runtime"
+	"runtime/debug"
 	"strings"
+	"sync"
 	"testing"
 
 	"vwchar/internal/rng"
@@ -75,4 +78,56 @@ func TestClosedSnapshotRefusesViews(t *testing.T) {
 	b.Release()
 	snap.Close()
 	mustPanic("Attach after Close", "Attach on a closed snapshot", func() { snap.Attach() })
+}
+
+// TestOwnedSnapshotCycleAllocs bounds BenchmarkOwnedSnapshotCycle's
+// path at 100 allocations per cycle in the steady state, once a few
+// cycles have stocked rubisdb's pools: a cycle then allocates only the
+// engines' and tables' own structs, never per page or per frame (a
+// cycle made ~2,400 allocations while every frame was its own). The
+// pools keep their stock per P and lose it to a collection, so the
+// warm-up and the count both run on one P with the collector off. A
+// build whose sync.Pool drops items at random (the race detector's)
+// cannot stock them, and skips the count.
+func TestOwnedSnapshotCycleAllocs(t *testing.T) {
+	const warm, cycles, perCycle = 3, 10, 100
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if poolDropsItems() {
+		t.Skip("sync.Pool drops items at random in this build, so no pool stays stocked")
+	}
+	cfg := DefaultDataset()
+	seed := uint64(0)
+	for range warm {
+		seed++
+		ownedSnapshotCycle(t, cfg, seed)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range cycles {
+		seed++
+		ownedSnapshotCycle(t, cfg, seed)
+	}
+	runtime.ReadMemStats(&after)
+	n := after.Mallocs - before.Mallocs
+	if n > cycles*perCycle {
+		t.Fatalf("%d allocations in %d owned-snapshot cycles, want at most %d per cycle", n, cycles, perCycle)
+	}
+	t.Logf("%d allocations per owned-snapshot cycle", n/cycles)
+}
+
+// poolDropsItems reports whether a sync.Pool kept on one P with the
+// collector off still loses what it is handed.
+func poolDropsItems() bool {
+	const n = 64
+	var p sync.Pool
+	for range n {
+		p.Put(new(int))
+	}
+	for i := 0; i < n; i++ {
+		if p.Get() == nil {
+			return true
+		}
+	}
+	return false
 }

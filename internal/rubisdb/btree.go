@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"sync"
 )
 
 // B+tree index over (int64 key, uint64 value) pairs, stored in buffer
@@ -63,14 +64,24 @@ type BTree struct {
 
 // NewBTree creates an empty tree in file.
 func NewBTree(pool *BufferPool, file uint32) (*BTree, error) {
+	t := new(BTree)
+	if err := t.create(pool, file); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// create makes t an empty tree in file, rooted at a fresh leaf page.
+func (t *BTree) create(pool *BufferPool, file uint32) error {
 	f, err := pool.NewPage(file)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	initLeaf(f.Page)
 	id := f.ID()
 	f.Unpin(true)
-	return &BTree{pool: pool, file: file, root: id}, nil
+	*t = BTree{pool: pool, file: file, root: id}
+	return nil
 }
 
 // Len reports the number of stored entries.
@@ -498,16 +509,27 @@ func (t *BTree) BulkLoad(entries []Entry) error {
 	return nil
 }
 
+// nodeRef carries one node bulkBuild built up to its parent level: the
+// smallest composite in its subtree plus its page number.
+type nodeRef struct {
+	ek, v uint64
+	page  uint32
+}
+
+// nodeRefPool recycles bulkBuild's level lists across the trees of a
+// population. It holds *[]nodeRef, so a Put boxes nothing.
+var nodeRefPool sync.Pool
+
 // bulkBuild constructs the leaf chain and internal levels for BulkLoad,
 // updating t.root only after the whole tree exists.
 func (t *BTree) bulkBuild(entries []Entry) error {
-	// ref carries one built node up to its parent level: the smallest
-	// composite in its subtree plus its page number.
-	type ref struct {
-		ek, v uint64
-		page  uint32
+	refs, ok := nodeRefPool.Get().(*[]nodeRef)
+	if !ok {
+		refs = new([]nodeRef)
 	}
-	level := make([]ref, 0, (len(entries)+leafBulkFill-1)/leafBulkFill)
+	defer nodeRefPool.Put(refs)
+	level := slices.Grow((*refs)[:0], (len(entries)+leafBulkFill-1)/leafBulkFill)
+	*refs = level
 
 	// Leaf level. The previous leaf stays pinned until the current one
 	// exists so its next pointer can be chained (needs pool capacity 2).
@@ -542,15 +564,17 @@ func (t *BTree) bulkBuild(entries []Entry) error {
 			setLeafNext(prev.Page, f.ID().PageNo)
 			prev.Unpin(true)
 		}
-		level = append(level, ref{encodeKey(entries[off].Key), entries[off].Value, f.ID().PageNo})
+		level = append(level, nodeRef{encodeKey(entries[off].Key), entries[off].Value, f.ID().PageNo})
 		prev = f
 		off += n
 	}
 	prev.Unpin(true)
 
-	// Internal levels, bottom-up until one root remains.
+	// Internal levels, bottom-up until one root remains. Each level is
+	// built in place over the one below: a node's ref is written only
+	// after its group, which starts at or beyond the write, was read.
 	for len(level) > 1 {
-		next := make([]ref, 0, len(level)/(innerMax+1)+1)
+		next := level[:0]
 		for i := 0; i < len(level); {
 			take := min(innerMax+1, len(level)-i)
 			if len(level)-i-take == 1 {
@@ -570,7 +594,7 @@ func (t *BTree) bulkBuild(entries []Entry) error {
 			setNodeCount(f.Page, len(group)-1)
 			pn := f.ID().PageNo
 			f.Unpin(true)
-			next = append(next, ref{group[0].ek, group[0].v, pn})
+			next = append(next, nodeRef{group[0].ek, group[0].v, pn})
 			i += take
 		}
 		level = next

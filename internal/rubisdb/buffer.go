@@ -41,6 +41,11 @@ type Store interface {
 // dataset-population path.
 const pagesPerSlab = 128
 
+// initialSlabs is the slab list's first capacity: 8 MB of pages before
+// the list regrows, so a dataset of a few thousand pages lists its
+// slabs in a couple of allocations rather than one per doubling.
+const initialSlabs = 8
+
 // slab is the backing array of pagesPerSlab page buffers.
 type slab [PageSize * pagesPerSlab]byte
 
@@ -75,6 +80,9 @@ func (s *pageSlab) take() Page {
 			clear(sl[:])
 		} else {
 			sl = new(slab)
+		}
+		if s.slabs == nil {
+			s.slabs = make([]*slab, 0, initialSlabs)
 		}
 		s.slabs = append(s.slabs, sl)
 		s.buf = sl[:]
@@ -112,8 +120,9 @@ type MemStore struct {
 	closed bool
 }
 
-// NewMemStore returns an empty store.
-func NewMemStore() *MemStore { return &MemStore{} }
+// NewMemStore returns an empty store. Its page directory is a recycled
+// one when a closed golden left one behind (Golden.Close).
+func NewMemStore() *MemStore { return &MemStore{pages: pageDirs.get()} }
 
 // Page implements Store.
 func (m *MemStore) Page(id PageID) (Page, bool, error) {
@@ -251,10 +260,30 @@ type BufferPool struct {
 	lru       Frame
 	meter     *Meter
 	freeFrame *Frame // singly linked through next
+	// spare is the uncarved rest of the chunk new frames come from;
+	// carved counts the frames handed out by chunks so far, and chunks
+	// lists the full chunks, which release hands back to frameChunks.
+	spare  []Frame
+	carved int
+	chunks []*frameChunk
 }
 
+// framesPerChunk sizes the chunks frames are carved from: a pool that
+// fills up makes one allocation per 128 frames instead of one per
+// resident page.
+const framesPerChunk = 128
+
+// frameChunk is the backing array of framesPerChunk frames.
+type frameChunk [framesPerChunk]Frame
+
+// frameChunks recycles the full chunks of released pools (a sealed
+// engine's, and a closed golden's views'), zeroed, so the next
+// population and view carve their frames from them.
+var frameChunks sync.Pool
+
 // NewBufferPool builds a pool of capacity pages over store, metering
-// into meter.
+// into meter. Its page directory is a recycled one when a released
+// pool left one behind.
 func NewBufferPool(store Store, capacity int, meter *Meter) *BufferPool {
 	if capacity < 1 {
 		panic("rubisdb: buffer pool needs capacity >= 1")
@@ -263,6 +292,7 @@ func NewBufferPool(store Store, capacity int, meter *Meter) *BufferPool {
 		store:    store,
 		capacity: capacity,
 		meter:    meter,
+		frames:   frameDirs.get(),
 	}
 	b.lru.next = &b.lru
 	b.lru.prev = &b.lru
@@ -301,13 +331,61 @@ func (b *BufferPool) moveToFront(f *Frame) {
 	b.pushFront(f)
 }
 
+// takeFrame returns a zeroed frame: a recycled one from the free list,
+// else the next one carved from the current chunk.
 func (b *BufferPool) takeFrame() *Frame {
 	if f := b.freeFrame; f != nil {
 		b.freeFrame = f.next
 		f.next = nil
 		return f
 	}
-	return &Frame{}
+	if len(b.spare) == 0 {
+		b.spare = b.newChunk()
+	}
+	f := &b.spare[0]
+	b.spare = b.spare[1:]
+	return f
+}
+
+// newChunk returns zeroed frames to carve from: a full chunk, recycled
+// from frameChunks when one is there, while at least that many frames of
+// the capacity are uncarved, and otherwise exactly the rest. Frames only
+// leave a pool for its free list, and a pool holds at most capacity of
+// them at once, so it never carves more than its capacity.
+func (b *BufferPool) newChunk() []Frame {
+	n := b.capacity - b.carved
+	if n < framesPerChunk {
+		n = max(n, 1)
+		b.carved += n
+		return make([]Frame, n)
+	}
+	c, ok := frameChunks.Get().(*frameChunk)
+	if !ok {
+		c = new(frameChunk)
+	}
+	if b.chunks == nil {
+		b.chunks = make([]*frameChunk, 0, b.capacity/framesPerChunk)
+	}
+	b.chunks = append(b.chunks, c)
+	b.carved += framesPerChunk
+	return c[:]
+}
+
+// release hands the pool's full frame chunks back to frameChunks,
+// zeroed, and its page directory to frameDirs, leaving the pool empty:
+// every frame may belong to another pool from then on, so the pool
+// keeps no reference to one. No frame of the pool may be pinned, and
+// its owner must be done with it.
+func (b *BufferPool) release() {
+	for i, c := range b.chunks {
+		*c = frameChunk{}
+		frameChunks.Put(c)
+		b.chunks[i] = nil
+	}
+	frameDirs.put(b.frames)
+	*b = BufferPool{store: b.store, capacity: b.capacity, meter: b.meter}
+	b.lru.next = &b.lru
+	b.lru.prev = &b.lru
 }
 
 // Get pins the page into the pool, loading it on a miss (possibly

@@ -93,18 +93,30 @@ func (e *Engine) CreateTable(name string, schema Schema, pkCol string, secondary
 	}
 	base := e.nextID * filesPerTable
 	e.nextID++
-	pk, err := NewBTree(e.pool, base+1)
-	if err != nil {
+	// The table's indexes are carved from one array.
+	trees := make([]BTree, 1+len(secondaryCols))
+	if err := trees[0].create(e.pool, base+1); err != nil {
 		return nil, err
 	}
-	t := &Table{
-		Name:   name,
-		Schema: schema,
-		id:     base,
-		heap:   NewHeap(e.pool, base),
-		pkCol:  pki,
-		pk:     pk,
-		engine: e,
+	// The table and its heap share one allocation.
+	th := &struct {
+		table Table
+		heap  Heap
+	}{heap: Heap{pool: e.pool, file: base}}
+	t := &th.table
+	*t = Table{
+		Name:       name,
+		Schema:     schema,
+		id:         base,
+		heap:       &th.heap,
+		pkCol:      pki,
+		pk:         &trees[0],
+		engine:     e,
+		rowScratch: make([]byte, 0, rowScratchCap),
+	}
+	if n := len(secondaryCols); n > 0 {
+		t.secCols = make([]int, 0, n)
+		t.secs = make([]*BTree, 0, n)
 	}
 	for i, col := range secondaryCols {
 		ci, err := schema.ColIndex(col)
@@ -114,8 +126,8 @@ func (e *Engine) CreateTable(name string, schema Schema, pkCol string, secondary
 		if schema[ci].Type != TInt64 {
 			return nil, fmt.Errorf("rubisdb: secondary index column %q must be int64", col)
 		}
-		sec, err := NewBTree(e.pool, base+2+uint32(i))
-		if err != nil {
+		sec := &trees[1+i]
+		if err := sec.create(e.pool, base+2+uint32(i)); err != nil {
 			return nil, err
 		}
 		t.secCols = append(t.secCols, ci)

@@ -1,6 +1,9 @@
 package rubisdb
 
-import "slices"
+import (
+	"slices"
+	"sync"
+)
 
 // pageDir maps page ids to values through a dense two-level table,
 // files[id.File][id.PageNo], where a hash map would otherwise sit on
@@ -86,4 +89,39 @@ func (d *pageDir[T]) truncate() {
 	for file := range d.files {
 		d.files[file] = d.files[file][:0]
 	}
+}
+
+// dirPool recycles page directories between engines: every population
+// of a dataset grows its directories to the same shape, so a recycled
+// directory refills without regrowing a slice. Directories are emptied
+// before they are parked, and keep only their slices' capacity.
+type dirPool[T any] struct{ pool sync.Pool }
+
+// frameDirs and pageDirs hold the buffer-pool and page-store
+// directories of closed engines (see BufferPool.release and
+// Golden.Close).
+var (
+	frameDirs dirPool[*Frame]
+	pageDirs  dirPool[Page]
+)
+
+// get returns an empty directory, recycled when one is parked.
+func (p *dirPool[T]) get() pageDir[T] {
+	if d, ok := p.pool.Get().(*pageDir[T]); ok {
+		return *d
+	}
+	return pageDir[T]{}
+}
+
+// put empties d, dropping every value it holds, and parks it. Nothing
+// may use d afterwards.
+func (p *dirPool[T]) put(d pageDir[T]) {
+	if d.files == nil {
+		return
+	}
+	for file, pages := range d.files {
+		clear(pages[:cap(pages)])
+		d.files[file] = pages[:0]
+	}
+	p.pool.Put(&d)
 }

@@ -155,3 +155,40 @@ func BenchmarkScratchRecycle(b *testing.B) {
 		cycle()
 	}
 }
+
+// TestFramesCarveWithinCapacity pins how a pool carves its frames:
+// full chunks while a chunk's worth of capacity is uncarved, then one
+// chunk of exactly the rest, so a pool that fills and keeps evicting
+// holds no more frames than its capacity. Released chunks come back
+// zeroed, for the next pool to carve from.
+func TestFramesCarveWithinCapacity(t *testing.T) {
+	for _, capacity := range []int{1, 4, framesPerChunk, 2*framesPerChunk + 44} {
+		pool := NewBufferPool(NewMemStore(), capacity, &Meter{})
+		for i := 0; i < 2*capacity+10; i++ {
+			f, err := pool.NewPage(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Unpin(false)
+		}
+		if pool.carved != capacity || len(pool.chunks) != capacity/framesPerChunk || len(pool.spare) != 0 {
+			t.Fatalf("capacity %d: carved %d frames (%d full chunks, %d spare), want exactly the capacity",
+				capacity, pool.carved, len(pool.chunks), len(pool.spare))
+		}
+		if err := pool.check(); err != nil {
+			t.Fatal(err)
+		}
+		chunks := slices.Clone(pool.chunks)
+		pool.release()
+		if pool.resident != 0 || pool.freeFrame != nil || pool.lru.next != &pool.lru || pool.frames.files != nil {
+			t.Fatalf("capacity %d: released pool still holds frames", capacity)
+		}
+		for _, c := range chunks {
+			for i := range c {
+				if f := &c[i]; f.Page != nil || f.id != (PageID{}) || f.dirty || f.shared || f.pins != 0 || f.prev != nil || f.next != nil {
+					t.Fatalf("capacity %d: frame %d of a released chunk is not zeroed", capacity, i)
+				}
+			}
+		}
+	}
+}

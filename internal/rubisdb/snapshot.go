@@ -101,9 +101,11 @@ func (e *Engine) Seal() (*Golden, error) {
 			flushes:    e.wal.Flushes,
 			totalBytes: e.wal.TotalBytes,
 		},
-		cost:     e.cost,
-		capacity: e.pool.capacity,
-		nextID:   e.nextID,
+		cost:      e.cost,
+		capacity:  e.pool.capacity,
+		nextID:    e.nextID,
+		residents: make([]PageID, 0, e.pool.resident),
+		tables:    make([]tableState, 0, len(e.tableOrder)),
 	}
 	for f := e.pool.lru.next; f != &e.pool.lru; f = f.next {
 		if f.pins != 0 {
@@ -111,6 +113,12 @@ func (e *Engine) Seal() (*Golden, error) {
 		}
 		g.residents = append(g.residents, f.id)
 	}
+	secs := 0
+	for _, t := range e.tableOrder {
+		secs += len(t.secs)
+	}
+	secRoots := make([]PageID, 0, secs)
+	secSizes := make([]int, 0, secs)
 	for _, t := range e.tableOrder {
 		ts := tableState{
 			name:     t.Name,
@@ -125,12 +133,18 @@ func (e *Engine) Seal() (*Golden, error) {
 			pkSize:   t.pk.size,
 		}
 		for _, sec := range t.secs {
-			ts.secRoots = append(ts.secRoots, sec.root)
-			ts.secSizes = append(ts.secSizes, sec.size)
+			secRoots = append(secRoots, sec.root)
+			secSizes = append(secSizes, sec.size)
 		}
+		n := len(secRoots)
+		ts.secRoots = secRoots[n-len(t.secs) : n : n]
+		ts.secSizes = secSizes[n-len(t.secs) : n : n]
 		g.tables = append(g.tables, ts)
 	}
 	ms.sealed = true
+	// The engine is done: its frames go to the pool the golden's first
+	// view carves its own from.
+	e.pool.release()
 	return g, nil
 }
 
@@ -163,8 +177,11 @@ func (g *Golden) NewView() *Engine {
 	meter := &Meter{}
 	cow := &cowStore{golden: g.store}
 	pool := NewBufferPool(cow, g.capacity, meter)
-	// Sized from the golden so Rearm's resident set never regrows it.
-	pool.frames = pageDirLike[*Frame](&g.store.pages)
+	if pool.frames.files == nil {
+		// No recycled directory: size one from the golden so Rearm's
+		// resident set never regrows it.
+		pool.frames = pageDirLike[*Frame](&g.store.pages)
+	}
 	e := &Engine{
 		store:  cow,
 		pool:   pool,
@@ -173,23 +190,40 @@ func (g *Golden) NewView() *Engine {
 		cost:   g.cost,
 		tables: make(map[string]*Table, len(g.tables)),
 	}
+	// The view's tables, heaps and trees are carved from one array each.
+	trees := 0
+	for i := range g.tables {
+		trees += 1 + len(g.tables[i].secRoots)
+	}
+	tables := make([]Table, len(g.tables))
+	heaps := make([]Heap, len(g.tables))
+	btrees := make([]BTree, trees)
+	secs := make([]*BTree, trees-len(g.tables))
+	e.tableOrder = make([]*Table, len(g.tables))
 	for i := range g.tables {
 		ts := &g.tables[i]
-		t := &Table{
+		heaps[i] = Heap{pool: e.pool, file: ts.id}
+		btrees[0] = BTree{pool: e.pool, file: ts.id + 1}
+		t := &tables[i]
+		*t = Table{
 			Name:    ts.name,
 			Schema:  ts.schema,
 			id:      ts.id,
-			heap:    NewHeap(e.pool, ts.id),
+			heap:    &heaps[i],
 			pkCol:   ts.pkCol,
-			pk:      &BTree{pool: e.pool, file: ts.id + 1},
+			pk:      &btrees[0],
 			secCols: ts.secCols,
+			secs:    secs[:len(ts.secRoots):len(ts.secRoots)],
 			engine:  e,
 		}
-		for j := range ts.secRoots {
-			t.secs = append(t.secs, &BTree{pool: e.pool, file: ts.id + 2 + uint32(j)})
+		for j := range t.secs {
+			btrees[1+j] = BTree{pool: e.pool, file: ts.id + 2 + uint32(j)}
+			t.secs[j] = &btrees[1+j]
 		}
+		btrees = btrees[1+len(t.secs):]
+		secs = secs[len(t.secs):]
 		e.tables[ts.name] = t
-		e.tableOrder = append(e.tableOrder, t)
+		e.tableOrder[i] = t
 	}
 	g.mu.Lock()
 	g.views = append(g.views, e)
@@ -259,13 +293,14 @@ func (g *Golden) Close() {
 		}
 	}
 	for _, v := range g.views {
-		v.pool.dropAllFrames()
 		cow := v.store.(*cowStore)
+		v.pool.release()
 		cow.reset()
 		cow.slab.release()
 	}
 	g.views = nil
 	g.store.slab.release()
+	pageDirs.put(g.store.pages)
 	g.store.pages = pageDir[Page]{}
 	g.store.closed = true
 }

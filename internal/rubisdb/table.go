@@ -157,7 +157,7 @@ type Table struct {
 	engine *Engine
 	// rowScratch is the tuple buffer the writers encode into and
 	// UpdateNumeric patches; reusing it is safe because pages and the
-	// WAL copy the bytes.
+	// WAL copy the bytes. CreateTable sizes it to rowScratchCap.
 	rowScratch []byte
 	// ridScratch is Index.Read's reused list of matching RIDs.
 	ridScratch []RID
@@ -190,6 +190,11 @@ type rowEncoder struct {
 	key     int64
 	secKeys []int64
 }
+
+// rowScratchCap is the tuple buffer a created table starts with: room
+// for a row of a few short strings, so a bulk load does not regrow it
+// row by row from empty. Longer rows still grow it.
+const rowScratchCap = 512
 
 // encoder returns a rowEncoder for t.
 func (t *Table) encoder() rowEncoder {
@@ -343,10 +348,11 @@ func (w *RowWriter) Insert() (RID, error) {
 }
 
 // entrySort holds the counting sort's scratch, so one BulkWriter.Close
-// reuses it across all of a table's secondary indexes. out comes from
-// entryPool on first use; the caller hands it back.
+// reuses it across all of a table's secondary indexes. counts comes
+// from countPool and out from entryPool on first use; the caller hands
+// both back.
 type entrySort struct {
-	counts []int32
+	counts *[]int32
 	out    *[]Entry
 }
 
@@ -379,8 +385,11 @@ func (s *entrySort) sortEntriesByKey(entries []Entry) {
 		slices.SortFunc(entries, compareEntries)
 		return
 	}
-	counts := grow(s.counts[:0], int(span)+2)
-	s.counts = counts
+	if s.counts == nil {
+		s.counts = getCounts()
+	}
+	counts := grow((*s.counts)[:0], int(span)+2)
+	*s.counts = counts
 	for _, e := range entries {
 		counts[uint64(e.Key)-uint64(lo)+1]++
 	}
