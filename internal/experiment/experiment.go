@@ -403,10 +403,11 @@ func Run(cfg Config) (*Result, error) {
 	// never asked for again, so the run populates it privately and
 	// closes it on exit, handing its pages back for the next run's
 	// population. Views go back to their snapshot when the run is done,
-	// and every driver's streams to rng's free list. That is safe
-	// because the Result keeps no reference into the run: the series
-	// sets it takes reach only their series, and its histograms are
-	// copies.
+	// every driver's streams to rng's free list, and its recorder's
+	// reservoir and kind histograms and its parked sessions to their
+	// pools. That is safe because the Result keeps no reference into the
+	// run: the series sets it takes reach only their series, and its
+	// histograms are copies.
 	var apps []*rubis.App
 	var owned []*rubis.Snapshot
 	var drivers []*tiers.Driver
