@@ -67,9 +67,40 @@ type reservoir [DefaultExactCap]float64
 // buffer is reset before it is parked: only its memory is reused, never
 // its contents.
 var (
-	reservoirs = sync.Pool{New: func() any { return new(reservoir) }}
-	kindHists  = sync.Pool{New: func() any { return new(Hist) }}
+	reservoirs freeList[reservoir]
+	kindHists  freeList[Hist]
 )
+
+// freeList is a LIFO list of parked buffers. It holds at most as many
+// as were ever checked out at once, so it needs no cap. It is not a
+// sync.Pool because a pool is emptied by every GC cycle, and a sweep
+// collects many times between one run's release and the next run's
+// checkout (rng's stream free list makes the same choice).
+type freeList[T any] struct {
+	sync.Mutex
+	list []*T
+}
+
+// get returns a parked buffer, or a new zero one when none is parked.
+func (l *freeList[T]) get() *T {
+	l.Lock()
+	defer l.Unlock()
+	n := len(l.list)
+	if n == 0 {
+		return new(T)
+	}
+	x := l.list[n-1]
+	l.list[n-1] = nil
+	l.list = l.list[:n-1]
+	return x
+}
+
+// put parks x, which its caller has reset and must not use afterwards.
+func (l *freeList[T]) put(x *T) {
+	l.Lock()
+	l.list = append(l.list, x)
+	l.Unlock()
+}
 
 // Recorder accumulates response-time observations and closes one
 // window per Rotate call, appending one sample to every registered
@@ -126,7 +157,7 @@ type Recorder struct {
 // with Counter and Gauge.
 func NewRecorder(windowSec float64, windowHint int) *Recorder {
 	r := &Recorder{windowSec: windowSec, windowHint: windowHint, series: new(timeseries.Set)}
-	r.exact = reservoirs.Get().(*reservoir)[:0]
+	r.exact = reservoirs.get()[:0]
 	ms := func(h *Hist, q float64) func() float64 {
 		return func() float64 { return h.Quantile(q) * 1e3 }
 	}
@@ -213,7 +244,7 @@ func (r *Recorder) RecordKind(rt float64, isWrite bool, kind int) {
 	if kind >= 0 && kind < MaxKinds {
 		h := r.kind[kind]
 		if h == nil {
-			h = kindHists.Get().(*Hist)
+			h = kindHists.get()
 			r.kind[kind] = h
 		}
 		h.recordAt(rt, i)
@@ -233,13 +264,13 @@ func (r *Recorder) RecordKind(rt float64, isWrite bool, kind int) {
 // reader may keep Series after Release. Everything else read from the
 // recorder (quantiles, histograms) must be read, or copied, first.
 func (r *Recorder) Release() {
-	reservoirs.Put((*reservoir)(r.exact[:DefaultExactCap]))
+	reservoirs.put((*reservoir)(r.exact[:DefaultExactCap]))
 	r.exact, r.sorted = nil, false
 	for i, h := range r.kind {
 		if h != nil {
 			h.Reset()
 			h.lo, h.hi = 0, 0
-			kindHists.Put(h)
+			kindHists.put(h)
 			r.kind[i] = nil
 		}
 	}
