@@ -57,42 +57,6 @@ func TestCacheQueueConfigValidation(t *testing.T) {
 
 func ptrSpec[T any](v T) *T { return &v }
 
-func TestCacheQueueConfigJSONRoundTrip(t *testing.T) {
-	cfg := shortConfig(Virtualized, MixBidding)
-	cache := cachetier.CacheSpec{MaxEntries: 512, MaxMB: 16, TTLSeconds: 8, Leases: true, LeaseTimeoutMillis: 120}
-	queue := cachetier.QueueSpec{MaxDepth: 256, BatchSize: 16, DrainEveryMillis: 100}
-	cfg.Cache = &cache
-	cfg.Queue = &queue
-	data, err := cfg.MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ParseConfig(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Cache == nil || *got.Cache != cache {
-		t.Fatalf("cache spec round trip: %+v, want %+v", got.Cache, cache)
-	}
-	if got.Queue == nil || *got.Queue != queue {
-		t.Fatalf("queue spec round trip: %+v, want %+v", got.Queue, queue)
-	}
-
-	// Nil specs stay nil (the byte-identity contract hinges on it).
-	cfg = shortConfig(Virtualized, MixBidding)
-	data, err = cfg.MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = ParseConfig(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Cache != nil || got.Queue != nil {
-		t.Fatal("nil cache/queue specs must survive the round trip as nil")
-	}
-}
-
 // TestCacheQueueRunEndToEnd is the tier smoke test: a virtualized
 // bidding run with both aux tiers serves traffic through the cache,
 // publishes writes through the broker, samples both tiers' resources,

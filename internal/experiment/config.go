@@ -1,9 +1,6 @@
 package experiment
 
-import (
-	"encoding/json"
-	"fmt"
-)
+import "fmt"
 
 // Envs lists the supported deployments in presentation order.
 func Envs() []Env { return []Env{Virtualized, Physical} }
@@ -107,26 +104,4 @@ func (c Config) Validate() error {
 		}
 	}
 	return nil
-}
-
-// MarshalJSON renders the config as a self-contained JSON value, so a
-// sweep point can be stored, diffed, and replayed.
-func (c Config) MarshalJSON() ([]byte, error) {
-	type plain Config // avoid recursing into MarshalJSON
-	return json.Marshal(plain(c))
-}
-
-// ParseConfig decodes a JSON value produced by MarshalJSON and validates
-// it.
-func ParseConfig(data []byte) (Config, error) {
-	type plain Config
-	var p plain
-	if err := json.Unmarshal(data, &p); err != nil {
-		return Config{}, fmt.Errorf("experiment: parsing config: %w", err)
-	}
-	cfg := Config(p)
-	if err := cfg.Validate(); err != nil {
-		return Config{}, err
-	}
-	return cfg, nil
 }

@@ -245,15 +245,3 @@ func (c *CPU) SetSpeed(factor float64) {
 	c.speed = factor
 	c.reschedule()
 }
-
-// Speed reports the current scaling factor.
-func (c *CPU) Speed() float64 { return c.speed }
-
-// Utilization reports the busy fraction over the window ending now,
-// given the counter value at the window start.
-func (c *CPU) Utilization(busyAtStart sim.Time, window sim.Time) float64 {
-	if window <= 0 {
-		return 0
-	}
-	return float64(c.BusyTime()-busyAtStart) / float64(window)
-}

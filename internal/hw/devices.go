@@ -88,14 +88,6 @@ func (d *Disk) Ops() (reads, writes uint64) { return d.readOps, d.writeOps }
 // BusyTime reports cumulative service time.
 func (d *Disk) BusyTime() sim.Time { return d.busyTime }
 
-// QueueDelay reports how far in the future the disk frees up.
-func (d *Disk) QueueDelay() sim.Time {
-	if d.busyUntil <= d.k.Now() {
-		return 0
-	}
-	return d.busyUntil - d.k.Now()
-}
-
 // NIC is a full-duplex network interface with per-direction bandwidth and
 // a fixed per-transfer latency.
 type NIC struct {
@@ -251,6 +243,3 @@ func (m *Memory) Used() float64 {
 	}
 	return total
 }
-
-// Free reports capacity minus used.
-func (m *Memory) Free() float64 { return m.capacity - m.Used() }

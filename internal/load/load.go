@@ -29,7 +29,6 @@
 package load
 
 import (
-	"encoding/json"
 	"fmt"
 )
 
@@ -246,17 +245,4 @@ func (s *Spec) Build() (Arrivals, error) {
 		return NewTraceArrivals(s.TracePoints, s.traceScale())
 	}
 	return nil, fmt.Errorf("load: unknown arrival kind %q", s.Kind)
-}
-
-// ParseSpec decodes and validates a JSON spec produced by encoding a
-// Spec (the experiment config embeds specs this way).
-func ParseSpec(data []byte) (Spec, error) {
-	var s Spec
-	if err := json.Unmarshal(data, &s); err != nil {
-		return Spec{}, fmt.Errorf("load: parsing spec: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return Spec{}, err
-	}
-	return s, nil
 }

@@ -1,7 +1,6 @@
 package load
 
 import (
-	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -44,42 +43,6 @@ func TestSpecValidation(t *testing.T) {
 		if err := s.Validate(); err == nil {
 			t.Fatalf("bad spec %d accepted: %+v", i, s)
 		}
-	}
-}
-
-// TestSpecJSONRoundTrip pins that a spec survives encode/decode intact,
-// including an inline trace, so sweep configs can be stored and
-// replayed.
-func TestSpecJSONRoundTrip(t *testing.T) {
-	orig := Spec{
-		Kind:                Trace,
-		Rate:                1.5,
-		TracePoints:         []TracePoint{{0, 1}, {30, 4.5}, {90, 2}},
-		TracePath:           "somewhere.csv",
-		SessionMean:         8,
-		AbandonAfterSeconds: 4,
-		RampSeconds:         20,
-	}
-	data, err := json.Marshal(orig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParseSpec(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Kind != orig.Kind || back.Rate != orig.Rate || back.SessionMean != orig.SessionMean ||
-		back.AbandonAfterSeconds != orig.AbandonAfterSeconds || back.RampSeconds != orig.RampSeconds ||
-		back.TracePath != orig.TracePath || len(back.TracePoints) != len(orig.TracePoints) {
-		t.Fatalf("round trip lost fields: %+v -> %+v", orig, back)
-	}
-	for i := range orig.TracePoints {
-		if back.TracePoints[i] != orig.TracePoints[i] {
-			t.Fatalf("trace point %d: %v -> %v", i, orig.TracePoints[i], back.TracePoints[i])
-		}
-	}
-	if _, err := ParseSpec([]byte(`{"kind":"poisson","rate":-2}`)); err == nil {
-		t.Fatal("ParseSpec accepted an invalid spec")
 	}
 }
 

@@ -17,7 +17,6 @@ package model
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"vwchar/internal/experiment"
@@ -68,27 +67,6 @@ func FitSeries(s *timeseries.Series) (SeriesModel, error) {
 		Mean: sum.Mean,
 		Std:  sum.Std,
 	}, nil
-}
-
-// Synthesize generates n samples from the fitted model: an AR(1) process
-// with the sample mean/variance and Phi, truncated at zero (demand
-// counters are non-negative). The marginal is Gaussian-approximate; the
-// fitted Dist records which family described the data best.
-func (m SeriesModel) Synthesize(n int, r *rng.Stream) *timeseries.Series {
-	out := timeseries.New(m.Name+".synth", "modeled")
-	if n <= 0 {
-		return out
-	}
-	innovStd := m.Std * math.Sqrt(1-m.Phi*m.Phi)
-	x := m.Mean + m.Std*r.Normal(0, 1)
-	for i := 0; i < n; i++ {
-		if x < 0 {
-			x = 0
-		}
-		out.Append(x)
-		x = m.Mean + m.Phi*(x-m.Mean) + innovStd*r.Normal(0, 1)
-	}
-	return out
 }
 
 // String renders the model for reports.

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"vwchar/internal/experiment"
-	"vwchar/internal/rng"
 	"vwchar/internal/rubis"
 	"vwchar/internal/sim"
 	"vwchar/internal/sysstat"
@@ -34,7 +33,7 @@ func testRun(t *testing.T, mix experiment.MixKind) *experiment.Result {
 	return res
 }
 
-func TestFitSeriesAndSynthesize(t *testing.T) {
+func TestFitSeries(t *testing.T) {
 	res := testRun(t, experiment.MixBrowsing)
 	s := res.Resource(experiment.TierWeb, sysstat.CPU)
 	m, err := FitSeries(s)
@@ -52,22 +51,6 @@ func TestFitSeriesAndSynthesize(t *testing.T) {
 	}
 	if !strings.Contains(m.String(), "AR1") {
 		t.Fatalf("String() = %q", m.String())
-	}
-	// Synthesized trace statistically resembles the original.
-	synth := m.Synthesize(2000, rng.NewSource(5).Stream("synth"))
-	if synth.Len() != 2000 {
-		t.Fatalf("synth len = %d", synth.Len())
-	}
-	if math.Abs(synth.Mean()-m.Mean)/m.Mean > 0.1 {
-		t.Fatalf("synth mean %v vs model mean %v", synth.Mean(), m.Mean)
-	}
-	for _, v := range synth.Values {
-		if v < 0 {
-			t.Fatal("synthesized demand went negative")
-		}
-	}
-	if m.Synthesize(0, rng.NewSource(5).Stream("x")).Len() != 0 {
-		t.Fatal("n=0 should produce empty series")
 	}
 }
 

@@ -178,9 +178,6 @@ func (a *ChunkAllocator) Observe(now sim.Time, level int) bool {
 	return true
 }
 
-// Current reports the component's present size in bytes.
-func (a *ChunkAllocator) Current() float64 { return a.Base + a.grown }
-
 // PageCache models an OS page cache that warms toward a ceiling as bytes
 // are read, with diminishing returns: each read inserts the fraction of
 // its bytes that were not already cached.
@@ -213,6 +210,3 @@ func (p *PageCache) Touch(n float64) (missBytes float64) {
 	}
 	return miss
 }
-
-// Size reports current cache bytes.
-func (p *PageCache) Size() float64 { return p.size }

@@ -78,8 +78,8 @@ func TestChunkAllocatorEscalatingThresholds(t *testing.T) {
 	if !a.Observe(2*sim.Second, 4) {
 		t.Fatal("level 4 should trigger first growth")
 	}
-	if a.Current() != 150e6 {
-		t.Fatalf("Current = %v", a.Current())
+	if got := a.Base + a.grown; got != 150e6 {
+		t.Fatalf("size = %v", got)
 	}
 	// Second growth needs level 8, not 4.
 	if a.Observe(30*sim.Second, 5) {
@@ -146,10 +146,10 @@ func TestPageCacheWarmsWithDiminishingMisses(t *testing.T) {
 	if last >= first {
 		t.Fatalf("misses should shrink as cache warms: %v -> %v", first, last)
 	}
-	if pc.Size() > 100e6 {
-		t.Fatalf("cache exceeded ceiling: %v", pc.Size())
+	if pc.size > 100e6 {
+		t.Fatalf("cache exceeded ceiling: %v", pc.size)
 	}
-	if mem.Get("cache") != pc.Size() {
+	if mem.Get("cache") != pc.size {
 		t.Fatal("memory label should track cache size")
 	}
 	if pc.Touch(0) != 0 || pc.Touch(-5) != 0 {
@@ -165,10 +165,10 @@ func TestPropertyPageCacheMonotoneBounded(t *testing.T) {
 		prev := 0.0
 		for _, r := range reads {
 			pc.Touch(float64(r))
-			if pc.Size() < prev || pc.Size() > 1e6 {
+			if pc.size < prev || pc.size > 1e6 {
 				return false
 			}
-			prev = pc.Size()
+			prev = pc.size
 		}
 		return true
 	}
@@ -189,7 +189,7 @@ func TestPropertyAllocatorBounded(t *testing.T) {
 		for i, l := range levels {
 			a.Observe(sim.Time(i)*sim.Minute, int(l))
 		}
-		return a.Growths <= 5 && a.Current() <= 50
+		return a.Growths <= 5 && a.Base+a.grown <= 50
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -96,17 +96,6 @@ func (m *Mix) Validate() error {
 	return nil
 }
 
-// States returns the interactions this mix can emit.
-func (m *Mix) States() []Interaction {
-	var out []Interaction
-	for from, row := range m.table {
-		if len(row.to) > 0 {
-			out = append(out, Interaction(from))
-		}
-	}
-	return out
-}
-
 // BrowsingMix returns the paper's read-only "browsing" composition.
 func BrowsingMix() *Mix {
 	return buildMix("browsing", 7.0, [NumInteractions][]edge{

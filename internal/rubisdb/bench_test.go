@@ -7,7 +7,7 @@ import (
 
 func BenchmarkBTreeInsertSequential(b *testing.B) {
 	pool := NewBufferPool(NewMemStore(), 4096, &Meter{})
-	tree, err := NewBTree(pool, 1)
+	tree, err := newBTree(pool, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -21,7 +21,7 @@ func BenchmarkBTreeInsertSequential(b *testing.B) {
 
 func BenchmarkBTreeInsertRandom(b *testing.B) {
 	pool := NewBufferPool(NewMemStore(), 4096, &Meter{})
-	tree, err := NewBTree(pool, 1)
+	tree, err := newBTree(pool, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func BenchmarkBTreeInsertRandom(b *testing.B) {
 
 func BenchmarkBTreeSearchWarm(b *testing.B) {
 	pool := NewBufferPool(NewMemStore(), 4096, &Meter{})
-	tree, err := NewBTree(pool, 1)
+	tree, err := newBTree(pool, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func BenchmarkBTreeSearchWarm(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tree.Search(int64(i % n)); err != nil {
+		if _, err := tree.search(int64(i % n)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -57,7 +57,7 @@ func BenchmarkBTreeSearchWarm(b *testing.B) {
 func BenchmarkBTreeSearchColdPool(b *testing.B) {
 	// A pool far below the index size: every search pays eviction traffic.
 	pool := NewBufferPool(NewMemStore(), 16, &Meter{})
-	tree, err := NewBTree(pool, 1)
+	tree, err := newBTree(pool, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func BenchmarkBTreeSearchColdPool(b *testing.B) {
 	r := rand.New(rand.NewSource(2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tree.Search(int64(r.Intn(n))); err != nil {
+		if _, err := tree.search(int64(r.Intn(n))); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -80,7 +80,7 @@ func BenchmarkBTreeSearchColdPool(b *testing.B) {
 // see at runtime: a bounded key space with a unique value per entry.
 func BenchmarkBTreeInsert(b *testing.B) {
 	pool := NewBufferPool(NewMemStore(), 4096, &Meter{})
-	tree, err := NewBTree(pool, 1)
+	tree, err := newBTree(pool, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func BenchmarkBTreeInsert(b *testing.B) {
 
 func BenchmarkBTreeScanRange(b *testing.B) {
 	pool := NewBufferPool(NewMemStore(), 4096, &Meter{})
-	tree, err := NewBTree(pool, 1)
+	tree, err := newBTree(pool, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func BenchmarkBulkLoad(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pool := NewBufferPool(NewMemStore(), 4096, &Meter{})
-		tree, err := NewBTree(pool, 1)
+		tree, err := newBTree(pool, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -190,7 +190,7 @@ func BenchmarkBulkLoad(b *testing.B) {
 
 func BenchmarkHeapInsert(b *testing.B) {
 	pool := NewBufferPool(NewMemStore(), 1024, &Meter{})
-	h := NewHeap(pool, 1)
+	h := newHeap(pool, 1)
 	payload := make([]byte, 120)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -62,15 +62,6 @@ type BTree struct {
 	size int
 }
 
-// NewBTree creates an empty tree in file.
-func NewBTree(pool *BufferPool, file uint32) (*BTree, error) {
-	t := new(BTree)
-	if err := t.create(pool, file); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
 // create makes t an empty tree in file, rooted at a fresh leaf page.
 func (t *BTree) create(pool *BufferPool, file uint32) error {
 	f, err := pool.NewPage(file)
@@ -126,13 +117,6 @@ func setLeafEntry(p Page, i int, ek, v uint64) {
 func shiftLeafRight(p Page, pos, n int) {
 	copy(p[btHeader+(pos+1)*leafEntry:btHeader+(n+1)*leafEntry],
 		p[btHeader+pos*leafEntry:btHeader+n*leafEntry])
-}
-
-// shiftLeafLeft closes the one-entry hole at position pos in a leaf of
-// n entries.
-func shiftLeafLeft(p Page, pos, n int) {
-	copy(p[btHeader+pos*leafEntry:btHeader+(n-1)*leafEntry],
-		p[btHeader+(pos+1)*leafEntry:btHeader+n*leafEntry])
 }
 
 func innerChild(p Page, i int) uint32 {
@@ -354,32 +338,6 @@ func (t *BTree) insertLeaf(f *Frame, ek, value uint64) (uint64, uint64, uint32, 
 	return sepK, sepV, rid.PageNo, nil
 }
 
-// Delete removes the exact (key, value) entry, reporting whether it was
-// present. Deletion is lazy (as InnoDB's purge leaves pages unmerged):
-// the entry is cut out of its leaf, but leaves are never rebalanced or
-// reclaimed — later inserts refill them.
-func (t *BTree) Delete(key int64, value uint64) (bool, error) {
-	ek := encodeKey(key)
-	f, err := t.findLeaf(ek, value)
-	if err != nil {
-		return false, err
-	}
-	page := f.Page
-	n := nodeCount(page)
-	pos := leafLowerBound(page, n, ek, value)
-	if pos >= n || leafRawKey(page, pos) != ek || leafVal(page, pos) != value {
-		f.Unpin(false)
-		return false, nil
-	}
-	t.pool.Privatize(f)
-	page = f.Page
-	shiftLeafLeft(page, pos, n)
-	setNodeCount(page, n-1)
-	f.Unpin(true)
-	t.size--
-	return true, nil
-}
-
 // findLeaf descends to the leaf that would hold composite (ek, v) and
 // returns it pinned; the caller unpins.
 func (t *BTree) findLeaf(ek, v uint64) (*Frame, error) {
@@ -396,16 +354,6 @@ func (t *BTree) findLeaf(ek, v uint64) (*Frame, error) {
 		id = PageID{File: t.file, PageNo: innerChild(f.Page, idx)}
 		f.Unpin(false)
 	}
-}
-
-// Search returns all values stored under key, in value order.
-func (t *BTree) Search(key int64) ([]uint64, error) {
-	var out []uint64
-	err := t.ScanRange(key, key, func(k int64, v uint64) bool {
-		out = append(out, v)
-		return true
-	})
-	return out, err
 }
 
 // ScanRange visits entries with lo <= key <= hi in order, calling fn for

@@ -11,7 +11,7 @@ func newTestTree(t *testing.T, pages int) *BTree {
 	t.Helper()
 	meter := &Meter{}
 	pool := NewBufferPool(NewMemStore(), pages, meter)
-	tree, err := NewBTree(pool, 1)
+	tree, err := newBTree(pool, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestBTreeInsertAndSearch(t *testing.T) {
 		t.Fatalf("Len = %d", tree.Len())
 	}
 	for i := int64(0); i < 100; i++ {
-		vals, err := tree.Search(i)
+		vals, err := tree.search(i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,7 +37,7 @@ func TestBTreeInsertAndSearch(t *testing.T) {
 			t.Fatalf("Search(%d) = %v", i, vals)
 		}
 	}
-	if vals, _ := tree.Search(1000); len(vals) != 0 {
+	if vals, _ := tree.search(1000); len(vals) != 0 {
 		t.Fatalf("Search(absent) = %v", vals)
 	}
 }
@@ -49,7 +49,7 @@ func TestBTreeDuplicateKeysDistinctValues(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	vals, err := tree.Search(7)
+	vals, err := tree.search(7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestBTreeSplitsManyKeys(t *testing.T) {
 	}
 	// Every key findable.
 	for i := 0; i < n; i += 97 {
-		vals, err := tree.Search(int64(i))
+		vals, err := tree.search(int64(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func TestBTreeSurvivesTinyBufferPool(t *testing.T) {
 		}
 	}
 	for i := 0; i < n; i += 53 {
-		vals, err := tree.Search(int64(i))
+		vals, err := tree.search(int64(i))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -57,11 +57,11 @@ func TestBulkLoadMatchesInsertPath(t *testing.T) {
 	}
 	// Point lookups agree too.
 	for k := int64(-20); k < 20; k++ {
-		a, err := bulk.Search(k)
+		a, err := bulk.search(k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := incr.Search(k)
+		b, err := incr.search(k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func TestBulkLoadBuildsMultipleLevels(t *testing.T) {
 		t.Fatalf("height = %d, want >= 3", h)
 	}
 	for i := 0; i < n; i += 997 {
-		vals, err := tree.Search(int64(i))
+		vals, err := tree.search(int64(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,13 +97,9 @@ func TestBulkLoadBuildsMultipleLevels(t *testing.T) {
 			t.Fatalf("Search(%d) = %v", i, vals)
 		}
 	}
-	// The loaded tree accepts ordinary inserts and deletes afterwards.
+	// The loaded tree accepts ordinary inserts afterwards.
 	if err := tree.Insert(int64(n)+5, 1); err != nil {
 		t.Fatal(err)
-	}
-	ok, err := tree.Delete(int64(n)+5, 1)
-	if err != nil || !ok {
-		t.Fatalf("Delete after load = %v, %v", ok, err)
 	}
 }
 
@@ -150,7 +146,7 @@ func TestBulkLoadFailureLeavesConsistentEmptyTree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	vals, err := tree.Search(42)
+	vals, err := tree.search(42)
 	if err != nil || len(vals) != 1 || vals[0] != 42 {
 		t.Fatalf("Search after recovery = %v, %v", vals, err)
 	}
@@ -175,7 +171,7 @@ func TestBTreeDuplicateRunSpansLeafSplits(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	vals, err := tree.Search(7)
+	vals, err := tree.search(7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,77 +181,6 @@ func TestBTreeDuplicateRunSpansLeafSplits(t *testing.T) {
 	for i, v := range vals {
 		if v != uint64(i) {
 			t.Fatalf("values out of order at %d: %d", i, v)
-		}
-	}
-}
-
-// Property: under a random interleaving of inserts and deletes at a
-// scale that forces leaf and inner splits (with heavy duplication), the
-// tree matches a reference map + sort oracle.
-func TestBTreeInsertDeleteMatchesOracle(t *testing.T) {
-	r := rand.New(rand.NewSource(99))
-	tree := newTestTree(t, 512)
-	type pair struct {
-		k int64
-		v uint64
-	}
-	live := map[pair]bool{}
-	var liveList []pair // insertion order, for picking delete victims
-	const ops = 12000
-	for i := 0; i < ops; i++ {
-		if len(liveList) > 0 && r.Intn(10) < 3 {
-			// Delete a random live entry.
-			j := r.Intn(len(liveList))
-			p := liveList[j]
-			liveList[j] = liveList[len(liveList)-1]
-			liveList = liveList[:len(liveList)-1]
-			delete(live, p)
-			ok, err := tree.Delete(p.k, p.v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				t.Fatalf("Delete(%d,%d) reported absent", p.k, p.v)
-			}
-			continue
-		}
-		p := pair{k: int64(r.Intn(48)) - 24, v: uint64(i)}
-		if err := tree.Insert(p.k, p.v); err != nil {
-			t.Fatal(err)
-		}
-		live[p] = true
-		liveList = append(liveList, p)
-	}
-	// Deleting an absent entry is a clean no-op.
-	if ok, err := tree.Delete(1000, 1); err != nil || ok {
-		t.Fatalf("Delete(absent) = %v, %v", ok, err)
-	}
-	if tree.Len() != len(live) {
-		t.Fatalf("Len = %d, oracle has %d", tree.Len(), len(live))
-	}
-	want := make([]pair, 0, len(live))
-	for p := range live {
-		want = append(want, p)
-	}
-	sort.Slice(want, func(i, j int) bool {
-		if want[i].k != want[j].k {
-			return want[i].k < want[j].k
-		}
-		return want[i].v < want[j].v
-	})
-	var got []pair
-	if err := tree.ScanRange(-100, 100, func(k int64, v uint64) bool {
-		got = append(got, pair{k, v})
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("scan = %d entries, oracle = %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("entry %d: tree=%v oracle=%v", i, got[i], want[i])
 		}
 	}
 }
@@ -398,7 +323,7 @@ func TestBulkInsertWALBatchRecoveryEquivalence(t *testing.T) {
 	// Batched framing: one record per heap page (the LSN counter counts
 	// appended records), frame + batch header each, plus a length
 	// prefix per row, plus the identical images.
-	batches := int(bulkEng.wal.NextLSN())
+	batches := int(bulkEng.wal.lsn)
 	pages := int(bulk.heap.last.PageNo-firstHeapPage(bulk)) + 1
 	if batches != pages {
 		t.Fatalf("bulk load appended %d WAL records over %d heap pages", batches, pages)
@@ -419,7 +344,7 @@ func TestBulkInsertWALBatchRecoveryEquivalence(t *testing.T) {
 
 // firstHeapPage reports the page number of the table's first heap page.
 func firstHeapPage(tb *Table) uint32 {
-	rids, err := tb.pk.Search(0)
+	rids, err := tb.pk.search(0)
 	if err != nil || len(rids) == 0 {
 		panic("firstHeapPage: pk 0 missing")
 	}

@@ -154,9 +154,6 @@ func (e *Engine) Meter() Meter { return *e.meter }
 // flight); see BufferPool.check.
 func (e *Engine) Check() error { return e.pool.check() }
 
-// BufferHitRatio reports the buffer pool hit ratio so far.
-func (e *Engine) BufferHitRatio() float64 { return e.pool.HitRatio() }
-
 // Checkpoint flushes all dirty pages (background writer behaviour).
 func (e *Engine) Checkpoint() error { return e.pool.FlushAll() }
 

@@ -301,7 +301,7 @@ func TestHeapInsertFetchAcrossPages(t *testing.T) {
 	meter := &Meter{}
 	store := NewMemStore()
 	pool := NewBufferPool(store, 16, meter)
-	h := NewHeap(pool, 3)
+	h := newHeap(pool, 3)
 	payload := strings.Repeat("x", 3000)
 	var rids []RID
 	for i := 0; i < 10; i++ { // 2 per page -> 5 pages
@@ -315,7 +315,7 @@ func TestHeapInsertFetchAcrossPages(t *testing.T) {
 		t.Fatalf("expected multiple pages, got %d", store.PageCount(3))
 	}
 	for _, rid := range rids {
-		got, err := h.Fetch(rid)
+		got, err := h.fetch(rid)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,7 +330,7 @@ func TestHeapInsertFetchAcrossPages(t *testing.T) {
 
 func TestHeapRejectsGiantTuple(t *testing.T) {
 	pool := NewBufferPool(NewMemStore(), 4, &Meter{})
-	h := NewHeap(pool, 1)
+	h := newHeap(pool, 1)
 	if _, err := h.Insert(make([]byte, PageSize)); err == nil {
 		t.Fatal("giant tuple should error")
 	}
@@ -355,8 +355,8 @@ func TestWALFraming(t *testing.T) {
 	if w.TotalBytes != wantBytes || meter.WALBytes != wantBytes {
 		t.Fatalf("bytes: wal=%v meter=%v want %v", w.TotalBytes, meter.WALBytes, wantBytes)
 	}
-	if w.NextLSN() != 2 {
-		t.Fatalf("NextLSN = %d", w.NextLSN())
+	if w.lsn != 2 {
+		t.Fatalf("NextLSN = %d", w.lsn)
 	}
 }
 
@@ -388,7 +388,7 @@ func TestRowCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeRow(schema, data)
+	got, err := decodeRow(schema, data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,10 +405,10 @@ func TestRowCodecErrors(t *testing.T) {
 	if _, err := encodeRow(schema, Row{int64(1), int64(2)}); err == nil {
 		t.Fatal("arity mismatch should error")
 	}
-	if _, err := DecodeRow(schema, []byte{1, 2}); err == nil {
+	if _, err := decodeRow(schema, []byte{1, 2}); err == nil {
 		t.Fatal("truncated tuple should error")
 	}
-	if _, err := DecodeRow(schema, append(make([]byte, 8), 0xFF)); err == nil {
+	if _, err := decodeRow(schema, append(make([]byte, 8), 0xFF)); err == nil {
 		t.Fatal("trailing bytes should error")
 	}
 }
@@ -661,8 +661,8 @@ func TestEngineBufferWarmupImprovesHitRatio(t *testing.T) {
 	if after.PageMisses > mid.PageMisses {
 		t.Fatalf("warm pass missed more: %d vs %d", after.PageMisses, mid.PageMisses)
 	}
-	if e.BufferHitRatio() <= 0.5 {
-		t.Fatalf("hit ratio = %v", e.BufferHitRatio())
+	if e.pool.HitRatio() <= 0.5 {
+		t.Fatalf("hit ratio = %v", e.pool.HitRatio())
 	}
 }
 
@@ -684,7 +684,7 @@ func TestPropertyRowCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := DecodeRow(schema, data)
+		got, err := decodeRow(schema, data)
 		if err != nil {
 			return false
 		}

@@ -92,7 +92,7 @@ func TestFlushLimitSurfacesWriteFailures(t *testing.T) {
 func TestBTreePropagatesStorageFailures(t *testing.T) {
 	fs := &faultStore{MemStore: NewMemStore()}
 	pool := NewBufferPool(fs, 8, &Meter{})
-	tree, err := NewBTree(pool, 1)
+	tree, err := newBTree(pool, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestBTreePropagatesStorageFailures(t *testing.T) {
 		}
 	}
 	fs.failReads = true
-	if _, err := tree.Search(1); !errors.Is(err, errInjected) {
+	if _, err := tree.search(1); !errors.Is(err, errInjected) {
 		t.Fatalf("Search should surface storage failure, got %v", err)
 	}
 	if err := tree.ScanRange(0, 100, func(int64, uint64) bool { return true }); !errors.Is(err, errInjected) {
@@ -114,7 +114,7 @@ func TestBTreePropagatesStorageFailures(t *testing.T) {
 func TestHeapPropagatesStorageFailures(t *testing.T) {
 	fs := &faultStore{MemStore: NewMemStore()}
 	pool := NewBufferPool(fs, 2, &Meter{})
-	h := NewHeap(pool, 1)
+	h := newHeap(pool, 1)
 	rid, err := h.Insert([]byte("payload"))
 	if err != nil {
 		t.Fatal(err)
@@ -128,27 +128,27 @@ func TestHeapPropagatesStorageFailures(t *testing.T) {
 		nf.Unpin(false)
 	}
 	fs.failReads = true
-	if _, err := h.Fetch(rid); !errors.Is(err, errInjected) {
+	if _, err := h.fetch(rid); !errors.Is(err, errInjected) {
 		t.Fatalf("Fetch should surface storage failure, got %v", err)
 	}
 }
 
 func TestHeapFetchBadSlot(t *testing.T) {
 	pool := NewBufferPool(NewMemStore(), 4, &Meter{})
-	h := NewHeap(pool, 1)
+	h := newHeap(pool, 1)
 	rid, err := h.Insert([]byte("x"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	bad := RID{PageNo: rid.PageNo, Slot: 99}
-	if _, err := h.Fetch(bad); err == nil {
+	if _, err := h.fetch(bad); err == nil {
 		t.Fatal("fetching a bogus slot should error")
 	}
 }
 
 func TestHeapUpdateFailurePaths(t *testing.T) {
 	pool := NewBufferPool(NewMemStore(), 4, &Meter{})
-	h := NewHeap(pool, 1)
+	h := newHeap(pool, 1)
 	rid, err := h.Insert([]byte("abcd"))
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +162,7 @@ func TestHeapUpdateFailurePaths(t *testing.T) {
 }
 
 // TestReadPathRejectsCorruptTuples: a stored tuple that no longer
-// matches its schema fails every read with DecodeRow's error, before the
+// matches its schema fails every read with decodeRow's error, before the
 // callback sees it, and leaves no page pinned.
 func TestReadPathRejectsCorruptTuples(t *testing.T) {
 	e := newTestEngine(t)
@@ -174,7 +174,7 @@ func TestReadPathRejectsCorruptTuples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tuple, err := users.heap.Fetch(rid)
+	tuple, err := users.heap.fetch(rid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestReadPathRejectsCorruptTuples(t *testing.T) {
 	if err := users.heap.UpdateInPlace(rid, tuple); err != nil {
 		t.Fatal(err)
 	}
-	_, want := DecodeRow(users.Schema, tuple)
+	_, want := decodeRow(users.Schema, tuple)
 	if want == nil {
 		t.Fatal("corrupted tuple still decodes")
 	}

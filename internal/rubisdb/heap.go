@@ -27,11 +27,6 @@ type Heap struct {
 	Rows int
 }
 
-// NewHeap creates an empty heap in file.
-func NewHeap(pool *BufferPool, file uint32) *Heap {
-	return &Heap{pool: pool, file: file}
-}
-
 // Insert appends a tuple and returns its RID.
 func (h *Heap) Insert(tuple []byte) (RID, error) {
 	if len(tuple) > PageSize/2 {
@@ -64,17 +59,6 @@ func (h *Heap) Insert(tuple []byte) (RID, error) {
 	h.has = true
 	h.Rows++
 	return RID{PageNo: id.PageNo, Slot: uint16(slot)}, nil
-}
-
-// Fetch returns a copy of the tuple at rid.
-func (h *Heap) Fetch(rid RID) ([]byte, error) {
-	f, cell, err := h.pin(rid)
-	if err != nil {
-		return nil, err
-	}
-	out := append([]byte(nil), cell...)
-	f.Unpin(false)
-	return out, nil
 }
 
 // pin returns the tuple at rid aliasing its heap page, which stays

@@ -40,45 +40,10 @@ func (s Schema) ColIndex(name string) (int, error) {
 // int64, float64 or string.
 type Row []any
 
-// DecodeRow parses a stored tuple (see rowEncoder for the format).
-func DecodeRow(schema Schema, data []byte) (Row, error) {
-	row := make(Row, 0, len(schema))
-	off := 0
-	for _, col := range schema {
-		switch col.Type {
-		case TInt64:
-			if off+8 > len(data) {
-				return nil, fmt.Errorf("rubisdb: truncated tuple at column %q", col.Name)
-			}
-			row = append(row, int64(binary.BigEndian.Uint64(data[off:])))
-			off += 8
-		case TFloat64:
-			if off+8 > len(data) {
-				return nil, fmt.Errorf("rubisdb: truncated tuple at column %q", col.Name)
-			}
-			row = append(row, math.Float64frombits(binary.BigEndian.Uint64(data[off:])))
-			off += 8
-		case TString:
-			if off+2 > len(data) {
-				return nil, fmt.Errorf("rubisdb: truncated tuple at column %q", col.Name)
-			}
-			n := int(binary.BigEndian.Uint16(data[off:]))
-			off += 2
-			if off+n > len(data) {
-				return nil, fmt.Errorf("rubisdb: truncated string at column %q", col.Name)
-			}
-			row = append(row, string(data[off:off+n]))
-			off += n
-		}
-	}
-	if off != len(data) {
-		return nil, fmt.Errorf("rubisdb: %d trailing bytes after tuple", len(data)-off)
-	}
-	return row, nil
-}
-
-// validateTuple accepts exactly the tuples DecodeRow accepts, with the
-// same errors, but decodes nothing and allocates only on failure.
+// validateTuple checks that a tuple matches its schema: every column
+// is present and complete and no bytes trail the last one. It decodes
+// nothing and allocates only on failure; on a malformed tuple it
+// returns the error naming the first column that does not fit.
 func validateTuple(schema Schema, data []byte) error {
 	off := 0
 	for _, col := range schema {

@@ -25,7 +25,7 @@ func readRow(t testing.TB, tb *Table, key int64) Row {
 	var row Row
 	var derr error
 	found, err := tb.ReadByPK(key, func(tu Tuple) {
-		row, derr = DecodeRow(tb.Schema, tu.Bytes())
+		row, derr = decodeRow(tb.Schema, tu.Bytes())
 	})
 	if err != nil || derr != nil {
 		t.Fatalf("read pk %d: %v / %v", key, err, derr)
@@ -97,7 +97,7 @@ func mustIndex(t testing.TB, tb *Table, column string) Index {
 }
 
 // FuzzTupleView: for any schema and bytes, the borrowed view accepts
-// exactly the tuples DecodeRow accepts, with the same error, and Int
+// exactly the tuples decodeRow accepts, with the same error, and Int
 // reads the decoded value of every int64 column.
 func FuzzTupleView(f *testing.F) {
 	schemaOf := func(types ...ColType) []byte {
@@ -127,10 +127,10 @@ func FuzzTupleView(f *testing.F) {
 		for i, b := range spec {
 			schema[i] = Column{Name: fmt.Sprintf("c%d", i), Type: ColType(b % 3)}
 		}
-		want, werr := DecodeRow(schema, data)
+		want, werr := decodeRow(schema, data)
 		gerr := validateTuple(schema, data)
 		if (werr == nil) != (gerr == nil) || (werr != nil && werr.Error() != gerr.Error()) {
-			t.Fatalf("DecodeRow err %v, view err %v", werr, gerr)
+			t.Fatalf("decodeRow err %v, view err %v", werr, gerr)
 		}
 		if werr != nil {
 			return
@@ -141,7 +141,7 @@ func FuzzTupleView(f *testing.F) {
 				continue
 			}
 			if got := tu.Int(col); got != want[col].(int64) {
-				t.Fatalf("Int(%d) = %d, DecodeRow = %d", col, got, want[col])
+				t.Fatalf("Int(%d) = %d, decodeRow = %d", col, got, want[col])
 			}
 		}
 	})
@@ -167,7 +167,7 @@ func TestTupleIntPanicsOnNonIntColumn(t *testing.T) {
 
 // refReadBy is the read path Index.Read replaced, rebuilt from the
 // engine's primitives: scan the index into a RID list, then copy each
-// tuple out with Heap.Fetch and decode it with DecodeRow.
+// tuple out with Heap.fetch and decode it with decodeRow.
 func refReadBy(tb *Table, column string, key int64, limit int) ([]Row, error) {
 	ix, err := tb.Index(column)
 	if err != nil {
@@ -193,19 +193,19 @@ func refReadBy(tb *Table, column string, key int64, limit int) ([]Row, error) {
 }
 
 func refFetch(tb *Table, rid RID) (Row, error) {
-	tuple, err := tb.heap.Fetch(rid)
+	tuple, err := tb.heap.fetch(rid)
 	if err != nil {
 		return nil, err
 	}
 	tb.engine.meter.RowsRead++
 	tb.engine.meter.BytesOut += float64(len(tuple))
-	return DecodeRow(tb.Schema, tuple)
+	return decodeRow(tb.Schema, tuple)
 }
 
 // refReadByPK is the replaced primary-key lookup: BTree.Search, then the
 // first RID's row.
 func refReadByPK(tb *Table, key int64) (Row, error) {
-	rids, err := tb.pk.Search(key)
+	rids, err := tb.pk.search(key)
 	if err != nil || len(rids) == 0 {
 		return nil, err
 	}
@@ -215,7 +215,7 @@ func refReadByPK(tb *Table, key int64) (Row, error) {
 // refUpdateNumeric is the replaced update: look the row up, decode it,
 // patch the Row and re-encode it in place.
 func refUpdateNumeric(tb *Table, key int64, set map[int]any) error {
-	rids, err := tb.pk.Search(key)
+	rids, err := tb.pk.search(key)
 	if err != nil || len(rids) == 0 {
 		return fmt.Errorf("no row %d: %v", key, err)
 	}
@@ -326,7 +326,7 @@ func TestReadPathMeterParity(t *testing.T) {
 		for key := int64(-1); key <= 7; key++ {
 			var got []Row
 			cnt, err := mustIndex(t, tb, "region").Read(key, limit, func(i int, tu Tuple) {
-				row, err := DecodeRow(tb.Schema, tu.Bytes())
+				row, err := decodeRow(tb.Schema, tu.Bytes())
 				if err != nil || i != len(got) {
 					t.Fatalf("region %d row %d: %v", key, i, err)
 				}

@@ -86,6 +86,3 @@ func (w *WAL) Flush() {
 	w.buffered = 0
 	w.Flushes++
 }
-
-// NextLSN reports the next sequence number to be assigned.
-func (w *WAL) NextLSN() uint64 { return w.lsn }
