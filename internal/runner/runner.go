@@ -24,7 +24,6 @@ import (
 	"vwchar/internal/load"
 	"vwchar/internal/rng"
 	"vwchar/internal/stats"
-	"vwchar/internal/timeseries"
 )
 
 // Point is one sweep coordinate: a named experiment configuration. The
@@ -88,12 +87,6 @@ func LoadGrid(envs []experiment.Env, mix experiment.MixKind, scenarios []load.Na
 		}
 	}
 	return points
-}
-
-// FullLoadGrid crosses both deployments with every catalog scenario at
-// the given mix.
-func FullLoadGrid(mix experiment.MixKind, mutate func(*experiment.Config)) []Point {
-	return LoadGrid(experiment.Envs(), mix, load.Scenarios(), mutate)
 }
 
 // Progress reports one completed (or failed) job. Callbacks arrive from
@@ -164,18 +157,6 @@ type NamedMetric struct {
 	Metric Metric
 }
 
-// SeriesAggregate is one windowed telemetry series aggregated
-// pointwise across a point's replications: a mean series plus the
-// CI95 half-width per window (zero when fewer than two replications
-// survive). Series are truncated to the shortest replication.
-type SeriesAggregate struct {
-	Name string
-	// N is the number of replications aggregated.
-	N    int
-	Mean *timeseries.Series
-	CI95 *timeseries.Series
-}
-
 // PointResult is one sweep coordinate with its per-replication results
 // and across-replication aggregates.
 type PointResult struct {
@@ -184,11 +165,6 @@ type PointResult struct {
 	// entry marks a failed replication.
 	Reps    []*experiment.Result
 	Metrics []NamedMetric
-	// Series holds the windowed telemetry series aggregated pointwise
-	// across replications, in registration order. It is kept
-	// out of WriteTable so the paper sweep's scalar output bytes stay
-	// pinned by the golden hash; render it with WriteSeriesCSV.
-	Series []SeriesAggregate
 }
 
 // Metric returns the aggregate for name, or a zero Metric when the
@@ -200,33 +176,6 @@ func (p *PointResult) Metric(name string) Metric {
 		}
 	}
 	return Metric{}
-}
-
-// SeriesAgg returns the aggregated series for a telemetry series name
-// (see the name constants in internal/telemetry), or nil when absent.
-func (p *PointResult) SeriesAgg(name string) *SeriesAggregate {
-	for i := range p.Series {
-		if p.Series[i].Name == name {
-			return &p.Series[i]
-		}
-	}
-	return nil
-}
-
-// WriteSeriesCSV renders the point's aggregated window series as one
-// CSV table: a shared time column, then mean and ci95 columns per
-// series. Output depends only on the spec and root seed — the series
-// determinism test compares these bytes across worker counts.
-func (p *PointResult) WriteSeriesCSV(w io.Writer) error {
-	if len(p.Series) == 0 {
-		return nil
-	}
-	cols := make([]*timeseries.Series, 0, 2*len(p.Series))
-	for i := range p.Series {
-		sa := &p.Series[i]
-		cols = append(cols, sa.Mean, sa.CI95)
-	}
-	return timeseries.WriteTableCSV(w, cols...)
 }
 
 // SweepResult is a completed sweep.
@@ -336,7 +285,6 @@ func Run(spec SweepSpec) (*SweepResult, error) {
 	for pi, p := range spec.Points {
 		pr := PointResult{Point: p, Reps: results[pi*reps : (pi+1)*reps]}
 		pr.Metrics = aggregate(pr.Reps)
-		pr.Series = aggregateSeries(pr.Reps)
 		sr.Points[pi] = pr
 	}
 	for i, err := range errs {
@@ -387,63 +335,6 @@ func aggregate(reps []*experiment.Result) []NamedMetric {
 	out := make([]NamedMetric, 0, len(names))
 	for _, name := range names {
 		out = append(out, NamedMetric{Name: name, Metric: summarize(samples[name])})
-	}
-	return out
-}
-
-// aggregateSeries folds the per-replication telemetry series of one
-// point into pointwise mean and CI95 series, skipping failed (nil)
-// replications and truncating to the shortest surviving replication.
-// Every replication of a point registers the same series, so the
-// first surviving one fixes the names and their order. Iteration is
-// by that order and rep index, so the output is deterministic and
-// independent of worker count.
-func aggregateSeries(reps []*experiment.Result) []SeriesAggregate {
-	var registered []*timeseries.Series
-	for _, r := range reps {
-		if r != nil && r.Telemetry != nil {
-			registered = r.Telemetry.All()
-			break
-		}
-	}
-	out := make([]SeriesAggregate, 0, len(registered))
-	for _, reg := range registered {
-		name := reg.Name
-		var cols []*timeseries.Series
-		for _, r := range reps {
-			if r == nil {
-				continue
-			}
-			if s := r.Telemetry.ByName(name); s != nil {
-				cols = append(cols, s)
-			}
-		}
-		n := cols[0].Len()
-		for _, s := range cols[1:] {
-			if s.Len() < n {
-				n = s.Len()
-			}
-		}
-		sa := SeriesAggregate{
-			Name: name,
-			N:    len(cols),
-			Mean: &timeseries.Series{Name: name, Unit: cols[0].Unit,
-				Interval: cols[0].Interval, Start: cols[0].Start,
-				Values: make([]float64, n)},
-			CI95: &timeseries.Series{Name: name + "_ci95", Unit: cols[0].Unit,
-				Interval: cols[0].Interval, Start: cols[0].Start,
-				Values: make([]float64, n)},
-		}
-		xs := make([]float64, len(cols))
-		for i := 0; i < n; i++ {
-			for j, s := range cols {
-				xs[j] = s.At(i)
-			}
-			m := summarize(xs)
-			sa.Mean.Values[i] = m.Mean
-			sa.CI95.Values[i] = m.CI95
-		}
-		out = append(out, sa)
 	}
 	return out
 }

@@ -11,7 +11,7 @@ import (
 	"vwchar/internal/load"
 	"vwchar/internal/rubis"
 	"vwchar/internal/sim"
-	"vwchar/internal/telemetry"
+	"vwchar/internal/timeseries"
 )
 
 // tinyConfig returns a configuration small enough that a replication
@@ -130,11 +130,11 @@ func TestSweepByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	}
 }
 
-// TestSeriesAggregationByteIdenticalAcrossWorkerCounts extends the
-// determinism contract to the windowed telemetry aggregates: the
-// pointwise mean/CI95 series rendered as CSV must be byte-identical at
-// workers=1 and workers=8.
-func TestSeriesAggregationByteIdenticalAcrossWorkerCounts(t *testing.T) {
+// TestTelemetryCSVByteIdenticalAcrossWorkerCounts extends the
+// determinism contract to the windowed telemetry series: every
+// replication's telemetry CSV (the table rubisim -csv writes) must be
+// byte-identical at workers=1 and workers=8.
+func TestTelemetryCSVByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	render := func(workers int) string {
 		sr, err := Run(SweepSpec{
 			Points:       tinyPoints(),
@@ -147,9 +147,12 @@ func TestSeriesAggregationByteIdenticalAcrossWorkerCounts(t *testing.T) {
 		}
 		var buf bytes.Buffer
 		for i := range sr.Points {
-			fmt.Fprintf(&buf, "# %s\n", sr.Points[i].Point.Name)
-			if err := sr.Points[i].WriteSeriesCSV(&buf); err != nil {
-				t.Fatal(err)
+			pr := &sr.Points[i]
+			for rep, r := range pr.Reps {
+				fmt.Fprintf(&buf, "# %s rep %d\n", pr.Point.Name, rep)
+				if err := timeseries.WriteTableCSV(&buf, r.Telemetry.All()...); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		return buf.String()
@@ -157,52 +160,10 @@ func TestSeriesAggregationByteIdenticalAcrossWorkerCounts(t *testing.T) {
 	seq := render(1)
 	par := render(8)
 	if seq != par {
-		t.Fatalf("series aggregates differ between workers=1 and workers=8:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", seq, par)
+		t.Fatalf("telemetry CSV differs between workers=1 and workers=8:\n--- workers=1 ---\n%s\n--- workers=8 ---\n%s", seq, par)
 	}
 	if !strings.Contains(seq, "latency_p95_ms") {
-		t.Fatalf("series CSV missing latency series:\n%.400s", seq)
-	}
-}
-
-// TestSeriesAggregates pins the shape and content of the windowed
-// aggregates: every telemetry series is aggregated over both
-// replications, windows align with the replication series, and the
-// latency CI is non-degenerate (different seeds produce different
-// windows).
-func TestSeriesAggregates(t *testing.T) {
-	sr, err := Run(SweepSpec{Points: tinyPoints(), Replications: 2, RootSeed: 7, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	virt := &sr.Points[0]
-	if got, want := len(virt.Series), len(virt.Reps[0].Telemetry.All()); got != want {
-		t.Fatalf("aggregated %d series, want %d (every present series)", got, want)
-	}
-	p95 := virt.SeriesAgg("latency_p95_ms")
-	if p95 == nil || p95.N != 2 {
-		t.Fatalf("p95 aggregate = %+v", p95)
-	}
-	if got, want := p95.Mean.Len(), virt.Reps[0].Telemetry.ByName(telemetry.LatencyP95).Len(); got != want {
-		t.Fatalf("aggregate has %d windows, replications have %d", got, want)
-	}
-	if p95.Mean.Interval != 2 || p95.CI95.Len() != p95.Mean.Len() {
-		t.Fatalf("aggregate axis wrong: interval %v, ci len %d", p95.Mean.Interval, p95.CI95.Len())
-	}
-	if p95.Mean.Max() <= 0 {
-		t.Fatal("aggregated p95 series is all zero")
-	}
-	if p95.CI95.Max() <= 0 {
-		t.Fatal("replication seeds identical? CI95 series all zero")
-	}
-	// Pointwise mean really is the mean of the two replications.
-	mid := p95.Mean.Len() / 2
-	a := virt.Reps[0].Telemetry.ByName(telemetry.LatencyP95).At(mid)
-	b := virt.Reps[1].Telemetry.ByName(telemetry.LatencyP95).At(mid)
-	if got, want := p95.Mean.At(mid), (a+b)/2; math.Abs(got-want) > 1e-12*math.Abs(want) {
-		t.Fatalf("window %d mean %v, want %v", mid, got, want)
-	}
-	if virt.SeriesAgg("nope") != nil {
-		t.Fatal("unknown series name should be nil")
+		t.Fatalf("telemetry CSV missing latency series:\n%.400s", seq)
 	}
 }
 
@@ -326,25 +287,6 @@ func TestSummarizeCI(t *testing.T) {
 	}
 }
 
-func TestConfigJSONRoundTrip(t *testing.T) {
-	cfg := tinyConfig(experiment.Virtualized, experiment.Mix30Browse)
-	cfg.Seed = 1234
-	data, err := cfg.MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := experiment.ParseConfig(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprintf("%+v", back) != fmt.Sprintf("%+v", cfg) {
-		t.Fatalf("round trip changed config:\n%+v\n%+v", back, cfg)
-	}
-	if _, err := experiment.ParseConfig([]byte(`{"Environment":"vax"}`)); err == nil {
-		t.Fatal("invalid config parsed successfully")
-	}
-}
-
 // tinyLoadMutate scales a load-grid config down to test size, including
 // the per-kind time parameters so every scenario exercises its shape
 // inside the short window.
@@ -369,7 +311,7 @@ func tinyLoadMutate(c *experiment.Config) {
 // env x scenario, per-point spec copies (no catalog aliasing), and
 // names unique enough for the runner's duplicate check.
 func TestLoadGridShape(t *testing.T) {
-	points := FullLoadGrid(experiment.MixBrowsing, tinyLoadMutate)
+	points := LoadGrid(experiment.Envs(), experiment.MixBrowsing, load.Scenarios(), tinyLoadMutate)
 	want := len(experiment.Envs()) * len(load.Scenarios())
 	if len(points) != want {
 		t.Fatalf("load grid has %d points, want %d", len(points), want)

@@ -252,9 +252,6 @@ type (
 	TelemetrySeries = timeseries.Set
 	// LatencyHist is the mergeable fixed-bin log latency histogram.
 	LatencyHist = telemetry.Hist
-	// SweepSeries is one telemetry series aggregated pointwise (mean
-	// and CI95 per window) across a sweep point's replications.
-	SweepSeries = runner.SeriesAggregate
 	// Transient is the time-resolved queueing analysis of a latency
 	// series: time-to-saturation, peak-window p95, drain time.
 	Transient = characterize.Transient
