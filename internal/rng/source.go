@@ -84,7 +84,9 @@ func (r *source) Seed(seed int64) {
 	}
 }
 
-// Int63 returns a non-negative pseudo-random 63-bit integer.
+// Int63 returns a non-negative pseudo-random 63-bit integer. No code in
+// the module calls it by name: it completes math/rand.Source, the
+// interface rand.New draws from.
 func (r *source) Int63() int64 { return int64(r.Uint64() & rngMask) }
 
 // Uint64 returns a pseudo-random 64-bit integer.

@@ -151,7 +151,10 @@ func (e *Engine) Table(name string) (*Table, error) {
 func (e *Engine) Meter() Meter { return *e.meter }
 
 // Check verifies the buffer pool of a quiescent engine (no query in
-// flight); see BufferPool.check.
+// flight); see BufferPool.check. It is a deliberate test hook: no
+// production path calls it, and the engine and snapshot tests use it
+// to prove a rejected write or a view's queries leave no frame pinned
+// and no directory slot stale.
 func (e *Engine) Check() error { return e.pool.check() }
 
 // Checkpoint flushes all dirty pages (background writer behaviour).

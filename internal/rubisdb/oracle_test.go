@@ -45,6 +45,10 @@ func (h *Heap) fetch(rid RID) ([]byte, error) {
 	return out, nil
 }
 
+// Row is one decoded tuple: element i holds Schema[i]'s value as an
+// int64, float64 or string.
+type Row []any
+
 // decodeRow parses a stored tuple (see rowEncoder for the format) into
 // a Row. It is the reference decoder: FuzzTupleView and the
 // validateTuple tests check the borrowed Tuple path against it.

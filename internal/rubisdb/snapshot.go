@@ -149,7 +149,10 @@ func (e *Engine) Seal() (*Golden, error) {
 }
 
 // Digest hashes every sealed page with its id, in (file, page) order.
-// No view may ever change it.
+// No view may ever change it. It is a deliberate test hook: no
+// production path calls it, and the snapshot tests compare it before
+// and after views write to prove the golden pages stay shared and
+// untouched.
 func (g *Golden) Digest() [32]byte {
 	g.mustBeOpen("Digest")
 	h := sha256.New()

@@ -36,10 +36,6 @@ func (s Schema) ColIndex(name string) (int, error) {
 	return 0, fmt.Errorf("rubisdb: no column %q", name)
 }
 
-// Row is one decoded tuple: element i holds Schema[i]'s value as an
-// int64, float64 or string.
-type Row []any
-
 // validateTuple checks that a tuple matches its schema: every column
 // is present and complete and no bytes trail the last one. It decodes
 // nothing and allocates only on failure; on a malformed tuple it
@@ -140,10 +136,10 @@ const (
 // BulkWriter. A row is one typed append per schema column, in schema
 // order, encoded straight into the table's scratch tuple: int64 and
 // float64 as 8 bytes big-endian, strings length-prefixed (u16). The row's
-// primary and secondary keys are captured as they pass, so no Row is
-// built and no value is boxed. The first error (a value of the wrong
-// type, a string over 0xFFFF bytes, a wrong arity at end) sticks until
-// reset.
+// primary and secondary keys are captured as they pass, so no slice of
+// values is built and no value is boxed. The first error (a value of
+// the wrong type, a string over 0xFFFF bytes, a wrong arity at end)
+// sticks until reset.
 type rowEncoder struct {
 	t   *Table
 	err error

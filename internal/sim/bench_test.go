@@ -171,7 +171,7 @@ func BenchmarkKernelTimeoutCancel(b *testing.B) {
 		k.Step()
 	}
 	b.StopTimer()
-	if k.Pending() != 2*len(reqs) {
-		b.Fatalf("Pending = %d, want a timer and a response per request", k.Pending())
+	if k.pending() != 2*len(reqs) {
+		b.Fatalf("Pending = %d, want a timer and a response per request", k.pending())
 	}
 }

@@ -42,7 +42,7 @@
 // takes a queued event out of the queue at once. Either way the kernel
 // recycles the slot and bumps its generation counter, so a retained
 // stale handle becomes inert: Cancel and Reschedule on it are no-ops,
-// Pending reports false. A handle can therefore be kept arbitrarily long
+// and Time reports -1. A handle can therefore be kept arbitrarily long
 // without corrupting the pool or affecting whatever event later reuses
 // the slot — the same handle/pin discipline the storage engine's buffer
 // pool uses for frames.
@@ -149,17 +149,6 @@ func (e Event) Time() Time {
 	return ev.at
 }
 
-// Pending reports whether the handle still refers to a queued event
-// (not yet fired, not cancelled).
-func (e Event) Pending() bool {
-	k := e.k
-	if k == nil {
-		return false
-	}
-	ev := &k.arena[e.idx]
-	return ev.gen == e.gen && ev.pos != posIdle
-}
-
 // Cancel takes a queued event out of the queue and releases its slot at
 // once, so every handle to it goes stale. Cancelling a stale handle —
 // the event fired, was cancelled, or its slot now holds an unrelated
@@ -232,8 +221,6 @@ type Kernel struct {
 	// firing is the arena index of the event whose callback is running,
 	// -1 otherwise; requeueFiring (the Ticker re-arm) targets it.
 	firing int32
-	// processed counts events executed so far.
-	processed uint64
 }
 
 // NewKernel returns a kernel at virtual time zero with an empty queue.
@@ -252,12 +239,6 @@ func newKernel(shift uint, slots int) *Kernel {
 
 // Now reports the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
-
-// Pending reports the number of queued events.
-func (k *Kernel) Pending() int { return len(k.heap) + k.farN }
-
-// Processed reports how many events have been executed.
-func (k *Kernel) Processed() uint64 { return k.processed }
 
 // schedule grabs a pooled slot, fills it, and queues it.
 func (k *Kernel) schedule(t Time, call Callback, arg any) Event {
@@ -323,7 +304,9 @@ func (k *Kernel) Run(until Time) {
 }
 
 // Step executes the next event if one exists, returning true when an
-// event ran.
+// event ran. It is a deliberate test hook: production code drives the
+// kernel with Run, and tests single-step it to observe the state
+// between events.
 func (k *Kernel) Step() bool {
 	if len(k.heap) == 0 && !k.refill() {
 		return false
@@ -338,7 +321,6 @@ func (k *Kernel) Step() bool {
 // callback may grow the arena and move the slot.
 func (k *Kernel) fire() {
 	k.now = k.heap[0].at
-	k.processed++
 	idx := k.heapPopRoot()
 	e := &k.arena[idx]
 	call, arg := e.call, e.arg
@@ -364,11 +346,10 @@ func (k *Kernel) requeueFiring(t Time) {
 	k.seq++
 }
 
-// Every schedules fn at t, t+period, t+2*period, ... until Stop is
-// called on the returned Ticker. fn receives the firing time. Each
-// period the ticker re-arms by mutating its pooled event in place rather
-// than scheduling a fresh one, so a steady ticker performs zero
-// allocations.
+// Every schedules fn at t, t+period, t+2*period, ... for as long as the
+// kernel runs. fn receives the firing time. Each period the ticker
+// re-arms by mutating its pooled event in place rather than scheduling
+// a fresh one, so a steady ticker performs zero allocations.
 func (k *Kernel) Every(start, period Time, fn func(Time)) *Ticker {
 	if period <= 0 {
 		panic("sim: Every requires a positive period")
@@ -383,7 +364,7 @@ type Ticker struct {
 	k      *Kernel
 	period Time
 	fn     func(Time)
-	ev     Event // zero once Stop is called
+	ev     Event // zero once a test stops the ticker
 }
 
 func tickerFire(arg any) {
@@ -393,14 +374,6 @@ func tickerFire(arg any) {
 	if t.ev != (Event{}) {
 		t.k.requeueFiring(now + t.period)
 	}
-}
-
-// Stop cancels future firings; the ticker's pooled event is released at
-// once, or after the callback when Stop is called from inside it. A
-// second Stop is a no-op.
-func (t *Ticker) Stop() {
-	t.ev.Cancel()
-	t.ev = Event{}
 }
 
 // --- far queue: hashed timing wheel plus overflow ----------------------

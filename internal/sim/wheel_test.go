@@ -116,7 +116,7 @@ func (o *farOracle) mutate() {
 	default:
 		e := o.events[i]
 		wasLive := o.specs[i].live
-		wasHeap := e.Pending() && o.k.arena[e.idx].pos >= 0
+		wasHeap := e.pending() && o.k.arena[e.idx].pos >= 0
 		at := o.randTime()
 		ok := e.Reschedule(at)
 		switch {
@@ -154,7 +154,7 @@ func (o *farOracle) ticker() {
 			o.mutate()
 		}
 		if n++; n >= stopAfter {
-			tk.Stop()
+			tk.stop()
 			return
 		}
 		// The kernel re-arms after fn returns, so the re-arm orders
@@ -186,15 +186,15 @@ func (o *farOracle) livePending() int {
 
 func (o *farOracle) checkPending() {
 	o.t.Helper()
-	if got, want := o.k.Pending(), o.livePending(); got != want {
-		o.t.Fatalf("Pending = %d, oracle has %d live events", got, want)
+	if got, want := o.k.pending(), o.livePending(); got != want {
+		o.t.Fatalf("pending = %d, oracle has %d live events", got, want)
 	}
 	for i, e := range o.events {
 		if e == (Event{}) {
 			continue
 		}
-		if e.Pending() != o.specs[i].live {
-			o.t.Fatalf("ev%d Pending = %v, oracle live = %v", i, e.Pending(), o.specs[i].live)
+		if e.pending() != o.specs[i].live {
+			o.t.Fatalf("ev%d Pending = %v, oracle live = %v", i, e.pending(), o.specs[i].live)
 		}
 	}
 }
@@ -247,8 +247,8 @@ func TestPropertyFarQueueMatchesOracle(t *testing.T) {
 				}
 				o.checkPending()
 				k.Run(MaxTime)
-				if k.Pending() != 0 {
-					t.Fatalf("trial %d: Pending = %d after drain", trial, k.Pending())
+				if k.pending() != 0 {
+					t.Fatalf("trial %d: Pending = %d after drain", trial, k.pending())
 				}
 				if n := o.livePending(); n != 0 {
 					t.Fatalf("trial %d: %d oracle events never fired", trial, n)
@@ -330,7 +330,7 @@ func TestStaleHandleRecycledThroughWheelIsInert(t *testing.T) {
 		t.Fatalf("setup: event at 9 has pos %d, want a wheel slot", p)
 	}
 	k.Run(10)
-	if old.Pending() || old.Time() != -1 {
+	if old.pending() || old.Time() != -1 {
 		t.Fatal("fired handle still reports pending")
 	}
 	for _, c := range []struct {
@@ -350,11 +350,11 @@ func TestStaleHandleRecycledThroughWheelIsInert(t *testing.T) {
 		if old.Reschedule(k.Now()) {
 			t.Fatal("Reschedule through a stale handle returned true")
 		}
-		if old.Pending() || old.Time() != -1 {
+		if old.pending() || old.Time() != -1 {
 			t.Fatal("stale handle reports the recycled event")
 		}
-		if !fresh.Pending() || fresh.Time() != at {
-			t.Fatalf("recycled event disturbed: pending %v at %v", fresh.Pending(), fresh.Time())
+		if !fresh.pending() || fresh.Time() != at {
+			t.Fatalf("recycled event disturbed: pending %v at %v", fresh.pending(), fresh.Time())
 		}
 		k.Run(at)
 		if fired != 1 {
@@ -362,7 +362,7 @@ func TestStaleHandleRecycledThroughWheelIsInert(t *testing.T) {
 		}
 		old = fresh
 	}
-	if k.Pending() != 0 {
-		t.Fatalf("Pending = %d after drain", k.Pending())
+	if k.pending() != 0 {
+		t.Fatalf("Pending = %d after drain", k.pending())
 	}
 }

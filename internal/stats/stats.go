@@ -159,56 +159,6 @@ func Mean(xs []float64) float64 {
 // Variance returns the unbiased sample variance.
 func Variance(xs []float64) float64 { return Summarize(xs).Variance }
 
-// Histogram is a fixed-width binned frequency count.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	// Under and Over count out-of-range samples.
-	Under, Over int
-}
-
-// NewHistogram builds a histogram of xs over [lo,hi) with bins buckets.
-func NewHistogram(xs []float64, lo, hi float64, bins int) *Histogram {
-	if bins <= 0 {
-		bins = 1
-	}
-	if hi <= lo {
-		hi = lo + 1
-	}
-	h := &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-	width := (hi - lo) / float64(bins)
-	for _, x := range xs {
-		switch {
-		case x < lo:
-			h.Under++
-		case x >= hi:
-			h.Over++
-		default:
-			i := int((x - lo) / width)
-			if i >= bins {
-				i = bins - 1
-			}
-			h.Counts[i]++
-		}
-	}
-	return h
-}
-
-// Total reports the number of in-range samples.
-func (h *Histogram) Total() int {
-	t := 0
-	for _, c := range h.Counts {
-		t += c
-	}
-	return t
-}
-
-// BinCenter reports the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	width := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*width
-}
-
 // Autocorrelation returns the sample autocorrelation at the given lag,
 // in [-1,1]; 0 for degenerate inputs.
 func Autocorrelation(xs []float64, lag int) float64 {
@@ -280,23 +230,6 @@ func EstimateLag(x, y []float64, maxLag int) (bestLag int, bestCorr float64) {
 		bestCorr = 0
 	}
 	return bestLag, bestCorr
-}
-
-// EWMA returns the exponentially weighted moving average of xs with
-// smoothing factor alpha in (0,1].
-func EWMA(xs []float64, alpha float64) []float64 {
-	if alpha <= 0 || alpha > 1 {
-		alpha = 0.3
-	}
-	out := make([]float64, len(xs))
-	if len(xs) == 0 {
-		return out
-	}
-	out[0] = xs[0]
-	for i := 1; i < len(xs); i++ {
-		out[i] = alpha*xs[i] + (1-alpha)*out[i-1]
-	}
-	return out
 }
 
 // Jump is an abrupt sustained level shift detected in a series.

@@ -62,35 +62,6 @@ func TestQuantileEdges(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram([]float64{-1, 0, 0.5, 1, 5, 9.99, 10, 11}, 0, 10, 10)
-	if h.Under != 1 {
-		t.Fatalf("Under = %d", h.Under)
-	}
-	if h.Over != 2 {
-		t.Fatalf("Over = %d", h.Over)
-	}
-	if h.Total() != 5 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-	if h.Counts[0] != 2 { // 0 and 0.5
-		t.Fatalf("bin0 = %d", h.Counts[0])
-	}
-	if !almostEq(h.BinCenter(0), 0.5, 1e-12) {
-		t.Fatalf("BinCenter(0) = %v", h.BinCenter(0))
-	}
-}
-
-func TestHistogramDegenerateArgs(t *testing.T) {
-	h := NewHistogram([]float64{1, 2}, 5, 5, 0)
-	if len(h.Counts) != 1 {
-		t.Fatal("bins should clamp to 1")
-	}
-	if h.Hi <= h.Lo {
-		t.Fatal("hi should be forced above lo")
-	}
-}
-
 func TestAutocorrelation(t *testing.T) {
 	// A constant series has zero variance: correlation must be 0.
 	if Autocorrelation([]float64{5, 5, 5, 5}, 1) != 0 {
@@ -136,23 +107,6 @@ func TestCrossCorrelationDegenerate(t *testing.T) {
 	}
 	if CrossCorrelation([]float64{2, 2, 2}, []float64{1, 2, 3}, 0) != 0 {
 		t.Fatal("zero-variance x should give 0")
-	}
-}
-
-func TestEWMA(t *testing.T) {
-	out := EWMA([]float64{10, 0, 0, 0}, 0.5)
-	want := []float64{10, 5, 2.5, 1.25}
-	for i := range want {
-		if !almostEq(out[i], want[i], 1e-12) {
-			t.Fatalf("EWMA[%d] = %v, want %v", i, out[i], want[i])
-		}
-	}
-	if len(EWMA(nil, 0.5)) != 0 {
-		t.Fatal("EWMA of empty should be empty")
-	}
-	// Invalid alpha falls back without panicking.
-	if out := EWMA([]float64{1, 2}, -3); len(out) != 2 {
-		t.Fatal("invalid alpha should still smooth")
 	}
 }
 

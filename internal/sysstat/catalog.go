@@ -7,7 +7,6 @@ package sysstat
 
 import (
 	"fmt"
-	"slices"
 
 	"vwchar/internal/sim"
 )
@@ -179,10 +178,6 @@ const (
 // The count is pinned by a test; extending the catalog means consciously
 // deciding the paper comparison no longer holds.
 var catalog = buildCatalog()
-
-// Catalog returns a copy of the 182-metric sysstat catalog, in the order
-// the collector records it.
-func Catalog() []Metric { return slices.Clone(catalog) }
 
 func buildCatalog() []Metric {
 	var ms []Metric

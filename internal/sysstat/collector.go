@@ -1,8 +1,6 @@
 package sysstat
 
 import (
-	"sort"
-
 	"vwchar/internal/sim"
 	"vwchar/internal/timeseries"
 )
@@ -160,32 +158,4 @@ func (c *Collector) sample(now sim.Time) {
 	for _, fn := range c.onSample {
 		fn(now)
 	}
-}
-
-// GroupCounts tallies catalog metrics per sar group, sorted by group
-// name — used by Table 1 and the catalog tests.
-func GroupCounts() []struct {
-	Group string
-	Count int
-} {
-	counts := make(map[string]int)
-	for _, m := range catalog {
-		counts[m.Group]++
-	}
-	groups := make([]string, 0, len(counts))
-	for g := range counts {
-		groups = append(groups, g)
-	}
-	sort.Strings(groups)
-	out := make([]struct {
-		Group string
-		Count int
-	}, 0, len(groups))
-	for _, g := range groups {
-		out = append(out, struct {
-			Group string
-			Count int
-		}{g, counts[g]})
-	}
-	return out
 }

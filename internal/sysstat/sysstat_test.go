@@ -12,7 +12,7 @@ import (
 )
 
 func TestCatalogHasExactly182Metrics(t *testing.T) {
-	cat := Catalog()
+	cat := catalog
 	if len(cat) != CatalogSize {
 		t.Fatalf("catalog has %d metrics, the paper profiles %d per instance", len(cat), CatalogSize)
 	}
@@ -72,7 +72,7 @@ func sampleSnapshots() (Snapshot, Snapshot) {
 func evalByName(t *testing.T, name string) float64 {
 	t.Helper()
 	prev, cur := sampleSnapshots()
-	for _, m := range Catalog() {
+	for _, m := range catalog {
 		if m.Name == name {
 			return m.Eval(&prev, &cur, 2)
 		}
@@ -227,7 +227,7 @@ func TestCollectorFullCatalog(t *testing.T) {
 			t.Fatalf("series %d = %q, want %q", i, all[i].Name, r.Series("vm"))
 		}
 	}
-	if all[len(Resources())].Name != "vm/"+Catalog()[0].Name {
+	if all[len(Resources())].Name != "vm/"+catalog[0].Name {
 		t.Fatalf("first catalog series = %q", all[len(Resources())].Name)
 	}
 }
@@ -259,16 +259,6 @@ func TestTable1(t *testing.T) {
 	}
 	if !strings.Contains(out, "cswch/s") || !strings.Contains(out, "xen-hypercalls") {
 		t.Fatal("Table 1 missing representative metrics")
-	}
-}
-
-func TestGroupCountsSumToCatalog(t *testing.T) {
-	total := 0
-	for _, g := range GroupCounts() {
-		total += g.Count
-	}
-	if total != CatalogSize {
-		t.Fatalf("group counts sum to %d", total)
 	}
 }
 

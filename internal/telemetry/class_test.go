@@ -61,8 +61,8 @@ func TestHistExcessAboveOracle(t *testing.T) {
 }
 
 // TestRecorderClassAttribution pins the per-class split: read-only and
-// read-write observations land in their own histograms and window p95
-// series while the combined histogram sees everything once.
+// read-write observations land in their own window p95 series while
+// the combined histogram sees everything once.
 func TestRecorderClassAttribution(t *testing.T) {
 	r := NewRecorder(2.0, 4)
 	for i := 0; i < 40; i++ {
@@ -70,12 +70,6 @@ func TestRecorderClassAttribution(t *testing.T) {
 	}
 	for i := 0; i < 10; i++ {
 		r.Record(0.200, true) // slow writes
-	}
-	if got := r.ClassHist(false).Count(); got != 40 {
-		t.Fatalf("read class count = %d", got)
-	}
-	if got := r.ClassHist(true).Count(); got != 10 {
-		t.Fatalf("write class count = %d", got)
 	}
 	if got := r.RunHist().Count(); got != 50 {
 		t.Fatalf("combined count = %d (classes must not double-count)", got)
@@ -95,9 +89,6 @@ func TestRecorderClassAttribution(t *testing.T) {
 	// Class state resets with the window.
 	r.Record(0.050, false)
 	r.Rotate(0)
-	if got := r.ClassHist(false).Count(); got != 41 {
-		t.Fatalf("run-level class hist lost observations: %d", got)
-	}
 	if s.ByName(LatencyRWP95).At(1) != 0 {
 		t.Fatal("write-class window series should be empty after reset")
 	}

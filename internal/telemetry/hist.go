@@ -63,9 +63,7 @@ var RelativeErrorBound = math.Pow(10, 1.0/(2*binsPerDecade)) - 1
 var invLog10 = 1 / math.Ln10
 
 // Hist is a fixed-bin logarithmic latency histogram. The zero value is
-// ready to use. Hists are mergeable across windows and replications:
-// merging the per-window histograms of a run yields bit-identical
-// counts to recording the whole run into one histogram.
+// ready to use.
 type Hist struct {
 	// counts[0] is the underflow bin (v < histMin), counts[numBins+1]
 	// the overflow bin; counts[1..numBins] are the log-spaced bins.
@@ -229,37 +227,6 @@ func (h *Hist) ExcessAbove(v float64) float64 {
 		debt += float64(h.counts[i]) * (bv - v)
 	}
 	return debt
-}
-
-// Merge folds other into h: counts, totals, and extremes. Merging
-// window histograms reproduces the run histogram bit for bit (counts
-// are integers; sums are folded in merge order).
-func (h *Hist) Merge(other *Hist) {
-	if other.n == 0 {
-		return
-	}
-	if h.n == 0 {
-		h.min, h.max = other.min, other.max
-		h.lo, h.hi = other.lo, other.hi
-	} else {
-		if other.min < h.min {
-			h.min = other.min
-		}
-		if other.max > h.max {
-			h.max = other.max
-		}
-		if other.lo < h.lo {
-			h.lo = other.lo
-		}
-		if other.hi > h.hi {
-			h.hi = other.hi
-		}
-	}
-	h.n += other.n
-	h.sum += other.sum
-	for i := other.lo; i <= other.hi; i++ {
-		h.counts[i] += other.counts[i]
-	}
 }
 
 // Reset clears the histogram for the next window, touching only the

@@ -112,39 +112,6 @@ func maxOf(xs []float64) float64 {
 	return m
 }
 
-// TestHistMergeEquivalence pins mergeability: recording a stream split
-// across many window histograms and merging them reproduces the
-// single-histogram result exactly — counts, sum, extremes, and every
-// quantile.
-func TestHistMergeEquivalence(t *testing.T) {
-	r := rng.NewSource(11).Stream("merge")
-	var whole Hist
-	parts := make([]Hist, 7)
-	for i := 0; i < 9000; i++ {
-		v := r.LogNormal(math.Log(0.02), 1.5)
-		whole.Record(v)
-		parts[i%len(parts)].Record(v)
-	}
-	var merged Hist
-	for i := range parts {
-		merged.Merge(&parts[i])
-	}
-	if merged.Count() != whole.Count() {
-		t.Fatalf("count %d vs %d", merged.Count(), whole.Count())
-	}
-	if merged.Min() != whole.Min() || merged.Max() != whole.Max() {
-		t.Fatalf("extremes differ")
-	}
-	if math.Abs(merged.Sum()-whole.Sum()) > 1e-9*whole.Sum() {
-		t.Fatalf("sum %v vs %v", merged.Sum(), whole.Sum())
-	}
-	for q := 0.0; q <= 1.0; q += 0.05 {
-		if got, want := merged.Quantile(q), whole.Quantile(q); got != want {
-			t.Fatalf("q%.2f: merged %v vs whole %v", q, got, want)
-		}
-	}
-}
-
 // TestHistOutOfRange pins the underflow/overflow bins: out-of-range
 // observations are counted and reported via the exact extremes rather
 // than clamped into the edge bins' midpoints.

@@ -141,7 +141,7 @@ func TestRecorderReleaseRecyclesBuffers(t *testing.T) {
 	}
 
 	next := NewRecorder(2, 0)
-	if got := next.ExactLen(); got != 0 {
+	if got := len(next.exact); got != 0 {
 		t.Fatalf("recycled reservoir holds %d observations, want 0", got)
 	}
 	if got := cap(next.exact); got != DefaultExactCap {

@@ -11,7 +11,7 @@ import (
 // retains beside its run histogram. While total observations fit, the
 // run-level quantile is exact (bit-identical to sorting every
 // observation — the paper sweep's golden bytes depend on this); beyond
-// it the reservoir stops growing and quantiles come from the merged
+// it the reservoir stops growing and quantiles come from the run
 // histogram within RelativeErrorBound. 32768 float64s is 256 KB — an
 // order of magnitude below the 200k-float reservoir it replaces, and
 // fixed rather than proportional to run length.
@@ -112,13 +112,13 @@ type Recorder struct {
 	windowHint int
 
 	// win is the current window's histogram; run is the whole-run
-	// merge, recorded in the same pass (one bin computation shared by
+	// histogram, recorded in the same pass (one bin computation shared by
 	// every increment).
 	win, run Hist
 
-	// winClass/runClass attribute the same observations by interaction
+	// winClass attributes the window's observations by interaction
 	// class: index 0 is read-only, 1 is read-write.
-	winClass, runClass [2]Hist
+	winClass [2]Hist
 
 	// abandon is the run-level histogram of responses whose latency
 	// drove their session away (a subset of run).
@@ -240,7 +240,6 @@ func (r *Recorder) RecordKind(rt float64, isWrite bool, kind int) {
 		cls = 1
 	}
 	r.winClass[cls].recordAt(rt, i)
-	r.runClass[cls].recordAt(rt, i)
 	if kind >= 0 && kind < MaxKinds {
 		h := r.kind[kind]
 		if h == nil {
@@ -360,7 +359,7 @@ func (r *Recorder) Mean() float64 { return r.run.Mean() }
 // sort-and-index quantile of the reservoir it replaced bit for bit
 // (rank floor(q*(n-1)), no interpolation), sorting in place at most
 // once per batch of records; beyond the cap it falls back to the
-// merged run histogram, within RelativeErrorBound.
+// run histogram, within RelativeErrorBound.
 func (r *Recorder) Quantile(q float64) float64 {
 	n := r.run.Count()
 	if n == 0 {
@@ -382,10 +381,6 @@ func (r *Recorder) Quantile(q float64) float64 {
 	return r.exact[int(q*float64(len(r.exact)-1))]
 }
 
-// ExactLen reports how many observations the exact reservoir holds —
-// the memory-regression tests pin that it never exceeds DefaultExactCap.
-func (r *Recorder) ExactLen() int { return len(r.exact) }
-
 // RunHist exposes the run-level histogram over every served response.
 func (r *Recorder) RunHist() *Hist { return &r.run }
 
@@ -405,12 +400,4 @@ func (r *Recorder) KindHist(kind int) *Hist {
 		return h
 	}
 	return &noHist
-}
-
-// ClassHist exposes the run-level histogram for one interaction class.
-func (r *Recorder) ClassHist(isWrite bool) *Hist {
-	if isWrite {
-		return &r.runClass[1]
-	}
-	return &r.runClass[0]
 }

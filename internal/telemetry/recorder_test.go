@@ -127,8 +127,8 @@ func TestRecorderHistogramFallback(t *testing.T) {
 		rec.Record(v, false)
 		xs = append(xs, v)
 	}
-	if rec.ExactLen() != DefaultExactCap {
-		t.Fatalf("reservoir grew to %d, cap %d", rec.ExactLen(), DefaultExactCap)
+	if len(rec.exact) != DefaultExactCap {
+		t.Fatalf("reservoir grew to %d, cap %d", len(rec.exact), DefaultExactCap)
 	}
 	for _, q := range []float64{0.5, 0.95, 0.99} {
 		got, want := rec.Quantile(q), oracleQuantile(xs, q)
@@ -149,13 +149,13 @@ func TestRecorderMemoryBounded(t *testing.T) {
 	for i := 0; i < 1_000_000; i++ {
 		rec.Record(r.Exp(0.01), false)
 	}
-	if got := rec.ExactLen(); got > DefaultExactCap {
+	if got := len(rec.exact); got > DefaultExactCap {
 		t.Fatalf("exact reservoir holds %d > cap %d", got, DefaultExactCap)
 	}
 	// The retained footprint: reservoir + 2 fixed histograms. Pin it
 	// well under the old reservoir's 200000 float64s (1.6 MB).
 	histBytes := int(2 * (numBins + 2) * 8)
-	if total := rec.ExactLen()*8 + histBytes; total >= 200000*8/2 {
+	if total := len(rec.exact)*8 + histBytes; total >= 200000*8/2 {
 		t.Fatalf("recorder retains ~%d bytes, want < half the old reservoir", total)
 	}
 	if rec.Count() != 1_000_000 {

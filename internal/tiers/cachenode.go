@@ -137,9 +137,6 @@ func NewCacheServer(k *sim.Kernel, be Backend, spec cachetier.CacheSpec, params 
 // Store exposes the underlying deterministic store (tests, analysis).
 func (c *CacheServer) Store() *cachetier.Store { return c.store }
 
-// Down reports whether the node is crashed.
-func (c *CacheServer) Down() bool { return c.down }
-
 // HandleGet resolves one GET: the outcome lands in out, the reply bytes
 // travel back along reply, and done(arg) fires when they arrive. A
 // lease-parked GET resolves later — as a hit when the fill lands, or as

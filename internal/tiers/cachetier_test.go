@@ -252,7 +252,7 @@ func TestCacheColdRestart(t *testing.T) {
 		t.Fatal("cache never warmed")
 	}
 	rig.cs.crash()
-	if !rig.cs.Down() || rig.cs.Store().Len() != 0 {
+	if !rig.cs.down || rig.cs.Store().Len() != 0 {
 		t.Fatal("crash must take the node down and flush the store")
 	}
 	rig.k.Run(65 * sim.Second)
@@ -331,7 +331,7 @@ func TestQueueCrashRetainsBacklog(t *testing.T) {
 		t.Fatal("no backlog accumulated before the crash")
 	}
 	rig.qs.crash()
-	if !rig.qs.Down() {
+	if !rig.qs.down {
 		t.Fatal("crash did not take the broker down")
 	}
 	if rig.qs.Depth() != depth {

@@ -25,12 +25,12 @@ func TestEjectBackfillsMinActive(t *testing.T) {
 	if c.ActiveReplicas() != 0 {
 		t.Fatalf("active after eject = %d, want 0 (backfill still booting)", c.ActiveReplicas())
 	}
-	if c.State(1) != ReplicaBooting {
-		t.Fatalf("parked replica state = %v, want booting backfill", c.State(1))
+	if c.state[1] != ReplicaBooting {
+		t.Fatalf("parked replica state = %v, want booting backfill", c.state[1])
 	}
 	c.k.Run(6 * sim.Second)
-	if c.State(1) != ReplicaActive || c.ActiveReplicas() != 1 {
-		t.Fatalf("backfill did not land: state=%v active=%d", c.State(1), c.ActiveReplicas())
+	if c.state[1] != ReplicaActive || c.ActiveReplicas() != 1 {
+		t.Fatalf("backfill did not land: state=%v active=%d", c.state[1], c.ActiveReplicas())
 	}
 	backfills := 0
 	for _, e := range c.Events {

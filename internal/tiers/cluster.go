@@ -445,9 +445,6 @@ func (c *WebCluster) ActiveReplicas() int { return c.activeCount }
 // PeakActive reports the maximum concurrently active replica count.
 func (c *WebCluster) PeakActive() int { return c.peakActive }
 
-// State reports replica i's lifecycle state.
-func (c *WebCluster) State(i int) ReplicaState { return c.state[i] }
-
 // Booting reports how many replicas are mid-provisioning (the
 // autoscaler's double-provision guard).
 func (c *WebCluster) Booting() int {

@@ -197,12 +197,12 @@ func TestScaleUpDownLifecycle(t *testing.T) {
 	if !c.ScaleUp(5*sim.Second, "test") {
 		t.Fatal("scale-up with headroom refused")
 	}
-	if c.State(1) != ReplicaBooting || c.ActiveReplicas() != 1 {
-		t.Fatalf("booting replica took traffic early: state=%v active=%d", c.State(1), c.ActiveReplicas())
+	if c.state[1] != ReplicaBooting || c.ActiveReplicas() != 1 {
+		t.Fatalf("booting replica took traffic early: state=%v active=%d", c.state[1], c.ActiveReplicas())
 	}
 	k.Run(6 * sim.Second)
-	if c.State(1) != ReplicaActive || c.ActiveReplicas() != 2 {
-		t.Fatalf("boot did not complete: state=%v active=%d", c.State(1), c.ActiveReplicas())
+	if c.state[1] != ReplicaActive || c.ActiveReplicas() != 2 {
+		t.Fatalf("boot did not complete: state=%v active=%d", c.state[1], c.ActiveReplicas())
 	}
 	if !c.ScaleUp(0, "test") || c.ActiveReplicas() != 3 {
 		t.Fatal("zero-delay scale-up should activate immediately")

@@ -282,11 +282,8 @@ func TestDriverStatsQuantileBeyondCap(t *testing.T) {
 				q, got, want, relErr, telemetry.RelativeErrorBound)
 		}
 	}
-	// Memory regression: the spill stayed capped while the run kept
-	// recording (run count covers every observation).
-	if got := s.rec.ExactLen(); got > telemetry.DefaultExactCap {
-		t.Fatalf("exact spill grew to %d", got)
-	}
+	// The run histogram kept recording past the exact cap (the
+	// telemetry tests pin that the reservoir itself stays capped).
 	if got := s.rec.Count(); got != uint64(n) {
 		t.Fatalf("run histogram saw %d of %d observations", got, n)
 	}

@@ -141,9 +141,6 @@ func NewQueueServer(k *sim.Kernel, be Backend, dbc *DBCluster, dbPaths []PathPai
 // Depth is the buffered backlog (telemetry gauge).
 func (q *QueueServer) Depth() int { return q.n }
 
-// Down reports whether the broker is crashed.
-func (q *QueueServer) Down() bool { return q.down }
-
 // LagMs is the age of the oldest buffered write (telemetry gauge).
 func (q *QueueServer) LagMs(now sim.Time) float64 {
 	if q.n == 0 {

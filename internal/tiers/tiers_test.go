@@ -22,6 +22,7 @@ func smallDataset() rubis.DatasetConfig {
 type vmRig struct {
 	k      *sim.Kernel
 	hv     *xen.Hypervisor
+	guests []*xen.Domain // web, db
 	app    *rubis.App
 	web    *WebAppServer
 	db     *DBServer
@@ -48,7 +49,7 @@ func newVMRig(t *testing.T, clients int) *vmRig {
 	web := NewWebAppServer(k, webBE, dbc, paths, DefaultWebParams("vm"))
 	fe := NewWebCluster(k, []*WebAppServer{web}, 1, nil)
 	driver := NewDriver(k, app, rubis.BrowsingMix(), fe, rubis.DefaultCostParams(), clients, src)
-	return &vmRig{k: k, hv: hv, app: app, web: web, db: db, driver: driver}
+	return &vmRig{k: k, hv: hv, guests: []*xen.Domain{webDom, dbDom}, app: app, web: web, db: db, driver: driver}
 }
 
 func TestVMDeploymentServesRequests(t *testing.T) {
@@ -68,7 +69,7 @@ func TestVMDeploymentServesRequests(t *testing.T) {
 		t.Fatal("no DB queries reached the back end")
 	}
 	// Every tier accumulated demand.
-	guests := rig.hv.Guests()
+	guests := rig.guests
 	if guests[0].VirtCycles() <= 0 || guests[1].VirtCycles() <= 0 {
 		t.Fatal("guest CPU counters did not advance")
 	}

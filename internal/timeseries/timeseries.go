@@ -122,15 +122,6 @@ func (s *Series) Min() float64 {
 	return m
 }
 
-// Scale returns a copy with every sample multiplied by f.
-func (s *Series) Scale(f float64) *Series {
-	c := s.Clone("")
-	for i := range c.Values {
-		c.Values[i] *= f
-	}
-	return c
-}
-
 // Add returns the pointwise sum of series with identical intervals. The
 // result is truncated to the shortest input. It panics on mismatched
 // intervals or an empty input set: aggregating incompatible series is a
@@ -160,45 +151,6 @@ func Add(name string, series ...*Series) *Series {
 		for i := 0; i < n; i++ {
 			out.Values[i] += s.Values[i]
 		}
-	}
-	return out
-}
-
-// Resample returns a series aggregated into buckets of factor samples
-// using the mean of each bucket. A trailing partial bucket is dropped.
-func (s *Series) Resample(factor int) *Series {
-	if factor <= 1 {
-		return s.Clone("")
-	}
-	n := len(s.Values) / factor
-	out := &Series{
-		Name:     s.Name,
-		Unit:     s.Unit,
-		Interval: s.Interval * float64(factor),
-		Start:    s.Start,
-		Values:   make([]float64, n),
-	}
-	for i := 0; i < n; i++ {
-		sum := 0.0
-		for j := 0; j < factor; j++ {
-			sum += s.Values[i*factor+j]
-		}
-		out.Values[i] = sum / float64(factor)
-	}
-	return out
-}
-
-// Diff returns the first difference series (length len-1), useful for
-// converting cumulative counters into per-interval demand.
-func (s *Series) Diff() *Series {
-	out := &Series{
-		Name:     s.Name + ".diff",
-		Unit:     s.Unit,
-		Interval: s.Interval,
-		Start:    s.Start + s.Interval,
-	}
-	for i := 1; i < len(s.Values); i++ {
-		out.Values = append(out.Values, s.Values[i]-s.Values[i-1])
 	}
 	return out
 }

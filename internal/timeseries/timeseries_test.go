@@ -112,37 +112,6 @@ func TestAddPanicsOnEmptyArgs(t *testing.T) {
 	Add("x")
 }
 
-func TestScale(t *testing.T) {
-	s := mkSeries(1, 2).Scale(3)
-	if s.At(0) != 3 || s.At(1) != 6 {
-		t.Fatalf("Scale: %v", s.Values)
-	}
-}
-
-func TestResample(t *testing.T) {
-	s := mkSeries(1, 3, 5, 7, 9)
-	r := s.Resample(2)
-	if r.Len() != 2 || r.At(0) != 2 || r.At(1) != 6 {
-		t.Fatalf("Resample: %v", r.Values)
-	}
-	if r.Interval != 4 {
-		t.Fatalf("Resample interval = %v", r.Interval)
-	}
-	if s.Resample(1).Len() != 5 {
-		t.Fatal("Resample(1) should be identity")
-	}
-}
-
-func TestDiff(t *testing.T) {
-	d := mkSeries(10, 15, 13).Diff()
-	if d.Len() != 2 || d.At(0) != 5 || d.At(1) != -2 {
-		t.Fatalf("Diff: %v", d.Values)
-	}
-	if d.Start != 2 {
-		t.Fatalf("Diff start = %v", d.Start)
-	}
-}
-
 func TestQuantile(t *testing.T) {
 	s := mkSeries(4, 1, 3, 2)
 	if q := s.Quantile(0); q != 1 {

@@ -129,9 +129,6 @@ func (hv *Hypervisor) Host() *hw.Server { return hv.host }
 // Dom0 exposes the privileged domain.
 func (hv *Hypervisor) Dom0() *Domain { return hv.dom0 }
 
-// Guests lists the created guest domains.
-func (hv *Hypervisor) Guests() []*Domain { return hv.guests }
-
 // Params exposes the cost model.
 func (hv *Hypervisor) Params() Params { return hv.params }
 

@@ -19,7 +19,7 @@ func TestCreateGuestValidation(t *testing.T) {
 	if g.ID != 1 || g.VCPUs != 2 {
 		t.Fatalf("guest: %+v", g)
 	}
-	if len(hv.Guests()) != 1 {
+	if len(hv.guests) != 1 {
 		t.Fatal("guest not registered")
 	}
 	for _, fn := range []func(){

@@ -250,7 +250,7 @@ type (
 	// time axis: Result.Telemetry (per-window application metrics) and
 	// Result.Resources (per-tier resource series) are both one.
 	TelemetrySeries = timeseries.Set
-	// LatencyHist is the mergeable fixed-bin log latency histogram.
+	// LatencyHist is the fixed-bin log latency histogram.
 	LatencyHist = telemetry.Hist
 	// Transient is the time-resolved queueing analysis of a latency
 	// series: time-to-saturation, peak-window p95, drain time.
