@@ -3,8 +3,8 @@
 // level". This example does both:
 //
 //  1. resource level — fit each demand series with a marginal
-//     distribution plus AR(1) dependence, then synthesize a new trace
-//     and compare its statistics with the original;
+//     distribution plus AR(1) dependence, and compare the web CPU
+//     model's mean with the observed one;
 //  2. transaction level — measure per-interaction resource footprints,
 //     compose them with the mix's stationary distribution, and predict
 //     the tier demand of a simulation that has not been run yet.
