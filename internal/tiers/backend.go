@@ -123,7 +123,6 @@ type PMBackend struct {
 	osinst *osmodel.OS
 
 	bufferedWrites float64
-	flusher        *sim.Ticker
 	fwdFree        sim.FreeList[pmFwd]
 }
 
@@ -140,7 +139,7 @@ type pmFwd struct {
 // NewPMBackend wires a physical backend and starts its write flusher.
 func NewPMBackend(k *sim.Kernel, srv, peer *hw.Server, params PMParams, noise *rng.Stream, os *osmodel.OS) *PMBackend {
 	b := &PMBackend{K: k, Server: srv, Peer: peer, Params: params, Noise: noise, osinst: os}
-	b.flusher = k.Every(params.FlushInterval, params.FlushInterval, b.flush)
+	k.Every(params.FlushInterval, params.FlushInterval, b.flush)
 	return b
 }
 

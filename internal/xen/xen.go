@@ -79,8 +79,6 @@ type Hypervisor struct {
 
 	dom0PageCache osmodel.PageCache
 	perf          perfState
-	schedTicker   *sim.Ticker
-	ownTicker     *sim.Ticker
 
 	// fwdFree recycles split-driver forwarding state (see io.go).
 	fwdFree sim.FreeList[ioFwd]
@@ -118,8 +116,8 @@ func New(k *sim.Kernel, host *hw.Server, params Params) *Hypervisor {
 		Label:   "pagecache",
 		Ceiling: params.Dom0PageCacheCeiling,
 	}
-	hv.schedTicker = k.Every(params.Quantum, params.Quantum, hv.schedule)
-	hv.ownTicker = k.Every(sim.Second, sim.Second, hv.dom0OwnActivity)
+	k.Every(params.Quantum, params.Quantum, hv.schedule)
+	k.Every(sim.Second, sim.Second, hv.dom0OwnActivity)
 	return hv
 }
 
