@@ -60,18 +60,14 @@ func TestNoTestOnlyExports(t *testing.T) {
 			}
 			return true
 		})
-		// A declaration's own name is not a use of it.
-		for _, fd := range f.Decls {
-			if fn, ok := fd.(*ast.FuncDecl); ok {
-				uses[fn.Name.Name]--
-			}
-		}
-		if !strings.HasPrefix(filepath.ToSlash(path), "internal/") {
-			return nil
-		}
+		internal := strings.HasPrefix(filepath.ToSlash(path), "internal/")
 		for _, fd := range f.Decls {
 			fn, ok := fd.(*ast.FuncDecl)
-			if !ok || !fn.Name.IsExported() {
+			if !ok {
+				continue
+			}
+			uses[fn.Name.Name]-- // a declaration's own name is not a use
+			if !internal || !fn.Name.IsExported() {
 				continue
 			}
 			key := f.Name.Name + "." + fn.Name.Name
@@ -79,12 +75,14 @@ func TestNoTestOnlyExports(t *testing.T) {
 				key = f.Name.Name + "." + recvTypeName(fn.Recv.List[0].Type) + "." + fn.Name.Name
 			}
 			self := 0 // recursive calls
-			ast.Inspect(fn.Body, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok && id.Name == fn.Name.Name {
-					self++
-				}
-				return true
-			})
+			if fn.Body != nil {
+				ast.Inspect(fn.Body, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok && id.Name == fn.Name.Name {
+						self++
+					}
+					return true
+				})
+			}
 			decls = append(decls, decl{key: key, pos: fset.Position(fn.Pos()), self: self})
 		}
 		return nil
