@@ -177,8 +177,6 @@ func main() {
 		aQ.PeakDepth, aQ.MaxLagMs, aQ.BacklogDrainSec)
 }
 
-func ptr[T any](v T) *T { return &v }
-
 func must(err error) {
 	if err != nil {
 		log.Fatal(err)

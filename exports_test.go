@@ -1,114 +1,118 @@
 package vwchar_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
-	"io/fs"
+	"go/types"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// testOnlyExportExemptions lists the exported internal/ functions and
-// methods that may keep no non-test caller, keyed package.Recv.Name
-// (package.Name for a function), each with the reason it stays.
+// testOnlyExportExemptions lists the internal/ declarations that may keep
+// no non-test use, keyed package.Recv.Name (package.Name outside a
+// type), each with the reason it stays.
 var testOnlyExportExemptions = map[string]string{
 	"rubisdb.Engine.Check":  "test hook: verifies the buffer pool's invariants between queries",
 	"sim.Kernel.Step":       "test hook: single-steps the kernel so tests can observe state between events",
 	"rubisdb.Golden.Digest": "test hook: fingerprints a golden snapshot so tests can prove views never write through",
-	"rng.source.Int63":      "completes math/rand.Source, which rand.New calls through the interface",
 }
 
-// TestNoTestOnlyExports fails on any exported function or method under
-// internal/ whose name no non-test Go file of the module or of bench/
-// uses outside the function's own declaration. internal/ cannot be
-// imported from outside the module, so such a function is code only
+// TestNoTestOnlyExports type-checks the non-test Go files of the module
+// and of bench/ and fails on any exported function, method, type,
+// package-level const or var, or non-embedded struct field declared
+// under internal/ that no non-test file refers to. internal/ cannot be
+// imported from outside the module, so such a declaration is code only
 // tests need: delete it, move it into a _test.go file, or give it the
-// caller it was written for. Uses are AST identifiers, so a name that
-// appears only in a string or comment does not count.
+// caller it was written for. It fails as well on an unexported
+// package-level func, const, var or type of the module that no non-test
+// file uses.
+//
+// A reference is a go/types use of the declared object (an instance of a
+// generic one counts for its origin), so an unrelated declaration of the
+// same name does not hide a dead one, and a recursive call or a method's
+// receiver does not count. A write counts as much as a read, including
+// an unkeyed struct literal. A method also counts as used when its type
+// implements an interface that non-test code mentions, such as
+// rand.Source through rand.New, or fmt.Stringer and error, which fmt
+// finds by type assertion. Methods and fields of the types reachable
+// from package vwchar's exported declarations, through aliases, struct
+// fields and signatures, are public API and exempt.
 func TestNoTestOnlyExports(t *testing.T) {
-	type decl struct {
-		key  string
-		pos  token.Position
-		self int // identifiers naming it inside its own body
-	}
-	fset := token.NewFileSet()
-	uses := make(map[string]int)
-	var decls []decl
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok {
-				uses[id.Name]++
-			}
-			return true
-		})
-		internal := strings.HasPrefix(filepath.ToSlash(path), "internal/")
-		for _, fd := range f.Decls {
-			fn, ok := fd.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			uses[fn.Name.Name]-- // a declaration's own name is not a use
-			if !internal || !fn.Name.IsExported() {
-				continue
-			}
-			key := f.Name.Name + "." + fn.Name.Name
-			if fn.Recv != nil {
-				key = f.Name.Name + "." + recvTypeName(fn.Recv.List[0].Type) + "." + fn.Name.Name
-			}
-			self := 0 // recursive calls
-			if fn.Body != nil {
-				ast.Inspect(fn.Body, func(n ast.Node) bool {
-					if id, ok := n.(*ast.Ident); ok && id.Name == fn.Name.Name {
-						self++
-					}
-					return true
-				})
-			}
-			decls = append(decls, decl{key: key, pos: fset.Position(fn.Pos()), self: self})
-		}
-		return nil
-	})
+	root, err := filepath.Abs(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(decls) == 0 {
-		t.Fatal("found no exported functions under internal/")
-	}
+	fset, pkgs := loadNonTestCode(t, root)
+	used := usedObjects(pkgs)
+	markInterfaceMethods(pkgs, used)
+	api := publicAPITypes(pkgs)
+
 	var unused []string
 	exempted := make(map[string]bool)
-	for _, d := range decls {
-		name := d.key[strings.LastIndex(d.key, ".")+1:]
-		if uses[name] > d.self {
+	check := func(key string, obj types.Object) {
+		if used[obj] {
+			return
+		}
+		if _, ok := testOnlyExportExemptions[key]; ok {
+			exempted[key] = true
+			return
+		}
+		pos := fset.Position(obj.Pos())
+		if rel, err := filepath.Rel(root, pos.Filename); err == nil {
+			pos.Filename = filepath.ToSlash(rel)
+		}
+		unused = append(unused, key+" ("+pos.String()+")")
+	}
+	internal := 0
+	for _, p := range pkgs {
+		if p.bench {
 			continue
 		}
-		if _, ok := testOnlyExportExemptions[d.key]; ok {
-			exempted[d.key] = true
-			continue
+		scope := p.types.Scope()
+		for _, n := range scope.Names() {
+			obj := scope.Lookup(n)
+			key := p.types.Name() + "." + n
+			switch {
+			case !obj.Exported() && n != "main":
+				check(key, obj)
+			case p.internal:
+				check(key, obj)
+			}
+			tn, ok := obj.(*types.TypeName)
+			if !p.internal || !ok || tn.IsAlias() || api[tn.Type().(*types.Named)] {
+				continue
+			}
+			named := tn.Type().(*types.Named)
+			for i := 0; i < named.NumMethods(); i++ {
+				if m := named.Method(i); m.Exported() {
+					check(key+"."+m.Name(), m)
+				}
+			}
+			if st, ok := named.Underlying().(*types.Struct); ok {
+				for i := 0; i < st.NumFields(); i++ {
+					if f := st.Field(i); f.Exported() && !f.Embedded() {
+						check(key+"."+f.Name(), f)
+					}
+				}
+			}
 		}
-		unused = append(unused, d.key+" ("+d.pos.String()+")")
+		if p.internal {
+			internal++
+		}
+	}
+	if internal == 0 {
+		t.Fatal("found no packages under internal/")
 	}
 	sort.Strings(unused)
 	for _, u := range unused {
-		t.Errorf("exported but used only by tests: %s", u)
+		t.Errorf("used only by tests: %s", u)
 	}
 	// An exemption that no longer matches a test-only export is stale.
 	for key := range testOnlyExportExemptions {
@@ -118,18 +122,325 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 }
 
-// recvTypeName returns the type name of a method receiver, without
-// pointer or type parameters.
-func recvTypeName(e ast.Expr) string {
-	switch x := e.(type) {
-	case *ast.StarExpr:
-		return recvTypeName(x.X)
-	case *ast.IndexExpr:
-		return recvTypeName(x.X)
-	case *ast.IndexListExpr:
-		return recvTypeName(x.X)
-	case *ast.Ident:
-		return x.Name
+// checkedPackage is one package's non-test files, type-checked.
+type checkedPackage struct {
+	internal bool // under internal/
+	bench    bool // part of the bench/ module
+	files    []*ast.File
+	types    *types.Package
+	info     *types.Info
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// loadNonTestCode type-checks the non-test files of the module at root
+// and of its bench/ module, package by package in the dependency order
+// `go list -deps` gives. Standard-library imports are type-checked from
+// source.
+func loadNonTestCode(t *testing.T, root string) (*token.FileSet, []*checkedPackage) {
+	t.Helper()
+	fset := token.NewFileSet()
+	std := importer.ForCompiler(fset, "source", nil)
+	checked := make(map[string]*types.Package)
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if p := checked[path]; p != nil {
+			return p, nil
+		}
+		return std.Import(path)
+	})}
+	var pkgs []*checkedPackage
+	for _, mod := range []string{".", "bench"} {
+		cmd := exec.Command("go", "list", "-deps", "-json", "./...")
+		cmd.Dir = filepath.Join(root, mod)
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("go list in %s: %v", mod, err)
+		}
+		for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+			var lp struct {
+				ImportPath, Dir string
+				Standard        bool
+				GoFiles         []string
+			}
+			if err := dec.Decode(&lp); err != nil {
+				t.Fatal(err)
+			}
+			if lp.Standard || checked[lp.ImportPath] != nil {
+				continue
+			}
+			dir, err := filepath.Rel(root, lp.Dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := &checkedPackage{
+				internal: strings.HasPrefix(filepath.ToSlash(dir), "internal/"),
+				bench:    mod == "bench",
+				info: &types.Info{
+					Types: make(map[ast.Expr]types.TypeAndValue),
+					Defs:  make(map[*ast.Ident]types.Object),
+					Uses:  make(map[*ast.Ident]types.Object),
+				},
+			}
+			for _, name := range lp.GoFiles {
+				f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.SkipObjectResolution)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p.files = append(p.files, f)
+			}
+			if p.types, err = conf.Check(lp.ImportPath, fset, p.files, p.info); err != nil {
+				t.Fatalf("type-check %s: %v", lp.ImportPath, err)
+			}
+			checked[lp.ImportPath] = p.types
+			pkgs = append(pkgs, p)
+		}
 	}
-	return "?"
+	return fset, pkgs
+}
+
+// origin maps an instantiated generic function, method or field to the
+// object its declaration defines.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
+}
+
+// usedObjects returns the objects non-test code refers to, outside the
+// object's own declaration: a function's body and a type's declaration
+// and method receivers do not count. Every field of a struct built with
+// an unkeyed literal counts as written.
+func usedObjects(pkgs []*checkedPackage) map[types.Object]bool {
+	type span struct{ from, to token.Pos }
+	own := make(map[types.Object][]span)
+	for _, p := range pkgs {
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					fn := p.info.Defs[d.Name].(*types.Func)
+					own[fn] = append(own[fn], span{d.Pos(), d.End()})
+					if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+						tn := namedOf(recv.Type()).Obj()
+						own[tn] = append(own[tn], span{d.Recv.Pos(), d.Recv.End()})
+					}
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						if ts, ok := s.(*ast.TypeSpec); ok {
+							obj := p.info.Defs[ts.Name]
+							own[obj] = append(own[obj], span{ts.Pos(), ts.End()})
+						}
+					}
+				}
+			}
+		}
+	}
+	used := make(map[types.Object]bool)
+	for _, p := range pkgs {
+		for id, obj := range p.info.Uses {
+			obj = origin(obj)
+			self := false
+			for _, s := range own[obj] {
+				if s.from <= id.Pos() && id.Pos() < s.to {
+					self = true
+				}
+			}
+			if !self {
+				used[obj] = true
+			}
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				lit, ok := n.(*ast.CompositeLit)
+				if !ok || len(lit.Elts) == 0 {
+					return true
+				}
+				if _, keyed := lit.Elts[0].(*ast.KeyValueExpr); keyed {
+					return true
+				}
+				if st, ok := p.info.Types[lit].Type.Underlying().(*types.Struct); ok {
+					for i := 0; i < st.NumFields(); i++ {
+						used[origin(st.Field(i))] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	return used
+}
+
+// namedOf returns the origin of the named receiver type t or *t.
+func namedOf(t types.Type) *types.Named {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	return types.Unalias(t).(*types.Named).Origin()
+}
+
+// markInterfaceMethods marks as used each method of a module type that
+// implements a method of an interface non-test code mentions: the type
+// of a used object, of a value expression, or of a parameter or result
+// of either. fmt.Stringer counts as mentioned wherever fmt is imported,
+// because fmt finds String by type assertion on an any argument.
+func markInterfaceMethods(pkgs []*checkedPackage, used map[types.Object]bool) {
+	ifaces := make(map[types.Type]bool)
+	seen := make(map[types.Type]bool)
+	var collect func(types.Type)
+	collect = func(typ types.Type) {
+		if typ == nil || seen[typ] {
+			return
+		}
+		seen[typ] = true
+		switch u := types.Unalias(typ).(type) {
+		case *types.Named:
+			if it, ok := u.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+				ifaces[u] = true
+			}
+		case *types.Interface:
+			if u.NumMethods() > 0 {
+				ifaces[u] = true
+			}
+		case *types.Pointer:
+			collect(u.Elem())
+		case *types.Slice:
+			collect(u.Elem())
+		case *types.Array:
+			collect(u.Elem())
+		case *types.Chan:
+			collect(u.Elem())
+		case *types.Map:
+			collect(u.Key())
+			collect(u.Elem())
+		case *types.Signature:
+			collect(u.Params())
+			collect(u.Results())
+		case *types.Tuple:
+			for i := 0; i < u.Len(); i++ {
+				collect(u.At(i).Type())
+			}
+		}
+	}
+	for _, p := range pkgs {
+		for _, obj := range p.info.Uses {
+			collect(obj.Type())
+		}
+		for _, tv := range p.info.Types {
+			if !tv.IsType() {
+				collect(tv.Type)
+			}
+		}
+	}
+	for _, p := range pkgs {
+		for _, imp := range p.types.Imports() {
+			if imp.Path() == "fmt" {
+				ifaces[imp.Scope().Lookup("Stringer").Type()] = true
+			}
+		}
+	}
+
+	for _, p := range pkgs {
+		scope := p.types.Scope()
+		for _, n := range scope.Names() {
+			tn, ok := scope.Lookup(n).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			named := tn.Type().(*types.Named)
+			if named.TypeParams().Len() > 0 || types.IsInterface(named) {
+				continue
+			}
+			ptr := types.NewPointer(named)
+			for it := range ifaces {
+				iface := it.Underlying().(*types.Interface)
+				if !types.Implements(ptr, iface) {
+					continue
+				}
+				for i := 0; i < iface.NumMethods(); i++ {
+					m, _, _ := types.LookupFieldOrMethod(ptr, false, iface.Method(i).Pkg(), iface.Method(i).Name())
+					if m != nil {
+						used[origin(m)] = true
+					}
+				}
+			}
+		}
+	}
+}
+
+// publicAPITypes returns the named types reachable from package vwchar's
+// exported declarations through aliases, exported struct fields,
+// embedded fields, exported method signatures and element types.
+func publicAPITypes(pkgs []*checkedPackage) map[*types.Named]bool {
+	reach := make(map[*types.Named]bool)
+	seen := make(map[types.Type]bool)
+	var walk func(types.Type)
+	walk = func(typ types.Type) {
+		if typ == nil || seen[typ] {
+			return
+		}
+		seen[typ] = true
+		switch u := types.Unalias(typ).(type) {
+		case *types.Named:
+			for i := 0; i < u.TypeArgs().Len(); i++ {
+				walk(u.TypeArgs().At(i))
+			}
+			o := u.Origin()
+			if reach[o] {
+				return
+			}
+			reach[o] = true
+			for i := 0; i < o.NumMethods(); i++ {
+				if m := o.Method(i); m.Exported() {
+					walk(m.Type())
+				}
+			}
+			walk(o.Underlying())
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				if f := u.Field(i); f.Exported() || f.Embedded() {
+					walk(f.Type())
+				}
+			}
+		case *types.Interface:
+			for i := 0; i < u.NumMethods(); i++ {
+				walk(u.Method(i).Type())
+			}
+		case *types.Pointer:
+			walk(u.Elem())
+		case *types.Slice:
+			walk(u.Elem())
+		case *types.Array:
+			walk(u.Elem())
+		case *types.Chan:
+			walk(u.Elem())
+		case *types.Map:
+			walk(u.Key())
+			walk(u.Elem())
+		case *types.Signature:
+			walk(u.Params())
+			walk(u.Results())
+		case *types.Tuple:
+			for i := 0; i < u.Len(); i++ {
+				walk(u.At(i).Type())
+			}
+		}
+	}
+	for _, p := range pkgs {
+		if p.types.Path() != "vwchar" {
+			continue
+		}
+		scope := p.types.Scope()
+		for _, n := range scope.Names() {
+			if obj := scope.Lookup(n); obj.Exported() {
+				walk(obj.Type())
+			}
+		}
+	}
+	return reach
 }

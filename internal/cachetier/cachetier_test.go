@@ -190,8 +190,8 @@ func TestStoreInvalidate(t *testing.T) {
 		t.Fatal("fetching placeholder should not invalidate")
 	}
 	s.AbortFetch(key(1))
-	if s.Len() != 0 {
-		t.Fatalf("len = %d after abort, want 0", s.Len())
+	if s.valid != 0 {
+		t.Fatalf("len = %d after abort, want 0", s.valid)
 	}
 }
 
@@ -203,7 +203,7 @@ func TestStoreResetKeepsStats(t *testing.T) {
 	s.Lookup(now, key(1))
 	hits, misses := s.Stats.Hits, s.Stats.Misses
 	s.Reset()
-	if s.Len() != 0 || s.UsedBytes() != 0 {
+	if s.valid != 0 || s.UsedBytes() != 0 {
 		t.Fatal("reset did not flush residency")
 	}
 	if s.Stats.Hits != hits || s.Stats.Misses != misses {

@@ -111,12 +111,6 @@ func NewStore(spec CacheSpec) *Store {
 	}
 }
 
-// Spec returns the store's effective (defaulted) spec.
-func (s *Store) Spec() CacheSpec { return s.spec }
-
-// Len is the number of resident valid fragments.
-func (s *Store) Len() int { return s.valid }
-
 // UsedBytes is the resident payload byte total.
 func (s *Store) UsedBytes() float64 { return s.used }
 

@@ -26,9 +26,6 @@ const (
 	Network = sysstat.Net
 )
 
-// Resources lists them in the paper's order.
-func Resources() []Resource { return sysstat.Resources() }
-
 // warmupFraction drops the first fifth of samples so warm-up transients
 // (cold buffer pool, page caches filling) do not skew the steady-state
 // means the paper reports.

@@ -174,9 +174,6 @@ func TestBuildAndWriteReport(t *testing.T) {
 }
 
 func TestResourcesAndGet(t *testing.T) {
-	if len(Resources()) != 4 {
-		t.Fatal("four resource classes expected")
-	}
 	r := Ratios{CPU: 1, RAM: 2, Disk: 3, Network: 4}
 	if r.Get(CPU) != 1 || r.Get(RAM) != 2 || r.Get(Disk) != 3 || r.Get(Network) != 4 {
 		t.Fatal("Get mapping broken")

@@ -70,8 +70,8 @@ func physical(k *sim.Kernel, src *rng.Source, attach func(stream string, pair in
 		}
 		webSrv := hw.NewServer(k, hw.ProLiantSpec("web-pm"))
 		dbSrv := hw.NewServer(k, hw.ProLiantSpec("db-pm"))
-		webOS := osmodel.New("web-pm", webSrv.Mem, 140)
-		dbOS := osmodel.New("db-pm", dbSrv.Mem, 135)
+		webOS := osmodel.New(140)
+		dbOS := osmodel.New(135)
 		webSrv.Mem.Set("kernel", 90e6)
 		dbSrv.Mem.Set("kernel", 90e6)
 

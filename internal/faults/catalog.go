@@ -132,9 +132,6 @@ func scenarios() map[string]Scenario {
 	}
 }
 
-// Scenarios returns the chaos catalog keyed by name.
-func Scenarios() map[string]Scenario { return scenarios() }
-
 // ScenarioNames lists catalog entries in sorted order.
 func ScenarioNames() []string {
 	m := scenarios()

@@ -29,7 +29,6 @@ import (
 // knowing they are virtualized.
 type CPU struct {
 	k       *sim.Kernel
-	name    string
 	cores   int
 	freqHz  float64
 	speed   float64 // multiplier applied by a hypervisor scheduler
@@ -47,7 +46,6 @@ type CPU struct {
 	// cumulative counters (sampled by the collector)
 	totalCycles float64
 	busyTime    sim.Time
-	jobCount    uint64
 }
 
 type cpuJob struct {
@@ -72,18 +70,11 @@ func NewCPU(k *sim.Kernel, name string, cores int, freqHz float64) *CPU {
 	}
 	return &CPU{
 		k:      k,
-		name:   name,
 		cores:  cores,
 		freqHz: freqHz,
 		speed:  1,
 	}
 }
-
-// Cores reports the configured core count.
-func (c *CPU) Cores() int { return c.cores }
-
-// FreqHz reports the per-core frequency.
-func (c *CPU) FreqHz() float64 { return c.freqHz }
 
 // Active reports the number of in-flight jobs.
 func (c *CPU) Active() int { return len(c.jobs) }
@@ -99,9 +90,6 @@ func (c *CPU) BusyTime() sim.Time {
 	c.advance()
 	return c.busyTime
 }
-
-// Jobs reports the cumulative number of submitted jobs.
-func (c *CPU) Jobs() uint64 { return c.jobCount }
 
 // perJobRate returns cycles/second granted to each active job.
 func (c *CPU) perJobRate() float64 {
@@ -230,7 +218,6 @@ func (c *CPU) Submit(cycles float64, done sim.Callback, arg any) {
 	j.arg = arg
 	j.seq = c.nextSeq
 	c.nextSeq++
-	c.jobCount++
 	c.jobs = append(c.jobs, j)
 	c.reschedule()
 }

@@ -12,7 +12,6 @@ import (
 // plus transfer time at the device bandwidth.
 type Disk struct {
 	k         *sim.Kernel
-	name      string
 	seek      sim.Time
 	bytesPerS float64
 
@@ -31,7 +30,7 @@ func NewDisk(k *sim.Kernel, name string, seek sim.Time, bytesPerS float64) *Disk
 	if bytesPerS <= 0 {
 		panic(fmt.Sprintf("hw: disk %q needs positive bandwidth", name))
 	}
-	return &Disk{k: k, name: name, seek: seek, bytesPerS: bytesPerS}
+	return &Disk{k: k, seek: seek, bytesPerS: bytesPerS}
 }
 
 // Submit enqueues an operation of the given size; done(arg) fires when
@@ -92,7 +91,6 @@ func (d *Disk) BusyTime() sim.Time { return d.busyTime }
 // a fixed per-transfer latency.
 type NIC struct {
 	k         *sim.Kernel
-	name      string
 	latency   sim.Time
 	bytesPerS float64
 
@@ -112,7 +110,7 @@ func NewNIC(k *sim.Kernel, name string, latency sim.Time, bytesPerS float64) *NI
 	if bytesPerS <= 0 {
 		panic(fmt.Sprintf("hw: nic %q needs positive bandwidth", name))
 	}
-	return &NIC{k: k, name: name, latency: latency, bytesPerS: bytesPerS}
+	return &NIC{k: k, latency: latency, bytesPerS: bytesPerS}
 }
 
 // mtu is the packet size used to convert bytes to packet counters.

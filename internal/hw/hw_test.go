@@ -21,9 +21,6 @@ func TestCPUSingleJobTiming(t *testing.T) {
 	if got := cpu.TotalCycles(); !almostEq(got, 2e9, 1) {
 		t.Fatalf("TotalCycles = %v", got)
 	}
-	if cpu.Jobs() != 1 {
-		t.Fatalf("Jobs = %d", cpu.Jobs())
-	}
 }
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -283,7 +280,7 @@ func TestServerSpec(t *testing.T) {
 	}
 	k := sim.NewKernel()
 	s := NewServer(k, spec)
-	if s.CPU.Cores() != 8 || s.Mem.Capacity() != float64(32<<30) {
+	if s.CPU.cores != 8 || s.Mem.Capacity() != float64(32<<30) {
 		t.Fatal("server devices do not match spec")
 	}
 }

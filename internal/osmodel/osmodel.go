@@ -12,11 +12,6 @@ import (
 
 // OS models one operating system instance.
 type OS struct {
-	// Name identifies the instance, e.g. "webapp-vm" or "dom0".
-	Name string
-	// Mem is the RAM visible to this OS (the VM allocation for guests).
-	Mem *hw.Memory
-
 	// Cumulative activity counters, advanced by the workload models.
 	CtxSwitches uint64
 	Interrupts  uint64
@@ -27,40 +22,26 @@ type OS struct {
 	// PgInBytes and PgOutBytes count disk-backed paging traffic.
 	PgInBytes  float64
 	PgOutBytes float64
-	// SwapInBytes and SwapOutBytes count swap traffic (zero on the
-	// paper's testbed: RAM was never exhausted).
-	SwapInBytes  float64
-	SwapOutBytes float64
 
 	// Instantaneous state.
 	Procs    int
 	RunQueue int
 	Blocked  int
 	OpenFds  int
-	TCPSocks int
-	UDPSocks int
 
 	load1, load5, load15 float64
 }
 
-// New returns an OS with the given memory and a baseline process
-// population (kernel threads plus init-style daemons).
-func New(name string, mem *hw.Memory, baseProcs int) *OS {
-	return &OS{Name: name, Mem: mem, Procs: baseProcs, OpenFds: baseProcs * 8}
+// New returns an OS with a baseline process population (kernel threads
+// plus init-style daemons).
+func New(baseProcs int) *OS {
+	return &OS{Procs: baseProcs, OpenFds: baseProcs * 8}
 }
 
 // Fork records process creations.
 func (o *OS) Fork(n int) {
 	o.Forks += uint64(n)
 	o.Procs += n
-}
-
-// Exit records process exits, never dropping below zero.
-func (o *OS) Exit(n int) {
-	o.Procs -= n
-	if o.Procs < 0 {
-		o.Procs = 0
-	}
 }
 
 // NoteContext records n context switches.

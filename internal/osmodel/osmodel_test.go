@@ -9,17 +9,13 @@ import (
 )
 
 func TestOSCounters(t *testing.T) {
-	os := New("vm", hw.NewMemory(1<<30), 50)
+	os := New(50)
 	if os.Procs != 50 {
 		t.Fatalf("base procs = %d", os.Procs)
 	}
 	os.Fork(8)
 	if os.Procs != 58 || os.Forks != 8 {
 		t.Fatalf("after fork: procs=%d forks=%d", os.Procs, os.Forks)
-	}
-	os.Exit(100)
-	if os.Procs != 0 {
-		t.Fatalf("Exit should clamp at 0, got %d", os.Procs)
 	}
 	os.NoteContext(5)
 	os.NoteInterrupts(3, 4)
@@ -41,7 +37,7 @@ func TestOSCounters(t *testing.T) {
 }
 
 func TestLoadAvgConvergesTowardRunQueue(t *testing.T) {
-	os := New("vm", hw.NewMemory(1<<30), 10)
+	os := New(10)
 	os.RunQueue = 4
 	for i := 0; i < 300; i++ { // 600 s of 2 s ticks
 		os.Tick(2 * sim.Second)
@@ -187,7 +183,7 @@ func TestPropertyAllocatorBounded(t *testing.T) {
 		}
 		a.Init()
 		for i, l := range levels {
-			a.Observe(sim.Time(i)*sim.Minute, int(l))
+			a.Observe(sim.Time(i)*60*sim.Second, int(l))
 		}
 		return a.Growths <= 5 && a.Base+a.grown <= 50
 	}

@@ -182,8 +182,6 @@ const (
 	rowUser      = 32
 	rowBid       = 26
 	rowComment   = 60
-	rowCategory  = 20
-	rowRegion    = 20
 	perRowHTML   = 430 // HTML rendered per listed row
 	queryReqBase = 30  // SQL text + protocol per query
 	searchLimit  = 20  // items per result page
@@ -191,7 +189,7 @@ const (
 
 // query executes fn against the engine, capturing its receipt.
 func (a *App) query(res *Result, replyBytes float64, fn func() error) error {
-	snap := a.Engine.Snapshot()
+	snap := a.Engine.Meter()
 	if err := fn(); err != nil {
 		return err
 	}

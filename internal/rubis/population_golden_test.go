@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"reflect"
 	"testing"
 
 	"vwchar/internal/rng"
@@ -87,8 +88,8 @@ func runtimeWrites(t *testing.T) *App {
 }
 
 // populationHash digests a freshly populated App. Every table's ids are
-// dense from 0 and loaded in ascending order, so reading pk 0..Rows()-1
-// visits tuples in storage order. The meter is hashed twice: after
+// dense from 0 and loaded in ascending order, so its row count is its
+// next id and reading pk 0..rows-1 visits tuples in storage order. The meter is hashed twice: after
 // population (the load's own page, row and WAL work), and after the
 // read pass, whose buffer hits and misses depend on which page each
 // tuple and index entry sits on.
@@ -99,22 +100,23 @@ func populationHash(t *testing.T, a *App) string {
 	fmt.Fprintf(h, "next %d %d %d %d %d\n",
 		a.next.item, a.next.bid, a.next.comment, a.next.buyNow, a.next.user)
 	tables := []struct {
-		t *rubisdb.Table
+		t    *rubisdb.Table
+		rows int64
 		// secs maps each secondary index column to its key domain.
 		secs []string
 		keys []int64
 	}{
-		{a.regions, nil, nil},
-		{a.categories, nil, nil},
-		{a.users, []string{"region"}, []int64{int64(a.Config.Regions)}},
-		{a.items, []string{"seller", "category"}, []int64{a.next.user, int64(a.Config.Categories)}},
-		{a.bids, []string{"user", "item"}, []int64{a.next.user, a.next.item}},
-		{a.comments, []string{"to_user", "item"}, []int64{a.next.user, a.next.item}},
-		{a.buyNow, []string{"buyer", "item"}, []int64{a.next.user, a.next.item}},
+		{a.regions, int64(a.Config.Regions), nil, nil},
+		{a.categories, int64(a.Config.Categories), nil, nil},
+		{a.users, a.next.user, []string{"region"}, []int64{int64(a.Config.Regions)}},
+		{a.items, a.next.item, []string{"seller", "category"}, []int64{a.next.user, int64(a.Config.Categories)}},
+		{a.bids, a.next.bid, []string{"user", "item"}, []int64{a.next.user, a.next.item}},
+		{a.comments, a.next.comment, []string{"to_user", "item"}, []int64{a.next.user, a.next.item}},
+		{a.buyNow, a.next.buyNow, []string{"buyer", "item"}, []int64{a.next.user, a.next.item}},
 	}
 	for _, tb := range tables {
-		fmt.Fprintf(h, "table %s rows %d\n", tb.t.Name, tb.t.Rows())
-		for id := int64(0); id < int64(tb.t.Rows()); id++ {
+		fmt.Fprintf(h, "table %s rows %d\n", tb.t.Name, tb.rows)
+		for id := int64(0); id < tb.rows; id++ {
 			found, err := tb.t.ReadByPK(id, func(tu rubisdb.Tuple) { writeTuple(h, tu) })
 			if err != nil || !found {
 				t.Fatalf("%s pk %d: found=%v err=%v", tb.t.Name, id, found, err)
@@ -138,8 +140,11 @@ func populationHash(t *testing.T, a *App) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// writeTuple digests a tuple's encoded bytes behind a length prefix.
+// rubisdb.Tuple exposes columns, not bytes, so it reads the unexported
+// data field through reflection, which allows reads.
 func writeTuple(h hash.Hash, tu rubisdb.Tuple) {
-	b := tu.Bytes()
+	b := reflect.ValueOf(tu).FieldByName("data").Bytes()
 	h.Write([]byte{byte(len(b) >> 8), byte(len(b))})
 	h.Write(b)
 }

@@ -61,8 +61,8 @@ func TestDatasetPopulation(t *testing.T) {
 		t.Fatalf("user 200 missing: %v", err)
 	}
 	bids, _ := app.Engine.Table("bids")
-	if bids.Rows() == 0 {
-		t.Fatal("no bids populated")
+	if found, err := bids.ReadByPK(0, nil); err != nil || !found {
+		t.Fatalf("no bids populated: %v", err)
 	}
 }
 
@@ -145,7 +145,7 @@ func TestWriteInteractionsPersist(t *testing.T) {
 	params := DefaultCostParams()
 	sess := &Session{UserID: 5, ItemID: 10, CategoryID: 2, ToUserID: 7}
 
-	bidsBefore := tableOf(t, app, "bids").Rows()
+	bidID := app.next.bid
 	res, err := app.Execute(StoreBid, sess, r, params)
 	if err != nil {
 		t.Fatal(err)
@@ -153,8 +153,8 @@ func TestWriteInteractionsPersist(t *testing.T) {
 	if !res.IsWrite {
 		t.Fatal("StoreBid should be a write")
 	}
-	if tableOf(t, app, "bids").Rows() != bidsBefore+1 {
-		t.Fatal("StoreBid did not insert")
+	if found, err := tableOf(t, app, "bids").ReadByPK(bidID, nil); err != nil || !found {
+		t.Fatalf("StoreBid did not insert bid %d: %v", bidID, err)
 	}
 	// The bid also bumps the item's counters.
 	var nbBids int64

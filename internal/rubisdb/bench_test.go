@@ -248,7 +248,7 @@ func BenchmarkEngineQueryMix(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		snap := e.Snapshot()
+		snap := e.Meter()
 		if _, err := users.ReadByPK(int64(i%20000), func(tu Tuple) { sum += tu.Int(3) }); err != nil {
 			b.Fatal(err)
 		}

@@ -397,25 +397,6 @@ func (t *BTree) ScanRange(lo, hi int64, fn func(key int64, value uint64) bool) e
 	}
 }
 
-// Height reports the tree depth (1 for a lone leaf).
-func (t *BTree) Height() (int, error) {
-	h := 1
-	id := t.root
-	for {
-		f, err := t.pool.Get(id)
-		if err != nil {
-			return 0, err
-		}
-		if f.Page[0] == nodeLeaf {
-			f.Unpin(false)
-			return h, nil
-		}
-		id = PageID{File: t.file, PageNo: innerChild(f.Page, 0)}
-		f.Unpin(false)
-		h++
-	}
-}
-
 // Entry is one (key, value) pair for BulkLoad.
 type Entry struct {
 	Key   int64

@@ -159,9 +159,6 @@ func (m *MemStore) Allocate(file uint32) (PageID, Page) {
 	return id, p
 }
 
-// PageCount reports the number of allocated pages in file.
-func (m *MemStore) PageCount(file uint32) uint32 { return m.pages.length(file) }
-
 // Meter accumulates the engine's physical work. The tier model samples
 // and differences it to derive the DB server's resource demand.
 type Meter struct {
@@ -177,17 +174,6 @@ type Meter struct {
 	RowsWritten uint64
 	// BytesOut counts result bytes produced for clients.
 	BytesOut float64
-}
-
-// Add accumulates other into m.
-func (m *Meter) Add(other Meter) {
-	m.PageHits += other.PageHits
-	m.PageMisses += other.PageMisses
-	m.PagesWritten += other.PagesWritten
-	m.WALBytes += other.WALBytes
-	m.RowsRead += other.RowsRead
-	m.RowsWritten += other.RowsWritten
-	m.BytesOut += other.BytesOut
 }
 
 // Sub returns m minus other (for window differencing).
@@ -298,9 +284,6 @@ func NewBufferPool(store Store, capacity int, meter *Meter) *BufferPool {
 	b.lru.prev = &b.lru
 	return b
 }
-
-// Len reports resident pages.
-func (b *BufferPool) Len() int { return b.resident }
 
 func (b *BufferPool) pushFront(f *Frame) {
 	f.prev = &b.lru
@@ -548,13 +531,4 @@ func (b *BufferPool) check() error {
 		return fmt.Errorf("rubisdb: %d resident, but %d frames on the LRU list and %d directory slots", b.resident, lru, slots)
 	}
 	return nil
-}
-
-// HitRatio reports hits/(hits+misses), 0 when cold.
-func (b *BufferPool) HitRatio() float64 {
-	total := b.meter.PageHits + b.meter.PageMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(b.meter.PageHits) / float64(total)
 }

@@ -156,8 +156,8 @@ func TestBulkWriterFirstErrorSticks(t *testing.T) {
 			t.Fatalf("Close #%d = %v, want %q", i+1, err, want)
 		}
 	}
-	if tb.Rows() != 1 {
-		t.Fatalf("heap holds %d rows, want the 1 written before the error", tb.Rows())
+	if tb.heap.Rows != 1 {
+		t.Fatalf("heap holds %d rows, want the 1 written before the error", tb.heap.Rows)
 	}
 }
 
@@ -189,15 +189,15 @@ func TestBulkWriterMatchesInsert(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if bulk.Rows() != n || incr.Rows() != n {
-		t.Fatalf("rows: bulk=%d incr=%d", bulk.Rows(), incr.Rows())
+	if bulk.heap.Rows != n || incr.heap.Rows != n {
+		t.Fatalf("rows: bulk=%d incr=%d", bulk.heap.Rows, incr.heap.Rows)
 	}
 	if b, i := bulk.engine.Meter().RowsWritten, incr.engine.Meter().RowsWritten; b != i {
 		t.Fatalf("RowsWritten: bulk=%d incr=%d", b, i)
 	}
 	read := func(tb *Table, key int64) []byte {
 		var out []byte
-		if _, err := tb.ReadByPK(key, func(tu Tuple) { out = append(out, tu.Bytes()...) }); err != nil {
+		if _, err := tb.ReadByPK(key, func(tu Tuple) { out = append(out, tu.data...) }); err != nil {
 			t.Fatal(err)
 		}
 		return out
@@ -209,7 +209,7 @@ func TestBulkWriterMatchesInsert(t *testing.T) {
 	}
 	readBy := func(tb *Table, reg int64) []byte {
 		var out []byte
-		if _, err := mustIndex(t, tb, "region").Read(reg, 0, func(_ int, tu Tuple) { out = append(out, tu.Bytes()...) }); err != nil {
+		if _, err := mustIndex(t, tb, "region").Read(reg, 0, func(_ int, tu Tuple) { out = append(out, tu.data...) }); err != nil {
 			t.Fatal(err)
 		}
 		return out

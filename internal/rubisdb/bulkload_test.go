@@ -81,7 +81,7 @@ func TestBulkLoadBuildsMultipleLevels(t *testing.T) {
 	if err := tree.BulkLoad(entries); err != nil {
 		t.Fatal(err)
 	}
-	h, err := tree.Height()
+	h, err := height(tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,8 +214,8 @@ func TestTableBulkInsertMatchesInsert(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if bulk.Rows() != n || incr.Rows() != n {
-		t.Fatalf("rows: bulk=%d incr=%d", bulk.Rows(), incr.Rows())
+	if bulk.heap.Rows != n || incr.heap.Rows != n {
+		t.Fatalf("rows: bulk=%d incr=%d", bulk.heap.Rows, incr.heap.Rows)
 	}
 	for _, tbl := range []*Table{bulk, incr} {
 		if row := readRow(t, tbl, 123); row == nil || row[0] != int64(123) {

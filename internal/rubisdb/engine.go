@@ -56,7 +56,6 @@ type Engine struct {
 	// deterministically (the tables map iterates in random order).
 	tableOrder []*Table
 	nextID     uint32
-	queryOps   uint64
 }
 
 // NewEngine builds an engine with a buffer pool of bufferPages pages.
@@ -163,13 +162,9 @@ func (e *Engine) Checkpoint() error { return e.pool.FlushAll() }
 // FuzzyCheckpoint flushes at most limit dirty pages.
 func (e *Engine) FuzzyCheckpoint(limit int) (int, error) { return e.pool.FlushLimit(limit) }
 
-// Snapshot captures the meter for later differencing.
-func (e *Engine) Snapshot() Meter { return *e.meter }
-
 // ReceiptSince converts the work done since snapshot into a Receipt.
 func (e *Engine) ReceiptSince(snapshot Meter) Receipt {
 	d := e.meter.Sub(snapshot)
-	e.queryOps++
 	c := e.cost
 	cycles := c.BaseCyclesPerQuery +
 		float64(d.PageHits)*c.CyclesPerPageHit +
@@ -186,6 +181,3 @@ func (e *Engine) ReceiptSince(snapshot Meter) Receipt {
 		ResultBytes:    d.BytesOut,
 	}
 }
-
-// Queries reports the number of receipts issued.
-func (e *Engine) Queries() uint64 { return e.queryOps }

@@ -7,8 +7,15 @@ import (
 	"testing/quick"
 )
 
+// newPage returns an initialized empty page outside any buffer pool.
+func newPage() Page {
+	p := make(Page, PageSize)
+	p.initHeader()
+	return p
+}
+
 func TestPageInsertAndReadBack(t *testing.T) {
-	p := NewPage()
+	p := newPage()
 	a, err := p.InsertCell([]byte("hello"))
 	if err != nil {
 		t.Fatal(err)
@@ -17,8 +24,8 @@ func TestPageInsertAndReadBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.NumCells() != 2 {
-		t.Fatalf("NumCells = %d", p.NumCells())
+	if p.nSlots() != 2 {
+		t.Fatalf("cells = %d", p.nSlots())
 	}
 	ca, _ := p.Cell(a)
 	cb, _ := p.Cell(b)
@@ -31,7 +38,7 @@ func TestPageInsertAndReadBack(t *testing.T) {
 }
 
 func TestPageFillsUp(t *testing.T) {
-	p := NewPage()
+	p := newPage()
 	payload := make([]byte, 1000)
 	n := 0
 	for {
@@ -49,7 +56,7 @@ func TestPageFillsUp(t *testing.T) {
 }
 
 func TestPageUpdateInPlace(t *testing.T) {
-	p := NewPage()
+	p := newPage()
 	i, _ := p.InsertCell([]byte("aaaa"))
 	if err := p.UpdateCellInPlace(i, []byte("bbbb")); err != nil {
 		t.Fatal(err)
@@ -78,8 +85,8 @@ func TestBufferPoolHitMissEvict(t *testing.T) {
 	f2.Unpin(true)
 	f3, _ := pool.NewPage(1) // evicts id1 (LRU), which is dirty
 	f3.Unpin(true)
-	if pool.Len() != 2 {
-		t.Fatalf("pool len = %d", pool.Len())
+	if pool.resident != 2 {
+		t.Fatalf("pool len = %d", pool.resident)
 	}
 	if meter.PagesWritten == 0 {
 		t.Fatal("dirty eviction should write back")
@@ -138,7 +145,7 @@ func TestFailedNewPageLeavesNoOrphanPage(t *testing.T) {
 		pool  *BufferPool
 		count func() uint32
 	}{
-		{"MemStore", NewBufferPool(ms, 4, &Meter{}), func() uint32 { return ms.PageCount(tb.id) }},
+		{"MemStore", NewBufferPool(ms, 4, &Meter{}), func() uint32 { return ms.pages.length(tb.id) }},
 		{"view", view.pool, func() uint32 { return cow.PageCount(tb.id) }},
 	} {
 		before := c.count()
@@ -311,8 +318,8 @@ func TestHeapInsertFetchAcrossPages(t *testing.T) {
 		}
 		rids = append(rids, rid)
 	}
-	if store.PageCount(3) < 4 {
-		t.Fatalf("expected multiple pages, got %d", store.PageCount(3))
+	if store.pages.length(3) < 4 {
+		t.Fatalf("expected multiple pages, got %d", store.pages.length(3))
 	}
 	for _, rid := range rids {
 		got, err := h.fetch(rid)
@@ -346,7 +353,7 @@ func TestRIDEncodeDecode(t *testing.T) {
 func TestWALFraming(t *testing.T) {
 	meter := &Meter{}
 	w := NewWAL(meter)
-	lsn0 := w.Append([]byte("abc"))
+	lsn0 := w.appendSized(3)
 	lsn1 := w.AppendRecord(7, walInsert, []byte("payload"))
 	if lsn0 != 0 || lsn1 != 1 {
 		t.Fatalf("lsns: %d %d", lsn0, lsn1)
@@ -363,11 +370,11 @@ func TestWALFraming(t *testing.T) {
 func TestWALGroupCommit(t *testing.T) {
 	w := NewWAL(&Meter{})
 	w.FlushThreshold = 100
-	w.Append(make([]byte, 50))
+	w.appendSized(50)
 	if w.Flushes != 0 {
 		t.Fatal("premature flush")
 	}
-	w.Append(make([]byte, 50))
+	w.appendSized(50)
 	if w.Flushes != 1 {
 		t.Fatalf("Flushes = %d", w.Flushes)
 	}
@@ -520,14 +527,14 @@ func TestEngineConstraints(t *testing.T) {
 		{"duplicate pk", func(w *RowWriter) { w.Int(1); w.String("b"); w.Int(0); w.Int(0) },
 			"duplicate primary key 1", true},
 	} {
-		rows, meter := users.Rows(), e.Meter()
+		rows, meter := users.heap.Rows, e.Meter()
 		w := users.Writer()
 		c.write(w)
 		if _, err := w.Insert(); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Fatalf("%s: Insert = %v, want an error containing %q", c.name, err, c.want)
 		}
-		if users.Rows() != rows {
-			t.Fatalf("%s: %d rows after the rejection, want %d", c.name, users.Rows(), rows)
+		if users.heap.Rows != rows {
+			t.Fatalf("%s: %d rows after the rejection, want %d", c.name, users.heap.Rows, rows)
 		}
 		if err := e.Check(); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
@@ -540,8 +547,8 @@ func TestEngineConstraints(t *testing.T) {
 	if _, err := insertRow(users, Row{int64(2), "b", int64(0), int64(0)}); err != nil {
 		t.Fatal(err)
 	}
-	if users.Rows() != 2 {
-		t.Fatalf("%d rows, want 2", users.Rows())
+	if users.heap.Rows != 2 {
+		t.Fatalf("%d rows, want 2", users.heap.Rows)
 	}
 	if _, err := users.Index("missing"); err == nil {
 		t.Fatal("Index on a missing column should error")
@@ -606,7 +613,7 @@ func TestEngineReceipts(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap := e.Snapshot()
+	snap := e.Meter()
 	if _, err := mustIndex(t, users, "region").Read(2, 0, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -621,16 +628,13 @@ func TestEngineReceipts(t *testing.T) {
 		t.Fatal("receipt should report result bytes")
 	}
 	// A write receipt carries WAL traffic.
-	snap = e.Snapshot()
+	snap = e.Meter()
 	if _, err := insertRow(users, Row{int64(1000), "w", int64(0), int64(0)}); err != nil {
 		t.Fatal(err)
 	}
 	r = e.ReceiptSince(snap)
 	if r.Work.WALBytes <= 0 || r.DiskWriteBytes <= 0 {
 		t.Fatalf("write receipt: %+v", r)
-	}
-	if e.Queries() != 2 {
-		t.Fatalf("Queries = %d", e.Queries())
 	}
 }
 
@@ -661,8 +665,9 @@ func TestEngineBufferWarmupImprovesHitRatio(t *testing.T) {
 	if after.PageMisses > mid.PageMisses {
 		t.Fatalf("warm pass missed more: %d vs %d", after.PageMisses, mid.PageMisses)
 	}
-	if e.pool.HitRatio() <= 0.5 {
-		t.Fatalf("hit ratio = %v", e.pool.HitRatio())
+	m := e.Meter()
+	if ratio := float64(m.PageHits) / float64(m.PageHits+m.PageMisses); ratio <= 0.5 {
+		t.Fatalf("hit ratio = %v", ratio)
 	}
 }
 
@@ -700,8 +705,8 @@ func TestPropertyMeterSubAdd(t *testing.T) {
 	f := func(h1, m1, w1 uint16, wal1 uint32, h2, m2, w2 uint16, wal2 uint32) bool {
 		a := Meter{PageHits: uint64(h1), PageMisses: uint64(m1), PagesWritten: uint64(w1), WALBytes: float64(wal1)}
 		d := Meter{PageHits: uint64(h2), PageMisses: uint64(m2), PagesWritten: uint64(w2), WALBytes: float64(wal2)}
-		sum := a
-		sum.Add(d)
+		sum := Meter{PageHits: a.PageHits + d.PageHits, PageMisses: a.PageMisses + d.PageMisses,
+			PagesWritten: a.PagesWritten + d.PagesWritten, WALBytes: a.WALBytes + d.WALBytes}
 		back := sum.Sub(a)
 		return back == d
 	}

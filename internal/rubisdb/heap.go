@@ -86,34 +86,3 @@ func (h *Heap) UpdateInPlace(rid RID, tuple []byte) error {
 	f.Unpin(err == nil)
 	return err
 }
-
-// PageCounter reports per-file allocated page counts; both MemStore and
-// the copy-on-write view store implement it.
-type PageCounter interface {
-	PageCount(file uint32) uint32
-}
-
-// Scan visits every tuple in heap order; fn returning false stops early.
-func (h *Heap) Scan(store PageCounter, fn func(rid RID, tuple []byte) bool) error {
-	n := store.PageCount(h.file)
-	for pn := uint32(0); pn < n; pn++ {
-		f, err := h.pool.Get(PageID{File: h.file, PageNo: pn})
-		if err != nil {
-			return err
-		}
-		cells := f.Page.NumCells()
-		for s := 0; s < cells; s++ {
-			cell, err := f.Page.Cell(s)
-			if err != nil {
-				f.Unpin(false)
-				return err
-			}
-			if !fn(RID{PageNo: pn, Slot: uint16(s)}, cell) {
-				f.Unpin(false)
-				return nil
-			}
-		}
-		f.Unpin(false)
-	}
-	return nil
-}

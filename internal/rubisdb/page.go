@@ -30,13 +30,6 @@ const pageHeaderSize = 6
 // ... free space ... [cells].
 type Page []byte
 
-// NewPage returns an initialized empty page.
-func NewPage() Page {
-	p := make(Page, PageSize)
-	p.initHeader()
-	return p
-}
-
 // initHeader resets the slot header of a zeroed page: no slots, all
 // space between the header and the page end free. The buffer pool uses
 // it on every page a store allocates, so the layout lives only here.
@@ -58,9 +51,6 @@ func (p Page) slotOffset(i int) int {
 func (p Page) setSlotOffset(i, off int) {
 	binary.BigEndian.PutUint16(p[pageHeaderSize+2*i:], uint16(off))
 }
-
-// NumCells reports the number of cells stored in the page.
-func (p Page) NumCells() int { return p.nSlots() }
 
 // FreeSpace reports the bytes available for one more cell (including its
 // slot entry).

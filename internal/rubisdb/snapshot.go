@@ -60,7 +60,6 @@ type tableState struct {
 type Golden struct {
 	store    *MemStore
 	meter    Meter
-	queryOps uint64
 	wal      walState
 	cost     CostModel
 	capacity int
@@ -91,9 +90,8 @@ func (e *Engine) Seal() (*Golden, error) {
 		return nil, err
 	}
 	g := &Golden{
-		store:    ms,
-		meter:    *e.meter,
-		queryOps: e.queryOps,
+		store: ms,
+		meter: *e.meter,
 		wal: walState{
 			lsn:        e.wal.lsn,
 			buffered:   e.wal.buffered,
@@ -253,7 +251,6 @@ func (g *Golden) Rearm(e *Engine) {
 		e.pool.admit(f)
 	}
 	*e.meter = g.meter
-	e.queryOps = g.queryOps
 	e.nextID = g.nextID
 	e.wal.lsn = g.wal.lsn
 	e.wal.buffered = g.wal.buffered

@@ -242,13 +242,13 @@ func TestRearmLeavesNoStaleDirectoryEntries(t *testing.T) {
 		}
 		i++
 	}
-	if v.pool.Len() != len(g.residents) {
-		t.Fatalf("%d resident after Rearm, sealed pool had %d", v.pool.Len(), len(g.residents))
+	if v.pool.resident != len(g.residents) {
+		t.Fatalf("%d resident after Rearm, sealed pool had %d", v.pool.resident, len(g.residents))
 	}
 	cow := v.store.(*cowStore)
 	for file := range g.store.pages.files {
 		f := uint32(file)
-		if got, want := cow.PageCount(f), g.store.PageCount(f); got != want {
+		if got, want := cow.PageCount(f), g.store.pages.length(f); got != want {
 			t.Fatalf("file %d: PageCount %d after Rearm, golden has %d", f, got, want)
 		}
 	}
@@ -270,8 +270,8 @@ func TestRearmLeavesNoStaleDirectoryEntries(t *testing.T) {
 }
 
 // TestStoreWriteRejectsUnallocatedPages: both stores refuse a write to a
-// page id no Allocate handed out, instead of creating a page past
-// PageCount that Heap.Scan would never visit.
+// page id no Allocate handed out, instead of creating a page past the
+// file's allocated page count.
 func TestStoreWriteRejectsUnallocatedPages(t *testing.T) {
 	ms := NewMemStore()
 	if err := ms.WriteBack(PageID{File: 1, PageNo: 0}); err == nil {
@@ -286,8 +286,8 @@ func TestStoreWriteRejectsUnallocatedPages(t *testing.T) {
 			t.Fatalf("MemStore accepted a write to unallocated page %v", bad)
 		}
 	}
-	if ms.PageCount(1) != 1 || ms.PageCount(2) != 0 {
-		t.Fatalf("rejected writes changed PageCount: file 1 = %d, file 2 = %d", ms.PageCount(1), ms.PageCount(2))
+	if ms.pages.length(1) != 1 || ms.pages.length(2) != 0 {
+		t.Fatalf("rejected writes changed PageCount: file 1 = %d, file 2 = %d", ms.pages.length(1), ms.pages.length(2))
 	}
 
 	eng, tb := buildPopulated(t, 200, 64)

@@ -90,9 +90,6 @@ type Tuple struct {
 	data   []byte
 }
 
-// Bytes returns the row's encoded bytes (borrowed, like the Tuple).
-func (t Tuple) Bytes() []byte { return t.data }
-
 // Int returns int64 column col; it panics when col is not an int64
 // column.
 func (t Tuple) Int(col int) int64 {
@@ -580,6 +577,3 @@ func (t *Table) checkNumericUpdate(u NumericUpdate) error {
 	}
 	return nil
 }
-
-// Rows reports the stored tuple count.
-func (t *Table) Rows() int { return t.heap.Rows }

@@ -25,7 +25,7 @@ func readRow(t testing.TB, tb *Table, key int64) Row {
 	var row Row
 	var derr error
 	found, err := tb.ReadByPK(key, func(tu Tuple) {
-		row, derr = decodeRow(tb.Schema, tu.Bytes())
+		row, derr = decodeRow(tb.Schema, tu.data)
 	})
 	if err != nil || derr != nil {
 		t.Fatalf("read pk %d: %v / %v", key, err, derr)
@@ -270,7 +270,7 @@ func TestReadPathMeterParity(t *testing.T) {
 	eng, tb := build()
 	refEng, refTb := build()
 	for _, e := range []*Table{tb, refTb} {
-		if h, err := e.pk.Height(); err != nil || h < 2 {
+		if h, err := height(e.pk); err != nil || h < 2 {
 			t.Fatalf("pk index should span several leaves (height %d, %v)", h, err)
 		}
 	}
@@ -326,7 +326,7 @@ func TestReadPathMeterParity(t *testing.T) {
 		for key := int64(-1); key <= 7; key++ {
 			var got []Row
 			cnt, err := mustIndex(t, tb, "region").Read(key, limit, func(i int, tu Tuple) {
-				row, err := decodeRow(tb.Schema, tu.Bytes())
+				row, err := decodeRow(tb.Schema, tu.data)
 				if err != nil || i != len(got) {
 					t.Fatalf("region %d row %d: %v", key, i, err)
 				}

@@ -39,13 +39,6 @@ func NewWAL(meter *Meter) *WAL {
 	return &WAL{meter: meter, FlushThreshold: 32 << 10}
 }
 
-// Append frames and buffers a record, returning its LSN. The record
-// contents are accounted, not retained: recovery is out of scope for the
-// workload study, and the byte stream is what the figures need.
-func (w *WAL) Append(payload []byte) uint64 {
-	return w.appendSized(len(payload))
-}
-
 // AppendRecord frames a typed record (table id + op code + image).
 // Append accounts by length only — the in-memory log never rereads the
 // payload — so framing is pure size arithmetic and the image is not

@@ -1,8 +1,8 @@
 package sim
 
-// Test-side inspection and control: production code neither counts the
-// queue nor stops a ticker, but the drain checks and the kernel oracles
-// need both.
+// Test-side inspection and control: production code neither reads a
+// handle's fire time, counts the queue nor stops a ticker, but the drain
+// checks and the kernel oracles need all three.
 
 // pending reports whether the handle still refers to a queued event
 // (not yet fired, not cancelled).
@@ -13,6 +13,20 @@ func (e Event) pending() bool {
 	}
 	ev := &k.arena[e.idx]
 	return ev.gen == e.gen && ev.pos != posIdle
+}
+
+// time reports when the event is scheduled to fire, or -1 when the
+// handle is stale (the event already fired or was cancelled).
+func (e Event) time() Time {
+	k := e.k
+	if k == nil {
+		return -1
+	}
+	ev := &k.arena[e.idx]
+	if ev.gen != e.gen {
+		return -1
+	}
+	return ev.at
 }
 
 // pending reports the number of queued events.

@@ -23,7 +23,7 @@ func callFunc(arg any) { arg.(func())() }
 func TestStopReleasesTickerEventImmediately(t *testing.T) {
 	k := NewKernel()
 	fired := 0
-	tk := k.Every(Minute, Minute, func(Time) { fired++ })
+	tk := k.Every(60*Second, 60*Second, func(Time) { fired++ })
 	if k.pending() != 1 {
 		t.Fatalf("Pending = %d, want 1", k.pending())
 	}
@@ -35,7 +35,7 @@ func TestStopReleasesTickerEventImmediately(t *testing.T) {
 		t.Fatalf("queue still holds %d entries after Stop", len(k.heap)+k.farN)
 	}
 	tk.stop() // idempotent
-	k.Run(10 * Minute)
+	k.Run(600 * Second)
 	if fired != 0 {
 		t.Fatalf("stopped ticker fired %d times", fired)
 	}
@@ -49,8 +49,8 @@ func TestReschedule(t *testing.T) {
 	if !e.Reschedule(3 * Second) {
 		t.Fatal("Reschedule on a pending event returned false")
 	}
-	if e.Time() != 3*Second {
-		t.Fatalf("Time = %v after Reschedule", e.Time())
+	if e.time() != 3*Second {
+		t.Fatalf("Time = %v after Reschedule", e.time())
 	}
 	k.Run(MaxTime)
 	if len(order) != 2 || order[0] != "fixed" || order[1] != "moved" {
@@ -85,7 +85,7 @@ func TestCancelReleasesQueuedEvents(t *testing.T) {
 		if n := len(k.heap) + k.farN; n != 1 || k.pending() != 1 {
 			t.Fatalf("%s: queue holds %d entries, Pending %d after Cancel; want 1", c.name, n, k.pending())
 		}
-		if e.pending() || e.Time() != -1 || e.Reschedule(c.at) {
+		if e.pending() || e.time() != -1 || e.Reschedule(c.at) {
 			t.Fatalf("%s: cancelled handle is not stale", c.name)
 		}
 		ran := 0
@@ -111,8 +111,8 @@ func TestCancelRunningEventIsNoop(t *testing.T) {
 	self = atFunc(k, Second, func() {
 		ran++
 		self.Cancel()
-		if self.Time() != Second {
-			t.Fatalf("Time = %v inside the callback after Cancel", self.Time())
+		if self.time() != Second {
+			t.Fatalf("Time = %v inside the callback after Cancel", self.time())
 		}
 		if self.Reschedule(2 * Second) {
 			t.Fatal("Reschedule of the running event returned true")
@@ -122,7 +122,7 @@ func TestCancelRunningEventIsNoop(t *testing.T) {
 	if ran != 1 || k.pending() != 0 {
 		t.Fatalf("ran %d times, pending %d; want 1 and 0", ran, k.pending())
 	}
-	if self.Time() != -1 || len(k.free) != 1 || k.free[0] != self.idx {
+	if self.time() != -1 || len(k.free) != 1 || k.free[0] != self.idx {
 		t.Fatalf("slot %d not released after the callback (free list %v)", self.idx, k.free)
 	}
 }

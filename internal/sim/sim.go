@@ -62,7 +62,6 @@ const (
 	Microsecond      = 1000 * Nanosecond
 	Millisecond      = 1000 * Microsecond
 	Second           = 1000 * Millisecond
-	Minute           = 60 * Second
 )
 
 // MaxTime is the largest representable virtual time.
@@ -133,20 +132,6 @@ type Event struct {
 	k   *Kernel
 	idx int32
 	gen uint32
-}
-
-// Time reports when the event is scheduled to fire, or -1 when the
-// handle is stale (the event already fired or was cancelled).
-func (e Event) Time() Time {
-	k := e.k
-	if k == nil {
-		return -1
-	}
-	ev := &k.arena[e.idx]
-	if ev.gen != e.gen {
-		return -1
-	}
-	return ev.at
 }
 
 // Cancel takes a queued event out of the queue and releases its slot at

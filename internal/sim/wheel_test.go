@@ -330,7 +330,7 @@ func TestStaleHandleRecycledThroughWheelIsInert(t *testing.T) {
 		t.Fatalf("setup: event at 9 has pos %d, want a wheel slot", p)
 	}
 	k.Run(10)
-	if old.pending() || old.Time() != -1 {
+	if old.pending() || old.time() != -1 {
 		t.Fatal("fired handle still reports pending")
 	}
 	for _, c := range []struct {
@@ -350,11 +350,11 @@ func TestStaleHandleRecycledThroughWheelIsInert(t *testing.T) {
 		if old.Reschedule(k.Now()) {
 			t.Fatal("Reschedule through a stale handle returned true")
 		}
-		if old.pending() || old.Time() != -1 {
+		if old.pending() || old.time() != -1 {
 			t.Fatal("stale handle reports the recycled event")
 		}
-		if !fresh.pending() || fresh.Time() != at {
-			t.Fatalf("recycled event disturbed: pending %v at %v", fresh.pending(), fresh.Time())
+		if !fresh.pending() || fresh.time() != at {
+			t.Fatalf("recycled event disturbed: pending %v at %v", fresh.pending(), fresh.time())
 		}
 		k.Run(at)
 		if fired != 1 {

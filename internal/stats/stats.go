@@ -156,9 +156,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Variance returns the unbiased sample variance.
-func Variance(xs []float64) float64 { return Summarize(xs).Variance }
-
 // Autocorrelation returns the sample autocorrelation at the given lag,
 // in [-1,1]; 0 for degenerate inputs.
 func Autocorrelation(xs []float64, lag int) float64 {

@@ -12,13 +12,13 @@ func BenchmarkLatencyRecord(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec.Record(v, i&1 == 1)
+		rec.RecordKind(v, i&1 == 1, -1)
 		v *= 1.000001
 		if v > 100 {
 			v = 0.0001
 		}
 	}
-	if rec.Count() != uint64(b.N) {
+	if rec.RunHist().Count() != uint64(b.N) {
 		b.Fatal("lost observations")
 	}
 }
@@ -38,10 +38,10 @@ func BenchmarkWindowRotate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// A plausible window: a burst of mixed fast/slow responses.
-		rec.Record(0.004, false)
-		rec.Record(0.009, false)
-		rec.Record(0.012, false)
-		rec.Record(0.250, false)
+		rec.RecordKind(0.004, false, -1)
+		rec.RecordKind(0.009, false, -1)
+		rec.RecordKind(0.012, false, -1)
+		rec.RecordKind(0.250, false, -1)
 		rec.NoteStart()
 		rec.NoteEnd()
 		retries += 3

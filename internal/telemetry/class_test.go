@@ -66,10 +66,10 @@ func TestHistExcessAboveOracle(t *testing.T) {
 func TestRecorderClassAttribution(t *testing.T) {
 	r := NewRecorder(2.0, 4)
 	for i := 0; i < 40; i++ {
-		r.Record(0.010, false) // fast reads
+		r.RecordKind(0.010, false, -1) // fast reads
 	}
 	for i := 0; i < 10; i++ {
-		r.Record(0.200, true) // slow writes
+		r.RecordKind(0.200, true, -1) // slow writes
 	}
 	if got := r.RunHist().Count(); got != 50 {
 		t.Fatalf("combined count = %d (classes must not double-count)", got)
@@ -87,7 +87,7 @@ func TestRecorderClassAttribution(t *testing.T) {
 		t.Fatalf("combined p95 %v ms should track the slow class %v ms", p95, rw)
 	}
 	// Class state resets with the window.
-	r.Record(0.050, false)
+	r.RecordKind(0.050, false, -1)
 	r.Rotate(0)
 	if s.ByName(LatencyRWP95).At(1) != 0 {
 		t.Fatal("write-class window series should be empty after reset")
@@ -101,11 +101,11 @@ func TestRecorderClassAttribution(t *testing.T) {
 func TestRecorderAbandonAccounting(t *testing.T) {
 	r := NewRecorder(2.0, 4)
 	for i := 0; i < 20; i++ {
-		r.Record(0.050, false)
+		r.RecordKind(0.050, false, -1)
 	}
 	// Three responses so slow the session gave up.
 	for i := 0; i < 3; i++ {
-		r.Record(6.0, false)
+		r.RecordKind(6.0, false, -1)
 		r.NoteAbandon(6.0)
 	}
 	ab := r.AbandonedHist()
@@ -123,7 +123,7 @@ func TestRecorderAbandonAccounting(t *testing.T) {
 		t.Fatalf("abandoned debt %v > total %v", abDebt, servedDebt)
 	}
 	r.Rotate(0)
-	r.Record(0.050, false)
+	r.RecordKind(0.050, false, -1)
 	r.Rotate(0)
 	s := r.Series()
 	if s.ByName(Abandoned).At(0) != 3 || s.ByName(Abandoned).At(1) != 0 {

@@ -54,11 +54,6 @@ const (
 	numBins     = binsPerDecade * histDecades
 )
 
-// RelativeErrorBound is the worst-case relative error of a Hist
-// quantile for values within the binned range [1µs, 1e6s]:
-// 10^(1/(2*binsPerDecade)) - 1 ≈ 0.9%.
-var RelativeErrorBound = math.Pow(10, 1.0/(2*binsPerDecade)) - 1
-
 // invLog10 avoids a divide on the record path.
 var invLog10 = 1 / math.Ln10
 
@@ -135,8 +130,9 @@ func (h *Hist) Max() float64 {
 // Quantile estimates the q-quantile in seconds. It targets the same
 // order statistic as the exact reservoir path (rank floor(q*(n-1))),
 // returning the geometric midpoint of the bin holding that rank,
-// clamped to the exact observed [min, max]. Relative error is bounded
-// by RelativeErrorBound for in-range values; the underflow and
+// clamped to the exact observed [min, max]. For in-range values the
+// relative error is at most 10^(1/(2*binsPerDecade)) - 1 ≈ 0.9%, half a
+// bin; the underflow and
 // overflow bins report the exact min and max.
 func (h *Hist) Quantile(q float64) float64 {
 	if h.n == 0 {
@@ -174,7 +170,7 @@ func (h *Hist) Quantile(q float64) float64 {
 
 // CountAbove reports how many observations exceeded v (seconds), at
 // histogram resolution: whole bins above v's bin are counted, so the
-// boundary is fuzzy by at most RelativeErrorBound. The SLO-debt
+// boundary is fuzzy by at most one bin (≈1.8%). The SLO-debt
 // accounting in internal/characterize is built on this.
 func (h *Hist) CountAbove(v float64) uint64 {
 	if h.n == 0 || v >= h.max {

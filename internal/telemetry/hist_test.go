@@ -8,6 +8,11 @@ import (
 	"vwchar/internal/rng"
 )
 
+// relativeErrorBound is the worst-case relative error of a Hist
+// quantile for values within the binned range [1µs, 1e6s]: half a bin,
+// 10^(1/(2*binsPerDecade)) - 1 ≈ 0.9%.
+var relativeErrorBound = math.Pow(10, 1.0/(2*binsPerDecade)) - 1
+
 // oracleQuantile replicates the exact quantile convention the driver
 // stats historically used: sort, then index rank floor(q*(n-1)) with
 // no interpolation.
@@ -70,9 +75,9 @@ func TestHistQuantileVsOracle(t *testing.T) {
 			if want <= 0 {
 				t.Fatalf("%s q%.3f: oracle %v not positive", tc.name, q, want)
 			}
-			if relErr := math.Abs(got/want - 1); relErr > RelativeErrorBound {
+			if relErr := math.Abs(got/want - 1); relErr > relativeErrorBound {
 				t.Errorf("%s q%.3f: hist %.6g vs exact %.6g (rel err %.4f > bound %.4f)",
-					tc.name, q, got, want, relErr, RelativeErrorBound)
+					tc.name, q, got, want, relErr, relativeErrorBound)
 			}
 		}
 		if got, want := h.Mean(), mean(xs); math.Abs(got-want) > 1e-9*math.Abs(want) {
@@ -143,7 +148,7 @@ func TestHistReset(t *testing.T) {
 		t.Fatalf("reset left state: count=%d sum=%v", h.Count(), h.Sum())
 	}
 	h.Record(0.5)
-	if got := h.Quantile(0.5); math.Abs(got/0.5-1) > RelativeErrorBound {
+	if got := h.Quantile(0.5); math.Abs(got/0.5-1) > relativeErrorBound {
 		t.Fatalf("post-reset quantile %v", got)
 	}
 	if h.Min() != 0.5 || h.Max() != 0.5 {

@@ -39,10 +39,10 @@ func TestRecorderKindAttribution(t *testing.T) {
 		t.Fatalf("combined count = %d, want 43 (bank must not double-count)", got)
 	}
 	// The bank's quantiles reflect only their own kind.
-	if p95 := r.KindHist(7).Quantile(0.95); math.Abs(p95/0.300-1) > RelativeErrorBound {
+	if p95 := r.KindHist(7).Quantile(0.95); math.Abs(p95/0.300-1) > relativeErrorBound {
 		t.Fatalf("kind 7 p95 = %v, want ~0.3", p95)
 	}
-	if mean := r.KindHist(3).Mean(); math.Abs(mean/0.010-1) > RelativeErrorBound {
+	if mean := r.KindHist(3).Mean(); math.Abs(mean/0.010-1) > relativeErrorBound {
 		t.Fatalf("kind 3 mean = %v, want ~0.01", mean)
 	}
 }
@@ -161,5 +161,5 @@ func TestRecorderReleaseRecyclesBuffers(t *testing.T) {
 			t.Fatal("recording into a released recorder did not panic")
 		}
 	}()
-	r.Record(0.01, false)
+	r.RecordKind(0.01, false, -1)
 }

@@ -12,7 +12,7 @@ import (
 // run-level quantile is exact (bit-identical to sorting every
 // observation — the paper sweep's golden bytes depend on this); beyond
 // it the reservoir stops growing and quantiles come from the run
-// histogram within RelativeErrorBound. 32768 float64s is 256 KB — an
+// histogram within its ≈0.9% relative-error bound. 32768 float64s is 256 KB — an
 // order of magnitude below the 200k-float reservoir it replaces, and
 // fixed rather than proportional to run length.
 const DefaultExactCap = 32768
@@ -220,17 +220,13 @@ func WindowShare(part, rest func() uint64, idle float64) func() float64 {
 	}
 }
 
-// Record adds one response-time observation in seconds, attributed to
-// its interaction class (isWrite selects read-write). Allocation-free.
-func (r *Recorder) Record(rt float64, isWrite bool) {
-	r.RecordKind(rt, isWrite, -1)
-}
-
-// RecordKind is Record with per-interaction attribution: kind is the
-// dense rubis kind index (out-of-range skips the bank, so callers
-// without attribution pass -1). Still one logarithm per observation;
-// the first record of each kind takes its histogram from a pool, and
-// every later one touches no pool. Recording after Release panics.
+// RecordKind adds one response-time observation in seconds, attributed
+// to its interaction class (isWrite selects read-write) and its
+// interaction: kind is the dense rubis kind index (out-of-range skips
+// the bank, so callers without attribution pass -1). Allocation-free
+// and one logarithm per observation: the first record of each kind
+// takes its histogram from a pool, and every later one touches no
+// pool. Recording after Release panics.
 func (r *Recorder) RecordKind(rt float64, isWrite bool, kind int) {
 	i := binIndex(rt)
 	r.win.recordAt(rt, i)
@@ -348,9 +344,6 @@ func (r *Recorder) ReserveWindows(n int) {
 // window each, sharing the resource series' 2-second time axis.
 func (r *Recorder) Series() *timeseries.Set { return r.series }
 
-// Count reports total observations recorded.
-func (r *Recorder) Count() uint64 { return r.run.Count() }
-
 // Mean reports the exact run-level mean response time in seconds.
 func (r *Recorder) Mean() float64 { return r.run.Mean() }
 
@@ -359,7 +352,7 @@ func (r *Recorder) Mean() float64 { return r.run.Mean() }
 // sort-and-index quantile of the reservoir it replaced bit for bit
 // (rank floor(q*(n-1)), no interpolation), sorting in place at most
 // once per batch of records; beyond the cap it falls back to the
-// run histogram, within RelativeErrorBound.
+// run histogram, within its ≈0.9% relative-error bound.
 func (r *Recorder) Quantile(q float64) float64 {
 	n := r.run.Count()
 	if n == 0 {

@@ -16,14 +16,14 @@ func TestRecorderWindowSeries(t *testing.T) {
 	// Window 1: four fast responses, one session starting and ending.
 	rec.NoteStart()
 	for _, rt := range []float64{0.010, 0.010, 0.010, 0.030} {
-		rec.Record(rt, false)
+		rec.RecordKind(rt, false, -1)
 	}
 	rec.NoteEnd()
 	rec.Rotate(3)
 
 	// Window 2: two slow responses.
-	rec.Record(1.0, false)
-	rec.Record(2.0, false)
+	rec.RecordKind(1.0, false, -1)
+	rec.RecordKind(2.0, false, -1)
 	rec.Rotate(1)
 
 	s := rec.Series()
@@ -35,7 +35,7 @@ func TestRecorderWindowSeries(t *testing.T) {
 	}
 	// Rank convention floor(q*(n-1)): the p95 of four samples is the
 	// third smallest, and only q=1 reaches the 30 ms outlier.
-	if got := s.ByName(LatencyP95).At(0); math.Abs(got/10-1) > RelativeErrorBound {
+	if got := s.ByName(LatencyP95).At(0); math.Abs(got/10-1) > relativeErrorBound {
 		t.Errorf("window 1 p95 = %v ms, want ~10", got)
 	}
 	if got, want := s.ByName(Throughput).At(0), 2.0; got != want { // 4 completions / 2 s
@@ -52,12 +52,12 @@ func TestRecorderWindowSeries(t *testing.T) {
 	}
 	// The second window's stats are independent of the first: rotation
 	// reset the window histogram.
-	if got := s.ByName(LatencyP50).At(1); math.Abs(got/1000-1) > RelativeErrorBound {
+	if got := s.ByName(LatencyP50).At(1); math.Abs(got/1000-1) > relativeErrorBound {
 		t.Errorf("window 2 p50 = %v ms, want ~1000", got)
 	}
 	// Run-level accounting spans both windows.
-	if rec.Count() != 6 {
-		t.Errorf("run count = %d, want 6", rec.Count())
+	if rec.RunHist().Count() != 6 {
+		t.Errorf("run count = %d, want 6", rec.RunHist().Count())
 	}
 	if got, want := rec.Mean(), (0.010*3+0.030+1+2)/6; math.Abs(got-want) > 1e-12 {
 		t.Errorf("run mean = %v, want %v", got, want)
@@ -92,7 +92,7 @@ func TestRecorderExactQuantileEquivalence(t *testing.T) {
 	var xs []float64
 	for i := 0; i < 5000; i++ {
 		v := r.LogNormal(math.Log(0.02), 1.0)
-		rec.Record(v, false)
+		rec.RecordKind(v, false, -1)
 		xs = append(xs, v)
 		if i%97 == 0 {
 			rec.Rotate(0)
@@ -105,7 +105,7 @@ func TestRecorderExactQuantileEquivalence(t *testing.T) {
 	}
 	// Interleaving reads and writes keeps the reservoir coherent: a
 	// record after a sort dirties it again.
-	rec.Record(1e9, false)
+	rec.RecordKind(1e9, false, -1)
 	if got, want := rec.Quantile(1), 1e9; got != want {
 		t.Fatalf("post-sort record lost: q1 = %v, want %v", got, want)
 	}
@@ -124,7 +124,7 @@ func TestRecorderHistogramFallback(t *testing.T) {
 	xs := make([]float64, 0, n)
 	for i := 0; i < n; i++ {
 		v := r.LogNormal(math.Log(0.05), 0.8)
-		rec.Record(v, false)
+		rec.RecordKind(v, false, -1)
 		xs = append(xs, v)
 	}
 	if len(rec.exact) != DefaultExactCap {
@@ -132,7 +132,7 @@ func TestRecorderHistogramFallback(t *testing.T) {
 	}
 	for _, q := range []float64{0.5, 0.95, 0.99} {
 		got, want := rec.Quantile(q), oracleQuantile(xs, q)
-		if relErr := math.Abs(got/want - 1); relErr > RelativeErrorBound {
+		if relErr := math.Abs(got/want - 1); relErr > relativeErrorBound {
 			t.Fatalf("q%.2f: hist fallback %v vs exact %v (rel err %v)", q, got, want, relErr)
 		}
 	}
@@ -147,7 +147,7 @@ func TestRecorderMemoryBounded(t *testing.T) {
 	rec := NewRecorder(2, 0)
 	r := rng.NewSource(9).Stream("mem")
 	for i := 0; i < 1_000_000; i++ {
-		rec.Record(r.Exp(0.01), false)
+		rec.RecordKind(r.Exp(0.01), false, -1)
 	}
 	if got := len(rec.exact); got > DefaultExactCap {
 		t.Fatalf("exact reservoir holds %d > cap %d", got, DefaultExactCap)
@@ -158,8 +158,8 @@ func TestRecorderMemoryBounded(t *testing.T) {
 	if total := len(rec.exact)*8 + histBytes; total >= 200000*8/2 {
 		t.Fatalf("recorder retains ~%d bytes, want < half the old reservoir", total)
 	}
-	if rec.Count() != 1_000_000 {
-		t.Fatalf("count = %d", rec.Count())
+	if rec.RunHist().Count() != 1_000_000 {
+		t.Fatalf("count = %d", rec.RunHist().Count())
 	}
 }
 
@@ -170,7 +170,7 @@ func TestRecorderSteadyStateZeroAlloc(t *testing.T) {
 	v := 0.001
 	allocs := testing.AllocsPerRun(10000, func() {
 		rec.NoteStart()
-		rec.Record(v, false)
+		rec.RecordKind(v, false, -1)
 		rec.NoteEnd()
 		v *= 1.0002
 	})
@@ -186,8 +186,8 @@ func TestRecorderRotateZeroAllocWithinHint(t *testing.T) {
 	const hint = 20100
 	rec := NewRecorder(2, hint)
 	allocs := testing.AllocsPerRun(20000, func() {
-		rec.Record(0.01, false)
-		rec.Record(0.05, false)
+		rec.RecordKind(0.01, false, -1)
+		rec.RecordKind(0.05, false, -1)
 		rec.Rotate(1)
 	})
 	if allocs != 0 {
@@ -204,14 +204,14 @@ func TestRecorderRotateZeroAllocWithinHint(t *testing.T) {
 // never allocates and already-emitted windows are preserved.
 func TestRecorderReserveWindows(t *testing.T) {
 	rec := NewRecorder(2, 0)
-	rec.Record(0.25, false)
+	rec.RecordKind(0.25, false, -1)
 	rec.Rotate(2) // one window emitted before the reservation
 	rec.ReserveWindows(4200)
 	if got := rec.Series().ByName(LatencyMean).At(0); math.Abs(got-250) > 1e-9 {
 		t.Fatalf("reservation lost emitted window: %v", got)
 	}
 	allocs := testing.AllocsPerRun(4000, func() {
-		rec.Record(0.01, false)
+		rec.RecordKind(0.01, false, -1)
 		rec.Rotate(1)
 	})
 	if allocs != 0 {
@@ -223,7 +223,7 @@ func TestRecorderReserveWindows(t *testing.T) {
 // (not stale data) and keep the axis aligned.
 func TestRecorderEmptyWindows(t *testing.T) {
 	rec := NewRecorder(2, 4)
-	rec.Record(0.5, false)
+	rec.RecordKind(0.5, false, -1)
 	rec.Rotate(0)
 	rec.Rotate(0) // empty window
 	s := rec.Series()

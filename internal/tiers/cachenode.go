@@ -56,7 +56,6 @@ type CacheServer struct {
 	store  *cachetier.Store
 	params CacheParams
 
-	leases       bool
 	leaseTimeout sim.Time
 
 	opFree   sim.FreeList[cacheOp]
@@ -126,16 +125,12 @@ func NewCacheServer(k *sim.Kernel, be Backend, spec cachetier.CacheSpec, params 
 		be:           be,
 		store:        cachetier.NewStore(spec),
 		params:       params,
-		leases:       spec.Leases,
 		leaseTimeout: sim.Time(spec.LeaseTimeoutMillis * float64(sim.Millisecond)),
 	}
 	be.Mem().Set("memcached", params.MemBase)
 	be.OS().Fork(4)
 	return c
 }
-
-// Store exposes the underlying deterministic store (tests, analysis).
-func (c *CacheServer) Store() *cachetier.Store { return c.store }
 
 // HandleGet resolves one GET: the outcome lands in out, the reply bytes
 // travel back along reply, and done(arg) fires when they arrive. A

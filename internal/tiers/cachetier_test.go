@@ -170,7 +170,7 @@ func TestCacheStampedeAndLeases(t *testing.T) {
 				t.Fatalf("herd reader %d outcome %v, want every one to miss", i, outs[i].Outcome)
 			}
 		}
-		st := cs.Store().Stats
+		st := cs.store.Stats
 		if st.Stampedes != 1 || st.StampedeFetches != 2 {
 			t.Fatalf("stampedes/redundant fetches = %d/%d, want 1/2", st.Stampedes, st.StampedeFetches)
 		}
@@ -204,7 +204,7 @@ func TestCacheStampedeAndLeases(t *testing.T) {
 		if outs[2].Outcome != cachetier.Hit || outs[3].Outcome != cachetier.Hit {
 			t.Fatalf("parked waiters = %v/%v, want hits off the fill", outs[2].Outcome, outs[3].Outcome)
 		}
-		st := cs.Store().Stats
+		st := cs.store.Stats
 		if st.StampedeFetches != 0 {
 			t.Fatalf("%d redundant fetches with leases, want 0", st.StampedeFetches)
 		}
@@ -252,7 +252,7 @@ func TestCacheColdRestart(t *testing.T) {
 		t.Fatal("cache never warmed")
 	}
 	rig.cs.crash()
-	if !rig.cs.down || rig.cs.Store().Len() != 0 {
+	if !rig.cs.down || rig.cs.store.UsedBytes() != 0 {
 		t.Fatal("crash must take the node down and flush the store")
 	}
 	rig.k.Run(65 * sim.Second)

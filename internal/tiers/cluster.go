@@ -177,15 +177,6 @@ func (c *DBCluster) server(i int) *DBServer {
 	return c.Replicas[i-1]
 }
 
-// Queries sums handled calls across the primary and every replica.
-func (c *DBCluster) Queries() uint64 {
-	n := c.Primary.Queries
-	for _, r := range c.Replicas {
-		n += r.Queries
-	}
-	return n
-}
-
 // route picks the instance index for one query. Writes always hit the
 // primary and stamp the session's route; reads go to the primary while
 // the session is within the replication lag of its last write, and fan
@@ -243,8 +234,6 @@ type Frontend interface {
 // LoadBalancer picks which active web replica takes the next request.
 // Implementations must be deterministic and allocation-free.
 type LoadBalancer interface {
-	// Policy names the discipline.
-	Policy() LBPolicy
 	// Pick returns the index of an Active replica in c, or -1 when no
 	// replica is active (every replica ejected by health checks); the
 	// cluster then fast-fails the request.
@@ -266,8 +255,6 @@ func NewLoadBalancer(p LBPolicy) LoadBalancer {
 
 type roundRobin struct{ next int }
 
-func (p *roundRobin) Policy() LBPolicy { return LBRoundRobin }
-
 func (p *roundRobin) Pick(c *WebCluster) int {
 	n := len(c.Replicas)
 	for j := 0; j < n; j++ {
@@ -288,8 +275,6 @@ func (p *roundRobin) Pick(c *WebCluster) int {
 
 type leastInFlight struct{}
 
-func (leastInFlight) Policy() LBPolicy { return LBLeastInFlight }
-
 func (leastInFlight) Pick(c *WebCluster) int {
 	best, bestLoad := -1, 0
 	for i, r := range c.Replicas {
@@ -304,8 +289,6 @@ func (leastInFlight) Pick(c *WebCluster) int {
 }
 
 type joinShortestQueue struct{}
-
-func (joinShortestQueue) Policy() LBPolicy { return LBJoinShortestQueue }
 
 func (joinShortestQueue) Pick(c *WebCluster) int {
 	best, bestLoad := -1, 0
@@ -436,9 +419,6 @@ func NewWebCluster(k *sim.Kernel, replicas []*WebAppServer, initialActive int, l
 	return c
 }
 
-// Policy reports the configured balancing discipline.
-func (c *WebCluster) Policy() LBPolicy { return c.lb.Policy() }
-
 // ActiveReplicas reports how many replicas currently take traffic.
 func (c *WebCluster) ActiveReplicas() int { return c.activeCount }
 
@@ -464,15 +444,6 @@ func (c *WebCluster) SetOverload(o *Overload) { c.ovl = o }
 // SetBackfillBoot sets the provisioning delay for emergency backfill
 // activations (ejection below minActive). Zero activates instantly.
 func (c *WebCluster) SetBackfillBoot(boot sim.Time) { c.backfillBoot = boot }
-
-// Served sums completed requests across replicas.
-func (c *WebCluster) Served() uint64 {
-	var n uint64
-	for _, r := range c.Replicas {
-		n += r.Served
-	}
-	return n
-}
 
 // Dispatch implements Frontend: pick a replica, move the request bytes
 // from the client to it, and hand the request over on arrival. When no

@@ -309,8 +309,12 @@ func TestRoundRobinSpreadsLoad(t *testing.T) {
 	if min == 0 || max-min > 1 {
 		t.Fatalf("round-robin dispatch counts spread %d..%d, want within 1", min, max)
 	}
-	if fe.Served() != driver.Completed {
-		t.Fatalf("cluster served %d != driver completed %d", fe.Served(), driver.Completed)
+	var served uint64
+	for _, r := range fe.Replicas {
+		served += r.Served
+	}
+	if served != driver.Completed {
+		t.Fatalf("cluster served %d != driver completed %d", served, driver.Completed)
 	}
 }
 
@@ -327,7 +331,7 @@ func newStubClusterRig(tb testing.TB, n int, lb LBPolicy) (*sim.Kernel, *Driver)
 		tb.Fatal(err)
 	}
 	srv := hw.NewServer(k, hw.ProLiantSpec("stub"))
-	be := &nullBackend{k: k, os: osmodel.New("stub", srv.Mem, 10), mem: srv.Mem}
+	be := &nullBackend{k: k, os: osmodel.New(10), mem: srv.Mem}
 	dbc := NewDBCluster(NewDBServer(k, be, app, DefaultDBParams("vm")), nil, 0)
 	webs := make([]*WebAppServer, n)
 	for i := range webs {

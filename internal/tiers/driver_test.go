@@ -124,7 +124,7 @@ func newStubDriverRig(tb testing.TB, closed bool) (*sim.Kernel, *Driver) {
 		tb.Fatal(err)
 	}
 	srv := hw.NewServer(k, hw.ProLiantSpec("stub"))
-	be := &nullBackend{k: k, os: osmodel.New("stub", srv.Mem, 10), mem: srv.Mem}
+	be := &nullBackend{k: k, os: osmodel.New(10), mem: srv.Mem}
 	fe := &nullFrontend{k: k, be: be}
 	model := browsingModel{rubis.BrowsingMix()}
 	if closed {
@@ -275,16 +275,18 @@ func TestDriverStatsQuantileBeyondCap(t *testing.T) {
 		s.conclude(OutcomeServed, rt, false, -1)
 		all = append(all, rt)
 	}
+	// Half of one of telemetry.Hist's bins, 128 to a decade.
+	bound := math.Pow(10, 1.0/256) - 1
 	for _, q := range []float64{0.5, 0.95, 0.99} {
 		got, want := s.ResponseTimeQuantile(q), oldReservoirQuantile(all, q)
-		if relErr := math.Abs(got/want - 1); relErr > telemetry.RelativeErrorBound {
+		if relErr := math.Abs(got/want - 1); relErr > bound {
 			t.Fatalf("q%.2f: %v vs exact %v (rel err %v > %v)",
-				q, got, want, relErr, telemetry.RelativeErrorBound)
+				q, got, want, relErr, bound)
 		}
 	}
 	// The run histogram kept recording past the exact cap (the
 	// telemetry tests pin that the reservoir itself stays capped).
-	if got := s.rec.Count(); got != uint64(n) {
+	if got := s.rec.RunHist().Count(); got != uint64(n) {
 		t.Fatalf("run histogram saw %d of %d observations", got, n)
 	}
 }

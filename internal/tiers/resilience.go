@@ -99,7 +99,6 @@ type attempt struct {
 	done  sim.Callback
 	darg  any
 	tries int
-	cur   *tryCtx
 }
 
 // tryCtx is the pooled per-try state. When a try times out it is
@@ -206,7 +205,6 @@ func (g *Guard) launch(a *attempt) {
 	t := g.tryFree.Get()
 	t.g = g
 	t.a = a
-	a.cur = t
 	if g.timeout > 0 {
 		t.timer = g.k.AfterCall(g.timeout, guardTryTimeout, t)
 	}
@@ -225,7 +223,6 @@ func guardTryDone(arg any) {
 	}
 	t.timer.Cancel()
 	a := t.a
-	a.cur = nil
 	g.tryFree.Put(t)
 	failed := a.rt != nil && a.rt.Outcome != OutcomeServed
 	if g.brk != nil {
@@ -246,7 +243,6 @@ func guardTryTimeout(arg any) {
 	g := t.g
 	t.timedOut = true
 	a := t.a
-	a.cur = nil
 	if a.rt != nil {
 		// The session is moving on (retry or timeout response) while
 		// the abandoned try may still be running server-side: bump the
@@ -306,7 +302,6 @@ func (g *Guard) finish(a *attempt) {
 	a.rt = nil
 	a.done = nil
 	a.darg = nil
-	a.cur = nil
 	g.attFree.Put(a)
 	if done != nil {
 		done(darg)

@@ -229,7 +229,7 @@ func TestFailoverPromotion(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := hw.NewServer(k, hw.ProLiantSpec("stub"))
-	be := &nullBackend{k: k, os: osmodel.New("stub", srv.Mem, 10), mem: srv.Mem}
+	be := &nullBackend{k: k, os: osmodel.New(10), mem: srv.Mem}
 	primary := NewDBServer(k, be, app, DefaultDBParams("vm"))
 	replica := NewDBServer(k, be, app, DefaultDBParams("vm"))
 	dbc := NewDBCluster(primary, []*DBServer{replica}, sim.Second)
@@ -304,7 +304,7 @@ func TestQueueDrainsToPromotedPrimary(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := hw.NewServer(k, hw.ProLiantSpec("stub"))
-	be := &nullBackend{k: k, os: osmodel.New("stub", srv.Mem, 10), mem: srv.Mem}
+	be := &nullBackend{k: k, os: osmodel.New(10), mem: srv.Mem}
 	primary := NewDBServer(k, be, app, DefaultDBParams("vm"))
 	replica := NewDBServer(k, be, app, DefaultDBParams("vm"))
 	dbc := NewDBCluster(primary, []*DBServer{replica}, sim.Second)
@@ -353,7 +353,7 @@ func newGuardedStubRig(tb testing.TB, n, clients int, spec faults.ResilienceSpec
 		tb.Fatal(err)
 	}
 	srv := hw.NewServer(k, hw.ProLiantSpec("stub"))
-	be := &nullBackend{k: k, os: osmodel.New("stub", srv.Mem, 10), mem: srv.Mem}
+	be := &nullBackend{k: k, os: osmodel.New(10), mem: srv.Mem}
 	dbc := NewDBCluster(NewDBServer(k, be, app, DefaultDBParams("vm")), nil, 0)
 	webs := make([]*WebAppServer, n)
 	for i := range webs {
@@ -561,7 +561,7 @@ func TestRecycledSessionIgnoresStraggler(t *testing.T) {
 	}
 	srv := hw.NewServer(k, hw.ProLiantSpec("stub"))
 	be := func(cpu sim.Time) *delayBackend {
-		return &delayBackend{nullBackend{k: k, os: osmodel.New("stub", srv.Mem, 10), mem: srv.Mem}, cpu}
+		return &delayBackend{nullBackend{k: k, os: osmodel.New(10), mem: srv.Mem}, cpu}
 	}
 	dbc := NewDBCluster(NewDBServer(k, be(10*sim.Microsecond), app, DefaultDBParams("vm")), nil, 0)
 	paths := []PathPair{{To: stubPath{k}, From: stubPath{k}}}

@@ -205,12 +205,6 @@ func (w *WebAppServer) flushSpill(now sim.Time) {
 // Growths reports how many worker-batch spawns (RAM jumps) occurred.
 func (w *WebAppServer) Growths() int { return w.alloc.Growths }
 
-// Backend exposes the tier's backend for client-side transfers.
-func (w *WebAppServer) Backend() Backend { return w.be }
-
-// InFlight reports requests between cluster dispatch and response.
-func (w *WebAppServer) InFlight() int { return w.inflight }
-
 // QueueDepth reports requests resident at the server (executing plus
 // queued) — the join-shortest-queue balancer's signal.
 func (w *WebAppServer) QueueDepth() int { return w.active + len(w.queue) }
@@ -624,11 +618,9 @@ func DefaultDBParams(deployment string) DBParams {
 // DBServer is the back-end tier: it replays storage engine receipts as
 // simulated demand and sends projected result bytes back to the web tier.
 type DBServer struct {
-	k      *sim.Kernel
-	be     Backend
-	params DBParams
-	cache  osmodel.PageCache
-	app    *rubis.App
+	be    Backend
+	cache osmodel.PageCache
+	app   *rubis.App
 
 	// callFree recycles per-query call state.
 	callFree sim.FreeList[dbCall]
@@ -662,7 +654,7 @@ type dbCall struct {
 
 // NewDBServer builds the tier and starts its checkpoint ticker.
 func NewDBServer(k *sim.Kernel, be Backend, app *rubis.App, params DBParams) *DBServer {
-	d := &DBServer{k: k, be: be, params: params, app: app}
+	d := &DBServer{be: be, app: app}
 	be.Mem().Set("mysqld", params.MemBase)
 	d.cache = osmodel.PageCache{Mem: be.Mem(), Label: "dbcache", Ceiling: params.CacheCeiling}
 	be.OS().Fork(12)

@@ -93,8 +93,8 @@ func TestPMDeploymentServesRequests(t *testing.T) {
 	}
 	webSrv := hw.NewServer(k, hw.ProLiantSpec("web-pm"))
 	dbSrv := hw.NewServer(k, hw.ProLiantSpec("db-pm"))
-	webOS := osmodel.New("web", webSrv.Mem, 100)
-	dbOS := osmodel.New("db", dbSrv.Mem, 100)
+	webOS := osmodel.New(100)
+	dbOS := osmodel.New(100)
 	webBE := NewPMBackend(k, webSrv, dbSrv, DefaultPMParams("web"), src.Stream("n1"), webOS)
 	dbBE := NewPMBackend(k, dbSrv, webSrv, DefaultPMParams("db"), src.Stream("n2"), dbOS)
 	db := NewDBServer(k, dbBE, app, DefaultDBParams("pm"))
@@ -176,7 +176,7 @@ func TestPMFlusherBatchesWrites(t *testing.T) {
 	k := sim.NewKernel()
 	srv := hw.NewServer(k, hw.ProLiantSpec("pm"))
 	peer := hw.NewServer(k, hw.ProLiantSpec("peer"))
-	os := osmodel.New("pm", srv.Mem, 10)
+	os := osmodel.New(10)
 	be := NewPMBackend(k, srv, peer, DefaultPMParams("web"), rng.NewSource(1).Stream("n"), os)
 	doneFast := false
 	be.DiskIO(1e6, true, func(any) { doneFast = true }, nil)
@@ -196,7 +196,7 @@ func TestPMFlusherBatchesWrites(t *testing.T) {
 func TestPMFsyncHitsDiskDirectly(t *testing.T) {
 	k := sim.NewKernel()
 	srv := hw.NewServer(k, hw.ProLiantSpec("pm"))
-	os := osmodel.New("pm", srv.Mem, 10)
+	os := osmodel.New(10)
 	be := NewPMBackend(k, srv, srv, DefaultPMParams("db"), rng.NewSource(1).Stream("n"), os)
 	be.Fsync(3)
 	k.Run(sim.Second)

@@ -122,39 +122,6 @@ func (s *Series) Min() float64 {
 	return m
 }
 
-// Add returns the pointwise sum of series with identical intervals. The
-// result is truncated to the shortest input. It panics on mismatched
-// intervals or an empty input set: aggregating incompatible series is a
-// programming error, not a data condition.
-func Add(name string, series ...*Series) *Series {
-	if len(series) == 0 {
-		panic("timeseries: Add of no series")
-	}
-	n := series[0].Len()
-	for _, s := range series[1:] {
-		if s.Interval != series[0].Interval {
-			panic(fmt.Sprintf("timeseries: Add interval mismatch %v vs %v",
-				s.Interval, series[0].Interval))
-		}
-		if s.Len() < n {
-			n = s.Len()
-		}
-	}
-	out := &Series{
-		Name:     name,
-		Unit:     series[0].Unit,
-		Interval: series[0].Interval,
-		Start:    series[0].Start,
-		Values:   make([]float64, n),
-	}
-	for _, s := range series {
-		for i := 0; i < n; i++ {
-			out.Values[i] += s.Values[i]
-		}
-	}
-	return out
-}
-
 // Quantile returns the q-quantile (0<=q<=1) using linear interpolation on
 // the sorted samples, or 0 for an empty series.
 func (s *Series) Quantile(q float64) float64 {

@@ -79,39 +79,6 @@ func TestSlice(t *testing.T) {
 	}
 }
 
-func TestAdd(t *testing.T) {
-	a := mkSeries(1, 2, 3)
-	b := mkSeries(10, 20)
-	sum := Add("total", a, b)
-	if sum.Len() != 2 {
-		t.Fatalf("Add should truncate to shortest: %d", sum.Len())
-	}
-	if sum.At(0) != 11 || sum.At(1) != 22 {
-		t.Fatalf("Add values: %v", sum.Values)
-	}
-}
-
-func TestAddPanicsOnMismatch(t *testing.T) {
-	a := mkSeries(1)
-	b := mkSeries(1)
-	b.Interval = 4
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Add with interval mismatch did not panic")
-		}
-	}()
-	Add("x", a, b)
-}
-
-func TestAddPanicsOnEmptyArgs(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Add() did not panic")
-		}
-	}()
-	Add("x")
-}
-
 func TestQuantile(t *testing.T) {
 	s := mkSeries(4, 1, 3, 2)
 	if q := s.Quantile(0); q != 1 {
@@ -179,36 +146,6 @@ func TestWriteTableCSV(t *testing.T) {
 	}
 	if err := WriteTableCSV(&buf); err != nil {
 		t.Fatal("empty table should be a no-op")
-	}
-}
-
-// Property: Add is commutative and Sum distributes over Add.
-func TestPropertyAddCommutative(t *testing.T) {
-	f := func(av, bv []float64) bool {
-		for _, v := range append(append([]float64(nil), av...), bv...) {
-			// Values near MaxFloat64 overflow on addition; real demand
-			// counters are far below that.
-			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e300 {
-				return true
-			}
-		}
-		a, b := mkSeries(av...), mkSeries(bv...)
-		ab := Add("ab", a, b)
-		ba := Add("ba", b, a)
-		if ab.Len() != ba.Len() {
-			return false
-		}
-		for i := range ab.Values {
-			if ab.Values[i] != ba.Values[i] {
-				return false
-			}
-		}
-		n := ab.Len()
-		want := a.Slice(0, n).Sum() + b.Slice(0, n).Sum()
-		return math.Abs(ab.Sum()-want) < 1e-6*(1+math.Abs(want))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -107,7 +107,7 @@ func New(k *sim.Kernel, host *hw.Server, params Params) *Hypervisor {
 		VCPUs:  2,
 		CPU:    hw.NewCPU(k, "dom0.cpu", 2, host.Spec.FreqHz),
 		Mem:    dom0Mem,
-		OS:     osmodel.New("dom0", dom0Mem, 95),
+		OS:     osmodel.New(95),
 		hv:     hv,
 	}
 	hv.dom0.Mem.Set("base", params.Dom0BaseMemBytes)
@@ -127,9 +127,6 @@ func (hv *Hypervisor) Host() *hw.Server { return hv.host }
 // Dom0 exposes the privileged domain.
 func (hv *Hypervisor) Dom0() *Domain { return hv.dom0 }
 
-// Params exposes the cost model.
-func (hv *Hypervisor) Params() Params { return hv.params }
-
 // CreateGuest boots a guest domain with the given VCPU count, memory
 // allocation, and scheduler weight (testbed default: 2 VCPUs, 2 GB).
 func (hv *Hypervisor) CreateGuest(name string, vcpus int, memBytes float64, weight int) *Domain {
@@ -147,7 +144,7 @@ func (hv *Hypervisor) CreateGuest(name string, vcpus int, memBytes float64, weig
 		VCPUs:  vcpus,
 		CPU:    hw.NewCPU(hv.k, name+".vcpu", vcpus, hv.params.GuestVCPURate),
 		Mem:    mem,
-		OS:     osmodel.New(name, mem, 80),
+		OS:     osmodel.New(80),
 		hv:     hv,
 	}
 	hv.guests = append(hv.guests, d)
