@@ -25,25 +25,26 @@ var testOnlyExportExemptions = map[string]string{
 }
 
 // TestNoTestOnlyExports type-checks the non-test Go files of the module
-// and of bench/ and fails on any exported function, method, type,
-// package-level const or var, or non-embedded struct field declared
-// under internal/ that no non-test file refers to. internal/ cannot be
-// imported from outside the module, so such a declaration is code only
-// tests need: delete it, move it into a _test.go file, or give it the
-// caller it was written for. It fails as well on an unexported
-// package-level func, const, var or type of the module that no non-test
-// file uses.
+// and of bench/ and fails on any exported function, method, interface
+// method, type, package-level const or var, or non-embedded struct field
+// declared under internal/ that no non-test file refers to. internal/
+// cannot be imported from outside the module, so such a declaration is
+// code only tests need: delete it, move it into a _test.go file, or give
+// it the caller it was written for. It fails as well on an unexported
+// package-level func, const, var or type of the module (bench/ aside)
+// that no non-test file uses.
 //
 // A reference is a go/types use of the declared object (an instance of a
 // generic one counts for its origin), so an unrelated declaration of the
 // same name does not hide a dead one, and a recursive call or a method's
-// receiver does not count. A write counts as much as a read, including
-// an unkeyed struct literal. A method also counts as used when its type
-// implements an interface that non-test code mentions, such as
-// rand.Source through rand.New, or fmt.Stringer and error, which fmt
-// finds by type assertion. Methods and fields of the types reachable
-// from package vwchar's exported declarations, through aliases, struct
-// fields and signatures, are public API and exempt.
+// receiver does not count. A field counts as used when non-test code
+// reads or writes it, an unkeyed struct literal included. A method also
+// counts as used when its type implements an interface that non-test
+// code mentions, such as rand.Source through rand.New, or fmt.Stringer
+// and error, which fmt finds by type assertion. Methods and fields of
+// the types reachable from package vwchar's exported declarations,
+// through aliases, struct fields and signatures, are public API and
+// exempt.
 func TestNoTestOnlyExports(t *testing.T) {
 	root, err := filepath.Abs(".")
 	if err != nil {
@@ -79,10 +80,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 		for _, n := range scope.Names() {
 			obj := scope.Lookup(n)
 			key := p.types.Name() + "." + n
-			switch {
-			case !obj.Exported() && n != "main":
-				check(key, obj)
-			case p.internal:
+			if p.internal || !obj.Exported() && n != "main" {
 				check(key, obj)
 			}
 			tn, ok := obj.(*types.TypeName)
@@ -93,6 +91,13 @@ func TestNoTestOnlyExports(t *testing.T) {
 			for i := 0; i < named.NumMethods(); i++ {
 				if m := named.Method(i); m.Exported() {
 					check(key+"."+m.Name(), m)
+				}
+			}
+			if it, ok := named.Underlying().(*types.Interface); ok {
+				for i := 0; i < it.NumExplicitMethods(); i++ {
+					if m := it.ExplicitMethod(i); m.Exported() {
+						check(key+"."+m.Name(), m)
+					}
 				}
 			}
 			if st, ok := named.Underlying().(*types.Struct); ok {
@@ -112,7 +117,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 	sort.Strings(unused)
 	for _, u := range unused {
-		t.Errorf("used only by tests: %s", u)
+		t.Errorf("no non-test use: %s", u)
 	}
 	// An exemption that no longer matches a test-only export is stale.
 	for key := range testOnlyExportExemptions {
