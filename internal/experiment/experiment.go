@@ -482,11 +482,11 @@ func Run(cfg Config) (*Result, error) {
 			drivers = append(drivers, tiers.NewDriver(k, inst.app, model, web, costs, cfg.Clients, drvSrc))
 			continue
 		}
-		op, err := tiers.OpenParamsFromSpec(cfg.Load)
+		drv, err := tiers.NewOpenDriver(k, inst.app, model, web, costs, cfg.Load, drvSrc)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: building load spec: %w", err)
 		}
-		drivers = append(drivers, tiers.NewOpenDriver(k, inst.app, model, web, costs, op, drvSrc))
+		drivers = append(drivers, drv)
 	}
 
 	// Rotate every driver's telemetry window on the collector's

@@ -339,11 +339,10 @@ func newStubClusterRig(tb testing.TB, n int, lb LBPolicy) (*sim.Kernel, *Driver)
 	}
 	fe := NewWebCluster(k, webs, n, NewLoadBalancer(lb))
 	spec := load.Spec{Kind: load.Poisson, Rate: 40, SessionMean: 8}
-	p, err := OpenParamsFromSpec(&spec)
+	drv, err := NewOpenDriver(k, app, staticModel{}, fe, rubis.DefaultCostParams(), &spec, src)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	drv := NewOpenDriver(k, app, staticModel{}, fe, rubis.DefaultCostParams(), p, src)
 	return k, drv
 }
 

@@ -34,14 +34,14 @@ type Driver struct {
 	clients []session
 	streams []clientStreams
 
-	// open holds the open loop's parameters; a nil Arrivals marks the
+	// open holds the open loop's parameters; nil arrivals mark the
 	// closed loop. arrive feeds the arrival process; life draws ramp
 	// admission and session lengths; the shared pair, both halves one
 	// "open-behave" stream, draws interaction picks and think times.
 	// Sessions share the driver streams (the kernel is single-threaded,
 	// so draw order is deterministic) instead of paying two lagged-
 	// Fibonacci seedings per session the way per-client streams would.
-	open         OpenParams
+	open         openLoop
 	arrive, life *rng.Stream
 	sessFree     sim.FreeList[session]
 	active       int
@@ -172,7 +172,7 @@ func (d *Driver) Release() {
 		}
 		*c = clientStreams{}
 	}
-	if d.open.Arrivals != nil {
+	if d.open.arrivals != nil {
 		d.arrive.Release()
 		d.life.Release()
 		d.arrive, d.life = nil, nil
@@ -188,7 +188,7 @@ func (d *Driver) Release() {
 // one think period so the loop starts desynchronized, as real load
 // generators ramp.
 func (d *Driver) Start() {
-	if d.open.Arrivals != nil {
+	if d.open.arrivals != nil {
 		d.armArrival()
 		return
 	}
@@ -243,7 +243,7 @@ func sessionDone(arg any) {
 // client always goes on, retrying after its usual think time when the
 // request faulted. A session that goes on thinks, then issues again.
 func (d *Driver) afterResponse(s *session, rt sim.Time, faulted bool) {
-	if d.open.Arrivals != nil {
+	if d.open.arrivals != nil {
 		s.remaining--
 		if s.remaining <= 0 {
 			d.endSession(s, false)
@@ -257,7 +257,7 @@ func (d *Driver) afterResponse(s *session, rt sim.Time, faulted bool) {
 			d.endSession(s, true)
 			return
 		}
-		if d.open.AbandonAfter > 0 && rt > d.open.AbandonAfter {
+		if d.open.abandonAfter > 0 && rt > d.open.abandonAfter {
 			// The violating response itself is already in the main
 			// histogram (it was served, just slowly); the abandonment
 			// histogram additionally attributes it as demand driven away.

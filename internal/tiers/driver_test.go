@@ -72,11 +72,10 @@ func TestDriverReleaseRecyclesStreams(t *testing.T) {
 	_, open := newOpenVMRig(t, spec, 21)
 	owned := map[*rng.Stream]bool{open.arrive: true, open.life: true, open.streams[0].think: true}
 	open.Release()
-	p, err := OpenParamsFromSpec(&spec)
+	reopened, err := NewOpenDriver(open.k, open.app, rubis.BrowsingMix(), open.web, rubis.DefaultCostParams(), &spec, src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reopened := NewOpenDriver(open.k, open.app, rubis.BrowsingMix(), open.web, rubis.DefaultCostParams(), p, src)
 	for _, s := range []*rng.Stream{reopened.arrive, reopened.life, reopened.streams[0].pick} {
 		if !owned[s] {
 			t.Fatal("open-loop driver got a new stream while released ones were free")
@@ -132,11 +131,11 @@ func newStubDriverRig(tb testing.TB, closed bool) (*sim.Kernel, *Driver) {
 	}
 	spec := load.Spec{Kind: load.Bursty, Rate: 20, BurstFactor: 4,
 		BaseDwell: 30, BurstDwell: 10, SessionMean: 8, RampSeconds: 5}
-	p, err := OpenParamsFromSpec(&spec)
+	drv, err := NewOpenDriver(k, app, model, fe, rubis.DefaultCostParams(), &spec, src)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return k, NewOpenDriver(k, app, model, fe, rubis.DefaultCostParams(), p, src)
+	return k, drv
 }
 
 // warmStubDriver starts the rig and runs it to steady state: the

@@ -10,35 +10,20 @@ import (
 	"vwchar/internal/sim"
 )
 
-// OpenParams configures the open-loop driver: the arrival process plus
-// the session-lifecycle knobs.
-type OpenParams struct {
-	// Arrivals produces session-start times; required, and owned by
-	// this driver (arrival processes are stateful).
-	Arrivals load.Arrivals
-	// SessionMean is the mean session length in interactions
+// openLoop holds the open-loop driver's arrival process and
+// session-lifecycle knobs.
+type openLoop struct {
+	// arrivals produces session-start times and is owned by this driver
+	// (arrival processes are stateful); nil marks the closed loop.
+	arrivals load.Arrivals
+	// sessionMean is the mean session length in interactions
 	// (geometric; values <= 1 degenerate to single-page sessions).
-	SessionMean float64
-	// AbandonAfter ends a session whose response exceeded this SLO;
+	sessionMean float64
+	// abandonAfter ends a session whose response exceeded this SLO;
 	// 0 disables abandonment.
-	AbandonAfter sim.Time
-	// Ramp thins arrivals linearly from zero over this window.
-	Ramp sim.Time
-}
-
-// OpenParamsFromSpec converts a validated load.Spec into driver
-// parameters, building its arrival process.
-func OpenParamsFromSpec(s *load.Spec) (OpenParams, error) {
-	arr, err := s.Build()
-	if err != nil {
-		return OpenParams{}, err
-	}
-	return OpenParams{
-		Arrivals:     arr,
-		SessionMean:  s.EffectiveSessionMean(),
-		AbandonAfter: sim.Seconds(s.AbandonAfterSeconds),
-		Ramp:         sim.Seconds(s.RampSeconds),
-	}, nil
+	abandonAfter sim.Time
+	// ramp thins arrivals linearly from zero over this window.
+	ramp sim.Time
 }
 
 // SessionStats is the open-loop driver's session accounting.
@@ -56,9 +41,10 @@ type SessionStats struct {
 	PeakActive int
 }
 
-// NewOpenDriver builds an open-loop driver over the web tier using
-// independent named substreams from src. Sessions arrive on the
-// external arrival process, run a geometric number of interactions with
+// NewOpenDriver builds an open-loop driver for the validated spec over
+// the web tier, using independent named substreams from src. It fails
+// only when the spec's arrival process cannot be built. Sessions arrive
+// on the spec's arrival process, run a geometric number of interactions with
 // think time between them, and leave — either done or abandoning after
 // a response blew the SLO. Unlike the closed loop, offered load does
 // not self-throttle when the system saturates, which is what makes
@@ -69,20 +55,29 @@ type SessionStats struct {
 // their query buffers, and the response-time reservoir is reserved up
 // front. Sessions outlive the driver: Release parks them in a
 // process-wide pool that later open-loop drivers draw from.
-func NewOpenDriver(k *sim.Kernel, app *rubis.App, model rubis.Model, web Frontend, costs rubis.CostParams, p OpenParams, src *rng.Source) *Driver {
+func NewOpenDriver(k *sim.Kernel, app *rubis.App, model rubis.Model, web Frontend, costs rubis.CostParams, spec *load.Spec, src *rng.Source) (*Driver, error) {
+	arr, err := spec.Build()
+	if err != nil {
+		return nil, err
+	}
 	d := newDriver(k, app, model, web, costs)
-	d.open = p
+	d.open = openLoop{
+		arrivals:     arr,
+		sessionMean:  spec.EffectiveSessionMean(),
+		abandonAfter: sim.Seconds(spec.AbandonAfterSeconds),
+		ramp:         sim.Seconds(spec.RampSeconds),
+	}
 	d.arrive = src.Stream("open-arrive")
 	d.life = src.Stream("open-life")
 	behave := src.Stream("open-behave")
 	d.streams = []clientStreams{{think: behave, pick: behave}}
-	return d
+	return d, nil
 }
 
 // armArrival schedules the next session start; a process that has ended
 // (trace ran out) stops the loop.
 func (d *Driver) armArrival() {
-	t := d.open.Arrivals.Next(d.k.Now(), d.arrive)
+	t := d.open.arrivals.Next(d.k.Now(), d.arrive)
 	if t >= sim.MaxTime {
 		return
 	}
@@ -95,7 +90,7 @@ func openArrive(arg any) {
 	d := arg.(*Driver)
 	d.Sessions.Offered++
 	now := d.k.Now()
-	if ramp := d.open.Ramp; now >= ramp || sim.Seconds(d.life.Float64()*ramp.Sec()) < now {
+	if ramp := d.open.ramp; now >= ramp || sim.Seconds(d.life.Float64()*ramp.Sec()) < now {
 		d.startSession()
 	}
 	d.armArrival()
@@ -120,7 +115,7 @@ func (d *Driver) startSession() {
 	d.begin(s, d.nextID)
 	d.nextID++
 	s.rt.Reset()
-	s.remaining = int32(min(d.life.Geometric(d.open.SessionMean), math.MaxInt32))
+	s.remaining = int32(min(d.life.Geometric(d.open.sessionMean), math.MaxInt32))
 	d.Sessions.Started++
 	d.rec.NoteStart()
 	d.active++

@@ -32,11 +32,10 @@ func newOpenVMRig(t *testing.T, spec load.Spec, seed uint64) (*vmRig, *Driver) {
 	paths := []PathPair{{To: VMPath(hv, webDom, dbDom), From: VMPath(hv, dbDom, webDom)}}
 	web := NewWebAppServer(k, webBE, dbc, paths, DefaultWebParams("vm"))
 	fe := NewWebCluster(k, []*WebAppServer{web}, 1, nil)
-	p, err := OpenParamsFromSpec(&spec)
+	drv, err := NewOpenDriver(k, app, rubis.BrowsingMix(), fe, rubis.DefaultCostParams(), &spec, src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	drv := NewOpenDriver(k, app, rubis.BrowsingMix(), fe, rubis.DefaultCostParams(), p, src)
 	return &vmRig{k: k, hv: hv, app: app, web: web, db: db}, drv
 }
 

@@ -365,11 +365,10 @@ func newGuardedStubRig(tb testing.TB, n, clients int, spec faults.ResilienceSpec
 		return k, NewDriver(k, app, staticModel{}, g, rubis.DefaultCostParams(), clients, src), fe, g
 	}
 	ld := load.Spec{Kind: load.Poisson, Rate: 40, SessionMean: 8}
-	p, err := OpenParamsFromSpec(&ld)
+	drv, err := NewOpenDriver(k, app, staticModel{}, g, rubis.DefaultCostParams(), &ld, src)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	drv := NewOpenDriver(k, app, staticModel{}, g, rubis.DefaultCostParams(), p, src)
 	return k, drv, fe, g
 }
 
@@ -573,11 +572,10 @@ func TestRecycledSessionIgnoresStraggler(t *testing.T) {
 	}}
 	g := NewGuard(k, fe, faults.ResilienceSpec{TimeoutMillis: 5, RetryBudget: 1}, src.Stream("resilience-jitter"))
 	ld := load.Spec{Kind: load.Poisson, Rate: 1, SessionMean: 8}
-	p, err := OpenParamsFromSpec(&ld)
+	drv, err := NewOpenDriver(k, app, staticModel{}, g, rubis.DefaultCostParams(), &ld, src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	drv := NewOpenDriver(k, app, staticModel{}, g, rubis.DefaultCostParams(), p, src)
 
 	// A blocker holds the slow replica's only worker, so A's try queues.
 	var blocker rubis.Result
