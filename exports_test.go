@@ -291,11 +291,12 @@ func namedOf(t types.Type) *types.Named {
 
 // markInterfaceMethods marks as used each method of a module type that
 // implements a method of an interface non-test code mentions: the type
-// of a used object, of a value expression, or of a parameter or result
-// of either. fmt.Stringer counts as mentioned wherever fmt is imported,
-// because fmt finds String by type assertion on an any argument.
+// of a used object or of a value expression, or a type inside either,
+// such as a parameter of a called function. fmt.Stringer counts as
+// mentioned wherever fmt is imported, because fmt finds String by type
+// assertion on an any argument.
 func markInterfaceMethods(pkgs []*checkedPackage, used map[types.Object]bool) {
-	ifaces := make(map[types.Type]bool)
+	ifaces := make(map[*types.Interface]bool)
 	seen := make(map[types.Type]bool)
 	var collect func(types.Type)
 	collect = func(typ types.Type) {
@@ -303,33 +304,11 @@ func markInterfaceMethods(pkgs []*checkedPackage, used map[types.Object]bool) {
 			return
 		}
 		seen[typ] = true
-		switch u := types.Unalias(typ).(type) {
-		case *types.Named:
-			if it, ok := u.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
-				ifaces[u] = true
-			}
-		case *types.Interface:
-			if u.NumMethods() > 0 {
-				ifaces[u] = true
-			}
-		case *types.Pointer:
-			collect(u.Elem())
-		case *types.Slice:
-			collect(u.Elem())
-		case *types.Array:
-			collect(u.Elem())
-		case *types.Chan:
-			collect(u.Elem())
-		case *types.Map:
-			collect(u.Key())
-			collect(u.Elem())
-		case *types.Signature:
-			collect(u.Params())
-			collect(u.Results())
-		case *types.Tuple:
-			for i := 0; i < u.Len(); i++ {
-				collect(u.At(i).Type())
-			}
+		if it, ok := typ.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+			ifaces[it] = true
+		}
+		for _, c := range components(typ) {
+			collect(c)
 		}
 	}
 	for _, p := range pkgs {
@@ -341,37 +320,27 @@ func markInterfaceMethods(pkgs []*checkedPackage, used map[types.Object]bool) {
 				collect(tv.Type)
 			}
 		}
-	}
-	for _, p := range pkgs {
 		for _, imp := range p.types.Imports() {
 			if imp.Path() == "fmt" {
-				ifaces[imp.Scope().Lookup("Stringer").Type()] = true
+				collect(imp.Scope().Lookup("Stringer").Type())
 			}
 		}
 	}
-
 	for _, p := range pkgs {
 		scope := p.types.Scope()
 		for _, n := range scope.Names() {
 			tn, ok := scope.Lookup(n).(*types.TypeName)
-			if !ok || tn.IsAlias() {
+			if !ok || tn.IsAlias() || tn.Type().(*types.Named).TypeParams().Len() > 0 || types.IsInterface(tn.Type()) {
 				continue
 			}
-			named := tn.Type().(*types.Named)
-			if named.TypeParams().Len() > 0 || types.IsInterface(named) {
-				continue
-			}
-			ptr := types.NewPointer(named)
-			for it := range ifaces {
-				iface := it.Underlying().(*types.Interface)
+			ptr := types.NewPointer(tn.Type())
+			for iface := range ifaces {
 				if !types.Implements(ptr, iface) {
 					continue
 				}
 				for i := 0; i < iface.NumMethods(); i++ {
 					m, _, _ := types.LookupFieldOrMethod(ptr, false, iface.Method(i).Pkg(), iface.Method(i).Name())
-					if m != nil {
-						used[origin(m)] = true
-					}
+					used[origin(m)] = true
 				}
 			}
 		}
@@ -379,8 +348,9 @@ func markInterfaceMethods(pkgs []*checkedPackage, used map[types.Object]bool) {
 }
 
 // publicAPITypes returns the named types reachable from package vwchar's
-// exported declarations through aliases, exported struct fields,
-// embedded fields, exported method signatures and element types.
+// exported declarations through aliases, type arguments, exported and
+// embedded struct fields, exported method and interface method
+// signatures, and element types.
 func publicAPITypes(pkgs []*checkedPackage) map[*types.Named]bool {
 	reach := make(map[*types.Named]bool)
 	seen := make(map[types.Type]bool)
@@ -396,9 +366,6 @@ func publicAPITypes(pkgs []*checkedPackage) map[*types.Named]bool {
 				walk(u.TypeArgs().At(i))
 			}
 			o := u.Origin()
-			if reach[o] {
-				return
-			}
 			reach[o] = true
 			for i := 0; i < o.NumMethods(); i++ {
 				if m := o.Method(i); m.Exported() {
@@ -416,24 +383,9 @@ func publicAPITypes(pkgs []*checkedPackage) map[*types.Named]bool {
 			for i := 0; i < u.NumMethods(); i++ {
 				walk(u.Method(i).Type())
 			}
-		case *types.Pointer:
-			walk(u.Elem())
-		case *types.Slice:
-			walk(u.Elem())
-		case *types.Array:
-			walk(u.Elem())
-		case *types.Chan:
-			walk(u.Elem())
-		case *types.Map:
-			walk(u.Key())
-			walk(u.Elem())
-		case *types.Signature:
-			walk(u.Params())
-			walk(u.Results())
-		case *types.Tuple:
-			for i := 0; i < u.Len(); i++ {
-				walk(u.At(i).Type())
-			}
+		}
+		for _, c := range components(typ) {
+			walk(c)
 		}
 	}
 	for _, p := range pkgs {
@@ -448,4 +400,30 @@ func publicAPITypes(pkgs []*checkedPackage) map[*types.Named]bool {
 		}
 	}
 	return reach
+}
+
+// components returns the element, key, parameter and result types
+// directly inside t.
+func components(t types.Type) []types.Type {
+	switch u := types.Unalias(t).(type) {
+	case *types.Pointer:
+		return []types.Type{u.Elem()}
+	case *types.Slice:
+		return []types.Type{u.Elem()}
+	case *types.Array:
+		return []types.Type{u.Elem()}
+	case *types.Chan:
+		return []types.Type{u.Elem()}
+	case *types.Map:
+		return []types.Type{u.Key(), u.Elem()}
+	case *types.Signature:
+		var out []types.Type
+		for _, tup := range []*types.Tuple{u.Params(), u.Results()} {
+			for i := 0; i < tup.Len(); i++ {
+				out = append(out, tup.At(i).Type())
+			}
+		}
+		return out
+	}
+	return nil
 }
