@@ -39,8 +39,9 @@ func NewWAL(meter *Meter) *WAL {
 	return &WAL{meter: meter, FlushThreshold: 32 << 10}
 }
 
-// AppendRecord frames a typed record (table id + op code + image).
-// Append accounts by length only — the in-memory log never rereads the
+// AppendRecord frames a typed record (table id + op code + image) and
+// returns its LSN. The log accounts by length only — recovery is out of
+// scope for the workload study, so the in-memory log never rereads the
 // payload — so framing is pure size arithmetic and the image is not
 // copied.
 func (w *WAL) AppendRecord(table uint32, op byte, image []byte) uint64 {

@@ -131,9 +131,8 @@ func (h *Hist) Max() float64 {
 // order statistic as the exact reservoir path (rank floor(q*(n-1))),
 // returning the geometric midpoint of the bin holding that rank,
 // clamped to the exact observed [min, max]. For in-range values the
-// relative error is at most 10^(1/(2*binsPerDecade)) - 1 ≈ 0.9%, half a
-// bin; the underflow and
-// overflow bins report the exact min and max.
+// relative error is at most half a bin, 10^(1/(2*binsPerDecade)) - 1
+// ≈ 0.9%; the underflow and overflow bins report the exact min and max.
 func (h *Hist) Quantile(q float64) float64 {
 	if h.n == 0 {
 		return 0

@@ -12,9 +12,9 @@ import (
 // run-level quantile is exact (bit-identical to sorting every
 // observation — the paper sweep's golden bytes depend on this); beyond
 // it the reservoir stops growing and quantiles come from the run
-// histogram within its ≈0.9% relative-error bound. 32768 float64s is 256 KB — an
-// order of magnitude below the 200k-float reservoir it replaces, and
-// fixed rather than proportional to run length.
+// histogram within its ≈0.9% relative-error bound. 32768 float64s is
+// 256 KB — an order of magnitude below the 200k-float reservoir it
+// replaces, and fixed rather than proportional to run length.
 const DefaultExactCap = 32768
 
 // Series names: the CSV column contract shared by Result.Telemetry,

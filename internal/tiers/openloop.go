@@ -44,9 +44,9 @@ type SessionStats struct {
 // NewOpenDriver builds an open-loop driver for the validated spec over
 // the web tier, using independent named substreams from src. It fails
 // only when the spec's arrival process cannot be built. Sessions arrive
-// on the spec's arrival process, run a geometric number of interactions with
-// think time between them, and leave — either done or abandoning after
-// a response blew the SLO. Unlike the closed loop, offered load does
+// on that process, run a geometric number of interactions with think
+// time between them, and leave — either done or abandoning after a
+// response blew the SLO. Unlike the closed loop, offered load does
 // not self-throttle when the system saturates, which is what makes
 // flash crowds and bursty traces show real saturation behaviour.
 //
