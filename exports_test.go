@@ -30,9 +30,10 @@ var testOnlyExportExemptions = map[string]string{
 // declared under internal/ that no non-test file refers to. internal/
 // cannot be imported from outside the module, so such a declaration is
 // code only tests need: delete it, move it into a _test.go file, or give
-// it the caller it was written for. It fails as well on an unexported
-// package-level func, const, var or type of the module (bench/ aside)
-// that no non-test file uses.
+// it the caller it was written for. It fails as well on any unexported
+// declaration of the module (bench/ aside) that no non-test file uses:
+// a package-level func, const, var or type, a method, an interface
+// method or a struct field.
 //
 // A reference is a go/types use of the declared object (an instance of a
 // generic one counts for its origin), so an unrelated declaration of the
@@ -76,40 +77,48 @@ func TestNoTestOnlyExports(t *testing.T) {
 		if p.bench {
 			continue
 		}
+		if p.internal {
+			internal++
+		}
+		// Under internal/ every declaration needs a non-test use, except
+		// the exported methods and fields of public API types; elsewhere
+		// only unexported declarations do.
+		checks := func(obj types.Object, public bool) bool {
+			return !obj.Exported() || p.internal && !public
+		}
 		scope := p.types.Scope()
 		for _, n := range scope.Names() {
 			obj := scope.Lookup(n)
 			key := p.types.Name() + "." + n
-			if p.internal || !obj.Exported() && n != "main" {
+			if n != "main" && checks(obj, false) {
 				check(key, obj)
 			}
 			tn, ok := obj.(*types.TypeName)
-			if !p.internal || !ok || tn.IsAlias() || api[tn.Type().(*types.Named)] {
+			if !ok || tn.IsAlias() {
 				continue
 			}
 			named := tn.Type().(*types.Named)
+			var members []types.Object
 			for i := 0; i < named.NumMethods(); i++ {
-				if m := named.Method(i); m.Exported() {
+				members = append(members, named.Method(i))
+			}
+			switch u := named.Underlying().(type) {
+			case *types.Interface:
+				for i := 0; i < u.NumExplicitMethods(); i++ {
+					members = append(members, u.ExplicitMethod(i))
+				}
+			case *types.Struct:
+				for i := 0; i < u.NumFields(); i++ {
+					if f := u.Field(i); !f.Embedded() && f.Name() != "_" {
+						members = append(members, f)
+					}
+				}
+			}
+			for _, m := range members {
+				if checks(m, api[named]) {
 					check(key+"."+m.Name(), m)
 				}
 			}
-			if it, ok := named.Underlying().(*types.Interface); ok {
-				for i := 0; i < it.NumExplicitMethods(); i++ {
-					if m := it.ExplicitMethod(i); m.Exported() {
-						check(key+"."+m.Name(), m)
-					}
-				}
-			}
-			if st, ok := named.Underlying().(*types.Struct); ok {
-				for i := 0; i < st.NumFields(); i++ {
-					if f := st.Field(i); f.Exported() && !f.Embedded() {
-						check(key+"."+f.Name(), f)
-					}
-				}
-			}
-		}
-		if p.internal {
-			internal++
 		}
 	}
 	if internal == 0 {
