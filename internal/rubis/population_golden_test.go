@@ -89,10 +89,10 @@ func runtimeWrites(t *testing.T) *App {
 
 // populationHash digests a freshly populated App. Every table's ids are
 // dense from 0 and loaded in ascending order, so its row count is its
-// next id and reading pk 0..rows-1 visits tuples in storage order. The meter is hashed twice: after
-// population (the load's own page, row and WAL work), and after the
-// read pass, whose buffer hits and misses depend on which page each
-// tuple and index entry sits on.
+// next id and reading pk 0..rows-1 visits tuples in storage order. The
+// meter is hashed twice: after population (the load's own page, row and
+// WAL work), and after the read pass, whose buffer hits and misses
+// depend on which page each tuple and index entry sits on.
 func populationHash(t *testing.T, a *App) string {
 	t.Helper()
 	h := sha256.New()
