@@ -42,10 +42,10 @@ var testOnlyExportExemptions = map[string]string{
 // reads or writes it, an unkeyed struct literal included. A method also
 // counts as used when its type implements an interface that non-test
 // code mentions, such as rand.Source through rand.New, or fmt.Stringer
-// and error, which fmt finds by type assertion. Methods and fields of
-// the types reachable from package vwchar's exported declarations,
-// through aliases, struct fields and signatures, are public API and
-// exempt.
+// and error, which fmt finds by type assertion. Exported methods and
+// fields of the types reachable from package vwchar's exported
+// declarations, through aliases, struct fields and signatures, are
+// public API and exempt.
 func TestNoTestOnlyExports(t *testing.T) {
 	root, err := filepath.Abs(".")
 	if err != nil {
