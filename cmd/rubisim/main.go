@@ -108,7 +108,6 @@ func buildConfig(env, mix string, clients int, duration float64, seed uint64, lo
 			Kind:        vwchar.LoadTrace,
 			Rate:        rate,
 			TracePoints: points,
-			TracePath:   trace,
 		}
 	case loadName != "":
 		spec, err := vwchar.LoadScenario(loadName)

@@ -22,30 +22,38 @@ var testOnlyExportExemptions = map[string]string{
 	"rubisdb.Engine.Check":  "test hook: verifies the buffer pool's invariants between queries",
 	"sim.Kernel.Step":       "test hook: single-steps the kernel so tests can observe state between events",
 	"rubisdb.Golden.Digest": "test hook: fingerprints a golden snapshot so tests can prove views never write through",
+
+	"tiers.WebAppServer.Served":    "counter only tests read: web served equals driver completed",
+	"tiers.DBServer.Queries":       "counter only tests read: the cache tier offloads the DB",
+	"tiers.WebAppServer.QueuePeak": "counter only tests read: the JSQ-versus-round-robin oracle saw contention",
 }
 
 // TestNoTestOnlyExports type-checks the non-test Go files of the module
 // and of bench/ and fails on any exported function, method, interface
-// method, type, package-level const or var, or non-embedded struct field
-// declared under internal/ that no non-test file refers to. internal/
-// cannot be imported from outside the module, so such a declaration is
-// code only tests need: delete it, move it into a _test.go file, or give
-// it the caller it was written for. It fails as well on any unexported
-// declaration of the module (bench/ aside) that no non-test file uses:
-// a package-level func, const, var or type, a method, an interface
-// method or a struct field.
+// method, type, package-level const or var declared under internal/
+// that no non-test file refers to, and on any such non-embedded struct
+// field that no non-test file reads. internal/ cannot be imported from
+// outside the module, so such a declaration is code only tests need:
+// delete it, move it into a _test.go file, or give it the caller it was
+// written for. It fails as well on any unexported declaration of the
+// module (bench/ aside) that no non-test file uses: a package-level
+// func, const, var or type, a method, an interface method or a struct
+// field.
 //
 // A reference is a go/types use of the declared object (an instance of a
 // generic one counts for its origin), so an unrelated declaration of the
 // same name does not hide a dead one, and a recursive call or a method's
-// receiver does not count. A field counts as used when non-test code
-// reads or writes it, an unkeyed struct literal included. A method also
-// counts as used when its type implements an interface that non-test
-// code mentions, such as rand.Source through rand.New, or fmt.Stringer
-// and error, which fmt finds by type assertion. Exported methods and
-// fields of the types reachable from package vwchar's exported
-// declarations, through aliases, struct fields and signatures, are
-// public API and exempt.
+// receiver does not count. A field is used only where non-test code
+// reads it. A write, ++ or --, a keyed literal's key, and a read that
+// only feeds a write of the same field (s.f += o.f, or the condition of
+// if x.f < v { x.f = v }) are not reads; a struct used as a map key,
+// compared with == or !=, or passed to a fmt function is read in every
+// field. A method also counts as used when its type implements an
+// interface that non-test code mentions, such as rand.Source through
+// rand.New, or fmt.Stringer and error, which fmt finds by type
+// assertion. Exported methods and fields of the types reachable from
+// package vwchar's exported declarations, through aliases, struct fields
+// and signatures, are public API and exempt.
 func TestNoTestOnlyExports(t *testing.T) {
 	root, err := filepath.Abs(".")
 	if err != nil {
@@ -228,8 +236,8 @@ func origin(obj types.Object) types.Object {
 
 // usedObjects returns the objects non-test code refers to, outside the
 // object's own declaration: a function's body and a type's declaration
-// and method receivers do not count. Every field of a struct built with
-// an unkeyed literal counts as written.
+// and method receivers do not count. A struct field counts only where it
+// is read (see fieldWrites and markWholeReads).
 func usedObjects(pkgs []*checkedPackage) map[types.Object]bool {
 	type span struct{ from, to token.Pos }
 	own := make(map[types.Object][]span)
@@ -257,7 +265,11 @@ func usedObjects(pkgs []*checkedPackage) map[types.Object]bool {
 	}
 	used := make(map[types.Object]bool)
 	for _, p := range pkgs {
+		writes := fieldWrites(p)
 		for id, obj := range p.info.Uses {
+			if writes[id] {
+				continue
+			}
 			obj = origin(obj)
 			self := false
 			for _, s := range own[obj] {
@@ -269,25 +281,162 @@ func usedObjects(pkgs []*checkedPackage) map[types.Object]bool {
 				used[obj] = true
 			}
 		}
-		for _, f := range p.files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				lit, ok := n.(*ast.CompositeLit)
-				if !ok || len(lit.Elts) == 0 {
-					return true
-				}
-				if _, keyed := lit.Elts[0].(*ast.KeyValueExpr); keyed {
-					return true
-				}
-				if st, ok := p.info.Types[lit].Type.Underlying().(*types.Struct); ok {
-					for i := 0; i < st.NumFields(); i++ {
-						used[origin(st.Field(i))] = true
-					}
-				}
-				return true
-			})
-		}
+		markWholeReads(p, used)
 	}
 	return used
+}
+
+// fieldOf returns the field id refers to, or nil.
+func fieldOf(p *checkedPackage, id *ast.Ident) types.Object {
+	if v, ok := p.info.Uses[id].(*types.Var); ok && v.IsField() {
+		return origin(v)
+	}
+	return nil
+}
+
+// fieldWrites returns the references to struct fields in p that do not
+// read them: a keyed struct literal's key, the target of an assignment,
+// ++ or --, and a read that only feeds a write of the same field, inside
+// the value stored into it (s.f += o.f) or in the condition of an if
+// statement whose body is that one write (if x.f < v { x.f = v }).
+func fieldWrites(p *checkedPackage) map[*ast.Ident]bool {
+	writes := make(map[*ast.Ident]bool)
+	// target marks the fields an assignment to e stores into: the field
+	// it selects and, while that selection or index is of a struct or
+	// array value, the fields holding the value. A store through a
+	// pointer, slice or map reads the field that holds the reference.
+	target := func(e ast.Expr) map[types.Object]bool {
+		fields := make(map[types.Object]bool)
+		for {
+			switch x := ast.Unparen(e).(type) {
+			case *ast.SelectorExpr:
+				f := fieldOf(p, x.Sel)
+				if f == nil {
+					return fields
+				}
+				writes[x.Sel] = true
+				fields[f] = true
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			default:
+				return fields
+			}
+			switch p.info.TypeOf(e).Underlying().(type) {
+			case *types.Struct, *types.Array:
+			default:
+				return fields
+			}
+		}
+	}
+	// feeds marks the reads of fields inside e as writes.
+	feeds := func(e ast.Node, fields map[types.Object]bool) {
+		ast.Inspect(e, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && fields[fieldOf(p, id)] {
+				writes[id] = true
+			}
+			return true
+		})
+	}
+	for _, f := range p.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				for i, lhs := range n.Lhs {
+					fields := target(lhs)
+					if len(n.Lhs) == len(n.Rhs) {
+						feeds(n.Rhs[i], fields)
+					}
+				}
+			case *ast.IncDecStmt:
+				target(n.X)
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok {
+					if f := fieldOf(p, id); f != nil {
+						writes[id] = true
+						feeds(n.Value, map[types.Object]bool{f: true})
+					}
+				}
+			case *ast.IfStmt:
+				if n.Else != nil || len(n.Body.List) != 1 {
+					break
+				}
+				if a, ok := n.Body.List[0].(*ast.AssignStmt); ok && len(a.Lhs) == 1 {
+					feeds(n.Cond, target(a.Lhs[0]))
+				}
+			}
+			return true
+		})
+	}
+	return writes
+}
+
+// markWholeReads marks as read every field of a struct that non-test
+// code reads whole: a map key, an operand of == or !=, or an argument of
+// a fmt function, which prints the fields of the structs, arrays, slices
+// and maps inside it, and of the struct a pointer argument points to.
+func markWholeReads(p *checkedPackage, used map[types.Object]bool) {
+	type visit struct {
+		t       types.Type
+		printed bool
+	}
+	seen := make(map[visit]bool)
+	var read func(t types.Type, printed bool)
+	read = func(t types.Type, printed bool) {
+		if seen[visit{t, printed}] {
+			return
+		}
+		seen[visit{t, printed}] = true
+		switch u := t.Underlying().(type) {
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				used[origin(u.Field(i))] = true
+				read(u.Field(i).Type(), printed)
+			}
+		case *types.Array:
+			read(u.Elem(), printed)
+		case *types.Slice:
+			if printed {
+				read(u.Elem(), printed)
+			}
+		case *types.Map:
+			if printed {
+				read(u.Key(), printed)
+				read(u.Elem(), printed)
+			}
+		}
+	}
+	for _, tv := range p.info.Types {
+		if m, ok := tv.Type.Underlying().(*types.Map); ok {
+			read(m.Key(), false)
+		}
+	}
+	for _, f := range p.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.BinaryExpr:
+				if n.Op == token.EQL || n.Op == token.NEQ {
+					read(p.info.TypeOf(n.X), false)
+					read(p.info.TypeOf(n.Y), false)
+				}
+			case *ast.CallExpr:
+				sel, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr)
+				if !ok {
+					break
+				}
+				if fn, ok := p.info.Uses[sel.Sel].(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "fmt" {
+					for _, arg := range n.Args {
+						t := p.info.TypeOf(arg)
+						if ptr, ok := t.Underlying().(*types.Pointer); ok {
+							t = ptr.Elem()
+						}
+						read(t, true)
+					}
+				}
+			}
+			return true
+		})
+	}
 }
 
 // namedOf returns the origin of the named receiver type t or *t.

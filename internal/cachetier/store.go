@@ -40,7 +40,6 @@ func (o Outcome) String() string {
 // Stats is the store's cumulative accounting. Counters are monotonic
 // across Reset (cold restarts) so telemetry can difference them.
 type Stats struct {
-	Hits, Misses  uint64
 	Expiries      uint64
 	Evictions     uint64
 	Invalidations uint64
@@ -92,8 +91,6 @@ type Store struct {
 
 	// Stats is the cumulative accounting; read-only for callers.
 	Stats Stats
-	// KindHits/KindMisses attribute lookups by Key.Kind.
-	KindHits, KindMisses [256]uint64
 }
 
 // NewStore builds a store from a spec (defaults applied here).
@@ -121,8 +118,6 @@ func (s *Store) Lookup(now sim.Time, k Key) (Outcome, float64) {
 		e := &s.slab[i]
 		if e.state == stateValid {
 			if now < e.expireAt {
-				s.Stats.Hits++
-				s.KindHits[k.Kind]++
 				s.lruFront(i)
 				return Hit, e.bytes
 			}
@@ -135,7 +130,7 @@ func (s *Store) Lookup(now sim.Time, k Key) (Outcome, float64) {
 			e.bytes = 0
 			e.fetchers = 1
 			e.leaseAt = now
-			return s.miss(k)
+			return Miss, 0
 		}
 		// A fill is already in flight.
 		if s.spec.Leases && now-e.leaseAt < s.leaseTTL {
@@ -152,19 +147,13 @@ func (s *Store) Lookup(now sim.Time, k Key) (Outcome, float64) {
 			s.Stats.LeaseTakeovers++
 			e.leaseAt = now
 		}
-		return s.miss(k)
+		return Miss, 0
 	}
 	i := s.alloc(k)
 	e := &s.slab[i]
 	e.state = stateFetching
 	e.fetchers = 1
 	e.leaseAt = now
-	return s.miss(k)
-}
-
-func (s *Store) miss(k Key) (Outcome, float64) {
-	s.Stats.Misses++
-	s.KindMisses[k.Kind]++
 	return Miss, 0
 }
 

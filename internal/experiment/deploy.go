@@ -98,9 +98,9 @@ func physical(k *sim.Kernel, src *rng.Source, attach func(stream string, pair in
 
 // buildVMInstance assembles one RUBiS instance for the (normalized)
 // topology on the given hypervisors. pair is the consolidation index:
-// multi-pair runs place several degenerate instances side by side, so
-// guest names stay unique and, for the degenerate single-pair case,
-// identical to the pre-topology assembly ("webapp-vm-0", "mysql-vm-0").
+// multi-pair runs place several degenerate instances side by side and
+// number their guests apart ("mysql-vm-0", "mysql-vm-1"); a guest's
+// name only labels its virtual CPU in panic messages.
 //
 // Construction order is part of the determinism contract: web guests
 // (in replica order), then DB guests (primary, then read replicas),
@@ -238,13 +238,13 @@ func clusterTargets(k *sim.Kernel, hvs []*xen.Hypervisor, webDoms, dbDoms []*xen
 		for m, hv := range hvs {
 			ts = append(ts, dom0Target(k, fmt.Sprintf("%s-%d", TierDom0, m), hv))
 		}
-		ts = append(ts, sysstat.Target{Name: TierDom0, Snap: sum(k, hvs, dom0)})
+		ts = append(ts, sysstat.Target{Name: TierDom0, Snap: sum(hvs, dom0)})
 	} else {
 		ts = append(ts, dom0Target(k, TierDom0, hvs[0]))
 	}
 	return append(ts,
-		sysstat.Target{Name: TierWeb, Snap: sum(k, webDoms, guest)},
-		sysstat.Target{Name: TierDB, Snap: sum(k, dbDoms, guest)},
+		sysstat.Target{Name: TierWeb, Snap: sum(webDoms, guest)},
+		sysstat.Target{Name: TierDB, Snap: sum(dbDoms, guest)},
 	)
 }
 
@@ -260,25 +260,23 @@ func dom0Target(k *sim.Kernel, name string, hv *xen.Hypervisor) sysstat.Target {
 
 // ticking turns a counter reader into a collector snapshot: each call
 // first advances the instance's OS clock (load averages) to now, then
-// reads and stamps the counters.
+// reads the counters.
 func ticking(k *sim.Kernel, os *osmodel.OS, read func() sysstat.Snapshot) func() sysstat.Snapshot {
 	var lastTick sim.Time
 	return func() sysstat.Snapshot {
 		now := k.Now()
 		os.Tick(now - lastTick)
 		lastTick = now
-		s := read()
-		s.At = now
-		return s
+		return read()
 	}
 }
 
 // sum builds an aggregate snapshot over parts without ticking their OS
 // clocks: the per-instance targets, registered earlier in the same
 // collection round, own the ticks.
-func sum[T any](k *sim.Kernel, parts []T, read func(T) sysstat.Snapshot) func() sysstat.Snapshot {
+func sum[T any](parts []T, read func(T) sysstat.Snapshot) func() sysstat.Snapshot {
 	return func() sysstat.Snapshot {
-		s := sysstat.Snapshot{At: k.Now()}
+		var s sysstat.Snapshot
 		for _, p := range parts {
 			s = s.Add(read(p))
 		}
@@ -331,7 +329,7 @@ func host(srv *hw.Server, os *osmodel.OS) sysstat.Snapshot {
 func kernelCounters(os *osmodel.OS) sysstat.Snapshot {
 	l1, l5, l15 := os.LoadAvg()
 	return sysstat.Snapshot{
-		CtxSwitches: os.CtxSwitches, Interrupts: os.Interrupts, SoftIRQs: os.SoftIRQs,
+		CtxSwitches: os.CtxSwitches, Interrupts: os.Interrupts,
 		Forks: os.Forks, Faults: os.Faults, MajFaults: os.MajFaults,
 		PgInBytes: os.PgInBytes, PgOutBytes: os.PgOutBytes,
 		Procs: os.Procs, RunQueue: os.RunQueue, Blocked: os.Blocked, OpenFds: os.OpenFds,

@@ -96,8 +96,6 @@ type Spec struct {
 	// building the spec (see ParseTrace), so replaying a stored config
 	// never touches the filesystem.
 	TracePoints []TracePoint `json:"trace,omitempty"`
-	// TracePath records where the trace came from, for provenance only.
-	TracePath string `json:"trace_path,omitempty"`
 
 	// SessionMean is the mean session length in interactions (geometric
 	// distribution on {1,2,...}); 0 means DefaultSessionMean.

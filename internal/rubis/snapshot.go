@@ -17,10 +17,8 @@ import (
 // NewSnapshot, never a SharedSnapshot) can be closed once its last view
 // is released, which recycles its pages for the next population.
 type Snapshot struct {
-	// Config and Seed identify the dataset: population is a pure
-	// function of both, which is what makes golden reuse sound.
+	// Config is the dataset's shape; views inherit it.
 	Config DatasetConfig
-	Seed   uint64
 
 	golden     *rubisdb.Golden
 	catWeights []float64
@@ -49,7 +47,6 @@ func NewSnapshot(cfg DatasetConfig, seed uint64) (*Snapshot, error) {
 	}
 	return &Snapshot{
 		Config:     cfg,
-		Seed:       seed,
 		golden:     golden,
 		catWeights: a.catWeights,
 		regWeights: a.regWeights,

@@ -76,7 +76,7 @@ func (w *BulkWriter) EndRow() {
 		return
 	}
 	if w.batchRows > 0 && rid.PageNo != w.batchPage {
-		t.engine.wal.AppendBatchRecord(t.id, walInsert, w.batchRows, w.batchBytes)
+		t.engine.meter.logBatch(w.batchRows, w.batchBytes)
 		w.batchRows, w.batchBytes = 0, 0
 	}
 	w.batchPage = rid.PageNo
@@ -121,7 +121,7 @@ func (w *BulkWriter) Close() error {
 	}
 	t := w.t
 	if w.batchRows > 0 {
-		t.engine.wal.AppendBatchRecord(t.id, walInsert, w.batchRows, w.batchBytes)
+		t.engine.meter.logBatch(w.batchRows, w.batchBytes)
 	}
 	if err := t.pk.BulkLoad(*w.pk); err != nil {
 		return err

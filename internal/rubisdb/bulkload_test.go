@@ -320,14 +320,10 @@ func TestBulkInsertWALBatchRecoveryEquivalence(t *testing.T) {
 		t.Fatalf("per-row WAL bytes = %v, want %v", got, want)
 	}
 
-	// Batched framing: one record per heap page (the LSN counter counts
-	// appended records), frame + batch header each, plus a length
-	// prefix per row, plus the identical images.
-	batches := int(bulkEng.wal.lsn)
-	pages := int(bulk.heap.last.PageNo-firstHeapPage(bulk)) + 1
-	if batches != pages {
-		t.Fatalf("bulk load appended %d WAL records over %d heap pages", batches, pages)
-	}
+	// Batched framing: one record per heap page, frame + batch header
+	// each, plus a length prefix per row, plus the identical images. Any
+	// other batch count shifts the total by whole frames and headers.
+	batches := int(bulk.heap.last.PageNo-firstHeapPage(bulk)) + 1
 	batchOverhead := float64(batches*(walFrameOverhead+walBatchHeader) + n*walBatchRowPrefix)
 	if got, want := bulkEng.Meter().WALBytes, batchOverhead+float64(imageBytes); got != want {
 		t.Fatalf("batched WAL bytes = %v, want %v", got, want)

@@ -37,8 +37,6 @@ type Receipt struct {
 	// by buffer misses, write-backs, and WAL appends.
 	DiskReadBytes  float64
 	DiskWriteBytes float64
-	// ResultBytes is the payload handed back to the application tier.
-	ResultBytes float64
 }
 
 // Engine is the storage engine instance standing in for MySQL. The
@@ -47,7 +45,6 @@ type Receipt struct {
 type Engine struct {
 	store Store
 	pool  *BufferPool
-	wal   *WAL
 	meter *Meter
 	cost  CostModel
 
@@ -65,7 +62,6 @@ func NewEngine(bufferPages int, cost CostModel) *Engine {
 	return &Engine{
 		store:  store,
 		pool:   NewBufferPool(store, bufferPages, meter),
-		wal:    NewWAL(meter),
 		meter:  meter,
 		cost:   cost,
 		tables: make(map[string]*Table),
@@ -178,6 +174,5 @@ func (e *Engine) ReceiptSince(snapshot Meter) Receipt {
 		CPUCycles:      cycles,
 		DiskReadBytes:  float64(d.PageMisses) * PageSize,
 		DiskWriteBytes: float64(d.PagesWritten)*PageSize + d.WALBytes,
-		ResultBytes:    d.BytesOut,
 	}
 }

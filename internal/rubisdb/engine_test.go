@@ -350,37 +350,20 @@ func TestRIDEncodeDecode(t *testing.T) {
 	}
 }
 
+// TestWALFraming pins the framed size of both record shapes: a frame
+// (lsn 8 + length 4 + checksum 4) around a typed header (table id 4 +
+// op code 1), extended for a batch by a row count (4) and a u16 length
+// prefix per row image.
 func TestWALFraming(t *testing.T) {
-	meter := &Meter{}
-	w := NewWAL(meter)
-	lsn0 := w.appendSized(3)
-	lsn1 := w.AppendRecord(7, walInsert, []byte("payload"))
-	if lsn0 != 0 || lsn1 != 1 {
-		t.Fatalf("lsns: %d %d", lsn0, lsn1)
+	var m Meter
+	m.logRecord(len("payload"))
+	if want := float64(16 + 5 + 7); m.WALBytes != want {
+		t.Fatalf("record: WALBytes = %v, want %v", m.WALBytes, want)
 	}
-	wantBytes := float64(3+walFrameOverhead) + float64(5+7+walFrameOverhead)
-	if w.TotalBytes != wantBytes || meter.WALBytes != wantBytes {
-		t.Fatalf("bytes: wal=%v meter=%v want %v", w.TotalBytes, meter.WALBytes, wantBytes)
-	}
-	if w.lsn != 2 {
-		t.Fatalf("NextLSN = %d", w.lsn)
-	}
-}
-
-func TestWALGroupCommit(t *testing.T) {
-	w := NewWAL(&Meter{})
-	w.FlushThreshold = 100
-	w.appendSized(50)
-	if w.Flushes != 0 {
-		t.Fatal("premature flush")
-	}
-	w.appendSized(50)
-	if w.Flushes != 1 {
-		t.Fatalf("Flushes = %d", w.Flushes)
-	}
-	w.Flush() // empty flush is a no-op
-	if w.Flushes != 1 {
-		t.Fatal("empty flush should not count")
+	m = Meter{}
+	m.logBatch(3, 40)
+	if want := float64(16 + 5 + 4 + 3*2 + 40); m.WALBytes != want {
+		t.Fatalf("batch: WALBytes = %v, want %v", m.WALBytes, want)
 	}
 }
 
@@ -624,7 +607,7 @@ func TestEngineReceipts(t *testing.T) {
 	if r.CPUCycles <= DefaultCostModel().BaseCyclesPerQuery {
 		t.Fatalf("receipt cycles = %v", r.CPUCycles)
 	}
-	if r.ResultBytes <= 0 {
+	if r.Work.BytesOut <= 0 {
 		t.Fatal("receipt should report result bytes")
 	}
 	// A write receipt carries WAL traffic.

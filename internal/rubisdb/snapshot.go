@@ -14,7 +14,7 @@ import (
 // entry lists ~8 MB more. A sweep that wants a fresh dataset repeats it
 // for every replication. Seal captures a populated engine — the sealed
 // MemStore pages plus every piece of mutable engine state (buffer-pool
-// residency in exact LRU order, meter, WAL position, per-table
+// residency in exact LRU order, meter, per-table
 // heap/B-tree cursors) — as an immutable Golden. NewView then builds a
 // copy-on-write engine over it in microseconds: frames alias golden
 // pages directly (cowStore.Page reports them shared) and a page is
@@ -27,17 +27,6 @@ import (
 // slabs and its views' go back to slabPool for the next population, and
 // the bulk load's entry lists already went back to entryPool when its
 // BulkWriters closed.
-
-// walState captures the WAL position at seal time. buffered matters:
-// group-commit flush timing after attach must match what a fresh
-// population would have left behind.
-type walState struct {
-	lsn        uint64
-	buffered   float64
-	threshold  float64
-	flushes    uint64
-	totalBytes float64
-}
 
 // tableState captures one table's mutable cursors in registration order.
 type tableState struct {
@@ -60,7 +49,6 @@ type tableState struct {
 type Golden struct {
 	store    *MemStore
 	meter    Meter
-	wal      walState
 	cost     CostModel
 	capacity int
 	nextID   uint32
@@ -90,15 +78,8 @@ func (e *Engine) Seal() (*Golden, error) {
 		return nil, err
 	}
 	g := &Golden{
-		store: ms,
-		meter: *e.meter,
-		wal: walState{
-			lsn:        e.wal.lsn,
-			buffered:   e.wal.buffered,
-			threshold:  e.wal.FlushThreshold,
-			flushes:    e.wal.Flushes,
-			totalBytes: e.wal.TotalBytes,
-		},
+		store:     ms,
+		meter:     *e.meter,
 		cost:      e.cost,
 		capacity:  e.pool.capacity,
 		nextID:    e.nextID,
@@ -169,8 +150,8 @@ func (g *Golden) Digest() [32]byte {
 }
 
 // NewView builds a fresh copy-on-write engine over the snapshot. Views
-// are independent: each has its own buffer pool, meter, WAL, and private
-// page set, so concurrent views never observe each other. For the
+// are independent: each has its own buffer pool, meter and private page
+// set, so concurrent views never observe each other. For the
 // allocation-free path, recycle a finished view with Rearm instead: the
 // golden keeps every view it built until Close.
 func (g *Golden) NewView() *Engine {
@@ -186,7 +167,6 @@ func (g *Golden) NewView() *Engine {
 	e := &Engine{
 		store:  cow,
 		pool:   pool,
-		wal:    NewWAL(meter),
 		meter:  meter,
 		cost:   g.cost,
 		tables: make(map[string]*Table, len(g.tables)),
@@ -235,8 +215,8 @@ func (g *Golden) NewView() *Engine {
 
 // Rearm rewinds a view created by NewView back to the sealed state:
 // private pages and frames return to their free lists, the warm resident
-// set is rebuilt over golden pages in sealed LRU order, and the meter,
-// WAL, and table cursors are restored. Steady-state Rearm allocates
+// set is rebuilt over golden pages in sealed LRU order, and the meter
+// and table cursors are restored. Steady-state Rearm allocates
 // nothing, which is what makes replication attach effectively free.
 // The view must be quiescent (no outstanding frame references).
 func (g *Golden) Rearm(e *Engine) {
@@ -252,11 +232,6 @@ func (g *Golden) Rearm(e *Engine) {
 	}
 	*e.meter = g.meter
 	e.nextID = g.nextID
-	e.wal.lsn = g.wal.lsn
-	e.wal.buffered = g.wal.buffered
-	e.wal.FlushThreshold = g.wal.threshold
-	e.wal.Flushes = g.wal.flushes
-	e.wal.TotalBytes = g.wal.totalBytes
 	for i := range g.tables {
 		ts := &g.tables[i]
 		t := e.tableOrder[i]

@@ -114,20 +114,14 @@ type Table struct {
 
 	engine *Engine
 	// rowScratch is the tuple buffer the writers encode into and
-	// UpdateNumeric patches; reusing it is safe because pages and the
-	// WAL copy the bytes. CreateTable sizes it to rowScratchCap.
+	// UpdateNumeric patches; reusing it is safe because pages copy
+	// the bytes. CreateTable sizes it to rowScratchCap.
 	rowScratch []byte
 	// ridScratch is Index.Read's reused list of matching RIDs.
 	ridScratch []RID
 	// writer is the table's single-row writer (see Writer).
 	writer RowWriter
 }
-
-// walInsert and walUpdate are WAL op codes.
-const (
-	walInsert = 1
-	walUpdate = 2
-)
 
 // rowEncoder is the one tuple encoder, shared by RowWriter and
 // BulkWriter. A row is one typed append per schema column, in schema
@@ -301,7 +295,7 @@ func (w *RowWriter) Insert() (RID, error) {
 		}
 	}
 	t.engine.meter.RowsWritten++
-	t.engine.wal.AppendRecord(t.id, walInsert, tuple)
+	t.engine.meter.logRecord(len(tuple))
 	return rid, nil
 }
 
@@ -545,7 +539,7 @@ func (t *Table) UpdateNumeric(key int64, updates ...NumericUpdate) error {
 		return err
 	}
 	t.engine.meter.RowsWritten++
-	t.engine.wal.AppendRecord(t.id, walUpdate, tuple)
+	t.engine.meter.logRecord(len(tuple))
 	return nil
 }
 

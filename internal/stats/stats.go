@@ -23,8 +23,6 @@ type Summary struct {
 	Min      float64
 	Max      float64
 	Median   float64
-	P25      float64
-	P75      float64
 	P95      float64
 	P99      float64
 	// CoV is the coefficient of variation Std/Mean (0 when Mean==0).
@@ -75,8 +73,6 @@ func Summarize(xs []float64) Summary {
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
 	s.Median = quantileSorted(sorted, 0.5)
-	s.P25 = quantileSorted(sorted, 0.25)
-	s.P75 = quantileSorted(sorted, 0.75)
 	s.P95 = quantileSorted(sorted, 0.95)
 	s.P99 = quantileSorted(sorted, 0.99)
 	return s

@@ -1,8 +1,10 @@
 // Package sysstat reproduces the paper's monitoring plane: a sysstat-like
-// collector sampling 182 OS metrics every 2 seconds from each monitored
-// instance (the hypervisor/dom0 and each VM, or a physical host), plus
-// access to the 154 hypervisor perf counters — 518 profiled metrics in
-// total, as in the paper's Section 3.
+// collector sampling each monitored instance (the hypervisor/dom0 and
+// each VM, or a physical host) every 2 seconds through a catalog of 182
+// OS metrics, plus access to the 154 hypervisor perf counters — 518
+// profiled metrics in total, as in the paper's Section 3. The collector
+// records four headline series per instance, and the full catalog only
+// when asked to.
 package sysstat
 
 import (
@@ -14,8 +16,6 @@ import (
 // Snapshot is one instant's view of an OS instance. Cumulative fields
 // are differenced between samples to produce rates.
 type Snapshot struct {
-	At sim.Time
-
 	// CPU
 	CPUCycles float64  // cumulative executed cycles (VM: virtual scale)
 	CPUBusy   sim.Time // cumulative busy time
@@ -36,9 +36,9 @@ type Snapshot struct {
 	NetRxPkts, NetTxPkts   uint64
 
 	// Kernel counters (cumulative)
-	CtxSwitches, Interrupts, SoftIRQs, Forks uint64
-	Faults, MajFaults                        uint64
-	PgInBytes, PgOutBytes                    float64
+	CtxSwitches, Interrupts, Forks uint64
+	Faults, MajFaults              uint64
+	PgInBytes, PgOutBytes          float64
 
 	// Instantaneous
 	Procs, RunQueue, Blocked, OpenFds, TCPSocks, UDPSocks int
@@ -46,9 +46,8 @@ type Snapshot struct {
 }
 
 // Add returns s with every counter and gauge of o summed in, for
-// aggregate targets that report several instances as one. At is kept;
-// FreqHz is taken from o, since the parts of an aggregate share one
-// clock rate.
+// aggregate targets that report several instances as one. FreqHz is
+// taken from o, since the parts of an aggregate share one clock rate.
 func (s Snapshot) Add(o Snapshot) Snapshot {
 	s.CPUCycles += o.CPUCycles
 	s.CPUBusy += o.CPUBusy
@@ -70,7 +69,6 @@ func (s Snapshot) Add(o Snapshot) Snapshot {
 	s.NetTxPkts += o.NetTxPkts
 	s.CtxSwitches += o.CtxSwitches
 	s.Interrupts += o.Interrupts
-	s.SoftIRQs += o.SoftIRQs
 	s.Forks += o.Forks
 	s.Faults += o.Faults
 	s.MajFaults += o.MajFaults
@@ -93,8 +91,6 @@ func (s Snapshot) Add(o Snapshot) Snapshot {
 type Metric struct {
 	// Name follows sar naming (e.g. "%user", "rxkB/s [eth0]").
 	Name string
-	// Group is the sar section ("cpu", "memory", "disk", ...).
-	Group string
 	// Unit labels the value.
 	Unit string
 	// Description explains the metric (Table 1 column).
@@ -181,23 +177,23 @@ var catalog = buildCatalog()
 
 func buildCatalog() []Metric {
 	var ms []Metric
-	add := func(group, name, unit, desc string, eval func(*Snapshot, *Snapshot, float64) float64) {
-		ms = append(ms, Metric{Name: name, Group: group, Unit: unit, Description: desc, Eval: eval})
+	add := func(name, unit, desc string, eval func(*Snapshot, *Snapshot, float64) float64) {
+		ms = append(ms, Metric{Name: name, Unit: unit, Description: desc, Eval: eval})
 	}
 
 	// --- CPU utilization: "all" plus two logical CPUs, 6 columns each (18).
 	for _, cpu := range []string{"all", "0", "1"} {
 		cpu := cpu
-		add("cpu", "%user ["+cpu+"]", "%", "time in user mode on cpu "+cpu,
+		add("%user ["+cpu+"]", "%", "time in user mode on cpu "+cpu,
 			func(p, c *Snapshot, dt float64) float64 { return cpuBusyFraction(p, c, dt) * userShare * 100 })
-		add("cpu", "%nice ["+cpu+"]", "%", "time in niced user mode on cpu "+cpu, constant(0))
-		add("cpu", "%system ["+cpu+"]", "%", "time in kernel mode on cpu "+cpu,
+		add("%nice ["+cpu+"]", "%", "time in niced user mode on cpu "+cpu, constant(0))
+		add("%system ["+cpu+"]", "%", "time in kernel mode on cpu "+cpu,
 			func(p, c *Snapshot, dt float64) float64 { return cpuBusyFraction(p, c, dt) * sysShare * 100 })
-		add("cpu", "%iowait ["+cpu+"]", "%", "idle time with outstanding disk I/O on cpu "+cpu,
+		add("%iowait ["+cpu+"]", "%", "idle time with outstanding disk I/O on cpu "+cpu,
 			func(p, c *Snapshot, dt float64) float64 { return ioWaitFraction(p, c, dt) * 100 })
-		add("cpu", "%steal ["+cpu+"]", "%", "involuntary wait while the hypervisor served others on cpu "+cpu,
+		add("%steal ["+cpu+"]", "%", "involuntary wait while the hypervisor served others on cpu "+cpu,
 			func(p, c *Snapshot, dt float64) float64 { return stealFraction(p, c, dt) * 100 })
-		add("cpu", "%idle ["+cpu+"]", "%", "idle time on cpu "+cpu,
+		add("%idle ["+cpu+"]", "%", "idle time on cpu "+cpu,
 			func(p, c *Snapshot, dt float64) float64 {
 				idle := 100 - (cpuBusyFraction(p, c, dt)+ioWaitFraction(p, c, dt)+stealFraction(p, c, dt))*100
 				if idle < 0 {
@@ -208,15 +204,15 @@ func buildCatalog() []Metric {
 	}
 
 	// --- Task creation and switching (2).
-	add("task", "proc/s", "1/s", "tasks created per second", urate(func(s *Snapshot) uint64 { return s.Forks }))
-	add("task", "cswch/s", "1/s", "context switches per second", urate(func(s *Snapshot) uint64 { return s.CtxSwitches }))
+	add("proc/s", "1/s", "tasks created per second", urate(func(s *Snapshot) uint64 { return s.Forks }))
+	add("cswch/s", "1/s", "context switches per second", urate(func(s *Snapshot) uint64 { return s.CtxSwitches }))
 
 	// --- Interrupts: total plus 16 IRQ lines (17).
-	add("intr", "intr/s [sum]", "1/s", "total interrupts per second", urate(func(s *Snapshot) uint64 { return s.Interrupts }))
+	add("intr/s [sum]", "1/s", "total interrupts per second", urate(func(s *Snapshot) uint64 { return s.Interrupts }))
 	irqShare := []float64{0.52, 0.01, 0, 0.002, 0.001, 0, 0, 0.001, 0, 0.002, 0.003, 0.001, 0.18, 0.002, 0.15, 0.12}
 	for i := 0; i < 16; i++ {
 		share := irqShare[i]
-		add("intr", fmt.Sprintf("intr/s [i%03d]", i), "1/s",
+		add(fmt.Sprintf("intr/s [i%03d]", i), "1/s",
 			fmt.Sprintf("interrupts per second on IRQ line %d", i),
 			func(p, c *Snapshot, dt float64) float64 {
 				if dt <= 0 {
@@ -227,63 +223,63 @@ func buildCatalog() []Metric {
 	}
 
 	// --- Swapping (2): the testbed never swapped; pinned at zero.
-	add("swap", "pswpin/s", "pages/s", "pages swapped in per second", constant(0))
-	add("swap", "pswpout/s", "pages/s", "pages swapped out per second", constant(0))
+	add("pswpin/s", "pages/s", "pages swapped in per second", constant(0))
+	add("pswpout/s", "pages/s", "pages swapped out per second", constant(0))
 
 	// --- Paging (9).
-	add("paging", "pgpgin/s", "KB/s", "KB paged in from disk per second", rate(func(s *Snapshot) float64 { return s.PgInBytes / 1024 }))
-	add("paging", "pgpgout/s", "KB/s", "KB paged out to disk per second", rate(func(s *Snapshot) float64 { return s.PgOutBytes / 1024 }))
-	add("paging", "fault/s", "1/s", "page faults per second", urate(func(s *Snapshot) uint64 { return s.Faults }))
-	add("paging", "majflt/s", "1/s", "major faults per second", urate(func(s *Snapshot) uint64 { return s.MajFaults }))
-	add("paging", "pgfree/s", "pages/s", "pages freed per second",
+	add("pgpgin/s", "KB/s", "KB paged in from disk per second", rate(func(s *Snapshot) float64 { return s.PgInBytes / 1024 }))
+	add("pgpgout/s", "KB/s", "KB paged out to disk per second", rate(func(s *Snapshot) float64 { return s.PgOutBytes / 1024 }))
+	add("fault/s", "1/s", "page faults per second", urate(func(s *Snapshot) uint64 { return s.Faults }))
+	add("majflt/s", "1/s", "major faults per second", urate(func(s *Snapshot) uint64 { return s.MajFaults }))
+	add("pgfree/s", "pages/s", "pages freed per second",
 		func(p, c *Snapshot, dt float64) float64 {
 			if dt <= 0 {
 				return 0
 			}
 			return float64(c.Faults-p.Faults) / dt * 1.1
 		})
-	add("paging", "pgscank/s", "pages/s", "pages scanned by kswapd per second", constant(0))
-	add("paging", "pgscand/s", "pages/s", "pages scanned directly per second", constant(0))
-	add("paging", "pgsteal/s", "pages/s", "pages reclaimed per second", constant(0))
-	add("paging", "%vmeff", "%", "reclaim efficiency", constant(0))
+	add("pgscank/s", "pages/s", "pages scanned by kswapd per second", constant(0))
+	add("pgscand/s", "pages/s", "pages scanned directly per second", constant(0))
+	add("pgsteal/s", "pages/s", "pages reclaimed per second", constant(0))
+	add("%vmeff", "%", "reclaim efficiency", constant(0))
 
 	// --- I/O summary (5).
-	add("io", "tps", "1/s", "transfers per second to disk",
+	add("tps", "1/s", "transfers per second to disk",
 		urate(func(s *Snapshot) uint64 { return s.DiskReadOps + s.DiskWriteOps }))
-	add("io", "rtps", "1/s", "read requests per second", urate(func(s *Snapshot) uint64 { return s.DiskReadOps }))
-	add("io", "wtps", "1/s", "write requests per second", urate(func(s *Snapshot) uint64 { return s.DiskWriteOps }))
-	add("io", "bread/s", "sectors/s", "sectors read per second", rate(func(s *Snapshot) float64 { return s.DiskReadBytes / 512 }))
-	add("io", "bwrtn/s", "sectors/s", "sectors written per second", rate(func(s *Snapshot) float64 { return s.DiskWriteBytes / 512 }))
+	add("rtps", "1/s", "read requests per second", urate(func(s *Snapshot) uint64 { return s.DiskReadOps }))
+	add("wtps", "1/s", "write requests per second", urate(func(s *Snapshot) uint64 { return s.DiskWriteOps }))
+	add("bread/s", "sectors/s", "sectors read per second", rate(func(s *Snapshot) float64 { return s.DiskReadBytes / 512 }))
+	add("bwrtn/s", "sectors/s", "sectors written per second", rate(func(s *Snapshot) float64 { return s.DiskWriteBytes / 512 }))
 
 	// --- Memory rates (3).
-	add("memrate", "frmpg/s", "pages/s", "pages freed (negative: allocated) per second",
+	add("frmpg/s", "pages/s", "pages freed (negative: allocated) per second",
 		rate(func(s *Snapshot) float64 { return -(s.MemUsed) / 4096 }))
-	add("memrate", "bufpg/s", "pages/s", "buffer pages added per second",
+	add("bufpg/s", "pages/s", "buffer pages added per second",
 		rate(func(s *Snapshot) float64 { return s.MemBuffers / 4096 }))
-	add("memrate", "campg/s", "pages/s", "cached pages added per second",
+	add("campg/s", "pages/s", "cached pages added per second",
 		rate(func(s *Snapshot) float64 { return s.MemCached / 4096 }))
 
 	// --- Memory utilization (10).
-	add("memory", "kbmemfree", "KB", "free memory", gauge(func(s *Snapshot) float64 { return (s.MemTotal - s.MemUsed) / 1024 }))
-	add("memory", "kbmemused", "KB", "used memory", gauge(func(s *Snapshot) float64 { return s.MemUsed / 1024 }))
-	add("memory", "%memused", "%", "used memory share", gauge(func(s *Snapshot) float64 {
+	add("kbmemfree", "KB", "free memory", gauge(func(s *Snapshot) float64 { return (s.MemTotal - s.MemUsed) / 1024 }))
+	add("kbmemused", "KB", "used memory", gauge(func(s *Snapshot) float64 { return s.MemUsed / 1024 }))
+	add("%memused", "%", "used memory share", gauge(func(s *Snapshot) float64 {
 		if s.MemTotal == 0 {
 			return 0
 		}
 		return s.MemUsed / s.MemTotal * 100
 	}))
-	add("memory", "kbbuffers", "KB", "kernel buffer memory", gauge(func(s *Snapshot) float64 { return s.MemBuffers / 1024 }))
-	add("memory", "kbcached", "KB", "page cache memory", gauge(func(s *Snapshot) float64 { return s.MemCached / 1024 }))
-	add("memory", "kbcommit", "KB", "committed address space", gauge(func(s *Snapshot) float64 { return s.MemUsed * 1.4 / 1024 }))
-	add("memory", "%commit", "%", "committed share of memory+swap", gauge(func(s *Snapshot) float64 {
+	add("kbbuffers", "KB", "kernel buffer memory", gauge(func(s *Snapshot) float64 { return s.MemBuffers / 1024 }))
+	add("kbcached", "KB", "page cache memory", gauge(func(s *Snapshot) float64 { return s.MemCached / 1024 }))
+	add("kbcommit", "KB", "committed address space", gauge(func(s *Snapshot) float64 { return s.MemUsed * 1.4 / 1024 }))
+	add("%commit", "%", "committed share of memory+swap", gauge(func(s *Snapshot) float64 {
 		if s.MemTotal == 0 {
 			return 0
 		}
 		return s.MemUsed * 1.4 / s.MemTotal * 100
 	}))
-	add("memory", "kbactive", "KB", "active memory", gauge(func(s *Snapshot) float64 { return s.MemUsed * 0.7 / 1024 }))
-	add("memory", "kbinact", "KB", "inactive memory", gauge(func(s *Snapshot) float64 { return s.MemUsed * 0.3 / 1024 }))
-	add("memory", "kbdirty", "KB", "dirty pages awaiting writeback",
+	add("kbactive", "KB", "active memory", gauge(func(s *Snapshot) float64 { return s.MemUsed * 0.7 / 1024 }))
+	add("kbinact", "KB", "inactive memory", gauge(func(s *Snapshot) float64 { return s.MemUsed * 0.3 / 1024 }))
+	add("kbdirty", "KB", "dirty pages awaiting writeback",
 		func(p, c *Snapshot, dt float64) float64 {
 			if dt <= 0 {
 				return 0
@@ -293,31 +289,31 @@ func buildCatalog() []Metric {
 
 	// --- Swap utilization (5): 2 GB swap, unused.
 	const swapKB = 2 << 20
-	add("swaputil", "kbswpfree", "KB", "free swap", constant(swapKB))
-	add("swaputil", "kbswpused", "KB", "used swap", constant(0))
-	add("swaputil", "%swpused", "%", "used swap share", constant(0))
-	add("swaputil", "kbswpcad", "KB", "cached swap", constant(0))
-	add("swaputil", "%swpcad", "%", "cached swap share", constant(0))
+	add("kbswpfree", "KB", "free swap", constant(swapKB))
+	add("kbswpused", "KB", "used swap", constant(0))
+	add("%swpused", "%", "used swap share", constant(0))
+	add("kbswpcad", "KB", "cached swap", constant(0))
+	add("%swpcad", "%", "cached swap share", constant(0))
 
 	// --- Hugepages (3): not configured on the testbed.
-	add("huge", "kbhugfree", "KB", "free hugepage memory", constant(0))
-	add("huge", "kbhugused", "KB", "used hugepage memory", constant(0))
-	add("huge", "%hugused", "%", "hugepage use share", constant(0))
+	add("kbhugfree", "KB", "free hugepage memory", constant(0))
+	add("kbhugused", "KB", "used hugepage memory", constant(0))
+	add("%hugused", "%", "hugepage use share", constant(0))
 
 	// --- Inode/file tables (4).
-	add("files", "dentunusd", "count", "unused dentry cache entries",
+	add("dentunusd", "count", "unused dentry cache entries",
 		gauge(func(s *Snapshot) float64 { return 12000 + float64(s.Procs)*20 }))
-	add("files", "file-nr", "count", "open file handles", gauge(func(s *Snapshot) float64 { return float64(s.OpenFds) }))
-	add("files", "inode-nr", "count", "cached inodes", gauge(func(s *Snapshot) float64 { return 24000 + float64(s.Procs)*12 }))
-	add("files", "pty-nr", "count", "pseudo-terminals in use", constant(2))
+	add("file-nr", "count", "open file handles", gauge(func(s *Snapshot) float64 { return float64(s.OpenFds) }))
+	add("inode-nr", "count", "cached inodes", gauge(func(s *Snapshot) float64 { return 24000 + float64(s.Procs)*12 }))
+	add("pty-nr", "count", "pseudo-terminals in use", constant(2))
 
 	// --- Run queue and load (6).
-	add("load", "runq-sz", "tasks", "run queue length", gauge(func(s *Snapshot) float64 { return float64(s.RunQueue) }))
-	add("load", "plist-sz", "tasks", "task list size", gauge(func(s *Snapshot) float64 { return float64(s.Procs) }))
-	add("load", "ldavg-1", "load", "1-minute load average", gauge(func(s *Snapshot) float64 { return s.Load1 }))
-	add("load", "ldavg-5", "load", "5-minute load average", gauge(func(s *Snapshot) float64 { return s.Load5 }))
-	add("load", "ldavg-15", "load", "15-minute load average", gauge(func(s *Snapshot) float64 { return s.Load15 }))
-	add("load", "blocked", "tasks", "tasks blocked on I/O", gauge(func(s *Snapshot) float64 { return float64(s.Blocked) }))
+	add("runq-sz", "tasks", "run queue length", gauge(func(s *Snapshot) float64 { return float64(s.RunQueue) }))
+	add("plist-sz", "tasks", "task list size", gauge(func(s *Snapshot) float64 { return float64(s.Procs) }))
+	add("ldavg-1", "load", "1-minute load average", gauge(func(s *Snapshot) float64 { return s.Load1 }))
+	add("ldavg-5", "load", "5-minute load average", gauge(func(s *Snapshot) float64 { return s.Load5 }))
+	add("ldavg-15", "load", "15-minute load average", gauge(func(s *Snapshot) float64 { return s.Load15 }))
+	add("blocked", "tasks", "tasks blocked on I/O", gauge(func(s *Snapshot) float64 { return float64(s.Blocked) }))
 
 	// --- TTY (6): headless servers.
 	for _, m := range []struct{ n, d string }{
@@ -328,7 +324,7 @@ func buildCatalog() []Metric {
 		{"brk/s", "serial breaks per second"},
 		{"ovrun/s", "serial overruns per second"},
 	} {
-		add("tty", m.n, "1/s", m.d, constant(0))
+		add(m.n, "1/s", m.d, constant(0))
 	}
 
 	// --- Per-device disk stats: sda (data) and sdb (idle) x 8 (16).
@@ -339,13 +335,13 @@ func buildCatalog() []Metric {
 			}
 			return constant(0)
 		}
-		add("disk", "tps ["+dev+"]", "1/s", "transfers per second on "+dev,
+		add("tps ["+dev+"]", "1/s", "transfers per second on "+dev,
 			act(urate(func(s *Snapshot) uint64 { return s.DiskReadOps + s.DiskWriteOps })))
-		add("disk", "rd_sec/s ["+dev+"]", "sectors/s", "sectors read per second on "+dev,
+		add("rd_sec/s ["+dev+"]", "sectors/s", "sectors read per second on "+dev,
 			act(rate(func(s *Snapshot) float64 { return s.DiskReadBytes / 512 })))
-		add("disk", "wr_sec/s ["+dev+"]", "sectors/s", "sectors written per second on "+dev,
+		add("wr_sec/s ["+dev+"]", "sectors/s", "sectors written per second on "+dev,
 			act(rate(func(s *Snapshot) float64 { return s.DiskWriteBytes / 512 })))
-		add("disk", "avgrq-sz ["+dev+"]", "sectors", "average request size on "+dev,
+		add("avgrq-sz ["+dev+"]", "sectors", "average request size on "+dev,
 			act(func(p, c *Snapshot, dt float64) float64 {
 				ops := float64((c.DiskReadOps + c.DiskWriteOps) - (p.DiskReadOps + p.DiskWriteOps))
 				if ops == 0 {
@@ -353,14 +349,14 @@ func buildCatalog() []Metric {
 				}
 				return ((c.DiskReadBytes + c.DiskWriteBytes) - (p.DiskReadBytes + p.DiskWriteBytes)) / 512 / ops
 			}))
-		add("disk", "avgqu-sz ["+dev+"]", "requests", "average queue length on "+dev,
+		add("avgqu-sz ["+dev+"]", "requests", "average queue length on "+dev,
 			act(func(p, c *Snapshot, dt float64) float64 {
 				if dt <= 0 {
 					return 0
 				}
 				return (c.DiskBusy - p.DiskBusy).Sec() / dt * 1.3
 			}))
-		add("disk", "await ["+dev+"]", "ms", "average request latency on "+dev,
+		add("await ["+dev+"]", "ms", "average request latency on "+dev,
 			act(func(p, c *Snapshot, dt float64) float64 {
 				ops := float64((c.DiskReadOps + c.DiskWriteOps) - (p.DiskReadOps + p.DiskWriteOps))
 				if ops == 0 {
@@ -368,7 +364,7 @@ func buildCatalog() []Metric {
 				}
 				return (c.DiskBusy - p.DiskBusy).Sec() * 1000 / ops * 1.4
 			}))
-		add("disk", "svctm ["+dev+"]", "ms", "average service time on "+dev,
+		add("svctm ["+dev+"]", "ms", "average service time on "+dev,
 			act(func(p, c *Snapshot, dt float64) float64 {
 				ops := float64((c.DiskReadOps + c.DiskWriteOps) - (p.DiskReadOps + p.DiskWriteOps))
 				if ops == 0 {
@@ -376,7 +372,7 @@ func buildCatalog() []Metric {
 				}
 				return (c.DiskBusy - p.DiskBusy).Sec() * 1000 / ops
 			}))
-		add("disk", "%util ["+dev+"]", "%", "device utilization of "+dev,
+		add("%util ["+dev+"]", "%", "device utilization of "+dev,
 			act(func(p, c *Snapshot, dt float64) float64 {
 				if dt <= 0 {
 					return 0
@@ -395,17 +391,17 @@ func buildCatalog() []Metric {
 			}
 			return constant(0)
 		}
-		add("net", "rxpck/s ["+dev+"]", "1/s", "packets received per second on "+dev,
+		add("rxpck/s ["+dev+"]", "1/s", "packets received per second on "+dev,
 			act(urate(func(s *Snapshot) uint64 { return s.NetRxPkts })))
-		add("net", "txpck/s ["+dev+"]", "1/s", "packets transmitted per second on "+dev,
+		add("txpck/s ["+dev+"]", "1/s", "packets transmitted per second on "+dev,
 			act(urate(func(s *Snapshot) uint64 { return s.NetTxPkts })))
-		add("net", "rxkB/s ["+dev+"]", "KB/s", "KB received per second on "+dev,
+		add("rxkB/s ["+dev+"]", "KB/s", "KB received per second on "+dev,
 			act(rate(func(s *Snapshot) float64 { return s.NetRxBytes / 1024 })))
-		add("net", "txkB/s ["+dev+"]", "KB/s", "KB transmitted per second on "+dev,
+		add("txkB/s ["+dev+"]", "KB/s", "KB transmitted per second on "+dev,
 			act(rate(func(s *Snapshot) float64 { return s.NetTxBytes / 1024 })))
-		add("net", "rxcmp/s ["+dev+"]", "1/s", "compressed packets received per second on "+dev, constant(0))
-		add("net", "txcmp/s ["+dev+"]", "1/s", "compressed packets transmitted per second on "+dev, constant(0))
-		add("net", "rxmcst/s ["+dev+"]", "1/s", "multicast packets received per second on "+dev,
+		add("rxcmp/s ["+dev+"]", "1/s", "compressed packets received per second on "+dev, constant(0))
+		add("txcmp/s ["+dev+"]", "1/s", "compressed packets transmitted per second on "+dev, constant(0))
+		add("rxmcst/s ["+dev+"]", "1/s", "multicast packets received per second on "+dev,
 			act(constant(0.4)))
 	}
 	netDev("eth0", true)
@@ -424,7 +420,7 @@ func buildCatalog() []Metric {
 			{"rxfifo/s", "receive FIFO overruns per second"},
 			{"rxfram/s", "frame alignment errors per second"},
 		} {
-			add("neterr", m.n+" ["+dev+"]", "1/s", m.d+" on "+dev, constant(0))
+			add(m.n+" ["+dev+"]", "1/s", m.d+" on "+dev, constant(0))
 		}
 	}
 
@@ -437,7 +433,7 @@ func buildCatalog() []Metric {
 		{"access/s", "NFS client access calls per second"},
 		{"getatt/s", "NFS client getattr calls per second"},
 	} {
-		add("nfs", m.n, "1/s", m.d, constant(0))
+		add(m.n, "1/s", m.d, constant(0))
 	}
 	for _, m := range []struct{ n, d string }{
 		{"scall/s", "NFS server RPC calls per second"},
@@ -452,16 +448,16 @@ func buildCatalog() []Metric {
 		{"saccess/s", "NFS server access calls per second"},
 		{"sgetatt/s", "NFS server getattr calls per second"},
 	} {
-		add("nfsd", m.n, "1/s", m.d, constant(0))
+		add(m.n, "1/s", m.d, constant(0))
 	}
 
 	// --- Sockets (6).
-	add("sock", "totsck", "count", "sockets in use", gauge(func(s *Snapshot) float64 { return float64(s.TCPSocks + s.UDPSocks + 12) }))
-	add("sock", "tcpsck", "count", "TCP sockets in use", gauge(func(s *Snapshot) float64 { return float64(s.TCPSocks) }))
-	add("sock", "udpsck", "count", "UDP sockets in use", gauge(func(s *Snapshot) float64 { return float64(s.UDPSocks) }))
-	add("sock", "rawsck", "count", "raw sockets in use", constant(0))
-	add("sock", "ip-frag", "count", "IP fragments queued", constant(0))
-	add("sock", "tcp-tw", "count", "TCP sockets in TIME_WAIT",
+	add("totsck", "count", "sockets in use", gauge(func(s *Snapshot) float64 { return float64(s.TCPSocks + s.UDPSocks + 12) }))
+	add("tcpsck", "count", "TCP sockets in use", gauge(func(s *Snapshot) float64 { return float64(s.TCPSocks) }))
+	add("udpsck", "count", "UDP sockets in use", gauge(func(s *Snapshot) float64 { return float64(s.UDPSocks) }))
+	add("rawsck", "count", "raw sockets in use", constant(0))
+	add("ip-frag", "count", "IP fragments queued", constant(0))
+	add("tcp-tw", "count", "TCP sockets in TIME_WAIT",
 		func(p, c *Snapshot, dt float64) float64 {
 			if dt <= 0 {
 				return 0
@@ -478,35 +474,35 @@ func buildCatalog() []Metric {
 			return float64((c.NetRxPkts+c.NetTxPkts)-(p.NetRxPkts+p.NetTxPkts)) / dt * scale
 		}
 	}
-	add("ip", "irec/s", "1/s", "IP datagrams received per second", urate(func(s *Snapshot) uint64 { return s.NetRxPkts }))
-	add("ip", "fwddgm/s", "1/s", "IP datagrams forwarded per second", constant(0))
-	add("ip", "idel/s", "1/s", "IP datagrams delivered per second", urate(func(s *Snapshot) uint64 { return s.NetRxPkts }))
-	add("ip", "orq/s", "1/s", "IP datagrams sent per second", urate(func(s *Snapshot) uint64 { return s.NetTxPkts }))
-	add("ip", "asmrq/s", "1/s", "IP fragments needing reassembly per second", constant(0))
-	add("ip", "asmok/s", "1/s", "IP datagrams reassembled per second", constant(0))
-	add("ip", "fragok/s", "1/s", "IP datagrams fragmented per second", constant(0))
-	add("ip", "fragcrt/s", "1/s", "IP fragments created per second", constant(0))
+	add("irec/s", "1/s", "IP datagrams received per second", urate(func(s *Snapshot) uint64 { return s.NetRxPkts }))
+	add("fwddgm/s", "1/s", "IP datagrams forwarded per second", constant(0))
+	add("idel/s", "1/s", "IP datagrams delivered per second", urate(func(s *Snapshot) uint64 { return s.NetRxPkts }))
+	add("orq/s", "1/s", "IP datagrams sent per second", urate(func(s *Snapshot) uint64 { return s.NetTxPkts }))
+	add("asmrq/s", "1/s", "IP fragments needing reassembly per second", constant(0))
+	add("asmok/s", "1/s", "IP datagrams reassembled per second", constant(0))
+	add("fragok/s", "1/s", "IP datagrams fragmented per second", constant(0))
+	add("fragcrt/s", "1/s", "IP fragments created per second", constant(0))
 
 	// --- ICMP (4).
-	add("icmp", "imsg/s", "1/s", "ICMP messages received per second", pktRate(0.0004))
-	add("icmp", "omsg/s", "1/s", "ICMP messages sent per second", pktRate(0.0004))
-	add("icmp", "iech/s", "1/s", "ICMP echo requests received per second", pktRate(0.0002))
-	add("icmp", "oech/s", "1/s", "ICMP echo replies sent per second", pktRate(0.0002))
+	add("imsg/s", "1/s", "ICMP messages received per second", pktRate(0.0004))
+	add("omsg/s", "1/s", "ICMP messages sent per second", pktRate(0.0004))
+	add("iech/s", "1/s", "ICMP echo requests received per second", pktRate(0.0002))
+	add("oech/s", "1/s", "ICMP echo replies sent per second", pktRate(0.0002))
 
 	// --- TCP (4).
-	add("tcp", "active/s", "1/s", "active TCP opens per second", pktRate(0.01))
-	add("tcp", "passive/s", "1/s", "passive TCP opens per second", pktRate(0.012))
-	add("tcp", "iseg/s", "1/s", "TCP segments received per second", urate(func(s *Snapshot) uint64 { return s.NetRxPkts }))
-	add("tcp", "oseg/s", "1/s", "TCP segments sent per second", urate(func(s *Snapshot) uint64 { return s.NetTxPkts }))
+	add("active/s", "1/s", "active TCP opens per second", pktRate(0.01))
+	add("passive/s", "1/s", "passive TCP opens per second", pktRate(0.012))
+	add("iseg/s", "1/s", "TCP segments received per second", urate(func(s *Snapshot) uint64 { return s.NetRxPkts }))
+	add("oseg/s", "1/s", "TCP segments sent per second", urate(func(s *Snapshot) uint64 { return s.NetTxPkts }))
 
 	// --- UDP (4).
-	add("udp", "idgm/s", "1/s", "UDP datagrams received per second", pktRate(0.001))
-	add("udp", "odgm/s", "1/s", "UDP datagrams sent per second", pktRate(0.001))
-	add("udp", "noport/s", "1/s", "UDP no-port errors per second", constant(0))
-	add("udp", "idgmerr/s", "1/s", "UDP datagram errors per second", constant(0))
+	add("idgm/s", "1/s", "UDP datagrams received per second", pktRate(0.001))
+	add("odgm/s", "1/s", "UDP datagrams sent per second", pktRate(0.001))
+	add("noport/s", "1/s", "UDP no-port errors per second", constant(0))
+	add("idgmerr/s", "1/s", "UDP datagram errors per second", constant(0))
 
 	// --- Power (1).
-	add("power", "MHz", "MHz", "current processor clock", gauge(func(s *Snapshot) float64 { return s.FreqHz / 1e6 }))
+	add("MHz", "MHz", "current processor clock", gauge(func(s *Snapshot) float64 { return s.FreqHz / 1e6 }))
 
 	return ms
 }

@@ -18,7 +18,7 @@ func TestCatalogHasExactly182Metrics(t *testing.T) {
 	}
 	names := make(map[string]bool)
 	for _, m := range cat {
-		if m.Name == "" || m.Group == "" || m.Description == "" {
+		if m.Name == "" || m.Description == "" {
 			t.Fatalf("incomplete metric: %+v", m)
 		}
 		if names[m.Name] {
@@ -39,11 +39,10 @@ func TestTotalProfiledMetricsIs518(t *testing.T) {
 
 func sampleSnapshots() (Snapshot, Snapshot) {
 	prev := Snapshot{
-		At: 0, Cores: 2, FreqHz: 2.8e9,
+		Cores: 2, FreqHz: 2.8e9,
 		MemTotal: 2 << 30, MemUsed: 500e6, MemBuffers: 20e6, MemCached: 100e6,
 	}
 	cur := prev
-	cur.At = 2 * sim.Second
 	cur.CPUCycles = 1e9
 	cur.CPUBusy = 800 * sim.Millisecond
 	cur.StealTime = 40 * sim.Millisecond
@@ -130,7 +129,7 @@ func TestCollectorProducesHeadlineSeries(t *testing.T) {
 	var cycles float64
 	target := Target{Name: "vm", Snap: func() Snapshot {
 		return Snapshot{
-			At: k.Now(), Cores: 2, FreqHz: 2.8e9,
+			Cores: 2, FreqHz: 2.8e9,
 			CPUCycles: cycles, MemTotal: 2 << 30, MemUsed: 400e6,
 		}
 	}}
@@ -166,7 +165,7 @@ func TestCollectorProducesHeadlineSeries(t *testing.T) {
 func TestCollectorOnSampleHook(t *testing.T) {
 	k := sim.NewKernel()
 	target := Target{Name: "vm", Snap: func() Snapshot {
-		return Snapshot{At: k.Now(), Cores: 2, FreqHz: 2.8e9, MemTotal: 1 << 30, MemUsed: 1 << 29}
+		return Snapshot{Cores: 2, FreqHz: 2.8e9, MemTotal: 1 << 30, MemUsed: 1 << 29}
 	}}
 	c := NewCollector(k, false, target)
 	var times []sim.Time
@@ -202,7 +201,7 @@ func TestCollectorOnSampleHook(t *testing.T) {
 func TestCollectorFullCatalog(t *testing.T) {
 	k := sim.NewKernel()
 	target := Target{Name: "vm", Snap: func() Snapshot {
-		return Snapshot{At: k.Now(), Cores: 2, FreqHz: 2.8e9, MemTotal: 1 << 30, MemUsed: 1 << 29}
+		return Snapshot{Cores: 2, FreqHz: 2.8e9, MemTotal: 1 << 30, MemUsed: 1 << 29}
 	}}
 	c := NewCollector(k, true, target)
 	c.Start()

@@ -7,7 +7,7 @@ import "testing"
 // reservoir append. The CI bench-smoke job gates this at 0 allocs/op
 // beside the kernel ticker and arrival-scheduling gates.
 func BenchmarkLatencyRecord(b *testing.B) {
-	rec := NewRecorder(2, 0)
+	rec := NewRecorder(2)
 	v := 0.0001
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -26,14 +26,15 @@ func BenchmarkLatencyRecord(b *testing.B) {
 // BenchmarkWindowRotate times closing one 2 s window: the core
 // series' quantile walks over the touched bin range, one registered
 // Counter and one registered Gauge, every series append, and the
-// window reset. Gated at 0 allocs/op in CI (the series capacity hint
-// covers the benchmark's windows, as experiment.Run's duration-derived
-// hint covers a run's).
+// window reset. Gated at 0 allocs/op in CI (ReserveWindows covers the
+// benchmark's windows, as experiment.Run's duration-derived reservation
+// covers a run's).
 func BenchmarkWindowRotate(b *testing.B) {
-	rec := NewRecorder(2, b.N+1)
+	rec := NewRecorder(2)
 	var retries uint64
 	rec.Counter(Retries, "retries/window", func() uint64 { return retries })
 	rec.Gauge(QueueDepth, "writes", func() float64 { return float64(retries & 7) })
+	rec.ReserveWindows(b.N + 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

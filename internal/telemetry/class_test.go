@@ -64,7 +64,7 @@ func TestHistExcessAboveOracle(t *testing.T) {
 // read-write observations land in their own window p95 series while
 // the combined histogram sees everything once.
 func TestRecorderClassAttribution(t *testing.T) {
-	r := NewRecorder(2.0, 4)
+	r := NewRecorder(2.0)
 	for i := 0; i < 40; i++ {
 		r.RecordKind(0.010, false, -1) // fast reads
 	}
@@ -99,7 +99,7 @@ func TestRecorderClassAttribution(t *testing.T) {
 // the abandoned histogram is a subset and the per-window Abandoned
 // series counts the window's driven-away sessions.
 func TestRecorderAbandonAccounting(t *testing.T) {
-	r := NewRecorder(2.0, 4)
+	r := NewRecorder(2.0)
 	for i := 0; i < 20; i++ {
 		r.RecordKind(0.050, false, -1)
 	}
@@ -135,7 +135,7 @@ func TestRecorderAbandonAccounting(t *testing.T) {
 // Gauge is registered, samples it at every window boundary, and
 // follows the core series.
 func TestReplicaGaugeSeries(t *testing.T) {
-	r := NewRecorder(2.0, 4)
+	r := NewRecorder(2.0)
 	if r.Series().ByName(Replicas) != nil {
 		t.Fatal("replicas series must be absent until registered")
 	}

@@ -27,9 +27,9 @@
 // embedded arrays (0 allocs/op, CI-gated via BenchmarkLatencyRecord).
 // The Recorder's per-interaction bank takes each kind's Hist from a
 // pool on that kind's first record, and its exact reservoir comes from
-// a pool at full size; Recorder.Release hands both back. Recorder rotation appends
-// one sample to each preallocated series; with a capacity hint
-// covering the run it is also allocation-free (BenchmarkWindowRotate).
+// a pool at full size; Recorder.Release hands both back. Recorder
+// rotation appends one sample to each series; once ReserveWindows
+// covers the run it is also allocation-free (BenchmarkWindowRotate).
 package telemetry
 
 import "math"

@@ -12,7 +12,7 @@ import (
 // (including the classic -1 "no attribution") only feed the combined
 // histograms, and the bank never double-counts the run total.
 func TestRecorderKindAttribution(t *testing.T) {
-	r := NewRecorder(2.0, 4)
+	r := NewRecorder(2.0)
 	for i := 0; i < 30; i++ {
 		r.RecordKind(0.010, false, 3) // a fast read page
 	}
@@ -50,7 +50,7 @@ func TestRecorderKindAttribution(t *testing.T) {
 // TestRecorderKindSurvivesRotation pins that the bank is run-level:
 // window rotation must not reset per-kind histograms.
 func TestRecorderKindSurvivesRotation(t *testing.T) {
-	r := NewRecorder(2.0, 4)
+	r := NewRecorder(2.0)
 	r.RecordKind(0.020, false, 5)
 	r.Rotate(0)
 	r.RecordKind(0.020, false, 5)
@@ -65,7 +65,7 @@ func TestRecorderKindSurvivesRotation(t *testing.T) {
 // kind's first record allocates its histogram, so every kind is
 // recorded once before the gate: the steady state allocates nothing.
 func TestRecorderKindZeroAlloc(t *testing.T) {
-	rec := NewRecorder(2, 0)
+	rec := NewRecorder(2)
 	for kind := 0; kind < MaxKinds; kind++ {
 		rec.RecordKind(0.001, false, kind)
 	}
@@ -88,7 +88,7 @@ func TestRecorderKindZeroAlloc(t *testing.T) {
 // The histogram comes from a pool, so a first record allocates at most
 // once: never when a released recorder left one to recycle.
 func TestRecorderKindHistsAreLazy(t *testing.T) {
-	r := NewRecorder(2, 0)
+	r := NewRecorder(2)
 	empty := r.KindHist(0)
 	if empty != r.KindHist(MaxKinds-1) || empty.Count() != 0 {
 		t.Fatal("unrecorded kinds must share one empty histogram")
@@ -116,7 +116,7 @@ func TestRecorderKindHistsAreLazy(t *testing.T) {
 // next recorder starts empty, so recycling never leaks one run's
 // observations into another. Recording after Release panics.
 func TestRecorderReleaseRecyclesBuffers(t *testing.T) {
-	r := NewRecorder(2, 0)
+	r := NewRecorder(2)
 	for i := 0; i < 100; i++ {
 		r.RecordKind(0.001*float64(i+1), i%3 == 0, i%5)
 	}
@@ -140,7 +140,7 @@ func TestRecorderReleaseRecyclesBuffers(t *testing.T) {
 		t.Fatal("reservoir still referenced after Release")
 	}
 
-	next := NewRecorder(2, 0)
+	next := NewRecorder(2)
 	if got := len(next.exact); got != 0 {
 		t.Fatalf("recycled reservoir holds %d observations, want 0", got)
 	}

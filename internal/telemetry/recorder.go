@@ -108,8 +108,7 @@ func (l *freeList[T]) put(x *T) {
 // ticker, which is what aligns the emitted series with the resource
 // series sample for sample.
 type Recorder struct {
-	windowSec  float64
-	windowHint int
+	windowSec float64
 
 	// win is the current window's histogram; run is the whole-run
 	// histogram, recorded in the same pass (one bin computation shared by
@@ -149,14 +148,13 @@ type Recorder struct {
 }
 
 // NewRecorder builds a recorder with the given window length in
-// seconds and a capacity hint in windows (how many Rotate calls the
-// run is expected to make; rotation never allocates while within the
-// hint). The exact reservoir comes from a pool at its full size, so
-// steady-state recording never allocates either; Release hands it
-// back. The core series are registered here; components append theirs
-// with Counter and Gauge.
-func NewRecorder(windowSec float64, windowHint int) *Recorder {
-	r := &Recorder{windowSec: windowSec, windowHint: windowHint, series: new(timeseries.Set)}
+// seconds. The exact reservoir comes from a pool at its full size, so
+// steady-state recording never allocates; Release hands it back. The
+// core series are registered here; components append theirs with
+// Counter and Gauge, then ReserveWindows sizes every series for the
+// run.
+func NewRecorder(windowSec float64) *Recorder {
+	r := &Recorder{windowSec: windowSec, series: new(timeseries.Set)}
 	r.exact = reservoirs.get()[:0]
 	ms := func(h *Hist, q float64) func() float64 {
 		return func() float64 { return h.Quantile(q) * 1e3 }
@@ -183,11 +181,7 @@ func (r *Recorder) Gauge(name, unit string, fn func() float64) {
 	if r.series.Windows() > 0 {
 		panic("telemetry: series " + name + " registered after the first window closed")
 	}
-	s := &timeseries.Series{Name: name, Unit: unit, Interval: r.windowSec}
-	if r.windowHint > 0 {
-		s.Values = make([]float64, 0, r.windowHint)
-	}
-	r.series.Add(s)
+	r.series.Add(&timeseries.Series{Name: name, Unit: unit, Interval: r.windowSec})
 	r.samples = append(r.samples, fn)
 }
 
@@ -328,8 +322,7 @@ func (r *Recorder) Rotate(inflight int) {
 // ReserveWindows grows every series' capacity to hold n windows, so
 // rotation within that horizon never allocates. experiment.Run calls
 // it with the run's duration-derived window count before the kernel
-// starts; the capacity hint at construction covers callers that know
-// the horizon up front.
+// starts.
 func (r *Recorder) ReserveWindows(n int) {
 	for _, s := range r.series.All() {
 		if cap(s.Values)-len(s.Values) < n {

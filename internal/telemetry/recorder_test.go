@@ -11,7 +11,7 @@ import (
 // windows with known observations produce the expected per-window
 // mean/quantile/throughput/churn samples on a shared 2 s axis.
 func TestRecorderWindowSeries(t *testing.T) {
-	rec := NewRecorder(2, 8)
+	rec := NewRecorder(2)
 
 	// Window 1: four fast responses, one session starting and ending.
 	rec.NoteStart()
@@ -88,7 +88,7 @@ func TestRecorderWindowSeries(t *testing.T) {
 // to the historical sort-and-index computation over every observation.
 func TestRecorderExactQuantileEquivalence(t *testing.T) {
 	r := rng.NewSource(3).Stream("exact")
-	rec := NewRecorder(2, 0)
+	rec := NewRecorder(2)
 	var xs []float64
 	for i := 0; i < 5000; i++ {
 		v := r.LogNormal(math.Log(0.02), 1.0)
@@ -119,7 +119,7 @@ func TestRecorderExactQuantileEquivalence(t *testing.T) {
 // everything after its first 200k samples.
 func TestRecorderHistogramFallback(t *testing.T) {
 	r := rng.NewSource(5).Stream("fallback")
-	rec := NewRecorder(2, 0)
+	rec := NewRecorder(2)
 	n := DefaultExactCap + 20000
 	xs := make([]float64, 0, n)
 	for i := 0; i < n; i++ {
@@ -144,7 +144,7 @@ func TestRecorderHistogramFallback(t *testing.T) {
 // plus at most DefaultExactCap reservoir slots — instead of the run-
 // length-proportional (or 200k-float) slice it replaced.
 func TestRecorderMemoryBounded(t *testing.T) {
-	rec := NewRecorder(2, 0)
+	rec := NewRecorder(2)
 	r := rng.NewSource(9).Stream("mem")
 	for i := 0; i < 1_000_000; i++ {
 		rec.RecordKind(r.Exp(0.01), false, -1)
@@ -166,7 +166,7 @@ func TestRecorderMemoryBounded(t *testing.T) {
 // TestRecorderSteadyStateZeroAlloc pins that recording and churn notes
 // never allocate.
 func TestRecorderSteadyStateZeroAlloc(t *testing.T) {
-	rec := NewRecorder(2, 0)
+	rec := NewRecorder(2)
 	v := 0.001
 	allocs := testing.AllocsPerRun(10000, func() {
 		rec.NoteStart()
@@ -179,12 +179,13 @@ func TestRecorderSteadyStateZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestRecorderRotateZeroAllocWithinHint pins that rotation with a
-// sufficient window hint never allocates: the per-window series grow
-// into preallocated capacity.
+// TestRecorderRotateZeroAllocWithinHint pins that rotation within a
+// horizon reserved before the first window never allocates: the
+// per-window series grow into preallocated capacity.
 func TestRecorderRotateZeroAllocWithinHint(t *testing.T) {
 	const hint = 20100
-	rec := NewRecorder(2, hint)
+	rec := NewRecorder(2)
+	rec.ReserveWindows(hint)
 	allocs := testing.AllocsPerRun(20000, func() {
 		rec.RecordKind(0.01, false, -1)
 		rec.RecordKind(0.05, false, -1)
@@ -199,11 +200,11 @@ func TestRecorderRotateZeroAllocWithinHint(t *testing.T) {
 }
 
 // TestRecorderReserveWindows pins the path real runs take: a recorder
-// constructed without a hint (the drivers don't know the duration)
-// gets its horizon reserved by experiment.Run, after which rotation
+// built by a driver, which does not know the duration, gets its horizon
+// reserved by experiment.Run, after which rotation
 // never allocates and already-emitted windows are preserved.
 func TestRecorderReserveWindows(t *testing.T) {
-	rec := NewRecorder(2, 0)
+	rec := NewRecorder(2)
 	rec.RecordKind(0.25, false, -1)
 	rec.Rotate(2) // one window emitted before the reservation
 	rec.ReserveWindows(4200)
@@ -222,7 +223,7 @@ func TestRecorderReserveWindows(t *testing.T) {
 // TestRecorderEmptyWindows pins that idle windows emit zero samples
 // (not stale data) and keep the axis aligned.
 func TestRecorderEmptyWindows(t *testing.T) {
-	rec := NewRecorder(2, 4)
+	rec := NewRecorder(2)
 	rec.RecordKind(0.5, false, -1)
 	rec.Rotate(0)
 	rec.Rotate(0) // empty window
@@ -243,7 +244,7 @@ func TestRecorderEmptyWindows(t *testing.T) {
 // tallies and the guard's retry count per window, and availability is
 // served/(served+abnormal) with an idle-window default of 1.
 func TestRecorderFaultSeries(t *testing.T) {
-	rec := NewRecorder(2, 4)
+	rec := NewRecorder(2)
 	var served, timedOut, shed, failed, retries uint64
 	rec.Counter(Timeouts, "requests/window", func() uint64 { return timedOut })
 	rec.Counter(Sheds, "requests/window", func() uint64 { return shed })
@@ -304,7 +305,7 @@ func TestRegistryMisusePanics(t *testing.T) {
 		f()
 	}
 	zero := func() float64 { return 0 }
-	rec := NewRecorder(2, 4)
+	rec := NewRecorder(2)
 	mustPanic("duplicate core name", func() { rec.Gauge(LatencyP95, "ms", zero) })
 	rec.Counter(Retries, "retries/window", func() uint64 { return 0 })
 	mustPanic("duplicate registered name", func() { rec.Gauge(Retries, "retries/window", zero) })

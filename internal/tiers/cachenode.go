@@ -39,11 +39,10 @@ func DefaultCacheParams() CacheParams {
 }
 
 // CacheGetResult is the caller-owned out-param a GET resolves into: the
-// server writes the outcome and payload size, then replies along the
-// wire, so the pooled web request needs no per-GET allocation.
+// server writes the outcome, then replies along the wire, so the pooled
+// web request needs no per-GET allocation.
 type CacheGetResult struct {
 	Outcome cachetier.Outcome
-	Bytes   float64
 }
 
 // CacheServer is the VM-backed cache node: a deterministic
@@ -202,7 +201,6 @@ func cacheOpDone(arg any) {
 	c.opFree.Put(op)
 	if hit {
 		out.Outcome = cachetier.Hit
-		out.Bytes = bytes
 		c.Hits++
 		c.KindHits[key.Kind]++
 		reply.Transfer(bytes+c.params.MissReplyBytes, done, darg)

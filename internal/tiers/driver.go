@@ -107,7 +107,7 @@ func newDriver(k *sim.Kernel, app *rubis.App, model rubis.Model, web Frontend, c
 		model: model,
 		web:   web,
 		costs: costs,
-		rec:   telemetry.NewRecorder(sysstat.SampleInterval.Sec(), 0),
+		rec:   telemetry.NewRecorder(sysstat.SampleInterval.Sec()),
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 
 // Domain is one Xen domain: dom0 or a paravirtualized guest.
 type Domain struct {
-	Name   string
 	ID     int
 	Weight int
 	VCPUs  int
@@ -101,7 +100,6 @@ func New(k *sim.Kernel, host *hw.Server, params Params) *Hypervisor {
 	hv := &Hypervisor{k: k, host: host, params: params}
 	dom0Mem := hw.NewMemory(4 << 30)
 	hv.dom0 = &Domain{
-		Name:   "dom0",
 		ID:     0,
 		Weight: 512,
 		VCPUs:  2,
@@ -138,7 +136,6 @@ func (hv *Hypervisor) CreateGuest(name string, vcpus int, memBytes float64, weig
 	}
 	mem := hw.NewMemory(memBytes)
 	d := &Domain{
-		Name:   name,
 		ID:     len(hv.guests) + 1,
 		Weight: weight,
 		VCPUs:  vcpus,

@@ -23,13 +23,13 @@ go test -run xxx -bench 'BenchmarkEngineOnly$|BenchmarkSweepWorkers|BenchmarkOpe
 go test -run xxx -bench 'BenchmarkSnapshotAttach$' \
 	-benchtime "$micro_benchtime" -benchmem . | tee -a "$tmp"
 go test -run xxx \
-	-bench 'BenchmarkBTree|BenchmarkBufferPoolGet$|BenchmarkBufferPoolGetView$|BenchmarkBulkLoad|BenchmarkBulkWriterRow$|BenchmarkHeapInsert|BenchmarkEngineQueryMix|BenchmarkCOWFirstWrite' \
+	-bench 'BenchmarkBTree|BenchmarkBufferPoolGet$|BenchmarkBufferPoolGetView$|BenchmarkBulkLoad|BenchmarkBulkWriterRow$|BenchmarkHeapInsert|BenchmarkEngineQueryMix|BenchmarkCOWFirstWrite|BenchmarkIndexRead$|BenchmarkScratchRecycle$' \
 	-benchtime "$micro_benchtime" -benchmem ./internal/rubisdb/ | tee -a "$tmp"
-go test -run xxx -bench 'BenchmarkBrowsingStep$' \
+go test -run xxx -bench 'BenchmarkBrowsingStep$|BenchmarkBiddingStep$' \
 	-benchtime "$micro_benchtime" -benchmem ./internal/rubis/ | tee -a "$tmp"
-go test -run xxx -bench 'BenchmarkNewSnapshot$' \
+go test -run xxx -bench 'BenchmarkNewSnapshot$|BenchmarkOwnedSnapshotCycle$' \
 	-benchtime "$sim_benchtime" -benchmem ./internal/rubis/ | tee -a "$tmp"
-go test -run xxx -bench 'BenchmarkCollectorSample$' \
+go test -run xxx -bench 'BenchmarkCollectorSample$|BenchmarkNewCollectorFullCatalog$' \
 	-benchtime "$micro_benchtime" -benchmem ./internal/sysstat/ | tee -a "$tmp"
 go test -run xxx -bench 'BenchmarkKernel' \
 	-benchtime "$micro_benchtime" -benchmem ./internal/sim/ | tee -a "$tmp"

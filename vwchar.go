@@ -3,9 +3,13 @@
 // deterministic discrete-event simulation of the paper's testbed (a Xen
 // host running the RUBiS auction benchmark in VMs, and the same benchmark
 // on two bare-metal servers), a sysstat/perf-style monitoring plane
-// profiling 518 metrics every 2 seconds, and the statistical
+// cataloging the paper's 518 metrics, and the statistical
 // characterization layer that regenerates every figure, Table 1, and the
-// headline ratios of the paper's evaluation.
+// headline ratios of the paper's evaluation. A run samples four headline
+// series (CPU, memory, disk, network) per monitored target every 2
+// seconds, the 182-metric sysstat catalog as well only with
+// Config.KeepFullCatalog, and the 154 hypervisor perf counters once, at
+// the end (Result.PerfFinal).
 //
 // Quick start:
 //
@@ -388,7 +392,7 @@ func AnalyzeCascade(r *Result, sloMillis float64) CascadeAnalysis {
 // ChaosScenarioNames lists the catalog names, sorted.
 func ChaosScenarioNames() []string { return faults.ScenarioNames() }
 
-// ChaosScenario returns the named built-in chaos scenario.
+// ChaosScenarioByName returns the named built-in chaos scenario.
 func ChaosScenarioByName(name string) (ChaosScenario, error) { return faults.ScenarioByName(name) }
 
 // DefaultResilience is a sane guarded-path posture: 1 s timeouts, two
