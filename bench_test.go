@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"vwchar"
+	"vwchar/internal/rng"
 	"vwchar/internal/rubis"
 	"vwchar/internal/sim"
 	"vwchar/internal/xen"
@@ -189,6 +190,12 @@ func BenchmarkMixSweep(b *testing.B) {
 // point, at benchmark scale (the dataset is shrunk so one replication
 // is dominated by simulation rather than dataset population).
 func sweepSpec(workers, replications int) vwchar.SweepSpec {
+	const rootSeed = 42
+	// One golden dataset for the whole grid: population runs once and
+	// every replication attaches a copy-on-write view, which is what
+	// keeps these sweep benchmarks dominated by simulation instead of
+	// dataset rebuilds.
+	datasetSeed := rng.NewSource(rootSeed).SeedFor("dataset")
 	return vwchar.SweepSpec{
 		Points: vwchar.FullSweepGrid(func(c *vwchar.Config) {
 			c.Clients = 40
@@ -197,15 +204,11 @@ func sweepSpec(workers, replications int) vwchar.SweepSpec {
 			c.Dataset.ActiveItems = 600
 			c.Dataset.OldItems = 1300
 			c.Dataset.BufferPages = 500
+			c.DatasetSeed = datasetSeed
 		}),
 		Replications: replications,
-		RootSeed:     42,
+		RootSeed:     rootSeed,
 		Workers:      workers,
-		// One golden dataset for the whole grid: population runs once and
-		// every replication attaches a copy-on-write view, which is what
-		// keeps these sweep benchmarks dominated by simulation instead of
-		// dataset rebuilds.
-		SharedDatasets: true,
 	}
 }
 

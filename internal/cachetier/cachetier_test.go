@@ -224,10 +224,10 @@ func TestStoreResetKeepsStats(t *testing.T) {
 func FuzzCacheSpecRoundTrip(f *testing.F) {
 	seeds := []string{
 		`{}`,
-		`{"max_entries":128,"max_mb":8,"ttl_seconds":15}`,
-		`{"leases":true,"lease_timeout_millis":100}`,
-		`{"max_entries":-1}`,
-		`{"ttl_seconds":1e300}`,
+		`{"MaxEntries":128,"MaxMB":8,"TTLSeconds":15}`,
+		`{"Leases":true,"LeaseTimeoutMillis":100}`,
+		`{"MaxEntries":-1}`,
+		`{"TTLSeconds":1e300}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -265,9 +265,9 @@ func FuzzCacheSpecRoundTrip(f *testing.F) {
 func FuzzQueueSpecRoundTrip(f *testing.F) {
 	seeds := []string{
 		`{}`,
-		`{"max_depth":64,"batch_size":8,"drain_every_millis":50}`,
-		`{"max_depth":4,"batch_size":8}`,
-		`{"drain_every_millis":-5}`,
+		`{"MaxDepth":64,"BatchSize":8,"DrainEveryMillis":50}`,
+		`{"MaxDepth":4,"BatchSize":8}`,
+		`{"DrainEveryMillis":-5}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

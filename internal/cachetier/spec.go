@@ -12,18 +12,18 @@ import "fmt"
 // DefaultCacheSpec or WithDefaults.
 type CacheSpec struct {
 	// MaxEntries bounds the number of resident fragments.
-	MaxEntries int `json:"max_entries,omitempty"`
+	MaxEntries int
 	// MaxMB bounds resident fragment bytes (payload, not metadata).
-	MaxMB float64 `json:"max_mb,omitempty"`
+	MaxMB float64
 	// TTLSeconds is each fragment's time-to-live after population.
-	TTLSeconds float64 `json:"ttl_seconds,omitempty"`
+	TTLSeconds float64
 	// Leases enables single-flight fill leases: on a miss, one request
 	// fetches from the DB while followers wait for the fill instead of
 	// stampeding the primary.
-	Leases bool `json:"leases,omitempty"`
+	Leases bool
 	// LeaseTimeoutMillis bounds how long a follower waits on a lease
 	// before falling through to the DB itself.
-	LeaseTimeoutMillis float64 `json:"lease_timeout_millis,omitempty"`
+	LeaseTimeoutMillis float64
 }
 
 // DefaultCacheSpec returns a small web-tier cache: 4096 entries, 64 MB,
@@ -60,16 +60,16 @@ func (s CacheSpec) WithDefaults() CacheSpec {
 func (s *CacheSpec) Validate() error {
 	w := s.WithDefaults()
 	if w.MaxEntries < 1 || w.MaxEntries > 1<<22 {
-		return fmt.Errorf("cachetier: max_entries %d out of range [1, %d]", w.MaxEntries, 1<<22)
+		return fmt.Errorf("cachetier: MaxEntries %d out of range [1, %d]", w.MaxEntries, 1<<22)
 	}
 	if w.MaxMB < 0.001 || w.MaxMB > 4096 {
-		return fmt.Errorf("cachetier: max_mb %g out of range [0.001, 4096]", w.MaxMB)
+		return fmt.Errorf("cachetier: MaxMB %g out of range [0.001, 4096]", w.MaxMB)
 	}
 	if w.TTLSeconds < 0.1 || w.TTLSeconds > 86400 {
-		return fmt.Errorf("cachetier: ttl_seconds %g out of range [0.1, 86400]", w.TTLSeconds)
+		return fmt.Errorf("cachetier: TTLSeconds %g out of range [0.1, 86400]", w.TTLSeconds)
 	}
 	if w.LeaseTimeoutMillis < 1 || w.LeaseTimeoutMillis > 60000 {
-		return fmt.Errorf("cachetier: lease_timeout_millis %g out of range [1, 60000]", w.LeaseTimeoutMillis)
+		return fmt.Errorf("cachetier: LeaseTimeoutMillis %g out of range [1, 60000]", w.LeaseTimeoutMillis)
 	}
 	return nil
 }
@@ -82,12 +82,12 @@ func (s CacheSpec) MaxBytes() float64 { return s.MaxMB * 1e6 }
 type QueueSpec struct {
 	// MaxDepth bounds buffered write interactions; beyond it, web
 	// replicas fall back to synchronous DB writes.
-	MaxDepth int `json:"max_depth,omitempty"`
+	MaxDepth int
 	// BatchSize is the maximum interactions replayed to the DB primary
 	// per drain tick.
-	BatchSize int `json:"batch_size,omitempty"`
+	BatchSize int
 	// DrainEveryMillis is the drain tick period.
-	DrainEveryMillis float64 `json:"drain_every_millis,omitempty"`
+	DrainEveryMillis float64
 }
 
 // DefaultQueueSpec returns a queue sized to absorb multi-second write
@@ -115,13 +115,13 @@ func (s QueueSpec) WithDefaults() QueueSpec {
 func (s *QueueSpec) Validate() error {
 	w := s.WithDefaults()
 	if w.MaxDepth < 1 || w.MaxDepth > 1<<20 {
-		return fmt.Errorf("cachetier: max_depth %d out of range [1, %d]", w.MaxDepth, 1<<20)
+		return fmt.Errorf("cachetier: MaxDepth %d out of range [1, %d]", w.MaxDepth, 1<<20)
 	}
 	if w.BatchSize < 1 || w.BatchSize > w.MaxDepth {
-		return fmt.Errorf("cachetier: batch_size %d out of range [1, max_depth=%d]", w.BatchSize, w.MaxDepth)
+		return fmt.Errorf("cachetier: BatchSize %d out of range [1, MaxDepth=%d]", w.BatchSize, w.MaxDepth)
 	}
 	if w.DrainEveryMillis < 1 || w.DrainEveryMillis > 60000 {
-		return fmt.Errorf("cachetier: drain_every_millis %g out of range [1, 60000]", w.DrainEveryMillis)
+		return fmt.Errorf("cachetier: DrainEveryMillis %g out of range [1, 60000]", w.DrainEveryMillis)
 	}
 	return nil
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"vwchar/internal/experiment"
-	"vwchar/internal/faults"
 	"vwchar/internal/sim"
 	"vwchar/internal/telemetry"
 )
@@ -62,26 +61,6 @@ type downSpan struct {
 	lo, hi sim.Time
 }
 
-// crashDown reports whether k is a crash-type down event; degraded-
-// mode events (slow/lag/delay) are not component losses and do not
-// count toward the blast radius. crashUp maps an up event back to its
-// down kind.
-func crashDown(k faults.Kind) bool {
-	return k == faults.WebDown || k == faults.DBDown || k == faults.MachineDown
-}
-
-func crashUp(k faults.Kind) (faults.Kind, bool) {
-	switch k {
-	case faults.WebUp:
-		return faults.WebDown, true
-	case faults.DBUp:
-		return faults.DBDown, true
-	case faults.MachineUp:
-		return faults.MachineDown, true
-	}
-	return 0, false
-}
-
 // AnalyzeCascade computes the correlated-failure analysis of a run
 // against an SLO in milliseconds. It is meaningful for runs with a
 // fault schedule, correlation, or hazard configured; on a fault-free
@@ -90,13 +69,14 @@ func AnalyzeCascade(r *experiment.Result, sloMillis float64) CascadeAnalysis {
 	a := CascadeAnalysis{SLOMillis: sloMillis, Stabilized: true, ByOrigin: map[string]int{}}
 	horizon := r.Config.Duration
 
-	// Collect outage spans: pair each crash-type down event with its
-	// matching up event per (kind, target); an outage still open at
-	// the horizon closes there.
+	// Collect outage spans: pair each web, db or machine crash's down
+	// event with its matching up event per (kind, target); an outage
+	// still open at the horizon closes there. Degraded modes are not
+	// component losses and do not count toward the blast radius.
 	var spans []downSpan
 	open := map[[2]int]sim.Time{} // (down kind, target) -> down time
 	for _, ev := range r.FaultTimeline {
-		if crashDown(ev.Kind) {
+		if ev.Kind.ClassDown() {
 			key := [2]int{int(ev.Kind), ev.Target}
 			if _, dup := open[key]; !dup {
 				open[key] = ev.At
@@ -107,7 +87,7 @@ func AnalyzeCascade(r *experiment.Result, sloMillis float64) CascadeAnalysis {
 				origin = "base"
 			}
 			a.ByOrigin[origin]++
-		} else if down, ok := crashUp(ev.Kind); ok {
+		} else if down, ok := ev.Kind.ClassUp(); ok {
 			key := [2]int{int(down), ev.Target}
 			if at, ok := open[key]; ok {
 				spans = append(spans, downSpan{at, ev.At})

@@ -162,15 +162,10 @@ func buildVMInstance(k *sim.Kernel, hvs []*xen.Hypervisor, topo tiers.Topology, 
 	inst.cluster = tiers.NewWebCluster(k, webs, topo.WebReplicas, tiers.NewLoadBalancer(topo.LB))
 
 	// Aux tiers append strictly after the classic guests, so with nil
-	// specs the assembly stays on the golden sequence. Without an
-	// explicit placement the aux VMs round-robin onto the machines after
-	// the classic ones; an explicit placement vector does not cover
-	// them, so they co-locate with the DB primary (the tier they shield).
+	// specs the assembly stays on the golden sequence. The aux VMs
+	// round-robin onto the machines after the classic ones.
 	auxGuest := func(i int, name string) (*xen.Hypervisor, *xen.Domain) {
-		m := (topo.VMCount() + i) % topo.Machines
-		if len(topo.Placement) > 0 {
-			m = topo.MachineFor(primaryVM)
-		}
+		m := topo.MachineFor(topo.VMCount() + i)
 		dom := hvs[m].CreateGuest(fmt.Sprintf("%s-vm-%d", name, pair), 2, 2<<30, 256)
 		dom.Mem.Set("kernel", 30e6)
 		return hvs[m], dom
@@ -332,7 +327,7 @@ func kernelCounters(os *osmodel.OS) sysstat.Snapshot {
 		CtxSwitches: os.CtxSwitches, Interrupts: os.Interrupts,
 		Forks: os.Forks, Faults: os.Faults, MajFaults: os.MajFaults,
 		PgInBytes: os.PgInBytes, PgOutBytes: os.PgOutBytes,
-		Procs: os.Procs, RunQueue: os.RunQueue, Blocked: os.Blocked, OpenFds: os.OpenFds,
+		Procs: os.Procs, RunQueue: os.RunQueue, OpenFds: os.OpenFds,
 		Load1: l1, Load5: l5, Load15: l15,
 	}
 }

@@ -99,11 +99,10 @@ type Config struct {
 	// DatasetSeed, when non-zero, pins the dataset-population seed
 	// instead of deriving it from Seed. Runs sharing a DatasetSeed (and
 	// Dataset scale) populate one immutable golden snapshot and attach
-	// copy-on-write views, so replications skip population entirely; see
-	// runner.SweepSpec.SharedDatasets. Zero keeps the historical
-	// per-run derivation: each run populates its own dataset, owns it,
-	// and recycles its pages when it ends.
-	DatasetSeed uint64 `json:",omitempty"`
+	// copy-on-write views, so replications skip population entirely.
+	// Zero keeps the historical per-run derivation: each run populates
+	// its own dataset, owns it, and recycles its pages when it ends.
+	DatasetSeed uint64
 	// KeepFullCatalog records all 182 metrics per target, not just the
 	// headline figure series.
 	KeepFullCatalog bool
@@ -201,15 +200,15 @@ type ScalingStats struct {
 // always holds (InFlight is demand still in the pipe when the run
 // ended).
 type RequestStats struct {
-	Issued   uint64 `json:"issued"`
-	Served   uint64 `json:"served"`
-	TimedOut uint64 `json:"timed_out"`
-	Shed     uint64 `json:"shed"`
-	Failed   uint64 `json:"failed"`
+	Issued   uint64
+	Served   uint64
+	TimedOut uint64
+	Shed     uint64
+	Failed   uint64
 	// Degraded counts requests deliberately answered degraded by the
 	// overload controller (brownout drops and over-bound fast-fails).
-	Degraded uint64 `json:"degraded"`
-	InFlight uint64 `json:"in_flight"`
+	Degraded uint64
+	InFlight uint64
 }
 
 // Availability is served over concluded demand, served / (issued -
@@ -363,12 +362,12 @@ type Result struct {
 // InteractionLatency is one RUBiS interaction kind's run-level latency
 // and cache accounting.
 type InteractionLatency struct {
-	Kind        string  `json:"kind"`
-	Count       uint64  `json:"count"`
-	MeanMs      float64 `json:"mean_ms"`
-	P95Ms       float64 `json:"p95_ms"`
-	CacheHits   uint64  `json:"cache_hits"`
-	CacheMisses uint64  `json:"cache_misses"`
+	Kind        string
+	Count       uint64
+	MeanMs      float64
+	P95Ms       float64
+	CacheHits   uint64
+	CacheMisses uint64
 }
 
 // Resource returns tier's headline series for res: per-2s CPU cycles,

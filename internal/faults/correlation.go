@@ -19,14 +19,14 @@ type Correlation struct {
 	// Groups are shared-fate machine groups: one crash draw fells every
 	// member machine together (a rack loss; every VM placed on a member
 	// goes down at the same instant).
-	Groups []SharedFateGroup `json:"groups,omitempty"`
+	Groups []SharedFateGroup
 	// Storms are modulated cluster-wide crash processes whose intensity
 	// follows a configurable profile (e.g. the diurnal peak), expanded
 	// via thinning.
-	Storms []Storm `json:"storms,omitempty"`
+	Storms []Storm
 	// Triggers are conditional hazards: a component's MTTF shrinks to
 	// the trigger's MTTF while another component is down.
-	Triggers []Trigger `json:"triggers,omitempty"`
+	Triggers []Trigger
 }
 
 // SharedFateGroup names a set of machines that fail together. The
@@ -34,11 +34,11 @@ type Correlation struct {
 // MTTFSeconds, one-shot via AtSeconds); every member machine emits a
 // MachineDown at the identical instant and recovers together.
 type SharedFateGroup struct {
-	Name        string  `json:"name"`
-	Machines    []int   `json:"machines"`
-	MTTFSeconds float64 `json:"mttf_seconds,omitempty"`
-	MTTRSeconds float64 `json:"mttr_seconds,omitempty"`
-	AtSeconds   float64 `json:"at_seconds,omitempty"`
+	Name        string
+	Machines    []int
+	MTTFSeconds float64
+	MTTRSeconds float64
+	AtSeconds   float64
 }
 
 // Storm profile names.
@@ -57,26 +57,26 @@ const (
 // named substream and accepted with probability rate(t)/peak, so the
 // draw sequence is self-contained per storm.
 type Storm struct {
-	Name string `json:"name"`
+	Name string
 	// Component selects the victim class: "web_crash", "db_crash", or
 	// "machine_crash".
-	Component string `json:"component"`
+	Component string
 	// RatePerHour is the baseline storm intensity (occurrences/hour).
-	RatePerHour float64 `json:"rate_per_hour"`
+	RatePerHour float64
 	// Profile is ProfileFlat (default) or ProfileDiurnal.
-	Profile string `json:"profile,omitempty"`
+	Profile string
 	// PeriodSeconds is the diurnal period (default 86400).
-	PeriodSeconds float64 `json:"period_seconds,omitempty"`
+	PeriodSeconds float64
 	// PeakSeconds is when the diurnal intensity peaks (default
 	// PeriodSeconds/2).
-	PeakSeconds float64 `json:"peak_seconds,omitempty"`
+	PeakSeconds float64
 	// PeakFactor is the peak/baseline intensity ratio (default 3).
-	PeakFactor float64 `json:"peak_factor,omitempty"`
+	PeakFactor float64
 	// MTTRSeconds is the mean (exponential) repair time per occurrence;
 	// <= 0 makes storm losses permanent.
-	MTTRSeconds float64 `json:"mttr_seconds,omitempty"`
+	MTTRSeconds float64
 	// Targets restricts victims; empty means the whole class.
-	Targets []int `json:"targets,omitempty"`
+	Targets []int
 }
 
 // Trigger condition/component classes.
@@ -93,20 +93,20 @@ const (
 // intervals), modeling e.g. a replica whose overload-failure odds jump
 // while its peer is out.
 type Trigger struct {
-	Name string `json:"name"`
+	Name string
 	// While and WhileTarget name the condition: "web", "db", or
 	// "machine" instance whose down intervals arm the trigger.
-	While       string `json:"while"`
-	WhileTarget int    `json:"while_target"`
+	While       string
+	WhileTarget int
 	// Component is the victim class ("web_crash", "db_crash",
 	// "machine_crash").
-	Component string `json:"component"`
+	Component string
 	// Targets restricts victims; empty means the whole class.
-	Targets []int `json:"targets,omitempty"`
+	Targets []int
 	// MTTFSeconds is the conditional mean time to failure while armed.
-	MTTFSeconds float64 `json:"mttf_seconds"`
+	MTTFSeconds float64
 	// MTTRSeconds is the mean (exponential) repair time; <= 0 permanent.
-	MTTRSeconds float64 `json:"mttr_seconds,omitempty"`
+	MTTRSeconds float64
 }
 
 // Empty reports whether the correlation adds no events.
@@ -123,28 +123,15 @@ const minMTTF = 1e-3
 // (peak rate included: RatePerHour * PeakFactor must stay under it).
 const maxStormRatePerHour = 3600 * 100
 
-func crashKinds(component string) (down, up Kind, ok bool) {
-	switch component {
-	case "web_crash":
-		return WebDown, WebUp, true
-	case "db_crash":
-		return DBDown, DBUp, true
-	case "machine_crash":
-		return MachineDown, MachineUp, true
-	}
-	return 0, 0, false
+// crashComponent returns the web, db or machine crash named component,
+// the victims of a storm or trigger; crashClass returns the one whose
+// class is a trigger's While. Both return nil for any other value.
+func crashComponent(component string) *componentDef {
+	return crash(func(d *componentDef) bool { return d.name == component })
 }
 
-func classKinds(class string) (down, up Kind, ok bool) {
-	switch class {
-	case ClassWeb:
-		return WebDown, WebUp, true
-	case ClassDB:
-		return DBDown, DBUp, true
-	case ClassMachine:
-		return MachineDown, MachineUp, true
-	}
-	return 0, 0, false
+func crashClass(class string) *componentDef {
+	return crash(func(d *componentDef) bool { return d.class == class })
 }
 
 // Validate checks the correlation config. Like Schedule.Validate it
@@ -182,10 +169,10 @@ func (c *Correlation) Validate() error {
 			return fmt.Errorf("faults: group %q: negative mttf/mttr/at", g.Name)
 		}
 		if g.MTTFSeconds == 0 && g.AtSeconds == 0 {
-			return fmt.Errorf("faults: group %q: need mttf_seconds > 0 or at_seconds > 0", g.Name)
+			return fmt.Errorf("faults: group %q: need MTTFSeconds > 0 or AtSeconds > 0", g.Name)
 		}
 		if g.MTTFSeconds > 0 && g.MTTFSeconds < minMTTF {
-			return fmt.Errorf("faults: group %q: mttf_seconds below %g", g.Name, minMTTF)
+			return fmt.Errorf("faults: group %q: MTTFSeconds below %g", g.Name, minMTTF)
 		}
 	}
 	for i := range c.Storms {
@@ -193,11 +180,11 @@ func (c *Correlation) Validate() error {
 		if err := unique("storm", s.Name); err != nil {
 			return err
 		}
-		if _, _, ok := crashKinds(s.Component); !ok {
-			return fmt.Errorf("faults: storm %q: component must be web_crash, db_crash, or machine_crash, got %q", s.Name, s.Component)
+		if crashComponent(s.Component) == nil {
+			return fmt.Errorf("faults: storm %q: Component must be one of %s, got %q", s.Name, crashNames(false), s.Component)
 		}
 		if s.RatePerHour <= 0 {
-			return fmt.Errorf("faults: storm %q: rate_per_hour must be > 0", s.Name)
+			return fmt.Errorf("faults: storm %q: RatePerHour must be > 0", s.Name)
 		}
 		switch s.Profile {
 		case "", ProfileFlat, ProfileDiurnal:
@@ -208,7 +195,7 @@ func (c *Correlation) Validate() error {
 			return fmt.Errorf("faults: storm %q: negative period/peak/mttr", s.Name)
 		}
 		if s.PeakFactor != 0 && s.PeakFactor < 1 {
-			return fmt.Errorf("faults: storm %q: peak_factor must be >= 1", s.Name)
+			return fmt.Errorf("faults: storm %q: PeakFactor must be >= 1", s.Name)
 		}
 		if s.RatePerHour*s.peakFactor() > maxStormRatePerHour {
 			return fmt.Errorf("faults: storm %q: peak rate %g/h above cap %g/h", s.Name, s.RatePerHour*s.peakFactor(), float64(maxStormRatePerHour))
@@ -224,20 +211,20 @@ func (c *Correlation) Validate() error {
 		if err := unique("trigger", t.Name); err != nil {
 			return err
 		}
-		if _, _, ok := classKinds(t.While); !ok {
-			return fmt.Errorf("faults: trigger %q: while must be web, db, or machine, got %q", t.Name, t.While)
+		if crashClass(t.While) == nil {
+			return fmt.Errorf("faults: trigger %q: While must be one of %s, got %q", t.Name, crashNames(true), t.While)
 		}
 		if t.WhileTarget < 0 {
-			return fmt.Errorf("faults: trigger %q: negative while_target", t.Name)
+			return fmt.Errorf("faults: trigger %q: negative WhileTarget", t.Name)
 		}
-		if _, _, ok := crashKinds(t.Component); !ok {
-			return fmt.Errorf("faults: trigger %q: component must be web_crash, db_crash, or machine_crash, got %q", t.Name, t.Component)
+		if crashComponent(t.Component) == nil {
+			return fmt.Errorf("faults: trigger %q: Component must be one of %s, got %q", t.Name, crashNames(false), t.Component)
 		}
 		if t.MTTFSeconds < minMTTF {
-			return fmt.Errorf("faults: trigger %q: mttf_seconds must be >= %g", t.Name, minMTTF)
+			return fmt.Errorf("faults: trigger %q: MTTFSeconds must be >= %g", t.Name, minMTTF)
 		}
 		if t.MTTRSeconds < 0 {
-			return fmt.Errorf("faults: trigger %q: negative mttr_seconds", t.Name)
+			return fmt.Errorf("faults: trigger %q: negative MTTRSeconds", t.Name)
 		}
 		for _, tg := range t.Targets {
 			if tg < 0 {
@@ -357,11 +344,11 @@ func drawOutages(mttf, mttr, at float64, duration sim.Time, st *rng.Stream) []ou
 func (c *Correlation) expandStorms(events []Event, duration sim.Time, tg Targets, src *rng.Source) []Event {
 	for i := range c.Storms {
 		s := &c.Storms[i]
-		down, up, ok := crashKinds(s.Component)
-		if !ok {
+		d := crashComponent(s.Component)
+		if d == nil {
 			continue
 		}
-		n := tg.count(down)
+		n := d.count(tg)
 		victims := orAll(s.Targets, n)
 		// Keep the draw sequence fixed even when every named target is
 		// out of range for this topology: candidates and accept/victim
@@ -387,9 +374,9 @@ func (c *Correlation) expandStorms(events []Event, duration sim.Time, tg Targets
 			if !accept || v < 0 || v >= n {
 				continue
 			}
-			events = append(events, Event{At: at, Kind: down, Target: v, Origin: s.Name})
+			events = append(events, Event{At: at, Kind: d.down, Target: v, Origin: s.Name})
 			if s.MTTRSeconds > 0 && rec < duration {
-				events = append(events, Event{At: rec, Kind: up, Target: v, Origin: s.Name})
+				events = append(events, Event{At: rec, Kind: d.up, Target: v, Origin: s.Name})
 			}
 		}
 	}
@@ -447,16 +434,12 @@ func (c *Correlation) expandTriggers(events []Event, duration sim.Time, tg Targe
 	base := events // condition intervals come from the pre-trigger timeline
 	for i := range c.Triggers {
 		tr := &c.Triggers[i]
-		condDown, condUp, ok := classKinds(tr.While)
-		if !ok {
+		cond, d := crashClass(tr.While), crashComponent(tr.Component)
+		if cond == nil || d == nil {
 			continue
 		}
-		down, up, ok := crashKinds(tr.Component)
-		if !ok {
-			continue
-		}
-		n := tg.count(down)
-		armed := downIntervals(base, condDown, condUp, tr.WhileTarget, duration)
+		n := d.count(tg)
+		armed := downIntervals(base, cond.down, cond.up, tr.WhileTarget, duration)
 		for _, v := range orAll(tr.Targets, n) {
 			st := src.Stream(fmt.Sprintf("faults-trigger-%s-%d", tr.Name, v))
 			t := 0.0
@@ -475,9 +458,9 @@ func (c *Correlation) expandTriggers(events []Event, duration sim.Time, tg Targe
 				if !inIntervals(at, armed) || v < 0 || v >= n {
 					continue
 				}
-				events = append(events, Event{At: at, Kind: down, Target: v, Origin: tr.Name})
+				events = append(events, Event{At: at, Kind: d.down, Target: v, Origin: tr.Name})
 				if tr.MTTRSeconds > 0 && rec < duration {
-					events = append(events, Event{At: rec, Kind: up, Target: v, Origin: tr.Name})
+					events = append(events, Event{At: rec, Kind: d.up, Target: v, Origin: tr.Name})
 				}
 			}
 		}

@@ -1,18 +1,19 @@
 // Package faults provides seed-deterministic fault injection for the
-// simulated cluster: a validated, JSON round-trippable schedule of
-// crash/restart and degraded-mode events, expanded into a concrete
-// timeline from named rng substreams so a fixed seed yields a
-// byte-identical fault sequence at any worker count.
+// simulated cluster: a validated schedule of crash/restart and
+// degraded-mode events, expanded into a concrete timeline from named
+// rng substreams so a fixed seed yields a byte-identical fault
+// sequence at any worker count.
 //
 // The package deliberately knows nothing about tiers: it produces a
 // sorted []Event that internal/tiers applies to live servers. The
 // reaction side (timeouts, retries, failover, breakers) is configured
 // here too, via ResilienceSpec, so both halves of the robustness story
-// ride on experiment.Config and round-trip through JSON.
+// ride on experiment.Config.
 package faults
 
 import (
 	"fmt"
+	"strings"
 
 	"vwchar/internal/rng"
 	"vwchar/internal/sim"
@@ -37,11 +38,11 @@ import (
 // SlowNode (> 1), added replica lag in seconds for LagSpike, added
 // cross-machine path delay in seconds for PathDelay.
 type Component struct {
-	MTTFSeconds float64 `json:"mttf_seconds,omitempty"`
-	MTTRSeconds float64 `json:"mttr_seconds,omitempty"`
-	AtSeconds   float64 `json:"at_seconds,omitempty"`
-	Targets     []int   `json:"targets,omitempty"`
-	Value       float64 `json:"value,omitempty"`
+	MTTFSeconds float64
+	MTTRSeconds float64
+	AtSeconds   float64
+	Targets     []int
+	Value       float64
 }
 
 // Schedule is the full fault configuration carried by
@@ -49,64 +50,143 @@ type Component struct {
 // nothing. The schedule is expanded deterministically by Expand.
 type Schedule struct {
 	// WebCrash crashes and restarts web replicas.
-	WebCrash *Component `json:"web_crash,omitempty"`
+	WebCrash *Component
 	// DBCrash crashes and restarts DB instances (target 0 is the
 	// primary; 1..R are read replicas).
-	DBCrash *Component `json:"db_crash,omitempty"`
+	DBCrash *Component
 	// MachineCrash takes down whole machines: every VM placed on the
 	// target machine crashes and recovers together.
-	MachineCrash *Component `json:"machine_crash,omitempty"`
+	MachineCrash *Component
 	// SlowNode multiplies CPU service demand on the target machine's
 	// co-placed servers by Value ("limpware"; Value > 1).
-	SlowNode *Component `json:"slow_node,omitempty"`
+	SlowNode *Component
 	// LagSpike adds Value seconds to the DB replication lag while
 	// active (single global target).
-	LagSpike *Component `json:"lag_spike,omitempty"`
+	LagSpike *Component
 	// PathDelay adds Value seconds to every cross-machine transfer
 	// while active (single global target).
-	PathDelay *Component `json:"path_delay,omitempty"`
+	PathDelay *Component
 	// Correlation layers coupled failure modes (shared-fate groups,
 	// storms, conditional triggers) on top of the independent
 	// components above; nil adds nothing.
-	Correlation *Correlation `json:"correlation,omitempty"`
+	Correlation *Correlation
 	// Hazard couples crashes to load at run time: a per-window crash
 	// probability for overloaded web replicas, drawn in-run from a
 	// dedicated substream (it cannot be pre-expanded); nil disables.
-	Hazard *HazardSpec `json:"hazard,omitempty"`
+	Hazard *HazardSpec
 	// CacheCrash crashes and restarts the cache node (a restart is a
 	// cold cache); QueueCrash crashes and restarts the write-behind
 	// queue node (the journaled backlog survives, so recovery shows a
 	// lag spike). Both are single-instance tiers: target 0.
-	CacheCrash *Component `json:"cache_crash,omitempty"`
-	QueueCrash *Component `json:"queue_crash,omitempty"`
+	CacheCrash *Component
+	QueueCrash *Component
+}
+
+// componentDef is one row of the components table: what validation,
+// expansion and the correlation layer know of one Schedule component.
+type componentDef struct {
+	// name labels the component's substreams ("faults-<name>-<target>")
+	// and is the value of Storm.Component and Trigger.Component.
+	name string
+	// class is the Trigger.While value of the web, db and machine
+	// crashes, the classes storms and triggers strike; "" otherwise.
+	class string
+	// down and up are the kinds of the component's start and end events.
+	down, up Kind
+	// Start events of a valued component carry Component.Value, which
+	// must exceed minValue.
+	valued   bool
+	minValue float64
+	// of reads the component from a schedule; count is how many
+	// instances it can target.
+	of    func(*Schedule) *Component
+	count func(Targets) int
+}
+
+// components lists the Schedule's components once, in field order.
+var components = [...]componentDef{
+	{name: "web_crash", class: ClassWeb, down: WebDown, up: WebUp,
+		of:    func(s *Schedule) *Component { return s.WebCrash },
+		count: func(tg Targets) int { return tg.Webs }},
+	{name: "db_crash", class: ClassDB, down: DBDown, up: DBUp,
+		of:    func(s *Schedule) *Component { return s.DBCrash },
+		count: func(tg Targets) int { return tg.DBs }},
+	{name: "machine_crash", class: ClassMachine, down: MachineDown, up: MachineUp,
+		of:    func(s *Schedule) *Component { return s.MachineCrash },
+		count: func(tg Targets) int { return tg.Machines }},
+	{name: "slow_node", down: SlowStart, up: SlowEnd, valued: true, minValue: 1,
+		of:    func(s *Schedule) *Component { return s.SlowNode },
+		count: func(tg Targets) int { return tg.Machines }},
+	{name: "lag_spike", down: LagStart, up: LagEnd, valued: true,
+		of:    func(s *Schedule) *Component { return s.LagSpike },
+		count: func(Targets) int { return 1 }},
+	{name: "path_delay", down: DelayStart, up: DelayEnd, valued: true,
+		of:    func(s *Schedule) *Component { return s.PathDelay },
+		count: func(Targets) int { return 1 }},
+	{name: "cache_crash", down: CacheDown, up: CacheUp,
+		of:    func(s *Schedule) *Component { return s.CacheCrash },
+		count: func(tg Targets) int { return tg.Caches }},
+	{name: "queue_crash", down: QueueDown, up: QueueUp,
+		of:    func(s *Schedule) *Component { return s.QueueCrash },
+		count: func(tg Targets) int { return tg.Queues }},
+}
+
+// crash returns the web, db or machine crash that match selects, or nil.
+func crash(match func(*componentDef) bool) *componentDef {
+	for i := range components {
+		if d := &components[i]; d.class != "" && match(d) {
+			return d
+		}
+	}
+	return nil
+}
+
+// crashNames lists the web, db and machine crashes by name, or by class,
+// for error messages.
+func crashNames(byClass bool) string {
+	var names []string
+	for _, d := range components {
+		switch {
+		case d.class == "":
+		case byClass:
+			names = append(names, d.class)
+		default:
+			names = append(names, d.name)
+		}
+	}
+	return strings.Join(names, ", ")
 }
 
 // Empty reports whether the schedule injects no faults at all.
 func (s *Schedule) Empty() bool {
-	return s == nil || (s.WebCrash == nil && s.DBCrash == nil &&
-		s.MachineCrash == nil && s.SlowNode == nil &&
-		s.LagSpike == nil && s.PathDelay == nil &&
-		s.CacheCrash == nil && s.QueueCrash == nil &&
-		s.Correlation.Empty() && s.Hazard == nil)
+	if s == nil {
+		return true
+	}
+	for _, d := range components {
+		if d.of(s) != nil {
+			return false
+		}
+	}
+	return s.Correlation.Empty() && s.Hazard == nil
 }
 
-func (c *Component) validate(name string, needValue bool, minValue float64) error {
+func (c *Component) validate(d *componentDef) error {
 	if c.MTTFSeconds < 0 || c.MTTRSeconds < 0 || c.AtSeconds < 0 {
-		return fmt.Errorf("faults: %s: negative mttf/mttr/at", name)
+		return fmt.Errorf("faults: %s: negative mttf/mttr/at", d.name)
 	}
 	if c.MTTFSeconds == 0 && c.AtSeconds == 0 {
-		return fmt.Errorf("faults: %s: need mttf_seconds > 0 (recurring) or at_seconds > 0 (one-shot)", name)
+		return fmt.Errorf("faults: %s: need MTTFSeconds > 0 (recurring) or AtSeconds > 0 (one-shot)", d.name)
 	}
 	if c.MTTFSeconds > 0 && c.MTTFSeconds < minMTTF {
-		return fmt.Errorf("faults: %s: mttf_seconds below %g would explode the timeline", name, minMTTF)
+		return fmt.Errorf("faults: %s: MTTFSeconds below %g would explode the timeline", d.name, minMTTF)
 	}
 	for _, t := range c.Targets {
 		if t < 0 {
-			return fmt.Errorf("faults: %s: negative target index %d", name, t)
+			return fmt.Errorf("faults: %s: negative target index %d", d.name, t)
 		}
 	}
-	if needValue && c.Value <= minValue {
-		return fmt.Errorf("faults: %s: value must be > %g, got %g", name, minValue, c.Value)
+	if d.valued && c.Value <= d.minValue {
+		return fmt.Errorf("faults: %s: Value must be > %g, got %g", d.name, d.minValue, c.Value)
 	}
 	return nil
 }
@@ -119,27 +199,12 @@ func (s *Schedule) Validate() error {
 	if s == nil {
 		return nil
 	}
-	type entry struct {
-		c         *Component
-		name      string
-		needValue bool
-		minValue  float64
-	}
-	for _, e := range []entry{
-		{s.WebCrash, "web_crash", false, 0},
-		{s.DBCrash, "db_crash", false, 0},
-		{s.MachineCrash, "machine_crash", false, 0},
-		{s.SlowNode, "slow_node", true, 1},
-		{s.LagSpike, "lag_spike", true, 0},
-		{s.PathDelay, "path_delay", true, 0},
-		{s.CacheCrash, "cache_crash", false, 0},
-		{s.QueueCrash, "queue_crash", false, 0},
-	} {
-		if e.c == nil {
-			continue
-		}
-		if err := e.c.validate(e.name, e.needValue, e.minValue); err != nil {
-			return err
+	for i := range components {
+		d := &components[i]
+		if c := d.of(s); c != nil {
+			if err := c.validate(d); err != nil {
+				return err
+			}
 		}
 	}
 	if err := s.Correlation.Validate(); err != nil {
@@ -189,17 +254,33 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
+// ClassDown reports whether k is the down kind of a web, db or machine
+// crash. Degraded modes and the single-instance cache and queue crashes
+// are not.
+func (k Kind) ClassDown() bool {
+	return crash(func(d *componentDef) bool { return d.down == k }) != nil
+}
+
+// ClassUp reports whether k is the up kind of a web, db or machine
+// crash, and returns the down kind it ends.
+func (k Kind) ClassUp() (down Kind, ok bool) {
+	if d := crash(func(d *componentDef) bool { return d.up == k }); d != nil {
+		return d.down, true
+	}
+	return 0, false
+}
+
 // Event is one entry in the expanded fault timeline.
 type Event struct {
-	At     sim.Time `json:"at"`
-	Kind   Kind     `json:"kind"`
-	Target int      `json:"target"`
+	At     sim.Time
+	Kind   Kind
+	Target int
 	// Value carries the degraded-mode magnitude for Slow/Lag/Delay
 	// start events (same meaning as Component.Value); 0 otherwise.
-	Value float64 `json:"value,omitempty"`
+	Value float64
 	// Origin names the correlation feature (group, storm, or trigger)
 	// that produced the event; empty for base-component events.
-	Origin string `json:"origin,omitempty"`
+	Origin string
 }
 
 // Targets gives the instance counts a schedule expands against.
@@ -211,26 +292,6 @@ type Targets struct {
 	// (single-instance tiers), 0 otherwise.
 	Caches int
 	Queues int
-}
-
-// count reports how many instances a down kind can target; lag spikes
-// and path delays have one.
-func (tg Targets) count(down Kind) int {
-	switch down {
-	case WebDown:
-		return tg.Webs
-	case DBDown:
-		return tg.DBs
-	case MachineDown, SlowStart:
-		return tg.Machines
-	case LagStart, DelayStart:
-		return 1
-	case CacheDown:
-		return tg.Caches
-	case QueueDown:
-		return tg.Queues
-	}
-	return 0
 }
 
 // orAll returns targets, or every instance 0..n-1 when targets is empty.
@@ -255,38 +316,26 @@ func (s *Schedule) Expand(duration sim.Time, tg Targets, src *rng.Source) []Even
 		return nil
 	}
 	var events []Event
-	for _, sp := range []struct {
-		c        *Component
-		name     string
-		down, up Kind
-	}{
-		{s.WebCrash, "web_crash", WebDown, WebUp},
-		{s.DBCrash, "db_crash", DBDown, DBUp},
-		{s.MachineCrash, "machine_crash", MachineDown, MachineUp},
-		{s.SlowNode, "slow_node", SlowStart, SlowEnd},
-		{s.LagSpike, "lag_spike", LagStart, LagEnd},
-		{s.PathDelay, "path_delay", DelayStart, DelayEnd},
-		{s.CacheCrash, "cache_crash", CacheDown, CacheUp},
-		{s.QueueCrash, "queue_crash", QueueDown, QueueUp},
-	} {
-		if sp.c == nil {
+	for i := range components {
+		d := &components[i]
+		c := d.of(s)
+		if c == nil {
 			continue
 		}
 		var value float64
-		switch sp.down {
-		case SlowStart, LagStart, DelayStart:
-			value = sp.c.Value
+		if d.valued {
+			value = c.Value
 		}
-		n := tg.count(sp.down)
-		for _, t := range orAll(sp.c.Targets, n) {
+		n := d.count(tg)
+		for _, t := range orAll(c.Targets, n) {
 			if t < 0 || t >= n {
 				continue // schedule written for a larger topology
 			}
-			st := src.Stream(fmt.Sprintf("faults-%s-%d", sp.name, t))
-			for _, o := range drawOutages(sp.c.MTTFSeconds, sp.c.MTTRSeconds, sp.c.AtSeconds, duration, st) {
-				events = append(events, Event{At: o.down, Kind: sp.down, Target: t, Value: value})
+			st := src.Stream(fmt.Sprintf("faults-%s-%d", d.name, t))
+			for _, o := range drawOutages(c.MTTFSeconds, c.MTTRSeconds, c.AtSeconds, duration, st) {
+				events = append(events, Event{At: o.down, Kind: d.down, Target: t, Value: value})
 				if o.hasUp {
-					events = append(events, Event{At: o.up, Kind: sp.up, Target: t})
+					events = append(events, Event{At: o.up, Kind: d.up, Target: t})
 				}
 			}
 		}

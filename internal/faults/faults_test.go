@@ -189,3 +189,46 @@ func TestCatalog(t *testing.T) {
 		t.Fatal("want error for unknown scenario")
 	}
 }
+
+// TestComponentTableFollowsSchedule checks that the components table
+// reads every *Component field of Schedule exactly once, in field order,
+// and gives every component its own down and up kinds, so a new
+// component plugs in by one row.
+func TestComponentTableFollowsSchedule(t *testing.T) {
+	typ := reflect.TypeOf(Schedule{})
+	row := 0
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Type != reflect.TypeOf(&Component{}) {
+			continue
+		}
+		var s Schedule
+		want := &Component{}
+		reflect.ValueOf(&s).Elem().Field(i).Set(reflect.ValueOf(want))
+		var readers []int
+		for j := range components {
+			if c := components[j].of(&s); c != nil {
+				if c != want {
+					t.Errorf("row %d (%s) returned a component the schedule does not hold", j, components[j].name)
+				}
+				readers = append(readers, j)
+			}
+		}
+		if len(readers) != 1 || readers[0] != row {
+			t.Errorf("field %s is read by rows %v, want row %d alone", f.Name, readers, row)
+		}
+		row++
+	}
+	if row != len(components) {
+		t.Errorf("Schedule has %d component fields, the table %d rows", row, len(components))
+	}
+	kinds := map[Kind]string{}
+	for _, d := range components {
+		for _, k := range []Kind{d.down, d.up} {
+			if other, dup := kinds[k]; dup {
+				t.Errorf("kind %v belongs to both %s and %s", k, other, d.name)
+			}
+			kinds[k] = d.name
+		}
+	}
+}

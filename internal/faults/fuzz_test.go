@@ -20,13 +20,13 @@ import (
 func FuzzScheduleRoundTrip(f *testing.F) {
 	seeds := []string{
 		`{}`,
-		`{"web_crash":{"mttf_seconds":300,"mttr_seconds":30}}`,
-		`{"correlation":{"groups":[{"name":"r0","machines":[0,1],"at_seconds":100,"mttr_seconds":60}]}}`,
-		`{"correlation":{"storms":[{"name":"s","component":"web_crash","rate_per_hour":30,"profile":"diurnal","mttr_seconds":45}]}}`,
-		`{"correlation":{"triggers":[{"name":"t","while":"db","component":"web","mttf_seconds":50,"mttr_seconds":20}]}}`,
-		`{"hazard":{"util_threshold":4,"crash_prob":0.1,"mttr_seconds":60}}`,
-		`{"web_crash":{"mttf_seconds":1e-9}}`,
-		`{"correlation":{"storms":[{"name":"s","component":"web_crash","rate_per_hour":1e18}]}}`,
+		`{"WebCrash":{"MTTFSeconds":300,"MTTRSeconds":30}}`,
+		`{"Correlation":{"Groups":[{"Name":"r0","Machines":[0,1],"AtSeconds":100,"MTTRSeconds":60}]}}`,
+		`{"Correlation":{"Storms":[{"Name":"s","Component":"web_crash","RatePerHour":30,"Profile":"diurnal","MTTRSeconds":45}]}}`,
+		`{"Correlation":{"Triggers":[{"Name":"t","While":"db","Component":"web_crash","MTTFSeconds":50,"MTTRSeconds":20}]}}`,
+		`{"Hazard":{"UtilThreshold":4,"CrashProb":0.1,"MTTRSeconds":60}}`,
+		`{"WebCrash":{"MTTFSeconds":1e-9}}`,
+		`{"Correlation":{"Storms":[{"Name":"s","Component":"web_crash","RatePerHour":1e18}]}}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -78,10 +78,10 @@ func FuzzScheduleRoundTrip(f *testing.F) {
 // or reject) — the timeline-explosion guards live here.
 func FuzzCorrelationValidate(f *testing.F) {
 	seeds := []string{
-		`{"groups":[{"name":"","machines":[]}]}`,
-		`{"storms":[{"name":"s","component":"nope","rate_per_hour":-1}]}`,
-		`{"triggers":[{"name":"t","while":"web","component":"web","mttf_seconds":0}]}`,
-		`{"groups":[{"name":"a","machines":[0]},{"name":"a","machines":[1]}]}`,
+		`{"Groups":[{"Name":"","Machines":[]}]}`,
+		`{"Storms":[{"Name":"s","Component":"nope","RatePerHour":-1}]}`,
+		`{"Triggers":[{"Name":"t","While":"web","Component":"web","MTTFSeconds":0}]}`,
+		`{"Groups":[{"Name":"a","Machines":[0]},{"Name":"a","Machines":[1]}]}`,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

@@ -17,15 +17,15 @@ type HazardSpec struct {
 	// UtilThreshold arms the hazard for a replica whose resident
 	// requests / workers is at or above it (e.g. 1.5 = queue half a
 	// pool deep beyond the in-service requests).
-	UtilThreshold float64 `json:"util_threshold"`
+	UtilThreshold float64
 	// CrashProb is the per-window crash probability while armed, in
 	// (0, 1].
-	CrashProb float64 `json:"crash_prob"`
+	CrashProb float64
 	// MTTRSeconds is the mean (exponential) repair time for hazard
 	// crashes; <= 0 makes them permanent.
-	MTTRSeconds float64 `json:"mttr_seconds,omitempty"`
+	MTTRSeconds float64
 	// MaxCrashes caps total hazard crashes for the run; 0 = unlimited.
-	MaxCrashes int `json:"max_crashes,omitempty"`
+	MaxCrashes int
 }
 
 // Validate checks the hazard spec.
@@ -34,16 +34,16 @@ func (h *HazardSpec) Validate() error {
 		return nil
 	}
 	if h.UtilThreshold <= 0 {
-		return fmt.Errorf("faults: hazard: util_threshold must be > 0")
+		return fmt.Errorf("faults: hazard: UtilThreshold must be > 0")
 	}
 	if h.CrashProb <= 0 || h.CrashProb > 1 {
-		return fmt.Errorf("faults: hazard: crash_prob must be in (0,1], got %g", h.CrashProb)
+		return fmt.Errorf("faults: hazard: CrashProb must be in (0,1], got %g", h.CrashProb)
 	}
 	if h.MTTRSeconds < 0 {
-		return fmt.Errorf("faults: hazard: negative mttr_seconds")
+		return fmt.Errorf("faults: hazard: negative MTTRSeconds")
 	}
 	if h.MaxCrashes < 0 {
-		return fmt.Errorf("faults: hazard: negative max_crashes")
+		return fmt.Errorf("faults: hazard: negative MaxCrashes")
 	}
 	return nil
 }
@@ -66,19 +66,19 @@ type BrownoutSpec struct {
 	// EnterUtil raises the level at a window boundary when mean
 	// utilization (resident requests / workers, averaged over active
 	// replicas) is at or above it.
-	EnterUtil float64 `json:"enter_util"`
+	EnterUtil float64
 	// ExitUtil lowers the level when utilization is at or below it
 	// (default EnterUtil/2).
-	ExitUtil float64 `json:"exit_util,omitempty"`
+	ExitUtil float64
 	// DropFraction of optional reads dropped at level 1 (default 0.5).
-	DropFraction float64 `json:"drop_fraction,omitempty"`
+	DropFraction float64
 	// MaxLevel caps escalation (default 2).
-	MaxLevel int `json:"max_level,omitempty"`
+	MaxLevel int
 	// QueueBound is the per-replica resident-request cap enforced
 	// while degraded (level >= 1): a dispatch that would land on a
 	// replica already holding this many is fast-failed as degraded.
 	// Default 4 x the replica worker pool; < 0 disables the bound.
-	QueueBound int `json:"queue_bound,omitempty"`
+	QueueBound int
 }
 
 // WithDefaults returns a copy with unset knobs filled in.
@@ -101,16 +101,16 @@ func (b *BrownoutSpec) Validate() error {
 		return nil
 	}
 	if b.EnterUtil <= 0 {
-		return fmt.Errorf("faults: brownout: enter_util must be > 0")
+		return fmt.Errorf("faults: brownout: EnterUtil must be > 0")
 	}
 	if b.ExitUtil < 0 || b.ExitUtil > b.EnterUtil {
-		return fmt.Errorf("faults: brownout: exit_util must be in [0, enter_util]")
+		return fmt.Errorf("faults: brownout: ExitUtil must be in [0, EnterUtil]")
 	}
 	if b.DropFraction < 0 || b.DropFraction > 1 {
-		return fmt.Errorf("faults: brownout: drop_fraction must be in [0,1]")
+		return fmt.Errorf("faults: brownout: DropFraction must be in [0,1]")
 	}
 	if b.MaxLevel < 0 {
-		return fmt.Errorf("faults: brownout: negative max_level")
+		return fmt.Errorf("faults: brownout: negative MaxLevel")
 	}
 	return nil
 }

@@ -11,33 +11,33 @@ import "fmt"
 // stays byte-identical to the golden sweep output.
 type ResilienceSpec struct {
 	// TimeoutMillis bounds each dispatch attempt; 0 disables timeouts.
-	TimeoutMillis float64 `json:"timeout_millis,omitempty"`
+	TimeoutMillis float64
 	// Retries is the maximum number of re-dispatches after the first
 	// attempt fails or times out.
-	Retries int `json:"retries,omitempty"`
+	Retries int
 	// BackoffMillis is the base of the exponential backoff before
 	// retry k: backoff * 2^(k-1), plus deterministic jitter drawn from
 	// a named rng substream (up to +50%).
-	BackoffMillis float64 `json:"backoff_millis,omitempty"`
+	BackoffMillis float64
 	// RetryBudget caps total retries at this fraction of issued
 	// requests (e.g. 0.2 = at most 1 retry per 5 requests); values
 	// above 1 deliberately allow retry storms for experiments.
-	RetryBudget float64 `json:"retry_budget,omitempty"`
+	RetryBudget float64
 	// HealthEverySeconds is the health-check interval for replica
 	// ejection and failover detection.
-	HealthEverySeconds float64 `json:"health_every_seconds,omitempty"`
+	HealthEverySeconds float64
 	// EjectAfterChecks ejects a web replica from the LB rotation after
 	// this many consecutive failed health checks; it is readmitted on
 	// the first healthy check.
-	EjectAfterChecks int `json:"eject_after_checks,omitempty"`
+	EjectAfterChecks int
 	// FailoverDetectSeconds is how long the DB primary must be
 	// continuously down before a read replica is promoted.
-	FailoverDetectSeconds float64 `json:"failover_detect_seconds,omitempty"`
+	FailoverDetectSeconds float64
 	// Breaker enables circuit breaking / load shedding; nil disables.
-	Breaker *BreakerSpec `json:"breaker,omitempty"`
+	Breaker *BreakerSpec
 	// Brownout enables the overload controller (graceful degradation
 	// under load); nil disables.
-	Brownout *BrownoutSpec `json:"brownout,omitempty"`
+	Brownout *BrownoutSpec
 }
 
 // BreakerSpec configures the circuit breaker: when the failure
@@ -45,9 +45,9 @@ type ResilienceSpec struct {
 // ErrorThreshold, the breaker opens and dispatches are shed fast-fail
 // for OpenMillis before probing again.
 type BreakerSpec struct {
-	ErrorThreshold float64 `json:"error_threshold"`
-	WindowRequests int     `json:"window_requests,omitempty"`
-	OpenMillis     float64 `json:"open_millis,omitempty"`
+	ErrorThreshold float64
+	WindowRequests int
+	OpenMillis     float64
 }
 
 // WithDefaults returns a copy with unset knobs filled in.
@@ -93,26 +93,26 @@ func (r *ResilienceSpec) Validate() error {
 		return nil
 	}
 	if r.TimeoutMillis < 0 {
-		return fmt.Errorf("faults: resilience: negative timeout_millis")
+		return fmt.Errorf("faults: resilience: negative TimeoutMillis")
 	}
 	if r.Retries < 0 {
 		return fmt.Errorf("faults: resilience: negative retries")
 	}
 	if r.BackoffMillis < 0 || r.RetryBudget < 0 {
-		return fmt.Errorf("faults: resilience: negative backoff_millis or retry_budget")
+		return fmt.Errorf("faults: resilience: negative BackoffMillis or RetryBudget")
 	}
 	if r.HealthEverySeconds < 0 || r.FailoverDetectSeconds < 0 {
 		return fmt.Errorf("faults: resilience: negative health/failover interval")
 	}
 	if r.EjectAfterChecks < 0 {
-		return fmt.Errorf("faults: resilience: negative eject_after_checks")
+		return fmt.Errorf("faults: resilience: negative EjectAfterChecks")
 	}
 	if b := r.Breaker; b != nil {
 		if b.ErrorThreshold <= 0 || b.ErrorThreshold > 1 {
-			return fmt.Errorf("faults: breaker: error_threshold must be in (0,1], got %g", b.ErrorThreshold)
+			return fmt.Errorf("faults: breaker: ErrorThreshold must be in (0,1], got %g", b.ErrorThreshold)
 		}
 		if b.WindowRequests < 0 || b.OpenMillis < 0 {
-			return fmt.Errorf("faults: breaker: negative window_requests or open_millis")
+			return fmt.Errorf("faults: breaker: negative WindowRequests or OpenMillis")
 		}
 	}
 	return r.Brownout.Validate()

@@ -59,54 +59,53 @@ const (
 	DefaultSessionMean = 10.0
 )
 
-// Spec is a JSON round-trippable description of one open-loop workload:
-// the arrival process plus the session-lifecycle parameters. The zero
-// value is not runnable; construct via the catalog or fill Kind and
-// Rate explicitly.
+// Spec describes one open-loop workload: the arrival process plus the
+// session-lifecycle parameters. The zero value is not runnable;
+// construct via the catalog or fill Kind and Rate explicitly.
 type Spec struct {
 	// Kind selects the arrival family.
-	Kind Kind `json:"kind"`
+	Kind Kind
 	// Rate is the base arrival intensity in sessions per second. For
 	// Trace it is an optional multiplier on the trace's rates (0 or 1
 	// replays the trace as recorded).
-	Rate float64 `json:"rate,omitempty"`
+	Rate float64
 
 	// BurstFactor multiplies Rate in the burst state (Bursty; > 1).
-	BurstFactor float64 `json:"burst_factor,omitempty"`
+	BurstFactor float64
 	// BaseDwell and BurstDwell are the mean seconds spent in the base
 	// and burst states (Bursty).
-	BaseDwell  float64 `json:"base_dwell_s,omitempty"`
-	BurstDwell float64 `json:"burst_dwell_s,omitempty"`
+	BaseDwell  float64
+	BurstDwell float64
 
 	// Amplitude is the relative modulation depth in [0,1) and
 	// PeriodSeconds the cycle length (Diurnal).
-	Amplitude     float64 `json:"amplitude,omitempty"`
-	PeriodSeconds float64 `json:"period_s,omitempty"`
+	Amplitude     float64
+	PeriodSeconds float64
 
 	// SpikeAt is when the flash crowd begins (seconds), SpikeRamp the
 	// linear ramp up/down time, SpikeHold the plateau length, and
 	// SpikeFactor the peak multiplier on Rate (Spike).
-	SpikeAt     float64 `json:"spike_at_s,omitempty"`
-	SpikeRamp   float64 `json:"spike_ramp_s,omitempty"`
-	SpikeHold   float64 `json:"spike_hold_s,omitempty"`
-	SpikeFactor float64 `json:"spike_factor,omitempty"`
+	SpikeAt     float64
+	SpikeRamp   float64
+	SpikeHold   float64
+	SpikeFactor float64
 
 	// TracePoints is the inline (time, rate) trace (Trace). Specs are
 	// self-contained values: callers resolve any file into points before
 	// building the spec (see ParseTrace), so replaying a stored config
 	// never touches the filesystem.
-	TracePoints []TracePoint `json:"trace,omitempty"`
+	TracePoints []TracePoint
 
 	// SessionMean is the mean session length in interactions (geometric
 	// distribution on {1,2,...}); 0 means DefaultSessionMean.
-	SessionMean float64 `json:"session_mean,omitempty"`
+	SessionMean float64
 	// AbandonAfterSeconds ends a session when a response takes longer
 	// than this SLO; 0 disables abandonment.
-	AbandonAfterSeconds float64 `json:"abandon_after_s,omitempty"`
+	AbandonAfterSeconds float64
 	// RampSeconds thins arrivals linearly from zero to full intensity
 	// over this window, so runs start desynchronized instead of
 	// slamming an idle system; 0 disables the ramp.
-	RampSeconds float64 `json:"ramp_s,omitempty"`
+	RampSeconds float64
 }
 
 // Validate reports whether the spec describes a runnable workload.
@@ -121,7 +120,7 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("load: %s needs rate > 0", s.Kind)
 		}
 		if s.BurstFactor <= 1 {
-			return fmt.Errorf("load: %s needs burst_factor > 1 (got %v)", s.Kind, s.BurstFactor)
+			return fmt.Errorf("load: %s needs BurstFactor > 1 (got %v)", s.Kind, s.BurstFactor)
 		}
 		if s.BaseDwell <= 0 || s.BurstDwell <= 0 {
 			return fmt.Errorf("load: %s needs positive base and burst dwell times", s.Kind)
@@ -134,14 +133,14 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("load: %s needs amplitude in [0,1) (got %v)", s.Kind, s.Amplitude)
 		}
 		if s.PeriodSeconds <= 0 {
-			return fmt.Errorf("load: %s needs period_s > 0", s.Kind)
+			return fmt.Errorf("load: %s needs PeriodSeconds > 0", s.Kind)
 		}
 	case Spike:
 		if s.Rate <= 0 {
 			return fmt.Errorf("load: %s needs rate > 0", s.Kind)
 		}
 		if s.SpikeFactor <= 1 {
-			return fmt.Errorf("load: %s needs spike_factor > 1 (got %v)", s.Kind, s.SpikeFactor)
+			return fmt.Errorf("load: %s needs SpikeFactor > 1 (got %v)", s.Kind, s.SpikeFactor)
 		}
 		if s.SpikeAt < 0 || s.SpikeRamp < 0 || s.SpikeHold < 0 {
 			return fmt.Errorf("load: %s needs non-negative spike timing", s.Kind)
@@ -160,13 +159,13 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("load: unknown arrival kind %q (want poisson, bursty, diurnal, spike or trace)", s.Kind)
 	}
 	if s.SessionMean < 0 || (s.SessionMean > 0 && s.SessionMean < 1) {
-		return fmt.Errorf("load: session_mean must be >= 1 (got %v)", s.SessionMean)
+		return fmt.Errorf("load: SessionMean must be >= 1 (got %v)", s.SessionMean)
 	}
 	if s.AbandonAfterSeconds < 0 {
-		return fmt.Errorf("load: abandon_after_s must be >= 0")
+		return fmt.Errorf("load: AbandonAfterSeconds must be >= 0")
 	}
 	if s.RampSeconds < 0 {
-		return fmt.Errorf("load: ramp_s must be >= 0")
+		return fmt.Errorf("load: RampSeconds must be >= 0")
 	}
 	return nil
 }

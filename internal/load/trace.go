@@ -16,8 +16,8 @@ import (
 // linearly interpolated; before the first knot the first rate holds,
 // after the last knot the last rate holds.
 type TracePoint struct {
-	TimeSeconds float64 `json:"t"`
-	Rate        float64 `json:"rate"`
+	TimeSeconds float64
+	Rate        float64
 }
 
 // validateTrace checks the invariants interpolation relies on.

@@ -26,7 +26,6 @@ type OS struct {
 	// Instantaneous state.
 	Procs    int
 	RunQueue int
-	Blocked  int
 	OpenFds  int
 
 	load1, load5, load15 float64
@@ -80,7 +79,7 @@ func (o *OS) Tick(dt sim.Time) {
 	if secs <= 0 {
 		return
 	}
-	n := float64(o.RunQueue + o.Blocked)
+	n := float64(o.RunQueue)
 	decay := func(period float64) float64 {
 		// First-order approximation of exp(-secs/period), adequate for
 		// 2 s ticks against 60 s+ periods and cheaper to reason about.

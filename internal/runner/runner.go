@@ -107,15 +107,6 @@ type SweepSpec struct {
 	Workers      int // bounded pool size; default GOMAXPROCS
 	// OnProgress, when non-nil, is invoked after every job completes.
 	OnProgress func(Progress)
-	// SharedDatasets pins one sweep-wide dataset seed (derived from
-	// RootSeed) on every job whose point doesn't set its own
-	// DatasetSeed, so all replications attach copy-on-write views of a
-	// single golden snapshot instead of each populating its own dataset.
-	// Output stays deterministic and worker-count independent, but
-	// differs from the default because replications no longer draw
-	// distinct datasets — which is why the historical per-replication
-	// behaviour (false) remains the default.
-	SharedDatasets bool
 }
 
 // Job is one replication of one point, with its derived seed already
@@ -214,9 +205,6 @@ func (s *SweepSpec) Jobs() []Job {
 		for r := 0; r < reps; r++ {
 			cfg := p.Config
 			cfg.Seed = src.SeedFor(fmt.Sprintf("%s/rep%03d", p.Name, r))
-			if s.SharedDatasets && cfg.DatasetSeed == 0 {
-				cfg.DatasetSeed = src.SeedFor("dataset")
-			}
 			jobs = append(jobs, Job{
 				Index:      len(jobs),
 				PointIndex: pi,

@@ -41,8 +41,8 @@ type Snapshot struct {
 	PgInBytes, PgOutBytes          float64
 
 	// Instantaneous
-	Procs, RunQueue, Blocked, OpenFds, TCPSocks, UDPSocks int
-	Load1, Load5, Load15                                  float64
+	Procs, RunQueue, OpenFds, TCPSocks, UDPSocks int
+	Load1, Load5, Load15                         float64
 }
 
 // Add returns s with every counter and gauge of o summed in, for
@@ -76,7 +76,6 @@ func (s Snapshot) Add(o Snapshot) Snapshot {
 	s.PgOutBytes += o.PgOutBytes
 	s.Procs += o.Procs
 	s.RunQueue += o.RunQueue
-	s.Blocked += o.Blocked
 	s.OpenFds += o.OpenFds
 	s.TCPSocks += o.TCPSocks
 	s.UDPSocks += o.UDPSocks
@@ -313,7 +312,7 @@ func buildCatalog() []Metric {
 	add("ldavg-1", "load", "1-minute load average", gauge(func(s *Snapshot) float64 { return s.Load1 }))
 	add("ldavg-5", "load", "5-minute load average", gauge(func(s *Snapshot) float64 { return s.Load5 }))
 	add("ldavg-15", "load", "15-minute load average", gauge(func(s *Snapshot) float64 { return s.Load15 }))
-	add("blocked", "tasks", "tasks blocked on I/O", gauge(func(s *Snapshot) float64 { return float64(s.Blocked) }))
+	add("blocked", "tasks", "tasks blocked on I/O", constant(0))
 
 	// --- TTY (6): headless servers.
 	for _, m := range []struct{ n, d string }{

@@ -10,12 +10,12 @@ import (
 // on experiment.Result (non-nil whenever brownout was configured).
 type BrownoutStats struct {
 	// DegradedWindows counts telemetry windows spent at level >= 1.
-	DegradedWindows int `json:"degraded_windows"`
+	DegradedWindows int
 	// PeakLevel is the highest degradation level reached.
-	PeakLevel int `json:"peak_level"`
+	PeakLevel int
 	// Dropped counts requests answered degraded: admission drops of
 	// optional reads plus over-bound queue fast-fails.
-	Dropped uint64 `json:"dropped"`
+	Dropped uint64
 }
 
 // Overload is the brownout controller: a degradation level driven by

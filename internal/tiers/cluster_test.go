@@ -44,11 +44,6 @@ func TestTopologyValidate(t *testing.T) {
 		{"unknown lb", func(p *Topology) { p.LB = "random-2" }},
 		{"machines over cap", func(p *Topology) { p.Machines = MaxMachineCap + 1 }},
 		{"negative lag", func(p *Topology) { p.ReplicaLagSeconds = -1 }},
-		{"placement wrong length", func(p *Topology) { p.Placement = []int{0} }},
-		{"placement out of range", func(p *Topology) {
-			// 4 web + primary + 1 read replica = 6 entries.
-			p.Placement = []int{0, 1, 0, 1, 0, 9}
-		}},
 		{"autoscaler without headroom", func(p *Topology) {
 			p.WebReplicas, p.MaxWebReplicas = 2, 2
 			p.Autoscaler = &AutoscalerSpec{SLOMillis: 500}
@@ -74,7 +69,6 @@ func TestTopologyJSONRoundTrip(t *testing.T) {
 		DBReadReplicas:    2,
 		LB:                LBLeastInFlight,
 		Machines:          3,
-		Placement:         []int{0, 1, 2, 0, 1, 2, 0, 1, 2},
 		ReplicaLagSeconds: 0.25,
 		Autoscaler: &AutoscalerSpec{
 			Policy:           AutoscalePredictive,

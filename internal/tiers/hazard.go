@@ -9,14 +9,14 @@ import (
 // HazardCrash is one load-induced crash, logged for the cascade
 // analysis.
 type HazardCrash struct {
-	At      sim.Time `json:"at"`
-	Replica int      `json:"replica"`
+	At      sim.Time
+	Replica int
 	// Util is the replica utilization (resident requests / workers)
 	// that armed the hazard.
-	Util float64 `json:"util"`
+	Util float64
 	// RepairAt is the scheduled restore time; 0 when the crash is
 	// permanent.
-	RepairAt sim.Time `json:"repair_at,omitempty"`
+	RepairAt sim.Time
 }
 
 // HazardStats is the hazard's run accounting, carried on
@@ -24,10 +24,10 @@ type HazardCrash struct {
 // it never fired).
 type HazardStats struct {
 	// Crashes logs every load-induced crash in order.
-	Crashes []HazardCrash `json:"crashes,omitempty"`
+	Crashes []HazardCrash
 	// PeakRate is the largest per-window expected crash count (sum of
 	// armed per-replica probabilities) seen during the run.
-	PeakRate float64 `json:"peak_rate,omitempty"`
+	PeakRate float64
 }
 
 // Hazard is the endogenous load-coupled crash process: at every

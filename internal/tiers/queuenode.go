@@ -48,20 +48,20 @@ type QueuePubResult struct {
 type QueueStats struct {
 	// Published counts accepted writes; Overflows counts writes turned
 	// away (full or down) that fell back to the synchronous chain.
-	Published uint64 `json:"published"`
-	Overflows uint64 `json:"overflows"`
+	Published uint64
+	Overflows uint64
 	// Drained counts writes fully replayed to the DB primary; Batches
 	// counts drain rounds; Redeliveries counts writes replayed more than
 	// once after a crash interrupted their batch (at-least-once).
-	Drained      uint64 `json:"drained"`
-	Batches      uint64 `json:"batches"`
-	Redeliveries uint64 `json:"redeliveries"`
+	Drained      uint64
+	Batches      uint64
+	Redeliveries uint64
 	// PeakDepth is the maximum buffered backlog; FinalDepth is the
 	// backlog at snapshot time; MaxLagMs is the worst enqueue-to-drain
 	// latency observed.
-	PeakDepth  int     `json:"peak_depth"`
-	FinalDepth int     `json:"final_depth"`
-	MaxLagMs   float64 `json:"max_lag_ms"`
+	PeakDepth  int
+	FinalDepth int
+	MaxLagMs   float64
 }
 
 // queueEntry is one buffered write interaction: the DB query chain to

@@ -57,13 +57,13 @@ const (
 // GuardStats counts the guard's interventions.
 type GuardStats struct {
 	// Timeouts counts attempts cut off by the per-call timeout.
-	Timeouts uint64 `json:"timeouts"`
+	Timeouts uint64
 	// Retries counts re-dispatched attempts.
-	Retries uint64 `json:"retries"`
+	Retries uint64
 	// Sheds counts requests fast-failed by the open breaker.
-	Sheds uint64 `json:"sheds"`
+	Sheds uint64
 	// BreakerOpens counts closed->open breaker transitions.
-	BreakerOpens uint64 `json:"breaker_opens"`
+	BreakerOpens uint64
 }
 
 // Guard wraps a Frontend with per-call timeouts, bounded retries
@@ -365,13 +365,13 @@ func (b *breaker) observe(now sim.Time, failed bool) bool {
 // FailoverEvent records one DB primary promotion.
 type FailoverEvent struct {
 	// DetectedAt is when the health monitor first saw the primary down.
-	DetectedAt sim.Time `json:"detected_at"`
+	DetectedAt sim.Time
 	// PromotedAt is when a replica was promoted (detection window
 	// elapsed).
-	PromotedAt sim.Time `json:"promoted_at"`
+	PromotedAt sim.Time
 	// NewPrimary is the promoted replica's pre-promotion routing index
 	// (1..R).
-	NewPrimary int `json:"new_primary"`
+	NewPrimary int
 }
 
 // HealthMonitor periodically probes the cluster: dead web replicas are

@@ -31,9 +31,8 @@ const (
 	AutoscalePredictive = "predictive"
 )
 
-// Bounds on topology size. They exist to catch config typos (a missing
-// placement entry, replicas swapped with clients), not to model real
-// rack limits.
+// Bounds on topology size. They exist to catch config typos (replicas
+// swapped with clients), not to model real rack limits.
 const (
 	MaxWebReplicaCap    = 32
 	MaxDBReadReplicaCap = 8
@@ -45,26 +44,26 @@ const (
 type AutoscalerSpec struct {
 	// Policy selects the scaling rule: "reactive" (default) or
 	// "predictive".
-	Policy string `json:"policy,omitempty"`
+	Policy string
 	// SLOMillis is the per-window p95 response-time objective.
-	SLOMillis float64 `json:"slo_millis"`
+	SLOMillis float64
 	// ScaleUpWindows is how many consecutive violating windows trigger a
 	// scale-up (default 2); ScaleDownWindows how many calm windows
 	// trigger a drain (default 15).
-	ScaleUpWindows   int `json:"scale_up_windows,omitempty"`
-	ScaleDownWindows int `json:"scale_down_windows,omitempty"`
+	ScaleUpWindows   int
+	ScaleDownWindows int
 	// LowFraction marks a window calm when p95 < LowFraction*SLOMillis
 	// (default 0.3).
-	LowFraction float64 `json:"low_fraction,omitempty"`
+	LowFraction float64
 	// CooldownSeconds is the minimum time between scaling operations
 	// (default 30).
-	CooldownSeconds float64 `json:"cooldown_seconds,omitempty"`
+	CooldownSeconds float64
 	// BootSeconds is the provisioning delay between a scale-up decision
 	// and the replica taking traffic (default 20).
-	BootSeconds float64 `json:"boot_seconds,omitempty"`
+	BootSeconds float64
 	// LookaheadWindows is how far the predictive policy projects the p95
 	// trend (default 5; ignored by the reactive policy).
-	LookaheadWindows int `json:"lookahead_windows,omitempty"`
+	LookaheadWindows int
 }
 
 // withDefaults returns a copy with zero-valued knobs resolved.
@@ -101,13 +100,13 @@ func (a *AutoscalerSpec) Validate() error {
 		return fmt.Errorf("autoscaler: unknown policy %q", a.Policy)
 	}
 	if a.SLOMillis <= 0 {
-		return fmt.Errorf("autoscaler: slo_millis must be > 0, got %v", a.SLOMillis)
+		return fmt.Errorf("autoscaler: SLOMillis must be > 0, got %v", a.SLOMillis)
 	}
 	if a.ScaleUpWindows < 0 || a.ScaleDownWindows < 0 || a.LookaheadWindows < 0 {
 		return fmt.Errorf("autoscaler: window counts must be >= 0")
 	}
 	if a.LowFraction < 0 || a.LowFraction >= 1 {
-		return fmt.Errorf("autoscaler: low_fraction must be in [0,1), got %v", a.LowFraction)
+		return fmt.Errorf("autoscaler: LowFraction must be in [0,1), got %v", a.LowFraction)
 	}
 	if a.CooldownSeconds < 0 || a.BootSeconds < 0 {
 		return fmt.Errorf("autoscaler: cooldown/boot seconds must be >= 0")
@@ -122,27 +121,23 @@ func (a *AutoscalerSpec) Validate() error {
 // and runs byte-identical to the pre-topology code path.
 type Topology struct {
 	// WebReplicas is the number of web replicas taking traffic at t=0.
-	WebReplicas int `json:"web_replicas"`
+	WebReplicas int
 	// MaxWebReplicas is the number of web replicas provisioned (booted
 	// VMs the autoscaler may activate); defaults to WebReplicas.
-	MaxWebReplicas int `json:"max_web_replicas,omitempty"`
+	MaxWebReplicas int
 	// DBReadReplicas is the number of DB read replicas behind the
 	// primary. Reads fan out round-robin; writes always hit the primary.
-	DBReadReplicas int `json:"db_read_replicas,omitempty"`
+	DBReadReplicas int
 	// LB selects the dispatch policy (default round-robin).
-	LB LBPolicy `json:"lb,omitempty"`
+	LB LBPolicy
 	// Machines is the number of physical machines guests are placed on.
-	Machines int `json:"machines,omitempty"`
-	// Placement maps VM index -> machine index. VM order: web replicas
-	// 0..MaxWebReplicas-1, then the DB primary, then the read replicas.
-	// Empty means round-robin: vm i -> machine i mod Machines.
-	Placement []int `json:"placement,omitempty"`
+	Machines int
 	// ReplicaLagSeconds is the replication lag window: a session that
 	// wrote within it reads from the primary (read-your-writes).
-	ReplicaLagSeconds float64 `json:"replica_lag_seconds,omitempty"`
+	ReplicaLagSeconds float64
 	// Autoscaler, when set, closes the loop: it watches the telemetry
 	// windows mid-run and activates/drains web replicas.
-	Autoscaler *AutoscalerSpec `json:"autoscaler,omitempty"`
+	Autoscaler *AutoscalerSpec
 }
 
 // Normalized returns a copy with defaults resolved: zero replica and
@@ -175,18 +170,18 @@ func (t Topology) Normalized() Topology {
 // Validate checks the topology (before normalization).
 func (t *Topology) Validate() error {
 	if t.WebReplicas < 0 || t.WebReplicas > MaxWebReplicaCap {
-		return fmt.Errorf("topology: web_replicas %d out of range [0,%d]", t.WebReplicas, MaxWebReplicaCap)
+		return fmt.Errorf("topology: WebReplicas %d out of range [0,%d]", t.WebReplicas, MaxWebReplicaCap)
 	}
 	if t.MaxWebReplicas != 0 {
 		if t.MaxWebReplicas > MaxWebReplicaCap {
-			return fmt.Errorf("topology: max_web_replicas %d exceeds cap %d", t.MaxWebReplicas, MaxWebReplicaCap)
+			return fmt.Errorf("topology: MaxWebReplicas %d exceeds cap %d", t.MaxWebReplicas, MaxWebReplicaCap)
 		}
 		if t.MaxWebReplicas < t.WebReplicas {
-			return fmt.Errorf("topology: max_web_replicas %d < web_replicas %d", t.MaxWebReplicas, t.WebReplicas)
+			return fmt.Errorf("topology: MaxWebReplicas %d < WebReplicas %d", t.MaxWebReplicas, t.WebReplicas)
 		}
 	}
 	if t.DBReadReplicas < 0 || t.DBReadReplicas > MaxDBReadReplicaCap {
-		return fmt.Errorf("topology: db_read_replicas %d out of range [0,%d]", t.DBReadReplicas, MaxDBReadReplicaCap)
+		return fmt.Errorf("topology: DBReadReplicas %d out of range [0,%d]", t.DBReadReplicas, MaxDBReadReplicaCap)
 	}
 	switch t.LB {
 	case "", LBRoundRobin, LBLeastInFlight, LBJoinShortestQueue:
@@ -197,19 +192,7 @@ func (t *Topology) Validate() error {
 		return fmt.Errorf("topology: machines %d out of range [0,%d]", t.Machines, MaxMachineCap)
 	}
 	if t.ReplicaLagSeconds < 0 {
-		return fmt.Errorf("topology: replica_lag_seconds must be >= 0")
-	}
-	if len(t.Placement) > 0 {
-		n := t.Normalized()
-		if len(t.Placement) != n.VMCount() {
-			return fmt.Errorf("topology: placement has %d entries, want %d (max web + primary + read replicas)",
-				len(t.Placement), n.VMCount())
-		}
-		for i, m := range t.Placement {
-			if m < 0 || m >= n.Machines {
-				return fmt.Errorf("topology: placement[%d]=%d outside [0,%d)", i, m, n.Machines)
-			}
-		}
+		return fmt.Errorf("topology: ReplicaLagSeconds must be >= 0")
 	}
 	if t.Autoscaler != nil {
 		if err := t.Autoscaler.Validate(); err != nil {
@@ -218,7 +201,7 @@ func (t *Topology) Validate() error {
 		if t.Autoscaler.SLOMillis > 0 {
 			n := t.Normalized()
 			if n.MaxWebReplicas <= n.WebReplicas {
-				return fmt.Errorf("topology: autoscaler needs max_web_replicas > web_replicas to have headroom")
+				return fmt.Errorf("topology: autoscaler needs MaxWebReplicas > WebReplicas to have headroom")
 			}
 		}
 	}
@@ -240,14 +223,10 @@ func (t Topology) IsDegenerate() bool {
 // replicas.
 func (t Topology) VMCount() int { return t.MaxWebReplicas + 1 + t.DBReadReplicas }
 
-// MachineFor maps a VM index to its machine index under the explicit
-// placement, or round-robin when none is given.
-func (t Topology) MachineFor(vm int) int {
-	if len(t.Placement) > 0 {
-		return t.Placement[vm]
-	}
-	return vm % t.Machines
-}
+// MachineFor maps a VM index to its machine index, round-robin. VM
+// order: web replicas 0..MaxWebReplicas-1, then the DB primary, then
+// the read replicas.
+func (t Topology) MachineFor(vm int) int { return vm % t.Machines }
 
 // ReplicaLag is the replication lag as sim time.
 func (t Topology) ReplicaLag() sim.Time { return sim.Seconds(t.ReplicaLagSeconds) }

@@ -11,9 +11,9 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"math"
-	"sort"
 	"strconv"
+
+	"vwchar/internal/stats"
 )
 
 // Series is a regularly sampled time series.
@@ -87,12 +87,7 @@ func (s *Series) Sum() float64 {
 }
 
 // Mean returns the arithmetic mean, or 0 for an empty series.
-func (s *Series) Mean() float64 {
-	if len(s.Values) == 0 {
-		return 0
-	}
-	return s.Sum() / float64(len(s.Values))
-}
+func (s *Series) Mean() float64 { return stats.Mean(s.Values) }
 
 // Max returns the largest sample, or 0 for an empty series.
 func (s *Series) Max() float64 {
@@ -124,27 +119,7 @@ func (s *Series) Min() float64 {
 
 // Quantile returns the q-quantile (0<=q<=1) using linear interpolation on
 // the sorted samples, or 0 for an empty series.
-func (s *Series) Quantile(q float64) float64 {
-	if len(s.Values) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), s.Values...)
-	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
+func (s *Series) Quantile(q float64) float64 { return stats.Quantile(s.Values, q) }
 
 // WriteCSV writes the series as time,value rows with a header.
 func (s *Series) WriteCSV(w io.Writer) error {

@@ -203,7 +203,7 @@ func FullSweepGrid(mutate func(*Config)) []SweepPoint { return runner.FullGrid(m
 // population; leaving it nil preserves the paper's behaviour byte for
 // byte.
 type (
-	// LoadSpec describes one open-loop workload (JSON round-trippable).
+	// LoadSpec describes one open-loop workload.
 	LoadSpec = load.Spec
 	// LoadKind names an arrival-process family.
 	LoadKind = load.Kind
@@ -272,12 +272,12 @@ func AnalyzeTransient(p95 *Series, cfg TransientConfig) Transient {
 // Cluster topology (internal/tiers): Config.Topology generalizes the
 // paper's fixed web-VM/DB-VM pair into a replicated cluster — N web
 // replicas behind a pluggable load balancer, a DB primary with read
-// replicas (read-your-writes per session), explicit VM-to-machine
+// replicas (read-your-writes per session), round-robin VM-to-machine
 // placement, and an optional telemetry-driven autoscaler that adds and
 // drains web replicas mid-run. A nil or degenerate topology reproduces
 // the paper's assembly byte for byte.
 type (
-	// Topology is the JSON round-trippable cluster description.
+	// Topology is the cluster description.
 	Topology = tiers.Topology
 	// AutoscalerSpec configures the in-loop autoscaler.
 	AutoscalerSpec = tiers.AutoscalerSpec
@@ -321,7 +321,7 @@ func AnalyzeScaling(r *Result, sloMillis float64) ScalingAnalysis {
 // health-check ejection, DB primary failover, and an optional circuit
 // breaker. Both nil reproduces the fault-free runs byte for byte.
 type (
-	// FaultSchedule is the JSON round-trippable fault description.
+	// FaultSchedule is the fault description.
 	FaultSchedule = faults.Schedule
 	// FaultComponent is one fault source (MTTF/MTTR or one-shot).
 	FaultComponent = faults.Component
@@ -417,9 +417,9 @@ func AnalyzeAvailability(r *Result, sloMillis float64) AvailabilityAnalysis {
 // retains the journaled backlog (at-least-once). Both nil reproduces
 // the direct-to-DB serving path byte for byte.
 type (
-	// CacheSpec is the JSON round-trippable cache-tier description.
+	// CacheSpec is the cache-tier description.
 	CacheSpec = cachetier.CacheSpec
-	// QueueSpec is the JSON round-trippable queue-tier description.
+	// QueueSpec is the queue-tier description.
 	QueueSpec = cachetier.QueueSpec
 	// CacheStats is the cache node's per-run accounting.
 	CacheStats = tiers.CacheStats
