@@ -54,20 +54,33 @@ var testOnlyExportExemptions = map[string]string{
 // assertion. Exported methods and fields of the types reachable from
 // package vwchar's exported declarations, through aliases, struct fields
 // and signatures, are public API and exempt.
+//
+// It also fails on any struct field it checks that non-test code reads
+// but never stores into: such a field holds its zero value in every
+// program, so only a test can turn it. A store is a write, ++ or --, a
+// keyed literal's key, any field of an unkeyed literal, and taking the
+// field's address: explicitly (&x.f), by slicing an array field, or by
+// calling a pointer method on it (x.f.M()). A store into a field of a
+// struct or array value stores into the field holding it as well.
 func TestNoTestOnlyExports(t *testing.T) {
 	root, err := filepath.Abs(".")
 	if err != nil {
 		t.Fatal(err)
 	}
 	fset, pkgs := loadNonTestCode(t, root)
-	used := usedObjects(pkgs)
+	used, stored := usedObjects(pkgs)
 	markInterfaceMethods(pkgs, used)
 	api := publicAPITypes(pkgs)
 
 	var unused []string
 	exempted := make(map[string]bool)
 	check := func(key string, obj types.Object) {
-		if used[obj] {
+		var problem string
+		if !used[obj] {
+			problem = "no non-test use"
+		} else if v, ok := obj.(*types.Var); ok && v.IsField() && !stored[obj] {
+			problem = "read but never stored by non-test code"
+		} else {
 			return
 		}
 		if _, ok := testOnlyExportExemptions[key]; ok {
@@ -78,7 +91,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 		if rel, err := filepath.Rel(root, pos.Filename); err == nil {
 			pos.Filename = filepath.ToSlash(rel)
 		}
-		unused = append(unused, key+" ("+pos.String()+")")
+		unused = append(unused, problem+": "+key+" ("+pos.String()+")")
 	}
 	internal := 0
 	for _, p := range pkgs {
@@ -134,7 +147,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 	}
 	sort.Strings(unused)
 	for _, u := range unused {
-		t.Errorf("no non-test use: %s", u)
+		t.Error(u)
 	}
 	// An exemption that no longer matches a test-only export is stale.
 	for key := range testOnlyExportExemptions {
@@ -237,8 +250,9 @@ func origin(obj types.Object) types.Object {
 // usedObjects returns the objects non-test code refers to, outside the
 // object's own declaration: a function's body and a type's declaration
 // and method receivers do not count. A struct field counts only where it
-// is read (see fieldWrites and markWholeReads).
-func usedObjects(pkgs []*checkedPackage) map[types.Object]bool {
+// is read (see fieldWrites and markWholeReads). It returns as well the
+// fields non-test code stores into.
+func usedObjects(pkgs []*checkedPackage) (used, stored map[types.Object]bool) {
 	type span struct{ from, to token.Pos }
 	own := make(map[types.Object][]span)
 	for _, p := range pkgs {
@@ -263,9 +277,10 @@ func usedObjects(pkgs []*checkedPackage) map[types.Object]bool {
 			}
 		}
 	}
-	used := make(map[types.Object]bool)
+	used = make(map[types.Object]bool)
+	stored = make(map[types.Object]bool)
 	for _, p := range pkgs {
-		writes := fieldWrites(p)
+		writes := fieldWrites(p, stored)
 		for id, obj := range p.info.Uses {
 			if writes[id] {
 				continue
@@ -283,7 +298,7 @@ func usedObjects(pkgs []*checkedPackage) map[types.Object]bool {
 		}
 		markWholeReads(p, used)
 	}
-	return used
+	return used, stored
 }
 
 // fieldOf returns the field id refers to, or nil.
@@ -298,14 +313,16 @@ func fieldOf(p *checkedPackage, id *ast.Ident) types.Object {
 // read them: a keyed struct literal's key, the target of an assignment,
 // ++ or --, and a read that only feeds a write of the same field, inside
 // the value stored into it (s.f += o.f) or in the condition of an if
-// statement whose body is that one write (if x.f < v { x.f = v }).
-func fieldWrites(p *checkedPackage) map[*ast.Ident]bool {
+// statement whose body is that one write (if x.f < v { x.f = v }). It
+// adds to stored the fields p stores into (see TestNoTestOnlyExports).
+func fieldWrites(p *checkedPackage, stored map[types.Object]bool) map[*ast.Ident]bool {
 	writes := make(map[*ast.Ident]bool)
-	// target marks the fields an assignment to e stores into: the field
-	// it selects and, while that selection or index is of a struct or
-	// array value, the fields holding the value. A store through a
-	// pointer, slice or map reads the field that holds the reference.
-	target := func(e ast.Expr) map[types.Object]bool {
+	// store marks the fields a store into e, or its address, reaches:
+	// the field it selects and, while that selection or index is of a
+	// struct or array value, the fields holding the value. A store
+	// through a pointer, slice or map reads the field that holds the
+	// reference. With write set, the selections are not reads either.
+	store := func(e ast.Expr, write bool) map[types.Object]bool {
 		fields := make(map[types.Object]bool)
 		for {
 			switch x := ast.Unparen(e).(type) {
@@ -314,8 +331,11 @@ func fieldWrites(p *checkedPackage) map[*ast.Ident]bool {
 				if f == nil {
 					return fields
 				}
-				writes[x.Sel] = true
+				if write {
+					writes[x.Sel] = true
+				}
 				fields[f] = true
+				stored[f] = true
 				e = x.X
 			case *ast.IndexExpr:
 				e = x.X
@@ -343,26 +363,60 @@ func fieldWrites(p *checkedPackage) map[*ast.Ident]bool {
 			switch n := n.(type) {
 			case *ast.AssignStmt:
 				for i, lhs := range n.Lhs {
-					fields := target(lhs)
+					fields := store(lhs, true)
 					if len(n.Lhs) == len(n.Rhs) {
 						feeds(n.Rhs[i], fields)
 					}
 				}
 			case *ast.IncDecStmt:
-				target(n.X)
+				store(n.X, true)
 			case *ast.KeyValueExpr:
 				if id, ok := n.Key.(*ast.Ident); ok {
 					if f := fieldOf(p, id); f != nil {
 						writes[id] = true
+						stored[f] = true
 						feeds(n.Value, map[types.Object]bool{f: true})
 					}
+				}
+			case *ast.CompositeLit:
+				st, ok := p.info.TypeOf(n).Underlying().(*types.Struct)
+				if !ok || len(n.Elts) == 0 {
+					break
+				}
+				if _, keyed := n.Elts[0].(*ast.KeyValueExpr); !keyed {
+					for i := 0; i < st.NumFields(); i++ {
+						stored[origin(st.Field(i))] = true
+					}
+				}
+			case *ast.UnaryExpr:
+				if n.Op == token.AND {
+					store(n.X, false)
+				}
+			case *ast.SliceExpr:
+				if _, ok := p.info.TypeOf(n.X).Underlying().(*types.Array); ok {
+					store(n.X, false)
+				}
+			case *ast.SelectorExpr:
+				// A pointer method of a value takes its address.
+				fn, ok := p.info.Uses[n.Sel].(*types.Func)
+				if !ok {
+					break
+				}
+				recv := fn.Type().(*types.Signature).Recv()
+				if recv == nil {
+					break
+				}
+				_, ptrRecv := recv.Type().(*types.Pointer)
+				_, ptrX := p.info.TypeOf(n.X).Underlying().(*types.Pointer)
+				if ptrRecv && !ptrX {
+					store(n.X, false)
 				}
 			case *ast.IfStmt:
 				if n.Else != nil || len(n.Body.List) != 1 {
 					break
 				}
 				if a, ok := n.Body.List[0].(*ast.AssignStmt); ok && len(a.Lhs) == 1 {
-					feeds(n.Cond, target(a.Lhs[0]))
+					feeds(n.Cond, store(a.Lhs[0], true))
 				}
 			}
 			return true

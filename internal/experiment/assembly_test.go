@@ -270,8 +270,6 @@ func fuzzAssemblyConfig(seed uint64, physical bool, pairs, topo uint8, cache, qu
 	case 3:
 		cfg.Faults = &faults.Schedule{
 			CacheCrash: &faults.Component{AtSeconds: 1, MTTRSeconds: 1},
-			QueueCrash: &faults.Component{AtSeconds: 2, MTTRSeconds: 1},
-			LagSpike:   &faults.Component{AtSeconds: 1, MTTRSeconds: 2, Value: 0.5},
 		}
 	}
 	if flash {
@@ -326,7 +324,7 @@ func requireOneList(t *testing.T, r *Result) {
 // and per-pair accounting is conserved, that the Result reports
 // through one scalar list, that it keeps nothing of its run reachable,
 // and that a second Run is identical. The seed corpus is the seven
-// pinned golden shapes.
+// pinned golden shapes and a cache crash beside a deployed queue.
 func FuzzAssembly(f *testing.F) {
 	for _, in := range []struct {
 		physical         bool
@@ -343,6 +341,7 @@ func FuzzAssembly(f *testing.F) {
 		{topo: 1, cache: true, queue: true},
 		{topo: 3, cache: true, queue: true, flash: true},
 		{topo: 2, cache: true, res: 3, flt: 4, target: 0}, // chaos
+		{topo: 2, cache: true, queue: true, flt: 3},       // cache crash beside the queue
 	} {
 		f.Add(uint64(11), in.physical, in.pairs, in.topo, in.cache, in.queue, in.res, in.flt, in.target, in.flash, uint8(19), uint8(5))
 	}

@@ -559,13 +559,8 @@ func Run(cfg Config) (*Result, error) {
 		if inst.cacheSrv != nil {
 			tg.Caches = 1
 		}
-		if inst.queueSrv != nil {
-			tg.Queues = 1
-		}
 		res.FaultTimeline = cfg.Faults.Expand(cfg.Duration, tg, src)
-		inj := tiers.NewInjector(k, inst.cluster, inst.dbc, topo, res.FaultTimeline)
-		inj.SetAuxTiers(inst.cacheSrv, inst.queueSrv)
-		inj.Start()
+		tiers.NewInjector(k, inst.cluster, inst.dbc, inst.cacheSrv, topo, res.FaultTimeline).Start()
 	}
 
 	// Resilience, the reaction side: the guards wrap the drivers above;

@@ -11,12 +11,12 @@ import (
 
 // Correlation layers coupled failure modes on top of the independent
 // per-(component, target) streams of the base Schedule. All three
-// shapes stay pre-expanded and deterministic: every group, storm, and
-// trigger draws from its own named substream, so adding one never
-// perturbs the base components or each other, and the expansion is
-// identical at any worker count.
+// shapes stay pre-expanded and deterministic: groups draw nothing, and
+// every storm and trigger draws from its own named substream, so adding
+// one never perturbs the base components or each other, and the
+// expansion is identical at any worker count.
 type Correlation struct {
-	// Groups are shared-fate machine groups: one crash draw fells every
+	// Groups are shared-fate machine groups: one crash fells every
 	// member machine together (a rack loss; every VM placed on a member
 	// goes down at the same instant).
 	Groups []SharedFateGroup
@@ -29,14 +29,12 @@ type Correlation struct {
 	Triggers []Trigger
 }
 
-// SharedFateGroup names a set of machines that fail together. The
-// crash process has the same two shapes as Component (recurring via
-// MTTFSeconds, one-shot via AtSeconds); every member machine emits a
-// MachineDown at the identical instant and recovers together.
+// SharedFateGroup names a set of machines that fail together, once: at
+// AtSeconds every member machine emits a MachineDown, and MTTRSeconds
+// later they recover together (never when MTTRSeconds <= 0).
 type SharedFateGroup struct {
 	Name        string
 	Machines    []int
-	MTTFSeconds float64
 	MTTRSeconds float64
 	AtSeconds   float64
 }
@@ -51,8 +49,7 @@ const (
 )
 
 // Storm is a cluster-wide crash process over one component class. Each
-// occurrence picks a victim uniformly from Targets (or the whole
-// class). The nonhomogeneous process is expanded by thinning: candidate
+// occurrence picks a victim uniformly from the whole class. The nonhomogeneous process is expanded by thinning: candidate
 // arrivals are drawn homogeneously at the peak rate from the storm's
 // named substream and accepted with probability rate(t)/peak, so the
 // draw sequence is self-contained per storm.
@@ -75,8 +72,6 @@ type Storm struct {
 	// MTTRSeconds is the mean (exponential) repair time per occurrence;
 	// <= 0 makes storm losses permanent.
 	MTTRSeconds float64
-	// Targets restricts victims; empty means the whole class.
-	Targets []int
 }
 
 // Trigger condition/component classes.
@@ -165,14 +160,11 @@ func (c *Correlation) Validate() error {
 				return fmt.Errorf("faults: group %q: negative machine index %d", g.Name, m)
 			}
 		}
-		if g.MTTFSeconds < 0 || g.MTTRSeconds < 0 || g.AtSeconds < 0 {
-			return fmt.Errorf("faults: group %q: negative mttf/mttr/at", g.Name)
+		if g.MTTRSeconds < 0 {
+			return fmt.Errorf("faults: group %q: negative MTTRSeconds", g.Name)
 		}
-		if g.MTTFSeconds == 0 && g.AtSeconds == 0 {
-			return fmt.Errorf("faults: group %q: need MTTFSeconds > 0 or AtSeconds > 0", g.Name)
-		}
-		if g.MTTFSeconds > 0 && g.MTTFSeconds < minMTTF {
-			return fmt.Errorf("faults: group %q: MTTFSeconds below %g", g.Name, minMTTF)
+		if g.AtSeconds <= 0 {
+			return fmt.Errorf("faults: group %q: need AtSeconds > 0", g.Name)
 		}
 	}
 	for i := range c.Storms {
@@ -199,11 +191,6 @@ func (c *Correlation) Validate() error {
 		}
 		if s.RatePerHour*s.peakFactor() > maxStormRatePerHour {
 			return fmt.Errorf("faults: storm %q: peak rate %g/h above cap %g/h", s.Name, s.RatePerHour*s.peakFactor(), float64(maxStormRatePerHour))
-		}
-		for _, t := range s.Targets {
-			if t < 0 {
-				return fmt.Errorf("faults: storm %q: negative target index %d", s.Name, t)
-			}
 		}
 	}
 	for i := range c.Triggers {
@@ -270,23 +257,23 @@ func (s *Storm) intensity(t float64) float64 {
 	return base * mod
 }
 
-// expandGroups appends shared-fate machine events: one outage process
-// per group, drawn from the group's own substream, replayed for every
-// member machine at identical instants.
-func (c *Correlation) expandGroups(events []Event, duration sim.Time, tg Targets, src *rng.Source) []Event {
+// expandGroups appends shared-fate machine events: each group's one
+// outage, replayed for every member machine at identical instants. A
+// one-shot outage draws nothing, so groups need no substream.
+func (c *Correlation) expandGroups(events []Event, duration sim.Time, tg Targets) []Event {
 	for i := range c.Groups {
 		g := &c.Groups[i]
-		st := src.Stream("faults-group-" + g.Name)
-		spans := drawOutages(g.MTTFSeconds, g.MTTRSeconds, g.AtSeconds, duration, st)
-		for _, sp := range spans {
-			for _, m := range g.Machines {
-				if m < 0 || m >= tg.Machines {
-					continue
-				}
-				events = append(events, Event{At: sp.down, Kind: MachineDown, Target: m, Origin: g.Name})
-				if sp.hasUp {
-					events = append(events, Event{At: sp.up, Kind: MachineUp, Target: m, Origin: g.Name})
-				}
+		sp, ok := oneShot(g.AtSeconds, g.MTTRSeconds, duration)
+		if !ok {
+			continue
+		}
+		for _, m := range g.Machines {
+			if m < 0 || m >= tg.Machines {
+				continue
+			}
+			events = append(events, Event{At: sp.down, Kind: MachineDown, Target: m, Origin: g.Name})
+			if sp.hasUp {
+				events = append(events, Event{At: sp.up, Kind: MachineUp, Target: m, Origin: g.Name})
 			}
 		}
 	}
@@ -298,23 +285,29 @@ type outageSpan struct {
 	hasUp    bool
 }
 
+// oneShot is the outage that starts at at and is repaired mttr later
+// (never when mttr <= 0); ok is false when it starts after the run.
+func oneShot(at, mttr float64, duration sim.Time) (sp outageSpan, ok bool) {
+	sp.down = sim.Seconds(at)
+	if sp.down >= duration {
+		return sp, false
+	}
+	if rec := sp.down + sim.Seconds(mttr); mttr > 0 && rec < duration {
+		sp.up, sp.hasUp = rec, true
+	}
+	return sp, true
+}
+
 // drawOutages draws the Component-shaped outage process (one-shot or
 // recurring) as spans, consuming draws only from st.
 func drawOutages(mttf, mttr, at float64, duration sim.Time, st *rng.Stream) []outageSpan {
-	var spans []outageSpan
 	if mttf == 0 {
-		t := sim.Seconds(at)
-		if t >= duration {
-			return nil
+		if sp, ok := oneShot(at, mttr, duration); ok {
+			return []outageSpan{sp}
 		}
-		sp := outageSpan{down: t}
-		if mttr > 0 {
-			if rec := t + sim.Seconds(mttr); rec < duration {
-				sp.up, sp.hasUp = rec, true
-			}
-		}
-		return append(spans, sp)
+		return nil
 	}
+	var spans []outageSpan
 	t := sim.Seconds(at)
 	if at == 0 {
 		t = sim.Seconds(st.Exp(mttf))
@@ -349,10 +342,6 @@ func (c *Correlation) expandStorms(events []Event, duration sim.Time, tg Targets
 			continue
 		}
 		n := d.count(tg)
-		victims := orAll(s.Targets, n)
-		// Keep the draw sequence fixed even when every named target is
-		// out of range for this topology: candidates and accept/victim
-		// draws happen regardless, only the append is skipped.
 		st := src.Stream("faults-storm-" + s.Name)
 		peak := s.RatePerHour * s.peakFactor() / 3600
 		t := 0.0
@@ -363,15 +352,15 @@ func (c *Correlation) expandStorms(events []Event, duration sim.Time, tg Targets
 				break
 			}
 			accept := st.Float64() < s.intensity(t)/peak
-			if len(victims) == 0 {
+			if n == 0 {
 				continue
 			}
-			v := victims[st.Intn(len(victims))]
+			v := st.Intn(n)
 			var rec sim.Time
 			if s.MTTRSeconds > 0 {
 				rec = at + sim.Seconds(st.Exp(s.MTTRSeconds))
 			}
-			if !accept || v < 0 || v >= n {
+			if !accept {
 				continue
 			}
 			events = append(events, Event{At: at, Kind: d.down, Target: v, Origin: s.Name})

@@ -13,8 +13,8 @@ func TestCorrelationValidate(t *testing.T) {
 	bad := []Correlation{
 		{Groups: []SharedFateGroup{{Machines: []int{0}, AtSeconds: 1}}},                                                           // no name
 		{Groups: []SharedFateGroup{{Name: "g"}}},                                                                                  // no machines
-		{Groups: []SharedFateGroup{{Name: "g", Machines: []int{0}}}},                                                              // no mttf/at
-		{Groups: []SharedFateGroup{{Name: "g", Machines: []int{0}, MTTFSeconds: 1e-6}}},                                           // mttf below floor
+		{Groups: []SharedFateGroup{{Name: "g", Machines: []int{0}}}},                                                              // no at
+		{Groups: []SharedFateGroup{{Name: "g", Machines: []int{0}, AtSeconds: 1, MTTRSeconds: -1}}},                               // negative mttr
 		{Groups: []SharedFateGroup{{Name: "g", Machines: []int{0}, AtSeconds: 1}, {Name: "g", Machines: []int{1}, AtSeconds: 2}}}, // dup name
 		{Storms: []Storm{{Name: "s", Component: "nope", RatePerHour: 1}}},                                                         // bad class
 		{Storms: []Storm{{Name: "s", Component: "web_crash"}}},                                                                    // rate 0

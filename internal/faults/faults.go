@@ -34,9 +34,8 @@ import (
 // Targets selects which instances the component applies to (web
 // replica indices, DB instance indices where 0 is the primary, or
 // machine indices); empty means all instances of that class. Value
-// carries the degraded-mode magnitude: CPU slowdown factor for
-// SlowNode (> 1), added replica lag in seconds for LagSpike, added
-// cross-machine path delay in seconds for PathDelay.
+// carries the degraded-mode magnitude, which only SlowNode has: its CPU
+// slowdown factor (> 1).
 type Component struct {
 	MTTFSeconds float64
 	MTTRSeconds float64
@@ -60,12 +59,6 @@ type Schedule struct {
 	// SlowNode multiplies CPU service demand on the target machine's
 	// co-placed servers by Value ("limpware"; Value > 1).
 	SlowNode *Component
-	// LagSpike adds Value seconds to the DB replication lag while
-	// active (single global target).
-	LagSpike *Component
-	// PathDelay adds Value seconds to every cross-machine transfer
-	// while active (single global target).
-	PathDelay *Component
 	// Correlation layers coupled failure modes (shared-fate groups,
 	// storms, conditional triggers) on top of the independent
 	// components above; nil adds nothing.
@@ -75,11 +68,8 @@ type Schedule struct {
 	// dedicated substream (it cannot be pre-expanded); nil disables.
 	Hazard *HazardSpec
 	// CacheCrash crashes and restarts the cache node (a restart is a
-	// cold cache); QueueCrash crashes and restarts the write-behind
-	// queue node (the journaled backlog survives, so recovery shows a
-	// lag spike). Both are single-instance tiers: target 0.
+	// cold cache). The cache is a single-instance tier: target 0.
 	CacheCrash *Component
-	QueueCrash *Component
 }
 
 // componentDef is one row of the components table: what validation,
@@ -93,10 +83,9 @@ type componentDef struct {
 	class string
 	// down and up are the kinds of the component's start and end events.
 	down, up Kind
-	// Start events of a valued component carry Component.Value, which
-	// must exceed minValue.
-	valued   bool
-	minValue float64
+	// Start events of a valued component carry Component.Value, a
+	// factor that must exceed 1.
+	valued bool
 	// of reads the component from a schedule; count is how many
 	// instances it can target.
 	of    func(*Schedule) *Component
@@ -114,21 +103,12 @@ var components = [...]componentDef{
 	{name: "machine_crash", class: ClassMachine, down: MachineDown, up: MachineUp,
 		of:    func(s *Schedule) *Component { return s.MachineCrash },
 		count: func(tg Targets) int { return tg.Machines }},
-	{name: "slow_node", down: SlowStart, up: SlowEnd, valued: true, minValue: 1,
+	{name: "slow_node", down: SlowStart, up: SlowEnd, valued: true,
 		of:    func(s *Schedule) *Component { return s.SlowNode },
 		count: func(tg Targets) int { return tg.Machines }},
-	{name: "lag_spike", down: LagStart, up: LagEnd, valued: true,
-		of:    func(s *Schedule) *Component { return s.LagSpike },
-		count: func(Targets) int { return 1 }},
-	{name: "path_delay", down: DelayStart, up: DelayEnd, valued: true,
-		of:    func(s *Schedule) *Component { return s.PathDelay },
-		count: func(Targets) int { return 1 }},
 	{name: "cache_crash", down: CacheDown, up: CacheUp,
 		of:    func(s *Schedule) *Component { return s.CacheCrash },
 		count: func(tg Targets) int { return tg.Caches }},
-	{name: "queue_crash", down: QueueDown, up: QueueUp,
-		of:    func(s *Schedule) *Component { return s.QueueCrash },
-		count: func(tg Targets) int { return tg.Queues }},
 }
 
 // crash returns the web, db or machine crash that match selects, or nil.
@@ -185,8 +165,8 @@ func (c *Component) validate(d *componentDef) error {
 			return fmt.Errorf("faults: %s: negative target index %d", d.name, t)
 		}
 	}
-	if d.valued && c.Value <= d.minValue {
-		return fmt.Errorf("faults: %s: Value must be > %g, got %g", d.name, d.minValue, c.Value)
+	if d.valued && c.Value <= 1 {
+		return fmt.Errorf("faults: %s: Value must be > 1, got %g", d.name, c.Value)
 	}
 	return nil
 }
@@ -215,6 +195,7 @@ func (s *Schedule) Validate() error {
 
 // Kind identifies a timeline event type. Down/Start events flip a
 // component into its failed/degraded state; Up/End events restore it.
+// The order of the kinds breaks ties between events at one instant.
 type Kind uint8
 
 const (
@@ -226,14 +207,8 @@ const (
 	MachineUp
 	SlowStart
 	SlowEnd
-	LagStart
-	LagEnd
-	DelayStart
-	DelayEnd
 	CacheDown
 	CacheUp
-	QueueDown
-	QueueUp
 )
 
 var kindNames = [...]string{
@@ -241,10 +216,7 @@ var kindNames = [...]string{
 	DBDown: "db-down", DBUp: "db-up",
 	MachineDown: "machine-down", MachineUp: "machine-up",
 	SlowStart: "slow-start", SlowEnd: "slow-end",
-	LagStart: "lag-start", LagEnd: "lag-end",
-	DelayStart: "delay-start", DelayEnd: "delay-end",
 	CacheDown: "cache-down", CacheUp: "cache-up",
-	QueueDown: "queue-down", QueueUp: "queue-up",
 }
 
 func (k Kind) String() string {
@@ -255,8 +227,8 @@ func (k Kind) String() string {
 }
 
 // ClassDown reports whether k is the down kind of a web, db or machine
-// crash. Degraded modes and the single-instance cache and queue crashes
-// are not.
+// crash. The slow-node mode and the single-instance cache crash are
+// not.
 func (k Kind) ClassDown() bool {
 	return crash(func(d *componentDef) bool { return d.down == k }) != nil
 }
@@ -275,8 +247,8 @@ type Event struct {
 	At     sim.Time
 	Kind   Kind
 	Target int
-	// Value carries the degraded-mode magnitude for Slow/Lag/Delay
-	// start events (same meaning as Component.Value); 0 otherwise.
+	// Value carries the slowdown factor of SlowStart events (same
+	// meaning as Component.Value); 0 otherwise.
 	Value float64
 	// Origin names the correlation feature (group, storm, or trigger)
 	// that produced the event; empty for base-component events.
@@ -288,10 +260,9 @@ type Targets struct {
 	Webs     int
 	DBs      int
 	Machines int
-	// Caches/Queues are 1 when the corresponding tier is deployed
-	// (single-instance tiers), 0 otherwise.
+	// Caches is 1 when the single-instance cache tier is deployed, 0
+	// otherwise.
 	Caches int
-	Queues int
 }
 
 // orAll returns targets, or every instance 0..n-1 when targets is empty.
@@ -341,7 +312,7 @@ func (s *Schedule) Expand(duration sim.Time, tg Targets, src *rng.Source) []Even
 		}
 	}
 	if c := s.Correlation; !c.Empty() {
-		events = c.expandGroups(events, duration, tg, src)
+		events = c.expandGroups(events, duration, tg)
 		events = c.expandStorms(events, duration, tg, src)
 		// Triggers thin against the condition's down intervals, so the
 		// pre-trigger timeline must be ordered first.

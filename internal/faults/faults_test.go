@@ -24,9 +24,6 @@ func TestScheduleValidate(t *testing.T) {
 		{"slow-needs-factor", Schedule{SlowNode: &Component{AtSeconds: 5}}, false},
 		{"slow-factor-one", Schedule{SlowNode: &Component{AtSeconds: 5, Value: 1}}, false},
 		{"slow-ok", Schedule{SlowNode: &Component{AtSeconds: 5, Value: 2.5}}, true},
-		{"lag-needs-value", Schedule{LagSpike: &Component{AtSeconds: 5}}, false},
-		{"lag-ok", Schedule{LagSpike: &Component{AtSeconds: 5, Value: 0.5}}, true},
-		{"delay-ok", Schedule{PathDelay: &Component{MTTFSeconds: 60, MTTRSeconds: 5, Value: 0.01}}, true},
 	}
 	for _, c := range cases {
 		err := c.s.Validate()
@@ -110,9 +107,8 @@ func TestExpandOneShot(t *testing.T) {
 
 func TestExpandDeterministicAndSorted(t *testing.T) {
 	s := Schedule{
-		WebCrash:  &Component{MTTFSeconds: 40, MTTRSeconds: 8},
-		SlowNode:  &Component{MTTFSeconds: 70, MTTRSeconds: 20, Value: 2},
-		PathDelay: &Component{MTTFSeconds: 50, MTTRSeconds: 10, Value: 0.005},
+		WebCrash: &Component{MTTFSeconds: 40, MTTRSeconds: 8},
+		SlowNode: &Component{MTTFSeconds: 70, MTTRSeconds: 20, Value: 2},
 	}
 	tg := Targets{Webs: 3, DBs: 2, Machines: 2}
 	a := s.Expand(sim.Seconds(600), tg, rng.NewSource(42))

@@ -1,8 +1,8 @@
 package sim
 
-// Test-side inspection and control: production code neither reads a
-// handle's fire time, counts the queue nor stops a ticker, but the drain
-// checks and the kernel oracles need all three.
+// Test-side inspection: production code neither reads a handle's fire
+// time nor counts the queue, but the drain checks and the kernel oracles
+// need both.
 
 // pending reports whether the handle still refers to a queued event
 // (not yet fired, not cancelled).
@@ -31,11 +31,3 @@ func (e Event) time() Time {
 
 // pending reports the number of queued events.
 func (k *Kernel) pending() int { return len(k.heap) + k.farN }
-
-// stop cancels future firings; the ticker's pooled event is released at
-// once, or after the callback when stop is called from inside it. A
-// second stop is a no-op.
-func (t *Ticker) stop() {
-	t.ev.Cancel()
-	t.ev = Event{}
-}

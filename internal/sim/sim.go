@@ -204,7 +204,7 @@ type Kernel struct {
 	farN  int // events in the wheel and the overflow
 	overN int // events in the overflow
 	// firing is the arena index of the event whose callback is running,
-	// -1 otherwise; requeueFiring (the Ticker re-arm) targets it.
+	// -1 otherwise; requeueFiring (the ticker re-arm) targets it.
 	firing int32
 }
 
@@ -301,7 +301,7 @@ func (k *Kernel) Step() bool {
 }
 
 // fire pops the heap's root, runs its callback and collects the slot,
-// unless the callback requeued it in place (the Ticker re-arm path).
+// unless the callback requeued it in place (the ticker re-arm path).
 // The callback fields are copied out first: scheduling inside the
 // callback may grow the arena and move the slot.
 func (k *Kernel) fire() {
@@ -331,34 +331,30 @@ func (k *Kernel) requeueFiring(t Time) {
 	k.seq++
 }
 
-// Every schedules fn at t, t+period, t+2*period, ... for as long as the
-// kernel runs. fn receives the firing time. Each period the ticker
-// re-arms by mutating its pooled event in place rather than scheduling
-// a fresh one, so a steady ticker performs zero allocations.
-func (k *Kernel) Every(start, period Time, fn func(Time)) *Ticker {
+// Every schedules fn at start, start+period, start+2*period, ... for as
+// long as the kernel runs; a ticker cannot be stopped. fn receives the
+// firing time. Each period the ticker re-arms by mutating its pooled
+// event in place rather than scheduling a fresh one, so a steady ticker
+// performs zero allocations.
+func (k *Kernel) Every(start, period Time, fn func(Time)) {
 	if period <= 0 {
 		panic("sim: Every requires a positive period")
 	}
-	tk := &Ticker{k: k, period: period, fn: fn}
-	tk.ev = k.AtCall(start, tickerFire, tk)
-	return tk
+	k.AtCall(start, tickerFire, &ticker{k: k, period: period, fn: fn})
 }
 
-// Ticker is a repeating event created by Every.
-type Ticker struct {
+// ticker is a repeating event created by Every.
+type ticker struct {
 	k      *Kernel
 	period Time
 	fn     func(Time)
-	ev     Event // zero once a test stops the ticker
 }
 
 func tickerFire(arg any) {
-	t := arg.(*Ticker)
+	t := arg.(*ticker)
 	now := t.k.now
 	t.fn(now)
-	if t.ev != (Event{}) {
-		t.k.requeueFiring(now + t.period)
-	}
+	t.k.requeueFiring(now + t.period)
 }
 
 // --- far queue: hashed timing wheel plus overflow ----------------------

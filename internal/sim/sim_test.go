@@ -145,41 +145,22 @@ func TestStep(t *testing.T) {
 func TestTicker(t *testing.T) {
 	k := NewKernel()
 	var fires []Time
-	var tk *Ticker
-	tk = k.Every(2*Second, 2*Second, func(at Time) {
-		fires = append(fires, at)
-		if len(fires) == 5 {
-			// Stop from within the callback must prevent future fires.
-			tk.stop()
-		}
-	})
-	k.Run(20 * Second)
+	k.Every(2*Second, 2*Second, func(at Time) { fires = append(fires, at) })
+	k.Run(10 * Second)
 	if len(fires) != 5 {
-		t.Fatalf("fired %d times, want 5", len(fires))
+		t.Fatalf("fired %d times by 10s, want 5", len(fires))
+	}
+	k.Run(21 * Second)
+	if len(fires) != 10 {
+		t.Fatalf("fired %d times by 21s, want 10", len(fires))
 	}
 	for i, at := range fires {
 		if want := Time(i+1) * 2 * Second; at != want {
 			t.Fatalf("fire %d at %v, want %v", i, at, want)
 		}
 	}
-	tk.stop()
-	k.Run(30 * Second)
-	if len(fires) != 5 {
-		t.Fatalf("ticker fired after Stop: %d", len(fires))
-	}
-}
-
-func TestTickerStopPreventsRearm(t *testing.T) {
-	k := NewKernel()
-	count := 0
-	var tk *Ticker
-	tk = k.Every(Second, Second, func(Time) {
-		count++
-		tk.stop()
-	})
-	k.Run(10 * Second)
-	if count != 1 {
-		t.Fatalf("count = %d, want 1", count)
+	if k.pending() != 1 {
+		t.Fatalf("Pending = %d, want the ticker's one re-armed event", k.pending())
 	}
 }
 

@@ -35,8 +35,10 @@ type farOracle struct {
 	span   Time
 	order  int
 	specs  []oracleSpec
-	events []Event
+	events []Event // zero for tickers, which have no handle
 	fires  int
+	// tickers counts the tickers started; each keeps one event queued.
+	tickers int
 
 	// Paths observed, so the test fails if a geometry stops reaching them.
 	sawWheel, sawOverflow, sawToFar, sawToHeap, sawFarCancel bool
@@ -138,29 +140,35 @@ func (o *farOracle) mutate() {
 }
 
 // ticker starts a ticker whose re-arms the oracle tracks as fresh
-// events, and which stops itself after a few fires.
+// events. Tickers never stop, so a trial ends with one live event each.
 func (o *farOracle) ticker() {
 	id := len(o.specs)
 	start := o.randTime()
 	period := Time(1 + o.r.Intn(int(o.span)))
-	stopAfter := 1 + o.r.Intn(5)
 	o.specs = append(o.specs, oracleSpec{at: start, order: o.nextOrder(), live: true})
 	o.events = append(o.events, Event{})
-	n := 0
-	var tk *Ticker
-	tk = o.k.Every(start, period, func(now Time) {
+	o.tickers++
+	o.k.Every(start, period, func(now Time) {
 		o.fired(id)
 		if len(o.specs) < 400 && o.r.Intn(2) == 0 {
 			o.mutate()
-		}
-		if n++; n >= stopAfter {
-			tk.stop()
-			return
 		}
 		// The kernel re-arms after fn returns, so the re-arm orders
 		// after anything fn scheduled.
 		o.specs[id] = oracleSpec{at: now + period, order: o.nextOrder(), live: true}
 	})
+}
+
+// lastOneShot returns the latest time of a live event that is not a
+// ticker's, or -1 when none is left.
+func (o *farOracle) lastOneShot() Time {
+	last := Time(-1)
+	for i, s := range o.specs {
+		if s.live && o.events[i] != (Event{}) && s.at > last {
+			last = s.at
+		}
+	}
+	return last
 }
 
 // cancel cancels event i, noting when it takes an entry out of the far
@@ -246,16 +254,19 @@ func TestPropertyFarQueueMatchesOracle(t *testing.T) {
 					}
 				}
 				o.checkPending()
-				k.Run(MaxTime)
-				if k.pending() != 0 {
-					t.Fatalf("trial %d: Pending = %d after drain", trial, k.pending())
+				// Drain every one-shot event with bounded runs; firings
+				// along the way may schedule later ones, so run again
+				// until none is left and only the tickers stay queued.
+				for last := o.lastOneShot(); last >= 0; last = o.lastOneShot() {
+					k.Run(last)
 				}
-				if n := o.livePending(); n != 0 {
-					t.Fatalf("trial %d: %d oracle events never fired", trial, n)
+				o.checkPending()
+				if n := o.livePending(); n != o.tickers {
+					t.Fatalf("trial %d: %d oracle events live after drain, want the %d tickers", trial, n, o.tickers)
 				}
-				if len(k.heap) != 0 || k.farN != 0 || k.overN != 0 {
-					t.Fatalf("trial %d: drained kernel holds heap=%d far=%d over=%d",
-						trial, len(k.heap), k.farN, k.overN)
+				if len(k.heap)+k.farN != o.tickers {
+					t.Fatalf("trial %d: drained kernel holds heap=%d far=%d over=%d, want the %d tickers",
+						trial, len(k.heap), k.farN, k.overN, o.tickers)
 				}
 				seen.sawWheel = seen.sawWheel || o.sawWheel
 				seen.sawOverflow = seen.sawOverflow || o.sawOverflow

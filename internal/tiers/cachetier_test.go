@@ -319,38 +319,6 @@ func TestQueueOverflowFallsBack(t *testing.T) {
 	}
 }
 
-// TestQueueCrashRetainsBacklog: a broker crash keeps the journaled
-// backlog; after restore the drain works it off.
-func TestQueueCrashRetainsBacklog(t *testing.T) {
-	qspec := cachetier.QueueSpec{MaxDepth: 4096, BatchSize: 64, DrainEveryMillis: 60000}
-	rig := newCacheRig(t, 50, rubis.BiddingMix(), nil, &qspec)
-	rig.driver.Start()
-	rig.k.Run(30 * sim.Second)
-	depth := rig.qs.Depth()
-	if depth == 0 {
-		t.Fatal("no backlog accumulated before the crash")
-	}
-	rig.qs.crash()
-	if !rig.qs.down {
-		t.Fatal("crash did not take the broker down")
-	}
-	if rig.qs.Depth() != depth {
-		t.Fatalf("crash lost journaled entries: depth %d -> %d", depth, rig.qs.Depth())
-	}
-	rig.k.Run(35 * sim.Second)
-	rig.qs.restore()
-	rig.k.Run(180 * sim.Second) // crosses the 60 s drain ticks
-	s := rig.qs.Snapshot()
-	// The first drain tick lands at 60 s — after the crash — so every
-	// drained entry proves the restored broker replayed its journal.
-	if s.Drained == 0 {
-		t.Fatal("backlog never drained after restore")
-	}
-	if rig.driver.Errors != 0 {
-		t.Fatalf("%d interaction errors across the broker crash", rig.driver.Errors)
-	}
-}
-
 // warmCacheHitRig builds the steady-state rig for the 0-alloc gate.
 // Like the guarded-dispatch gate it excludes the logical interaction
 // layer (rubisdb row decoding allocates result rows by design) and

@@ -55,9 +55,6 @@ type crossPath struct {
 	dstHV    *xen.Hypervisor
 	src, dst *xen.Domain
 	fwdFree  sim.FreeList[crossFwd]
-	// extra is fault-injected additional one-way latency (path_delay
-	// degraded mode); zero in healthy operation.
-	extra sim.Time
 }
 
 type crossFwd struct {
@@ -80,7 +77,7 @@ func (p *crossPath) Transfer(bytes float64, done sim.Callback, arg any) {
 // the wire leg.
 func crossSent(arg any) {
 	f := arg.(*crossFwd)
-	f.p.k.AfterCall(CrossWireLatency+f.p.extra, crossArrived, f)
+	f.p.k.AfterCall(CrossWireLatency, crossArrived, f)
 }
 
 // crossArrived fires at the destination machine: deliver through its

@@ -6,46 +6,38 @@ import (
 )
 
 // Injector applies a pre-expanded fault timeline to a live cluster:
-// crashing and restoring web replicas, DB instances, and whole
-// machines (via the topology's placement map), and toggling degraded
-// modes (slow node, lag spikes, cross-machine path delays). The
-// timeline is expanded before the run starts, so injection consumes no
-// randomness and stays byte-identical at any worker count.
+// crashing and restoring web replicas, DB instances, whole machines
+// (via the topology's placement map) and the cache node, and toggling
+// the slow-node mode. The timeline is expanded before the run starts,
+// so injection consumes no randomness and stays byte-identical at any
+// worker count.
 type Injector struct {
 	k   *sim.Kernel
 	web *WebCluster
 	// dbc's servers are addressed by id, so DB fault targets keep
 	// meaning across failover promotions.
-	dbc     *DBCluster
-	topo    Topology
-	baseLag sim.Time
+	dbc  *DBCluster
+	topo Topology
 
-	// cacheSrv/queueSrv, when wired, receive CacheDown/Up and
-	// QueueDown/Up events (single-instance tiers).
+	// cacheSrv, when deployed, receives CacheDown/Up events; nil leaves
+	// them inert.
 	cacheSrv *CacheServer
-	queueSrv *QueueServer
 
 	events []faults.Event
 	idx    int
 }
 
-// SetAuxTiers wires the cache and queue nodes into fault injection;
-// nil leaves the corresponding events inert.
-func (inj *Injector) SetAuxTiers(c *CacheServer, q *QueueServer) {
-	inj.cacheSrv = c
-	inj.queueSrv = q
-}
-
 // NewInjector wires the injector; call Start to arm the timeline.
 // events must be sorted by time (faults.Schedule.Expand guarantees it).
-func NewInjector(k *sim.Kernel, web *WebCluster, dbc *DBCluster, topo Topology, events []faults.Event) *Injector {
+// cache is the cache node, or nil when none is deployed.
+func NewInjector(k *sim.Kernel, web *WebCluster, dbc *DBCluster, cache *CacheServer, topo Topology, events []faults.Event) *Injector {
 	return &Injector{
-		k:       k,
-		web:     web,
-		dbc:     dbc,
-		topo:    topo,
-		baseLag: dbc.Lag,
-		events:  events,
+		k:        k,
+		web:      web,
+		dbc:      dbc,
+		topo:     topo,
+		cacheSrv: cache,
+		events:   events,
 	}
 }
 
@@ -99,14 +91,6 @@ func (inj *Injector) apply(e faults.Event) {
 		inj.eachOnMachine(e.Target,
 			func(w *WebAppServer) { w.slow = 0 },
 			func(d *DBServer) { d.slow = 0 })
-	case faults.LagStart:
-		inj.dbc.Lag = inj.baseLag + sim.Seconds(e.Value)
-	case faults.LagEnd:
-		inj.dbc.Lag = inj.baseLag
-	case faults.DelayStart:
-		inj.setPathDelay(sim.Seconds(e.Value))
-	case faults.DelayEnd:
-		inj.setPathDelay(0)
 	case faults.CacheDown:
 		if inj.cacheSrv != nil {
 			inj.cacheSrv.crash()
@@ -114,14 +98,6 @@ func (inj *Injector) apply(e faults.Event) {
 	case faults.CacheUp:
 		if inj.cacheSrv != nil {
 			inj.cacheSrv.restore()
-		}
-	case faults.QueueDown:
-		if inj.queueSrv != nil {
-			inj.queueSrv.crash()
-		}
-	case faults.QueueUp:
-		if inj.queueSrv != nil {
-			inj.queueSrv.restore()
 		}
 	}
 }
@@ -138,21 +114,6 @@ func (inj *Injector) eachOnMachine(m int, webFn func(*WebAppServer), dbFn func(*
 	for j, d := range inj.dbc.servers {
 		if inj.topo.MachineFor(inj.topo.MaxWebReplicas+j) == m {
 			dbFn(d)
-		}
-	}
-}
-
-// setPathDelay adds extra one-way latency to every cross-machine path
-// in the cluster (packet-loss-like degradation).
-func (inj *Injector) setPathDelay(extra sim.Time) {
-	for _, w := range inj.web.Replicas {
-		for _, pp := range w.dbPaths {
-			if cp, ok := pp.To.(*crossPath); ok {
-				cp.extra = extra
-			}
-			if cp, ok := pp.From.(*crossPath); ok {
-				cp.extra = extra
-			}
 		}
 	}
 }

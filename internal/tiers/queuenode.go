@@ -38,8 +38,8 @@ func DefaultQueueParams() QueueParams {
 }
 
 // QueuePubResult is the caller-owned out-param a publish resolves into.
-// OK=false (queue down, full, or crashed mid-ack) means the web replica
-// must fall back to the synchronous DB chain.
+// OK=false (queue full) means the web replica must fall back to the
+// synchronous DB chain.
 type QueuePubResult struct {
 	OK bool
 }
@@ -47,12 +47,12 @@ type QueuePubResult struct {
 // QueueStats is the queue node's cumulative accounting.
 type QueueStats struct {
 	// Published counts accepted writes; Overflows counts writes turned
-	// away (full or down) that fell back to the synchronous chain.
+	// away (full) that fell back to the synchronous chain.
 	Published uint64
 	Overflows uint64
 	// Drained counts writes fully replayed to the DB primary; Batches
 	// counts drain rounds; Redeliveries counts writes replayed more than
-	// once after a crash interrupted their batch (at-least-once).
+	// once after a DB crash interrupted their batch (at-least-once).
 	Drained      uint64
 	Batches      uint64
 	Redeliveries uint64
@@ -79,14 +79,12 @@ type queuePub struct {
 	reply Path
 	done  sim.Callback
 	darg  any
-	epoch uint32
 }
 
-// queueDrain is the pooled per-batch drain state; the epoch snapshot
-// detaches a batch whose queue crashed mid-replay.
+// queueDrain is the pooled per-batch drain state; the DB epoch snapshot
+// detaches a batch whose DB target crashed mid-replay.
 type queueDrain struct {
 	q       *QueueServer
-	epoch   uint32
 	srv     *DBServer
 	dbEpoch uint32
 }
@@ -94,9 +92,8 @@ type queueDrain struct {
 // QueueServer is the VM-backed write-behind broker: web replicas
 // publish write interactions here and complete on the ack; a periodic
 // drain replays buffered query chains to the current DB primary in
-// batches. The backlog is durable (journaled publishes survive a
-// crash), so a broker crash shows up as a recovery lag spike, and
-// interrupted batches redeliver — at-least-once semantics.
+// batches. A batch whose DB target crashes stops, and its current
+// entry redelivers on a later tick — at-least-once semantics.
 type QueueServer struct {
 	k   *sim.Kernel
 	be  Backend
@@ -115,9 +112,6 @@ type QueueServer struct {
 	draining  bool
 	drainQI   int
 	batchLeft int
-
-	down  bool
-	epoch uint32
 
 	// Stats is the cumulative accounting (FinalDepth filled by Snapshot).
 	Stats QueueStats
@@ -153,7 +147,7 @@ func (q *QueueServer) LagMs(now sim.Time) float64 {
 // on the wire; a refusal counts as an overflow fallback to the
 // synchronous chain.
 func (q *QueueServer) Admit() bool {
-	if q.down || q.n >= len(q.ring) {
+	if q.n >= len(q.ring) {
 		q.Stats.Overflows++
 		return false
 	}
@@ -171,10 +165,10 @@ func (q *QueueServer) PublishBytes(res *rubis.Result) float64 {
 
 // HandlePublish accepts one write interaction's query chain: journal
 // it, buffer it, and ack. The out-param reports acceptance; a refusal
-// (filled up while the publish was on the wire, or crashed) acks
-// OK=false and the caller falls back to the synchronous chain.
+// (filled up while the publish was on the wire) acks OK=false and the
+// caller falls back to the synchronous chain.
 func (q *QueueServer) HandlePublish(queries []rubis.QueryCost, out *QueuePubResult, reply Path, done sim.Callback, arg any) {
-	if q.down || q.n >= len(q.ring) {
+	if q.n >= len(q.ring) {
 		q.Stats.Overflows++
 		out.OK = false
 		reply.Transfer(q.params.AckBytes, done, arg)
@@ -201,7 +195,6 @@ func (q *QueueServer) HandlePublish(queries []rubis.QueryCost, out *QueuePubResu
 	p.reply = reply
 	p.done = done
 	p.darg = arg
-	p.epoch = q.epoch
 	os := q.be.OS()
 	os.RunQueue++
 	os.NoteContext(2)
@@ -209,28 +202,23 @@ func (q *QueueServer) HandlePublish(queries []rubis.QueryCost, out *QueuePubResu
 }
 
 // queuePubDone fires after the publish CPU stage: ack the web replica.
-// A crash between accept and ack loses the ack — the entry is journaled
-// and will drain, but the caller retries synchronously (at-least-once).
 func queuePubDone(arg any) {
 	p := arg.(*queuePub)
 	q := p.q
-	ok := !q.down && q.epoch == p.epoch
-	if ok {
-		os := q.be.OS()
-		if os.RunQueue > 0 {
-			os.RunQueue--
-		}
+	os := q.be.OS()
+	if os.RunQueue > 0 {
+		os.RunQueue--
 	}
 	out, reply, done, darg := p.out, p.reply, p.done, p.darg
 	q.pubFree.Put(p)
-	out.OK = ok
+	out.OK = true
 	reply.Transfer(q.params.AckBytes, done, darg)
 }
 
-// drainTick starts a batch replay if there is backlog and both the
-// broker and the DB primary are up.
+// drainTick starts a batch replay if there is backlog and the DB
+// primary is up.
 func (q *QueueServer) drainTick(now sim.Time) {
-	if q.down || q.draining || q.n == 0 {
+	if q.draining || q.n == 0 {
 		return
 	}
 	if q.dbc.server(0).down {
@@ -244,7 +232,6 @@ func (q *QueueServer) drainTick(now sim.Time) {
 	q.drainQI = 0
 	d := q.drainFree.Get()
 	d.q = q
-	d.epoch = q.epoch
 	q.drainStep(d)
 }
 
@@ -285,10 +272,6 @@ func (q *QueueServer) drainStep(d *queueDrain) {
 func queueDrainSent(arg any) {
 	d := arg.(*queueDrain)
 	q := d.q
-	if q.down || q.epoch != d.epoch {
-		q.drainFree.Put(d)
-		return
-	}
 	if d.srv.down || d.srv.epoch != d.dbEpoch {
 		q.abortBatch(d)
 		return
@@ -300,10 +283,6 @@ func queueDrainSent(arg any) {
 func queueDrainReply(arg any) {
 	d := arg.(*queueDrain)
 	q := d.q
-	if q.down || q.epoch != d.epoch {
-		q.drainFree.Put(d)
-		return
-	}
 	if d.srv.down || d.srv.epoch != d.dbEpoch {
 		q.abortBatch(d)
 		return
@@ -321,33 +300,6 @@ func (q *QueueServer) abortBatch(d *queueDrain) {
 	q.drainQI = 0
 	q.draining = false
 	q.drainFree.Put(d)
-}
-
-// crash takes the broker down. The journaled backlog survives; drain
-// stalls until restore, so the post-recovery lag spike is the crash's
-// signature. A batch in flight detaches via the epoch bump and its
-// current entry will redeliver.
-func (q *QueueServer) crash() {
-	if q.down {
-		return
-	}
-	q.down = true
-	q.epoch++
-	q.be.OS().RunQueue = 0
-	if q.draining && q.drainQI > 0 {
-		q.Stats.Redeliveries++
-	}
-	q.draining = false
-	q.drainQI = 0
-}
-
-// restore brings the broker back; the retained backlog resumes draining
-// on the next tick.
-func (q *QueueServer) restore() {
-	if !q.down {
-		return
-	}
-	q.down = false
 }
 
 // Snapshot returns the accounting with the live backlog depth filled.

@@ -315,11 +315,12 @@ func AnalyzeScaling(r *Result, sloMillis float64) ScalingAnalysis {
 
 // Fault injection and resilience (internal/faults, internal/tiers):
 // Config.Faults carries a seed-deterministic fault schedule (web/DB
-// crashes, whole-machine failures, degraded modes) expanded into an
-// explicit timeline before the run starts; Config.Resilience arms the
-// serving path with per-call timeouts, bounded retries with budgets,
-// health-check ejection, DB primary failover, and an optional circuit
-// breaker. Both nil reproduces the fault-free runs byte for byte.
+// crashes, whole-machine failures, slow nodes, cache crashes) expanded
+// into an explicit timeline before the run starts; Config.Resilience
+// arms the serving path with per-call timeouts, bounded retries with
+// budgets, health-check ejection, DB primary failover, and an optional
+// circuit breaker. Both nil reproduces the fault-free runs byte for
+// byte.
 type (
 	// FaultSchedule is the fault description.
 	FaultSchedule = faults.Schedule
@@ -356,7 +357,7 @@ type (
 	// FaultCorrelation couples component failures: shared-fate
 	// groups, storms, and conditional triggers.
 	FaultCorrelation = faults.Correlation
-	// SharedFateGroup fells a named set of machines together.
+	// SharedFateGroup fells a named set of machines together, once.
 	SharedFateGroup = faults.SharedFateGroup
 	// FaultStorm is a modulated cluster crash process.
 	FaultStorm = faults.Storm
@@ -413,9 +414,9 @@ func AnalyzeAvailability(r *Result, sloMillis float64) AvailabilityAnalysis {
 // into thundering stampedes unless single-flight leases are on, and a
 // crash restarts it cold. Config.Queue deploys a write-behind broker —
 // writes publish their query chains and complete on the ack, a
-// periodic batched drain replays them to the DB primary, and a crash
-// retains the journaled backlog (at-least-once). Both nil reproduces
-// the direct-to-DB serving path byte for byte.
+// periodic batched drain replays them to the DB primary, and a DB crash
+// mid-batch redelivers the interrupted entry (at-least-once). Both nil
+// reproduces the direct-to-DB serving path byte for byte.
 type (
 	// CacheSpec is the cache-tier description.
 	CacheSpec = cachetier.CacheSpec
