@@ -49,10 +49,11 @@ const (
 )
 
 // Storm is a cluster-wide crash process over one component class. Each
-// occurrence picks a victim uniformly from the whole class. The nonhomogeneous process is expanded by thinning: candidate
-// arrivals are drawn homogeneously at the peak rate from the storm's
-// named substream and accepted with probability rate(t)/peak, so the
-// draw sequence is self-contained per storm.
+// occurrence picks a victim uniformly from the whole class. The
+// nonhomogeneous process is expanded by thinning: candidate arrivals are
+// drawn homogeneously at the peak rate from the storm's named substream
+// and accepted with probability rate(t)/peak, so the draw sequence is
+// self-contained per storm.
 type Storm struct {
 	Name string
 	// Component selects the victim class: "web_crash", "db_crash", or

@@ -319,6 +319,49 @@ func TestQueueOverflowFallsBack(t *testing.T) {
 	}
 }
 
+// TestQueueRedeliversAfterDBCrash: a DB crash in the middle of a
+// replayed query chain aborts the batch and counts a redelivery; after
+// the DB is restored, the next drain replays that entry from its first
+// query and works off every write buffered at the crash.
+func TestQueueRedeliversAfterDBCrash(t *testing.T) {
+	qspec := cachetier.QueueSpec{MaxDepth: 4096, BatchSize: 4096, DrainEveryMillis: 60000}
+	rig := newCacheRig(t, 50, rubis.BiddingMix(), nil, &qspec)
+	rig.driver.Start()
+	rig.k.Run(60 * sim.Second)
+	// Step into the first drain until a chain is part-replayed.
+	for !(rig.qs.draining && rig.qs.drainQI > 0) {
+		if rig.k.Now() >= 120*sim.Second || !rig.k.Step() {
+			t.Fatal("first drain never reached the middle of a query chain")
+		}
+	}
+	drained, depth := rig.qs.Stats.Drained, rig.qs.Depth()
+	rig.db.crash()
+	rig.k.Run(65 * sim.Second)
+	if rig.qs.draining {
+		t.Fatal("batch still draining against a crashed DB")
+	}
+	if got := rig.qs.Stats.Redeliveries; got != 1 {
+		t.Fatalf("redeliveries = %d, want 1", got)
+	}
+	if rig.qs.Stats.Drained != drained {
+		t.Fatalf("drained %d -> %d while the DB was down", drained, rig.qs.Stats.Drained)
+	}
+	rig.db.restore()
+	rig.k.Run(170 * sim.Second) // crosses the 120 s drain tick
+	s := rig.qs.Snapshot()
+	if s.Drained < drained+uint64(depth) {
+		t.Fatalf("drained %d, want at least %d: the backlog buffered at the crash was not worked off",
+			s.Drained, drained+uint64(depth))
+	}
+	if s.Redeliveries != 1 {
+		t.Fatalf("redeliveries = %d after restore, want 1", s.Redeliveries)
+	}
+	if s.Published != s.Drained+uint64(s.FinalDepth) {
+		t.Fatalf("published %d != drained %d + backlog %d: a write was lost",
+			s.Published, s.Drained, s.FinalDepth)
+	}
+}
+
 // warmCacheHitRig builds the steady-state rig for the 0-alloc gate.
 // Like the guarded-dispatch gate it excludes the logical interaction
 // layer (rubisdb row decoding allocates result rows by design) and
